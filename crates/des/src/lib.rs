@@ -38,14 +38,12 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod flight;
 pub mod queue;
 pub mod rng;
 pub mod sim;
 pub mod stats;
 pub mod time;
 
-pub use flight::{FlightDump, FlightRecorder};
 pub use queue::EventQueue;
 pub use rng::SeedStream;
 pub use sim::{Simulator, StopReason};

@@ -166,8 +166,8 @@ impl MonitorReport {
 }
 
 /// A diagnosis bundle: a directory of JSON documents capturing the
-/// state around an invariant violation (flight-recorder dump, peer
-/// slice, trailing telemetry, pipeline and profile snapshots).
+/// state around an invariant violation (recent-check ring, peer slice,
+/// trailing telemetry, pipeline and profile snapshots).
 ///
 /// The bundle lands at `<root>/diagnosis-<run_id>/`; each document is
 /// written with [`DiagnosisBundle::write_json`] (pretty, one file) or

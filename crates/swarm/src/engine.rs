@@ -569,8 +569,8 @@ impl Swarm {
     /// Creates a swarm that runs a custom stage pipeline instead of
     /// [`default_pipeline`] — the hook for scenario ablations (shaking
     /// off, no departures, an experimental policy stage, …). Stages run
-    /// in the given order every round, each under a phase timer resolved
-    /// from its [`RoundStage::timer_name`].
+    /// in the given order every round, each under the phase timer
+    /// `round.<name>` named after its [`RoundStage::name`].
     #[must_use]
     pub fn with_pipeline(
         config: SwarmConfig,
@@ -581,7 +581,7 @@ impl Swarm {
         let pipeline = stages
             .into_iter()
             .map(|stage| PipelineEntry {
-                timer: registry.timer(stage.timer_name()),
+                timer: registry.timer(&format!("round.{}", stage.name())),
                 stage,
             })
             .collect();
@@ -690,8 +690,8 @@ impl Swarm {
     }
 
     /// Attaches a per-round telemetry recorder, binding it to this run's
-    /// configuration. Subsequent rounds feed it samples, phase-detector
-    /// observations, and flight-recorder events.
+    /// configuration. Subsequent rounds feed it samples and
+    /// phase-detector observations.
     pub fn attach_telemetry(&mut self, mut recorder: TelemetryRecorder) {
         recorder.bind(&self.core.config);
         self.telemetry = Some(recorder);

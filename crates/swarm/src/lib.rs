@@ -64,14 +64,14 @@ pub use engine::{Swarm, SwarmCore};
 pub use metrics::SwarmMetrics;
 pub use monitors::{
     default_monitors, DoctorOptions, DoctorReport, EntropyCollapse, FaultKind, FaultSpec,
-    MonitorSample, ObserverPhase, PhaseMonotonic, PieceConservation, ReplicationOracle,
-    SlotBalance, SwarmDoctor,
+    MonitorSample, ObserverPhase, ObserverStall, PhaseMonotonic, PieceConservation,
+    ReplicationOracle, SlotBalance, SwarmDoctor,
 };
 pub use replication::ReplicationIndex;
 pub use stages::RoundStage;
 pub use store::{PeerId, PeerStore};
 pub use telemetry::{
-    FlightOptions, ObserverBoundaries, ObserverSample, PhaseDetector, PhaseEvent, TelemetryFormat,
+    ObserverBoundaries, ObserverSample, PhaseDetector, PhaseEvent, TelemetryFormat,
     TelemetryOptions, TelemetryRecord, TelemetryRecorder,
 };
 

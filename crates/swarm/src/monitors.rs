@@ -11,10 +11,11 @@
 //! * the built-in monitors — [`PieceConservation`],
 //!   [`ReplicationOracle`], [`EntropyCollapse`] (one-club detection per
 //!   Zhu & Hajek, arXiv 1110.2753), [`PhaseMonotonic`], and
-//!   [`SlotBalance`];
-//! * [`SwarmDoctor`] — the harness the engine drives: a flight recorder
-//!   of recent checks, a trailing telemetry window, and the bundle
-//!   writer that captures forensic context the moment a check fails;
+//!   [`SlotBalance`], plus the opt-in [`ObserverStall`];
+//! * [`SwarmDoctor`] — the harness the engine drives: a bounded ring of
+//!   recent checks (`flight.json`), a trailing telemetry window, and the
+//!   bundle writer that captures forensic context the moment a check
+//!   fails;
 //! * [`FaultSpec`] — seeded fault injection that deliberately corrupts
 //!   the swarm mid-run, proving the monitors fire (and giving
 //!   `btlab doctor --inject-fault` its demo).
@@ -28,7 +29,6 @@ use std::path::PathBuf;
 
 use serde::{Deserialize, Serialize};
 
-use bt_des::FlightRecorder;
 use bt_model::{DownloadState, Phase};
 use bt_obs::{DiagnosisBundle, Monitor, MonitorReport, MonitorSet, Violation};
 
@@ -346,6 +346,82 @@ impl Monitor<MonitorSample> for PhaseMonotonic {
     }
 }
 
+/// Tracked progress of one observer for [`ObserverStall`].
+#[derive(Debug, Clone, Copy)]
+struct StallTrack {
+    last_pieces: u32,
+    since: u64,
+    reported: bool,
+}
+
+/// Observers must keep downloading: an incomplete observer that gains no
+/// piece for `limit` rounds has stalled — typically on an empty
+/// potential set, with nothing left to trade. Opt-in via
+/// [`DoctorOptions::stall_rounds`]. Fires once per stall episode,
+/// re-arming when the observer progresses; departed and complete
+/// observers are dropped.
+#[derive(Debug)]
+pub struct ObserverStall {
+    /// Rounds without progress that count as a stall (zero is
+    /// normalized to 1).
+    pub limit: u64,
+    tracks: BTreeMap<u64, StallTrack>,
+}
+
+impl ObserverStall {
+    /// A detector firing after `limit` rounds without progress.
+    #[must_use]
+    pub fn new(limit: u64) -> Self {
+        ObserverStall {
+            limit: limit.max(1),
+            tracks: BTreeMap::new(),
+        }
+    }
+}
+
+impl Monitor<MonitorSample> for ObserverStall {
+    fn name(&self) -> &'static str {
+        "observer-stall"
+    }
+
+    fn check(&mut self, sample: &MonitorSample) -> Vec<Violation> {
+        let name = self.name();
+        let limit = self.limit;
+        let incomplete = |o: &&ObserverPhase| o.pieces < sample.pieces;
+        self.tracks
+            .retain(|peer, _| sample.observers.iter().filter(incomplete).any(|o| o.peer == *peer));
+        let mut violations = Vec::new();
+        for obs in sample.observers.iter().filter(incomplete) {
+            let fresh = StallTrack {
+                last_pieces: obs.pieces,
+                since: sample.round,
+                reported: false,
+            };
+            let track = self.tracks.entry(obs.peer).or_insert(fresh);
+            if obs.pieces > track.last_pieces {
+                *track = fresh;
+                continue;
+            }
+            let stalled = sample.round.saturating_sub(track.since);
+            if stalled >= limit && !track.reported {
+                track.reported = true;
+                let mut v = violation(
+                    name,
+                    sample,
+                    format!(
+                        "observer {} stalled at {}/{} pieces for {} rounds \
+                         (phase {})",
+                        obs.peer, obs.pieces, sample.pieces, stalled, obs.phase
+                    ),
+                );
+                v.subjects = vec![obs.peer];
+                violations.push(v);
+            }
+        }
+        violations
+    }
+}
+
 /// Connection-slot accounting must balance: the sum of connection-list
 /// lengths equals twice the audit's net open pairs (every pair
 /// contributes two endpoints), and no list exceeds the cap `k`. A
@@ -413,7 +489,7 @@ pub struct DoctorOptions {
     pub entropy_floor: f64,
     /// Minimum population for entropy checks.
     pub entropy_min_population: u64,
-    /// Ring capacity of the per-check flight recorder.
+    /// Ring capacity of the per-check events written to `flight.json`.
     pub flight_capacity: usize,
     /// Trailing telemetry samples retained for the bundle.
     pub trail_capacity: usize,
@@ -422,6 +498,9 @@ pub struct DoctorOptions {
     pub bundle_root: Option<PathBuf>,
     /// Stable identifier of this run, used in the bundle directory name.
     pub run_id: String,
+    /// Adds [`ObserverStall`] to the battery: fire when an observer makes
+    /// no piece progress for this many rounds. `None` leaves it out.
+    pub stall_rounds: Option<u64>,
 }
 
 impl Default for DoctorOptions {
@@ -434,11 +513,12 @@ impl Default for DoctorOptions {
             trail_capacity: 32,
             bundle_root: None,
             run_id: "run".to_string(),
+            stall_rounds: None,
         }
     }
 }
 
-/// One per-check event retained by the doctor's flight recorder.
+/// One per-check event retained in the doctor's `flight.json` ring.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DoctorFlightEvent {
     /// Round of the check.
@@ -531,11 +611,11 @@ impl DoctorReport {
 }
 
 /// The runtime harness the engine drives: monitors plus the forensic
-/// capture machinery (flight recorder, trailing telemetry, bundles).
+/// capture machinery (recent-check ring, trailing telemetry, bundles).
 pub struct SwarmDoctor {
     options: DoctorOptions,
     set: MonitorSet<MonitorSample>,
-    flight: FlightRecorder<DoctorFlightEvent>,
+    flight: VecDeque<DoctorFlightEvent>,
     trail: VecDeque<TelemetrySample>,
     bundle_dir: Option<PathBuf>,
 }
@@ -551,17 +631,20 @@ impl std::fmt::Debug for SwarmDoctor {
 }
 
 impl SwarmDoctor {
-    /// A doctor running the standard battery under the given options.
+    /// A doctor running the standard battery under the given options,
+    /// plus [`ObserverStall`] when [`DoctorOptions::stall_rounds`] is set.
     #[must_use]
     pub fn new(mut options: DoctorOptions) -> Self {
         if options.cadence == 0 {
             options.cadence = 1;
         }
-        let set = default_monitors(options.entropy_floor, options.entropy_min_population);
-        let flight = FlightRecorder::new(options.flight_capacity);
+        let mut set = default_monitors(options.entropy_floor, options.entropy_min_population);
+        if let Some(limit) = options.stall_rounds {
+            set.push(Box::new(ObserverStall::new(limit)));
+        }
         SwarmDoctor {
             set,
-            flight,
+            flight: VecDeque::new(),
             trail: VecDeque::new(),
             bundle_dir: None,
             options,
@@ -589,14 +672,17 @@ impl SwarmDoctor {
     }
 
     /// Feeds one sampled round through the monitors, returning the fresh
-    /// violations. Records the flight event and the trailing telemetry
-    /// window as a side effect.
+    /// violations. Records the check in the `flight.json` ring and the
+    /// trailing telemetry window as a side effect.
     pub(crate) fn observe(
         &mut self,
         sample: &MonitorSample,
         telemetry: TelemetrySample,
     ) -> Vec<Violation> {
-        self.flight.record(DoctorFlightEvent {
+        if self.flight.len() == self.options.flight_capacity.max(1) {
+            self.flight.pop_front();
+        }
+        self.flight.push_back(DoctorFlightEvent {
             round: sample.round,
             population: sample.population,
             entropy: sample.entropy,
@@ -632,21 +718,12 @@ impl SwarmDoctor {
         let reason = violations
             .first()
             .map_or_else(|| "violation".to_string(), |v| v.monitor.clone());
-        let dump = self
-            .flight
-            .trigger(sample.round, &reason)
-            .map(|d| FlightDumpDoc {
-                reason: d.reason,
-                round: d.tick,
-                recorded: d.recorded,
-                events: d.events,
-            })
-            .unwrap_or_else(|| FlightDumpDoc {
-                reason,
-                round: sample.round,
-                recorded: 0,
-                events: Vec::new(),
-            });
+        let dump = FlightDumpDoc {
+            reason,
+            round: sample.round,
+            recorded: self.set.report().checks,
+            events: self.flight.iter().cloned().collect(),
+        };
         let meta = BundleMeta {
             schema_version: bt_obs::MONITOR_SCHEMA_VERSION,
             run_id: self.options.run_id.clone(),
@@ -683,7 +760,8 @@ impl SwarmDoctor {
     }
 }
 
-/// The `flight.json` document: the recorder dump with doctor naming.
+/// The `flight.json` document: the recent-check ring at the first
+/// violation. `recorded` counts every check, including rotated-out ones.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct FlightDumpDoc {
     reason: String,
@@ -896,6 +974,71 @@ mod tests {
         let v = m.check(&s);
         assert_eq!(v.len(), 1);
         assert!(v[0].detail.contains("lost pieces"), "{}", v[0].detail);
+    }
+
+    /// A sample at `round` holding one observer per `(peer, pieces)`.
+    fn observed(round: u64, observers: &[(u64, u32)]) -> MonitorSample {
+        let mut s = sample(round);
+        s.observers = observers
+            .iter()
+            .map(|&(peer, pieces)| ObserverPhase {
+                peer,
+                pieces,
+                phase: Phase::LastDownload,
+            })
+            .collect();
+        s
+    }
+
+    #[test]
+    fn observer_stall_fires_once_per_episode_at_cadence_one() {
+        let mut m = ObserverStall::new(3);
+        // First sighting at round 1; rounds 2-3 are 1 and 2 rounds stalled.
+        for round in 1..=3 {
+            assert!(m.check(&observed(round, &[(4, 2)])).is_empty(), "round {round}");
+        }
+        let v = m.check(&observed(4, &[(4, 2)]));
+        assert_eq!(v.len(), 1, "three rounds without progress");
+        assert_eq!(v[0].monitor, "observer-stall");
+        assert_eq!(v[0].subjects, vec![4]);
+        assert!(v[0].detail.contains("2/10 pieces for 3 rounds"), "{}", v[0].detail);
+        assert!(v[0].detail.contains("last-download"), "{}", v[0].detail);
+        assert!(m.check(&observed(5, &[(4, 2)])).is_empty(), "episode already reported");
+        // Progress re-arms; the next stall is a fresh episode.
+        assert!(m.check(&observed(6, &[(4, 3)])).is_empty());
+        assert!(m.check(&observed(8, &[(4, 3)])).is_empty());
+        assert_eq!(m.check(&observed(9, &[(4, 3)])).len(), 1);
+    }
+
+    #[test]
+    fn observer_stall_counts_rounds_not_checks_above_cadence_one() {
+        // Sampled every 4th round: the stall length is measured in rounds.
+        let mut m = ObserverStall::new(5);
+        assert!(m.check(&observed(4, &[(1, 0), (2, 0)])).is_empty());
+        assert!(m.check(&observed(8, &[(1, 0), (2, 1)])).is_empty(), "4 rounds < 5");
+        // Peer 1 has stalled 8 rounds; peer 2 progressed at round 8.
+        let v = m.check(&observed(12, &[(1, 0), (2, 1)]));
+        assert_eq!(v.len(), 1);
+        assert_eq!(v[0].subjects, vec![1]);
+        assert!(v[0].detail.contains("for 8 rounds"), "{}", v[0].detail);
+        let v = m.check(&observed(16, &[(1, 0), (2, 1)]));
+        assert_eq!(v.len(), 1, "peer 2 stalled 8 rounds since its progress");
+        assert_eq!(v[0].subjects, vec![2]);
+        // Zero is normalized: any round without progress is a stall.
+        assert_eq!(ObserverStall::new(0).limit, 1);
+    }
+
+    #[test]
+    fn observer_stall_drops_departed_and_complete_observers() {
+        let mut m = ObserverStall::new(2);
+        assert!(m.check(&observed(1, &[(1, 4), (2, 10)])).is_empty());
+        // Peer 1 departs; peer 2 holds all 10 pieces and cannot stall.
+        assert!(m.check(&observed(2, &[(2, 10)])).is_empty());
+        assert!(m.check(&observed(5, &[(2, 10)])).is_empty());
+        // A returning id starts a fresh track instead of firing at once.
+        assert!(m.check(&observed(6, &[(1, 4)])).is_empty());
+        assert!(m.check(&observed(7, &[(1, 4)])).is_empty());
+        assert_eq!(m.check(&observed(8, &[(1, 4)])).len(), 1);
     }
 
     #[test]

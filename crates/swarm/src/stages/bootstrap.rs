@@ -129,10 +129,6 @@ impl RoundStage for Bootstrap {
         "bootstrap"
     }
 
-    fn timer_name(&self) -> &'static str {
-        "round.bootstrap"
-    }
-
     fn run(&mut self, core: &mut SwarmCore) {
         let injected = self.inject(core);
         core.profile.add_work("bootstrap.injections", injected);

@@ -23,10 +23,6 @@ impl RoundStage for DepartCompleted {
         "depart"
     }
 
-    fn timer_name(&self) -> &'static str {
-        "round.depart"
-    }
-
     fn run(&mut self, core: &mut SwarmCore) {
         self.done.clear();
         for &id in core.tracker.peers() {

@@ -22,10 +22,6 @@ impl RoundStage for EstablishConnections {
         "establish"
     }
 
-    fn timer_name(&self) -> &'static str {
-        "round.establish"
-    }
-
     fn run(&mut self, core: &mut SwarmCore) {
         let k = core.config.max_connections as usize;
         // Randomized service order prevents low ids from monopolizing

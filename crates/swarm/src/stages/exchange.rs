@@ -329,10 +329,6 @@ impl RoundStage for ExchangePieces {
         "exchange"
     }
 
-    fn timer_name(&self) -> &'static str {
-        "round.exchange"
-    }
-
     fn run(&mut self, core: &mut SwarmCore) {
         core.collect_connection_pairs(&mut self.pairs);
         let words_scanned = self.plan(core);

@@ -26,10 +26,6 @@ impl RoundStage for MaintainNeighbors {
         "maintain"
     }
 
-    fn timer_name(&self) -> &'static str {
-        "round.maintain"
-    }
-
     fn run(&mut self, core: &mut SwarmCore) {
         // Pre-reannounce configs deserialize the interval as 0; treat
         // that as the old every-round behavior.

@@ -63,12 +63,9 @@ use crate::engine::SwarmCore;
 /// plan work, they never influence which stream decides what.
 pub trait RoundStage: std::fmt::Debug {
     /// Stable stage name, used to select or disable stages by name
-    /// (e.g. `btlab swarm --disable-stage shake`).
+    /// (e.g. `btlab swarm --disable-stage shake`). The stage runs under
+    /// the phase timer `round.<name>` (part of the manifest schema).
     fn name(&self) -> &'static str;
-
-    /// Name of the phase timer this stage runs under (`round.*`; part of
-    /// the manifest schema).
-    fn timer_name(&self) -> &'static str;
 
     /// Executes the stage for one round.
     fn run(&mut self, core: &mut SwarmCore);

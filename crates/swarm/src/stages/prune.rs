@@ -19,10 +19,6 @@ impl RoundStage for PruneConnections {
         "prune"
     }
 
-    fn timer_name(&self) -> &'static str {
-        "round.prune"
-    }
-
     fn run(&mut self, core: &mut SwarmCore) {
         core.collect_connection_pairs(&mut self.pairs);
         core.profile

@@ -29,10 +29,6 @@ impl RoundStage for SampleMetrics {
         "sample"
     }
 
-    fn timer_name(&self) -> &'static str {
-        "round.sample"
-    }
-
     fn run(&mut self, core: &mut SwarmCore) {
         let round = core.round;
         let population = core.tracker.len();

@@ -16,10 +16,6 @@ impl RoundStage for ShakePeers {
         "shake"
     }
 
-    fn timer_name(&self) -> &'static str {
-        "round.shake"
-    }
-
     fn run(&mut self, core: &mut SwarmCore) {
         let Some(threshold) = core.config.shake_at else {
             return;

@@ -1,5 +1,5 @@
-//! Per-round telemetry: time-series recording, online phase detection,
-//! and anomaly flight recording.
+//! Per-round telemetry: time-series recording and online phase
+//! detection.
 //!
 //! A [`TelemetryRecorder`] attached to a [`Swarm`](crate::Swarm) turns the
 //! point-in-time [`Snapshot`] into a first-class per-round time-series
@@ -14,24 +14,18 @@
 //!   bootstrap / efficient / last-download using the §3 potential-set
 //!   criteria ([`bt_model::Phase::classify`]) and emits each transition
 //!   as a [`PhaseEvent`] through the stream and the `tracing` layer
-//!   (target `bt_swarm::phase`);
-//! * an optional flight recorder ([`bt_des::FlightRecorder`]) keeps the
-//!   last `capacity` per-round [`FlightEvent`]s and dumps them exactly
-//!   once when an anomaly trigger fires — entropy below a floor, or an
-//!   observer stalled (no piece progress, e.g. on an empty potential
-//!   set) for a configured number of rounds.
+//!   (target `bt_swarm::phase`).
 //!
 //! The JSON-lines stream is a sequence of [`TelemetryRecord`]s, one per
-//! line: a leading `Meta`, then `Sample` / `Phase` / `Flight` records in
-//! round order. `btlab report` reads this stream back with
+//! line: a leading `Meta`, then `Sample` / `Phase` records in round
+//! order. Anomaly capture lives in the swarm doctor
+//! ([`crate::monitors`]). `btlab report` reads this stream back with
 //! [`read_records_from_path`].
 
 use std::io::{BufRead, Write};
-use std::path::PathBuf;
 
 use serde::{Deserialize, Serialize};
 
-use bt_des::FlightRecorder;
 use bt_model::{DownloadState, Phase};
 use bt_obs::SeriesStore;
 
@@ -125,17 +119,6 @@ pub struct PhaseEvent {
     pub phase: Phase,
 }
 
-/// A note in the stream that the flight recorder dumped.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FlightNote {
-    /// Round the trigger fired.
-    pub round: u64,
-    /// Why it fired.
-    pub reason: String,
-    /// Number of events captured in the dump.
-    pub events: u64,
-}
-
 /// One line of the JSON-lines telemetry stream.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum TelemetryRecord {
@@ -145,8 +128,6 @@ pub enum TelemetryRecord {
     Sample(TelemetrySample),
     /// An observer phase transition.
     Phase(PhaseEvent),
-    /// A flight-recorder dump notification.
-    Flight(FlightNote),
 }
 
 /// Errors from telemetry stream I/O.
@@ -367,63 +348,6 @@ impl PhaseDetector {
     }
 }
 
-/// Anomaly-capture configuration for the flight recorder.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FlightOptions {
-    /// Ring capacity: how many recent per-round events a dump contains.
-    pub capacity: usize,
-    /// Trigger when entropy drops below this floor (with a non-empty
-    /// swarm).
-    pub entropy_floor: Option<f64>,
-    /// Trigger when an observer makes no piece progress for this many
-    /// consecutive rounds (catches stalls on an empty potential set).
-    pub stall_rounds: Option<u64>,
-    /// Where to write the dump as JSON; `None` keeps it in memory only
-    /// (see [`TelemetryRecorder::flight_dump`]).
-    pub path: Option<PathBuf>,
-}
-
-impl Default for FlightOptions {
-    fn default() -> Self {
-        FlightOptions {
-            capacity: 64,
-            entropy_floor: None,
-            stall_rounds: None,
-            path: None,
-        }
-    }
-}
-
-/// One per-round event retained by the flight recorder — a compact
-/// summary of the swarm state leading up to an anomaly.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FlightEvent {
-    /// Round of the event.
-    pub round: u64,
-    /// Leecher population.
-    pub population: u64,
-    /// Replication entropy.
-    pub entropy: f64,
-    /// Pieces held by nobody.
-    pub extinct_pieces: u64,
-    /// Mean active-connection degree.
-    pub mean_degree: f64,
-}
-
-/// A flight-recorder dump: the trigger context plus the events that
-/// preceded it. This is the document written to [`FlightOptions::path`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FlightDumpRecord {
-    /// Why the trigger fired.
-    pub reason: String,
-    /// Round the trigger fired.
-    pub round: u64,
-    /// Events recorded over the run, including rotated-out ones.
-    pub recorded: u64,
-    /// The retained events, oldest first.
-    pub events: Vec<FlightEvent>,
-}
-
 /// Output format of the telemetry stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TelemetryFormat {
@@ -431,7 +355,7 @@ pub enum TelemetryFormat {
     /// re-parseable format).
     #[default]
     Jsonl,
-    /// Sample rows only, with a header (phase/flight records and the
+    /// Sample rows only, with a header (phase records and the
     /// variable-length availability histogram are omitted).
     Csv,
 }
@@ -452,14 +376,12 @@ impl std::str::FromStr for TelemetryFormat {
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryOptions {
     /// Sample every `stride`-th round (zero is normalized to 1). Phase
-    /// detection and flight recording stay per-round regardless.
+    /// detection stays per-round regardless.
     pub stride: u64,
     /// In-memory samples retained per series (zero is normalized to 1).
     pub capacity: usize,
     /// Stream output format.
     pub format: TelemetryFormat,
-    /// Flight-recorder configuration; `None` disables anomaly capture.
-    pub flight: Option<FlightOptions>,
 }
 
 impl Default for TelemetryOptions {
@@ -468,7 +390,6 @@ impl Default for TelemetryOptions {
             stride: 1,
             capacity: 4096,
             format: TelemetryFormat::default(),
-            flight: None,
         }
     }
 }
@@ -487,15 +408,6 @@ pub struct ObserverSample {
     pub connections: u32,
 }
 
-/// Per-observer piece-progress tracking for the stall trigger.
-#[derive(Debug, Clone)]
-struct StallTrack {
-    peer: u64,
-    last_pieces: u32,
-    last_potential: u32,
-    stalled_rounds: u64,
-}
-
 /// The per-round telemetry pipeline attached to a swarm via
 /// [`Swarm::attach_telemetry`](crate::Swarm::attach_telemetry).
 pub struct TelemetryRecorder {
@@ -505,9 +417,6 @@ pub struct TelemetryRecorder {
     writer: Option<Box<dyn Write + Send>>,
     detectors: Vec<PhaseDetector>,
     phase_events: Vec<PhaseEvent>,
-    stalls: Vec<StallTrack>,
-    flight: Option<FlightRecorder<FlightEvent>>,
-    flight_dump: Option<FlightDumpRecord>,
     samples: u64,
 }
 
@@ -516,10 +425,6 @@ impl TelemetryRecorder {
     #[must_use]
     pub fn new(options: TelemetryOptions) -> Self {
         let store = SeriesStore::new(options.stride, options.capacity);
-        let flight = options
-            .flight
-            .as_ref()
-            .map(|f| FlightRecorder::new(f.capacity));
         TelemetryRecorder {
             meta: None,
             options,
@@ -527,9 +432,6 @@ impl TelemetryRecorder {
             writer: None,
             detectors: Vec::new(),
             phase_events: Vec::new(),
-            stalls: Vec::new(),
-            flight,
-            flight_dump: None,
             samples: 0,
         }
     }
@@ -582,10 +484,9 @@ impl TelemetryRecorder {
     }
 
     /// Records one round from a pre-built sample: feeds phase detectors
-    /// every round, samples the series on the stride, and runs the
-    /// anomaly triggers.
+    /// every round and samples the series on the stride.
     pub fn record_sample(&mut self, sample: &TelemetrySample, observers: &[ObserverSample]) {
-        let Some(meta) = self.meta.clone() else {
+        let Some(pieces) = self.meta.as_ref().map(|m| m.pieces) else {
             debug_assert!(false, "record_sample before bind");
             return;
         };
@@ -595,7 +496,7 @@ impl TelemetryRecorder {
         let mut events = Vec::new();
         for obs in observers {
             if !self.detectors.iter().any(|d| d.peer() == obs.peer) {
-                self.detectors.push(PhaseDetector::new(obs.peer, meta.pieces));
+                self.detectors.push(PhaseDetector::new(obs.peer, pieces));
             }
             if let Some(detector) = self.detectors.iter_mut().find(|d| d.peer() == obs.peer) {
                 events.extend(detector.observe(round, obs.pieces, obs.potential, obs.connections));
@@ -643,24 +544,6 @@ impl TelemetryRecorder {
             }
             self.samples += 1;
         }
-
-        // Flight recording and anomaly triggers, every round.
-        self.update_stalls(observers, meta.pieces);
-        if self.flight.is_some() {
-            let event = FlightEvent {
-                round,
-                population: sample.population,
-                entropy: sample.entropy,
-                extinct_pieces: sample.extinct_pieces,
-                mean_degree: sample.mean_degree,
-            };
-            if let Some(flight) = self.flight.as_mut() {
-                flight.record(event);
-            }
-            if let Some(reason) = self.trigger_reason(sample) {
-                self.fire_trigger(round, &reason);
-            }
-        }
     }
 
     /// Flushes the stream writer; called when the run finishes.
@@ -683,12 +566,6 @@ impl TelemetryRecorder {
     #[must_use]
     pub fn phase_events(&self) -> &[PhaseEvent] {
         &self.phase_events
-    }
-
-    /// The flight dump, if a trigger has fired.
-    #[must_use]
-    pub fn flight_dump(&self) -> Option<&FlightDumpRecord> {
-        self.flight_dump.as_ref()
     }
 
     /// Number of samples emitted (after the stride).
@@ -719,115 +596,6 @@ impl TelemetryRecorder {
             self.write_record(&TelemetryRecord::Phase(event));
         }
         self.phase_events.push(event);
-    }
-
-    fn update_stalls(&mut self, observers: &[ObserverSample], pieces: u32) {
-        let stall_enabled = self
-            .options
-            .flight
-            .as_ref()
-            .is_some_and(|f| f.stall_rounds.is_some());
-        if !stall_enabled {
-            return;
-        }
-        for obs in observers {
-            match self.stalls.iter_mut().find(|s| s.peer == obs.peer) {
-                Some(track) => {
-                    if obs.pieces > track.last_pieces || obs.pieces >= pieces {
-                        track.stalled_rounds = 0;
-                    } else {
-                        track.stalled_rounds += 1;
-                    }
-                    track.last_pieces = obs.pieces;
-                    track.last_potential = obs.potential;
-                }
-                None => self.stalls.push(StallTrack {
-                    peer: obs.peer,
-                    last_pieces: obs.pieces,
-                    last_potential: obs.potential,
-                    stalled_rounds: 0,
-                }),
-            }
-        }
-        // Departed observers cannot stall.
-        self.stalls
-            .retain(|s| observers.iter().any(|o| o.peer == s.peer));
-    }
-
-    fn trigger_reason(&self, sample: &TelemetrySample) -> Option<String> {
-        let flight = self.options.flight.as_ref()?;
-        if let Some(floor) = flight.entropy_floor {
-            if sample.population > 0 && sample.entropy < floor {
-                return Some(format!(
-                    "entropy {:.4} below floor {:.4} at round {}",
-                    sample.entropy, floor, sample.round
-                ));
-            }
-        }
-        if let Some(limit) = flight.stall_rounds {
-            if let Some(track) = self
-                .stalls
-                .iter()
-                .find(|s| limit > 0 && s.stalled_rounds >= limit)
-            {
-                let detail = if track.last_potential == 0 {
-                    " (empty potential set)"
-                } else {
-                    ""
-                };
-                return Some(format!(
-                    "observer {} stalled at {} pieces for {} rounds{} at round {}",
-                    track.peer, track.last_pieces, track.stalled_rounds, detail, sample.round
-                ));
-            }
-        }
-        None
-    }
-
-    fn fire_trigger(&mut self, round: u64, reason: &str) {
-        let Some(dump) = self
-            .flight
-            .as_mut()
-            .and_then(|flight| flight.trigger(round, reason))
-        else {
-            return; // already disarmed: exactly one dump per run
-        };
-        let record = FlightDumpRecord {
-            reason: dump.reason,
-            round: dump.tick,
-            recorded: dump.recorded,
-            events: dump.events,
-        };
-        tracing::warn!(
-            target: "bt_swarm::flight",
-            round = round,
-            reason = reason.to_string(),
-            events = record.events.len() as u64;
-            "flight recorder dumped"
-        );
-        if let Some(path) = self.options.flight.as_ref().and_then(|f| f.path.clone()) {
-            match serde_json::to_string_pretty(&record) {
-                Ok(json) => {
-                    if let Some(parent) = path.parent() {
-                        let _ = std::fs::create_dir_all(parent);
-                    }
-                    if let Err(e) = std::fs::write(&path, json) {
-                        tracing::warn!(target: "bt_swarm::flight", path = path.display().to_string(), error = e.to_string(); "failed to write flight dump");
-                    }
-                }
-                Err(e) => {
-                    tracing::warn!(target: "bt_swarm::flight", error = e.to_string(); "failed to serialize flight dump");
-                }
-            }
-        }
-        if self.options.format == TelemetryFormat::Jsonl {
-            self.write_record(&TelemetryRecord::Flight(FlightNote {
-                round,
-                reason: reason.to_string(),
-                events: record.events.len() as u64,
-            }));
-        }
-        self.flight_dump = Some(record);
     }
 
     fn write_record(&mut self, record: &TelemetryRecord) {
@@ -926,11 +694,6 @@ mod tests {
                 peer: 3,
                 round: 1,
                 phase: Phase::Bootstrap,
-            }),
-            TelemetryRecord::Flight(FlightNote {
-                round: 9,
-                reason: "entropy 0.0100 below floor 0.0500 at round 9".into(),
-                events: 4,
             }),
         ];
         let mut buf = Vec::new();

@@ -5,6 +5,7 @@
 //! in the hot path would break this.
 
 use std::io::Write;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use bt_swarm::{DoctorOptions, InitialPieces, Swarm, SwarmConfig, TelemetryOptions, TelemetryRecorder};
@@ -351,9 +352,14 @@ fn run_with_heartbeat(
     );
     let cohort_buf = SharedBuf::default();
     swarm.attach_cohort(8, Box::new(cohort_buf.clone()));
+    // Tests run in parallel and several issue identical calls, so each
+    // call needs its own directory: a shared one lets one test's cleanup
+    // delete another's status file mid-run.
+    static RUN: AtomicU64 = AtomicU64::new(0);
     let dir = std::env::temp_dir().join(format!(
-        "bt_swarm_det_heartbeat_{}_{seed}_{threads}_{heartbeat}",
-        std::process::id()
+        "bt_swarm_det_heartbeat_{}_{}_{seed}_{threads}_{heartbeat}",
+        std::process::id(),
+        RUN.fetch_add(1, Ordering::Relaxed)
     ));
     if heartbeat {
         let _ = std::fs::remove_dir_all(&dir);

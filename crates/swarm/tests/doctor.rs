@@ -257,3 +257,49 @@ fn violating_run_writes_a_complete_bundle() {
     assert!(!peers.is_empty(), "bundle captured a peer-state slice");
     let _ = std::fs::remove_dir_all(&root);
 }
+
+#[test]
+fn observer_stall_fires_alone_and_bundles_the_check_ring() {
+    // Nothing is ever granted in the quiet swarm, so both observers sit
+    // at zero pieces from round 1: a stall, and the only broken invariant.
+    let root = std::env::temp_dir().join("bt-swarm-doctor-stall-test");
+    let _ = std::fs::remove_dir_all(&root);
+    let mut swarm = Swarm::with_registry(quiet_config(7), bt_obs::Registry::new());
+    swarm.attach_doctor(DoctorOptions {
+        cadence: 1,
+        flight_capacity: 4,
+        bundle_root: Some(root.clone()),
+        run_id: "doctor-stall-test".to_string(),
+        stall_rounds: Some(5),
+        ..DoctorOptions::default()
+    });
+    let (_metrics, _profile, report) = swarm.run_diagnosed();
+    let report = report.expect("doctor was attached");
+    assert_eq!(report.monitors.last().map(String::as_str), Some("observer-stall"));
+    assert_eq!(firing_monitors(&report), vec!["observer-stall".to_string()]);
+    let first = &report.report.violations[0];
+    assert_eq!(first.round, 6, "first seen at round 1, five rounds without progress");
+    assert!(
+        report.report.violations.iter().all(|v| v.round == first.round),
+        "one episode per observer: {:?}",
+        report.report.violations
+    );
+
+    let dir = report.bundle_dir.clone().expect("bundle was written");
+    let text = std::fs::read_to_string(dir.join("flight.json")).expect("flight.json written");
+    let dump: serde_json::Value = serde_json::from_str(&text).expect("flight.json is JSON");
+    assert_eq!(dump.get("reason").and_then(|v| v.as_str()), Some("observer-stall"));
+    assert_eq!(dump.get("round").and_then(|v| v.as_u64()), Some(first.round));
+    assert_eq!(dump.get("recorded").and_then(|v| v.as_u64()), Some(6), "checks at rounds 1..=6");
+    let rounds: Vec<u64> = dump
+        .get("events")
+        .and_then(|v| v.as_array())
+        .expect("events array")
+        .iter()
+        .map(|e| e.get("round").and_then(|r| r.as_u64()).expect("event round"))
+        .collect();
+    // The ring keeps the last `flight_capacity` checks, oldest first,
+    // ending at the violation.
+    assert_eq!(rounds, vec![3, 4, 5, 6]);
+    let _ = std::fs::remove_dir_all(&root);
+}

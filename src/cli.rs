@@ -216,14 +216,6 @@ pub struct SwarmArgs {
     pub telemetry_format: String,
     /// Sample every Nth round.
     pub telemetry_stride: u64,
-    /// Flight-recorder dump path (arms the anomaly triggers).
-    pub flight: Option<String>,
-    /// Flight trigger: entropy below this floor.
-    pub entropy_floor: Option<f64>,
-    /// Flight trigger: an observer stalled this many rounds.
-    pub stall_rounds: Option<u64>,
-    /// Flight-recorder ring capacity.
-    pub flight_capacity: usize,
     /// Round stages removed from the default pipeline (ablation runs).
     pub disabled_stages: Vec<String>,
     /// Cost-attribution profile output path (`profile.json`; folded
@@ -261,10 +253,6 @@ impl Default for SwarmArgs {
             telemetry: None,
             telemetry_format: "jsonl".to_string(),
             telemetry_stride: 1,
-            flight: None,
-            entropy_floor: None,
-            stall_rounds: None,
-            flight_capacity: 64,
             disabled_stages: Vec::new(),
             profile: None,
             cohort: None,
@@ -300,6 +288,9 @@ pub struct DoctorArgs {
     pub floor: f64,
     /// Minimum population before the entropy monitor engages.
     pub min_population: u64,
+    /// Adds the observer-stall monitor: fire when an observer makes no
+    /// piece progress for this many rounds.
+    pub stall_rounds: Option<u64>,
     /// Where diagnosis bundles land; defaults to the manifest directory
     /// (`$BT_MANIFEST_DIR` or `results/`).
     pub bundle_dir: Option<String>,
@@ -315,6 +306,7 @@ impl Default for DoctorArgs {
             cadence: defaults.cadence,
             floor: defaults.entropy_floor,
             min_population: defaults.entropy_min_population,
+            stall_rounds: defaults.stall_rounds,
             bundle_dir: None,
             inject_fault: None,
         }
@@ -502,8 +494,7 @@ USAGE:
                 [--rounds N] [--seed N] [--shake F] [--json]
                 [--observers N] [--telemetry FILE]
                 [--telemetry-format jsonl|csv] [--telemetry-stride N]
-                [--flight FILE] [--entropy-floor F] [--stall-rounds N]
-                [--flight-capacity N] [--disable-stage NAME[,NAME..]]
+                [--disable-stage NAME[,NAME..]]
                 [--profile FILE] [--cohort FILE] [--cohort-size N]
                 [--threads N] [--reannounce R]
                 [--heartbeat DIR] [--heartbeat-secs S]
@@ -518,7 +509,7 @@ USAGE:
   btlab compare MANIFEST --obs-budget PCT
   btlab watch   RUN_DIR [--timeout-secs S] [--interval-secs S] [--json]
   btlab doctor  [all swarm flags] [--cadence N] [--floor F]
-                [--min-population N] [--bundle-dir DIR]
+                [--min-population N] [--stall-rounds R] [--bundle-dir DIR]
                 [--inject-fault KIND@ROUND]
   btlab trend   [--ledger FILE] [--last N] [--tolerance F]
                 [--max-ledger-bytes N]
@@ -533,11 +524,11 @@ TELEMETRY (btlab swarm):
   --telemetry FILE streams one record per line: a Meta header, then
   per-round Sample records (population, entropy, availability histogram,
   piece-count quantiles, slot utilization) plus Phase transitions of the
-  --observers peers and Flight notes. --flight FILE arms the anomaly
-  flight recorder: on the first trigger (--entropy-floor or
-  --stall-rounds) it dumps the last --flight-capacity per-round events as
-  JSON, exactly once per run. `btlab report` summarizes a JSONL stream
-  and compares detected phase boundaries against the analytical model.
+  --observers peers. `btlab report` summarizes a JSONL stream and
+  compares detected phase boundaries against the analytical model.
+  Anomaly capture is the doctor's job: entropy collapse and observer
+  stalls (`btlab doctor --observers N --stall-rounds R`) write a
+  diagnosis bundle.
 
 PROFILING (btlab swarm / profile / compare):
   --profile FILE records a deterministic cost-attribution profile: per
@@ -597,11 +588,13 @@ MEMORY (btlab compare --mem-budget / trend):
 
 DOCTOR (btlab doctor / trend):
   `btlab doctor` runs a swarm with the runtime invariant monitors
-  sampling every --cadence rounds: piece conservation, replication
-  index vs oracle recount, entropy floor (one-club collapse),
-  per-observer phase monotonicity, and connection-slot balance. On the
-  first violation it writes a diagnosis bundle (meta.json, flight.json,
-  telemetry.jsonl, peers.json, profile.json when profiling) to
+  sampling every --cadence rounds: piece conservation, replication index
+  vs oracle recount, entropy floor (one-club collapse), per-observer
+  phase monotonicity, and connection-slot balance. --stall-rounds R adds
+  observer-stall: an --observers peer with no piece progress for R
+  rounds (e.g. on an empty potential set). On the first violation it
+  writes a diagnosis bundle (meta.json, flight.json with the last
+  checks, telemetry.jsonl, peers.json, profile.json when profiling) to
   `--bundle-dir/diagnosis-<run>/` and exits 1. --inject-fault KIND@ROUND
   corrupts the swarm deliberately to validate the monitors; kinds:
   unaccounted-piece, index-drift, half-open-connection. Every swarm,
@@ -610,10 +603,10 @@ DOCTOR (btlab doctor / trend):
   ledger (`$BT_LEDGER_PATH`, default results/ledger.jsonl); `btlab
   trend` renders per-metric trajectories over the last --last records
   and flags values drifting beyond --tolerance against the median of
-  matching prior runs (advisory: trend itself always exits 0 on
-  readable ledgers). Before reading, trend rotates the ledger once it
-  exceeds --max-ledger-bytes (default 16 MiB; 0 disables): the oldest
-  lines move to a `.1` archive next to it.
+  matching prior runs (advisory: trend itself always exits 0 on readable
+  ledgers). Before reading, trend rotates the ledger once it exceeds
+  --max-ledger-bytes (default 16 MiB; 0 disables): the oldest lines move
+  to a `.1` archive next to it.
 
 PARALLEL EXECUTION (btlab swarm / doctor):
   --threads N shards the exchange stage's read-only plan phase across N
@@ -688,6 +681,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     "cadence" => a.cadence = num(key, value)?,
                     "floor" => a.floor = num(key, value)?,
                     "min-population" => a.min_population = num(key, value)?,
+                    "stall-rounds" => a.stall_rounds = Some(num(key, value)?),
                     "bundle-dir" => a.bundle_dir = Some(required(key, value)?),
                     "inject-fault" => {
                         a.inject_fault = Some(parse_fault(&required(key, value)?)?);
@@ -883,10 +877,6 @@ fn apply_swarm_flag(a: &mut SwarmArgs, key: &str, value: &str) -> Result<bool, S
                 ));
             }
         }
-        "flight" => a.flight = Some(required(key, value)?),
-        "entropy-floor" => a.entropy_floor = Some(num(key, value)?),
-        "stall-rounds" => a.stall_rounds = Some(num(key, value)?),
-        "flight-capacity" => a.flight_capacity = num(key, value)?,
         "profile" => a.profile = Some(required(key, value)?),
         "disable-stage" => {
             for name in required(key, value)?.split(',') {
@@ -1071,7 +1061,8 @@ fn split_positionals(rest: &[String]) -> (Vec<String>, Vec<String>) {
 }
 
 /// Splits `--key value` pairs; a trailing `--key` with no value maps to an
-/// empty string (boolean flags).
+/// empty string (boolean flags). A repeated flag is an error rather than
+/// a silent last-one-wins.
 fn parse_flags(rest: &[String]) -> Result<BTreeMap<String, String>, String> {
     let mut flags = BTreeMap::new();
     let mut iter = rest.iter().peekable();
@@ -1085,7 +1076,12 @@ fn parse_flags(rest: &[String]) -> Result<BTreeMap<String, String>, String> {
             }
             _ => String::new(),
         };
-        flags.insert(key.to_string(), value);
+        if flags.insert(key.to_string(), value).is_some() {
+            return Err(format!(
+                "--{key} given more than once; pass it once (a comma list where the flag \
+                 takes several values, e.g. --disable-stage shake,depart)"
+            ));
+        }
     }
     Ok(flags)
 }
@@ -1113,8 +1109,8 @@ fn required(key: &str, value: &str) -> Result<String, String> {
 }
 
 /// Builds the swarm a `btlab swarm` / `btlab doctor` run drives:
-/// config, optional stage ablation, optional telemetry stream and
-/// flight recorder. The caller attaches profilers or doctors and runs.
+/// config, optional stage ablation, telemetry stream, cohort trace and
+/// heartbeat. The caller attaches profilers or doctors and runs.
 fn build_swarm(a: &SwarmArgs) -> Result<bt_swarm::Swarm, String> {
     let mut builder = bt_swarm::SwarmConfig::builder();
     builder
@@ -1145,25 +1141,16 @@ fn build_swarm(a: &SwarmArgs) -> Result<bt_swarm::Swarm, String> {
         bt_swarm::Swarm::with_pipeline(config, bt_obs::Registry::global(), stages)
     };
     swarm.set_threads(a.threads);
-    if a.telemetry.is_some() || a.flight.is_some() {
+    if let Some(path) = &a.telemetry {
         let format: bt_swarm::TelemetryFormat = a.telemetry_format.parse()?;
-        let flight = a.flight.as_ref().map(|path| bt_swarm::FlightOptions {
-            capacity: a.flight_capacity,
-            entropy_floor: a.entropy_floor,
-            stall_rounds: a.stall_rounds,
-            path: Some(std::path::PathBuf::from(path)),
-        });
-        let mut recorder = bt_swarm::TelemetryRecorder::new(bt_swarm::TelemetryOptions {
+        let file = std::fs::File::create(path)
+            .map_err(|e| format!("cannot create telemetry file {path}: {e}"))?;
+        let recorder = bt_swarm::TelemetryRecorder::new(bt_swarm::TelemetryOptions {
             stride: a.telemetry_stride,
             format,
-            flight,
             ..bt_swarm::TelemetryOptions::default()
-        });
-        if let Some(path) = &a.telemetry {
-            let file = std::fs::File::create(path)
-                .map_err(|e| format!("cannot create telemetry file {path}: {e}"))?;
-            recorder = recorder.to_writer(Box::new(std::io::BufWriter::new(file)));
-        }
+        })
+        .to_writer(Box::new(std::io::BufWriter::new(file)));
         swarm.attach_telemetry(recorder);
     }
     if let Some(path) = &a.cohort {
@@ -1360,7 +1347,7 @@ pub fn run<W: std::io::Write>(command: Command, out: &mut W) -> Result<(), CliEr
 }
 
 /// Executes `btlab report`: summarizes a JSONL telemetry stream —
-/// entropy trajectory, per-observer phase boundaries, flight dumps —
+/// entropy trajectory and per-observer phase boundaries —
 /// and compares mean observer boundaries against the analytical model;
 /// and/or summarizes a binary `.cohort` trace as per-peer lifecycle
 /// trajectories (with an optional `--cohort-export` JSONL export).
@@ -1564,17 +1551,6 @@ fn report_telemetry<W: std::io::Write>(
             writeln!(out, "{name:<14} {p:>10.1} {o:>10.1} {:>+8.1}", o - p).map_err(io_err)?;
         }
         writeln!(out, "completed_observers={}", durations.len()).map_err(io_err)?;
-    }
-
-    for r in &records {
-        if let TelemetryRecord::Flight(n) = r {
-            writeln!(
-                out,
-                "\nflight dump: round={} events={} reason: {}",
-                n.round, n.events, n.reason
-            )
-            .map_err(io_err)?;
-        }
     }
 
     if let Some(path) = &a.manifest {
@@ -2258,6 +2234,7 @@ fn run_doctor<W: std::io::Write>(a: &DoctorArgs, out: &mut W) -> Result<(), CliE
         entropy_min_population: a.min_population,
         bundle_root: Some(bundle_root),
         run_id,
+        stall_rounds: a.stall_rounds,
         ..bt_swarm::DoctorOptions::default()
     });
     if let Some(fault) = a.inject_fault {
@@ -3005,14 +2982,6 @@ mod tests {
             "t.jsonl",
             "--telemetry-stride",
             "5",
-            "--flight",
-            "f.json",
-            "--entropy-floor",
-            "0.2",
-            "--stall-rounds",
-            "40",
-            "--flight-capacity",
-            "32",
         ]))
         .unwrap();
         let Command::Swarm(a) = cmd else {
@@ -3021,10 +2990,12 @@ mod tests {
         assert_eq!(a.observers, 3);
         assert_eq!(a.telemetry.as_deref(), Some("t.jsonl"));
         assert_eq!(a.telemetry_stride, 5);
-        assert_eq!(a.flight.as_deref(), Some("f.json"));
-        assert_eq!(a.entropy_floor, Some(0.2));
-        assert_eq!(a.stall_rounds, Some(40));
-        assert_eq!(a.flight_capacity, 32);
+        // Anomaly capture moved to the doctor: the swarm has no flight
+        // recorder flags.
+        for gone in ["--flight", "--entropy-floor", "--flight-capacity", "--stall-rounds"] {
+            let err = parse(&args(&["swarm", gone, "1"])).unwrap_err();
+            assert!(err.contains("unknown flag"), "{gone}: {err}");
+        }
         // Format is validated at parse time; paths need values.
         assert!(parse(&args(&["swarm", "--telemetry-format", "tsv"])).is_err());
         assert!(parse(&args(&["swarm", "--telemetry"])).is_err());
@@ -3121,7 +3092,7 @@ mod tests {
         assert!(err.to_string().contains("is empty"), "{err}");
 
         // A stream with records but no Meta header (e.g. CSV format).
-        std::fs::write(&path, "{\"Flight\":{\"round\":1,\"events\":2,\"reason\":\"x\"}}\n")
+        std::fs::write(&path, "{\"Phase\":{\"peer\":1,\"round\":2,\"phase\":\"Bootstrap\"}}\n")
             .unwrap();
         let err = report(path.to_str().unwrap()).unwrap_err();
         assert_eq!(err.exit_code(), 2, "headerless stream is a data error");
@@ -3570,6 +3541,8 @@ mod tests {
             "0.05",
             "--min-population",
             "32",
+            "--stall-rounds",
+            "6",
             "--bundle-dir",
             "/tmp/bundles",
             "--inject-fault",
@@ -3584,6 +3557,8 @@ mod tests {
         assert_eq!(a.cadence, 4);
         assert!((a.floor - 0.05).abs() < 1e-12);
         assert_eq!(a.min_population, 32);
+        assert_eq!(a.stall_rounds, Some(6));
+        assert_eq!(DoctorArgs::default().stall_rounds, None, "opt-in");
         assert_eq!(a.bundle_dir.as_deref(), Some("/tmp/bundles"));
         assert_eq!(
             a.inject_fault,
@@ -3595,6 +3570,29 @@ mod tests {
 
         let err = parse(&args(&["doctor", "--bogus", "1"])).unwrap_err();
         assert!(err.contains("unknown flag --bogus for doctor"), "{err}");
+    }
+
+    #[test]
+    fn repeated_flags_are_rejected_not_last_one_wins() {
+        let err = parse(&args(&[
+            "swarm",
+            "--disable-stage",
+            "maintain",
+            "--disable-stage",
+            "depart",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("--disable-stage given more than once"), "{err}");
+        let err = parse(&args(&["doctor", "--seed", "1", "--cadence", "2", "--seed", "3"]))
+            .unwrap_err();
+        assert!(err.contains("--seed given more than once"), "{err}");
+        // A comma list stays the way to pass several stages.
+        let Command::Swarm(a) =
+            parse(&args(&["swarm", "--disable-stage", "maintain,depart"])).unwrap()
+        else {
+            panic!("expected swarm");
+        };
+        assert_eq!(a.disabled_stages, ["maintain", "depart"]);
     }
 
     #[test]

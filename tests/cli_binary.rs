@@ -347,6 +347,39 @@ fn swarm_telemetry_then_report_pipeline() {
 }
 
 #[test]
+fn swarm_flight_flag_is_gone_and_exits_two() {
+    let out = btlab()
+        .args(["swarm", "--flight", "f.json"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2), "unknown flags are usage errors");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag --flight for swarm"), "{stderr}");
+}
+
+#[test]
+fn doctor_stall_rounds_catches_a_no_progress_swarm() {
+    // Without the bootstrap stage nothing ever enters the piece economy,
+    // so both observers stall at zero pieces.
+    let dir = std::env::temp_dir().join("btlab-e2e-doctor-stall");
+    std::fs::remove_dir_all(&dir).ok();
+    let out = btlab()
+        .args([
+            "doctor", "--pieces", "10", "--initial", "8", "--lambda", "0", "--rounds", "30",
+            "--seed", "5", "--cadence", "1", "--disable-stage", "bootstrap", "--observers", "2",
+            "--stall-rounds", "5", "--log", "quiet",
+        ])
+        .env("BT_MANIFEST_DIR", &dir)
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1), "a stall is a violation");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("violation [observer-stall] round 6"), "{stdout}");
+    assert!(stdout.contains("diagnosis bundle:"), "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn unknown_disable_stage_exits_two_listing_stage_names() {
     let out = btlab()
         .args(["swarm", "--disable-stage", "frobnicate"])
