@@ -249,9 +249,7 @@ fn main() {
     let rounds_per_sec = options.rounds as f64 / elapsed.as_secs_f64().max(1e-9);
     manifest.peak_population = registry.counter("swarm.peak_population").get();
     let out_path = out_dir.join("BENCH_swarm.json");
-    manifest
-        .write_to(&out_path)
-        .expect("write BENCH_swarm.json");
+    bt_obs::records::write_doc(&out_path, &manifest).expect("write BENCH_swarm.json");
 
     // One compact record per bench run lands in the cross-run ledger so
     // `btlab trend` can plot throughput across bench history.

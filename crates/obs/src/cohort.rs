@@ -771,26 +771,24 @@ pub fn read_cohort<R: Read>(mut reader: R) -> Result<(CohortMeta, Vec<CohortEven
     Ok((meta, events))
 }
 
-/// Exports a parsed cohort trace as JSON lines: one meta line followed
-/// by one line per event.
+/// Exports a parsed cohort trace as JSON lines
+/// ([`crate::records::write_line`]): one meta line followed by one line
+/// per event.
 ///
 /// # Errors
 ///
-/// Propagates serialization and write failures.
+/// Propagates serialization and write failures, including the final
+/// flush.
 pub fn write_jsonl<W: Write>(
     meta: &CohortMeta,
     events: &[CohortEvent],
     mut writer: W,
 ) -> std::io::Result<()> {
-    let head = serde_json::to_string(meta)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    writeln!(writer, "{head}")?;
+    crate::records::write_line(&mut writer, meta)?;
     for event in events {
-        let line = serde_json::to_string(event)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        writeln!(writer, "{line}")?;
+        crate::records::write_line(&mut writer, event)?;
     }
-    Ok(())
+    writer.flush()
 }
 
 #[cfg(test)]

@@ -39,6 +39,7 @@ use std::time::{Duration, Instant};
 use serde::{Deserialize, Serialize};
 
 use crate::mem;
+use crate::records;
 use crate::registry::Registry;
 
 /// Schema version stamped into the stream header and the status file.
@@ -214,7 +215,7 @@ impl HeartbeatEmitter {
             interval_secs: options.interval.as_secs_f64(),
         };
         let mut stream = std::fs::File::create(options.dir.join(HEARTBEAT_STREAM_FILE))?;
-        write_record(&mut stream, &HeartbeatRecord::Meta(meta.clone()))?;
+        records::write_line(&mut stream, &HeartbeatRecord::Meta(meta.clone()))?;
         stream.flush()?;
         let emitter = HeartbeatEmitter {
             meta,
@@ -302,7 +303,7 @@ impl HeartbeatEmitter {
     // name would smear this module's (audited) clock taint onto them.
     fn write_beat(&mut self, pulse: &HeartbeatPulse, state: &str) -> std::io::Result<()> {
         let beat = self.snapshot(pulse);
-        write_record(&mut self.stream, &HeartbeatRecord::Beat(beat.clone()))?;
+        records::write_line(&mut self.stream, &HeartbeatRecord::Beat(beat.clone()))?;
         self.stream.flush()?;
         self.beats += 1;
         self.last_emit = Some(Instant::now());
@@ -351,9 +352,9 @@ impl HeartbeatEmitter {
         }
     }
 
-    /// Replaces `run.status.json` atomically: serialize to a `.tmp`
-    /// sibling, then rename over the target so readers see either the
-    /// old document or the new one, never a torn write.
+    /// Replaces `run.status.json` atomically ([`records::write_doc`]), so
+    /// readers see either the old document or the new one, never a torn
+    /// write.
     fn write_status(&self, beat: &Heartbeat, state: &str) -> std::io::Result<()> {
         let status = RunStatus {
             schema_version: HEARTBEAT_SCHEMA_VERSION,
@@ -364,28 +365,12 @@ impl HeartbeatEmitter {
             beats: self.beats,
             last: beat.clone(),
         };
-        let bytes = serde_json::to_string_pretty(&status)
-            .map_err(to_io)?
-            .into_bytes();
-        let tmp = self.dir.join(format!("{RUN_STATUS_FILE}.tmp"));
-        std::fs::write(&tmp, bytes)?;
-        std::fs::rename(&tmp, self.dir.join(RUN_STATUS_FILE))
+        records::write_doc(&self.dir.join(RUN_STATUS_FILE), &status)
     }
-}
-
-fn to_io(e: serde_json::Error) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidData, e)
 }
 
 fn invalid(message: String) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, message)
-}
-
-/// Serializes one record as a JSON line.
-fn write_record<W: Write>(writer: &mut W, record: &HeartbeatRecord) -> std::io::Result<()> {
-    let mut line = serde_json::to_string(record).map_err(to_io)?.into_bytes();
-    line.push(b'\n');
-    writer.write_all(&line)
 }
 
 /// Reads `run.status.json`. A missing file propagates as
@@ -396,9 +381,13 @@ fn write_record<W: Write>(writer: &mut W, record: &HeartbeatRecord) -> std::io::
 ///
 /// See above — every failure is an `io::Error` with a telling kind.
 pub fn read_status(path: &Path) -> std::io::Result<RunStatus> {
-    let bytes = std::fs::read(path)?;
-    let status: RunStatus = serde_json::from_slice(&bytes)
-        .map_err(|e| invalid(format!("{}: malformed status document: {e}", path.display())))?;
+    let status: RunStatus = records::read_doc(path).map_err(|e| {
+        if e.kind() == std::io::ErrorKind::InvalidData {
+            invalid(format!("malformed status document {e}"))
+        } else {
+            e
+        }
+    })?;
     if status.schema_version != HEARTBEAT_SCHEMA_VERSION {
         return Err(invalid(format!(
             "{}: status schema_version {} does not match the supported version {}",
@@ -411,79 +400,45 @@ pub fn read_status(path: &Path) -> std::io::Result<RunStatus> {
 }
 
 /// Parses a heartbeat stream: the `meta` header then every *complete*
-/// beat line.
-///
-/// Truncation tolerance: the stream is append-only and a reader may
-/// catch the writer mid-line, so any bytes after the final newline are
-/// treated as an in-flight partial record and ignored. Every
-/// newline-terminated line, by contrast, must parse — a malformed
-/// interior line is corruption, not truncation.
+/// beat line, under the shared truncation policy of
+/// [`records::read_lines`] (bytes after the final newline are an
+/// in-flight write and are ignored).
 ///
 /// # Errors
 ///
-/// `ErrorKind::InvalidData` when the first complete line is not a
-/// `meta` header (headerless stream), on a schema-version mismatch, on
-/// a duplicate header, or on a malformed complete line (reported with
-/// its 1-based line number).
+/// `ErrorKind::InvalidData` when the first record is not a `meta`
+/// header (headerless stream), on a schema-version mismatch, on a
+/// second header, or on a malformed complete line (reported with its
+/// 1-based line number).
 pub fn read_heartbeat<R: std::io::Read>(
-    mut reader: R,
+    reader: R,
 ) -> std::io::Result<(HeartbeatMeta, Vec<Heartbeat>)> {
-    let mut text = String::new();
-    reader.read_to_string(&mut text)?;
-    // Bytes after the last newline are an in-flight partial write.
-    let complete = text
-        .rfind('\n')
-        .and_then(|i| text.get(..=i))
-        .unwrap_or("");
-    let mut meta: Option<HeartbeatMeta> = None;
-    let mut beats = Vec::new();
-    for (index, line) in complete.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let record: HeartbeatRecord = serde_json::from_str(line).map_err(|e| {
-            invalid(format!("heartbeat stream line {}: {e}", index + 1))
-        })?;
-        match record {
-            HeartbeatRecord::Meta(m) => {
-                if meta.is_some() {
-                    return Err(invalid(format!(
-                        "heartbeat stream line {}: duplicate meta header",
-                        index + 1
-                    )));
-                }
-                if !beats.is_empty() {
-                    return Err(invalid(format!(
-                        "heartbeat stream line {}: meta header after beat records",
-                        index + 1
-                    )));
-                }
-                if m.schema_version != HEARTBEAT_SCHEMA_VERSION {
-                    return Err(invalid(format!(
-                        "heartbeat stream schema_version {} does not match the supported \
-                         version {}",
-                        m.schema_version, HEARTBEAT_SCHEMA_VERSION
-                    )));
-                }
-                meta = Some(m);
-            }
-            HeartbeatRecord::Beat(beat) => {
-                if meta.is_none() {
-                    return Err(invalid(
-                        "heartbeat stream has no meta header (line 1 must be a meta record)"
-                            .to_string(),
-                    ));
-                }
-                beats.push(beat);
-            }
-        }
+    let mut lines = records::read_lines::<HeartbeatRecord, _>(
+        std::io::BufReader::new(reader),
+        "heartbeat stream",
+    )?
+    .into_iter();
+    let Some(HeartbeatRecord::Meta(meta)) = lines.next() else {
+        return Err(invalid(
+            "heartbeat stream has no meta header (the first record must be a meta record)"
+                .to_string(),
+        ));
+    };
+    if meta.schema_version != HEARTBEAT_SCHEMA_VERSION {
+        return Err(invalid(format!(
+            "heartbeat stream schema_version {} does not match the supported version {}",
+            meta.schema_version, HEARTBEAT_SCHEMA_VERSION
+        )));
     }
-    match meta {
-        Some(meta) => Ok((meta, beats)),
-        None => Err(invalid(
-            "heartbeat stream has no meta header (line 1 must be a meta record)".to_string(),
-        )),
-    }
+    let beats = lines
+        .map(|record| match record {
+            HeartbeatRecord::Beat(beat) => Ok(beat),
+            HeartbeatRecord::Meta(_) => Err(invalid(
+                "heartbeat stream has a second meta header".to_string(),
+            )),
+        })
+        .collect::<std::io::Result<Vec<_>>>()?;
+    Ok((meta, beats))
 }
 
 /// Classifies the swarm-level phase from aggregate state, mirroring

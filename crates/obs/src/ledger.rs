@@ -16,12 +16,13 @@
 //! timing fields so the determinism suite can assert that two same-seed
 //! runs produce byte-identical records up to wall-clock noise.
 
-use std::io::Write;
+use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 
 use crate::manifest::RunManifest;
+use crate::records;
 
 /// Schema version stamped into every ledger record.
 pub const LEDGER_SCHEMA_VERSION: u32 = 1;
@@ -139,15 +140,6 @@ impl LedgerRecord {
             .find(|(name, _)| name == timer)
             .map(|(_, ns)| *ns)
     }
-
-    /// Serializes to one compact JSON line (no trailing newline).
-    ///
-    /// # Errors
-    ///
-    /// Propagates serializer errors (which would indicate a schema bug).
-    pub fn to_jsonl(&self) -> serde_json::Result<String> {
-        serde_json::to_string(self)
-    }
 }
 
 /// The ledger path every producer shares: `$BT_LEDGER_PATH` when set,
@@ -164,8 +156,10 @@ pub fn default_ledger_path() -> std::path::PathBuf {
     dir.join("ledger.jsonl")
 }
 
-/// Appends one record to the ledger at `path`, creating parent
-/// directories and the file itself on first use.
+/// Appends one record to the ledger at `path` as a single
+/// [`records::write_line`], creating parent directories and the file
+/// itself on first use. A record a crash cut short is dropped first, so
+/// the new record never lands glued onto it.
 ///
 /// # Errors
 ///
@@ -177,15 +171,33 @@ pub fn append_record(path: &Path, record: &LedgerRecord) -> std::io::Result<()> 
             std::fs::create_dir_all(parent)?;
         }
     }
-    let line = record
-        .to_jsonl()
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
     let mut file = std::fs::OpenOptions::new()
         .create(true)
+        .read(true)
         .append(true)
         .open(path)?;
-    file.write_all(line.as_bytes())?;
-    file.write_all(b"\n")
+    drop_torn_tail(&mut file)?;
+    records::write_line(&mut file, record)
+}
+
+/// Truncates `file` back to its last newline when it does not end in
+/// one: the tail is a record an interrupted append cut short, which
+/// [`read_ledger`] already ignores.
+fn drop_torn_tail(file: &mut std::fs::File) -> std::io::Result<()> {
+    if file.seek(SeekFrom::End(0))? == 0 {
+        return Ok(());
+    }
+    let mut last = [0u8; 1];
+    file.seek(SeekFrom::End(-1))?;
+    file.read_exact(&mut last)?;
+    if last == [b'\n'] {
+        return Ok(());
+    }
+    let mut bytes = Vec::new();
+    file.seek(SeekFrom::Start(0))?;
+    file.read_to_end(&mut bytes)?;
+    let keep = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+    file.set_len(keep as u64)
 }
 
 /// Default ledger size cap: generous, but bounded (16 MiB holds years
@@ -216,7 +228,10 @@ pub fn rotate_ledger(path: &Path, max_bytes: u64) -> std::io::Result<Option<usiz
         return Ok(None);
     }
     let text = std::fs::read_to_string(path)?;
-    let lines: Vec<&str> = text.lines().collect();
+    // A torn final record (no newline yet) is not a record; rotation
+    // drops it, as every reader does.
+    let complete = text.rfind('\n').and_then(|i| text.get(..=i)).unwrap_or("");
+    let lines: Vec<&str> = complete.lines().collect();
     // Keep the newest lines fitting in half the cap, so repeated appends
     // do not re-rotate on every run.
     let budget = max_bytes / 2;
@@ -255,31 +270,20 @@ pub fn rotate_ledger(path: &Path, max_bytes: u64) -> std::io::Result<Option<usiz
     Ok(Some(archived))
 }
 
-/// Reads every record from the ledger at `path`, oldest first. Blank
-/// lines are skipped; a malformed line is an error naming its 1-based
-/// line number (the ledger is append-only machine output, so damage
-/// means something is wrong enough to surface, not skip).
+/// Reads every complete record from the ledger at `path`, oldest first,
+/// under the shared policy of [`records::read_lines`]: a final record
+/// cut short by an interrupted append is ignored, while a malformed
+/// complete line is an error naming its 1-based line number (the ledger
+/// is append-only machine output, so interior damage is surfaced, not
+/// skipped).
 ///
 /// # Errors
 ///
 /// Propagates filesystem errors; malformed lines map to
 /// [`std::io::ErrorKind::InvalidData`].
 pub fn read_ledger(path: &Path) -> std::io::Result<Vec<LedgerRecord>> {
-    let text = std::fs::read_to_string(path)?;
-    let mut records = Vec::new();
-    for (index, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let record: LedgerRecord = serde_json::from_str(line).map_err(|e| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("ledger line {}: {e}", index + 1),
-            )
-        })?;
-        records.push(record);
-    }
-    Ok(records)
+    let file = std::fs::File::open(path)?;
+    records::read_lines(std::io::BufReader::new(file), "ledger")
 }
 
 #[cfg(test)]
@@ -287,6 +291,7 @@ mod tests {
     use super::*;
     use crate::manifest::fnv1a_hex;
     use crate::registry::Registry;
+    use std::io::Write;
     use std::time::Duration;
 
     fn sample_record(seed: u64) -> LedgerRecord {
@@ -370,7 +375,7 @@ mod tests {
     #[test]
     fn record_tolerates_missing_obs_share() {
         let record = sample_record(4);
-        let line = record.to_jsonl().unwrap();
+        let line = serde_json::to_string(&record).unwrap();
         let value: serde_json::Value = serde_json::from_str(&line).unwrap();
         let trimmed = match value {
             serde_json::Value::Object(entries) => serde_json::Value::Object(
@@ -392,7 +397,7 @@ mod tests {
     #[test]
     fn record_tolerates_missing_peak_rss() {
         let record = sample_record(5);
-        let line = record.to_jsonl().unwrap();
+        let line = serde_json::to_string(&record).unwrap();
         let value: serde_json::Value = serde_json::from_str(&line).unwrap();
         let trimmed = match value {
             serde_json::Value::Object(entries) => serde_json::Value::Object(
@@ -448,14 +453,5 @@ mod tests {
         assert_eq!(rotate_ledger(&dir.join("absent.jsonl"), 10).unwrap(), None);
         assert_eq!(rotate_ledger(&path, 0).unwrap(), None);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn jsonl_is_single_line_and_stable() {
-        let record = sample_record(9).normalized();
-        let line = record.to_jsonl().unwrap();
-        assert!(!line.contains('\n'));
-        let again = sample_record(9).normalized().to_jsonl().unwrap();
-        assert_eq!(line, again, "normalized records serialize identically");
     }
 }

@@ -17,8 +17,8 @@
 //!    revision), how long each phase took, and final counter totals.
 //! 4. **Time series** ([`SeriesStore`], [`RingSeries`]): ring-buffer
 //!    backed per-signal sample stores with a configurable sampling
-//!    stride and bounded memory, exportable as JSON lines or CSV — the
-//!    storage layer of the swarm telemetry pipeline.
+//!    stride and bounded memory, exportable as [`SeriesPoint`] JSON
+//!    lines — the storage layer of the swarm telemetry pipeline.
 //! 5. **Profiling** ([`ProfileSink`], [`ProfileReport`]): a
 //!    zero-cost-when-disabled cost-attribution profiler the swarm round
 //!    loop threads through its stages — per-stage wall time and work
@@ -54,6 +54,10 @@
 //!     the process-global allocation counters a counting allocator
 //!     (feature `alloc-profile` in `bt-bench`) feeds so the profiler
 //!     can attribute allocation deltas per round stage.
+//! 12. **Record codec** ([`records`]): the one framing every JSON
+//!     artifact goes through — single-write JSON lines read back as
+//!     complete lines only, atomically replaced pretty documents, and
+//!     `ErrorKind::InvalidData` for anything malformed.
 //!
 //! # Span hierarchy
 //!
@@ -75,6 +79,7 @@ mod manifest;
 pub mod mem;
 mod monitor;
 mod profiling;
+pub mod records;
 mod registry;
 mod sketch;
 mod subscriber;
@@ -107,4 +112,4 @@ pub use profiling::{
 pub use registry::{Counter, Histogram, Registry, Timer, TimerGuard, TimerSnapshot};
 pub use sketch::{CountCells, P2Quantile};
 pub use subscriber::{init, init_from_env, LogMode};
-pub use timeseries::{RingSeries, SeriesError, SeriesPoint, SeriesStore};
+pub use timeseries::{RingSeries, SeriesPoint, SeriesStore};

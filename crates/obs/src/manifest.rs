@@ -1,6 +1,6 @@
-//! Run manifests: what ran, how long, and what it counted.
+//! Run manifests: what ran, how long, and what it counted. Written and
+//! read as documents through [`crate::records`].
 
-use std::path::Path;
 use std::time::Duration;
 
 use crate::registry::{Registry, TimerSnapshot};
@@ -133,35 +133,6 @@ impl RunManifest {
             .find(|(counter, _)| counter == name)
             .map(|(_, total)| *total)
     }
-
-    /// Serializes to pretty JSON.
-    ///
-    /// # Errors
-    ///
-    /// Propagates serializer errors (which would indicate a bug in the
-    /// manifest schema) instead of panicking mid-run.
-    pub fn to_json(&self) -> serde_json::Result<String> {
-        serde_json::to_string_pretty(self)
-    }
-
-    /// Writes pretty JSON to `path`, creating parent directories.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors, and serializer errors mapped to
-    /// [`std::io::ErrorKind::InvalidData`].
-    pub fn write_to(&self, path: &Path) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        let mut text = self
-            .to_json()
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        text.push('\n');
-        std::fs::write(path, text)
-    }
 }
 
 /// FNV-1a hash of `bytes`, rendered as 16 hex digits. Used to
@@ -216,7 +187,7 @@ mod tests {
     #[test]
     fn manifest_round_trips_through_json() {
         let manifest = sample_manifest();
-        let text = manifest.to_json().unwrap();
+        let text = serde_json::to_string_pretty(&manifest).unwrap();
         let back: RunManifest = serde_json::from_str(&text).unwrap();
         assert_eq!(back, manifest);
     }
@@ -238,7 +209,7 @@ mod tests {
     #[test]
     fn manifest_tolerates_missing_phase_timers() {
         let manifest = sample_manifest();
-        let text = manifest.to_json().unwrap();
+        let text = serde_json::to_string_pretty(&manifest).unwrap();
         let value: serde_json::Value = serde_json::from_str(&text).unwrap();
         let trimmed = match value {
             serde_json::Value::Object(entries) => serde_json::Value::Object(
@@ -260,7 +231,7 @@ mod tests {
     #[test]
     fn manifest_tolerates_missing_pipeline_fields() {
         let manifest = sample_manifest();
-        let text = manifest.to_json().unwrap();
+        let text = serde_json::to_string_pretty(&manifest).unwrap();
         let value: serde_json::Value = serde_json::from_str(&text).unwrap();
         let trimmed = match value {
             serde_json::Value::Object(entries) => serde_json::Value::Object(
@@ -282,7 +253,7 @@ mod tests {
     #[test]
     fn manifest_tolerates_missing_obs_fields() {
         let manifest = sample_manifest();
-        let text = manifest.to_json().unwrap();
+        let text = serde_json::to_string_pretty(&manifest).unwrap();
         let value: serde_json::Value = serde_json::from_str(&text).unwrap();
         let trimmed = match value {
             serde_json::Value::Object(entries) => serde_json::Value::Object(
@@ -310,7 +281,7 @@ mod tests {
     fn manifest_tolerates_missing_threads() {
         let manifest = sample_manifest();
         assert_eq!(manifest.threads, 1, "fresh manifests default to serial");
-        let text = manifest.to_json().unwrap();
+        let text = serde_json::to_string_pretty(&manifest).unwrap();
         let value: serde_json::Value = serde_json::from_str(&text).unwrap();
         let trimmed = match value {
             serde_json::Value::Object(entries) => serde_json::Value::Object(
@@ -331,7 +302,7 @@ mod tests {
     #[test]
     fn manifest_tolerates_missing_memory_fields() {
         let manifest = sample_manifest();
-        let text = manifest.to_json().unwrap();
+        let text = serde_json::to_string_pretty(&manifest).unwrap();
         let value: serde_json::Value = serde_json::from_str(&text).unwrap();
         let trimmed = match value {
             serde_json::Value::Object(entries) => serde_json::Value::Object(
@@ -385,7 +356,7 @@ mod tests {
         let mut manifest = sample_manifest();
         manifest.pipeline = vec!["maintain".to_string(), "sample".to_string()];
         manifest.disabled_stages = vec!["shake".to_string()];
-        let text = manifest.to_json().unwrap();
+        let text = serde_json::to_string_pretty(&manifest).unwrap();
         let back: RunManifest = serde_json::from_str(&text).unwrap();
         assert_eq!(back.pipeline, manifest.pipeline);
         assert_eq!(back.disabled_stages, manifest.disabled_stages);
@@ -396,9 +367,8 @@ mod tests {
         let manifest = sample_manifest();
         let dir = std::env::temp_dir().join("bt-obs-manifest-test");
         let path = dir.join("nested").join("manifest.json");
-        manifest.write_to(&path).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let back: RunManifest = serde_json::from_str(&text).unwrap();
+        crate::records::write_doc(&path, &manifest).unwrap();
+        let back: RunManifest = crate::records::read_doc(&path).unwrap();
         assert_eq!(back, manifest);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -21,6 +21,8 @@ use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
 
+use crate::records;
+
 /// Schema version stamped into monitor reports and diagnosis bundles.
 pub const MONITOR_SCHEMA_VERSION: u32 = 1;
 
@@ -171,7 +173,7 @@ impl MonitorReport {
 ///
 /// The bundle lands at `<root>/diagnosis-<run_id>/`; each document is
 /// written with [`DiagnosisBundle::write_json`] (pretty, one file) or
-/// [`DiagnosisBundle::write_jsonl`] (one record per line). All I/O is
+/// [`DiagnosisBundle::write_lines`] (one record per line). All I/O is
 /// fallible and propagated — a failed bundle write must never take the
 /// run down with it.
 #[derive(Debug, Clone)]
@@ -205,10 +207,7 @@ impl DiagnosisBundle {
     /// [`std::io::ErrorKind::InvalidData`].
     pub fn write_json<T: Serialize>(&self, name: &str, value: &T) -> std::io::Result<PathBuf> {
         let path = self.dir.join(name);
-        let mut text = serde_json::to_string_pretty(value)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        text.push('\n');
-        std::fs::write(&path, text)?;
+        records::write_doc(&path, value)?;
         Ok(path)
     }
 
@@ -218,15 +217,11 @@ impl DiagnosisBundle {
     ///
     /// Propagates filesystem errors, and serializer errors mapped to
     /// [`std::io::ErrorKind::InvalidData`].
-    pub fn write_jsonl<T: Serialize>(&self, name: &str, rows: &[T]) -> std::io::Result<PathBuf> {
+    pub fn write_lines<T: Serialize>(&self, name: &str, rows: &[T]) -> std::io::Result<PathBuf> {
         let path = self.dir.join(name);
         let mut out = std::io::BufWriter::new(std::fs::File::create(&path)?);
         for row in rows {
-            let line = serde_json::to_string(row).map_err(|e| {
-                std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
-            })?;
-            out.write_all(line.as_bytes())?;
-            out.write_all(b"\n")?;
+            records::write_line(&mut out, row)?;
         }
         out.flush()?;
         Ok(path)
@@ -341,7 +336,7 @@ mod tests {
         assert!(bundle.dir().ends_with("diagnosis-demo-7"));
         let meta = bundle.write_json("meta.json", &Meta { round: 9 }).unwrap();
         let rows = bundle
-            .write_jsonl("trail.jsonl", &[1u64, 2, 3])
+            .write_lines("trail.jsonl", &[1u64, 2, 3])
             .unwrap();
         let text = std::fs::read_to_string(meta).unwrap();
         assert!(text.contains("\"round\": 9"));

@@ -36,6 +36,7 @@ use std::io::Write;
 use std::path::Path;
 use std::time::Instant;
 
+use crate::records;
 use crate::registry::Histogram;
 use crate::timeseries::SeriesStore;
 
@@ -150,47 +151,6 @@ impl ProfileReport {
     #[must_use]
     pub fn stage(&self, name: &str) -> Option<&StageProfile> {
         self.stages.iter().find(|s| s.name == name)
-    }
-
-    /// Serializes to pretty JSON.
-    ///
-    /// # Errors
-    ///
-    /// Propagates serializer errors (which would indicate a schema bug)
-    /// instead of panicking mid-run.
-    pub fn to_json(&self) -> serde_json::Result<String> {
-        serde_json::to_string_pretty(self)
-    }
-
-    /// Writes pretty JSON to `path`, creating parent directories.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors, and serializer errors mapped to
-    /// [`std::io::ErrorKind::InvalidData`].
-    pub fn write_to(&self, path: &Path) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        let mut text = self
-            .to_json()
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        text.push('\n');
-        std::fs::write(path, text)
-    }
-
-    /// Reads a report back from JSON at `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors; malformed JSON is mapped to
-    /// [`std::io::ErrorKind::InvalidData`].
-    pub fn read_from(path: &Path) -> std::io::Result<ProfileReport> {
-        let text = std::fs::read_to_string(path)?;
-        serde_json::from_str(&text)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
     }
 
     /// Writes the report as folded stacks — one `frame;frame count` line
@@ -533,19 +493,17 @@ impl ProfileSink {
             return Ok(false);
         };
         let report = profiler.report();
-        report.write_to(path)?;
+        records::write_doc(path, &report)?;
 
-        let folded_path = path.with_extension("folded");
         let mut folded = Vec::new();
         report.write_folded(&mut folded)?;
-        std::fs::write(&folded_path, folded)?;
+        std::fs::write(path.with_extension("folded"), folded)?;
 
-        let rounds_path = path.with_extension("rounds.jsonl");
         let mut rounds = Vec::new();
-        profiler.series.write_jsonl(&mut rounds).map_err(|e| {
-            std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
-        })?;
-        std::fs::write(&rounds_path, rounds)?;
+        for point in profiler.series.points() {
+            records::write_line(&mut rounds, &point)?;
+        }
+        std::fs::write(path.with_extension("rounds.jsonl"), rounds)?;
         Ok(true)
     }
 }
@@ -666,7 +624,7 @@ mod tests {
         let mut sink = ProfileSink::enabled(ProfileOptions::default());
         run_rounds(&mut sink, 3);
         let report = sink.report().unwrap();
-        let text = report.to_json().unwrap();
+        let text = serde_json::to_string_pretty(&report).unwrap();
         let back: ProfileReport = serde_json::from_str(&text).unwrap();
         assert_eq!(back, report);
     }
@@ -724,13 +682,13 @@ mod tests {
         run_rounds(&mut sink, 2);
         let path = dir.join("profile.json");
         assert!(sink.write_artifacts(&path).unwrap());
-        let report = ProfileReport::read_from(&path).unwrap();
+        let report: ProfileReport = records::read_doc(&path).unwrap();
         assert_eq!(report.seed, 7);
         assert_eq!(report.rounds, 2);
         let folded = std::fs::read_to_string(dir.join("profile.folded")).unwrap();
         assert!(folded.contains("swarm;establish"), "{folded}");
-        let jsonl = std::fs::File::open(dir.join("profile.rounds.jsonl")).unwrap();
-        let points = SeriesStore::read_jsonl(std::io::BufReader::new(jsonl)).unwrap();
+        let jsonl = std::fs::read(dir.join("profile.rounds.jsonl")).unwrap();
+        let points: Vec<crate::SeriesPoint> = records::read_lines(&jsonl[..], "rounds").unwrap();
         assert!(points.iter().any(|p| p.series == "round.ns"), "{points:?}");
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -6,9 +6,9 @@
 //! series: once a ring is full the oldest sample is evicted and counted,
 //! so a million-round run costs the same memory as a thousand-round one.
 //!
-//! The store converts to and from a flat stream of [`SeriesPoint`]s for
-//! JSON-lines / CSV export, which is what the telemetry layer streams to
-//! disk and `btlab report` reads back.
+//! The store converts to and from a flat stream of [`SeriesPoint`]s,
+//! which [`crate::records`] writes and reads as JSON lines (the
+//! profiler's `.rounds.jsonl`).
 //!
 //! # Example
 //!
@@ -25,12 +25,11 @@
 //! ```
 
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{BufRead, Write};
 
 use serde::{Deserialize, Serialize};
 
 /// One `(tick, value)` sample of a named series — the unit of the
-/// JSON-lines and CSV export formats.
+/// JSON-lines export format.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SeriesPoint {
     /// The series the sample belongs to.
@@ -39,39 +38,6 @@ pub struct SeriesPoint {
     pub tick: u64,
     /// Sampled value.
     pub value: f64,
-}
-
-/// Errors from series export and import.
-#[derive(Debug)]
-pub enum SeriesError {
-    /// An underlying I/O failure.
-    Io(std::io::Error),
-    /// A line of the input failed to parse.
-    Parse {
-        /// 1-based line number of the offending input line.
-        line: usize,
-        /// What went wrong.
-        detail: String,
-    },
-}
-
-impl std::fmt::Display for SeriesError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SeriesError::Io(e) => write!(f, "series i/o error: {e}"),
-            SeriesError::Parse { line, detail } => {
-                write!(f, "series parse error at line {line}: {detail}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for SeriesError {}
-
-impl From<std::io::Error> for SeriesError {
-    fn from(e: std::io::Error) -> Self {
-        SeriesError::Io(e)
-    }
 }
 
 /// A bounded ring of `(tick, value)` samples for one signal.
@@ -240,62 +206,6 @@ impl SeriesStore {
         }
         store
     }
-
-    /// Writes the retained samples as JSON lines, one [`SeriesPoint`] per
-    /// line.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SeriesError::Io`] on write failure.
-    pub fn write_jsonl<W: Write>(&self, w: &mut W) -> Result<(), SeriesError> {
-        for p in self.points() {
-            let line = serde_json::to_string(&p).map_err(|e| SeriesError::Parse {
-                line: 0,
-                detail: e.to_string(),
-            })?;
-            writeln!(w, "{line}")?;
-        }
-        Ok(())
-    }
-
-    /// Writes the retained samples as CSV with a `series,tick,value`
-    /// header.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SeriesError::Io`] on write failure.
-    pub fn write_csv<W: Write>(&self, w: &mut W) -> Result<(), SeriesError> {
-        writeln!(w, "series,tick,value")?;
-        for p in self.points() {
-            writeln!(w, "{},{},{}", p.series, p.tick, p.value)?;
-        }
-        Ok(())
-    }
-
-    /// Parses a JSON-lines point stream (as written by
-    /// [`SeriesStore::write_jsonl`]). Blank lines are skipped.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SeriesError::Io`] on read failure and
-    /// [`SeriesError::Parse`] (with a 1-based line number) on a malformed
-    /// line.
-    pub fn read_jsonl<R: BufRead>(r: R) -> Result<Vec<SeriesPoint>, SeriesError> {
-        let mut points = Vec::new();
-        for (index, line) in r.lines().enumerate() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let point: SeriesPoint =
-                serde_json::from_str(&line).map_err(|e| SeriesError::Parse {
-                    line: index + 1,
-                    detail: e.to_string(),
-                })?;
-            points.push(point);
-        }
-        Ok(points)
-    }
 }
 
 #[cfg(test)]
@@ -350,38 +260,13 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_round_trips() {
+    fn points_rebuild_the_store() {
         let mut store = SeriesStore::new(1, 32);
         for tick in 0..5 {
             store.record("entropy", tick, tick as f64 / 7.0);
             store.record("population", tick, (tick * 10) as f64);
         }
-        let mut buf = Vec::new();
-        store.write_jsonl(&mut buf).unwrap();
-        let points = SeriesStore::read_jsonl(&buf[..]).unwrap();
-        assert_eq!(points, store.points());
-        let rebuilt = SeriesStore::from_points(1, 32, &points);
-        assert_eq!(rebuilt, store);
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let mut store = SeriesStore::new(1, 8);
-        store.record("x", 0, 1.5);
-        let mut buf = Vec::new();
-        store.write_csv(&mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert_eq!(text, "series,tick,value\nx,0,1.5\n");
-    }
-
-    #[test]
-    fn parse_reports_line_numbers() {
-        let input = b"{\"series\":\"x\",\"tick\":0,\"value\":1.0}\n\nnot json\n";
-        let err = SeriesStore::read_jsonl(&input[..]).unwrap_err();
-        match err {
-            SeriesError::Parse { line, .. } => assert_eq!(line, 3),
-            other => panic!("expected parse error, got {other}"),
-        }
+        assert_eq!(SeriesStore::from_points(1, 32, &store.points()), store);
     }
 
     #[test]

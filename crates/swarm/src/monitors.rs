@@ -740,7 +740,7 @@ impl SwarmDoctor {
         bundle.write_json("meta.json", &meta)?;
         bundle.write_json("flight.json", &dump)?;
         let trail: Vec<&TelemetrySample> = self.trail.iter().collect();
-        bundle.write_jsonl("telemetry.jsonl", &trail)?;
+        bundle.write_lines("telemetry.jsonl", &trail)?;
         bundle.write_json("peers.json", &context.peers)?;
         if let Some(profile) = &context.profile {
             bundle.write_json("profile.json", profile)?;

@@ -18,11 +18,10 @@
 //!
 //! The JSON-lines stream is a sequence of [`TelemetryRecord`]s, one per
 //! line: a leading `Meta`, then `Sample` / `Phase` records in round
-//! order. Anomaly capture lives in the swarm doctor
-//! ([`crate::monitors`]). `btlab report` reads this stream back with
-//! [`read_records_from_path`].
+//! order, written and read through [`bt_obs::records`]. Anomaly capture
+//! lives in the swarm doctor ([`crate::monitors`]).
 
-use std::io::{BufRead, Write};
+use std::io::Write;
 
 use serde::{Deserialize, Serialize};
 
@@ -128,91 +127,6 @@ pub enum TelemetryRecord {
     Sample(TelemetrySample),
     /// An observer phase transition.
     Phase(PhaseEvent),
-}
-
-/// Errors from telemetry stream I/O.
-#[derive(Debug)]
-pub enum TelemetryError {
-    /// An underlying I/O failure.
-    Io(std::io::Error),
-    /// A line of the stream failed to parse.
-    Parse {
-        /// 1-based line number.
-        line: usize,
-        /// What went wrong.
-        detail: String,
-    },
-}
-
-impl std::fmt::Display for TelemetryError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TelemetryError::Io(e) => write!(f, "telemetry i/o error: {e}"),
-            TelemetryError::Parse { line, detail } => {
-                write!(f, "telemetry parse error at line {line}: {detail}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for TelemetryError {}
-
-impl From<std::io::Error> for TelemetryError {
-    fn from(e: std::io::Error) -> Self {
-        TelemetryError::Io(e)
-    }
-}
-
-/// Serializes records as a JSON-lines stream.
-///
-/// # Errors
-///
-/// Returns [`TelemetryError::Io`] on write failure.
-pub fn write_records<W: Write>(w: &mut W, records: &[TelemetryRecord]) -> Result<(), TelemetryError> {
-    for record in records {
-        let line = serde_json::to_string(record).map_err(|e| TelemetryError::Parse {
-            line: 0,
-            detail: e.to_string(),
-        })?;
-        writeln!(w, "{line}")?;
-    }
-    Ok(())
-}
-
-/// Parses a JSON-lines telemetry stream. Blank lines are skipped.
-///
-/// # Errors
-///
-/// Returns [`TelemetryError::Io`] on read failure and
-/// [`TelemetryError::Parse`] with a 1-based line number on a malformed
-/// line.
-pub fn read_records<R: BufRead>(r: R) -> Result<Vec<TelemetryRecord>, TelemetryError> {
-    let mut records = Vec::new();
-    for (index, line) in r.lines().enumerate() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let record: TelemetryRecord =
-            serde_json::from_str(&line).map_err(|e| TelemetryError::Parse {
-                line: index + 1,
-                detail: e.to_string(),
-            })?;
-        records.push(record);
-    }
-    Ok(records)
-}
-
-/// Reads a telemetry stream from a file.
-///
-/// # Errors
-///
-/// See [`read_records`].
-pub fn read_records_from_path(
-    path: &std::path::Path,
-) -> Result<Vec<TelemetryRecord>, TelemetryError> {
-    let file = std::fs::File::open(path)?;
-    read_records(std::io::BufReader::new(file))
 }
 
 /// Measured phase boundaries of one observer, in absolute rounds,
@@ -459,7 +373,7 @@ impl TelemetryRecorder {
         };
         match self.options.format {
             TelemetryFormat::Jsonl => self.write_record(&TelemetryRecord::Meta(meta.clone())),
-            TelemetryFormat::Csv => self.write_line(
+            TelemetryFormat::Csv => self.write_csv_row(
                 "round,population,entropy,extinct_pieces,\
                  pieces_min,pieces_p25,pieces_p50,pieces_p75,pieces_max,\
                  mean_degree,slot_utilization",
@@ -539,7 +453,7 @@ impl TelemetryRecorder {
                         sample.mean_degree,
                         sample.slot_utilization,
                     );
-                    self.write_line(&line);
+                    self.write_csv_row(&line);
                 }
             }
             self.samples += 1;
@@ -599,21 +513,20 @@ impl TelemetryRecorder {
     }
 
     fn write_record(&mut self, record: &TelemetryRecord) {
-        match serde_json::to_string(record) {
-            Ok(line) => self.write_line(&line),
-            Err(e) => {
-                tracing::warn!(target: "bt_swarm::telemetry", error = e.to_string(); "failed to serialize telemetry record");
-            }
-        }
+        self.write_stream(|writer| bt_obs::records::write_line(writer, record));
     }
 
-    /// Writes one line to the stream; a failing writer is dropped (with a
-    /// warning) rather than aborting the simulation.
-    fn write_line(&mut self, line: &str) {
+    fn write_csv_row(&mut self, row: &str) {
+        self.write_stream(|writer| writeln!(writer, "{row}"));
+    }
+
+    /// Runs one write against the stream; a failing writer is dropped
+    /// (with a warning) rather than aborting the simulation.
+    fn write_stream(&mut self, write: impl FnOnce(&mut dyn Write) -> std::io::Result<()>) {
         let Some(writer) = self.writer.as_mut() else {
             return;
         };
-        if let Err(e) = writeln!(writer, "{line}") {
+        if let Err(e) = write(writer.as_mut()) {
             tracing::warn!(target: "bt_swarm::telemetry", error = e.to_string(); "telemetry write failed; disabling stream");
             self.writer = None;
         }
@@ -670,39 +583,6 @@ mod tests {
     }
 
     #[test]
-    fn records_round_trip_through_jsonl() {
-        let records = vec![
-            TelemetryRecord::Meta(TelemetryMeta {
-                schema_version: TELEMETRY_SCHEMA_VERSION,
-                pieces: 10,
-                max_connections: 3,
-                neighbor_set_size: 6,
-                seed: 7,
-                stride: 1,
-            }),
-            TelemetryRecord::Sample(TelemetrySample {
-                round: 1,
-                population: 5,
-                entropy: 0.25,
-                extinct_pieces: 2,
-                availability: vec![2, 3, 5],
-                piece_quantiles: [0, 1, 2, 3, 4],
-                mean_degree: 1.5,
-                slot_utilization: 0.5,
-            }),
-            TelemetryRecord::Phase(PhaseEvent {
-                peer: 3,
-                round: 1,
-                phase: Phase::Bootstrap,
-            }),
-        ];
-        let mut buf = Vec::new();
-        write_records(&mut buf, &records).unwrap();
-        let back = read_records(&buf[..]).unwrap();
-        assert_eq!(back, records);
-    }
-
-    #[test]
     fn boundaries_from_full_walk() {
         let ev = |round, phase| PhaseEvent {
             peer: 2,
@@ -738,12 +618,4 @@ mod tests {
         assert!(ObserverBoundaries::from_events(&[]).is_none());
     }
 
-    #[test]
-    fn parse_error_carries_line_number() {
-        let input = b"{\"Phase\":{\"peer\":1,\"round\":2,\"phase\":\"Bootstrap\"}}\ngarbage\n";
-        match read_records(&input[..]) {
-            Err(TelemetryError::Parse { line, .. }) => assert_eq!(line, 2),
-            other => panic!("expected parse error, got {other:?}"),
-        }
-    }
 }

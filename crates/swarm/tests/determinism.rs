@@ -32,6 +32,14 @@ impl Write for SharedBuf {
     }
 }
 
+/// A run's normalized ledger record exactly as the ledger stores it:
+/// one JSON line through the shared record codec.
+fn ledger_line(record: &bt_obs::LedgerRecord) -> String {
+    let mut line = Vec::new();
+    bt_obs::records::write_line(&mut line, &record.normalized()).expect("ledger record serializes");
+    String::from_utf8(line).expect("JSON is UTF-8")
+}
+
 fn config(seed: u64) -> SwarmConfig {
     SwarmConfig::builder()
         .pieces(16)
@@ -145,10 +153,7 @@ fn run_with_doctor(
     let violations = report
         .as_ref()
         .map_or(0, |r| r.report.violations.len() as u64);
-    let ledger = bt_obs::LedgerRecord::from_manifest(&manifest, violations)
-        .normalized()
-        .to_jsonl()
-        .expect("ledger record serializes");
+    let ledger = ledger_line(&bt_obs::LedgerRecord::from_manifest(&manifest, violations));
     (buf.contents(), digest, report, ledger)
 }
 
@@ -285,11 +290,10 @@ fn run_threaded(seed: u64, rounds: u64, threads: u32) -> (Vec<u8>, Vec<u8>, Stri
     manifest.threads = threads;
     manifest.finish(&registry, std::time::Duration::from_secs(1));
     manifest.peak_population = registry.counter("swarm.peak_population").get();
-    let ledger =
-        bt_obs::LedgerRecord::from_manifest(&manifest, report.report.violations.len() as u64)
-            .normalized()
-            .to_jsonl()
-            .expect("ledger record serializes");
+    let ledger = ledger_line(&bt_obs::LedgerRecord::from_manifest(
+        &manifest,
+        report.report.violations.len() as u64,
+    ));
     (
         buf.contents(),
         cohort_buf.contents(),
@@ -404,10 +408,7 @@ fn run_with_heartbeat(
     manifest.threads = threads;
     manifest.finish(&registry, std::time::Duration::from_secs(1));
     manifest.peak_population = registry.counter("swarm.peak_population").get();
-    let ledger = bt_obs::LedgerRecord::from_manifest(&manifest, 0)
-        .normalized()
-        .to_jsonl()
-        .expect("ledger record serializes");
+    let ledger = ledger_line(&bt_obs::LedgerRecord::from_manifest(&manifest, 0));
     (buf.contents(), cohort_buf.contents(), digest, ledger)
 }
 

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 
 use bt_model::Phase;
 use bt_swarm::telemetry::{
-    read_records, write_records, PhaseEvent, TelemetryMeta, TelemetryRecord, TelemetrySample,
+    PhaseEvent, TelemetryMeta, TelemetryRecord, TelemetrySample,
     TELEMETRY_SCHEMA_VERSION,
 };
 use bt_swarm::{InitialPieces, Swarm, SwarmConfig, TelemetryOptions, TelemetryRecorder};
@@ -64,7 +64,8 @@ fn stream_entropy_matches_engine_metrics() {
 
     // The streamed samples carry exactly the entropy the engine's own
     // metrics sampled for the same rounds.
-    let records = read_records(&buf.contents()[..]).expect("stream parses");
+    let records: Vec<TelemetryRecord> =
+        bt_obs::records::read_lines(&buf.contents()[..], "telemetry").expect("stream parses");
     let samples: Vec<&TelemetrySample> = records
         .iter()
         .filter_map(|r| match r {
@@ -257,8 +258,11 @@ proptest! {
     #[test]
     fn telemetry_stream_round_trips(records in proptest::collection::vec(record_strategy(), 0..24)) {
         let mut buf = Vec::new();
-        write_records(&mut buf, &records).expect("write succeeds");
-        let back = read_records(&buf[..]).expect("read succeeds");
+        for record in &records {
+            bt_obs::records::write_line(&mut buf, record).expect("write succeeds");
+        }
+        let back: Vec<TelemetryRecord> =
+            bt_obs::records::read_lines(&buf[..], "telemetry").expect("read succeeds");
         prop_assert_eq!(back, records);
     }
 }

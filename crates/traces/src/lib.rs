@@ -70,7 +70,7 @@ impl std::fmt::Display for Error {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Error::Swarm(e) => write!(f, "swarm error: {e}"),
-            Error::Serde(e) => write!(f, "serialization error: {e}"),
+            Error::Serde(e) => write!(f, "JSON error: {e}"),
             Error::Io(e) => write!(f, "i/o error: {e}"),
             Error::InvalidTrace(detail) => write!(f, "invalid trace: {detail}"),
         }

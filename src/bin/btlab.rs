@@ -71,7 +71,7 @@ fn main() {
         manifest.peak_population = registry.counter("swarm.peak_population").get();
         let dir = std::env::var("BT_MANIFEST_DIR").unwrap_or_else(|_| "results".to_string());
         let path = PathBuf::from(dir).join(format!("manifest-{}.json", manifest.command));
-        match manifest.write_to(&path) {
+        match bt_obs::records::write_doc(&path, &manifest) {
             Ok(()) => {
                 tracing::info!(target: "btlab", path = path.display().to_string(); "run manifest written");
             }

@@ -124,6 +124,19 @@ impl From<String> for CliError {
     }
 }
 
+/// Maps a failed artifact read to its exit code: missing (`NotFound`)
+/// or malformed (`InvalidData`) input is a data error (exit 2), any
+/// other I/O failure a run failure (exit 1).
+fn read_error(what: &str, e: std::io::Error) -> CliError {
+    let message = format!("cannot read {what}: {e}");
+    match e.kind() {
+        std::io::ErrorKind::NotFound | std::io::ErrorKind::InvalidData => {
+            CliError::Invalid(message)
+        }
+        _ => CliError::Failure(message),
+    }
+}
+
 /// Global logging options, valid before or after the subcommand.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct LogOptions {
@@ -624,6 +637,9 @@ EXIT CODES:
   0 success; 1 run failure (simulation error, compare regression,
   doctor violation, report --strict warning); 2 usage error or
   malformed/mismatched input data.
+  Streams (telemetry, heartbeat, ledger) are read up to their last
+  complete record; a missing file, a malformed complete line, or a
+  torn document (manifest, profile, status) exits 2.
 
 STAGE ABLATION (btlab swarm):
   --disable-stage removes stages from the round pipeline for ablation
@@ -1108,10 +1124,8 @@ fn required(key: &str, value: &str) -> Result<String, String> {
     }
 }
 
-/// Builds the swarm a `btlab swarm` / `btlab doctor` run drives:
-/// config, optional stage ablation, telemetry stream, cohort trace and
-/// heartbeat. The caller attaches profilers or doctors and runs.
-fn build_swarm(a: &SwarmArgs) -> Result<bt_swarm::Swarm, String> {
+/// The configuration a `btlab swarm` / `btlab doctor` run drives.
+fn swarm_config(a: &SwarmArgs) -> Result<bt_swarm::SwarmConfig, String> {
     let mut builder = bt_swarm::SwarmConfig::builder();
     builder
         .pieces(a.pieces)
@@ -1128,18 +1142,40 @@ fn build_swarm(a: &SwarmArgs) -> Result<bt_swarm::Swarm, String> {
     if a.observers > 0 {
         builder.observers(a.observers);
     }
-    let config = builder.build().map_err(|e| e.to_string())?;
-    let mut swarm = if a.disabled_stages.is_empty() {
-        bt_swarm::Swarm::new(config)
-    } else {
-        let stages: Vec<Box<dyn bt_swarm::RoundStage>> =
-            bt_swarm::stages::default_pipeline(&config)
-                .into_iter()
-                .filter(|s| !a.disabled_stages.iter().any(|d| d == s.name()))
-                .collect();
-        tracing::info!(target: "btlab", disabled = a.disabled_stages.join(",").as_str(); "stage ablation active");
-        bt_swarm::Swarm::with_pipeline(config, bt_obs::Registry::global(), stages)
+    builder.build().map_err(|e| e.to_string())
+}
+
+/// The stages a run of `a` executes under `config`, in pipeline order:
+/// the engine's default pipeline minus the `--disable-stage` ablations.
+fn swarm_stages(
+    a: &SwarmArgs,
+    config: &bt_swarm::SwarmConfig,
+) -> Vec<Box<dyn bt_swarm::RoundStage>> {
+    bt_swarm::stages::default_pipeline(config)
+        .into_iter()
+        .filter(|s| !a.disabled_stages.iter().any(|d| d == s.name()))
+        .collect()
+}
+
+/// The stage names a run of `a` executes, in pipeline order, recorded in
+/// the run manifest; empty when the flags form no valid configuration.
+pub fn swarm_pipeline_names(a: &SwarmArgs) -> Vec<String> {
+    let Ok(config) = swarm_config(a) else {
+        return Vec::new();
     };
+    swarm_stages(a, &config).iter().map(|s| s.name().to_string()).collect()
+}
+
+/// Builds the swarm a `btlab swarm` / `btlab doctor` run drives:
+/// config, optional stage ablation, telemetry stream, cohort trace and
+/// heartbeat. The caller attaches profilers or doctors and runs.
+fn build_swarm(a: &SwarmArgs) -> Result<bt_swarm::Swarm, String> {
+    let config = swarm_config(a)?;
+    if !a.disabled_stages.is_empty() {
+        tracing::info!(target: "btlab", disabled = a.disabled_stages.join(",").as_str(); "stage ablation active");
+    }
+    let stages = swarm_stages(a, &config);
+    let mut swarm = bt_swarm::Swarm::with_pipeline(config, bt_obs::Registry::global(), stages);
     swarm.set_threads(a.threads);
     if let Some(path) = &a.telemetry {
         let format: bt_swarm::TelemetryFormat = a.telemetry_format.parse()?;
@@ -1320,8 +1356,10 @@ pub fn run<W: std::io::Write>(command: Command, out: &mut W) -> Result<(), CliEr
         }
         Command::Analyze(a) => {
             tracing::info!(target: "btlab", input = a.input.as_str(); "analyzing traces");
-            let traces =
-                bt_traces::io::read_traces_from_path(&a.input).map_err(|e| e.to_string())?;
+            let traces = bt_traces::io::read_traces_from_path(&a.input).map_err(|e| match e {
+                bt_traces::Error::Io(e) => read_error(&format!("traces {}", a.input), e),
+                other => CliError::Invalid(format!("cannot read traces {}: {other}", a.input)),
+            })?;
             writeln!(
                 out,
                 "{:<30} {:>10} {:>10} {:>10}  completed",
@@ -1370,10 +1408,11 @@ fn run_report<W: std::io::Write>(a: &ReportArgs, out: &mut W) -> Result<(), CliE
     Ok(())
 }
 
-/// The telemetry half of `btlab report`. An empty stream, a stream
-/// with no Meta header, and a headed stream with zero samples are all
-/// malformed input data ([`CliError::Invalid`], exit 2) — the usual
-/// causes are a run interrupted mid-write or a CSV-format stream.
+/// The telemetry half of `btlab report`, read up to the stream's last
+/// complete record. A malformed line, an empty stream, a stream with no
+/// Meta header, and a headed stream with zero samples are all malformed
+/// input data ([`CliError::Invalid`], exit 2) — the usual causes are a
+/// run interrupted before its first sample or a CSV-format stream.
 fn report_telemetry<W: std::io::Write>(
     a: &ReportArgs,
     telemetry: &str,
@@ -1384,8 +1423,11 @@ fn report_telemetry<W: std::io::Write>(
 
     let io_err = |e: std::io::Error| format!("i/o error: {e}");
     tracing::info!(target: "btlab", telemetry = telemetry; "reporting on telemetry");
-    let records = bt_swarm::telemetry::read_records_from_path(std::path::Path::new(telemetry))
-        .map_err(|e| CliError::Invalid(format!("cannot read telemetry {telemetry}: {e}")))?;
+    let what = format!("telemetry {telemetry}");
+    let file = std::fs::File::open(telemetry).map_err(|e| read_error(&what, e))?;
+    let records: Vec<TelemetryRecord> =
+        bt_obs::records::read_lines(std::io::BufReader::new(file), "telemetry")
+            .map_err(|e| read_error(&what, e))?;
     if records.is_empty() {
         return Err(CliError::Invalid(format!(
             "telemetry stream {telemetry} is empty (no records); \
@@ -1554,10 +1596,9 @@ fn report_telemetry<W: std::io::Write>(
     }
 
     if let Some(path) = &a.manifest {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read manifest {path}: {e}"))?;
-        let manifest: bt_obs::RunManifest = serde_json::from_str(&text)
-            .map_err(|e| format!("cannot parse manifest {path}: {e}"))?;
+        let manifest: bt_obs::RunManifest =
+            bt_obs::records::read_doc(std::path::Path::new(path))
+                .map_err(|e| read_error("manifest", e))?;
         writeln!(
             out,
             "\nmanifest: command={} seed={} wall_clock={:.2}s",
@@ -1772,39 +1813,15 @@ fn ms(ns: Option<u64>) -> String {
     ns.map_or("-".to_string(), |n| format!("{:.3}", n as f64 / 1e6))
 }
 
-/// The stage names `btlab swarm` will run for `a`, in pipeline order.
-///
-/// Mirrors `bt_swarm::stages::default_pipeline` (shake participates only
-/// when `--shake` is set) minus the `--disable-stage` ablations; recorded
-/// in the run manifest so `btlab report` can cross-check it.
-pub fn swarm_pipeline_names(a: &SwarmArgs) -> Vec<String> {
-    let mut names: Vec<&str> = vec![
-        "maintain",
-        "bootstrap",
-        "prune",
-        "establish",
-        "exchange",
-        "depart",
-    ];
-    if a.shake.is_some() {
-        names.push("shake");
-    }
-    names.push("sample");
-    names
-        .into_iter()
-        .filter(|name| !a.disabled_stages.iter().any(|d| d == name))
-        .map(str::to_string)
-        .collect()
-}
-
 /// Executes `btlab profile`: summarizes a recorded `profile.json` —
 /// hottest stages by wall time, work counters with per-round averages,
 /// and the hottest peers by attributed work. With `--json`, re-emits
 /// the validated report as stable machine-readable JSON instead.
 fn run_profile<W: std::io::Write>(a: &ProfileArgs, out: &mut W) -> Result<(), CliError> {
     let io_err = |e: std::io::Error| format!("i/o error: {e}");
-    let report = bt_obs::ProfileReport::read_from(std::path::Path::new(&a.input))
-        .map_err(|e| format!("cannot read profile {}: {e}", a.input))?;
+    let report: bt_obs::ProfileReport =
+        bt_obs::records::read_doc(std::path::Path::new(&a.input))
+            .map_err(|e| read_error("profile", e))?;
     if a.json {
         let json = serde_json::to_string_pretty(&report)
             .map_err(|e| format!("serialization error: {e}"))?;
@@ -1915,19 +1932,19 @@ struct CompareSide {
 /// `swarm --profile`) or a [`bt_obs::RunManifest`] (e.g. the
 /// `BENCH_swarm.json` the bench binaries write), detected by shape.
 ///
-/// Every data problem — unreadable file, malformed JSON, an
+/// Every data problem — a missing file, malformed JSON, an
 /// unrecognized document shape, or a schema-version mismatch — maps to
 /// [`CliError::Invalid`] (exit 2), so CI can tell "the candidate
 /// regressed" (exit 1) apart from "the inputs were garbage".
 fn load_compare_side(path: &str) -> Result<CompareSide, CliError> {
     let invalid = |message: String| CliError::Invalid(message);
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| invalid(format!("cannot read {path}: {e}")))?;
-    let value: serde_json::Value = serde_json::from_str(&text)
-        .map_err(|e| invalid(format!("cannot parse {path}: {e}")))?;
+    // Sniff the document's shape, then read it again as that type.
+    let doc = std::path::Path::new(path);
+    let value: serde_json::Value =
+        bt_obs::records::read_doc(doc).map_err(|e| read_error("comparison input", e))?;
     if value.get("stages").is_some() && value.get("round_latency").is_some() {
-        let report: bt_obs::ProfileReport = serde_json::from_str(&text)
-            .map_err(|e| invalid(format!("cannot parse profile {path}: {e}")))?;
+        let report: bt_obs::ProfileReport =
+            bt_obs::records::read_doc(doc).map_err(|e| read_error("profile", e))?;
         if report.schema_version != bt_obs::PROFILE_SCHEMA_VERSION {
             return Err(invalid(format!(
                 "{path}: profile schema_version {} does not match the supported version {}",
@@ -1948,8 +1965,8 @@ fn load_compare_side(path: &str) -> Result<CompareSide, CliError> {
             peak_rss_bytes: None,
         })
     } else if value.get("phase_secs").is_some() {
-        let manifest: bt_obs::RunManifest = serde_json::from_str(&text)
-            .map_err(|e| invalid(format!("cannot parse manifest {path}: {e}")))?;
+        let manifest: bt_obs::RunManifest =
+            bt_obs::records::read_doc(doc).map_err(|e| read_error("manifest", e))?;
         if manifest.schema_version != bt_obs::MANIFEST_SCHEMA_VERSION {
             return Err(invalid(format!(
                 "{path}: manifest schema_version {} does not match the supported version {}",
@@ -2318,7 +2335,8 @@ fn median(mut values: Vec<f64>) -> f64 {
 /// Executes `btlab trend`: renders per-record summaries and per-metric
 /// trajectories from the cross-run ledger, flagging the latest run's
 /// metrics that drifted beyond the tolerance against the median of
-/// matching prior runs. Advisory: exits 0 on any readable ledger.
+/// matching prior runs. Advisory: exits 0 on any readable ledger. A
+/// final record cut short by an interrupted append is skipped.
 fn run_trend<W: std::io::Write>(a: &TrendArgs, out: &mut W) -> Result<(), CliError> {
     let io_err = |e: std::io::Error| format!("i/o error: {e}");
     let path = a
@@ -2347,7 +2365,7 @@ fn run_trend<W: std::io::Write>(a: &TrendArgs, out: &mut W) -> Result<(), CliErr
         }
     }
     let records = bt_obs::read_ledger(&path)
-        .map_err(|e| CliError::Invalid(format!("cannot read ledger {}: {e}", path.display())))?;
+        .map_err(|e| read_error(&format!("ledger {}", path.display()), e))?;
     if records.is_empty() {
         return Err(CliError::Invalid(format!(
             "ledger {} has no records; run `btlab swarm`, `btlab doctor`, or a bench first",
@@ -2535,7 +2553,7 @@ fn run_watch<W: std::io::Write>(a: &WatchArgs, out: &mut W) -> Result<(), CliErr
                     bt_obs::RUN_STATUS_FILE
                 ))
             } else {
-                CliError::Invalid(format!("cannot read {}: {e}", path.display()))
+                read_error("run status", e)
             }
         })
     };
@@ -3211,42 +3229,6 @@ mod tests {
         assert!(parse(&args(&["swarm", "--profile"])).is_err());
     }
 
-    #[test]
-    fn swarm_pipeline_names_match_engine() {
-        // The CLI-side prediction must agree with what the engine
-        // actually assembles, including the shake_at conditional.
-        for shake in [None, Some(0.9)] {
-            let a = SwarmArgs {
-                shake,
-                ..SwarmArgs::default()
-            };
-            let mut builder = bt_swarm::SwarmConfig::builder();
-            builder
-                .pieces(a.pieces)
-                .max_connections(a.k)
-                .neighbor_set_size(a.s)
-                .arrival_rate(a.lambda)
-                .initial_leechers(a.initial)
-                .max_rounds(a.rounds)
-                .seed(a.seed);
-            if let Some(f) = a.shake {
-                builder.shake_at(f);
-            }
-            let config = builder.build().unwrap();
-            let swarm = bt_swarm::Swarm::new(config);
-            assert_eq!(swarm_pipeline_names(&a), swarm.stage_names());
-        }
-        // Ablations drop the disabled stages from the prediction.
-        let a = SwarmArgs {
-            disabled_stages: vec!["depart".into(), "sample".into()],
-            ..SwarmArgs::default()
-        };
-        let names = swarm_pipeline_names(&a);
-        assert!(!names.contains(&"depart".to_string()));
-        assert!(!names.contains(&"sample".to_string()));
-        assert!(names.contains(&"exchange".to_string()));
-    }
-
     /// A handcrafted profile report with one second-scale stage, safely
     /// above the comparison noise floor.
     fn sample_report(establish_secs: f64, exchange_secs: f64) -> bt_obs::ProfileReport {
@@ -3294,7 +3276,7 @@ mod tests {
     #[test]
     fn run_profile_summarizes_a_report() {
         let path = std::env::temp_dir().join("btlab-cli-profile-unit.json");
-        sample_report(1.0, 0.5).write_to(&path).unwrap();
+        bt_obs::records::write_doc(&path, &sample_report(1.0, 0.5)).unwrap();
         let mut buf = Vec::new();
         run(
             Command::Profile(ProfileArgs {
@@ -3335,9 +3317,9 @@ mod tests {
     fn compare_passes_within_tolerance_and_fails_beyond_it() {
         let base = std::env::temp_dir().join("btlab-cli-compare-base.json");
         let cand = std::env::temp_dir().join("btlab-cli-compare-cand.json");
-        sample_report(1.0, 0.5).write_to(&base).unwrap();
+        bt_obs::records::write_doc(&base, &sample_report(1.0, 0.5)).unwrap();
         // Candidate: establish 5% slower (within 10%), exchange equal.
-        sample_report(1.05, 0.5).write_to(&cand).unwrap();
+        bt_obs::records::write_doc(&cand, &sample_report(1.05, 0.5)).unwrap();
         let compare = |tolerance: f64, out: &mut Vec<u8>| {
             run(
                 Command::Compare(CompareArgs {
@@ -3358,7 +3340,7 @@ mod tests {
         assert!(text.contains("rounds_per_sec"), "{text}");
 
         // Candidate: establish 2x slower — beyond any sane tolerance.
-        sample_report(2.0, 0.5).write_to(&cand).unwrap();
+        bt_obs::records::write_doc(&cand, &sample_report(2.0, 0.5)).unwrap();
         let mut buf = Vec::new();
         let err = compare(0.10, &mut buf).unwrap_err();
         assert_eq!(err.exit_code(), 1, "regressions are failures, not data errors");
@@ -3387,9 +3369,9 @@ mod tests {
     fn compare_accepts_bench_manifests() {
         let base = std::env::temp_dir().join("btlab-cli-compare-bench-base.json");
         let cand = std::env::temp_dir().join("btlab-cli-compare-bench-cand.json");
-        sample_manifest(1.0, 60, 2.0).write_to(&base).unwrap();
+        bt_obs::records::write_doc(&base, &sample_manifest(1.0, 60, 2.0)).unwrap();
         // Same stage cost but halved throughput: rounds/sec regresses.
-        sample_manifest(1.0, 60, 4.0).write_to(&cand).unwrap();
+        bt_obs::records::write_doc(&cand, &sample_manifest(1.0, 60, 4.0)).unwrap();
         let mut buf = Vec::new();
         let err = run(
             Command::Compare(CompareArgs {
@@ -3468,7 +3450,7 @@ mod tests {
         // never recorded a timer.
         manifest.pipeline = vec!["maintain".into(), "depart".into()];
         manifest.disabled_stages = vec!["shake".into()];
-        manifest.write_to(&manifest_path).unwrap();
+        bt_obs::records::write_doc(&manifest_path, &manifest).unwrap();
 
         let mut report = Vec::new();
         run(
@@ -3517,7 +3499,7 @@ mod tests {
         };
         let mut buf = Vec::new();
         run(Command::Swarm(swarm_args), &mut buf).unwrap();
-        let report = bt_obs::ProfileReport::read_from(&profile).unwrap();
+        let report: bt_obs::ProfileReport = bt_obs::records::read_doc(&profile).unwrap();
         assert_eq!(report.rounds, 40);
         assert_eq!(report.seed, 5);
         assert!(report.stage("exchange").is_some());
@@ -3637,7 +3619,7 @@ mod tests {
     #[test]
     fn run_profile_json_emits_parseable_report() {
         let path = std::env::temp_dir().join("btlab-cli-profile-json-unit.json");
-        sample_report(1.0, 0.5).write_to(&path).unwrap();
+        bt_obs::records::write_doc(&path, &sample_report(1.0, 0.5)).unwrap();
         let mut buf = Vec::new();
         run(
             Command::Profile(ProfileArgs {
@@ -3681,7 +3663,7 @@ mod tests {
         // A manifest whose pipeline lists a stage that never ran.
         let mut manifest = bt_obs::RunManifest::new("swarm", "cafebabe".into(), 3);
         manifest.pipeline = vec!["depart".into()];
-        manifest.write_to(&manifest_path).unwrap();
+        bt_obs::records::write_doc(&manifest_path, &manifest).unwrap();
 
         let report_args = |strict: bool| ReportArgs {
             telemetry: Some(telemetry.to_str().unwrap().into()),
@@ -3727,10 +3709,10 @@ mod tests {
     fn compare_rejects_schema_version_mismatch() {
         let good = std::env::temp_dir().join("btlab-cli-compare-schema-good.json");
         let bad = std::env::temp_dir().join("btlab-cli-compare-schema-bad.json");
-        sample_report(1.0, 0.5).write_to(&good).unwrap();
+        bt_obs::records::write_doc(&good, &sample_report(1.0, 0.5)).unwrap();
         let mut future = sample_report(1.0, 0.5);
         future.schema_version = bt_obs::PROFILE_SCHEMA_VERSION + 1;
-        future.write_to(&bad).unwrap();
+        bt_obs::records::write_doc(&bad, &future).unwrap();
         let mut buf = Vec::new();
         let err = run(
             Command::Compare(CompareArgs {
@@ -3968,7 +3950,7 @@ mod tests {
         let mut manifest = sample_manifest(1.0, 60, 2.0);
         manifest.obs_wall_secs = 0.08;
         manifest.obs_share = 0.04;
-        manifest.write_to(&path).unwrap();
+        bt_obs::records::write_doc(&path, &manifest).unwrap();
         let gate = |budget: f64| {
             let mut buf = Vec::new();
             let result = run(
@@ -3999,7 +3981,7 @@ mod tests {
         // Profile reports carry no observer share: gating one is a
         // data error, not a silent pass.
         let profile = std::env::temp_dir().join("btlab-cli-compare-obs-profile.json");
-        sample_report(1.0, 0.5).write_to(&profile).unwrap();
+        bt_obs::records::write_doc(&profile, &sample_report(1.0, 0.5)).unwrap();
         let mut buf = Vec::new();
         let err = run(
             Command::Compare(CompareArgs {
@@ -4115,10 +4097,10 @@ mod tests {
         let cand = std::env::temp_dir().join("btlab-cli-compare-threads-cand.json");
         let mut baseline = sample_manifest(1.0, 60, 2.0);
         baseline.threads = 1;
-        baseline.write_to(&base).unwrap();
+        bt_obs::records::write_doc(&base, &baseline).unwrap();
         let mut candidate = sample_manifest(1.0, 60, 2.0);
         candidate.threads = 8;
-        candidate.write_to(&cand).unwrap();
+        bt_obs::records::write_doc(&cand, &candidate).unwrap();
         let mut buf = Vec::new();
         let err = run(
             Command::Compare(CompareArgs {

@@ -1056,3 +1056,125 @@ fn compare_mem_budget_gates_peak_rss_against_the_baseline() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+
+/// Runs `btlab ARGS` with its manifests and ledger under `dir`.
+fn btlab_in(dir: &std::path::Path, args: &[&str]) -> std::process::Output {
+    btlab()
+        .args(args)
+        .env("BT_MANIFEST_DIR", dir)
+        .output()
+        .expect("binary runs")
+}
+
+/// Runs `btlab ARGS` and asserts a data error: exit 2 naming the read.
+fn assert_data_error(dir: &std::path::Path, args: &[&str]) {
+    let out = btlab_in(dir, args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(stderr.contains("cannot read"), "{args:?}: {stderr}");
+}
+
+/// A fresh temp dir holding JSON cut mid-value but newline-terminated,
+/// so line readers see one complete malformed line.
+fn garbage(label: &str) -> (std::path::PathBuf, String) {
+    let dir = std::env::temp_dir().join(format!("btlab-e2e-garbage-{label}"));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let path = dir.join("garbage.json");
+    std::fs::write(&path, "{\"truncated\": \n").expect("write garbage");
+    (dir, path.to_str().unwrap().to_string())
+}
+
+#[test]
+fn report_exits_two_on_a_malformed_manifest_or_stream() {
+    let (dir, garbage) = garbage("report");
+    let telemetry = dir.join("run.jsonl");
+    let telemetry = telemetry.to_str().unwrap();
+    let out = btlab_in(
+        &dir,
+        &[&LOG_TEST_SWARM[..], &["--telemetry", telemetry]].concat(),
+    );
+    assert!(out.status.success());
+    assert_data_error(
+        &dir,
+        &["report", "--telemetry", telemetry, "--manifest", &garbage],
+    );
+    assert_data_error(&dir, &["report", "--telemetry", &garbage]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn profile_exits_two_on_a_malformed_report() {
+    let (dir, garbage) = garbage("profile");
+    assert_data_error(&dir, &["profile", &garbage]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn analyze_exits_two_on_malformed_traces() {
+    let (dir, garbage) = garbage("analyze");
+    assert_data_error(&dir, &["analyze", "--input", &garbage]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn trend_exits_two_on_a_malformed_ledger_line() {
+    let (dir, garbage) = garbage("trend");
+    assert_data_error(&dir, &["trend", "--ledger", &garbage]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn streams_cut_mid_line_read_up_to_their_last_complete_record() {
+    let dir = std::env::temp_dir().join("btlab-e2e-cut-streams");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let telemetry = dir.join("run.jsonl");
+    let swarm = [
+        &LOG_TEST_SWARM[..],
+        &[
+            "--observers",
+            "2",
+            "--telemetry",
+            telemetry.to_str().unwrap(),
+        ],
+    ]
+    .concat();
+    let run = |args: &[&str]| {
+        let out = btlab_in(&dir, args);
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout).to_string()
+    };
+    let cut = |path: &std::path::Path, bytes: usize| {
+        let full = std::fs::read(path).expect("artifact written");
+        std::fs::write(path, &full[..full.len() - bytes]).expect("cut artifact");
+    };
+    run(&swarm);
+    run(&swarm);
+
+    // A telemetry stream cut mid-line: the report covers what is complete.
+    cut(&telemetry, 7);
+    let report = run(&[
+        "report",
+        "--telemetry",
+        telemetry.to_str().unwrap(),
+        "--replications",
+        "5",
+    ]);
+    assert!(report.contains("samples="), "{report}");
+
+    // A ledger whose final record is cut mid-line lists the complete one,
+    // and the next run's record starts a fresh line instead of gluing
+    // onto the torn one.
+    cut(&dir.join("ledger.jsonl"), 20);
+    let trend = run(&["trend", "--last", "5"]);
+    assert!(trend.contains("1 of 1 record(s)"), "{trend}");
+    run(&swarm);
+    let trend = run(&["trend", "--last", "5"]);
+    assert!(trend.contains("2 of 2 record(s)"), "{trend}");
+    std::fs::remove_dir_all(&dir).ok();
+}
