@@ -1445,6 +1445,24 @@ mod tests {
     }
 
     #[test]
+    fn alive_peers_stay_in_seq_order_under_churn() {
+        // Tracker handouts index a seq-sorted alive list: arrivals append
+        // and departures leave gaps, so the order must survive churn.
+        let mut config = crate::scenario::stability(3, 5).unwrap();
+        config.max_rounds = 40;
+        let mut swarm = Swarm::new(config);
+        swarm.drive();
+        let metrics = swarm.metrics();
+        assert!(metrics.arrivals > 300, "Poisson arrivals joined");
+        assert!(metrics.departures > 0, "completed peers departed");
+        let alive = swarm.alive_peer_ids();
+        assert!(
+            alive.windows(2).all(|w| w[0] < w[1]),
+            "alive peers are strictly increasing by seq"
+        );
+    }
+
+    #[test]
     fn rarest_first_beats_random_on_entropy() {
         let run = |strategy| {
             let config = SwarmConfig::builder()

@@ -15,6 +15,10 @@ use crate::stages::RoundStage;
 /// R+1, 2R+1, …), so the default of 1 re-announces every round — the
 /// original behavior, RNG stream included — while larger values shrink
 /// `maintain.handout_entries` at the cost of staler neighborhoods.
+///
+/// Work counters: `maintain.handout_entries` counts peers handed out,
+/// `maintain.tracker_probes` the candidates the tracker examined to
+/// pick them.
 #[derive(Debug, Default)]
 pub struct MaintainNeighbors {
     handout: Vec<PeerId>,
@@ -34,7 +38,7 @@ impl RoundStage for MaintainNeighbors {
             return;
         }
         let s = core.config.neighbor_set_size as usize;
-        let mut handed = 0u64;
+        let (mut handed, mut probes) = (0u64, 0u64);
         // No stage mutates the tracker's alive list mid-round, so
         // indexing it afresh each iteration observes a stable order.
         for i in 0..core.tracker.len() {
@@ -43,7 +47,7 @@ impl RoundStage for MaintainNeighbors {
             if need == 0 {
                 continue;
             }
-            core.tracker.handout_into(
+            probes += core.tracker.handout_into(
                 &mut self.handout,
                 id,
                 &core.store.peer(id).neighbors,
@@ -61,6 +65,7 @@ impl RoundStage for MaintainNeighbors {
             }
         }
         core.profile.add_work("maintain.handout_entries", handed);
+        core.profile.add_work("maintain.tracker_probes", probes);
         core.audit.neighbor_handouts += handed;
     }
 }
