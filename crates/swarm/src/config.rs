@@ -418,8 +418,10 @@ impl SwarmConfigBuilder {
     ///
     /// # Errors
     ///
-    /// [`Error::InvalidConfig`] for zero counts, probabilities outside
-    /// `[0, 1]`, negative rates, or a shake fraction outside `(0, 1)`.
+    /// [`Error::InvalidConfig`] for zero counts, a neighbor set above
+    /// 255 (the byte-lane limit of the exchange stage's replication
+    /// views), probabilities outside `[0, 1]`, negative rates, or a shake
+    /// fraction outside `(0, 1)`.
     pub fn build(&self) -> Result<SwarmConfig> {
         let c = &self.config;
         if c.pieces == 0 {
@@ -434,6 +436,12 @@ impl SwarmConfigBuilder {
             return Err(Error::InvalidConfig(
                 "neighbor_set_size must be at least 1".into(),
             ));
+        }
+        if c.neighbor_set_size > 255 {
+            return Err(Error::InvalidConfig(format!(
+                "neighbor_set_size {} exceeds 255: replication views count neighbors in one-byte lanes",
+                c.neighbor_set_size
+            )));
         }
         if c.max_rounds == 0 {
             return Err(Error::InvalidConfig("max_rounds must be at least 1".into()));
@@ -520,6 +528,21 @@ mod tests {
         assert_eq!(c.neighbor_set_size, 40);
         assert_eq!(c.piece_bytes, 256 * 1024);
         assert!(c.shake_at.is_none());
+    }
+
+    #[test]
+    fn rejects_neighbor_sets_beyond_the_byte_lane_limit() {
+        assert!(SwarmConfig::builder()
+            .neighbor_set_size(255)
+            .build()
+            .is_ok());
+        let err = SwarmConfig::builder()
+            .neighbor_set_size(256)
+            .build()
+            .expect_err("256 neighbors overflow a byte lane");
+        let message = err.to_string();
+        assert!(message.contains("neighbor_set_size 256"), "{message}");
+        assert!(message.contains("one-byte lanes"), "{message}");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use rand::Rng;
 
 use crate::config::PieceSelection;
-use crate::piece::{Bitfield, PieceId};
+use crate::piece::{lane, lane_words, Bitfield, PieceId};
 
 /// A source of uniform random picks for piece selection.
 ///
@@ -85,146 +85,205 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Picks which piece to download from a connected peer.
+/// Ranks candidate pieces to download from connected peers: the plan
+/// phase's selection step, with scratch space reused across calls so a
+/// warm ranker allocates nothing.
 ///
-/// * `mine` — the downloader's bitfield;
-/// * `theirs` — the uploader's bitfield;
-/// * `replication` — per-piece replication counts over the downloader's
-///   neighbor set (used by rarest-first; ties broken uniformly at random);
-/// * `taken` — pieces already claimed this round on other connections
-///   (avoids downloading the same piece twice in one round).
+/// Each rank is drawn by the §2.1 rule from the wanted pieces (held by
+/// the uploader, missing at the downloader) not yet ranked: uniformly
+/// over all of them for random-first, uniformly over the ones with the
+/// fewest copies in the downloader's neighbor set for rarest-first.
 ///
-/// Returns `None` when the uploader has nothing new to offer.
+/// The draws are those of selection without replacement over the
+/// wanted list in increasing piece order, where a ranked piece is
+/// removed by `swap_remove` (the last entry moves into its place) and a
+/// tie is resolved by the `pick(ties)`-th tied entry in list order. That
+/// is the engine's RNG stream; the ranker reproduces it in one pass:
 ///
-/// # Example
+/// * the wanted pieces are recorded as `(key, position, piece)` with the
+///   replication count as key (0 for random-first), and their keys
+///   counted into a histogram;
+/// * only pieces whose key is at most the `limit`-th smallest key can
+///   be drawn within `limit` ranks, so the histogram gives that
+///   threshold and a counting sort places the rest by
+///   `(key, position)`;
+/// * each rank picks among the minimum-key prefix, then moves the entry
+///   at the list's last position into the freed position, re-sorting it
+///   inside its key group.
 ///
-/// ```
-/// use bt_swarm::config::PieceSelection;
-/// use bt_swarm::piece::Bitfield;
-/// use bt_swarm::selection::select_piece;
-/// use rand::rngs::StdRng;
-/// use rand::SeedableRng;
-///
-/// let mine = Bitfield::new(4);
-/// let theirs = Bitfield::full(4);
-/// let replication = [5, 1, 5, 5]; // piece 1 is rare
-/// let mut rng = StdRng::seed_from_u64(0);
-/// let picked = select_piece(
-///     PieceSelection::RarestFirst,
-///     &mine,
-///     &theirs,
-///     &replication,
-///     &[],
-///     &mut rng,
-/// );
-/// assert_eq!(picked, Some(1));
-/// ```
-pub fn select_piece<S: Substream + ?Sized>(
+/// Every `pick` call and its argument match the list-based ranking, so
+/// the output and the stream state afterwards are identical.
+#[derive(Debug)]
+pub struct Ranker {
     strategy: PieceSelection,
-    mine: &Bitfield,
-    theirs: &Bitfield,
-    replication: &[u64],
-    taken: &[PieceId],
-    rng: &mut S,
-) -> Option<PieceId> {
-    let mut wanted: Vec<PieceId> = mine
-        .wanted_from(theirs)
-        .into_iter()
-        .filter(|p| !taken.contains(p))
-        .collect();
-    if wanted.is_empty() {
-        // Fall back to pieces already claimed elsewhere rather than idling
-        // the connection — duplicates are deduplicated on receipt.
-        wanted = mine.wanted_from(theirs);
-    }
-    if wanted.is_empty() {
-        return None;
-    }
-    match strategy {
-        PieceSelection::RandomFirst => Some(wanted[rng.pick(wanted.len())]),
-        PieceSelection::RarestFirst => {
-            assert!(
-                replication.len() == mine.len() as usize,
-                "replication vector must cover all {} pieces",
-                mine.len()
-            );
-            let min_rep = wanted
-                .iter()
-                .map(|&p| replication[p as usize])
-                .min()
-                .expect("wanted is non-empty");
-            let rarest: Vec<PieceId> = wanted
-                .into_iter()
-                .filter(|&p| replication[p as usize] == min_rep)
-                .collect();
-            Some(rarest[rng.pick(rarest.len())])
-        }
-    }
+    /// The wanted pieces by list position; after a rank, the entry at
+    /// a freed position carries the key of the piece moved there.
+    wanted: Vec<Candidate>,
+    /// Candidates still rankable, sorted by `(key, pos)`.
+    kept: Vec<Candidate>,
+    /// Per-key counts, then bucket offsets up to the threshold, during
+    /// one call; all zero between calls. Lane counts are bytes, so 256
+    /// keys suffice.
+    histogram: [u32; 256],
 }
 
-/// Ranks up to `limit` candidate pieces to download from a connected
-/// peer, best first, into `out` (cleared first).
-///
-/// This is [`select_piece`] iterated without replacement: each rank is
-/// drawn by the same rule (uniform over wanted for random-first,
-/// uniform over the rarest wanted for rarest-first) from the pieces not
-/// yet ranked. The parallel exchange plan emits a ranked list per
-/// connection direction so the serial commit can take the first
-/// candidate still valid against live taken/possession state — a
-/// downloader invalidates at most `max_connections` candidates in one
-/// round (one claim or acquisition per other connection), so
-/// `limit = max_connections + 1` always leaves a usable candidate when
-/// one exists.
-///
-/// # Panics
-///
-/// Panics (like [`select_piece`]) if `strategy` is rarest-first and
-/// `replication` does not cover all pieces.
-pub fn rank_pieces<S: Substream + ?Sized>(
-    strategy: PieceSelection,
-    mine: &Bitfield,
-    theirs: &Bitfield,
-    replication: &[u64],
-    limit: usize,
-    rng: &mut S,
-    out: &mut Vec<PieceId>,
-) {
-    out.clear();
-    let mut remaining = mine.wanted_from(theirs);
-    if remaining.is_empty() {
-        return;
+/// One wanted piece: its key (replication count, or 0), its position in
+/// the virtual wanted list, and its id.
+#[derive(Debug, Clone, Copy, Default)]
+struct Candidate {
+    key: u32,
+    pos: u32,
+    piece: PieceId,
+}
+
+impl Ranker {
+    /// A ranker for `strategy` with empty scratch space.
+    #[must_use]
+    pub fn new(strategy: PieceSelection) -> Self {
+        Ranker {
+            strategy,
+            wanted: Vec::new(),
+            kept: Vec::new(),
+            histogram: [0; 256],
+        }
     }
-    if strategy == PieceSelection::RarestFirst {
-        assert!(
-            replication.len() == mine.len() as usize,
-            "replication vector must cover all {} pieces",
-            mine.len()
-        );
-    }
-    while out.len() < limit && !remaining.is_empty() {
-        let idx = match strategy {
-            PieceSelection::RandomFirst => rng.pick(remaining.len()),
-            PieceSelection::RarestFirst => {
-                let min_rep = remaining
-                    .iter()
-                    .map(|&p| replication[p as usize])
-                    .min()
-                    .expect("remaining is non-empty");
-                let ties = remaining
-                    .iter()
-                    .filter(|&&p| replication[p as usize] == min_rep)
-                    .count();
-                let nth = rng.pick(ties);
-                remaining
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &p)| replication[p as usize] == min_rep)
-                    .nth(nth)
-                    .map(|(i, _)| i)
-                    .expect("tie index within tie count")
+
+    /// Ranks up to `limit` pieces `theirs` holds and `mine` lacks, best
+    /// first, into `out` (cleared first). `lanes` is the downloader's
+    /// byte-lane replication view over its neighbor set (see
+    /// [`Bitfield::accumulate_lanes`]); random-first ignores it.
+    ///
+    /// Returns the candidates examined: one per wanted piece scanned
+    /// plus one per rank drawn.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use bt_swarm::config::PieceSelection;
+    /// use bt_swarm::piece::{lane_words, Bitfield};
+    /// use bt_swarm::selection::{PlanStream, Ranker};
+    ///
+    /// let mine = Bitfield::new(4);
+    /// let theirs = Bitfield::full(4);
+    /// // Two neighbors hold pieces 0, 2 and 3; piece 1 is rare.
+    /// let mut common = Bitfield::new(4);
+    /// for p in [0, 2, 3] {
+    ///     common.set(p);
+    /// }
+    /// let mut lanes = vec![0u64; lane_words(4)];
+    /// common.accumulate_lanes(&mut lanes);
+    /// common.accumulate_lanes(&mut lanes);
+    /// let mut stream = PlanStream::pair(0, 1, 0, 1, 0);
+    /// let mut ranked = Vec::new();
+    /// let mut ranker = Ranker::new(PieceSelection::RarestFirst);
+    /// ranker.rank(&mine, &theirs, &lanes, 2, &mut stream, &mut ranked);
+    /// assert_eq!(ranked.len(), 2);
+    /// assert_eq!(ranked[0], 1);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bitfields cover different files, or if `strategy`
+    /// is rarest-first and `lanes` does not cover all pieces.
+    pub fn rank<S: Substream + ?Sized>(
+        &mut self,
+        mine: &Bitfield,
+        theirs: &Bitfield,
+        lanes: &[u64],
+        limit: usize,
+        rng: &mut S,
+        out: &mut Vec<PieceId>,
+    ) -> u64 {
+        out.clear();
+        let rarest = self.strategy == PieceSelection::RarestFirst;
+        if rarest {
+            assert!(
+                lanes.len() >= lane_words(mine.len()),
+                "replication lanes must cover all {} pieces",
+                mine.len()
+            );
+        }
+        let Ranker {
+            wanted,
+            kept,
+            histogram,
+            ..
+        } = self;
+        wanted.clear();
+        let mut max_key = 0;
+        mine.for_each_wanted(theirs, |piece| {
+            let key = if rarest { lane(lanes, piece) } else { 0 };
+            histogram[key as usize] += 1;
+            max_key = max_key.max(key as usize);
+            wanted.push(Candidate {
+                key,
+                pos: wanted.len() as u32,
+                piece,
+            });
+        });
+        let scanned = wanted.len() as u64;
+
+        let need = limit.min(wanted.len());
+        if need == 0 {
+            histogram[..=max_key].fill(0);
+            return scanned;
+        }
+        // The threshold is the `limit`-th smallest key; turn the counts
+        // up to it into bucket offsets and place the candidates in
+        // position order, which leaves each bucket sorted by position.
+        let mut threshold = 0;
+        let mut kept_len = histogram[0] as usize;
+        while kept_len < need {
+            threshold += 1;
+            kept_len += histogram[threshold] as usize;
+        }
+        let mut below = 0;
+        for count in &mut histogram[..=threshold] {
+            let bucket = *count;
+            *count = below;
+            below += bucket;
+        }
+        kept.clear();
+        kept.resize(kept_len, Candidate::default());
+        for c in wanted.iter().filter(|c| c.key as usize <= threshold) {
+            let slot = &mut histogram[c.key as usize];
+            kept[*slot as usize] = *c;
+            *slot += 1;
+        }
+        histogram[..=max_key].fill(0);
+        let threshold = threshold as u32;
+
+        // `kept[start..]` are the unranked candidates; `last` is the
+        // list position of the last unranked wanted piece.
+        let mut start = 0;
+        let mut last = wanted.len() - 1;
+        while out.len() < limit && start < kept.len() {
+            let min = kept[start].key;
+            let ties = kept[start..].partition_point(|c| c.key == min);
+            let chosen = start + rng.pick(ties);
+            let Candidate { pos, piece, .. } = kept[chosen];
+            out.push(piece);
+            kept[start..=chosen].rotate_right(1);
+            start += 1;
+            // swap_remove: the entry at `last` moves into `pos`.
+            let pos = pos as usize;
+            if pos != last {
+                let key = wanted[last].key;
+                wanted[pos].key = key;
+                if key <= threshold {
+                    let at = |c: &Candidate| (c.key, c.pos as usize);
+                    let from = start
+                        + kept[start..]
+                            .binary_search_by(|c| at(c).cmp(&(key, last)))
+                            .expect("every kept key is in the sorted candidates");
+                    kept[from].pos = pos as u32;
+                    let to = start + kept[start..from].partition_point(|c| at(c) < (key, pos));
+                    kept[to..=from].rotate_right(1);
+                }
             }
-        };
-        out.push(remaining.swap_remove(idx));
+            last = last.saturating_sub(1);
+        }
+        scanned + out.len() as u64
     }
 }
 
@@ -255,8 +314,61 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The list-based ranking the engine drew from before [`Ranker`]:
+    /// kept as the oracle its draws are checked against. `replication`
+    /// is indexed by piece.
+    fn rank_pieces<S: Substream + ?Sized>(
+        strategy: PieceSelection,
+        mine: &Bitfield,
+        theirs: &Bitfield,
+        replication: &[u64],
+        limit: usize,
+        rng: &mut S,
+        out: &mut Vec<PieceId>,
+    ) {
+        out.clear();
+        let mut remaining = Vec::new();
+        mine.for_each_wanted(theirs, |p| remaining.push(p));
+        if remaining.is_empty() {
+            return;
+        }
+        if strategy == PieceSelection::RarestFirst {
+            assert!(
+                replication.len() == mine.len() as usize,
+                "replication vector must cover all {} pieces",
+                mine.len()
+            );
+        }
+        while out.len() < limit && !remaining.is_empty() {
+            let idx = match strategy {
+                PieceSelection::RandomFirst => rng.pick(remaining.len()),
+                PieceSelection::RarestFirst => {
+                    let min_rep = remaining
+                        .iter()
+                        .map(|&p| replication[p as usize])
+                        .min()
+                        .expect("remaining is non-empty");
+                    let ties = remaining
+                        .iter()
+                        .filter(|&&p| replication[p as usize] == min_rep)
+                        .count();
+                    let nth = rng.pick(ties);
+                    remaining
+                        .iter()
+                        .enumerate()
+                        .filter(|&(_, &p)| replication[p as usize] == min_rep)
+                        .nth(nth)
+                        .map(|(i, _)| i)
+                        .expect("tie index within tie count")
+                }
+            };
+            out.push(remaining.swap_remove(idx));
+        }
+    }
 
     fn bf(pieces: u32, have: &[u32]) -> Bitfield {
         let mut b = Bitfield::new(pieces);
@@ -266,19 +378,40 @@ mod tests {
         b
     }
 
+    /// A byte-lane view holding `counts[p]` in lane `p`.
+    fn lanes_of(counts: &[u8]) -> Vec<u64> {
+        let mut lanes = vec![0u64; lane_words(counts.len() as u32)];
+        for (p, &c) in counts.iter().enumerate() {
+            lanes[p / 8] |= u64::from(c) << (8 * (p % 8));
+        }
+        lanes
+    }
+
+    /// The top-ranked piece, as the engine's first candidate.
+    fn top<S: Substream>(
+        strategy: PieceSelection,
+        mine: &Bitfield,
+        theirs: &Bitfield,
+        counts: &[u8],
+        rng: &mut S,
+    ) -> Option<PieceId> {
+        let mut out = Vec::new();
+        Ranker::new(strategy).rank(mine, theirs, &lanes_of(counts), 1, rng, &mut out);
+        out.first().copied()
+    }
+
     #[test]
     fn rarest_first_picks_minimum_replication() {
         let mine = bf(5, &[0]);
         let theirs = bf(5, &[1, 2, 3]);
-        let replication = [9, 4, 1, 4, 9];
+        let counts = [9, 4, 1, 4, 9];
         let mut rng = StdRng::seed_from_u64(0);
         for _ in 0..10 {
-            let p = select_piece(
+            let p = top(
                 PieceSelection::RarestFirst,
                 &mine,
                 &theirs,
-                &replication,
-                &[],
+                &counts,
                 &mut rng,
             );
             assert_eq!(p, Some(2));
@@ -289,16 +422,15 @@ mod tests {
     fn rarest_first_breaks_ties_within_minimum() {
         let mine = bf(4, &[]);
         let theirs = bf(4, &[0, 1, 2, 3]);
-        let replication = [2, 2, 7, 7];
+        let counts = [2, 2, 7, 7];
         let mut rng = StdRng::seed_from_u64(1);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..100 {
-            let p = select_piece(
+            let p = top(
                 PieceSelection::RarestFirst,
                 &mine,
                 &theirs,
-                &replication,
-                &[],
+                &counts,
                 &mut rng,
             )
             .unwrap();
@@ -315,73 +447,20 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..300 {
-            seen.insert(
-                select_piece(
-                    PieceSelection::RandomFirst,
-                    &mine,
-                    &theirs,
-                    &[],
-                    &[],
-                    &mut rng,
-                )
-                .unwrap(),
-            );
+            seen.insert(top(PieceSelection::RandomFirst, &mine, &theirs, &[], &mut rng).unwrap());
         }
         assert_eq!(seen.len(), 5);
     }
 
     #[test]
-    fn nothing_to_offer_returns_none() {
+    fn nothing_to_offer_ranks_nothing() {
         let mine = bf(4, &[0, 1]);
         let theirs = bf(4, &[0, 1]);
         let mut rng = StdRng::seed_from_u64(3);
         assert_eq!(
-            select_piece(
-                PieceSelection::RandomFirst,
-                &mine,
-                &theirs,
-                &[],
-                &[],
-                &mut rng
-            ),
+            top(PieceSelection::RandomFirst, &mine, &theirs, &[], &mut rng),
             None
         );
-    }
-
-    #[test]
-    fn taken_pieces_avoided_when_alternatives_exist() {
-        let mine = bf(4, &[]);
-        let theirs = bf(4, &[0, 1]);
-        let replication = [1, 1, 1, 1];
-        let mut rng = StdRng::seed_from_u64(4);
-        for _ in 0..20 {
-            let p = select_piece(
-                PieceSelection::RarestFirst,
-                &mine,
-                &theirs,
-                &replication,
-                &[0],
-                &mut rng,
-            );
-            assert_eq!(p, Some(1));
-        }
-    }
-
-    #[test]
-    fn taken_fallback_when_everything_claimed() {
-        let mine = bf(4, &[]);
-        let theirs = bf(4, &[2]);
-        let mut rng = StdRng::seed_from_u64(5);
-        // Piece 2 is already claimed, but it is all the uploader has.
-        let p = select_piece(
-            PieceSelection::RandomFirst,
-            &mine,
-            &theirs,
-            &[],
-            &[2],
-            &mut rng,
-        );
-        assert_eq!(p, Some(2));
     }
 
     #[test]
@@ -415,17 +494,16 @@ mod tests {
 
     #[test]
     fn plan_stream_drives_selection() {
-        // select_piece accepts a PlanStream wherever it accepts the
-        // model RNG, and the pick lands in the wanted set.
+        // The ranker accepts a PlanStream wherever it accepts the model
+        // RNG, and the pick lands in the wanted set.
         let mine = bf(8, &[0]);
         let theirs = bf(8, &[1, 2, 3]);
         let mut stream = PlanStream::pair(7, 1, 0, 1, 0);
         for _ in 0..32 {
-            let p = select_piece(
+            let p = top(
                 PieceSelection::RandomFirst,
                 &mine,
                 &theirs,
-                &[],
                 &[],
                 &mut stream,
             )
@@ -435,13 +513,12 @@ mod tests {
     }
 
     #[test]
-    fn rank_pieces_lists_distinct_wanted_pieces() {
+    fn ranker_lists_distinct_wanted_pieces() {
         let mine = bf(8, &[0]);
         let theirs = bf(8, &[1, 2, 3, 4]);
         let mut stream = PlanStream::pair(1, 1, 0, 1, 0);
         let mut out = Vec::new();
-        rank_pieces(
-            PieceSelection::RandomFirst,
+        let examined = Ranker::new(PieceSelection::RandomFirst).rank(
             &mine,
             &theirs,
             &[],
@@ -452,49 +529,35 @@ mod tests {
         let mut sorted = out.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, vec![1, 2, 3, 4], "all wanted pieces, each once");
+        assert_eq!(examined, 4 + 4, "four scanned, four drawn");
     }
 
     #[test]
-    fn rank_pieces_respects_limit_and_empty_want() {
+    fn ranker_respects_limit_and_empty_want() {
         let mine = bf(8, &[]);
         let theirs = bf(8, &[0, 1, 2, 3, 4, 5, 6, 7]);
         let mut stream = PlanStream::pair(2, 1, 0, 1, 0);
+        let mut ranker = Ranker::new(PieceSelection::RandomFirst);
         let mut out = vec![99];
-        rank_pieces(
-            PieceSelection::RandomFirst,
-            &mine,
-            &theirs,
-            &[],
-            3,
-            &mut stream,
-            &mut out,
-        );
+        ranker.rank(&mine, &theirs, &[], 3, &mut stream, &mut out);
         assert_eq!(out.len(), 3);
         let full = bf(8, &[0, 1, 2, 3, 4, 5, 6, 7]);
-        rank_pieces(
-            PieceSelection::RandomFirst,
-            &full,
-            &theirs,
-            &[],
-            3,
-            &mut stream,
-            &mut out,
-        );
+        let examined = ranker.rank(&full, &theirs, &[], 3, &mut stream, &mut out);
         assert!(out.is_empty(), "nothing wanted clears the output");
+        assert_eq!(examined, 0);
     }
 
     #[test]
-    fn rank_pieces_orders_rarest_first() {
+    fn ranker_orders_rarest_first() {
         let mine = bf(6, &[]);
         let theirs = bf(6, &[0, 1, 2, 3]);
-        let replication = [9, 1, 5, 5, 0, 0];
+        let lanes = lanes_of(&[9, 1, 5, 5, 0, 0]);
         let mut stream = PlanStream::pair(3, 1, 0, 1, 0);
         let mut out = Vec::new();
-        rank_pieces(
-            PieceSelection::RarestFirst,
+        Ranker::new(PieceSelection::RarestFirst).rank(
             &mine,
             &theirs,
-            &replication,
+            &lanes,
             10,
             &mut stream,
             &mut out,
@@ -502,6 +565,138 @@ mod tests {
         assert_eq!(out[0], 1, "unique rarest piece ranks first");
         assert_eq!(out[3], 0, "most replicated ranks last");
         assert!(out[1] == 2 || out[1] == 3, "ties fill the middle ranks");
+    }
+
+    /// Ranks with both the ranker and the oracle from identical streams
+    /// and checks the lists and the next draw agree.
+    fn assert_matches_oracle(
+        ranker: &mut Ranker,
+        strategy: PieceSelection,
+        mine: &Bitfield,
+        theirs: &Bitfield,
+        counts: &[u8],
+        limit: usize,
+        seed: u64,
+    ) {
+        let replication: Vec<u64> = counts.iter().map(|&c| u64::from(c)).collect();
+        let mut oracle_stream = PlanStream::pair(seed, 1, 2, 3, 0);
+        let mut expected = Vec::new();
+        rank_pieces(
+            strategy,
+            mine,
+            theirs,
+            &replication,
+            limit,
+            &mut oracle_stream,
+            &mut expected,
+        );
+        let mut stream = PlanStream::pair(seed, 1, 2, 3, 0);
+        let mut ranked = vec![u32::MAX];
+        let mut wanted = 0;
+        mine.for_each_wanted(theirs, |_| wanted += 1);
+        let examined = ranker.rank(
+            mine,
+            theirs,
+            &lanes_of(counts),
+            limit,
+            &mut stream,
+            &mut ranked,
+        );
+        assert_eq!(ranked, expected, "{strategy:?} limit {limit}");
+        assert_eq!(
+            stream.pick(usize::MAX),
+            oracle_stream.pick(usize::MAX),
+            "{strategy:?} limit {limit}: streams diverged after ranking"
+        );
+        assert_eq!(examined, wanted + ranked.len() as u64);
+    }
+
+    #[test]
+    fn ranker_matches_oracle_at_edge_limits() {
+        // One ranker per strategy serves every call, so scratch state
+        // left by one ranking must not leak into the next.
+        let mut rankers = [
+            Ranker::new(PieceSelection::RarestFirst),
+            Ranker::new(PieceSelection::RandomFirst),
+        ];
+        let mut rng = StdRng::seed_from_u64(8);
+        for pieces in [1, 7, 8, 63, 64, 65, 100, 200] {
+            for trial in 0..20u64 {
+                let mut mine = Bitfield::new(pieces);
+                let mut theirs = Bitfield::new(pieces);
+                let counts: Vec<u8> = (0..pieces).map(|_| rng.gen_range(0..3)).collect();
+                for p in 0..pieces {
+                    if rng.gen_bool(0.3) {
+                        mine.set(p);
+                    }
+                    if rng.gen_bool(0.7) {
+                        theirs.set(p);
+                    }
+                }
+                let mut wanted = 0;
+                mine.for_each_wanted(&theirs, |_| wanted += 1);
+                for ranker in &mut rankers {
+                    let strategy = ranker.strategy;
+                    for limit in [0, 1, 2, 17, 40, wanted, wanted + 1, wanted + 9] {
+                        assert_matches_oracle(
+                            ranker, strategy, &mine, &theirs, &counts, limit, trial,
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ranker_matches_oracle_on_an_empty_want() {
+        let mine = Bitfield::full(70);
+        let theirs = bf(70, &[3, 69]);
+        for strategy in [PieceSelection::RarestFirst, PieceSelection::RandomFirst] {
+            let mut ranker = Ranker::new(strategy);
+            for limit in [0, 1, 8] {
+                assert_matches_oracle(&mut ranker, strategy, &mine, &theirs, &[1; 70], limit, 5);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn ranker_matches_list_oracle(
+            pieces in 1u32..260,
+            mine_density in 0u8..100,
+            theirs_density in 0u8..100,
+            max_key in 0u8..255,
+            limit in 0usize..80,
+            second_limit in 0usize..80,
+            random_first in prop::bool::ANY,
+            seed in any::<u64>(),
+        ) {
+            // Small `max_key` values give heavy ties; 254 gives nearly
+            // distinct keys.
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut mine = Bitfield::new(pieces);
+            let mut theirs = Bitfield::new(pieces);
+            let mut counts = Vec::with_capacity(pieces as usize);
+            for p in 0..pieces {
+                if rng.gen_range(0..100u8) < mine_density {
+                    mine.set(p);
+                }
+                if rng.gen_range(0..100u8) < theirs_density {
+                    theirs.set(p);
+                }
+                counts.push(rng.gen_range(0..=max_key));
+            }
+            let strategy = if random_first {
+                PieceSelection::RandomFirst
+            } else {
+                PieceSelection::RarestFirst
+            };
+            // The second call runs on the scratch state the first left.
+            let mut ranker = Ranker::new(strategy);
+            assert_matches_oracle(&mut ranker, strategy, &mine, &theirs, &counts, limit, seed);
+            assert_matches_oracle(&mut ranker, strategy, &theirs, &mine, &counts, second_limit, seed);
+        }
     }
 
     #[test]
@@ -512,18 +707,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "replication vector")]
-    fn rarest_first_checks_replication_length() {
-        let mine = bf(4, &[]);
-        let theirs = bf(4, &[0]);
+    #[should_panic(expected = "replication lanes")]
+    fn rarest_first_checks_lane_length() {
+        let mine = bf(65, &[]);
+        let theirs = bf(65, &[0]);
         let mut rng = StdRng::seed_from_u64(6);
-        let _ = select_piece(
-            PieceSelection::RarestFirst,
-            &mine,
-            &theirs,
-            &[1, 2],
-            &[],
-            &mut rng,
-        );
+        let mut out = Vec::new();
+        Ranker::new(PieceSelection::RarestFirst)
+            .rank(&mine, &theirs, &[0; 8], 1, &mut rng, &mut out);
     }
 }

@@ -70,6 +70,12 @@ fn work_counters_grow_at_most_linearly() {
             .any(|((_, counter), total)| counter == "maintain.tracker_probes" && *total > 0),
         "the maintain stage reports tracker probes"
     );
+    assert!(
+        large
+            .iter()
+            .any(|((_, counter), total)| counter == "exchange.rank_candidates" && *total > 0),
+        "the exchange stage reports ranked candidates"
+    );
     assert!(checked > 0, "the profiler reported work counters");
     assert!(
         superlinear.is_empty(),

@@ -459,3 +459,76 @@ fn different_seeds_diverge() {
     let (stream_b, _) = run_once(2, 120);
     assert_ne!(stream_a, stream_b, "distinct seeds should diverge");
 }
+
+/// A B = 100 swarm under `strategy`: enough pieces that every replication
+/// view spans two bitfield words and a partial last word, enough
+/// neighbors that ranked candidate lists run several ranks deep, and
+/// multi-block pieces and slow peers so block continuity and upload
+/// budgets take part in resolution.
+fn guard_config(strategy: bt_swarm::PieceSelection) -> SwarmConfig {
+    SwarmConfig::builder()
+        .pieces(100)
+        .max_connections(5)
+        .neighbor_set_size(12)
+        .blocks_per_piece(2)
+        .slow_peer_fraction(0.2)
+        .slow_upload_budget(2)
+        .initial_leechers(60)
+        .initial_pieces(InitialPieces::Random { count: 10 })
+        .piece_selection(strategy)
+        .max_rounds(400)
+        .seed(17)
+        .build()
+        .expect("valid config")
+}
+
+/// FNV-1a-64 digests of the telemetry and cohort bytes of a 60-round
+/// run of [`guard_config`] at `threads` workers.
+fn guard_digests(strategy: bt_swarm::PieceSelection, threads: u32) -> (String, String) {
+    let mut swarm = Swarm::new(guard_config(strategy));
+    swarm.set_threads(threads);
+    let buf = SharedBuf::default();
+    swarm.attach_telemetry(
+        TelemetryRecorder::new(TelemetryOptions::default()).to_writer(Box::new(buf.clone())),
+    );
+    let cohort_buf = SharedBuf::default();
+    swarm.attach_cohort(8, Box::new(cohort_buf.clone()));
+    for _ in 0..60 {
+        swarm.step_round();
+    }
+    drop(swarm.take_cohort());
+    (
+        bt_obs::fnv1a_hex(&buf.contents()),
+        bt_obs::fnv1a_hex(&cohort_buf.contents()),
+    )
+}
+
+#[test]
+fn exchange_bytes_match_the_pinned_digests() {
+    // Pinned output of both piece-selection strategies. Random-first is
+    // reachable from no CLI flag, so nothing else fixes its bytes. These
+    // constants change only together with a versioned RNG stream change,
+    // never by re-blessing after a refactor of the exchange stage.
+    let pinned = [
+        (
+            bt_swarm::PieceSelection::RarestFirst,
+            "386e3cd739f57a41",
+            "44370a1609765187",
+        ),
+        (
+            bt_swarm::PieceSelection::RandomFirst,
+            "aa5f90048311e0e2",
+            "6d4fc37fab0e222c",
+        ),
+    ];
+    for (strategy, telemetry, cohort) in pinned {
+        for threads in [1, 4] {
+            let (t, c) = guard_digests(strategy, threads);
+            assert_eq!(
+                t, telemetry,
+                "{strategy:?} telemetry at --threads {threads}"
+            );
+            assert_eq!(c, cohort, "{strategy:?} cohort at --threads {threads}");
+        }
+    }
+}
