@@ -1,9 +1,9 @@
 //! # bt-bench — figure-regeneration harness
 //!
 //! One module per figure of the paper's evaluation. Each module exposes a
-//! pure function that computes the figure's data series (so Criterion
-//! benches, the printing binaries, tests, and examples all share one
-//! implementation) plus a `print` helper that emits the series as TSV rows
+//! pure function that computes the figure's data series (so the
+//! printing binaries, btbench's paper-figures workload, tests, and
+//! examples all share one implementation) plus a `print` helper that emits the series as TSV rows
 //! — the same rows the paper plots.
 //!
 //! | Binary | Paper figure | Content |

@@ -406,7 +406,7 @@ mod tests {
         assert!(!rules_for_path("crates/obs/src/manifest.rs").contains(&Rule::FloatCmp));
         assert!(rules_for_path("crates/obs/src/manifest.rs").contains(&Rule::PanicUnwrap));
         assert!(rules_for_path("src/cli.rs").is_empty());
-        assert!(rules_for_path("crates/bench/src/bin/swarm_scale.rs")
+        assert!(rules_for_path("crates/bench/src/bin/all_figures.rs")
             .contains(&Rule::DetWallClock));
         // The sanctioned wall-clock boundary: heartbeat.rs is audited
         // for clock use (so its allow-file waiver suppresses a real

@@ -56,7 +56,7 @@ pub const RUN_STATUS_FILE: &str = "run.status.json";
 pub struct HeartbeatMeta {
     /// Stream schema version ([`HEARTBEAT_SCHEMA_VERSION`]).
     pub schema_version: u32,
-    /// Command that produced the run (`swarm`, `swarm_scale`, …).
+    /// Command that produced the run (`swarm` or `doctor`).
     pub command: String,
     /// RNG seed of the run.
     pub seed: u64,

@@ -1,18 +1,21 @@
 //! The cross-run regression ledger.
 //!
-//! A single frozen baseline (`results/baseline/BENCH_swarm.json`) tells
-//! you whether today's build regressed against one blessed run; it says
-//! nothing about the *trajectory* — a 2 % slide per PR that never trips
-//! a 10 % tolerance, or a monitor violation that appeared three runs
-//! ago. The ledger is the longitudinal complement: every `swarm`,
-//! `doctor`, and bench run appends one compact [`LedgerRecord`] line to
-//! `results/ledger.jsonl`, and `btlab trend` reads the file back to
-//! render per-metric trajectories over the last K runs.
+//! A single frozen baseline (`results/baseline/manifest-swarm-5k.json`)
+//! tells you whether today's build regressed against one blessed run;
+//! it says nothing about the *trajectory* — a 2 % slide per PR that
+//! never trips a 10 % tolerance, or a monitor violation that appeared
+//! three runs ago. The ledger is the longitudinal complement: every
+//! `btlab swarm` and `btlab doctor` run appends one compact
+//! [`LedgerRecord`] line to `results/ledger.jsonl`, and `btlab trend`
+//! reads the file back to render per-metric trajectories over the last
+//! K runs.
 //!
 //! Records separate **identity** fields (command, seed, config hash,
 //! pipeline, rounds, population, violations — a pure function of the
 //! run's inputs) from **timing** fields (wall clock, rounds/sec, stage
-//! p95s — machine-dependent). [`LedgerRecord::normalized`] zeroes the
+//! p95s — machine-dependent). The config hash covers only what the run
+//! simulates and checks, so runs that differ in thread count, artifact
+//! paths or heartbeat cadence share one identity. [`LedgerRecord::normalized`] zeroes the
 //! timing fields so the determinism suite can assert that two same-seed
 //! runs produce byte-identical records up to wall-clock noise.
 
@@ -36,7 +39,8 @@ pub struct LedgerRecord {
     pub command: String,
     /// RNG seed the run used.
     pub seed: u64,
-    /// FNV-1a hash of the serialized configuration, as hex.
+    /// FNV-1a hash of the run's identity — what it simulates and
+    /// checks, not where it writes or how many threads it uses — as hex.
     pub config_hash: String,
     /// Active round-pipeline stage names, in execution order.
     pub pipeline: Vec<String>,

@@ -50,10 +50,7 @@
 //!     The one sanctioned wall-clock module; observer-only, so
 //!     attaching heartbeats never perturbs a deterministic run.
 //! 11. **Memory telemetry** ([`mem`]): procfs RSS sampling
-//!     (`/proc/self/statm` + `VmHWM`) for heartbeats and manifests, and
-//!     the process-global allocation counters a counting allocator
-//!     (feature `alloc-profile` in `bt-bench`) feeds so the profiler
-//!     can attribute allocation deltas per round stage.
+//!     (`/proc/self/statm` + `VmHWM`) for heartbeats and manifests.
 //! 12. **Record codec** ([`records`]): the one framing every JSON
 //!     artifact goes through — single-write JSON lines read back as
 //!     complete lines only, atomically replaced pretty documents, and

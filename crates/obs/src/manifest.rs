@@ -18,7 +18,8 @@ pub struct RunManifest {
     pub schema_version: u32,
     /// The subcommand or binary that produced the run.
     pub command: String,
-    /// FNV-1a hash of the serialized configuration, as hex.
+    /// FNV-1a hash of the run's identity — what it simulates and
+    /// checks, not where it writes or how many threads it uses — as hex.
     pub config_hash: String,
     /// RNG seed the run used.
     pub seed: u64,

@@ -1,23 +1,11 @@
-//! Process memory telemetry: RSS sampling and allocation counters.
+//! Process memory telemetry: RSS sampling.
 //!
-//! Two independent pieces, both observer-only (no RNG, no feedback
-//! into model code):
-//!
-//! * [`sample_memory`] reads the current and peak resident-set size of
-//!   this process from `/proc/self/statm` (resident pages × the page
-//!   size from the auxiliary vector) and `/proc/self/status` (`VmHWM`).
-//!   On platforms without procfs every field is 0 — callers treat a
-//!   zero sample as "memory telemetry unavailable", never as an error.
-//! * The allocation counters ([`record_alloc`], [`record_dealloc`],
-//!   [`allocated_bytes_total`]) are plain process-global atomics that a
-//!   counting [`std::alloc::GlobalAlloc`] wrapper increments on every
-//!   heap call. The wrapper itself needs `unsafe impl` and therefore
-//!   lives behind the `alloc-profile` feature of `bt-bench` (this crate
-//!   forbids unsafe code); the counters live here so the engine can
-//!   read per-stage deltas without depending on the bench crate. When
-//!   no counting allocator is installed the totals stay 0 and every
-//!   delta is 0 — the attribution path costs two atomic loads per
-//!   stage and records nothing.
+//! [`sample_memory`] reads the current and peak resident-set size of
+//! this process from `/proc/self/statm` (resident pages × the page size
+//! from the auxiliary vector) and `/proc/self/status` (`VmHWM`). It is
+//! observer-only: no RNG, no feedback into model code. On platforms
+//! without procfs every field is 0 — callers treat a zero sample as
+//! "memory telemetry unavailable", never as an error.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -93,62 +81,6 @@ fn auxv_page_size() -> Option<u64> {
     None
 }
 
-/// Total bytes handed out by the counting allocator since process
-/// start (monotonic; never decremented on free).
-static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
-/// Total bytes returned to the counting allocator.
-static FREED_BYTES: AtomicU64 = AtomicU64::new(0);
-/// Number of allocation calls observed.
-static ALLOCATION_CALLS: AtomicU64 = AtomicU64::new(0);
-
-/// Records one heap allocation of `bytes`. Called from the counting
-/// `GlobalAlloc` wrapper in `bt-bench` (feature `alloc-profile`); must
-/// never allocate itself.
-#[inline]
-pub fn record_alloc(bytes: usize) {
-    ALLOCATED_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
-    ALLOCATION_CALLS.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Records one heap deallocation of `bytes`.
-#[inline]
-pub fn record_dealloc(bytes: usize) {
-    FREED_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
-}
-
-/// Monotonic total of allocated bytes. The engine samples this around
-/// each round stage and attributes the delta as `mem.alloc_bytes` work
-/// in the profiler; 0 (and all deltas 0) unless a counting allocator
-/// is installed.
-#[inline]
-#[must_use]
-pub fn allocated_bytes_total() -> u64 {
-    ALLOCATED_BYTES.load(Ordering::Relaxed)
-}
-
-/// Number of allocation calls observed so far.
-#[must_use]
-pub fn allocation_calls() -> u64 {
-    ALLOCATION_CALLS.load(Ordering::Relaxed)
-}
-
-/// Bytes currently live according to the counters (allocated − freed,
-/// saturating: frees recorded before counting started would otherwise
-/// underflow).
-#[must_use]
-pub fn live_alloc_bytes() -> u64 {
-    ALLOCATED_BYTES
-        .load(Ordering::Relaxed)
-        .saturating_sub(FREED_BYTES.load(Ordering::Relaxed))
-}
-
-/// Whether a counting allocator has reported at least one allocation —
-/// i.e. whether allocation attribution is live in this process.
-#[must_use]
-pub fn alloc_counting_active() -> bool {
-    ALLOCATION_CALLS.load(Ordering::Relaxed) > 0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,21 +101,5 @@ mod tests {
         let size = page_size();
         assert!(size >= 4096, "page size at least 4 KiB, got {size}");
         assert_eq!(size & (size - 1), 0, "page size is a power of two");
-    }
-
-    #[test]
-    fn alloc_counters_accumulate() {
-        let before_total = allocated_bytes_total();
-        let before_calls = allocation_calls();
-        record_alloc(1024);
-        record_alloc(512);
-        record_dealloc(512);
-        assert_eq!(allocated_bytes_total() - before_total, 1536);
-        assert_eq!(allocation_calls() - before_calls, 2);
-        assert!(alloc_counting_active());
-        // live accounting is saturating, never panicking, even when a
-        // foreign free is recorded first.
-        record_dealloc(u64::MAX as usize);
-        let _ = live_alloc_bytes();
     }
 }

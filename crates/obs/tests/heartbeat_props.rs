@@ -13,7 +13,7 @@ use bt_obs::{Heartbeat, HeartbeatMeta, HeartbeatRecord, HEARTBEAT_SCHEMA_VERSION
 use proptest::prelude::*;
 
 fn arb_meta() -> impl Strategy<Value = HeartbeatMeta> {
-    const COMMANDS: [&str; 3] = ["swarm", "swarm_scale", "doctor"];
+    const COMMANDS: [&str; 2] = ["swarm", "doctor"];
     (0usize..COMMANDS.len(), any::<u64>(), 0u64..=1_000_000, 0.0f64..=60.0).prop_map(
         |(command, seed, target_rounds, interval_secs)| HeartbeatMeta {
             schema_version: HEARTBEAT_SCHEMA_VERSION,

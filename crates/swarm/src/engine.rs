@@ -819,21 +819,11 @@ impl Swarm {
         self.core.metrics
     }
 
-    /// Like [`Swarm::run`], but also returns the profiling sink so its
-    /// artifacts can be written. The sink is disabled (report `None`)
-    /// unless [`Swarm::attach_profiler`] was called first.
-    #[must_use]
-    pub fn run_profiled(mut self) -> (SwarmMetrics, bt_obs::ProfileSink) {
-        self.drive();
-        let SwarmCore {
-            metrics, profile, ..
-        } = self.core;
-        (metrics, profile)
-    }
-
-    /// Like [`Swarm::run_profiled`], but also returns the doctor's
-    /// report. The report is `None` unless [`Swarm::attach_doctor`] was
-    /// called first.
+    /// Like [`Swarm::run`], but also returns the profiling sink, so its
+    /// artifacts can be written, and the doctor's report. The sink is
+    /// disabled (report `None`) unless [`Swarm::attach_profiler`] was
+    /// called first; the doctor's report is `None` unless
+    /// [`Swarm::attach_doctor`] was.
     #[must_use]
     pub fn run_diagnosed(mut self) -> (SwarmMetrics, bt_obs::ProfileSink, Option<DoctorReport>) {
         self.drive();
@@ -934,20 +924,12 @@ impl Swarm {
         for entry in &mut self.pipeline {
             self.core.profile.begin_stage(entry.stage.name());
             let probes_before = self.core.store.probe_count();
-            let alloc_before = bt_obs::mem::allocated_bytes_total();
             {
                 let _g = entry.timer.start();
                 entry.stage.run(&mut self.core);
             }
             let probes = self.core.store.probe_count().wrapping_sub(probes_before);
             self.core.profile.add_work("store.slab_probes", probes);
-            // Allocation attribution: the delta is nonzero only when a
-            // counting allocator is installed (`alloc-profile` feature
-            // of bt-bench); otherwise this is two relaxed atomic loads.
-            let alloc_delta = bt_obs::mem::allocated_bytes_total().wrapping_sub(alloc_before);
-            if alloc_delta > 0 {
-                self.core.profile.add_work("mem.alloc_bytes", alloc_delta);
-            }
             // Audited: telemetry flush into the profiler's registry
             // timers — commutative counts, never read back by model
             // code. bt-lint: allow(shared-interior-mut)

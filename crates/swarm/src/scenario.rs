@@ -96,11 +96,13 @@ pub fn shake_study(shake: bool, completions: u64, seed: u64) -> Result<SwarmConf
     builder.build()
 }
 
-/// Scale-probe setup used by the `swarm_scale` bench: a large closed
-/// population (`B = 200`, `k = 7`, `s = 40`) driven for a fixed round
-/// budget, sized by `peers`. The stage pipeline's per-phase timers
-/// (`round.*`) attribute the cost; round-throughput from this preset is
-/// the engine's headline performance number.
+/// Scale-probe setup timed by btbench's lifecycle and join workloads
+/// and driven by the complexity ratchet: a large population (`B = 200`,
+/// `k = 7`, `s = 40`) whose peers start with 20 random pieces, sized by
+/// `peers` and run for a fixed round budget. The stage pipeline's
+/// per-phase timers (`round.*`) attribute the cost. The CI scale gates
+/// run the `btlab swarm` flash crowd instead (`--pieces 200 --k 7 --s 40
+/// --lambda 0`), which starts every peer empty.
 ///
 /// # Errors
 ///

@@ -26,7 +26,7 @@ fn work_counters(peers: u32) -> Vec<((String, String), u64)> {
         seed: SEED,
         ..bt_obs::ProfileOptions::default()
     });
-    let (_, profile) = swarm.run_profiled();
+    let (_, profile, _) = swarm.run_diagnosed();
     let report = profile.report().expect("profiler was attached");
     assert_eq!(report.rounds, ROUNDS, "profiler saw every round");
     report

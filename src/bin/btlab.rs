@@ -30,7 +30,7 @@ fn main() {
 
     let mut manifest = bt_obs::RunManifest::new(
         command.name(),
-        bt_obs::fnv1a_hex(format!("{command:?}").as_bytes()),
+        command.config_hash(),
         command.seed().unwrap_or(0),
     );
     match &command {

@@ -1178,3 +1178,95 @@ fn streams_cut_mid_line_read_up_to_their_last_complete_record() {
     assert!(trend.contains("2 of 2 record(s)"), "{trend}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn doctor_heartbeat_names_the_doctor_command() {
+    let dir = std::env::temp_dir().join("btlab-e2e-doctor-heartbeat");
+    std::fs::remove_dir_all(&dir).ok();
+    let run_dir = dir.join("run");
+    let out = btlab_in(
+        &dir,
+        &[
+            "doctor",
+            "--pieces",
+            "10",
+            "--rounds",
+            "20",
+            "--initial",
+            "8",
+            "--lambda",
+            "0",
+            "--seed",
+            "5",
+            "--heartbeat",
+            run_dir.to_str().unwrap(),
+            "--heartbeat-secs",
+            "0",
+            "--log",
+            "quiet",
+        ],
+    );
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let status = bt_obs::read_status(&run_dir.join(bt_obs::RUN_STATUS_FILE)).expect("status");
+    assert_eq!(status.command, "doctor");
+    assert!(status.is_finished());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn swarm_artifacts_and_normalized_ledger_match_across_thread_counts() {
+    let dir = std::env::temp_dir().join("btlab-e2e-threads-matrix");
+    std::fs::remove_dir_all(&dir).ok();
+    let run = |threads: &str| {
+        let run_dir = dir.join(format!("t{threads}"));
+        std::fs::create_dir_all(&run_dir).expect("create run dir");
+        let telemetry = run_dir.join("telemetry.jsonl");
+        let cohort = run_dir.join("cohort.cohort");
+        let ledger = run_dir.join("ledger.jsonl");
+        let out = btlab()
+            .args([
+                "swarm",
+                "--pieces",
+                "16",
+                "--rounds",
+                "40",
+                "--initial",
+                "24",
+                "--lambda",
+                "0.5",
+                "--seed",
+                "6",
+                "--observers",
+                "2",
+                "--telemetry",
+                telemetry.to_str().unwrap(),
+                "--cohort",
+                cohort.to_str().unwrap(),
+                "--threads",
+                threads,
+                "--log",
+                "quiet",
+            ])
+            .env("BT_MANIFEST_DIR", &run_dir)
+            .env("BT_LEDGER_PATH", &ledger)
+            .output()
+            .expect("binary runs");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let records = bt_obs::read_ledger(&ledger).expect("ledger written");
+        assert_eq!(records.len(), 1, "one record per run");
+        let normalized =
+            serde_json::to_string(&records[0].normalized()).expect("record serializes");
+        (
+            std::fs::read(&telemetry).expect("telemetry written"),
+            std::fs::read(&cohort).expect("cohort written"),
+            normalized,
+        )
+    };
+    let (telemetry_1, cohort_1, ledger_1) = run("1");
+    let (telemetry_2, cohort_2, ledger_2) = run("2");
+    assert!(!telemetry_1.is_empty() && !cohort_1.is_empty());
+    assert!(telemetry_1 == telemetry_2, "telemetry bytes differ across thread counts");
+    assert!(cohort_1 == cohort_2, "cohort bytes differ across thread counts");
+    assert_eq!(ledger_1, ledger_2, "normalized ledger records differ");
+    std::fs::remove_dir_all(&dir).ok();
+}
