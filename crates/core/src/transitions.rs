@@ -23,7 +23,7 @@
 //! potential peer, `p_n` connecting, and `f` delivering), which reduces to
 //! the prose description when `p_n = 1`.
 
-use bt_markov::{AbsorbingChain, Binomial, TransitionMatrix};
+use bt_markov::{AbsorbingChain, Binomial, Matrix, TransitionMatrix};
 
 use crate::params::ModelParams;
 use crate::state::{DownloadState, StateSpace};
@@ -255,24 +255,37 @@ impl TransitionKernel {
     pub fn build_matrix(&self) -> Result<(StateSpace, TransitionMatrix)> {
         let space = StateSpace::new(&self.params);
         let n = space.len();
-        let mut rows = vec![vec![0.0; n]; n];
-        for (idx, state) in space.iter().enumerate() {
-            for (succ, p) in self.successors(state) {
-                rows[idx][space.index(succ)] += p;
-            }
+        let mut matrix = Matrix::zeros(n, n);
+        for (idx, successors) in self.successor_rows(&space).enumerate() {
             // Normalize away accumulated floating-point drift.
-            let sum: f64 = rows[idx].iter().sum();
+            let sum: f64 = successors.iter().map(|&(_, p)| p).sum();
             debug_assert!((sum - 1.0).abs() < 1e-6, "row {idx} sums to {sum}");
-            for v in &mut rows[idx] {
-                *v /= sum;
+            for (j, p) in successors {
+                matrix[(idx, j)] = p / sum;
             }
         }
         bt_markov::chain::debug_assert_row_stochastic(
             "TransitionKernel::build_matrix",
-            rows.iter().map(Vec::as_slice),
+            (0..n).map(|r| matrix.row(r)),
         );
-        let matrix = TransitionMatrix::from_rows(rows)?;
+        let matrix = TransitionMatrix::from_matrix(matrix)?;
         Ok((space, matrix))
+    }
+
+    /// The successors of every state of `space` as `(index, probability)`
+    /// pairs: states in index order, each one's successors in index order
+    /// with distinct indices, probabilities as [`TransitionKernel::successors`]
+    /// gives them (not normalized).
+    pub(crate) fn successor_rows<'a>(
+        &'a self,
+        space: &'a StateSpace,
+    ) -> impl Iterator<Item = Vec<(usize, f64)>> + 'a {
+        space.iter().map(move |state| {
+            self.successors(state)
+                .into_iter()
+                .map(|(succ, p)| (space.index(succ), p))
+                .collect()
+        })
     }
 
     /// Expected number of steps from `(0, 0, 0)` to absorption, computed

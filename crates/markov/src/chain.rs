@@ -68,8 +68,8 @@ impl TransitionMatrix {
     /// # Errors
     ///
     /// [`Error::Shape`] for ragged/empty/non-square input;
-    /// [`Error::NotStochastic`] if any row has a negative entry or does not
-    /// sum to one within [`STOCHASTIC_TOL`].
+    /// [`Error::NotStochastic`] if any row has a negative or non-finite
+    /// entry or does not sum to one within [`STOCHASTIC_TOL`].
     pub fn from_rows(rows: Vec<Vec<f64>>) -> Result<Self> {
         let inner = Matrix::from_rows(rows)?;
         Self::from_matrix(inner)
@@ -89,7 +89,8 @@ impl TransitionMatrix {
         }
         for r in 0..inner.rows() {
             let row = inner.row(r);
-            if row.iter().any(|&p| p < 0.0) {
+            // NaN passes both the sign test and the sum test below.
+            if row.iter().any(|&p| p < 0.0 || !p.is_finite()) {
                 return Err(Error::NotStochastic {
                     row: r,
                     sum: f64::NAN,
@@ -292,6 +293,19 @@ mod tests {
     fn validates_non_negative() {
         let err = TransitionMatrix::from_rows(vec![vec![1.5, -0.5], vec![0.5, 0.5]]).unwrap_err();
         assert!(matches!(err, Error::NotStochastic { row: 0, .. }));
+    }
+
+    #[test]
+    fn validates_finite() {
+        let nan_entry =
+            TransitionMatrix::from_rows(vec![vec![0.5, 0.5], vec![f64::NAN, 1.0]]).unwrap_err();
+        assert!(matches!(nan_entry, Error::NotStochastic { row: 1, .. }));
+        let nan_row = TransitionMatrix::from_rows(vec![vec![f64::NAN, f64::NAN], vec![0.5, 0.5]])
+            .unwrap_err();
+        assert!(matches!(nan_row, Error::NotStochastic { row: 0, .. }));
+        let infinite = TransitionMatrix::from_rows(vec![vec![f64::INFINITY, 0.0], vec![0.5, 0.5]])
+            .unwrap_err();
+        assert!(matches!(infinite, Error::NotStochastic { row: 0, .. }));
     }
 
     #[test]

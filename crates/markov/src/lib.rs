@@ -8,11 +8,13 @@
 //! crates, so the (small) required surface is implemented directly:
 //!
 //! * [`matrix::Matrix`] — dense row-major matrices with Gaussian-elimination
-//!   solves (used for fundamental-matrix computations);
+//!   solves (used for the small diagonal blocks of absorbing-chain solves);
 //! * [`chain::TransitionMatrix`] — validated row-stochastic matrices,
 //!   distribution stepping and stationary distributions;
-//! * [`absorbing::AbsorbingChain`] — expected absorption times and
-//!   absorption probabilities via the fundamental matrix;
+//! * [`absorbing::AbsorbingChain`] — expected absorption times, visits and
+//!   absorption probabilities by block substitution over the strongly
+//!   connected components of the transient block, with no whole-matrix
+//!   inverse;
 //! * [`birth_death::BirthDeath`] — birth–death chains (connection classes
 //!   evolve as one in the paper's §5);
 //! * [`dist`] — exact binomial pmf/cdf/sampling in the log domain,
@@ -62,7 +64,7 @@ pub enum Error {
         detail: String,
     },
     /// A row of a transition matrix does not sum to one (or has negative
-    /// entries).
+    /// or non-finite entries).
     NotStochastic {
         /// Index of the offending row.
         row: usize,
