@@ -1,10 +1,12 @@
 //! Monte-Carlo evolution of the download chain and expected timelines.
 //!
-//! The exact fundamental-matrix analysis in [`crate::transitions`] is cubic
-//! in the state-space size, so realistic configurations (`B = 200`,
-//! `s = 40`) are analyzed here by sampling trajectories of the chain. This
-//! is the machinery behind the paper's Fig. 1(b): the expected time at which
-//! a peer holds `b` pieces, compared against the swarm simulator.
+//! The exact analyses in [`crate::exact`] solve the chain by block
+//! substitution, but they read a dense transition matrix that grows as the
+//! square of the `(k+1)(B+1)(s+1)` state count, so realistic configurations
+//! (`B = 200`, `s = 40`) are analyzed here by sampling trajectories of the
+//! chain. This is the machinery behind the paper's Fig. 1(b): the expected
+//! time at which a peer holds `b` pieces, compared against the swarm
+//! simulator.
 
 use rand::Rng;
 
@@ -236,10 +238,14 @@ pub fn expected_timeline<R: Rng>(
         if t.completed() {
             completed += 1;
         }
-        for b in 0..=b_max {
-            if let Some(step) = t.first_step_with_pieces(b as u32) {
-                step_sum[b] += step as f64;
-                step_count[b] += 1;
+        // One sweep: the first state holding at least `b` pieces is the
+        // first one past every smaller count still unreached.
+        let mut unreached = 0;
+        for (step, s) in t.states().iter().enumerate() {
+            while unreached <= s.b as usize {
+                step_sum[unreached] += step as f64;
+                step_count[unreached] += 1;
+                unreached += 1;
             }
         }
         for s in t.states() {
@@ -358,6 +364,48 @@ mod tests {
             .collect();
         for w in steps.windows(2) {
             assert!(w[1] >= w[0] - 1e-9, "mean first-passage must be monotone");
+        }
+    }
+
+    /// The per-piece-count first-passage sums as `expected_timeline` built
+    /// them before its one-sweep fill: `B + 1` position scans per
+    /// trajectory.
+    fn mean_steps_by_scans<R: Rng>(params: &ModelParams, replications: usize, rng: R) -> Vec<f64> {
+        let mut walker = Walker::new(params, rng);
+        let b_max = params.pieces() as usize;
+        let mut step_sum = vec![0.0; b_max + 1];
+        let mut step_count = vec![0u32; b_max + 1];
+        for _ in 0..replications {
+            let t = walker.run();
+            for b in 0..=b_max {
+                if let Some(step) = t.first_step_with_pieces(b as u32) {
+                    step_sum[b] += step as f64;
+                    step_count[b] += 1;
+                }
+            }
+        }
+        step_sum
+            .iter()
+            .zip(&step_count)
+            .map(|(&s, &c)| if c == 0 { f64::NAN } else { s / f64::from(c) })
+            .collect()
+    }
+
+    #[test]
+    fn timeline_steps_are_bit_identical_to_position_scans() {
+        // Seed connections make `b` jump by several pieces in one step.
+        let seeded = ModelParams::builder()
+            .pieces(25)
+            .max_connections(2)
+            .neighbor_set_size(4)
+            .seed_connections(3)
+            .build()
+            .unwrap();
+        for p in [params(20, 8), params(40, 3), seeded] {
+            let timeline = expected_timeline(&p, 50, StdRng::seed_from_u64(5)).unwrap();
+            let scans = mean_steps_by_scans(&p, 50, StdRng::seed_from_u64(5));
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&timeline.mean_step), bits(&scans));
         }
     }
 

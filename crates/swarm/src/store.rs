@@ -135,7 +135,8 @@ pub struct PeerStore {
     /// [`get_mut`](Self::get_mut)), for cost-attribution profiling. An
     /// atomic (relaxed) so read paths stay `&self` and the store stays
     /// `Sync` for sharded execution; wraps on overflow — consumers diff
-    /// consecutive readings, so only deltas are meaningful.
+    /// consecutive readings, so only deltas are meaningful. Counted by
+    /// one thread at a time ([`add_probes`](Self::add_probes)).
     probes: std::sync::atomic::AtomicU64,
 }
 
@@ -208,8 +209,16 @@ impl PeerStore {
     /// synthetic ids.
     #[must_use]
     pub fn get(&self, id: PeerId) -> Option<&Peer> {
-        self.probes
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.add_probes(1);
+        self.lookup(id)
+    }
+
+    /// [`get`](Self::get) without the probe count, for lookups made on
+    /// several threads at once: the count is a load and a store, so
+    /// concurrent counting would lose increments. Sharded code counts
+    /// its lookups in a local and passes the total to
+    /// [`add_probes`](Self::add_probes) after the join.
+    pub(crate) fn lookup(&self, id: PeerId) -> Option<&Peer> {
         let slot = self.slots.get(id.slot as usize)?;
         if slot.generation != id.generation {
             return None;
@@ -217,11 +226,22 @@ impl PeerStore {
         slot.peer.as_ref()
     }
 
+    /// Adds `n` slab lookups to the probe count.
+    ///
+    /// A relaxed load and store, not a locked read-modify-write: the
+    /// count publishes no other data, and only one thread counts at a
+    /// time (parallel shards look up through [`lookup`](Self::lookup)).
+    pub(crate) fn add_probes(&self, n: u64) {
+        use std::sync::atomic::Ordering::Relaxed;
+        self.probes
+            .store(self.probes.load(Relaxed).wrapping_add(n), Relaxed);
+    }
+
     /// Mutable variant of [`get`](Self::get).
     #[must_use]
     pub fn get_mut(&mut self, id: PeerId) -> Option<&mut Peer> {
-        self.probes
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let probes = self.probes.get_mut();
+        *probes = probes.wrapping_add(1);
         let slot = self.slots.get_mut(id.slot as usize)?;
         if slot.generation != id.generation {
             return None;

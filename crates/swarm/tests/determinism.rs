@@ -258,12 +258,20 @@ fn same_seed_cohort_streams_are_byte_identical() {
     assert!(!events.is_empty(), "a 120-round run traces events");
 }
 
+/// Each stage's name and cumulative work counters, as the profiler
+/// reports them.
+type StageWork = Vec<(String, Vec<(String, u64)>)>;
+
 /// One fully-observed run at a given worker-thread count: telemetry
-/// bytes, cohort bytes, a metrics digest, the doctor's verdicts, and
-/// the normalized ledger line. The upgraded determinism contract says
-/// every one of these is a function of the seed alone — `threads` is
-/// pure throughput.
-fn run_threaded(seed: u64, rounds: u64, threads: u32) -> (Vec<u8>, Vec<u8>, String, String, String) {
+/// bytes, cohort bytes, a metrics digest, the doctor's verdicts, the
+/// normalized ledger line, and the profiler's per-stage work counters.
+/// The upgraded determinism contract says every one of these is a
+/// function of the seed alone — `threads` is pure throughput.
+fn run_threaded(
+    seed: u64,
+    rounds: u64,
+    threads: u32,
+) -> (Vec<u8>, Vec<u8>, String, String, String, StageWork) {
     let registry = bt_obs::Registry::new();
     let mut swarm = Swarm::with_registry(config(seed), registry.clone());
     swarm.set_threads(threads);
@@ -277,10 +285,22 @@ fn run_threaded(seed: u64, rounds: u64, threads: u32) -> (Vec<u8>, Vec<u8>, Stri
         cadence: 4,
         ..DoctorOptions::default()
     });
+    swarm.attach_profiler(bt_obs::ProfileOptions {
+        seed,
+        ..bt_obs::ProfileOptions::default()
+    });
     let pipeline = swarm.stage_names();
     for _ in 0..rounds {
         swarm.step_round();
     }
+    let work = swarm
+        .take_profile()
+        .report()
+        .expect("profiler was attached")
+        .stages
+        .into_iter()
+        .map(|stage| (stage.name, stage.work))
+        .collect();
     let report = swarm.take_doctor_report().expect("doctor was attached");
     assert!(report.report.checks > 0, "monitors sampled rounds");
     let verdicts = format!("{:?}", report.report.violations);
@@ -300,6 +320,7 @@ fn run_threaded(seed: u64, rounds: u64, threads: u32) -> (Vec<u8>, Vec<u8>, Stri
         digest,
         verdicts,
         ledger,
+        work,
     )
 }
 
@@ -312,6 +333,24 @@ fn thread_count_is_invisible_to_every_output() {
     let serial = run_threaded(42, 120, 1);
     assert!(!serial.0.is_empty(), "telemetry produced records");
     assert!(!serial.1.is_empty(), "cohort produced records");
+    // Work counters too: a shard that dropped its lookups from
+    // `store.slab_probes` would leave every byte above unchanged.
+    let counted = |stage: &str, counter: &str| {
+        serial
+            .5
+            .iter()
+            .filter(|(name, _)| name == stage)
+            .flat_map(|(_, work)| work)
+            .any(|(name, count)| name == counter && *count > 0)
+    };
+    for (stage, counter) in [
+        ("exchange", "store.slab_probes"),
+        ("exchange", "exchange.bitfield_words"),
+        ("establish", "store.slab_probes"),
+        ("establish", "establish.candidate_comparisons"),
+    ] {
+        assert!(counted(stage, counter), "{stage} counted no {counter}");
+    }
     for threads in [2, 8] {
         let threaded = run_threaded(42, 120, threads);
         assert_eq!(
@@ -333,6 +372,10 @@ fn thread_count_is_invisible_to_every_output() {
         assert_eq!(
             serial.4, threaded.4,
             "normalized ledger diverged at --threads {threads}"
+        );
+        assert_eq!(
+            serial.5, threaded.5,
+            "stage work counters diverged at --threads {threads}"
         );
     }
 }
