@@ -1,20 +1,35 @@
-//! Regenerates every figure of the paper in one run.
+//! Writes every committed results table: `all_figures DIR` writes
+//! `DIR/<name>.tsv` for each entry of `bt_bench::tables::TABLES`, so
+//! `all_figures results` regenerates the repository's tables.
 
-fn main() {
+use std::fs::{self, File};
+use std::io::{BufWriter, Write};
+use std::path::Path;
+use std::process::ExitCode;
+
+use bt_bench::tables::{Runs, TABLES};
+
+fn main() -> ExitCode {
     bt_bench::init_obs();
-    println!("==== Fig. 1(a): potential-set ratio vs pieces (PSS sweep) ====");
-    bt_bench::fig1::print_fig1a(&bt_bench::fig1::fig1a(120, 1));
-    println!("\n==== Fig. 1(b): download timeline, sim vs model ====");
-    bt_bench::fig1::print_fig1b(&bt_bench::fig1::fig1b(120, 400, 2));
-    println!("\n==== Fig. 2: per-client archetype traces ====");
-    bt_bench::fig2::print_fig2(&bt_bench::fig2::fig2(10, 7));
-    println!("\n==== Fig. 4(a): efficiency vs k, model vs sim ====");
-    bt_bench::fig4a::print_fig4a(&bt_bench::fig4a::fig4a(8, 0.5, 4));
-    let runs = bt_bench::fig4bc::fig4bc(5);
-    println!("\n==== Fig. 4(b): population vs time, B=3 vs B=10 ====");
-    bt_bench::fig4bc::print_fig4b(&runs);
-    println!("\n==== Fig. 4(c): entropy vs time, B=3 vs B=10 ====");
-    bt_bench::fig4bc::print_fig4c(&runs);
-    println!("\n==== Fig. 4(d): last-pieces TTD, normal vs shake ====");
-    bt_bench::fig4d::print_fig4d(&bt_bench::fig4d::fig4d(60, 6));
+    let args: Vec<_> = std::env::args_os().skip(1).collect();
+    let [dir] = args.as_slice() else {
+        eprintln!("usage: all_figures DIR");
+        return ExitCode::from(2);
+    };
+    let dir = Path::new(dir);
+    let mut runs = Runs::default();
+    for table in TABLES {
+        let path = dir.join(format!("{}.tsv", table.name));
+        tracing::info!(target: "bt_bench", table = table.name; "writing table");
+        let written = fs::create_dir_all(dir).and_then(|()| {
+            let mut out = BufWriter::new(File::create(&path)?);
+            (table.write)(&mut runs, &mut out)?;
+            out.flush()
+        });
+        if let Err(e) = written {
+            eprintln!("error: {}: {e}", path.display());
+            return ExitCode::FAILURE;
+        }
+    }
+    ExitCode::SUCCESS
 }

@@ -5,6 +5,8 @@
 //! * Fig. 1(b): the download timeline (round at which a peer holds `b`
 //!   pieces), simulation against the analytical model, for PSS ∈ {5, 50}.
 
+use std::io::{self, Write};
+
 use bt_des::SeedStream;
 use bt_model::evolution::expected_timeline;
 use bt_model::params::alpha_from_swarm;
@@ -119,46 +121,45 @@ pub fn fig1b(completions: u64, replications: usize, seed: u64) -> Vec<TimelinePa
         .collect()
 }
 
-/// Prints Fig. 1(a) as TSV: `pieces  ratio@pss5  ratio@pss10 ...`.
-pub fn print_fig1a(series: &[RatioSeries]) {
-    let header: Vec<String> = std::iter::once("pieces".to_string())
-        .chain(series.iter().map(|(pss, _)| format!("PSS={pss}")))
-        .collect();
-    println!("{}", header.join("\t"));
+/// Writes Fig. 1(a) as TSV: `pieces  ratio@pss5  ratio@pss10 ...`.
+pub fn write_fig1a(mut w: impl Write, series: &[RatioSeries]) -> io::Result<()> {
+    write!(w, "pieces")?;
+    for (pss, _) in series {
+        write!(w, "\tPSS={pss}")?;
+    }
+    writeln!(w)?;
     let len = series.iter().map(|(_, r)| r.len()).max().unwrap_or(0);
     for b in 0..len {
-        let row: Vec<String> = std::iter::once(b.to_string())
-            .chain(
-                series
-                    .iter()
-                    .map(|(_, r)| crate::cell(r.get(b).copied().unwrap_or(f64::NAN))),
-            )
-            .collect();
-        println!("{}", row.join("\t"));
+        write!(w, "{b}")?;
+        for (_, r) in series {
+            write!(w, "\t{}", cell_at(r, b))?;
+        }
+        writeln!(w)?;
     }
+    Ok(())
 }
 
-/// Prints Fig. 1(b) as TSV: `pieces  sim@pss  model@pss ...`.
-pub fn print_fig1b(pairs: &[TimelinePair]) {
-    let mut header = vec!["pieces".to_string()];
+/// Writes Fig. 1(b) as TSV: `pieces  sim@pss  model@pss ...`.
+pub fn write_fig1b(mut w: impl Write, pairs: &[TimelinePair]) -> io::Result<()> {
+    write!(w, "pieces")?;
     for p in pairs {
-        header.push(format!("Sim,PSS={}", p.pss));
-        header.push(format!("Model,PSS={}", p.pss));
+        write!(w, "\tSim,PSS={}\tModel,PSS={}", p.pss, p.pss)?;
     }
-    println!("{}", header.join("\t"));
-    let len = pairs
-        .iter()
-        .map(|p| p.sim.len().max(p.model.len()))
-        .max()
-        .unwrap_or(0);
-    for b in 0..len {
-        let mut row = vec![b.to_string()];
+    writeln!(w)?;
+    let len = pairs.iter().map(|p| p.sim.len().max(p.model.len())).max();
+    for b in 0..len.unwrap_or(0) {
+        write!(w, "{b}")?;
         for p in pairs {
-            row.push(crate::cell(p.sim.get(b).copied().unwrap_or(f64::NAN)));
-            row.push(crate::cell(p.model.get(b).copied().unwrap_or(f64::NAN)));
+            write!(w, "\t{}\t{}", cell_at(&p.sim, b), cell_at(&p.model, b))?;
         }
-        println!("{}", row.join("\t"));
+        writeln!(w)?;
     }
+    Ok(())
+}
+
+/// The TSV cell of `series[b]`, `-` past its end.
+fn cell_at(series: &[f64], b: usize) -> String {
+    crate::cell(series.get(b).copied().unwrap_or(f64::NAN))
 }
 
 #[cfg(test)]

@@ -1,6 +1,8 @@
 //! Fig. 2 — per-client download and potential-set evolution for three
 //! archetypes: smooth, significant last phase, significant bootstrap phase.
 
+use std::io::{self, Write};
+
 use bt_traces::analyzer::{segment, PhaseSummary};
 use bt_traces::generator::{generate, TraceScenario};
 use bt_traces::Trace;
@@ -63,21 +65,23 @@ pub fn fig2(observers_per_scenario: u32, seed: u64) -> Vec<Exemplar> {
     .collect()
 }
 
-/// Prints each exemplar as two TSV blocks (download process, potential
+/// Writes each exemplar as two TSV blocks (download process, potential
 /// set), mirroring the paired panels of Fig. 2.
-pub fn print_fig2(exemplars: &[Exemplar]) {
+pub fn write_fig2(mut w: impl Write, exemplars: &[Exemplar]) -> io::Result<()> {
     for ex in exemplars {
-        println!("# scenario={}", ex.trace.swarm);
-        println!(
+        writeln!(w, "# scenario={}", ex.trace.swarm)?;
+        writeln!(
+            w,
             "# phases: bootstrap={:.0}s efficient={:.0}s last={:.0}s",
             ex.phases.bootstrap_secs, ex.phases.efficient_secs, ex.phases.last_secs
-        );
-        println!("t\tcumulative_bytes\tpotential_set_size");
+        )?;
+        writeln!(w, "t\tcumulative_bytes\tpotential_set_size")?;
         for s in &ex.trace.samples {
-            println!("{:.0}\t{}\t{}", s.t, s.bytes, s.potential);
+            writeln!(w, "{:.0}\t{}\t{}", s.t, s.bytes, s.potential)?;
         }
-        println!();
+        writeln!(w)?;
     }
+    Ok(())
 }
 
 #[cfg(test)]

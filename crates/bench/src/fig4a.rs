@@ -19,9 +19,13 @@
 //! connection lifetimes grow with `k` — the paper's own explanation of why
 //! efficiency jumps from `k = 1` to `k = 2` and then plateaus.
 
+use std::io::{self, Write};
+
 use bt_des::SeedStream;
 use bt_model::efficiency::{monte_carlo_efficiency, EfficiencyModel, SweepOrder};
 use bt_swarm::{scenario, Swarm};
+
+use crate::{cell, row};
 
 /// One row of the figure.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -78,18 +82,14 @@ pub fn fig4a(k_max: u32, p_r: f64, seed: u64) -> Vec<EfficiencyPoint> {
         .collect()
 }
 
-/// Prints the sweep as TSV: `k  model  simulation  protocol_sim`.
-pub fn print_fig4a(points: &[EfficiencyPoint]) {
-    println!("k\tmodel\tsimulation\tprotocol_sim");
+/// Writes the sweep as TSV: `k  model  simulation  protocol_sim`.
+pub fn write_fig4a(mut w: impl Write, points: &[EfficiencyPoint]) -> io::Result<()> {
+    writeln!(w, "k\tmodel\tsimulation\tprotocol_sim")?;
     for p in points {
-        println!(
-            "{}\t{}\t{}\t{}",
-            p.k,
-            crate::cell(p.model),
-            crate::cell(p.simulation),
-            crate::cell(p.protocol_sim)
-        );
+        let (model, sim, protocol) = (cell(p.model), cell(p.simulation), cell(p.protocol_sim));
+        row(&mut w, &[&p.k, &model, &sim, &protocol])?;
     }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -1,6 +1,8 @@
 //! Fig. 4(b)/(c) — stability: swarm population and entropy over time for a
 //! small vs a sufficient number of pieces, starting from a skewed state.
 
+use std::io::{self, Write};
+
 use bt_swarm::{scenario, Swarm};
 
 /// The piece counts the paper contrasts.
@@ -46,52 +48,41 @@ pub fn run_stability(pieces: u32, seed: u64) -> StabilityRun {
     }
 }
 
-/// Prints Fig. 4(b) as TSV: `round  pop@B3  pop@B10`.
-pub fn print_fig4b(runs: &[StabilityRun]) {
-    let header: Vec<String> = std::iter::once("round".to_string())
-        .chain(runs.iter().map(|r| format!("peers@B={}", r.pieces)))
-        .collect();
-    println!("{}", header.join("\t"));
-    let len = runs.iter().map(|r| r.population.len()).max().unwrap_or(0);
-    for i in 0..len {
-        let mut row = vec![runs
-            .first()
-            .and_then(|r| r.population.get(i))
-            .map_or(i as u64, |&(round, _)| round)
-            .to_string()];
-        for r in runs {
-            row.push(
-                r.population
-                    .get(i)
-                    .map_or("-".to_string(), |&(_, p)| p.to_string()),
-            );
-        }
-        println!("{}", row.join("\t"));
-    }
+/// Writes Fig. 4(b) as TSV: `round  peers@B=3  peers@B=10`.
+pub fn write_fig4b(w: impl Write, runs: &[StabilityRun]) -> io::Result<()> {
+    write_rounds(w, runs, "peers", |r| &r.population, u64::to_string)
 }
 
-/// Prints Fig. 4(c) as TSV: `round  entropy@B3  entropy@B10`.
-pub fn print_fig4c(runs: &[StabilityRun]) {
-    let header: Vec<String> = std::iter::once("round".to_string())
-        .chain(runs.iter().map(|r| format!("entropy@B={}", r.pieces)))
-        .collect();
-    println!("{}", header.join("\t"));
-    let len = runs.iter().map(|r| r.entropy.len()).max().unwrap_or(0);
-    for i in 0..len {
-        let mut row = vec![runs
-            .first()
-            .and_then(|r| r.entropy.get(i))
-            .map_or(i as u64, |&(round, _)| round)
-            .to_string()];
-        for r in runs {
-            row.push(
-                r.entropy
-                    .get(i)
-                    .map_or("-".to_string(), |&(_, e)| crate::cell(e)),
-            );
-        }
-        println!("{}", row.join("\t"));
+/// Writes Fig. 4(c) as TSV: `round  entropy@B=3  entropy@B=10`.
+pub fn write_fig4c(w: impl Write, runs: &[StabilityRun]) -> io::Result<()> {
+    write_rounds(w, runs, "entropy", |r| &r.entropy, |&e| crate::cell(e))
+}
+
+/// One column of `series` per run, on the first run's rounds; `-` where
+/// a run has no sample.
+fn write_rounds<T>(
+    mut w: impl Write,
+    runs: &[StabilityRun],
+    label: &str,
+    series: fn(&StabilityRun) -> &Vec<(u64, T)>,
+    value: fn(&T) -> String,
+) -> io::Result<()> {
+    write!(w, "round")?;
+    for r in runs {
+        write!(w, "\t{label}@B={}", r.pieces)?;
     }
+    writeln!(w)?;
+    let len = runs.iter().map(|r| series(r).len()).max().unwrap_or(0);
+    for i in 0..len {
+        let first = runs.first().and_then(|r| series(r).get(i));
+        write!(w, "{}", first.map_or(i as u64, |&(round, _)| round))?;
+        for r in runs {
+            let v = series(r).get(i).map_or("-".to_string(), |(_, v)| value(v));
+            write!(w, "\t{v}")?;
+        }
+        writeln!(w)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -100,8 +91,8 @@ mod tests {
 
     #[test]
     fn series_are_well_formed() {
-        // A short scaled-down stability run (full runs live in the bench
-        // binaries).
+        // A short scaled-down stability run (the full runs are the
+        // fig4b and fig4c results tables).
         let run = run_stability_short(5, 1);
         assert!(!run.population.is_empty());
         assert_eq!(run.population.len(), run.entropy.len());

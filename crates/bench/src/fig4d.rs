@@ -1,7 +1,11 @@
 //! Fig. 4(d) — the last-piece problem: per-piece download time for the
 //! final pieces, normal BitTorrent vs peer-set shaking (§7.1).
 
+use std::io::{self, Write};
+
 use bt_swarm::{scenario, Swarm};
+
+use crate::{cell, row};
 
 /// First acquisition index reported (the paper plots 190–200 of 200).
 pub const FIRST_INDEX: usize = 190;
@@ -55,26 +59,17 @@ pub fn tail_mean(series: &[f64]) -> f64 {
     }
 }
 
-/// Prints the comparison as TSV: `piece_index  normal  shake`.
-pub fn print_fig4d(cmp: &ShakeComparison) {
-    println!(
-        "# completions: normal={} shake={}",
-        cmp.completions.0, cmp.completions.1
-    );
-    println!("piece_index\tnormal\tshake");
-    for (offset, (n, s)) in cmp.normal.iter().zip(&cmp.shake).enumerate() {
-        println!(
-            "{}\t{}\t{}",
-            FIRST_INDEX + offset,
-            crate::cell(*n),
-            crate::cell(*s)
-        );
+/// Writes the comparison as TSV: `piece_index  normal  shake`.
+pub fn write_fig4d(mut w: impl Write, cmp: &ShakeComparison) -> io::Result<()> {
+    let (normal, shake) = cmp.completions;
+    writeln!(w, "# completions: normal={normal} shake={shake}")?;
+    writeln!(w, "piece_index\tnormal\tshake")?;
+    for (offset, (&n, &s)) in cmp.normal.iter().zip(&cmp.shake).enumerate() {
+        row(&mut w, &[&(FIRST_INDEX + offset), &cell(n), &cell(s)])?;
     }
-    println!(
-        "# tail means: normal={} shake={}",
-        crate::cell(tail_mean(&cmp.normal)),
-        crate::cell(tail_mean(&cmp.shake))
-    );
+    let (normal, shake) = (tail_mean(&cmp.normal), tail_mean(&cmp.shake));
+    let (normal, shake) = (cell(normal), cell(shake));
+    writeln!(w, "# tail means: normal={normal} shake={shake}")
 }
 
 #[cfg(test)]

@@ -143,9 +143,11 @@ fn workspace_is_clean() {
         .expect("workspace root");
     let analysis = bt_lint::analyze_workspace(&root).expect("workspace walk");
     let report = &analysis.report;
-    // Library sources plus the tests/, examples/, and bench trees.
+    // Library sources plus the tests/, examples/, and bench trees. The
+    // library sources alone are 93 files: the floor sits above them, so
+    // a walk that skips the test trees fails.
     assert!(
-        report.files_scanned >= 120,
+        report.files_scanned >= 110,
         "expected the full workspace incl. test trees, scanned only {} files",
         report.files_scanned
     );

@@ -394,6 +394,24 @@ fn unknown_disable_stage_exits_two_listing_stage_names() {
 }
 
 #[test]
+fn figure_prints_the_committed_table_and_rejects_unknown_ids() {
+    let out = btlab()
+        .args(["figure", "--id", "transient_phases"])
+        .output()
+        .expect("binary runs");
+    let committed = include_bytes!("../results/transient_phases.tsv");
+    assert!(out.status.success() && out.stdout == committed);
+    let out = btlab()
+        .args(["figure", "--id", "nope"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2), "usage errors exit 2");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown figure id `nope`"), "{stderr}");
+    assert!(stderr.contains("model_sensitivity"), "{stderr}");
+}
+
+#[test]
 fn swarm_profile_records_artifacts_and_manifest_pipeline() {
     let dir = std::env::temp_dir().join("btlab-e2e-profile");
     std::fs::remove_dir_all(&dir).ok();
