@@ -14,6 +14,8 @@ use bt_model::ModelParams;
 use bt_swarm::config::PieceSelection;
 use bt_swarm::{scenario, Swarm, SwarmConfig};
 
+use crate::par_map;
+
 /// Result row of the piece-selection ablation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SelectionRow {
@@ -131,32 +133,28 @@ pub struct SeedingRow {
 /// Panics only on internal configuration bugs.
 #[must_use]
 pub fn seeding(uploads_sweep: &[u32], seed: u64) -> Vec<SeedingRow> {
-    uploads_sweep
-        .iter()
-        .map(|&uploads| {
-            tracing::info!(target: "bt_bench::ablation", uploads = uploads; "seeding run");
-            let mut config =
-                scenario::shake_study(false, 40, seed).expect("scenario preset is valid");
-            config.seed_uploads_per_round = uploads;
-            let pieces = config.pieces;
-            let metrics = Swarm::new(config).run();
-            let gaps = metrics.mean_inter_piece_times(pieces);
-            let first = (pieces as usize * 95) / 100;
-            let tail: Vec<f64> = (first..=pieces as usize)
-                .map(|j| gaps[j])
-                .filter(|v| !v.is_nan())
-                .collect();
-            SeedingRow {
-                uploads,
-                tail_ttd: if tail.is_empty() {
-                    f64::NAN
-                } else {
-                    tail.iter().sum::<f64>() / tail.len() as f64
-                },
-                completions: metrics.completions.len(),
-            }
-        })
-        .collect()
+    par_map(uploads_sweep, |&uploads| {
+        tracing::info!(target: "bt_bench::ablation", uploads = uploads; "seeding run");
+        let mut config = scenario::shake_study(false, 40, seed).expect("scenario preset is valid");
+        config.seed_uploads_per_round = uploads;
+        let pieces = config.pieces;
+        let metrics = Swarm::new(config).run();
+        let gaps = metrics.mean_inter_piece_times(pieces);
+        let first = (pieces as usize * 95) / 100;
+        let tail: Vec<f64> = (first..=pieces as usize)
+            .map(|j| gaps[j])
+            .filter(|v| !v.is_nan())
+            .collect();
+        SeedingRow {
+            uploads,
+            tail_ttd: if tail.is_empty() {
+                f64::NAN
+            } else {
+                tail.iter().sum::<f64>() / tail.len() as f64
+            },
+            completions: metrics.completions.len(),
+        }
+    })
 }
 
 /// Result row of the shake-threshold ablation.
@@ -175,37 +173,34 @@ pub struct ShakeRow {
 /// Panics only on internal configuration bugs.
 #[must_use]
 pub fn shake_threshold(thresholds: &[f64], completions: u64, seed: u64) -> Vec<ShakeRow> {
-    let mut rows = Vec::with_capacity(thresholds.len() + 1);
-    let base = scenario::shake_study(false, completions, seed).expect("valid preset");
-    let pieces = base.pieces;
-    let tail_of = |metrics: &bt_swarm::SwarmMetrics| {
+    // NaN stands for the no-shake baseline, which leads the rows.
+    let sweep: Vec<f64> = std::iter::once(f64::NAN)
+        .chain(thresholds.iter().copied())
+        .collect();
+    par_map(&sweep, |&threshold| {
+        let shake = !threshold.is_nan();
+        let mut config = scenario::shake_study(shake, completions, seed).expect("valid preset");
+        if shake {
+            tracing::info!(target: "bt_bench::ablation", threshold = threshold; "shake-threshold run");
+            config.shake_at = Some(threshold);
+        }
+        let pieces = config.pieces;
+        let metrics = Swarm::new(config).run();
         let gaps = metrics.mean_inter_piece_times(pieces);
         let tail: Vec<f64> = (190..=pieces as usize)
             .map(|j| gaps[j])
             .filter(|v| !v.is_nan())
             .collect();
-        if tail.is_empty() {
+        let tail_ttd = if tail.is_empty() {
             f64::NAN
         } else {
             tail.iter().sum::<f64>() / tail.len() as f64
-        }
-    };
-    let metrics = Swarm::new(base).run();
-    rows.push(ShakeRow {
-        threshold: f64::NAN,
-        tail_ttd: tail_of(&metrics),
-    });
-    for &threshold in thresholds {
-        tracing::info!(target: "bt_bench::ablation", threshold = threshold; "shake-threshold run");
-        let mut config = scenario::shake_study(true, completions, seed).expect("valid preset");
-        config.shake_at = Some(threshold);
-        let metrics = Swarm::new(config).run();
-        rows.push(ShakeRow {
+        };
+        ShakeRow {
             threshold,
-            tail_ttd: tail_of(&metrics),
-        });
-    }
-    rows
+            tail_ttd,
+        }
+    })
 }
 
 #[cfg(test)]
@@ -395,29 +390,29 @@ pub fn stability_boundary(
     rounds: u64,
     seed: u64,
 ) -> Vec<BoundaryRow> {
-    let mut rows = Vec::with_capacity(piece_counts.len() * arrival_rates.len());
-    for &pieces in piece_counts {
-        for &arrival_rate in arrival_rates {
-            tracing::info!(target: "bt_bench::ablation", pieces = pieces, lambda = arrival_rate; "stability-boundary run");
-            let mut config = scenario::stability(pieces, seed).expect("valid preset");
-            config.arrival_rate = arrival_rate;
-            config.max_rounds = rounds;
-            let metrics = Swarm::new(config).run();
-            let start = metrics.population.first().map_or(1, |&(_, p)| p.max(1));
-            let end = metrics.final_population().max(1);
-            let growth = end as f64 / start as f64;
-            let tail = &metrics.entropy[metrics.entropy.len() / 2..];
-            let tail_entropy = tail.iter().map(|&(_, e)| e).sum::<f64>() / tail.len().max(1) as f64;
-            rows.push(BoundaryRow {
-                pieces,
-                arrival_rate,
-                growth,
-                tail_entropy,
-                stable: growth < 2.0,
-            });
+    let cells: Vec<(u32, f64)> = piece_counts
+        .iter()
+        .flat_map(|&pieces| arrival_rates.iter().map(move |&rate| (pieces, rate)))
+        .collect();
+    par_map(&cells, |&(pieces, arrival_rate)| {
+        tracing::info!(target: "bt_bench::ablation", pieces = pieces, lambda = arrival_rate; "stability-boundary run");
+        let mut config = scenario::stability(pieces, seed).expect("valid preset");
+        config.arrival_rate = arrival_rate;
+        config.max_rounds = rounds;
+        let metrics = Swarm::new(config).run();
+        let start = metrics.population.first().map_or(1, |&(_, p)| p.max(1));
+        let end = metrics.final_population().max(1);
+        let growth = end as f64 / start as f64;
+        let tail = &metrics.entropy[metrics.entropy.len() / 2..];
+        let tail_entropy = tail.iter().map(|&(_, e)| e).sum::<f64>() / tail.len().max(1) as f64;
+        BoundaryRow {
+            pieces,
+            arrival_rate,
+            growth,
+            tail_entropy,
+            stable: growth < 2.0,
         }
-    }
-    rows
+    })
 }
 
 #[cfg(test)]

@@ -14,6 +14,7 @@ use bt_model::ModelParams;
 use bt_swarm::{scenario, Swarm};
 
 use crate::calibrate::calibrate;
+use crate::par_map;
 
 /// The PSS values the paper sweeps in Fig. 1(a).
 pub const FIG1A_PSS: [u32; 4] = [5, 10, 25, 40];
@@ -34,15 +35,15 @@ pub type RatioSeries = (u32, Vec<f64>);
 /// be a bug in [`bt_swarm::scenario`].
 #[must_use]
 pub fn fig1a(completions: u64, seed: u64) -> Vec<RatioSeries> {
-    FIG1A_PSS
-        .iter()
-        .map(|&pss| {
-            let config = scenario::download_evolution(pss, completions, seed)
-                .expect("scenario presets are valid");
-            let metrics = Swarm::new(config).run();
-            (pss, metrics.potential_ratio_by_pieces(pss))
-        })
-        .collect()
+    par_map(&FIG1A_PSS, |&pss| ratio_series(pss, completions, seed))
+}
+
+/// One PSS's [`fig1a`] series, from its own swarm.
+fn ratio_series(pss: u32, completions: u64, seed: u64) -> RatioSeries {
+    let config =
+        scenario::download_evolution(pss, completions, seed).expect("scenario presets are valid");
+    let metrics = Swarm::new(config).run();
+    (pss, metrics.potential_ratio_by_pieces(pss))
 }
 
 /// One Fig. 1(b) comparison: simulation and model first-passage curves for
@@ -70,55 +71,52 @@ pub struct TimelinePair {
 /// Panics only on internal scenario/parameter bugs.
 #[must_use]
 pub fn fig1b(completions: u64, replications: usize, seed: u64) -> Vec<TimelinePair> {
-    FIG1B_PSS
-        .iter()
-        .map(|&pss| {
-            let mut config = scenario::download_evolution(pss, completions, seed)
-                .expect("scenario presets are valid");
-            config.observers = 30;
-            let pieces = config.pieces;
-            let k = config.max_connections;
-            let p_r = config.p_reencounter;
-            let p_n = config.p_new_connection;
-            let lambda = config.arrival_rate;
-            let metrics = Swarm::new(config).run();
-            let sim = metrics.mean_time_to_pieces(pieces);
-            let mean_pop = metrics
-                .population
-                .iter()
-                .map(|&(_, p)| p as f64)
-                .sum::<f64>()
-                / metrics.population.len().max(1) as f64;
-            // Fallback α: the paper's λws/N with w ≈ 0.5 (a fresh
-            // arrival's injected first piece is tradable unless universal).
-            let alpha_formula = alpha_from_swarm(lambda, 0.5, pss, mean_pop.max(1.0)).max(0.05);
-            let cal = calibrate(&metrics, pieces, (alpha_formula, 0.15))
-                .expect("figure runs always record occupancy");
-            let params = ModelParams::builder()
-                .pieces(pieces)
-                .max_connections(k)
-                .neighbor_set_size(pss)
-                .p_r(p_r)
-                .p_n(p_n)
-                .p_init(0.5)
-                .alpha(cal.alpha)
-                .gamma(cal.gamma)
-                .phi(cal.phi)
-                .build()
-                .expect("matched parameters are valid");
-            let timeline = expected_timeline(
-                &params,
-                replications,
-                SeedStream::new(seed).rng("fig1b-model", u64::from(pss)),
-            )
-            .expect("kernel construction cannot fail for valid params");
-            TimelinePair {
-                pss,
-                sim,
-                model: timeline.mean_step,
-            }
-        })
-        .collect()
+    par_map(&FIG1B_PSS, |&pss| {
+        let mut config = scenario::download_evolution(pss, completions, seed)
+            .expect("scenario presets are valid");
+        config.observers = 30;
+        let pieces = config.pieces;
+        let k = config.max_connections;
+        let p_r = config.p_reencounter;
+        let p_n = config.p_new_connection;
+        let lambda = config.arrival_rate;
+        let metrics = Swarm::new(config).run();
+        let sim = metrics.mean_time_to_pieces(pieces);
+        let mean_pop = metrics
+            .population
+            .iter()
+            .map(|&(_, p)| p as f64)
+            .sum::<f64>()
+            / metrics.population.len().max(1) as f64;
+        // Fallback α: the paper's λws/N with w ≈ 0.5 (a fresh
+        // arrival's injected first piece is tradable unless universal).
+        let alpha_formula = alpha_from_swarm(lambda, 0.5, pss, mean_pop.max(1.0)).max(0.05);
+        let cal = calibrate(&metrics, pieces, (alpha_formula, 0.15))
+            .expect("figure runs always record occupancy");
+        let params = ModelParams::builder()
+            .pieces(pieces)
+            .max_connections(k)
+            .neighbor_set_size(pss)
+            .p_r(p_r)
+            .p_n(p_n)
+            .p_init(0.5)
+            .alpha(cal.alpha)
+            .gamma(cal.gamma)
+            .phi(cal.phi)
+            .build()
+            .expect("matched parameters are valid");
+        let timeline = expected_timeline(
+            &params,
+            replications,
+            SeedStream::new(seed).rng("fig1b-model", u64::from(pss)),
+        )
+        .expect("kernel construction cannot fail for valid params");
+        TimelinePair {
+            pss,
+            sim,
+            model: timeline.mean_step,
+        }
+    })
 }
 
 /// Writes Fig. 1(a) as TSV: `pieces  ratio@pss5  ratio@pss10 ...`.
@@ -177,6 +175,24 @@ mod tests {
                 assert!((0.0..=1.0 + 1e-9).contains(&r), "PSS={pss}: ratio {r}");
             }
         }
+    }
+
+    #[test]
+    fn fig1a_is_bit_identical_at_one_and_four_workers() {
+        let bits = |series: Vec<RatioSeries>| -> Vec<(u32, Vec<u64>)> {
+            series
+                .into_iter()
+                .map(|(pss, r)| (pss, r.into_iter().map(f64::to_bits).collect()))
+                .collect()
+        };
+        let serial = bits(crate::par_map_on(1, &FIG1A_PSS, |&pss| {
+            ratio_series(pss, 5, 1)
+        }));
+        let parallel = bits(crate::par_map_on(4, &FIG1A_PSS, |&pss| {
+            ratio_series(pss, 5, 1)
+        }));
+        assert_eq!(serial, parallel);
+        assert_eq!(serial, bits(fig1a(5, 1)));
     }
 
     #[test]

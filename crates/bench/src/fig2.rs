@@ -7,6 +7,8 @@ use bt_traces::analyzer::{segment, PhaseSummary};
 use bt_traces::generator::{generate, TraceScenario};
 use bt_traces::Trace;
 
+use crate::par_map;
+
 /// One archetype's exemplar: the generated trace plus its segmentation.
 #[derive(Debug, Clone)]
 pub struct Exemplar {
@@ -26,13 +28,12 @@ pub struct Exemplar {
 /// Panics only on internal generator bugs (the canned scenarios are valid).
 #[must_use]
 pub fn fig2(observers_per_scenario: u32, seed: u64) -> Vec<Exemplar> {
-    [
+    let scenarios = [
         TraceScenario::Smooth,
         TraceScenario::LastPhase,
         TraceScenario::BootstrapStall,
-    ]
-    .into_iter()
-    .map(|scenario| {
+    ];
+    par_map(&scenarios, |&scenario| {
         let traces =
             generate(scenario, observers_per_scenario, seed).expect("canned scenario is valid");
         let scored: Vec<(Trace, PhaseSummary)> = traces
@@ -62,7 +63,6 @@ pub fn fig2(observers_per_scenario: u32, seed: u64) -> Vec<Exemplar> {
             phases,
         }
     })
-    .collect()
 }
 
 /// Writes each exemplar as two TSV blocks (download process, potential

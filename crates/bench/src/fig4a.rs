@@ -25,7 +25,7 @@ use bt_des::SeedStream;
 use bt_model::efficiency::{monte_carlo_efficiency, EfficiencyModel, SweepOrder};
 use bt_swarm::{scenario, Swarm};
 
-use crate::{cell, row};
+use crate::{cell, par_map, row};
 
 /// One row of the figure.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -58,28 +58,30 @@ pub fn coupled_p_r(k: u32, base: f64) -> f64 {
 /// Panics only on internal scenario/model bugs.
 #[must_use]
 pub fn fig4a(k_max: u32, p_r: f64, seed: u64) -> Vec<EfficiencyPoint> {
-    let stream = SeedStream::new(seed);
-    (1..=k_max)
-        .map(|k| {
-            let p_r_k = coupled_p_r(k, p_r);
-            let model = EfficiencyModel::new(k, p_r_k)
-                .expect("valid k and p_r")
-                .sweep_order(SweepOrder::Ascending)
-                .solve()
-                .expect("efficiency iteration converges")
-                .efficiency;
-            let mut rng = stream.rng("fig4a-mc", u64::from(k));
-            let simulation = monte_carlo_efficiency(k, p_r_k, 600, 300, &mut rng);
-            let config = scenario::efficiency(k, p_r_k, seed).expect("scenario preset is valid");
-            let protocol_sim = Swarm::new(config).run().mean_utilization();
-            EfficiencyPoint {
-                k,
-                model,
-                simulation,
-                protocol_sim,
-            }
-        })
-        .collect()
+    let ks: Vec<u32> = (1..=k_max).collect();
+    par_map(&ks, |&k| point(k, p_r, seed))
+}
+
+/// One row of [`fig4a`]: the model solve, the agent simulation and the
+/// protocol swarm at connection cap `k`.
+fn point(k: u32, p_r: f64, seed: u64) -> EfficiencyPoint {
+    let p_r_k = coupled_p_r(k, p_r);
+    let model = EfficiencyModel::new(k, p_r_k)
+        .expect("valid k and p_r")
+        .sweep_order(SweepOrder::Ascending)
+        .solve()
+        .expect("efficiency iteration converges")
+        .efficiency;
+    let mut rng = SeedStream::new(seed).rng("fig4a-mc", u64::from(k));
+    let simulation = monte_carlo_efficiency(k, p_r_k, 600, 300, &mut rng);
+    let config = scenario::efficiency(k, p_r_k, seed).expect("scenario preset is valid");
+    let protocol_sim = Swarm::new(config).run().mean_utilization();
+    EfficiencyPoint {
+        k,
+        model,
+        simulation,
+        protocol_sim,
+    }
 }
 
 /// Writes the sweep as TSV: `k  model  simulation  protocol_sim`.
@@ -124,6 +126,21 @@ mod tests {
             late < 0.5 * early,
             "late gains {late:.4} should be well below early gains {early:.4}: {eta:?}"
         );
+    }
+
+    #[test]
+    fn sweep_is_bit_identical_at_one_and_four_workers() {
+        let bits = |points: Vec<EfficiencyPoint>| -> Vec<[u64; 3]> {
+            points
+                .iter()
+                .map(|p| [p.model, p.simulation, p.protocol_sim].map(f64::to_bits))
+                .collect()
+        };
+        let ks = [1, 2, 3];
+        let serial = bits(crate::par_map_on(1, &ks, |&k| point(k, 0.5, 11)));
+        let parallel = bits(crate::par_map_on(4, &ks, |&k| point(k, 0.5, 11)));
+        assert_eq!(serial, parallel);
+        assert_eq!(serial, bits(fig4a(3, 0.5, 11)));
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::io::{self, Write};
 
 use bt_swarm::{scenario, Swarm};
 
-use crate::{cell, row};
+use crate::{cell, par_map, row};
 
 /// First acquisition index reported (the paper plots 190–200 of 200).
 pub const FIRST_INDEX: usize = 190;
@@ -31,16 +31,16 @@ pub struct ShakeComparison {
 /// Panics only on internal scenario bugs.
 #[must_use]
 pub fn fig4d(completions: u64, seed: u64) -> ShakeComparison {
-    let run = |shake: bool| {
+    let arms = par_map(&[false, true], |&shake| {
         let config =
             scenario::shake_study(shake, completions, seed).expect("scenario preset is valid");
         let metrics = Swarm::new(config).run();
         let gaps = metrics.mean_inter_piece_times(PIECES as u32);
         let series: Vec<f64> = (FIRST_INDEX..=PIECES).map(|j| gaps[j]).collect();
         (series, metrics.completions.len())
-    };
-    let (normal, n_normal) = run(false);
-    let (shake, n_shake) = run(true);
+    });
+    let [(normal, n_normal), (shake, n_shake)]: [_; 2] =
+        arms.try_into().expect("one result per arm");
     ShakeComparison {
         normal,
         shake,

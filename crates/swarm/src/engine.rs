@@ -888,7 +888,11 @@ impl Swarm {
             arrivals = self.core.metrics.arrivals,
             departures = self.core.metrics.departures,
             completions = self.core.metrics.completions.len(),
-            final_population = self.core.metrics.final_population();
+            final_population = self.core.metrics.final_population(),
+            pieces = self.core.config.pieces,
+            k = self.core.config.max_connections,
+            s = self.core.config.neighbor_set_size,
+            seed = self.core.config.seed;
             "swarm run finished"
         );
     }
@@ -1810,8 +1814,7 @@ mod plan_commit_tests {
             let have: Vec<u32> = peer.have.iter().collect();
             let neighbors: Vec<u64> = peer.neighbors.iter().map(|n| n.seq()).collect();
             let connections: Vec<u64> = peer.connections.iter().map(|n| n.seq()).collect();
-            let credit: Vec<(u64, u32)> =
-                peer.credit.iter().map(|(k, &v)| (k.seq(), v)).collect();
+            let credit: Vec<(u64, u32)> = peer.credit.iter().map(|&(k, v)| (k.seq(), v)).collect();
             writeln!(
                 out,
                 "peer {} have={:?} nbrs={:?} conns={:?} credit={:?} partial={:?} shaken={} slow={}",
