@@ -1,12 +1,11 @@
 //! Monte-Carlo evolution of the download chain and expected timelines.
 //!
-//! The exact analyses in [`crate::exact`] solve the chain by block
-//! substitution, but they read a dense transition matrix that grows as the
-//! square of the `(k+1)(B+1)(s+1)` state count, so realistic configurations
-//! (`B = 200`, `s = 40`) are analyzed here by sampling trajectories of the
-//! chain. This is the machinery behind the paper's Fig. 1(b): the expected
-//! time at which a peer holds `b` pieces, compared against the swarm
-//! simulator.
+//! The exact analyses in [`crate::exact`] give expectations (download
+//! time, phase sojourns, the last-phase probability) at any size up to the
+//! paper's; the walker samples whole trajectories, for the statistics they
+//! do not give. This is the machinery behind the paper's Fig. 1(b): the
+//! expected time at which a peer holds `b` pieces, compared against the
+//! swarm simulator.
 
 use rand::Rng;
 

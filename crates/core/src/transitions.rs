@@ -23,7 +23,7 @@
 //! potential peer, `p_n` connecting, and `f` delivering), which reduces to
 //! the prose description when `p_n = 1`.
 
-use bt_markov::{AbsorbingChain, Binomial, Matrix, TransitionMatrix};
+use bt_markov::{Binomial, Matrix, TransitionMatrix};
 
 use crate::params::ModelParams;
 use crate::state::{DownloadState, StateSpace};
@@ -140,24 +140,37 @@ impl TransitionKernel {
     /// deterministic point mass at [`TransitionKernel::next_pieces`].
     #[must_use]
     pub fn pieces_dist(&self, state: DownloadState) -> Vec<(u32, f64)> {
+        let mut out = Vec::with_capacity(self.seed_pmf.len());
+        self.for_each_piece_count(state, |b_new, p| out.push((b_new, p)));
+        out
+    }
+
+    /// Calls `visit(b′, probability)` for [`TransitionKernel::pieces_dist`]'s
+    /// entries, in its order, without allocating. Only piece counts capped
+    /// at `B` can coincide; their masses are summed in draw order and
+    /// visited last, as the merge in `pieces_dist` left them.
+    fn for_each_piece_count(&self, state: DownloadState, mut visit: impl FnMut(u32, f64)) {
         let pieces = self.params.pieces();
         let base = self.next_pieces(state);
-        let seeds = self.params.seed_connections();
-        if seeds == 0 {
-            return vec![(base, 1.0)];
+        if self.params.seed_connections() == 0 {
+            visit(base, 1.0);
+            return;
         }
-        let mut out: Vec<(u32, f64)> = Vec::with_capacity(seeds as usize + 1);
+        let mut capped: Option<f64> = None;
         for (extra, &p) in self.seed_pmf.iter().enumerate() {
             if exactly_zero(p) {
                 continue;
             }
-            let b_new = (base + extra as u32).min(pieces);
-            match out.last_mut() {
-                Some((last, mass)) if *last == b_new => *mass += p,
-                _ => out.push((b_new, p)),
+            let b_new = base + extra as u32;
+            if b_new < pieces {
+                visit(b_new, p);
+            } else {
+                *capped.get_or_insert(0.0) += p;
             }
         }
-        out
+        if let Some(p) = capped {
+            visit(pieces, p);
+        }
     }
 
     /// `g(i′ | n, b, i)` — distribution of the next potential-set size,
@@ -200,7 +213,9 @@ impl TransitionKernel {
         &self.connections[(state.n * (k + 1) + i_new.min(k)) as usize]
     }
 
-    /// The full successor distribution of `state` under one chain step.
+    /// The full successor distribution of `state` under one chain step,
+    /// sorted by state (which is [`StateSpace`] index order), each state
+    /// once.
     ///
     /// The absorbing state `(0, B, 0)` maps to itself; any state reaching
     /// `b′ = B` maps to the absorbing state with probability 1.
@@ -210,6 +225,26 @@ impl TransitionKernel {
     /// Panics if `state` lies outside the parameter-implied state space.
     #[must_use]
     pub fn successors(&self, state: DownloadState) -> Vec<Successor> {
+        let mut out = Vec::new();
+        self.for_each_successor(state, |succ, p| out.push((succ, p)));
+        merge_duplicates(&mut out);
+        out
+    }
+
+    /// Calls `visit(successor, probability)` for every entry of
+    /// [`TransitionKernel::successors`] without allocating: in the order
+    /// the factors produce them (`b′`, then `i′`, then `n′`) rather than
+    /// sorted, zero products skipped. The factors never produce a state
+    /// twice, so the entries are exactly those `successors` returns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` lies outside the parameter-implied state space.
+    pub fn for_each_successor(
+        &self,
+        state: DownloadState,
+        mut visit: impl FnMut(DownloadState, f64),
+    ) {
         let params = &self.params;
         assert!(
             state.n <= params.max_connections()
@@ -219,13 +254,13 @@ impl TransitionKernel {
         );
         let pieces = params.pieces();
         if state.is_absorbed(pieces) {
-            return vec![(DownloadState::absorbed(pieces), 1.0)];
+            visit(DownloadState::absorbed(pieces), 1.0);
+            return;
         }
-        let mut out = Vec::new();
-        for (b_new, p_b) in self.pieces_dist(state) {
+        self.for_each_piece_count(state, |b_new, p_b| {
             if b_new == pieces {
-                out.push((DownloadState::absorbed(pieces), p_b));
-                continue;
+                visit(DownloadState::absorbed(pieces), p_b);
+                return;
             }
             for &(i_new, p_i) in self.potential_set_dist(state) {
                 for &(n_new, p_n) in self.connections_dist(state, i_new) {
@@ -233,19 +268,19 @@ impl TransitionKernel {
                     if exactly_zero(p) {
                         continue;
                     }
-                    out.push((DownloadState::new(n_new, b_new, i_new), p));
+                    visit(DownloadState::new(n_new, b_new, i_new), p);
                 }
             }
-        }
-        merge_duplicates(&mut out);
-        out
+        });
     }
 
     /// Builds the explicit transition matrix over the full state space.
     ///
-    /// The state space has `(k+1)(B+1)(s+1)` states, so this is only
-    /// feasible for small configurations (exact analyses and tests); the
-    /// Monte-Carlo walker in [`crate::evolution`] covers large ones.
+    /// The matrix is dense, `((k+1)(B+1)(s+1))²` entries, so it suits
+    /// small configurations only: 54 GB at the paper's `B = 200, k = 7,
+    /// s = 50`. The exact analyses never build it (see [`crate::exact`]);
+    /// it serves callers that want the whole matrix, and the tests'
+    /// absorbing-chain oracle.
     ///
     /// # Errors
     ///
@@ -255,11 +290,13 @@ impl TransitionKernel {
         let space = StateSpace::new(&self.params);
         let n = space.len();
         let mut matrix = Matrix::zeros(n, n);
-        for (idx, successors) in self.successor_rows(&space).enumerate() {
+        let table = SuccessorTable::new(self, &space);
+        for idx in 0..n {
+            let successors = table.row(idx);
             // Normalize away accumulated floating-point drift.
             let sum: f64 = successors.iter().map(|&(_, p)| p).sum();
             debug_assert!((sum - 1.0).abs() < 1e-6, "row {idx} sums to {sum}");
-            for (j, p) in successors {
+            for &(j, p) in successors {
                 matrix[(idx, j)] = p / sum;
             }
         }
@@ -271,24 +308,10 @@ impl TransitionKernel {
         Ok((space, matrix))
     }
 
-    /// The successors of every state of `space` as `(index, probability)`
-    /// pairs: states in index order, each one's successors in index order
-    /// with distinct indices, probabilities as [`TransitionKernel::successors`]
-    /// gives them (not normalized).
-    pub(crate) fn successor_rows<'a>(
-        &'a self,
-        space: &'a StateSpace,
-    ) -> impl Iterator<Item = Vec<(usize, f64)>> + 'a {
-        space.iter().map(move |state| {
-            self.successors(state)
-                .into_iter()
-                .map(|(succ, p)| (space.index(succ), p))
-                .collect()
-        })
-    }
-
     /// Expected number of steps from `(0, 0, 0)` to absorption, computed
-    /// exactly via the fundamental matrix. Small configurations only.
+    /// exactly by one forward pass over the piece levels (see
+    /// [`crate::exact`]); its cost is the chain's non-zeros, so the
+    /// paper's `B = 200, k = 7, s = 50` is in reach.
     ///
     /// # Errors
     ///
@@ -296,16 +319,40 @@ impl TransitionKernel {
     /// absorption — this happens when `α = 0` or `γ = 0` makes waiting
     /// states inescapable.
     pub fn expected_download_time(&self) -> Result<f64> {
-        let (space, matrix) = self.build_matrix()?;
-        let absorbed = space.index(DownloadState::absorbed(self.params.pieces()));
-        let chain = AbsorbingChain::new(&matrix, &[absorbed])?;
-        let steps = chain.expected_steps()?;
-        let start_block = chain
-            .transient_states()
-            .iter()
-            .position(|&s| s == space.index(DownloadState::INITIAL))
-            .expect("initial state is transient");
-        Ok(steps[start_block])
+        Ok(crate::exact::phase_sojourns(self)?.iter().sum())
+    }
+}
+
+/// The successors of every state of a [`StateSpace`], as `(index,
+/// probability)` pairs in one flat table: states in index order, each
+/// one's entries sorted by index and merged as
+/// [`TransitionKernel::successors`] gives them (not normalized).
+pub(crate) struct SuccessorTable {
+    /// `entries[offsets[idx]..offsets[idx + 1]]` is state `idx`'s row.
+    offsets: Vec<usize>,
+    entries: Vec<(usize, f64)>,
+}
+
+impl SuccessorTable {
+    /// Visits every state's successors once, reusing one scratch row.
+    pub(crate) fn new(kernel: &TransitionKernel, space: &StateSpace) -> Self {
+        let mut offsets = Vec::with_capacity(space.len() + 1);
+        offsets.push(0);
+        let mut entries = Vec::new();
+        let mut row = Vec::new();
+        for state in space.iter() {
+            row.clear();
+            kernel.for_each_successor(state, |succ, p| row.push((succ, p)));
+            merge_duplicates(&mut row);
+            entries.extend(row.iter().map(|&(succ, p)| (space.index(succ), p)));
+            offsets.push(entries.len());
+        }
+        SuccessorTable { offsets, entries }
+    }
+
+    /// State `idx`'s successors.
+    pub(crate) fn row(&self, idx: usize) -> &[(usize, f64)] {
+        &self.entries[self.offsets[idx]..self.offsets[idx + 1]]
     }
 }
 
@@ -359,17 +406,17 @@ fn convolve_connections(n: u32, fresh: u32, p_r: f64, p_n: f64) -> Vec<(u32, f64
         .collect()
 }
 
-/// Merges duplicate successor states, summing probabilities.
+/// Sorts successor entries by state and merges duplicates in place,
+/// summing their probabilities in entry order.
 fn merge_duplicates(entries: &mut Vec<Successor>) {
     entries.sort_by_key(|(s, _)| *s);
-    let mut merged: Vec<Successor> = Vec::with_capacity(entries.len());
-    for &(s, p) in entries.iter() {
-        match merged.last_mut() {
-            Some((last, acc)) if *last == s => *acc += p,
-            _ => merged.push((s, p)),
+    entries.dedup_by(|next, kept| {
+        let same = next.0 == kept.0;
+        if same {
+            kept.1 += next.1;
         }
-    }
-    *entries = merged;
+        same
+    });
 }
 
 #[cfg(test)]
@@ -675,6 +722,32 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn visitor_yields_exactly_the_successor_entries() {
+        for seeds in [0, 2] {
+            let params = ModelParams::builder()
+                .pieces(9)
+                .max_connections(3)
+                .neighbor_set_size(4)
+                .seed_connections(seeds)
+                .p_seed(0.4)
+                .build()
+                .unwrap();
+            let kernel = TransitionKernel::new(&params).unwrap();
+            for state in StateSpace::new(&params).iter() {
+                let mut visited = Vec::new();
+                kernel.for_each_successor(state, |succ, p| visited.push((succ, p)));
+                // Sorted but not merged: no state is visited twice.
+                visited.sort_by_key(|&(succ, _)| succ);
+                assert_eq!(
+                    visited,
+                    kernel.successors(state),
+                    "seeds={seeds} at {state}"
+                );
             }
         }
     }
