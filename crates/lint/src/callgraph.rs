@@ -37,12 +37,47 @@ use crate::rules::Rule;
 /// Methods that mutate their receiver on std containers (and common
 /// repo types) even though name resolution cannot see their signatures.
 const BUILTIN_MUTATORS: &[&str] = &[
-    "push", "push_back", "push_front", "push_str", "pop", "pop_back", "pop_front", "insert",
-    "remove", "remove_entry", "clear", "extend", "extend_from_slice", "append", "truncate",
-    "retain", "retain_mut", "sort", "sort_by", "sort_by_key", "sort_unstable",
-    "sort_unstable_by", "sort_unstable_by_key", "dedup", "dedup_by", "dedup_by_key", "drain",
-    "swap", "swap_remove", "fill", "resize", "reverse", "rotate_left", "rotate_right", "shuffle",
-    "entry", "get_or_insert_with", "take", "replace", "set", "advance",
+    "push",
+    "push_back",
+    "push_front",
+    "push_str",
+    "pop",
+    "pop_back",
+    "pop_front",
+    "insert",
+    "remove",
+    "remove_entry",
+    "clear",
+    "extend",
+    "extend_from_slice",
+    "append",
+    "truncate",
+    "retain",
+    "retain_mut",
+    "sort",
+    "sort_by",
+    "sort_by_key",
+    "sort_unstable",
+    "sort_unstable_by",
+    "sort_unstable_by_key",
+    "dedup",
+    "dedup_by",
+    "dedup_by_key",
+    "drain",
+    "swap",
+    "swap_remove",
+    "fill",
+    "resize",
+    "reverse",
+    "rotate_left",
+    "rotate_right",
+    "shuffle",
+    "entry",
+    "get_or_insert_with",
+    "take",
+    "replace",
+    "set",
+    "advance",
 ];
 
 /// `(type, method)` pairs that are semantic writes through `&self`
@@ -171,7 +206,9 @@ fn skip_turbofish(tokens: &[Token], i: usize) -> usize {
     if !tokens.get(i).is_some_and(|t| t.is_punct("::")) {
         return i;
     }
-    let Some(first) = tokens.get(i + 1) else { return i };
+    let Some(first) = tokens.get(i + 1) else {
+        return i;
+    };
     let delta = match first.text.as_str() {
         "<" => 1,
         "<<" => 2,
@@ -250,7 +287,12 @@ pub fn extract_facts(ws: &Workspace, f: &FnItem, core_type: &str) -> FnFacts {
         let rng_typed = p.type_idents.iter().any(|t| {
             matches!(
                 t.as_str(),
-                "Rng" | "RngCore" | "StdRng" | "SmallRng" | "SeedStream" | "Substream"
+                "Rng"
+                    | "RngCore"
+                    | "StdRng"
+                    | "SmallRng"
+                    | "SeedStream"
+                    | "Substream"
                     | "PlanStream"
             )
         });
@@ -339,15 +381,15 @@ pub fn extract_facts(ws: &Workspace, f: &FnItem, core_type: &str) -> FnFacts {
         if next.is_some_and(|n| n.is_punct(".")) {
             let base_type = handles.get(t.text.as_str()).copied();
             let is_core = base_type == Some(core_type);
-            let borrow_mut = j >= 2
-                && tokens[j - 1].is_ident("mut")
-                && tokens[j - 2].is_punct("&");
+            let borrow_mut = j >= 2 && tokens[j - 1].is_ident("mut") && tokens[j - 2].is_punct("&");
             let mut cur_type: Option<String> = base_type.map(str::to_string);
             let mut core_field: Option<(String, u32)> = None;
             let mut wrote = borrow_mut;
             let mut pos = j + 1; // at the first `.`
             while tokens.get(pos).is_some_and(|n| n.is_punct(".")) {
-                let Some(seg) = tokens.get(pos + 1) else { break };
+                let Some(seg) = tokens.get(pos + 1) else {
+                    break;
+                };
                 if seg.kind == TokenKind::Int {
                     // Tuple index: untyped from here on.
                     cur_type = None;
@@ -399,7 +441,11 @@ pub fn extract_facts(ws: &Workspace, f: &FnItem, core_type: &str) -> FnFacts {
                 wrote = true;
             }
             if let Some((field, line)) = core_field {
-                facts.core.push(CoreAccess { field, write: wrote, line });
+                facts.core.push(CoreAccess {
+                    field,
+                    write: wrote,
+                    line,
+                });
             }
             j += 1;
             continue;
@@ -528,7 +574,11 @@ pub fn rng_reachability(ws: &Workspace, cg: &CallGraph) -> RngReachability {
             }
         }
     }
-    RngReachability { root, reaches, next_hop }
+    RngReachability {
+        root,
+        reaches,
+        next_hop,
+    }
 }
 
 /// Renders the call path from `id` toward an RNG root, for diagnostics.
@@ -609,11 +659,7 @@ enum TaintKind {
 }
 
 /// Per-function taint: the root cause `(function, ident)` if tainted.
-fn propagate_taint(
-    ws: &Workspace,
-    cg: &CallGraph,
-    kind: TaintKind,
-) -> Vec<Option<(FnId, String)>> {
+fn propagate_taint(ws: &Workspace, cg: &CallGraph, kind: TaintKind) -> Vec<Option<(FnId, String)>> {
     let n = ws.functions.len();
     let mut taint: Vec<Option<(FnId, String)>> = vec![None; n];
     let mut queue: VecDeque<FnId> = VecDeque::new();
@@ -734,10 +780,7 @@ mod tests {
     fn build(srcs: &[(&str, &str)]) -> (Workspace, CallGraph) {
         let mut files = BTreeMap::new();
         for (file, src) in srcs {
-            files.insert(
-                (*file).to_string(),
-                parse_file(file, &lex(src).tokens),
-            );
+            files.insert((*file).to_string(), parse_file(file, &lex(src).tokens));
         }
         let ws = Workspace::build(&files);
         let cg = CallGraph::build(&ws, "SwarmCore");
@@ -832,7 +875,12 @@ mod tests {
         ]);
         let rng = rng_reachability(&ws, &cg);
         let mut out = Vec::new();
-        rng_findings(&ws, &rng, &|file| file.starts_with("crates/swarm/"), &mut out);
+        rng_findings(
+            &ws,
+            &rng,
+            &|file| file.starts_with("crates/swarm/"),
+            &mut out,
+        );
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].file, "crates/obs/src/bad.rs");
         assert!(out[0].message.contains("observer -> stage_fn"));

@@ -187,14 +187,23 @@ struct Contract {
 /// the plain form (`reads(a, b), writes(c)`) otherwise. Returns `None`
 /// when neither parses.
 fn parse_contract(payload: &str) -> Option<Contract> {
-    if let (Some(reads), Some(writes)) =
-        (clause(payload, "plan-reads"), clause(payload, "commit-writes"))
-    {
-        return Some(Contract { reads, writes, split: true });
+    if let (Some(reads), Some(writes)) = (
+        clause(payload, "plan-reads"),
+        clause(payload, "commit-writes"),
+    ) {
+        return Some(Contract {
+            reads,
+            writes,
+            split: true,
+        });
     }
     let reads = clause(payload, "reads")?;
     let writes = clause(payload, "writes")?;
-    Some(Contract { reads, writes, split: false })
+    Some(Contract {
+        reads,
+        writes,
+        split: false,
+    })
 }
 
 /// Extracts the sorted identifier list of `name(...)` from `payload`.
@@ -261,7 +270,13 @@ pub fn analyze_stages(
         };
         check_contract(&info, stage_notes, &mut findings);
         if info.plan_commit {
-            check_plan_purity(ws, caps, &info, plan_id.expect("plan_commit"), &mut findings);
+            check_plan_purity(
+                ws,
+                caps,
+                &info,
+                plan_id.expect("plan_commit"),
+                &mut findings,
+            );
         }
         stages.push(info);
     }
@@ -470,7 +485,10 @@ impl StageMatrix {
         out.push_str("  \"schema\": \"bt-lint/stage-matrix/v1\",\n");
         out.push_str(&format!("  \"core\": \"{CORE_TYPE}\",\n"));
         out.push_str("  \"fields\": {\n");
-        out.push_str(&format!("    \"state\": {},\n", str_array(&self.state_fields)));
+        out.push_str(&format!(
+            "    \"state\": {},\n",
+            str_array(&self.state_fields)
+        ));
         out.push_str(&format!(
             "    \"telemetry\": {},\n",
             str_array(&self.telemetry_fields)
@@ -589,7 +607,10 @@ impl RoundStage for Arrive {
 
     #[test]
     fn stale_contract_is_diagnosed_with_the_fix() {
-        let src = STAGE_SRC.replace("reads(config), writes(rng, store)", "reads(), writes(store)");
+        let src = STAGE_SRC.replace(
+            "reads(config), writes(rng, store)",
+            "reads(), writes(store)",
+        );
         let (ws, caps, notes) = analyze(&src);
         let (_, findings) = analyze_stages(&ws, &caps, &notes);
         assert_eq!(findings.len(), 1);
@@ -618,7 +639,9 @@ fn mid(core: &mut SwarmCore) { leaf(core); let _ = core.store.n; }
 fn top(core: &mut SwarmCore) { mid(core); }
 ";
         let (ws, caps, _) = analyze(src);
-        let top = (0..ws.functions.len()).find(|&i| ws.label(i) == "top").unwrap();
+        let top = (0..ws.functions.len())
+            .find(|&i| ws.label(i) == "top")
+            .unwrap();
         assert_eq!(caps[top].get("round"), Some(&Mode::Write));
         assert_eq!(caps[top].get("store"), Some(&Mode::Read));
     }
@@ -652,8 +675,14 @@ fn top(core: &mut SwarmCore) { mid(core); }
         assert_eq!(c.writes, vec!["obs", "store"]);
         // The plain clause names must not match inside the hyphenated
         // ones: a split payload has no plain `reads(...)` clause.
-        assert_eq!(clause("plan-reads(config), commit-writes(store)", "reads"), None);
-        assert_eq!(clause("plan-reads(config), commit-writes(store)", "writes"), None);
+        assert_eq!(
+            clause("plan-reads(config), commit-writes(store)", "reads"),
+            None
+        );
+        assert_eq!(
+            clause("plan-reads(config), commit-writes(store)", "writes"),
+            None
+        );
     }
 
     /// A plan/commit stage: `run` delegates to a read-only `plan` and a

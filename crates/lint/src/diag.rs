@@ -122,8 +122,9 @@ pub struct Report {
 impl Report {
     /// Sorts findings into the canonical (file, line, col, rule) order.
     pub fn sort(&mut self) {
-        self.findings
-            .sort_by(|a, b| (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule)));
+        self.findings.sort_by(|a, b| {
+            (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule))
+        });
     }
 
     /// Findings that block the gate (errors without a waiver).
@@ -193,7 +194,13 @@ mod tests {
     use super::*;
 
     fn finding() -> Finding {
-        Finding::new(Rule::PanicUnwrap, "a.rs", 3, 7, "msg \"quoted\"".to_string())
+        Finding::new(
+            Rule::PanicUnwrap,
+            "a.rs",
+            3,
+            7,
+            "msg \"quoted\"".to_string(),
+        )
     }
 
     #[test]

@@ -168,7 +168,12 @@ pub fn rng_sanctioned(rel: &str) -> bool {
 /// the fixture tests; the cross-file rules require
 /// [`analyze_workspace`].
 #[must_use]
-pub fn lint_source(file: &str, source: &str, token_rules: &[Rule], crate_root: bool) -> Vec<Finding> {
+pub fn lint_source(
+    file: &str,
+    source: &str,
+    token_rules: &[Rule],
+    crate_root: bool,
+) -> Vec<Finding> {
     let lexed = lexer::lex(source);
     let mut findings = Vec::new();
     if !token_rules.is_empty() {
@@ -297,9 +302,9 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Analysis> {
     // Unused-waiver detection: an entry must have suppressed something.
     for (file, waivers) in &waiver_tables {
         for entry in waivers.entries() {
-            let used = findings.iter().any(|f| {
-                f.file == *file && f.waived && entry.matches(f.rule.name(), f.line)
-            });
+            let used = findings
+                .iter()
+                .any(|f| f.file == *file && f.waived && entry.matches(f.rule.name(), f.line));
             if !used {
                 findings.push(Finding::new(
                     Rule::WaiverUnused,
@@ -406,8 +411,7 @@ mod tests {
         assert!(!rules_for_path("crates/obs/src/manifest.rs").contains(&Rule::FloatCmp));
         assert!(rules_for_path("crates/obs/src/manifest.rs").contains(&Rule::PanicUnwrap));
         assert!(rules_for_path("src/cli.rs").is_empty());
-        assert!(rules_for_path("crates/bench/src/bin/all_figures.rs")
-            .contains(&Rule::DetWallClock));
+        assert!(rules_for_path("crates/bench/src/bin/all_figures.rs").contains(&Rule::DetWallClock));
         // The sanctioned wall-clock boundary: heartbeat.rs is audited
         // for clock use (so its allow-file waiver suppresses a real
         // finding), keeps its panic-scope rules, and its sibling

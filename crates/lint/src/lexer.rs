@@ -418,7 +418,9 @@ pub fn lex(source: &str) -> Lexed {
                     }
                 } else if bytes.get(i) == Some(&'.')
                     && !matches!(bytes.get(i + 1), Some(&'.'))
-                    && !bytes.get(i + 1).is_some_and(|d| d.is_alphabetic() || *d == '_')
+                    && !bytes
+                        .get(i + 1)
+                        .is_some_and(|d| d.is_alphabetic() || *d == '_')
                 {
                     // Trailing-dot float like `1.`.
                     is_float = true;
@@ -455,7 +457,11 @@ pub fn lex(source: &str) -> Lexed {
                 }
             }
             out.tokens.push(Token {
-                kind: if is_float { TokenKind::Float } else { TokenKind::Int },
+                kind: if is_float {
+                    TokenKind::Float
+                } else {
+                    TokenKind::Int
+                },
                 text,
                 line: start_line,
                 col: start_col,

@@ -743,7 +743,8 @@ mod tests {
 
     #[test]
     fn trait_decl_signatures_are_owned_by_the_trait() {
-        let ast = parse("pub trait RoundStage { fn name(&self) -> &'static str; fn run(&mut self); }");
+        let ast =
+            parse("pub trait RoundStage { fn name(&self) -> &'static str; fn run(&mut self); }");
         assert_eq!(ast.functions.len(), 2);
         assert!(ast
             .functions

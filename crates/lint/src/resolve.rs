@@ -20,11 +20,46 @@ pub type FnId = usize;
 /// Standard-library (or vendored-dep) types on which method calls never
 /// resolve to workspace functions.
 const STD_TYPES: &[&str] = &[
-    "Vec", "VecDeque", "BTreeMap", "BTreeSet", "BinaryHeap", "HashMap", "HashSet", "String",
-    "str", "Option", "Result", "Box", "Rc", "Arc", "Cow", "Cell", "RefCell", "Mutex", "RwLock",
-    "OnceLock", "OnceCell", "AtomicU64", "AtomicUsize", "AtomicBool", "Instant", "Duration",
-    "PathBuf", "Path", "StdRng", "SmallRng", "ChaCha8Rng", "Range", "RangeInclusive", "Ordering",
-    "Iterator", "Entry", "File", "BufWriter", "BufReader", "Wrapping",
+    "Vec",
+    "VecDeque",
+    "BTreeMap",
+    "BTreeSet",
+    "BinaryHeap",
+    "HashMap",
+    "HashSet",
+    "String",
+    "str",
+    "Option",
+    "Result",
+    "Box",
+    "Rc",
+    "Arc",
+    "Cow",
+    "Cell",
+    "RefCell",
+    "Mutex",
+    "RwLock",
+    "OnceLock",
+    "OnceCell",
+    "AtomicU64",
+    "AtomicUsize",
+    "AtomicBool",
+    "Instant",
+    "Duration",
+    "PathBuf",
+    "Path",
+    "StdRng",
+    "SmallRng",
+    "ChaCha8Rng",
+    "Range",
+    "RangeInclusive",
+    "Ordering",
+    "Iterator",
+    "Entry",
+    "File",
+    "BufWriter",
+    "BufReader",
+    "Wrapping",
 ];
 
 /// Whether `name` is a std/vendored container type that cuts resolution.
@@ -84,7 +119,9 @@ impl Workspace {
     /// Looks up a method on a concrete type.
     #[must_use]
     pub fn method(&self, owner: &str, name: &str) -> Option<FnId> {
-        self.by_owner_name.get(&(owner.to_string(), name.to_string())).copied()
+        self.by_owner_name
+            .get(&(owner.to_string(), name.to_string()))
+            .copied()
     }
 
     /// Looks up free functions by name.
@@ -136,11 +173,9 @@ mod tests {
 
     #[test]
     fn resolves_methods_and_free_fns() {
-        let w = ws(
-            "struct Store { peers: Vec<u32> }\n\
+        let w = ws("struct Store { peers: Vec<u32> }\n\
              impl Store { fn len(&self) -> usize { 0 } }\n\
-             fn helper() {}",
-        );
+             fn helper() {}");
         assert!(w.method("Store", "len").is_some());
         assert_eq!(w.free_fns("helper").len(), 1);
         assert_eq!(w.field_type("Store", "peers"), Some("Vec"));
@@ -150,10 +185,8 @@ mod tests {
 
     #[test]
     fn same_name_methods_stay_distinct_by_owner() {
-        let w = ws(
-            "impl Tracker { fn handout(&self) {} }\n\
-             impl CohortSink { fn handout(&mut self) {} }",
-        );
+        let w = ws("impl Tracker { fn handout(&self) {} }\n\
+             impl CohortSink { fn handout(&mut self) {} }");
         let t = w.method("Tracker", "handout").unwrap();
         let c = w.method("CohortSink", "handout").unwrap();
         assert_ne!(t, c);

@@ -355,9 +355,9 @@ pub fn check_tokens(rules: &[Rule], tokens: &[Token], file: &str, findings: &mut
             // A float literal on either side, allowing a unary minus.
             let right_float = match next {
                 Some(n) if n.kind == TokenKind::Float => true,
-                Some(n) if n.is_punct("-") => {
-                    tokens.get(i + 2).is_some_and(|m| m.kind == TokenKind::Float)
-                }
+                Some(n) if n.is_punct("-") => tokens
+                    .get(i + 2)
+                    .is_some_and(|m| m.kind == TokenKind::Float),
                 _ => false,
             };
             let left_float = prev.is_some_and(|p| p.kind == TokenKind::Float);
@@ -432,7 +432,11 @@ mod tests {
 
     #[test]
     fn btreemap_is_clean() {
-        assert!(run(&[Rule::DetUnorderedCollection], "use std::collections::BTreeMap;").is_empty());
+        assert!(run(
+            &[Rule::DetUnorderedCollection],
+            "use std::collections::BTreeMap;"
+        )
+        .is_empty());
     }
 
     #[test]
@@ -467,7 +471,10 @@ mod tests {
 
     #[test]
     fn panic_macros_flagged_but_paths_are_not() {
-        let f = run(&[Rule::PanicMacro], "panic!(\"boom\"); std::panic::catch_unwind(f);");
+        let f = run(
+            &[Rule::PanicMacro],
+            "panic!(\"boom\"); std::panic::catch_unwind(f);",
+        );
         assert_eq!(f.len(), 1);
     }
 

@@ -43,7 +43,8 @@ fn rng_reachability_positive_and_negative() {
         .collect();
     // Positives: the observer crate and the in-crate monitor file.
     assert!(
-        rng.iter().any(|f| f.file == "crates/obs/src/lib.rs" && f.message.contains("peek")),
+        rng.iter()
+            .any(|f| f.file == "crates/obs/src/lib.rs" && f.message.contains("peek")),
         "observer RNG use must be flagged: {rng:?}"
     );
     assert!(
@@ -90,7 +91,11 @@ fn stage_contracts_check_against_analyzed_capabilities() {
         .collect();
     // Exactly one stage is stale; the diagnostic embeds the exact fix.
     assert_eq!(contract.len(), 1, "{contract:?}");
-    assert!(contract[0].message.contains("`stale`"), "{}", contract[0].message);
+    assert!(
+        contract[0].message.contains("`stale`"),
+        "{}",
+        contract[0].message
+    );
     assert!(
         contract[0]
             .message
@@ -111,13 +116,15 @@ fn waiver_accounting_flags_stale_and_keeps_used() {
         .collect();
     assert_eq!(unused.len(), 1, "{unused:?}");
     assert_eq!(unused[0].file, "crates/obs/src/lib.rs");
-    assert!(unused[0].message.contains("panic-unwrap"), "{}", unused[0].message);
+    assert!(
+        unused[0].message.contains("panic-unwrap"),
+        "{}",
+        unused[0].message
+    );
     // The used determinism waiver in the model crate is not flagged,
     // and its finding stays visible as waived.
     assert!(a.report.findings.iter().any(|f| {
-        f.file == "crates/swarm/src/lib.rs"
-            && f.rule == Rule::DetUnorderedCollection
-            && f.waived
+        f.file == "crates/swarm/src/lib.rs" && f.rule == Rule::DetUnorderedCollection && f.waived
     }));
 }
 
@@ -139,7 +146,10 @@ fn test_trees_are_scanned_with_determinism_rules() {
 fn stage_matrix_classifies_fields_and_disjointness() {
     let a = analysis();
     let json = a.matrix.render_json();
-    assert!(json.contains("\"state\": [\"config\", \"store\", \"tracker\"]"), "{json}");
+    assert!(
+        json.contains("\"state\": [\"config\", \"store\", \"tracker\"]"),
+        "{json}"
+    );
     assert!(json.contains("\"telemetry\": [\"obs\"]"), "{json}");
     assert!(json.contains("\"rng\": [\"rng\"]"), "{json}");
     // good writes store, stale writes tracker: state-disjoint.
@@ -153,8 +163,14 @@ fn stage_matrix_classifies_fields_and_disjointness() {
 fn golden_snapshots() {
     let a = analysis();
     let cases = [
-        ("tests/fixtures/analyzer_report.json", a.report.render_json()),
-        ("tests/fixtures/analyzer_matrix.json", a.matrix.render_json()),
+        (
+            "tests/fixtures/analyzer_report.json",
+            a.report.render_json(),
+        ),
+        (
+            "tests/fixtures/analyzer_matrix.json",
+            a.matrix.render_json(),
+        ),
     ];
     for (rel, rendered) in cases {
         let golden_path = Path::new(env!("CARGO_MANIFEST_DIR")).join(rel);
@@ -183,10 +199,19 @@ fn blocking_census() {
         vec![
             ("det-wall-clock", "tests/scale.rs".to_string()),
             ("rng-reachability", "crates/obs/src/lib.rs".to_string()),
-            ("rng-reachability", "crates/swarm/src/monitors.rs".to_string()),
+            (
+                "rng-reachability",
+                "crates/swarm/src/monitors.rs".to_string()
+            ),
             ("shared-interior-mut", "crates/swarm/src/lib.rs".to_string()),
-            ("shared-unordered-helper", "crates/swarm/src/lib.rs".to_string()),
-            ("stage-contract", "crates/swarm/src/stages/pipeline.rs".to_string()),
+            (
+                "shared-unordered-helper",
+                "crates/swarm/src/lib.rs".to_string()
+            ),
+            (
+                "stage-contract",
+                "crates/swarm/src/stages/pipeline.rs".to_string()
+            ),
             ("waiver-unused", "crates/obs/src/lib.rs".to_string()),
         ]
     );

@@ -113,7 +113,9 @@ fn fixture_report() -> Report {
     ];
     for (file, source, rules, crate_root) in jobs {
         report.files_scanned += 1;
-        report.findings.extend(lint_source(file, source, rules, crate_root));
+        report
+            .findings
+            .extend(lint_source(file, source, rules, crate_root));
     }
     report.sort();
     report

@@ -6,8 +6,8 @@
 //! chains, used both as an analytical cross-check of the efficiency model
 //! and in tests.
 
-use crate::{Error, Result, TransitionMatrix};
 use crate::float::exactly_zero;
+use crate::{Error, Result, TransitionMatrix};
 
 /// A discrete-time birth–death chain on states `0..=n`.
 ///

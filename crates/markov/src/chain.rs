@@ -2,9 +2,9 @@
 
 use rand::Rng;
 
+use crate::float::exactly_zero;
 use crate::matrix::Matrix;
 use crate::{Error, Result};
-use crate::float::exactly_zero;
 
 /// Tolerance used when validating that rows sum to one.
 pub const STOCHASTIC_TOL: f64 = 1e-9;

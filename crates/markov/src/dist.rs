@@ -8,8 +8,8 @@
 
 use rand::Rng;
 
-use crate::{Error, Result};
 use crate::float::{exactly_one, exactly_zero};
+use crate::{Error, Result};
 
 /// Lanczos coefficients (g = 7, n = 9) for the log-gamma function.
 const LANCZOS_G: f64 = 7.0;

@@ -4,8 +4,8 @@
 //! Gaussian elimination with partial pivoting, and the handful of operations
 //! the absorbing-chain analysis requires. It is not a general BLAS.
 
-use crate::{Error, Result};
 use crate::float::exactly_zero;
+use crate::{Error, Result};
 
 /// A dense row-major `rows × cols` matrix of `f64`.
 ///

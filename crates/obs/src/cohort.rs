@@ -819,10 +819,7 @@ mod tests {
 
     fn sink(size: u32, seed: u64) -> (CohortSink, SharedBuf) {
         let buf = SharedBuf::default();
-        let sink = CohortSink::enabled(
-            CohortOptions { size, seed },
-            Box::new(buf.clone()),
-        );
+        let sink = CohortSink::enabled(CohortOptions { size, seed }, Box::new(buf.clone()));
         (sink, buf)
     }
 
@@ -875,7 +872,11 @@ mod tests {
         write_jsonl(&meta, &events, &mut jsonl).expect("export");
         let text = String::from_utf8(jsonl).expect("utf8");
         assert_eq!(text.lines().count(), events.len() + 1);
-        assert!(text.lines().next().expect("meta line").contains("\"seed\":9"));
+        assert!(text
+            .lines()
+            .next()
+            .expect("meta line")
+            .contains("\"seed\":9"));
     }
 
     #[test]

@@ -491,10 +491,8 @@ mod tests {
     use super::*;
 
     fn temp_dir(label: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "bt_obs_heartbeat_{}_{label}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("bt_obs_heartbeat_{}_{label}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("create temp dir");
         dir

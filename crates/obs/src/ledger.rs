@@ -366,7 +366,10 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let path = dir.join("ledger.jsonl");
         append_record(&path, &sample_record(1)).unwrap();
-        let mut file = std::fs::OpenOptions::new().append(true).open(&path).unwrap();
+        let mut file = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .unwrap();
         file.write_all(b"{not json\n").unwrap();
         drop(file);
         let err = read_ledger(&path).unwrap_err();

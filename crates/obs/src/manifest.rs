@@ -176,9 +176,7 @@ mod tests {
         let registry = Registry::new();
         registry.counter("arrivals").add(10);
         registry.counter("completions").add(7);
-        registry
-            .timer("exchange")
-            .record(Duration::from_millis(12));
+        registry.timer("exchange").record(Duration::from_millis(12));
         let mut manifest = RunManifest::new("swarm", fnv1a_hex(b"config"), 42);
         manifest.peak_population = 55;
         manifest.finish(&registry, Duration::from_secs(2));

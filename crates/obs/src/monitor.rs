@@ -42,7 +42,11 @@ pub struct Violation {
 
 impl std::fmt::Display for Violation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "[{}] round {}: {}", self.monitor, self.round, self.detail)
+        write!(
+            f,
+            "[{}] round {}: {}",
+            self.monitor, self.round, self.detail
+        )
     }
 }
 
@@ -288,7 +292,11 @@ mod tests {
         let fresh = set.check(&2);
         assert_eq!(fresh.len(), 1, "latched monitor fires on the drop");
         let fresh = set.check(&42);
-        assert_eq!(fresh.len(), 1, "above-ten fires at 42; 42 re-arms the latch");
+        assert_eq!(
+            fresh.len(),
+            1,
+            "above-ten fires at 42; 42 re-arms the latch"
+        );
         let fresh = set.check(&1);
         assert_eq!(fresh.len(), 1, "re-armed latch fires on the second drop");
 
@@ -335,9 +343,7 @@ mod tests {
         let bundle = DiagnosisBundle::create(&root, "demo-7").unwrap();
         assert!(bundle.dir().ends_with("diagnosis-demo-7"));
         let meta = bundle.write_json("meta.json", &Meta { round: 9 }).unwrap();
-        let rows = bundle
-            .write_lines("trail.jsonl", &[1u64, 2, 3])
-            .unwrap();
+        let rows = bundle.write_lines("trail.jsonl", &[1u64, 2, 3]).unwrap();
         let text = std::fs::read_to_string(meta).unwrap();
         assert!(text.contains("\"round\": 9"));
         let text = std::fs::read_to_string(rows).unwrap();

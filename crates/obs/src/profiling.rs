@@ -314,7 +314,11 @@ impl Profiler {
         let Some(current) = &mut self.current_stage else {
             return;
         };
-        match current.pending.iter_mut().find(|(name, _)| *name == counter) {
+        match current
+            .pending
+            .iter_mut()
+            .find(|(name, _)| *name == counter)
+        {
             Some((_, total)) => *total = total.saturating_add(amount),
             None => current.pending.push((counter, amount)),
         }
@@ -567,7 +571,10 @@ mod tests {
         assert!(establish.latency.p50_ns.is_some());
         assert!(establish.latency.p95_ns.is_some());
         let share_sum: f64 = report.stages.iter().map(|s| s.share).sum();
-        assert!((share_sum - 1.0).abs() < 1e-9, "shares sum to 1: {share_sum}");
+        assert!(
+            (share_sum - 1.0).abs() < 1e-9,
+            "shares sum to 1: {share_sum}"
+        );
 
         // Peer 3 earned 7×4 = 28, peer 1 earned 1×4 = 4; hottest first.
         assert_eq!(
@@ -595,10 +602,7 @@ mod tests {
         let report = sink.report().unwrap();
         assert_eq!(
             report.top_peers,
-            vec![
-                PeerWork { peer: 2, work: 5 },
-                PeerWork { peer: 9, work: 5 }
-            ],
+            vec![PeerWork { peer: 2, work: 5 }, PeerWork { peer: 9, work: 5 }],
             "equal work ranks by seq; third peer truncated"
         );
     }

@@ -105,4 +105,3 @@ pub fn read_doc<T: Deserialize>(path: &Path) -> std::io::Result<T> {
     let bytes = std::fs::read(path).map_err(|e| named(e.kind(), &e))?;
     serde_json::from_slice(&bytes).map_err(|e| named(std::io::ErrorKind::InvalidData, &e))
 }
-

@@ -52,7 +52,9 @@ impl Registry {
         let cell = counters
             .entry(name.to_string())
             .or_insert_with(|| Arc::new(AtomicU64::new(0)));
-        Counter { cell: Arc::clone(cell) }
+        Counter {
+            cell: Arc::clone(cell),
+        }
     }
 
     /// The timer named `name`, created empty on first use.
@@ -62,7 +64,9 @@ impl Registry {
         let cell = timers
             .entry(name.to_string())
             .or_insert_with(|| Arc::new(TimerCell::default()));
-        Timer { cell: Arc::clone(cell) }
+        Timer {
+            cell: Arc::clone(cell),
+        }
     }
 
     /// All counter totals, sorted by name.

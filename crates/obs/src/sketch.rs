@@ -278,8 +278,7 @@ impl P2Quantile {
             if (d >= 1.0 && step_up) || (d <= -1.0 && step_down) {
                 let d = d.signum();
                 let candidate = self.parabolic(i, d);
-                let monotone =
-                    self.heights[i - 1] < candidate && candidate < self.heights[i + 1];
+                let monotone = self.heights[i - 1] < candidate && candidate < self.heights[i + 1];
                 self.heights[i] = if monotone {
                     candidate
                 } else {
@@ -293,8 +292,11 @@ impl P2Quantile {
     /// Piecewise-parabolic (P²) height prediction for marker `i` moved
     /// by `d` (±1).
     fn parabolic(&self, i: usize, d: f64) -> f64 {
-        let (n_prev, n_cur, n_next) =
-            (self.positions[i - 1], self.positions[i], self.positions[i + 1]);
+        let (n_prev, n_cur, n_next) = (
+            self.positions[i - 1],
+            self.positions[i],
+            self.positions[i + 1],
+        );
         let (h_prev, h_cur, h_next) = (self.heights[i - 1], self.heights[i], self.heights[i + 1]);
         h_cur
             + d / (n_next - n_prev)
@@ -306,7 +308,8 @@ impl P2Quantile {
     fn linear(&self, i: usize, d: f64) -> f64 {
         #[allow(clippy::cast_possible_truncation)]
         let j = (i as f64 + d) as usize;
-        self.heights[i] + d * (self.heights[j] - self.heights[i]) / (self.positions[j] - self.positions[i])
+        self.heights[i]
+            + d * (self.heights[j] - self.heights[i]) / (self.positions[j] - self.positions[i])
     }
 
     /// Current estimate: exact for `n <= 5`, the central marker beyond.

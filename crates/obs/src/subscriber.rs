@@ -88,7 +88,13 @@ impl Subscriber for HumanSubscriber {
         self.filter.enabled(level, target)
     }
 
-    fn event(&self, level: Level, target: &str, message: &str, fields: &[(&'static str, FieldValue)]) {
+    fn event(
+        &self,
+        level: Level,
+        target: &str,
+        message: &str,
+        fields: &[(&'static str, FieldValue)],
+    ) {
         let mut line = format!("[{level:<5} {target}] {message}");
         for (key, value) in fields {
             line.push_str(&format!(" {key}={value}"));
@@ -123,7 +129,13 @@ impl Subscriber for JsonSubscriber {
         self.filter.enabled(level, target)
     }
 
-    fn event(&self, level: Level, target: &str, message: &str, fields: &[(&'static str, FieldValue)]) {
+    fn event(
+        &self,
+        level: Level,
+        target: &str,
+        message: &str,
+        fields: &[(&'static str, FieldValue)],
+    ) {
         use serde_json::Value;
         let rendered: Vec<(String, Value)> = fields
             .iter()
@@ -199,7 +211,10 @@ mod tests {
 
     #[test]
     fn field_values_render_as_json() {
-        assert_eq!(field_to_json(&FieldValue::U64(3)), serde_json::Value::UInt(3));
+        assert_eq!(
+            field_to_json(&FieldValue::U64(3)),
+            serde_json::Value::UInt(3)
+        );
         assert_eq!(
             field_to_json(&FieldValue::F64(f64::NAN)),
             serde_json::Value::Null

@@ -14,15 +14,21 @@ use proptest::prelude::*;
 
 fn arb_meta() -> impl Strategy<Value = HeartbeatMeta> {
     const COMMANDS: [&str; 2] = ["swarm", "doctor"];
-    (0usize..COMMANDS.len(), any::<u64>(), 0u64..=1_000_000, 0.0f64..=60.0).prop_map(
-        |(command, seed, target_rounds, interval_secs)| HeartbeatMeta {
-            schema_version: HEARTBEAT_SCHEMA_VERSION,
-            command: COMMANDS[command].to_string(),
-            seed,
-            target_rounds,
-            interval_secs,
-        },
+    (
+        0usize..COMMANDS.len(),
+        any::<u64>(),
+        0u64..=1_000_000,
+        0.0f64..=60.0,
     )
+        .prop_map(
+            |(command, seed, target_rounds, interval_secs)| HeartbeatMeta {
+                schema_version: HEARTBEAT_SCHEMA_VERSION,
+                command: COMMANDS[command].to_string(),
+                seed,
+                target_rounds,
+                interval_secs,
+            },
+        )
 }
 
 fn arb_beat() -> impl Strategy<Value = Heartbeat> {
@@ -65,7 +71,11 @@ fn arb_beat() -> impl Strategy<Value = Heartbeat> {
 fn render(meta: &HeartbeatMeta, beats: &[Heartbeat]) -> Vec<u8> {
     let mut bytes = Vec::new();
     let mut push = |record: &HeartbeatRecord| {
-        bytes.extend_from_slice(serde_json::to_string(record).expect("serializes").as_bytes());
+        bytes.extend_from_slice(
+            serde_json::to_string(record)
+                .expect("serializes")
+                .as_bytes(),
+        );
         bytes.push(b'\n');
     };
     push(&HeartbeatRecord::Meta(meta.clone()));

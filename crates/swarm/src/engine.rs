@@ -242,10 +242,7 @@ impl SwarmCore {
     ///
     /// Panics if `id` is not alive.
     pub fn depart(&mut self, id: PeerId) -> Peer {
-        let peer = self
-            .store
-            .remove(id)
-            .expect("departing peer must be alive");
+        let peer = self.store.remove(id).expect("departing peer must be alive");
         self.replication.on_departure(&peer.have);
         self.piece_cells.decr(peer.have.count());
         self.audit.pieces_departed += u64::from(peer.have.count());
@@ -389,7 +386,9 @@ impl SwarmCore {
         self.tracker.register(id);
         self.metrics.arrivals += 1;
         self.obs.arrivals.incr();
-        self.obs.peak_population.record_max(self.tracker.len() as u64);
+        self.obs
+            .peak_population
+            .record_max(self.tracker.len() as u64);
         let obs_lo = u64::from(self.config.observe_from);
         let obs_hi = obs_lo + u64::from(self.config.observers);
         if (obs_lo..obs_hi).contains(&id.seq()) {
@@ -1037,7 +1036,11 @@ impl Swarm {
     /// Emits a heartbeat if the attached emitter's wall-clock cadence
     /// says one is due. Emission errors are logged and swallowed.
     fn record_heartbeat(&mut self) {
-        if !self.heartbeat.as_ref().is_some_and(bt_obs::HeartbeatEmitter::due) {
+        if !self
+            .heartbeat
+            .as_ref()
+            .is_some_and(bt_obs::HeartbeatEmitter::due)
+        {
             return;
         }
         let pulse = self.heartbeat_pulse();
@@ -1174,7 +1177,10 @@ impl Swarm {
         }
         let oracle = replication_counts(
             core.config.pieces,
-            core.tracker.peers().iter().map(|&id| &core.store.peer(id).have),
+            core.tracker
+                .peers()
+                .iter()
+                .map(|&id| &core.store.peer(id).have),
         );
         assert_eq!(
             core.replication.counts(),

@@ -111,7 +111,10 @@ impl MonitorSample {
         }
         let oracle = replication_counts(
             core.config.pieces,
-            core.tracker.peers().iter().map(|&id| &core.store.peer(id).have),
+            core.tracker
+                .peers()
+                .iter()
+                .map(|&id| &core.store.peer(id).have),
         );
         MonitorSample {
             round: core.round,
@@ -388,8 +391,13 @@ impl Monitor<MonitorSample> for ObserverStall {
         let name = self.name();
         let limit = self.limit;
         let incomplete = |o: &&ObserverPhase| o.pieces < sample.pieces;
-        self.tracks
-            .retain(|peer, _| sample.observers.iter().filter(incomplete).any(|o| o.peer == *peer));
+        self.tracks.retain(|peer, _| {
+            sample
+                .observers
+                .iter()
+                .filter(incomplete)
+                .any(|o| o.peer == *peer)
+        });
         let mut violations = Vec::new();
         for obs in sample.observers.iter().filter(incomplete) {
             let fresh = StallTrack {
@@ -444,10 +452,7 @@ impl Monitor<MonitorSample> for SlotBalance {
                 sample,
                 format!(
                     "connection endpoints {} != 2 × (opened {} − closed {}) = {}",
-                    sample.degree_sum,
-                    sample.audit.conn_opened,
-                    sample.audit.conn_closed,
-                    expected
+                    sample.degree_sum, sample.audit.conn_opened, sample.audit.conn_closed, expected
                 ),
             ));
         }
@@ -467,7 +472,10 @@ impl Monitor<MonitorSample> for SlotBalance {
 
 /// The standard monitor battery with the given entropy thresholds.
 #[must_use]
-pub fn default_monitors(entropy_floor: f64, entropy_min_population: u64) -> MonitorSet<MonitorSample> {
+pub fn default_monitors(
+    entropy_floor: f64,
+    entropy_min_population: u64,
+) -> MonitorSet<MonitorSample> {
     let mut set = MonitorSet::new();
     set.push(Box::new(PieceConservation));
     set.push(Box::new(ReplicationOracle));
@@ -819,11 +827,7 @@ pub struct FaultSpec {
 
 /// Builds the bundle's peer slice: the violation subjects first, then
 /// alive peers in join order up to `cap` entries.
-pub(crate) fn peer_slice(
-    core: &SwarmCore,
-    subjects: &[u64],
-    cap: usize,
-) -> Vec<PeerSliceEntry> {
+pub(crate) fn peer_slice(core: &SwarmCore, subjects: &[u64], cap: usize) -> Vec<PeerSliceEntry> {
     let mut seqs: Vec<u64> = Vec::new();
     for &s in subjects {
         if !seqs.contains(&s) {
@@ -995,15 +999,25 @@ mod tests {
         let mut m = ObserverStall::new(3);
         // First sighting at round 1; rounds 2-3 are 1 and 2 rounds stalled.
         for round in 1..=3 {
-            assert!(m.check(&observed(round, &[(4, 2)])).is_empty(), "round {round}");
+            assert!(
+                m.check(&observed(round, &[(4, 2)])).is_empty(),
+                "round {round}"
+            );
         }
         let v = m.check(&observed(4, &[(4, 2)]));
         assert_eq!(v.len(), 1, "three rounds without progress");
         assert_eq!(v[0].monitor, "observer-stall");
         assert_eq!(v[0].subjects, vec![4]);
-        assert!(v[0].detail.contains("2/10 pieces for 3 rounds"), "{}", v[0].detail);
+        assert!(
+            v[0].detail.contains("2/10 pieces for 3 rounds"),
+            "{}",
+            v[0].detail
+        );
         assert!(v[0].detail.contains("last-download"), "{}", v[0].detail);
-        assert!(m.check(&observed(5, &[(4, 2)])).is_empty(), "episode already reported");
+        assert!(
+            m.check(&observed(5, &[(4, 2)])).is_empty(),
+            "episode already reported"
+        );
         // Progress re-arms; the next stall is a fresh episode.
         assert!(m.check(&observed(6, &[(4, 3)])).is_empty());
         assert!(m.check(&observed(8, &[(4, 3)])).is_empty());
@@ -1015,7 +1029,10 @@ mod tests {
         // Sampled every 4th round: the stall length is measured in rounds.
         let mut m = ObserverStall::new(5);
         assert!(m.check(&observed(4, &[(1, 0), (2, 0)])).is_empty());
-        assert!(m.check(&observed(8, &[(1, 0), (2, 1)])).is_empty(), "4 rounds < 5");
+        assert!(
+            m.check(&observed(8, &[(1, 0), (2, 1)])).is_empty(),
+            "4 rounds < 5"
+        );
         // Peer 1 has stalled 8 rounds; peer 2 progressed at round 8.
         let v = m.check(&observed(12, &[(1, 0), (2, 1)]));
         assert_eq!(v.len(), 1);

@@ -183,7 +183,10 @@ mod tests {
         assert!(p.is_neighbor(PeerId::synthetic(2)));
         p.connections.push(PeerId::synthetic(2));
         assert!(p.remove_neighbor(PeerId::synthetic(2)));
-        assert!(!p.is_connected(PeerId::synthetic(2)), "connection dropped too");
+        assert!(
+            !p.is_connected(PeerId::synthetic(2)),
+            "connection dropped too"
+        );
         assert!(!p.remove_neighbor(PeerId::synthetic(2)));
     }
 

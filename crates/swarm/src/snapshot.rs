@@ -175,7 +175,10 @@ mod tests {
         // Every count lands in its own unit-width bucket.
         assert_eq!(snap.availability.bin_count(max_rep as usize), 4);
         assert_eq!(snap.availability.overflow(), 0);
-        assert_eq!(snap.availability.bin_bounds(max_rep as usize).0, max_rep as f64);
+        assert_eq!(
+            snap.availability.bin_bounds(max_rep as usize).0,
+            max_rep as f64
+        );
     }
 
     #[test]

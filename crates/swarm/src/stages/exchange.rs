@@ -387,13 +387,21 @@ impl ExchangePieces {
             };
             if core.receive_block(a, piece_a) {
                 core.store.peer_mut(a).record_credit(b);
-                core.cohort
-                    .acquire(core.round, a.seq(), piece_a, bt_obs::acquire_source::EXCHANGE);
+                core.cohort.acquire(
+                    core.round,
+                    a.seq(),
+                    piece_a,
+                    bt_obs::acquire_source::EXCHANGE,
+                );
             }
             if core.receive_block(b, piece_b) {
                 core.store.peer_mut(b).record_credit(a);
-                core.cohort
-                    .acquire(core.round, b.seq(), piece_b, bt_obs::acquire_source::EXCHANGE);
+                core.cohort.acquire(
+                    core.round,
+                    b.seq(),
+                    piece_b,
+                    bt_obs::acquire_source::EXCHANGE,
+                );
             }
             // One block moved in each direction.
             core.obs.pieces_exchanged.add(2);

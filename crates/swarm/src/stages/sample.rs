@@ -37,7 +37,9 @@ impl RoundStage for SampleMetrics {
         core.audit.metric_samples += population as u64;
         core.metrics.population.push((round, population as u64));
         // Replication entropy over the leecher population.
-        core.metrics.entropy.push((round, core.replication.entropy()));
+        core.metrics
+            .entropy
+            .push((round, core.replication.entropy()));
         // Potential-set sizes and utilization are steady-state
         // measurements, so they respect the warm-up.
         let in_steady_state = round >= core.config.metrics_warmup_rounds;

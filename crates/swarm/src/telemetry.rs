@@ -281,7 +281,9 @@ impl std::str::FromStr for TelemetryFormat {
         match s {
             "jsonl" => Ok(TelemetryFormat::Jsonl),
             "csv" => Ok(TelemetryFormat::Csv),
-            other => Err(format!("unknown telemetry format `{other}`; use jsonl or csv")),
+            other => Err(format!(
+                "unknown telemetry format `{other}`; use jsonl or csv"
+            )),
         }
     }
 }
@@ -578,7 +580,10 @@ mod tests {
         // the from_snapshot path; covered end-to-end in tests/telemetry.rs.
         let format: TelemetryFormat = "jsonl".parse().unwrap();
         assert_eq!(format, TelemetryFormat::Jsonl);
-        assert_eq!("csv".parse::<TelemetryFormat>().unwrap(), TelemetryFormat::Csv);
+        assert_eq!(
+            "csv".parse::<TelemetryFormat>().unwrap(),
+            TelemetryFormat::Csv
+        );
         assert!("tsv".parse::<TelemetryFormat>().is_err());
     }
 
@@ -604,7 +609,11 @@ mod tests {
         assert_eq!(b.durations(), Some([4.0, 36.0, 6.0]));
 
         // A peer that finishes straight from trading has no last phase.
-        let events = [ev(3, Phase::Bootstrap), ev(5, Phase::Efficient), ev(20, Phase::Done)];
+        let events = [
+            ev(3, Phase::Bootstrap),
+            ev(5, Phase::Efficient),
+            ev(20, Phase::Done),
+        ];
         let b = ObserverBoundaries::from_events(&events).unwrap();
         assert_eq!(b.join, 2);
         assert_eq!(b.efficient_end, Some(20));
@@ -617,5 +626,4 @@ mod tests {
         assert_eq!(b.durations(), None);
         assert!(ObserverBoundaries::from_events(&[]).is_none());
     }
-
 }

@@ -8,7 +8,9 @@ use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use bt_swarm::{DoctorOptions, InitialPieces, Swarm, SwarmConfig, TelemetryOptions, TelemetryRecorder};
+use bt_swarm::{
+    DoctorOptions, InitialPieces, Swarm, SwarmConfig, TelemetryOptions, TelemetryRecorder,
+};
 
 /// An in-memory `Write` sink readable after the recorder (which owns a
 /// `Box<dyn Write>`) is done with it.
@@ -429,7 +431,10 @@ fn run_with_heartbeat(
     }
     if heartbeat {
         let emitter = swarm.take_heartbeat().expect("heartbeat stayed attached");
-        assert!(emitter.is_finished(), "take_heartbeat writes the final beat");
+        assert!(
+            emitter.is_finished(),
+            "take_heartbeat writes the final beat"
+        );
         assert!(
             emitter.beats() >= rounds,
             "zero-interval cadence beats every round"

@@ -252,8 +252,7 @@ fn violating_run_writes_a_complete_bundle() {
         meta.violations
     );
     let peers_text = std::fs::read_to_string(dir.join("peers.json")).unwrap();
-    let peers: Vec<bt_swarm::monitors::PeerSliceEntry> =
-        serde_json::from_str(&peers_text).unwrap();
+    let peers: Vec<bt_swarm::monitors::PeerSliceEntry> = serde_json::from_str(&peers_text).unwrap();
     assert!(!peers.is_empty(), "bundle captured a peer-state slice");
     let _ = std::fs::remove_dir_all(&root);
 }
@@ -275,12 +274,22 @@ fn observer_stall_fires_alone_and_bundles_the_check_ring() {
     });
     let (_metrics, _profile, report) = swarm.run_diagnosed();
     let report = report.expect("doctor was attached");
-    assert_eq!(report.monitors.last().map(String::as_str), Some("observer-stall"));
+    assert_eq!(
+        report.monitors.last().map(String::as_str),
+        Some("observer-stall")
+    );
     assert_eq!(firing_monitors(&report), vec!["observer-stall".to_string()]);
     let first = &report.report.violations[0];
-    assert_eq!(first.round, 6, "first seen at round 1, five rounds without progress");
+    assert_eq!(
+        first.round, 6,
+        "first seen at round 1, five rounds without progress"
+    );
     assert!(
-        report.report.violations.iter().all(|v| v.round == first.round),
+        report
+            .report
+            .violations
+            .iter()
+            .all(|v| v.round == first.round),
         "one episode per observer: {:?}",
         report.report.violations
     );
@@ -288,15 +297,29 @@ fn observer_stall_fires_alone_and_bundles_the_check_ring() {
     let dir = report.bundle_dir.clone().expect("bundle was written");
     let text = std::fs::read_to_string(dir.join("flight.json")).expect("flight.json written");
     let dump: serde_json::Value = serde_json::from_str(&text).expect("flight.json is JSON");
-    assert_eq!(dump.get("reason").and_then(|v| v.as_str()), Some("observer-stall"));
-    assert_eq!(dump.get("round").and_then(|v| v.as_u64()), Some(first.round));
-    assert_eq!(dump.get("recorded").and_then(|v| v.as_u64()), Some(6), "checks at rounds 1..=6");
+    assert_eq!(
+        dump.get("reason").and_then(|v| v.as_str()),
+        Some("observer-stall")
+    );
+    assert_eq!(
+        dump.get("round").and_then(|v| v.as_u64()),
+        Some(first.round)
+    );
+    assert_eq!(
+        dump.get("recorded").and_then(|v| v.as_u64()),
+        Some(6),
+        "checks at rounds 1..=6"
+    );
     let rounds: Vec<u64> = dump
         .get("events")
         .and_then(|v| v.as_array())
         .expect("events array")
         .iter()
-        .map(|e| e.get("round").and_then(|r| r.as_u64()).expect("event round"))
+        .map(|e| {
+            e.get("round")
+                .and_then(|r| r.as_u64())
+                .expect("event round")
+        })
         .collect();
     // The ring keeps the last `flight_capacity` checks, oldest first,
     // ending at the violation.

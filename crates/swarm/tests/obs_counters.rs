@@ -39,14 +39,18 @@ fn counters_match_swarm_metrics() {
     // sample time, so only the ordering is exact: the peak bounds every
     // sample and can never exceed the total number of arrivals.
     let peak = counter(&registry, "swarm.peak_population");
-    let max_sampled = metrics.population.iter().map(|&(_, p)| p).max().unwrap_or(0);
+    let max_sampled = metrics
+        .population
+        .iter()
+        .map(|&(_, p)| p)
+        .max()
+        .unwrap_or(0);
     assert!(peak >= max_sampled);
     assert!(peak > 0 && peak <= metrics.arrivals);
     assert!(counter(&registry, "swarm.pieces_exchanged") > 0);
     assert!(counter(&registry, "swarm.bootstrap_injections") > 0);
     assert!(
-        counter(&registry, "swarm.conn_successes")
-            <= counter(&registry, "swarm.conn_attempts")
+        counter(&registry, "swarm.conn_successes") <= counter(&registry, "swarm.conn_attempts")
     );
     assert!(counter(&registry, "swarm.conn_successes") > 0);
 }

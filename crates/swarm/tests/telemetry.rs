@@ -8,8 +8,7 @@ use proptest::prelude::*;
 
 use bt_model::Phase;
 use bt_swarm::telemetry::{
-    PhaseEvent, TelemetryMeta, TelemetryRecord, TelemetrySample,
-    TELEMETRY_SCHEMA_VERSION,
+    PhaseEvent, TelemetryMeta, TelemetryRecord, TelemetrySample, TELEMETRY_SCHEMA_VERSION,
 };
 use bt_swarm::{InitialPieces, Swarm, SwarmConfig, TelemetryOptions, TelemetryRecorder};
 
@@ -123,10 +122,10 @@ fn stride_thins_samples_but_not_phase_detection() {
     assert_eq!(recorder.samples(), 4);
     // Phase detection ran every round regardless: the endowed observers
     // were classified from round 1.
-    assert!(recorder
-        .phase_events()
-        .iter()
-        .any(|e| e.round == 1), "first-round classification missing");
+    assert!(
+        recorder.phase_events().iter().any(|e| e.round == 1),
+        "first-round classification missing"
+    );
 }
 
 #[test]
@@ -224,8 +223,8 @@ fn record_strategy() -> impl Strategy<Value = TelemetryRecord> {
         (0u64..100, 0u64..10_000, 0u8..4),
         (1u32..500, 1u32..16, 1u32..32, 0u64..u64::MAX, 1u64..100),
     )
-        .prop_map(|(selector, sample, phase_fields, meta_fields)| {
-            match selector {
+        .prop_map(
+            |(selector, sample, phase_fields, meta_fields)| match selector {
                 0 => sample,
                 1 => {
                     let (peer, round, phase) = phase_fields;
@@ -248,8 +247,8 @@ fn record_strategy() -> impl Strategy<Value = TelemetryRecord> {
                         stride,
                     })
                 }
-            }
-        })
+            },
+        )
 }
 
 proptest! {

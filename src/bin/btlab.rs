@@ -52,10 +52,7 @@ fn main() {
     // The ledger tracks simulation runs; one record per swarm or
     // doctor invocation, appended even when the run fails so a
     // violation shows up in `btlab trend`.
-    let wants_ledger = matches!(
-        command,
-        cli::Command::Swarm(_) | cli::Command::Doctor(_)
-    );
+    let wants_ledger = matches!(command, cli::Command::Swarm(_) | cli::Command::Doctor(_));
     let start = std::time::Instant::now();
 
     let mut stdout = std::io::stdout().lock();

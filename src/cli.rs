@@ -1012,12 +1012,16 @@ fn parse_compare(rest: &[String]) -> Result<Command, String> {
     }
     if let Some(budget) = obs_budget {
         if !(0.0..=100.0).contains(&budget) {
-            return Err(format!("--obs-budget is a percentage (0..=100), got {budget}"));
+            return Err(format!(
+                "--obs-budget is a percentage (0..=100), got {budget}"
+            ));
         }
     }
     if let Some(budget) = mem_budget {
         if !(0.0..=100.0).contains(&budget) {
-            return Err(format!("--mem-budget is a percentage (0..=100), got {budget}"));
+            return Err(format!(
+                "--mem-budget is a percentage (0..=100), got {budget}"
+            ));
         }
     }
     // With --obs-budget, a single manifest path gates observer overhead
@@ -1204,7 +1208,10 @@ pub fn swarm_pipeline_names(a: &SwarmArgs) -> Vec<String> {
     let Ok(config) = swarm_config(a) else {
         return Vec::new();
     };
-    swarm_stages(a, &config).iter().map(|s| s.name().to_string()).collect()
+    swarm_stages(a, &config)
+        .iter()
+        .map(|s| s.name().to_string())
+        .collect()
 }
 
 /// What a run of `a` simulates: the serialized configuration and the
@@ -1241,10 +1248,7 @@ fn build_swarm(a: &SwarmArgs, command: &str) -> Result<bt_swarm::Swarm, String> 
     if let Some(path) = &a.cohort {
         let file = std::fs::File::create(path)
             .map_err(|e| format!("cannot create cohort file {path}: {e}"))?;
-        swarm.attach_cohort(
-            a.cohort_size,
-            Box::new(std::io::BufWriter::new(file)),
-        );
+        swarm.attach_cohort(a.cohort_size, Box::new(std::io::BufWriter::new(file)));
     }
     if let Some(dir) = &a.heartbeat {
         let emitter = bt_obs::HeartbeatEmitter::new(
@@ -1624,8 +1628,16 @@ fn report_telemetry<W: std::io::Write>(
             "boundary", "predicted", "observed", "delta"
         )?;
         for (name, p, o) in [
-            ("bootstrap_end", predicted.bootstrap_end, observed.bootstrap_end),
-            ("efficient_end", predicted.efficient_end, observed.efficient_end),
+            (
+                "bootstrap_end",
+                predicted.bootstrap_end,
+                observed.bootstrap_end,
+            ),
+            (
+                "efficient_end",
+                predicted.efficient_end,
+                observed.efficient_end,
+            ),
             ("completion", predicted.completion, observed.completion),
         ] {
             writeln!(out, "{name:<14} {p:>10.1} {o:>10.1} {:>+8.1}", o - p)?;
@@ -1634,9 +1646,8 @@ fn report_telemetry<W: std::io::Write>(
     }
 
     if let Some(path) = &a.manifest {
-        let manifest: bt_obs::RunManifest =
-            bt_obs::records::read_doc(std::path::Path::new(path))
-                .map_err(|e| read_error("manifest", e))?;
+        let manifest: bt_obs::RunManifest = bt_obs::records::read_doc(std::path::Path::new(path))
+            .map_err(|e| read_error("manifest", e))?;
         writeln!(
             out,
             "\nmanifest: command={} seed={} wall_clock={:.2}s",
@@ -1673,7 +1684,11 @@ fn report_telemetry<W: std::io::Write>(
         if !manifest.pipeline.is_empty() {
             writeln!(out, "pipeline: {}", manifest.pipeline.join(" -> "))?;
             if !manifest.disabled_stages.is_empty() {
-                writeln!(out, "disabled stages: {}", manifest.disabled_stages.join(", "))?;
+                writeln!(
+                    out,
+                    "disabled stages: {}",
+                    manifest.disabled_stages.join(", ")
+                )?;
             }
             // Cross-check the recorded configuration against the timers
             // the run actually exercised: a `round.<stage>` timer with
@@ -1700,9 +1715,8 @@ fn report_telemetry<W: std::io::Write>(
                     .iter()
                     .any(|(name, t)| *name == timer && t.count > 0);
                 if !ran {
-                    let warning = format!(
-                        "pipeline stage `{stage}` has no recorded {timer} timer samples"
-                    );
+                    let warning =
+                        format!("pipeline stage `{stage}` has no recorded {timer} timer samples");
                     writeln!(out, "warning: {warning}")?;
                     warnings.push(warning);
                 }
@@ -1848,9 +1862,8 @@ fn ms(ns: Option<u64>) -> String {
 /// and the hottest peers by attributed work. With `--json`, re-emits
 /// the validated report as stable machine-readable JSON instead.
 fn run_profile<W: std::io::Write>(a: &ProfileArgs, out: &mut W) -> Result<(), CliError> {
-    let report: bt_obs::ProfileReport =
-        bt_obs::records::read_doc(std::path::Path::new(&a.input))
-            .map_err(|e| read_error("profile", e))?;
+    let report: bt_obs::ProfileReport = bt_obs::records::read_doc(std::path::Path::new(&a.input))
+        .map_err(|e| read_error("profile", e))?;
     if a.json {
         let json = serde_json::to_string_pretty(&report)
             .map_err(|e| format!("serialization error: {e}"))?;
@@ -2000,9 +2013,7 @@ fn load_compare_side(path: &str) -> Result<CompareSide, CliError> {
         let stages = manifest
             .phase_secs
             .iter()
-            .filter_map(|(name, secs)| {
-                name.strip_prefix("round.").map(|s| (s.to_string(), *secs))
-            })
+            .filter_map(|(name, secs)| name.strip_prefix("round.").map(|s| (s.to_string(), *secs)))
             .collect();
         let rounds_per_sec = manifest.counter("swarm.rounds").and_then(|rounds| {
             (rounds > 0 && manifest.wall_clock_secs > 0.0)
@@ -2088,7 +2099,9 @@ fn run_compare<W: std::io::Write>(a: &CompareArgs, out: &mut W) -> Result<(), Cl
                     "{name:<16} {b:>12.6} {c:>12.6} {delta_pct:>+8.1}% {verdict}"
                 )?;
                 if regressed {
-                    regressions.push(format!("stage {name}: {b:.6}s -> {c:.6}s ({delta_pct:+.1}%)"));
+                    regressions.push(format!(
+                        "stage {name}: {b:.6}s -> {c:.6}s ({delta_pct:+.1}%)"
+                    ));
                 }
             }
             (Some(b), None) => {
@@ -2384,8 +2397,17 @@ fn run_trend<W: std::io::Write>(a: &TrendArgs, out: &mut W) -> Result<(), CliErr
     writeln!(
         out,
         "{:>4} {:<12} {:>6} {:>10} {:>8} {:>10} {:>4} {:>14} {:>6} {:>8} {:>6}",
-        "#", "command", "seed", "config", "rounds", "peak_pop", "thr", "rounds_per_sec", "obs%",
-        "peak_mib", "viol"
+        "#",
+        "command",
+        "seed",
+        "config",
+        "rounds",
+        "peak_pop",
+        "thr",
+        "rounds_per_sec",
+        "obs%",
+        "peak_mib",
+        "viol"
     )?;
     let first_index = records.len() - window.len();
     for (i, r) in window.iter().enumerate() {
@@ -2688,15 +2710,29 @@ mod tests {
         // Without departures, completed peers linger: population equals
         // arrivals and no completions are recorded.
         let cmd = parse(&args(&[
-            "swarm", "--pieces", "8", "--k", "3", "--s", "6", "--lambda", "0.0",
-            "--initial", "10", "--rounds", "60", "--seed", "5", "--json",
-            "--disable-stage", "depart",
+            "swarm",
+            "--pieces",
+            "8",
+            "--k",
+            "3",
+            "--s",
+            "6",
+            "--lambda",
+            "0.0",
+            "--initial",
+            "10",
+            "--rounds",
+            "60",
+            "--seed",
+            "5",
+            "--json",
+            "--disable-stage",
+            "depart",
         ]))
         .unwrap();
         let mut buf = Vec::new();
         run(cmd, &mut buf).unwrap();
-        let metrics: serde_json::Value =
-            serde_json::from_slice(&buf).expect("json metrics");
+        let metrics: serde_json::Value = serde_json::from_slice(&buf).expect("json metrics");
         assert_eq!(metrics.get("departures").and_then(|v| v.as_u64()), Some(0));
         assert_eq!(metrics.get("rounds_run").and_then(|v| v.as_u64()), Some(60));
     }
@@ -2856,7 +2892,10 @@ mod tests {
         let mut buf = Vec::new();
         run(cmd, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
-        assert!(text.contains("\"schema\": \"bt-lint/stage-matrix/v1\""), "{text}");
+        assert!(
+            text.contains("\"schema\": \"bt-lint/stage-matrix/v1\""),
+            "{text}"
+        );
         assert!(text.contains("\"write_disjointness\""), "{text}");
     }
 
@@ -2939,7 +2978,15 @@ mod tests {
             for changed in [
                 &[command, "--pieces", "20", "--seed", "5"][..],
                 &[command, "--pieces", "21", "--seed", "4"],
-                &[command, "--pieces", "20", "--seed", "4", "--disable-stage", "depart"],
+                &[
+                    command,
+                    "--pieces",
+                    "20",
+                    "--seed",
+                    "4",
+                    "--disable-stage",
+                    "depart",
+                ],
             ] {
                 assert_ne!(hash(changed), base, "{changed:?} kept the hash");
             }
@@ -2950,7 +2997,15 @@ mod tests {
             "the monitor settings are part of a doctor run's identity"
         );
         assert_ne!(
-            hash(&["doctor", "--pieces", "20", "--seed", "4", "--inject-fault", "index-drift@3"]),
+            hash(&[
+                "doctor",
+                "--pieces",
+                "20",
+                "--seed",
+                "4",
+                "--inject-fault",
+                "index-drift@3"
+            ]),
             hash(&["doctor", "--pieces", "20", "--seed", "4"]),
         );
     }
@@ -2970,7 +3025,13 @@ mod tests {
         assert_eq!(cmd.name(), "watch");
         assert_eq!(cmd.seed(), None);
         let cmd = parse(&args(&[
-            "watch", "d", "--timeout-secs", "30", "--interval-secs", "0.2", "--json",
+            "watch",
+            "d",
+            "--timeout-secs",
+            "30",
+            "--interval-secs",
+            "0.2",
+            "--json",
         ]))
         .unwrap();
         let Command::Watch(a) = cmd else {
@@ -3008,12 +3069,26 @@ mod tests {
 
     #[test]
     fn compare_mem_budget_parses_and_validates() {
-        let cmd = parse(&args(&["compare", "a.json", "b.json", "--mem-budget", "50"])).unwrap();
+        let cmd = parse(&args(&[
+            "compare",
+            "a.json",
+            "b.json",
+            "--mem-budget",
+            "50",
+        ]))
+        .unwrap();
         let Command::Compare(a) = cmd else {
             panic!("expected compare");
         };
         assert_eq!(a.mem_budget, Some(50.0));
-        assert!(parse(&args(&["compare", "a.json", "b.json", "--mem-budget", "120"])).is_err());
+        assert!(parse(&args(&[
+            "compare",
+            "a.json",
+            "b.json",
+            "--mem-budget",
+            "120"
+        ]))
+        .is_err());
         // No gate-only mode for memory: peak RSS is judged relative to
         // a baseline, so one positional cannot carry the gate.
         assert!(parse(&args(&["compare", "a.json", "--mem-budget", "50"])).is_err());
@@ -3039,7 +3114,12 @@ mod tests {
         assert_eq!(a.telemetry_stride, 5);
         // Anomaly capture moved to the doctor: the swarm has no flight
         // recorder flags.
-        for gone in ["--flight", "--entropy-floor", "--flight-capacity", "--stall-rounds"] {
+        for gone in [
+            "--flight",
+            "--entropy-floor",
+            "--flight-capacity",
+            "--stall-rounds",
+        ] {
             let err = parse(&args(&["swarm", gone, "1"])).unwrap_err();
             assert!(err.contains("unknown flag"), "{gone}: {err}");
         }
@@ -3139,8 +3219,11 @@ mod tests {
         assert!(err.to_string().contains("is empty"), "{err}");
 
         // A stream with records but no Meta header (e.g. CSV format).
-        std::fs::write(&path, "{\"Phase\":{\"peer\":1,\"round\":2,\"phase\":\"Bootstrap\"}}\n")
-            .unwrap();
+        std::fs::write(
+            &path,
+            "{\"Phase\":{\"peer\":1,\"round\":2,\"phase\":\"Bootstrap\"}}\n",
+        )
+        .unwrap();
         let err = report(path.to_str().unwrap()).unwrap_err();
         assert_eq!(err.exit_code(), 2, "headerless stream is a data error");
         assert!(err.to_string().contains("no Meta header"), "{err}");
@@ -3219,8 +3302,14 @@ mod tests {
         assert!((a.tolerance - 0.10).abs() < 1e-12);
         assert_eq!(cmd.name(), "compare");
         assert_eq!(cmd.seed(), None);
-        let cmd =
-            parse(&args(&["compare", "--tolerance", "0.25", "base.json", "cand.json"])).unwrap();
+        let cmd = parse(&args(&[
+            "compare",
+            "--tolerance",
+            "0.25",
+            "base.json",
+            "cand.json",
+        ]))
+        .unwrap();
         let Command::Compare(a) = cmd else {
             panic!("expected compare");
         };
@@ -3232,7 +3321,14 @@ mod tests {
 
         // --obs-budget rides along a two-sided compare, and unlocks the
         // single-manifest gate-only form.
-        let cmd = parse(&args(&["compare", "a.json", "b.json", "--obs-budget", "10"])).unwrap();
+        let cmd = parse(&args(&[
+            "compare",
+            "a.json",
+            "b.json",
+            "--obs-budget",
+            "10",
+        ]))
+        .unwrap();
         let Command::Compare(a) = cmd else {
             panic!("expected compare");
         };
@@ -3323,7 +3419,10 @@ mod tests {
         assert!(text.contains("top peers"), "{text}");
         // --top 1 keeps only the hottest peer.
         assert!(text.contains('3'), "{text}");
-        assert!(!text.lines().any(|l| l.trim_start().starts_with("1 ")), "{text}");
+        assert!(
+            !text.lines().any(|l| l.trim_start().starts_with("1 ")),
+            "{text}"
+        );
         std::fs::remove_file(&path).ok();
     }
 
@@ -3372,8 +3471,15 @@ mod tests {
         bt_obs::records::write_doc(&cand, &sample_report(2.0, 0.5)).unwrap();
         let mut buf = Vec::new();
         let err = compare(0.10, &mut buf).unwrap_err();
-        assert_eq!(err.exit_code(), 1, "regressions are failures, not data errors");
-        assert!(err.to_string().contains("regression(s) beyond tolerance"), "{err}");
+        assert_eq!(
+            err.exit_code(),
+            1,
+            "regressions are failures, not data errors"
+        );
+        assert!(
+            err.to_string().contains("regression(s) beyond tolerance"),
+            "{err}"
+        );
         assert!(err.to_string().contains("establish"), "{err}");
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("REGRESSED"), "{text}");
@@ -3439,7 +3545,10 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err.exit_code(), 2, "malformed inputs are data errors");
-        assert!(err.to_string().contains("neither a profile report"), "{err}");
+        assert!(
+            err.to_string().contains("neither a profile report"),
+            "{err}"
+        );
         std::fs::remove_file(&path).ok();
     }
 
@@ -3498,10 +3607,7 @@ mod tests {
         assert!(text.contains("2.000"), "{text}");
         assert!(text.contains("pipeline: maintain -> depart"), "{text}");
         assert!(text.contains("disabled stages: shake"), "{text}");
-        assert!(
-            text.contains("is not in the manifest pipeline"),
-            "{text}"
-        );
+        assert!(text.contains("is not in the manifest pipeline"), "{text}");
         assert!(
             text.contains("no recorded round.depart timer samples"),
             "{text}"
@@ -3593,9 +3699,20 @@ mod tests {
             "depart",
         ]))
         .unwrap_err();
-        assert!(err.contains("--disable-stage given more than once"), "{err}");
-        let err = parse(&args(&["doctor", "--seed", "1", "--cadence", "2", "--seed", "3"]))
-            .unwrap_err();
+        assert!(
+            err.contains("--disable-stage given more than once"),
+            "{err}"
+        );
+        let err = parse(&args(&[
+            "doctor",
+            "--seed",
+            "1",
+            "--cadence",
+            "2",
+            "--seed",
+            "3",
+        ]))
+        .unwrap_err();
         assert!(err.contains("--seed given more than once"), "{err}");
         // A comma list stays the way to pass several stages.
         let Command::Swarm(a) =
@@ -3627,7 +3744,13 @@ mod tests {
         assert!((a.tolerance - 0.10).abs() < 1e-12);
 
         let cmd = parse(&args(&[
-            "trend", "--ledger", "l.jsonl", "--last", "3", "--tolerance", "0.2",
+            "trend",
+            "--ledger",
+            "l.jsonl",
+            "--last",
+            "3",
+            "--tolerance",
+            "0.2",
         ]))
         .unwrap();
         let Command::Trend(a) = cmd else {
@@ -3713,7 +3836,8 @@ mod tests {
         assert_eq!(err.exit_code(), 1, "strict warnings are run failures");
         assert!(err.to_string().contains("--strict"), "{err}");
         assert!(
-            err.to_string().contains("no recorded round.depart timer samples"),
+            err.to_string()
+                .contains("no recorded round.depart timer samples"),
             "{err}"
         );
 
@@ -3886,7 +4010,10 @@ mod tests {
         let mut buf = Vec::new();
         run(Command::Trend(trend_args.clone()), &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
-        assert!(text.contains("no metrics drifted beyond tolerance"), "{text}");
+        assert!(
+            text.contains("no metrics drifted beyond tolerance"),
+            "{text}"
+        );
 
         // A config change resets the comparison baseline.
         let mut fresh = ledger_record(5, 10.0, 0);
@@ -4002,8 +4129,15 @@ mod tests {
 
         let (result, text) = gate(2.5);
         let err = result.unwrap_err();
-        assert_eq!(err.exit_code(), 1, "over budget is a failure, not a data error");
-        assert!(err.to_string().contains("exceeds the --obs-budget"), "{err}");
+        assert_eq!(
+            err.exit_code(),
+            1,
+            "over budget is a failure, not a data error"
+        );
+        assert!(
+            err.to_string().contains("exceeds the --obs-budget"),
+            "{err}"
+        );
         assert!(text.contains("OVER BUDGET"), "{text}");
         std::fs::remove_file(&path).ok();
 
@@ -4033,10 +4167,25 @@ mod tests {
         let trace = std::env::temp_dir().join("btlab-cli-cohort-unit.cohort");
         let export = std::env::temp_dir().join("btlab-cli-cohort-unit.jsonl");
         let cmd = parse(&args(&[
-            "swarm", "--pieces", "8", "--k", "3", "--s", "6", "--lambda", "0.2",
-            "--initial", "12", "--rounds", "80", "--seed", "11",
-            "--cohort", trace.to_str().unwrap(),
-            "--cohort-size", "4",
+            "swarm",
+            "--pieces",
+            "8",
+            "--k",
+            "3",
+            "--s",
+            "6",
+            "--lambda",
+            "0.2",
+            "--initial",
+            "12",
+            "--rounds",
+            "80",
+            "--seed",
+            "11",
+            "--cohort",
+            trace.to_str().unwrap(),
+            "--cohort-size",
+            "4",
         ]))
         .unwrap();
         let Command::Swarm(ref a) = cmd else {
@@ -4083,7 +4232,11 @@ mod tests {
             &mut buf,
         )
         .unwrap_err();
-        assert_eq!(err.exit_code(), 2, "truncated cohort stream is a data error");
+        assert_eq!(
+            err.exit_code(),
+            2,
+            "truncated cohort stream is a data error"
+        );
         std::fs::remove_file(&trace).ok();
         std::fs::remove_file(&export).ok();
     }

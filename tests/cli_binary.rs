@@ -95,7 +95,15 @@ fn traces_then_analyze_pipeline() {
 }
 
 const LOG_TEST_SWARM: [&str; 9] = [
-    "swarm", "--pieces", "10", "--rounds", "60", "--initial", "8", "--seed", "3",
+    "swarm",
+    "--pieces",
+    "10",
+    "--rounds",
+    "60",
+    "--initial",
+    "8",
+    "--seed",
+    "3",
 ];
 
 #[test]
@@ -123,14 +131,20 @@ fn json_log_mode_emits_json_lines_and_manifest() {
             messages.push(msg.to_string());
         }
     }
-    assert!(messages.iter().any(|m| m == "swarm run finished"), "{messages:?}");
+    assert!(
+        messages.iter().any(|m| m == "swarm run finished"),
+        "{messages:?}"
+    );
 
     // The manifest landed next to the (redirected) results with live
     // counter totals and per-phase wall clock.
     let manifest_path = dir.join("manifest-swarm.json");
     let text = std::fs::read_to_string(&manifest_path).expect("manifest written");
     let manifest: serde_json::Value = serde_json::from_str(&text).expect("manifest is JSON");
-    assert_eq!(manifest.get("command").and_then(|v| v.as_str()), Some("swarm"));
+    assert_eq!(
+        manifest.get("command").and_then(|v| v.as_str()),
+        Some("swarm")
+    );
     assert_eq!(manifest.get("seed").and_then(|v| v.as_u64()), Some(3));
     let counters: std::collections::BTreeMap<String, u64> = manifest
         .get("counters")
@@ -148,7 +162,13 @@ fn json_log_mode_emits_json_lines_and_manifest() {
     assert!(counters["swarm.arrivals"] > 0, "{counters:?}");
     assert!(counters["swarm.pieces_exchanged"] > 0, "{counters:?}");
     assert!(counters["swarm.completions"] > 0, "{counters:?}");
-    assert!(manifest.get("peak_population").and_then(|v| v.as_u64()).expect("peak") > 0);
+    assert!(
+        manifest
+            .get("peak_population")
+            .and_then(|v| v.as_u64())
+            .expect("peak")
+            > 0
+    );
     let phases = manifest
         .get("phase_secs")
         .and_then(|v| v.as_array())
@@ -159,7 +179,10 @@ fn json_log_mode_emits_json_lines_and_manifest() {
         .collect();
     // One timer per default-pipeline stage (shake is config-gated off
     // here), plus the obs.* observer timers the budget gate reads.
-    let round_stages = phase_names.iter().filter(|n| n.starts_with("round.")).count();
+    let round_stages = phase_names
+        .iter()
+        .filter(|n| n.starts_with("round."))
+        .count();
     assert_eq!(round_stages, 7, "{phase_names:?}");
     assert!(phase_names.contains(&"round.depart"), "{phase_names:?}");
     assert!(!phase_names.contains(&"round.shake"), "{phase_names:?}");
@@ -305,15 +328,19 @@ fn swarm_telemetry_then_report_pipeline() {
     assert!(report.contains("detected phase boundaries"), "{report}");
     assert!(report.contains("model comparison"), "{report}");
     let entropy_of = |text: &str| {
-        let start = text.find("final_entropy=").expect("final_entropy present")
-            + "final_entropy=".len();
+        let start =
+            text.find("final_entropy=").expect("final_entropy present") + "final_entropy=".len();
         text[start..]
             .split_whitespace()
             .next()
             .expect("value follows")
             .to_string()
     };
-    assert_eq!(entropy_of(&summary), entropy_of(&report), "\n{summary}\n{report}");
+    assert_eq!(
+        entropy_of(&summary),
+        entropy_of(&report),
+        "\n{summary}\n{report}"
+    );
 
     // CSV format produces a sample table with a header.
     let csv = dir.join("run.csv");
@@ -354,7 +381,10 @@ fn swarm_flight_flag_is_gone_and_exits_two() {
         .expect("binary runs");
     assert_eq!(out.status.code(), Some(2), "unknown flags are usage errors");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unknown flag --flight for swarm"), "{stderr}");
+    assert!(
+        stderr.contains("unknown flag --flight for swarm"),
+        "{stderr}"
+    );
 }
 
 #[test]
@@ -365,16 +395,37 @@ fn doctor_stall_rounds_catches_a_no_progress_swarm() {
     std::fs::remove_dir_all(&dir).ok();
     let out = btlab()
         .args([
-            "doctor", "--pieces", "10", "--initial", "8", "--lambda", "0", "--rounds", "30",
-            "--seed", "5", "--cadence", "1", "--disable-stage", "bootstrap", "--observers", "2",
-            "--stall-rounds", "5", "--log", "quiet",
+            "doctor",
+            "--pieces",
+            "10",
+            "--initial",
+            "8",
+            "--lambda",
+            "0",
+            "--rounds",
+            "30",
+            "--seed",
+            "5",
+            "--cadence",
+            "1",
+            "--disable-stage",
+            "bootstrap",
+            "--observers",
+            "2",
+            "--stall-rounds",
+            "5",
+            "--log",
+            "quiet",
         ])
         .env("BT_MANIFEST_DIR", &dir)
         .output()
         .expect("binary runs");
     assert_eq!(out.status.code(), Some(1), "a stall is a violation");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("violation [observer-stall] round 6"), "{stdout}");
+    assert!(
+        stdout.contains("violation [observer-stall] round 6"),
+        "{stdout}"
+    );
     assert!(stdout.contains("diagnosis bundle:"), "{stdout}");
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -388,7 +439,16 @@ fn unknown_disable_stage_exits_two_listing_stage_names() {
     assert_eq!(out.status.code(), Some(2), "usage errors exit 2");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown stage `frobnicate`"), "{stderr}");
-    for stage in ["maintain", "bootstrap", "prune", "establish", "exchange", "depart", "shake", "sample"] {
+    for stage in [
+        "maintain",
+        "bootstrap",
+        "prune",
+        "establish",
+        "exchange",
+        "depart",
+        "shake",
+        "sample",
+    ] {
         assert!(stderr.contains(stage), "missing {stage} in: {stderr}");
     }
 }
@@ -446,9 +506,11 @@ fn swarm_profile_records_artifacts_and_manifest_pipeline() {
             .expect("profile is JSON");
     assert_eq!(report.get("seed").and_then(|v| v.as_u64()), Some(5));
     assert_eq!(report.get("rounds").and_then(|v| v.as_u64()), Some(60));
-    assert!(report.get("stages").and_then(|v| v.as_array()).is_some_and(|s| !s.is_empty()));
-    let folded =
-        std::fs::read_to_string(profile.with_extension("folded")).expect("folded written");
+    assert!(report
+        .get("stages")
+        .and_then(|v| v.as_array())
+        .is_some_and(|s| !s.is_empty()));
+    let folded = std::fs::read_to_string(profile.with_extension("folded")).expect("folded written");
     assert!(folded.contains("swarm;exchange"), "{folded}");
     let series =
         std::fs::read_to_string(profile.with_extension("rounds.jsonl")).expect("series written");
@@ -468,7 +530,15 @@ fn swarm_profile_records_artifacts_and_manifest_pipeline() {
         .collect();
     assert_eq!(
         pipeline,
-        ["maintain", "bootstrap", "prune", "establish", "exchange", "depart", "sample"],
+        [
+            "maintain",
+            "bootstrap",
+            "prune",
+            "establish",
+            "exchange",
+            "depart",
+            "sample"
+        ],
         "{manifest:?}"
     );
 
@@ -531,7 +601,10 @@ fn compare_exits_zero_on_parity_and_one_on_regression() {
         String::from_utf8_lossy(&out.stderr)
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("no regressions beyond tolerance"), "{stdout}");
+    assert!(
+        stdout.contains("no regressions beyond tolerance"),
+        "{stdout}"
+    );
 
     let out = btlab()
         .args([
@@ -548,7 +621,10 @@ fn compare_exits_zero_on_parity_and_one_on_regression() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("REGRESSED"), "{stdout}");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("regression(s) beyond tolerance"), "{stderr}");
+    assert!(
+        stderr.contains("regression(s) beyond tolerance"),
+        "{stderr}"
+    );
     assert!(stderr.contains("establish"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -583,8 +659,17 @@ fn profile_json_flag_emits_machine_readable_report() {
     let profile = dir.join("profile.json");
     let out = btlab()
         .args([
-            "swarm", "--pieces", "10", "--rounds", "40", "--initial", "8", "--seed", "5",
-            "--profile", profile.to_str().unwrap(),
+            "swarm",
+            "--pieces",
+            "10",
+            "--rounds",
+            "40",
+            "--initial",
+            "8",
+            "--seed",
+            "5",
+            "--profile",
+            profile.to_str().unwrap(),
         ])
         .env("BT_MANIFEST_DIR", &dir)
         .output()
@@ -602,7 +687,10 @@ fn profile_json_flag_emits_machine_readable_report() {
     );
     let report: serde_json::Value =
         serde_json::from_slice(&out.stdout).expect("--json output parses as JSON");
-    assert_eq!(report.get("schema_version").and_then(|v| v.as_u64()), Some(1));
+    assert_eq!(
+        report.get("schema_version").and_then(|v| v.as_u64()),
+        Some(1)
+    );
     assert_eq!(report.get("seed").and_then(|v| v.as_u64()), Some(5));
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -615,13 +703,27 @@ fn report_strict_promotes_manifest_warnings_to_exit_one() {
     let telemetry = dir.join("run.jsonl");
     let swarm = |seed: &str, telemetry: Option<&str>| {
         let mut cmd = btlab();
-        cmd.args(["swarm", "--pieces", "10", "--rounds", "40", "--initial", "8", "--seed", seed]);
+        cmd.args([
+            "swarm",
+            "--pieces",
+            "10",
+            "--rounds",
+            "40",
+            "--initial",
+            "8",
+            "--seed",
+            seed,
+        ]);
         if let Some(path) = telemetry {
             cmd.args(["--telemetry", path]);
         }
-        cmd.env("BT_MANIFEST_DIR", &dir).output().expect("binary runs")
+        cmd.env("BT_MANIFEST_DIR", &dir)
+            .output()
+            .expect("binary runs")
     };
-    assert!(swarm("5", Some(telemetry.to_str().unwrap())).status.success());
+    assert!(swarm("5", Some(telemetry.to_str().unwrap()))
+        .status
+        .success());
     // A second run under another seed overwrites manifest-swarm.json,
     // so the manifest on disk now disagrees with the telemetry stream.
     assert!(swarm("6", None).status.success());
@@ -653,7 +755,11 @@ fn report_strict_promotes_manifest_warnings_to_exit_one() {
         .env("BT_MANIFEST_DIR", &dir)
         .output()
         .expect("binary runs");
-    assert_eq!(out.status.code(), Some(1), "--strict turns warnings into failures");
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "--strict turns warnings into failures"
+    );
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--strict"), "{stderr}");
     assert!(stderr.contains("manifest seed 6"), "{stderr}");
@@ -693,7 +799,10 @@ fn doctor_seeded_fault_exits_one_with_bundle_and_ledger_record() {
         .expect("binary runs");
     assert_eq!(out.status.code(), Some(1), "violations fail the run");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("violation [piece-conservation]"), "{stdout}");
+    assert!(
+        stdout.contains("violation [piece-conservation]"),
+        "{stdout}"
+    );
     assert!(stdout.contains("diagnosis bundle:"), "{stdout}");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("invariant violation"), "{stderr}");
@@ -703,10 +812,17 @@ fn doctor_seeded_fault_exits_one_with_bundle_and_ledger_record() {
     let bundle = std::fs::read_dir(&dir)
         .expect("manifest dir exists")
         .filter_map(Result::ok)
-        .find(|e| e.file_name().to_string_lossy().starts_with("diagnosis-doctor-5-"))
+        .find(|e| {
+            e.file_name()
+                .to_string_lossy()
+                .starts_with("diagnosis-doctor-5-")
+        })
         .expect("diagnosis bundle directory");
     for file in ["meta.json", "flight.json", "telemetry.jsonl", "peers.json"] {
-        assert!(bundle.path().join(file).exists(), "bundle is missing {file}");
+        assert!(
+            bundle.path().join(file).exists(),
+            "bundle is missing {file}"
+        );
     }
     let meta: serde_json::Value = serde_json::from_str(
         &std::fs::read_to_string(bundle.path().join("meta.json")).expect("meta written"),
@@ -723,14 +839,34 @@ fn doctor_seeded_fault_exits_one_with_bundle_and_ledger_record() {
     let ledger = std::fs::read_to_string(dir.join("ledger.jsonl")).expect("ledger written");
     let record: serde_json::Value =
         serde_json::from_str(ledger.lines().next().expect("one record")).expect("record is JSON");
-    assert_eq!(record.get("command").and_then(|v| v.as_str()), Some("doctor"));
-    assert!(record.get("violations").and_then(|v| v.as_u64()).expect("violations") > 0);
+    assert_eq!(
+        record.get("command").and_then(|v| v.as_str()),
+        Some("doctor")
+    );
+    assert!(
+        record
+            .get("violations")
+            .and_then(|v| v.as_u64())
+            .expect("violations")
+            > 0
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
 const DOCTOR_CLEAN_RUN: [&str; 13] = [
-    "doctor", "--pieces", "10", "--rounds", "40", "--initial", "8", "--lambda", "0", "--seed",
-    "5", "--log", "quiet",
+    "doctor",
+    "--pieces",
+    "10",
+    "--rounds",
+    "40",
+    "--initial",
+    "8",
+    "--lambda",
+    "0",
+    "--seed",
+    "5",
+    "--log",
+    "quiet",
 ];
 
 #[test]
@@ -863,8 +999,14 @@ fn watch_renders_a_finished_run_and_exits_zero() {
     let status: serde_json::Value =
         serde_json::from_str(stdout.lines().next().expect("one JSON line"))
             .expect("watch --json line parses");
-    assert_eq!(status.get("state").and_then(|v| v.as_str()), Some("finished"));
-    assert_eq!(status.get("target_rounds").and_then(|v| v.as_u64()), Some(60));
+    assert_eq!(
+        status.get("state").and_then(|v| v.as_str()),
+        Some("finished")
+    );
+    assert_eq!(
+        status.get("target_rounds").and_then(|v| v.as_u64()),
+        Some(60)
+    );
     let last_round = status
         .get("last")
         .and_then(|last| last.get("round"))
@@ -976,7 +1118,17 @@ fn compare_mem_budget_gates_peak_rss_against_the_baseline() {
     // One real run provides a manifest with live memory telemetry; a
     // doctored copy with double the peak plays the bloated candidate.
     assert!(btlab()
-        .args(["swarm", "--pieces", "10", "--rounds", "40", "--initial", "8", "--seed", "5"])
+        .args([
+            "swarm",
+            "--pieces",
+            "10",
+            "--rounds",
+            "40",
+            "--initial",
+            "8",
+            "--seed",
+            "5"
+        ])
         .env("BT_MANIFEST_DIR", &dir)
         .output()
         .expect("binary runs")
@@ -1073,7 +1225,6 @@ fn compare_mem_budget_gates_peak_rss_against_the_baseline() {
     assert!(stderr.contains("memory telemetry"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
-
 
 /// Runs `btlab ARGS` with its manifests and ledger under `dir`.
 fn btlab_in(dir: &std::path::Path, args: &[&str]) -> std::process::Output {
@@ -1224,7 +1375,11 @@ fn doctor_heartbeat_names_the_doctor_command() {
             "quiet",
         ],
     );
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let status = bt_obs::read_status(&run_dir.join(bt_obs::RUN_STATUS_FILE)).expect("status");
     assert_eq!(status.command, "doctor");
     assert!(status.is_finished());
@@ -1269,7 +1424,11 @@ fn swarm_artifacts_and_normalized_ledger_match_across_thread_counts() {
             .env("BT_LEDGER_PATH", &ledger)
             .output()
             .expect("binary runs");
-        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
         let records = bt_obs::read_ledger(&ledger).expect("ledger written");
         assert_eq!(records.len(), 1, "one record per run");
         let normalized =
@@ -1283,8 +1442,14 @@ fn swarm_artifacts_and_normalized_ledger_match_across_thread_counts() {
     let (telemetry_1, cohort_1, ledger_1) = run("1");
     let (telemetry_2, cohort_2, ledger_2) = run("2");
     assert!(!telemetry_1.is_empty() && !cohort_1.is_empty());
-    assert!(telemetry_1 == telemetry_2, "telemetry bytes differ across thread counts");
-    assert!(cohort_1 == cohort_2, "cohort bytes differ across thread counts");
+    assert!(
+        telemetry_1 == telemetry_2,
+        "telemetry bytes differ across thread counts"
+    );
+    assert!(
+        cohort_1 == cohort_2,
+        "cohort bytes differ across thread counts"
+    );
     assert_eq!(ledger_1, ledger_2, "normalized ledger records differ");
     std::fs::remove_dir_all(&dir).ok();
 }
