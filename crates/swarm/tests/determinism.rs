@@ -580,3 +580,57 @@ fn exchange_bytes_match_the_pinned_digests() {
         }
     }
 }
+
+/// A B = 100 open swarm with `blocks_per_piece`-block pieces and slow
+/// peers, run through the DES driver (so Poisson arrivals join) until
+/// initial leechers and later arrivals have completed and departed.
+fn completion_config(blocks_per_piece: u32, max_rounds: u64) -> SwarmConfig {
+    SwarmConfig::builder()
+        .pieces(100)
+        .max_connections(5)
+        .neighbor_set_size(12)
+        .blocks_per_piece(blocks_per_piece)
+        .slow_peer_fraction(0.2)
+        .slow_upload_budget(2)
+        .arrival_rate(1.0)
+        .initial_leechers(60)
+        .initial_pieces(InitialPieces::Random { count: 10 })
+        .max_rounds(max_rounds)
+        .seed(23)
+        .build()
+        .expect("valid config")
+}
+
+/// The number of completion records and the FNV-1a-64 digest of their
+/// JSON bytes after a run of [`completion_config`] at `threads` workers.
+fn completion_digest(blocks_per_piece: u32, max_rounds: u64, threads: u32) -> (usize, String) {
+    let mut swarm = Swarm::new(completion_config(blocks_per_piece, max_rounds));
+    swarm.set_threads(threads);
+    let metrics = swarm.run();
+    let json = serde_json::to_string(&metrics.completions).expect("completion records serialize");
+    (
+        metrics.completions.len(),
+        bt_obs::fnv1a_hex(json.as_bytes()),
+    )
+}
+
+#[test]
+fn completion_records_match_the_pinned_digests() {
+    // Every completion record's acquisition rounds, which neither the
+    // telemetry nor the cohort digests above cover. Like those, these
+    // constants change only with a versioned RNG stream change.
+    let pinned = [
+        (1, 200, 228, "d28addbd9d9dc073"),
+        (4, 300, 230, "0b6d1b0ffe838cd3"),
+    ];
+    for (blocks, rounds, records, digest) in pinned {
+        for threads in [1, 4] {
+            let got = completion_digest(blocks, rounds, threads);
+            assert_eq!(
+                got,
+                (records, digest.to_string()),
+                "blocks_per_piece {blocks} at --threads {threads}"
+            );
+        }
+    }
+}
