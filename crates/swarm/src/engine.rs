@@ -348,7 +348,18 @@ impl SwarmCore {
     pub(crate) fn spawn_peer(&mut self) -> PeerId {
         let pieces = self.config.pieces;
         let round = self.round;
-        let id = self.store.insert_with(|id| Peer::new(id, pieces, round));
+        // Exactly `s` neighbor and `k` connection slots: both are hard
+        // caps, so neither list ever grows past its reservation.
+        let (s, k) = (
+            self.config.neighbor_set_size as usize,
+            self.config.max_connections as usize,
+        );
+        let id = self.store.insert_with(|id| {
+            let mut peer = Peer::new(id, pieces, round);
+            peer.neighbors.reserve_exact(s);
+            peer.connections.reserve_exact(k);
+            peer
+        });
         self.piece_cells.incr(0);
         if self.config.slow_peer_fraction > 0.0 {
             let slow = self.rng.gen::<f64>() < self.config.slow_peer_fraction;
@@ -358,7 +369,7 @@ impl SwarmCore {
         // bootstrap relief (§4.3), the tracker fills up to half the slots
         // with peers trapped in the bootstrap phase, so the newcomer's
         // fresh pieces reach them.
-        let want = self.config.neighbor_set_size as usize;
+        let want = s;
         let mut handout = Vec::with_capacity(want);
         if self.config.bootstrap_relief {
             let mut trapped: Vec<PeerId> = self
@@ -1141,9 +1152,10 @@ impl Swarm {
     }
 
     /// Checks the structural invariants: symmetric neighbor and
-    /// connection relations, the `k` cap, and the replication index
-    /// agreeing with a from-scratch rebuild (its property-test oracle);
-    /// used by tests and debug assertions.
+    /// connection relations, the `s` and `k` caps, each acquisition log
+    /// agreeing with its bitfield, and the replication index agreeing
+    /// with a from-scratch rebuild (its property-test oracle); used by
+    /// tests and debug assertions.
     ///
     /// # Panics
     ///
@@ -1153,8 +1165,27 @@ impl Swarm {
         for &id in core.tracker.peers() {
             let peer = core.store.peer(id);
             assert!(
+                peer.neighbors.len() <= core.config.neighbor_set_size as usize,
+                "{id} exceeds s"
+            );
+            assert!(
                 peer.connections.len() <= core.config.max_connections as usize,
                 "{id} exceeds k"
+            );
+            let log = peer.acquisition_rounds();
+            assert_eq!(
+                log.len(),
+                peer.have.count() as usize,
+                "{id}'s acquisition log disagrees with its bitfield"
+            );
+            assert!(
+                log.windows(2).all(|w| w[0] <= w[1]),
+                "{id}'s acquisition log decreases"
+            );
+            assert!(
+                log.last().is_none_or(|&r| u64::from(r) <= core.round),
+                "{id}'s acquisition log runs past round {}",
+                core.round
             );
             for &n in &peer.neighbors {
                 let other = core
@@ -1590,6 +1621,39 @@ mod mechanism_tests {
             saw_shaken_with_neighbors,
             "a shaken peer must get a fresh neighbor set from the tracker"
         );
+    }
+
+    #[test]
+    fn shaken_peers_keep_their_reservations_and_caps() {
+        let (s, k) = (6, 3);
+        let config = SwarmConfig::builder()
+            .pieces(10)
+            .max_connections(k)
+            .neighbor_set_size(s)
+            .arrival_rate(0.0)
+            .initial_leechers(16)
+            .shake_at(0.5)
+            .seed(31)
+            .max_rounds(100)
+            .build()
+            .unwrap();
+        let mut swarm = Swarm::new(config);
+        let mut shaken_seen = 0;
+        for _ in 0..100 {
+            swarm.step_round();
+            swarm.assert_invariants();
+            for id in swarm.alive_ids() {
+                let peer = swarm.peer(id);
+                assert_eq!(peer.neighbors.capacity(), s as usize, "{id} neighbor slots");
+                assert_eq!(
+                    peer.connections.capacity(),
+                    k as usize,
+                    "{id} connection slots"
+                );
+                shaken_seen += usize::from(peer.shaken);
+            }
+        }
+        assert!(shaken_seen > 0, "some peer must shake and stay");
     }
 
     #[test]

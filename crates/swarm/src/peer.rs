@@ -12,6 +12,13 @@ pub use crate::store::PeerId;
 /// small — at most `s` and `k`), the credit table as a vector sorted by
 /// peer id, and the partial table as a `BTreeMap`, so every iteration
 /// order is deterministic and seeded replay is exact.
+///
+/// A peer's memory grows with what it holds. The engine reserves exactly
+/// `s` neighbor and `k` connection slots when the peer joins and never
+/// pushes past either cap, so neither list reallocates. The acquisition
+/// log holds one `u32` round per piece held, in acquisition order; it is
+/// the only record of when pieces arrived, and a completion record reads
+/// it as is.
 #[derive(Debug, Clone)]
 pub struct Peer {
     /// This peer's identifier.
@@ -28,8 +35,10 @@ pub struct Peer {
     /// `(sender, pieces)` sorted by sender, one entry per sender; only
     /// [`Peer::record_credit`] writes it, which keeps that order.
     pub(crate) credit: Vec<(PeerId, u32)>,
-    /// Round at which each piece was acquired (`u64::MAX` = not yet).
-    pub piece_round: Vec<u64>,
+    /// Acquisition log: the round of each piece acquired, in
+    /// acquisition order. Rounds never decrease, so the log is sorted;
+    /// only [`Peer::acquire`] writes it.
+    pub(crate) acquired: Vec<u32>,
     /// Blocks received of pieces still in flight (piece id → blocks done).
     pub partial: BTreeMap<u32, u32>,
     /// Whether the peer has already shaken its neighbor set (§7.1).
@@ -50,7 +59,7 @@ impl Peer {
             neighbors: Vec::new(),
             connections: Vec::new(),
             credit: Vec::new(),
-            piece_round: vec![u64::MAX; pieces as usize],
+            acquired: Vec::new(),
             partial: BTreeMap::new(),
             shaken: false,
             slow: false,
@@ -59,14 +68,39 @@ impl Peer {
 
     /// Records acquisition of `piece` at `round`. Returns `true` if the
     /// piece was new.
+    ///
+    /// The log grows by half its length at a time (at least four slots,
+    /// where a `Vec` would double) and never past one slot per piece of
+    /// the file.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `round` exceeds `u32::MAX`, the acquisition log's
+    /// limit. Stepped swarms ignore `max_rounds`, so no config check
+    /// rules this out.
     pub fn acquire(&mut self, piece: u32, round: u64) -> bool {
-        if self.have.set(piece) {
-            self.piece_round[piece as usize] = round;
-            self.partial.remove(&piece);
-            true
-        } else {
-            false
+        let round = u32::try_from(round).unwrap_or_else(|_| {
+            panic!("round {round} exceeds the acquisition log's limit of u32::MAX rounds")
+        });
+        if !self.have.set(piece) {
+            return false;
         }
+        let logged = self.acquired.len();
+        if logged == self.acquired.capacity() {
+            let unlogged = self.have.len() as usize - logged;
+            self.acquired
+                .reserve_exact((logged / 2).max(4).min(unlogged));
+        }
+        self.acquired.push(round);
+        self.partial.remove(&piece);
+        true
+    }
+
+    /// The acquisition log: the round at which the peer got its 1st,
+    /// 2nd, … piece, non-decreasing.
+    #[must_use]
+    pub fn acquisition_rounds(&self) -> &[u32] {
+        &self.acquired
     }
 
     /// Records one received block of `piece` at `round`. Completes the
@@ -144,6 +178,7 @@ impl Peer {
     }
 
     /// Drops the entire neighbor set and all connections (§7.1 shake).
+    /// Both lists keep their reserved slots.
     pub fn shake(&mut self) {
         self.neighbors.clear();
         self.connections.clear();
@@ -170,8 +205,26 @@ mod tests {
         let mut p = Peer::new(PeerId::synthetic(1), 10, 0);
         assert!(p.acquire(3, 7));
         assert!(!p.acquire(3, 9));
-        assert_eq!(p.piece_round[3], 7);
-        assert_eq!(p.have.count(), 1);
+        assert!(p.acquire(0, 9));
+        assert_eq!(p.acquisition_rounds(), &[7, 9]);
+        assert_eq!(p.have.count(), 2);
+    }
+
+    #[test]
+    fn acquisition_log_never_outgrows_the_file() {
+        let mut p = Peer::new(PeerId::synthetic(1), 10, 0);
+        for piece in 0..10 {
+            assert!(p.acquire(piece, u64::from(piece)));
+        }
+        assert_eq!(p.acquisition_rounds().len(), 10);
+        assert_eq!(p.acquired.capacity(), 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the acquisition log's limit")]
+    fn a_round_past_u32_panics() {
+        let mut p = Peer::new(PeerId::synthetic(1), 4, 0);
+        p.acquire(0, u64::from(u32::MAX) + 1);
     }
 
     #[test]

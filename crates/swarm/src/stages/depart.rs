@@ -40,18 +40,16 @@ impl RoundStage for DepartCompleted {
             // Peers that joined during warm-up carry transient startup
             // dynamics; they depart normally but leave no record.
             if peer.joined_round >= core.config.metrics_warmup_rounds {
-                let mut acq: Vec<u64> = peer
-                    .piece_round
-                    .iter()
-                    .copied()
-                    .filter(|&r| r != u64::MAX)
-                    .collect();
-                acq.sort_unstable();
                 core.metrics.completions.push(CompletionRecord {
                     id,
                     joined_round: peer.joined_round,
                     completed_round: core.round,
-                    acquisition_rounds: acq,
+                    // The acquisition log is already in round order.
+                    acquisition_rounds: peer
+                        .acquisition_rounds()
+                        .iter()
+                        .map(|&r| u64::from(r))
+                        .collect(),
                     slow: peer.slow,
                 });
                 core.obs.completions.incr();

@@ -41,7 +41,12 @@ use crate::stages::RoundStage;
 /// * `taken` — pieces already claimed this round per peer;
 /// * `budgets` — remaining upload budget (slow-peer bandwidth class);
 /// * `earlier` — how many of a peer's pairs the prepare walk has passed;
-/// * `plans` — per-pair ranked candidate lists from the plan phase.
+/// * `plans` — per-pair list lengths and commit positions from the plan
+///   phase, and `ranks` — the lists themselves: one flat table in which
+///   pair `i` owns the window of `2 * stride` ranks at `2 * stride * i`,
+///   its `lo` direction's [`rank_stride`] ranks, then its `hi`
+///   direction's. The table outlives the round, so a warm plan table
+///   allocates nothing.
 ///
 /// `stamp` marks which slots were initialized this round; stale entries
 /// from earlier rounds are never read, so nothing needs clearing.
@@ -54,22 +59,32 @@ pub struct ExchangePieces {
     budgets: Vec<u32>,
     earlier: Vec<u32>,
     plans: Vec<PairPlan>,
+    ranks: Vec<u32>,
     involved: Vec<PeerId>,
     threads: u32,
 }
 
-/// The plan phase's output for one connection pair: a ranked candidate
-/// list per download direction (`down_lo` = the lower-sequence peer
-/// downloads from the higher, `down_hi` the reverse), and for each
-/// downloader the number of its pairs that commit before this one
-/// (`earlier_lo`, `earlier_hi`). The lists outlive the round, so a warm
-/// plan table allocates nothing.
-#[derive(Debug, Default)]
+/// The plan phase's output for one connection pair: the length of the
+/// ranked candidate list of each download direction (`lo` = the
+/// lower-sequence peer downloads from the higher, `hi` the reverse),
+/// and for each downloader the number of its pairs that commit before
+/// this one (`earlier_lo`, `earlier_hi`). The lists themselves live in
+/// the pair's window of the flat rank table.
+#[derive(Debug, Default, Clone, Copy)]
 struct PairPlan {
-    down_lo: Vec<u32>,
-    down_hi: Vec<u32>,
+    len_lo: u32,
+    len_hi: u32,
     earlier_lo: u32,
     earlier_hi: u32,
+}
+
+/// Ranks one direction of a pair may keep: each earlier pair of the
+/// downloader in commit order claims (and may acquire) at most one
+/// piece, so at its `j`-th pair at most `j` ranked candidates can be
+/// invalid and `j + 1` ranks always hold the first usable one. A peer
+/// has at most `k` connections, so `k + 1` ranks always suffice.
+fn rank_stride(max_connections: u32) -> usize {
+    max_connections as usize + 1
 }
 
 /// Prefer finishing an in-flight partial piece the uploader has (block
@@ -167,48 +182,54 @@ fn fill_lanes_shard(view: CoreView<'_>, tasks: &mut [(PeerId, &mut [u64])], work
 }
 
 /// Plans one shard of connection pairs: per direction, a ranked
-/// candidate list drawn from that direction's [`PlanStream`]. Counts
-/// the candidates the ranker examined.
+/// candidate list drawn from that direction's [`PlanStream`], ranked
+/// into the shard's own scratch list and copied into the pair's window
+/// of `ranks` (the shard's part of the flat table). Counts the
+/// candidates the ranker examined.
 fn plan_pairs_shard(
     view: CoreView<'_>,
     lanes: &[u64],
     pairs: &[(PeerId, PeerId)],
     plans: &mut [PairPlan],
+    ranks: &mut [u32],
     work: &mut ShardWork,
 ) {
     let mut ranker = Ranker::new(view.config.piece_selection);
+    let mut ranked = Vec::new();
     let seed = view.config.seed;
-    let stride = lane_words(view.config.pieces);
+    let lane_stride = lane_words(view.config.pieces);
     let view_of = |id: PeerId| {
-        let at = id.slot() as usize * stride;
-        &lanes[at..at + stride]
+        let at = id.slot() as usize * lane_stride;
+        &lanes[at..at + lane_stride]
     };
-    // Each earlier pair of a downloader in commit order claims (and may
-    // acquire) at most one piece, so at its `j`-th pair at most `j`
-    // ranked candidates can be invalid: `j + 1` ranks always hold the
-    // first usable one, and a peer has at most k connections.
-    let k_plus_one = view.config.max_connections as usize + 1;
-    for (&(a, b), plan) in pairs.iter().zip(plans) {
+    let stride = rank_stride(view.config.max_connections);
+    let windows = ranks.chunks_exact_mut(2 * stride);
+    for ((&(a, b), plan), window) in pairs.iter().zip(plans).zip(windows) {
         let peer_a = work.peer(view, a);
         let peer_b = work.peer(view, b);
+        let (down_lo, down_hi) = window.split_at_mut(stride);
         let mut stream = PlanStream::pair(seed, view.round, a.seq(), b.seq(), 0);
         work.units += ranker.rank(
             &peer_a.have,
             &peer_b.have,
             view_of(a),
-            k_plus_one.min(plan.earlier_lo as usize + 1),
+            stride.min(plan.earlier_lo as usize + 1),
             &mut stream,
-            &mut plan.down_lo,
+            &mut ranked,
         );
+        down_lo[..ranked.len()].copy_from_slice(&ranked);
+        plan.len_lo = ranked.len() as u32;
         let mut stream = PlanStream::pair(seed, view.round, a.seq(), b.seq(), 1);
         work.units += ranker.rank(
             &peer_b.have,
             &peer_a.have,
             view_of(b),
-            k_plus_one.min(plan.earlier_hi as usize + 1),
+            stride.min(plan.earlier_hi as usize + 1),
             &mut stream,
-            &mut plan.down_hi,
+            &mut ranked,
         );
+        down_hi[..ranked.len()].copy_from_slice(&ranked);
+        plan.len_hi = ranked.len() as u32;
     }
 }
 
@@ -248,6 +269,10 @@ impl ExchangePieces {
         }
         if self.plans.len() < self.pairs.len() {
             self.plans.resize_with(self.pairs.len(), PairPlan::default);
+        }
+        let window = 2 * rank_stride(view.config.max_connections);
+        if self.ranks.len() < self.pairs.len() * window {
+            self.ranks.resize(self.pairs.len() * window, 0);
         }
         self.involved.clear();
         for (&(a, b), plan) in self.pairs.iter().zip(&mut self.plans) {
@@ -310,20 +335,22 @@ impl ExchangePieces {
         let lanes = &self.lanes;
         let pairs = &self.pairs;
         let plans = &mut self.plans[..pairs.len()];
+        let ranks = &mut self.ranks[..pairs.len() * window];
         let pair_workers = (self.threads.max(1) as usize).min(pairs.len().max(1));
         let mut plan_work = vec![ShardWork::default(); pair_workers];
         if pair_workers <= 1 {
-            plan_pairs_shard(view, lanes, pairs, plans, &mut plan_work[0]);
+            plan_pairs_shard(view, lanes, pairs, plans, ranks, &mut plan_work[0]);
         } else {
             let shard = pairs.len().div_ceil(pair_workers).max(1);
             std::thread::scope(|scope| {
-                for ((pair_shard, plan_shard), work) in pairs
+                for (((pair_shard, plan_shard), rank_shard), work) in pairs
                     .chunks(shard)
                     .zip(plans.chunks_mut(shard))
+                    .zip(ranks.chunks_mut(shard * window))
                     .zip(plan_work.iter_mut())
                 {
                     scope.spawn(move || {
-                        plan_pairs_shard(view, lanes, pair_shard, plan_shard, work);
+                        plan_pairs_shard(view, lanes, pair_shard, plan_shard, rank_shard, work);
                     });
                 }
             });
@@ -343,7 +370,9 @@ impl ExchangePieces {
     /// canonical pair order. Returns the number of block transfers.
     fn commit(&mut self, core: &mut SwarmCore) -> u64 {
         let mut transfers = 0u64;
-        for i in 0..self.pairs.len() {
+        let stride = rank_stride(core.config.max_connections);
+        let windows = self.ranks.chunks_exact(2 * stride);
+        for (i, window) in windows.take(self.pairs.len()).enumerate() {
             let (a, b) = self.pairs[i];
             let (slot_a, slot_b) = (a.slot() as usize, b.slot() as usize);
             // Strict tit-for-tat needs upload budget on both sides.
@@ -365,18 +394,19 @@ impl ExchangePieces {
                 core.cohort.slot(core.round, b.seq(), a.seq(), false);
                 continue;
             }
-            let plan = &self.plans[i];
+            let plan = self.plans[i];
+            let (down_lo, down_hi) = window.split_at(stride);
             let wanted_a = resolve_candidate(
                 core.store.peer(a),
                 &core.store.peer(b).have,
-                &plan.down_lo,
+                &down_lo[..plan.len_lo as usize],
                 &self.taken[slot_a],
                 plan.earlier_lo,
             );
             let wanted_b = resolve_candidate(
                 core.store.peer(b),
                 &core.store.peer(a).have,
-                &plan.down_hi,
+                &down_hi[..plan.len_hi as usize],
                 &self.taken[slot_b],
                 plan.earlier_hi,
             );

@@ -103,7 +103,7 @@ pub fn default_pipeline(config: &SwarmConfig) -> Vec<Box<dyn RoundStage>> {
         Box::new(DepartCompleted::default()),
     ];
     if config.shake_at.is_some() {
-        stages.push(Box::new(ShakePeers));
+        stages.push(Box::new(ShakePeers::default()));
     }
     stages.push(Box::new(SampleMetrics));
     stages

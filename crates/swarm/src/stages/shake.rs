@@ -1,14 +1,20 @@
 //! Peer-set shaking (§7.1).
 
 use crate::engine::SwarmCore;
+use crate::peer::PeerId;
 use crate::stages::RoundStage;
 
 /// Peers crossing the `shake_at` completion threshold drop their whole
 /// neighbor set exactly once; the maintenance stage refills them from
 /// the tracker next round. A no-op when `shake_at` is unset (the
 /// default pipeline omits the stage entirely in that case).
+///
+/// The neighbor list is emptied in place, so it keeps the `s` slots
+/// reserved when the peer joined.
 #[derive(Debug, Default)]
-pub struct ShakePeers;
+pub struct ShakePeers {
+    ex_neighbors: Vec<PeerId>,
+}
 
 // bt-stage: reads(config, round, tracker), writes(audit, cohort, obs, profile, store)
 impl RoundStage for ShakePeers {
@@ -27,15 +33,16 @@ impl RoundStage for ShakePeers {
             if peer.shaken || peer.completion() < threshold {
                 continue;
             }
-            // Take the neighbor list instead of cloning it; shake()
-            // clears the (now empty) list anyway.
             core.audit.conn_closed += core.store.peer(id).connections.len() as u64;
-            let ex_neighbors = std::mem::take(&mut core.store.peer_mut(id).neighbors);
+            // `append` empties the list but keeps its allocation.
+            self.ex_neighbors.clear();
+            self.ex_neighbors
+                .append(&mut core.store.peer_mut(id).neighbors);
             core.store.peer_mut(id).shake();
             core.obs.shakes.incr();
             core.cohort.shake(core.round, id.seq());
             shaken += 1;
-            for &other in &ex_neighbors {
+            for &other in &self.ex_neighbors {
                 if let Some(o) = core.store.get_mut(other) {
                     o.remove_neighbor(id);
                 }
