@@ -1,429 +1,8 @@
 //! Measurement collectors for simulation experiments.
 //!
-//! Four collectors cover what the experiments in this workspace need:
-//!
-//! * [`TimeSeries`] — timestamped samples of a scalar, with resampling onto
-//!   a regular grid for figure output;
-//! * [`Welford`] — streaming mean/variance without storing samples;
-//! * [`TimeWeighted`] — time-average of a piecewise-constant signal (e.g.
-//!   swarm population), weighting each value by how long it was held;
-//! * [`Histogram`] — fixed-width bins with overflow tracking and
-//!   approximate quantiles.
-
-use crate::time::SimTime;
-
-/// A timestamped series of scalar samples.
-///
-/// Samples must be appended in non-decreasing time order.
-///
-/// # Example
-///
-/// ```
-/// use bt_des::stats::TimeSeries;
-/// use bt_des::SimTime;
-///
-/// let mut ts = TimeSeries::new();
-/// ts.push(SimTime::from_secs(0.0), 1.0);
-/// ts.push(SimTime::from_secs(2.0), 3.0);
-/// assert_eq!(ts.len(), 2);
-/// assert_eq!(ts.last_value(), Some(3.0));
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TimeSeries {
-    times: Vec<SimTime>,
-    values: Vec<f64>,
-}
-
-impl TimeSeries {
-    /// Creates an empty series.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends a sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is earlier than the previous sample's time.
-    pub fn push(&mut self, time: SimTime, value: f64) {
-        if let Some(&last) = self.times.last() {
-            assert!(time >= last, "TimeSeries samples must be time-ordered");
-        }
-        self.times.push(time);
-        self.values.push(value);
-    }
-
-    /// Number of samples.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.times.len()
-    }
-
-    /// Whether the series is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.times.is_empty()
-    }
-
-    /// The most recent value, if any.
-    #[must_use]
-    pub fn last_value(&self) -> Option<f64> {
-        self.values.last().copied()
-    }
-
-    /// Iterates over `(time, value)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (SimTime, f64)> + '_ {
-        self.times.iter().copied().zip(self.values.iter().copied())
-    }
-
-    /// The sample timestamps.
-    #[must_use]
-    pub fn times(&self) -> &[SimTime] {
-        &self.times
-    }
-
-    /// The sample values.
-    #[must_use]
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-
-    /// Value of the series at time `t` under sample-and-hold semantics:
-    /// the value of the latest sample at or before `t`, or `None` before the
-    /// first sample.
-    #[must_use]
-    pub fn value_at(&self, t: SimTime) -> Option<f64> {
-        match self.times.partition_point(|&ts| ts <= t) {
-            0 => None,
-            idx => Some(self.values[idx - 1]),
-        }
-    }
-
-    /// Resamples the series onto a regular grid of `points` timestamps from
-    /// the first to the last sample (inclusive), sample-and-hold.
-    ///
-    /// Returns an empty vector if the series has fewer than two samples or
-    /// `points < 2`.
-    #[must_use]
-    pub fn resample(&self, points: usize) -> Vec<(SimTime, f64)> {
-        if self.times.len() < 2 || points < 2 {
-            return Vec::new();
-        }
-        let start = self.times[0].as_ticks();
-        let end = self.times[self.times.len() - 1].as_ticks();
-        (0..points)
-            .map(|i| {
-                let frac = i as f64 / (points - 1) as f64;
-                let ticks = start + ((end - start) as f64 * frac).round() as u64;
-                let t = SimTime::from_ticks(ticks);
-                // Every grid point is at or after the first sample, so
-                // value_at always resolves; fall back to the first value
-                // rather than panicking if that invariant ever shifts.
-                (t, self.value_at(t).unwrap_or(self.values[0]))
-            })
-            .collect()
-    }
-}
-
-impl FromIterator<(SimTime, f64)> for TimeSeries {
-    fn from_iter<I: IntoIterator<Item = (SimTime, f64)>>(iter: I) -> Self {
-        let mut ts = TimeSeries::new();
-        for (t, v) in iter {
-            ts.push(t, v);
-        }
-        ts
-    }
-}
-
-/// Streaming mean and variance (Welford's algorithm).
-///
-/// # Example
-///
-/// ```
-/// use bt_des::stats::Welford;
-///
-/// let mut w = Welford::new();
-/// for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-///     w.push(x);
-/// }
-/// assert_eq!(w.mean(), 5.0);
-/// assert_eq!(w.population_variance(), 4.0);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Welford {
-    count: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Welford {
-    /// Creates an empty accumulator.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a sample.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Number of samples seen.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sample mean; 0 if empty.
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Population variance (divides by n); 0 if empty.
-    #[must_use]
-    pub fn population_variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Unbiased sample variance (divides by n-1); 0 if fewer than 2 samples.
-    #[must_use]
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
-    /// Population standard deviation.
-    #[must_use]
-    pub fn std_dev(&self) -> f64 {
-        self.population_variance().sqrt()
-    }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &Welford) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        self.m2 +=
-            other.m2 + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
-        self.mean += delta * other.count as f64 / total as f64;
-        self.count = total;
-    }
-}
-
-/// Time-weighted average of a piecewise-constant signal.
-///
-/// Record each change with [`TimeWeighted::record`]; the average weights each
-/// value by the span of time it was held.
-///
-/// # Example
-///
-/// ```
-/// use bt_des::stats::TimeWeighted;
-/// use bt_des::SimTime;
-///
-/// let mut tw = TimeWeighted::new(SimTime::ZERO, 0.0);
-/// tw.record(SimTime::from_secs(1.0), 10.0); // value 0 held for 1s
-/// tw.record(SimTime::from_secs(3.0), 0.0);  // value 10 held for 2s
-/// assert_eq!(tw.average(SimTime::from_secs(4.0)), (0.0 + 20.0 + 0.0) / 4.0);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TimeWeighted {
-    last_time: SimTime,
-    current: f64,
-    weighted_sum: f64,
-    start: SimTime,
-}
-
-impl TimeWeighted {
-    /// Starts tracking at `start` with initial value `value`.
-    #[must_use]
-    pub fn new(start: SimTime, value: f64) -> Self {
-        TimeWeighted {
-            last_time: start,
-            current: value,
-            weighted_sum: 0.0,
-            start,
-        }
-    }
-
-    /// Records that the signal changed to `value` at time `t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` precedes the previous record.
-    pub fn record(&mut self, t: SimTime, value: f64) {
-        let span = (t - self.last_time).as_secs();
-        self.weighted_sum += self.current * span;
-        self.current = value;
-        self.last_time = t;
-    }
-
-    /// The current (most recently recorded) value.
-    #[must_use]
-    pub fn current(&self) -> f64 {
-        self.current
-    }
-
-    /// Time-weighted average over `[start, end]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `end` precedes the last recorded change.
-    #[must_use]
-    pub fn average(&self, end: SimTime) -> f64 {
-        let tail = self.current * (end - self.last_time).as_secs();
-        let total = (end - self.start).as_secs();
-        if total == 0.0 {
-            self.current
-        } else {
-            (self.weighted_sum + tail) / total
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn time_series_orders_and_iterates() {
-        let ts: TimeSeries = [(0.0, 1.0), (1.0, 2.0), (2.0, 4.0)]
-            .into_iter()
-            .map(|(t, v)| (SimTime::from_secs(t), v))
-            .collect();
-        assert_eq!(ts.len(), 3);
-        let vals: Vec<f64> = ts.iter().map(|(_, v)| v).collect();
-        assert_eq!(vals, vec![1.0, 2.0, 4.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "time-ordered")]
-    fn time_series_rejects_regression() {
-        let mut ts = TimeSeries::new();
-        ts.push(SimTime::from_secs(2.0), 0.0);
-        ts.push(SimTime::from_secs(1.0), 0.0);
-    }
-
-    #[test]
-    fn value_at_sample_and_hold() {
-        let mut ts = TimeSeries::new();
-        ts.push(SimTime::from_secs(1.0), 10.0);
-        ts.push(SimTime::from_secs(3.0), 30.0);
-        assert_eq!(ts.value_at(SimTime::from_secs(0.5)), None);
-        assert_eq!(ts.value_at(SimTime::from_secs(1.0)), Some(10.0));
-        assert_eq!(ts.value_at(SimTime::from_secs(2.9)), Some(10.0));
-        assert_eq!(ts.value_at(SimTime::from_secs(3.0)), Some(30.0));
-        assert_eq!(ts.value_at(SimTime::from_secs(99.0)), Some(30.0));
-    }
-
-    #[test]
-    fn resample_covers_span() {
-        let mut ts = TimeSeries::new();
-        ts.push(SimTime::from_secs(0.0), 0.0);
-        ts.push(SimTime::from_secs(10.0), 1.0);
-        let grid = ts.resample(11);
-        assert_eq!(grid.len(), 11);
-        assert_eq!(grid[0].0, SimTime::from_secs(0.0));
-        assert_eq!(grid[10].0, SimTime::from_secs(10.0));
-        assert_eq!(grid[5].1, 0.0); // held from t=0 until t=10
-        assert_eq!(grid[10].1, 1.0);
-    }
-
-    #[test]
-    fn resample_degenerate_cases() {
-        let mut ts = TimeSeries::new();
-        assert!(ts.resample(10).is_empty());
-        ts.push(SimTime::ZERO, 1.0);
-        assert!(ts.resample(10).is_empty());
-        ts.push(SimTime::from_secs(1.0), 2.0);
-        assert!(ts.resample(1).is_empty());
-    }
-
-    #[test]
-    fn welford_known_values() {
-        let mut w = Welford::new();
-        for x in [1.0, 2.0, 3.0, 4.0] {
-            w.push(x);
-        }
-        assert_eq!(w.count(), 4);
-        assert!((w.mean() - 2.5).abs() < 1e-12);
-        assert!((w.population_variance() - 1.25).abs() < 1e-12);
-        assert!((w.sample_variance() - 5.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn welford_empty_is_zero() {
-        let w = Welford::new();
-        assert_eq!(w.mean(), 0.0);
-        assert_eq!(w.population_variance(), 0.0);
-        assert_eq!(w.sample_variance(), 0.0);
-    }
-
-    #[test]
-    fn welford_merge_matches_sequential() {
-        let xs: Vec<f64> = (0..50).map(|i| f64::from(i) * 0.7 - 3.0).collect();
-        let mut whole = Welford::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        let (mut a, mut b) = (Welford::new(), Welford::new());
-        for &x in &xs[..20] {
-            a.push(x);
-        }
-        for &x in &xs[20..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.population_variance() - whole.population_variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn welford_merge_with_empty() {
-        let mut a = Welford::new();
-        a.push(1.0);
-        let before = a;
-        a.merge(&Welford::new());
-        assert_eq!(a, before);
-        let mut empty = Welford::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
-    }
-
-    #[test]
-    fn time_weighted_average() {
-        let mut tw = TimeWeighted::new(SimTime::ZERO, 5.0);
-        tw.record(SimTime::from_secs(2.0), 1.0);
-        // 5 held 2s, 1 held 2s => (10 + 2) / 4 = 3
-        assert!((tw.average(SimTime::from_secs(4.0)) - 3.0).abs() < 1e-12);
-        assert_eq!(tw.current(), 1.0);
-    }
-
-    #[test]
-    fn time_weighted_zero_span_returns_current() {
-        let tw = TimeWeighted::new(SimTime::from_secs(1.0), 7.0);
-        assert_eq!(tw.average(SimTime::from_secs(1.0)), 7.0);
-    }
-}
+//! [`Histogram`] — fixed-width bins with overflow tracking and
+//! approximate quantiles — is what the experiments in this workspace
+//! need (the swarm snapshot's piece-count distribution).
 
 /// A fixed-width histogram over `[min, max)` with overflow/underflow bins.
 ///

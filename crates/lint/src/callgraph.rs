@@ -87,7 +87,6 @@ const INTERIOR_MUT_WRITES: &[(&str, &str)] = &[
     ("Counter", "add"),
     ("Counter", "record_max"),
     ("Timer", "record"),
-    ("Timer", "start"),
     ("Timer", "time"),
 ];
 

@@ -106,7 +106,7 @@ pub use profiling::{
     LatencySummary, PeerWork, ProfileOptions, ProfileReport, ProfileSink, StageProfile,
     PROFILE_SCHEMA_VERSION,
 };
-pub use registry::{Counter, Histogram, Registry, Timer, TimerGuard, TimerSnapshot};
+pub use registry::{Counter, Histogram, Registry, Timer, TimerSnapshot};
 pub use sketch::{CountCells, P2Quantile};
 pub use subscriber::{init, init_from_env, LogMode};
 pub use timeseries::{RingSeries, SeriesPoint, SeriesStore};

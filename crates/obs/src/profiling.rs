@@ -11,7 +11,11 @@
 //! sink aggregates, per round and per stage:
 //!
 //! * wall time, log-bucketed into the shared [`Histogram`] so per-stage
-//!   and whole-round p50/p95/p99 latencies come out at report time;
+//!   and whole-round p50/p95/p99 latencies come out at report time. The
+//!   sink reads no clock: the caller hands each stage's elapsed time to
+//!   [`end_stage`](ProfileSink::end_stage) (the engine passes what its
+//!   `round.<stage>` registry [`Timer`](crate::Timer) measured), and a
+//!   round's latency is the sum of its stage times;
 //! * named *work counters* — candidate comparisons, handout entries,
 //!   bitfield words scanned, slab probes — the "why" behind the wall
 //!   clock;
@@ -34,7 +38,7 @@
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::Path;
-use std::time::Instant;
+use std::time::Duration;
 
 use crate::records;
 use crate::registry::Histogram;
@@ -172,11 +176,10 @@ impl ProfileReport {
     }
 }
 
-/// In-progress timing of one stage within the current round.
+/// The stage open within the current round.
 #[derive(Debug)]
 struct CurrentStage {
     index: usize,
-    started: Instant,
     /// Work reported via `add_work` since `begin_stage`; merged into the
     /// stage aggregate (and the per-round series) at `end_stage`. Tiny —
     /// a stage reports one to three counters — so linear merge is fine.
@@ -200,7 +203,9 @@ struct Profiler {
     rounds: u64,
     round_total_ns: u64,
     round_latency: Histogram,
-    round_started: Option<Instant>,
+    /// Stage time summed so far in the open round; `None` between
+    /// rounds.
+    round_ns: Option<u64>,
     current_round: u64,
     /// Stage aggregates in first-seen (= pipeline) order. At most the
     /// pipeline length, so linear lookup beats a map.
@@ -226,7 +231,7 @@ impl Profiler {
             rounds: 0,
             round_total_ns: 0,
             round_latency: Histogram::new(),
-            round_started: None,
+            round_ns: None,
             current_round: 0,
             stages: Vec::new(),
             current_stage: None,
@@ -239,14 +244,13 @@ impl Profiler {
 
     fn begin_round(&mut self, round: u64) {
         self.current_round = round;
-        self.round_started = Some(Instant::now());
+        self.round_ns = Some(0);
     }
 
     fn end_round(&mut self) {
-        let Some(started) = self.round_started.take() else {
+        let Some(elapsed_ns) = self.round_ns.take() else {
             return;
         };
-        let elapsed_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         self.rounds += 1;
         self.round_total_ns = self.round_total_ns.saturating_add(elapsed_ns);
         self.round_latency.record(elapsed_ns);
@@ -270,16 +274,18 @@ impl Profiler {
         };
         self.current_stage = Some(CurrentStage {
             index,
-            started: Instant::now(),
             pending: Vec::new(),
         });
     }
 
-    fn end_stage(&mut self) {
+    fn end_stage(&mut self, elapsed: Duration) {
         let Some(current) = self.current_stage.take() else {
             return;
         };
-        let elapsed_ns = u64::try_from(current.started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let elapsed_ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
+        if let Some(round_ns) = &mut self.round_ns {
+            *round_ns = round_ns.saturating_add(elapsed_ns);
+        }
         let round = self.current_round;
         let on_stride = self.series.accepts(round);
         let Some(agg) = self.stages.get_mut(current.index) else {
@@ -428,7 +434,9 @@ impl ProfileSink {
         }
     }
 
-    /// Marks the end of the current round, recording its latency.
+    /// Marks the end of the current round, recording its latency: the
+    /// sum of the stage times handed to [`end_stage`](Self::end_stage)
+    /// since [`begin_round`](Self::begin_round).
     #[inline]
     pub fn end_round(&mut self) {
         if let Some(profiler) = &mut self.inner {
@@ -444,12 +452,13 @@ impl ProfileSink {
         }
     }
 
-    /// Marks the end of the current stage, folding its elapsed time and
-    /// pending work into the aggregates.
+    /// Marks the end of the current stage, folding `elapsed` — the
+    /// stage's wall time as the caller measured it — and the pending
+    /// work into the aggregates.
     #[inline]
-    pub fn end_stage(&mut self) {
+    pub fn end_stage(&mut self, elapsed: Duration) {
         if let Some(profiler) = &mut self.inner {
-            profiler.end_stage();
+            profiler.end_stage(elapsed);
         }
     }
 
@@ -516,6 +525,7 @@ impl ProfileSink {
 mod tests {
     use super::*;
 
+    /// Rounds of a 3 µs establish stage and a 1 µs exchange stage.
     fn run_rounds(sink: &mut ProfileSink, rounds: u64) {
         for round in 0..rounds {
             sink.begin_round(round);
@@ -523,11 +533,11 @@ mod tests {
             sink.add_work("establish.candidate_comparisons", 10);
             sink.add_work("establish.candidate_comparisons", 5);
             sink.add_peer_work(3, 7);
-            sink.end_stage();
+            sink.end_stage(Duration::from_micros(3));
             sink.begin_stage("exchange");
             sink.add_work("exchange.piece_transfers", 2);
             sink.add_peer_work(1, 1);
-            sink.end_stage();
+            sink.end_stage(Duration::from_micros(1));
             sink.end_round();
         }
     }
@@ -555,14 +565,16 @@ mod tests {
         assert_eq!(report.schema_version, PROFILE_SCHEMA_VERSION);
         assert_eq!(report.seed, 42);
         assert_eq!(report.rounds, 4);
-        assert!(report.total_secs > 0.0);
-        assert!(report.rounds_per_sec > 0.0);
+        assert_eq!(report.total_secs, 16e-6, "a round is its stages' sum");
         assert_eq!(report.round_latency.count, 4);
+        assert_eq!(report.round_latency.max_ns, Some(4_000));
 
         let names: Vec<&str> = report.stages.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names, vec!["establish", "exchange"], "pipeline order kept");
         let establish = report.stage("establish").unwrap();
         assert_eq!(establish.rounds, 4);
+        assert_eq!(establish.total_secs, 12e-6);
+        assert_eq!(establish.share, 0.75);
         assert_eq!(
             establish.work,
             vec![("establish.candidate_comparisons".to_string(), 60)],
@@ -597,7 +609,7 @@ mod tests {
         sink.add_peer_work(9, 5);
         sink.add_peer_work(2, 5);
         sink.add_peer_work(4, 1);
-        sink.end_stage();
+        sink.end_stage(Duration::ZERO);
         sink.end_round();
         let report = sink.report().unwrap();
         assert_eq!(
@@ -700,15 +712,16 @@ mod tests {
     #[test]
     fn unbalanced_hooks_are_tolerated() {
         let mut sink = ProfileSink::enabled(ProfileOptions::default());
-        sink.end_stage(); // no stage open
+        sink.end_stage(Duration::from_secs(1)); // no stage open: dropped
         sink.end_round(); // no round open
         sink.add_work("orphan", 5); // outside any stage: dropped
         sink.begin_round(0);
         sink.begin_stage("a");
-        sink.end_stage();
+        sink.end_stage(Duration::from_nanos(5));
         sink.end_round();
         let report = sink.report().unwrap();
         assert_eq!(report.rounds, 1);
+        assert_eq!(report.round_latency.max_ns, Some(5));
         assert_eq!(report.stage("a").unwrap().work, vec![]);
     }
 }

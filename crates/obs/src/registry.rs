@@ -156,37 +156,22 @@ impl Timer {
         self.cell.record(elapsed);
     }
 
-    /// Starts timing; the guard records on drop.
-    #[must_use]
-    pub fn start(&self) -> TimerGuard {
-        TimerGuard {
-            cell: Arc::clone(&self.cell),
-            started: Instant::now(),
-        }
-    }
-
-    /// Times one call of `f`.
-    pub fn time<T>(&self, f: impl FnOnce() -> T) -> T {
-        let _guard = self.start();
-        f()
+    /// Times one call of `f`, records the elapsed wall time and
+    /// returns it, so a caller keeping its own aggregate (the profiler)
+    /// reads the same duration the timer recorded. The registry's timers
+    /// are the only clock the engine reads.
+    pub fn time(&self, f: impl FnOnce()) -> Duration {
+        let started = Instant::now();
+        f();
+        let elapsed = started.elapsed();
+        self.cell.record(elapsed);
+        elapsed
     }
 
     /// Point-in-time totals and percentiles.
     #[must_use]
     pub fn snapshot(&self) -> TimerSnapshot {
         self.cell.snapshot()
-    }
-}
-
-/// RAII guard from [`Timer::start`]; records its lifetime on drop.
-pub struct TimerGuard {
-    cell: Arc<TimerCell>,
-    started: Instant,
-}
-
-impl Drop for TimerGuard {
-    fn drop(&mut self) {
-        self.cell.record(self.started.elapsed());
     }
 }
 
@@ -362,23 +347,13 @@ mod tests {
         let timer = registry.timer("phase");
         timer.record(Duration::from_micros(100));
         timer.record(Duration::from_micros(300));
-        let value = timer.time(|| 7);
-        assert_eq!(value, 7);
+        let elapsed = timer.time(|| std::thread::sleep(Duration::from_micros(50)));
+        assert!(elapsed >= Duration::from_micros(50));
         let snapshot = timer.snapshot();
         assert_eq!(snapshot.count, 3);
-        assert!(snapshot.total_secs >= 400e-6);
+        assert!(snapshot.total_secs >= 450e-6);
         assert!(snapshot.p50_ns.is_some());
         assert!(snapshot.max_ns.unwrap() >= 300_000);
-    }
-
-    #[test]
-    fn timer_guard_records_on_drop() {
-        let registry = Registry::new();
-        let timer = registry.timer("guarded");
-        {
-            let _guard = timer.start();
-        }
-        assert_eq!(timer.snapshot().count, 1);
     }
 
     #[test]

@@ -18,7 +18,10 @@
 //!   sample), each swappable per scenario.
 //!
 //! [`SwarmCore`] is the state the stages operate on; [`Swarm`] couples a
-//! core with a pipeline and the optional telemetry recorder.
+//! core with a pipeline and the attached round observers
+//! ([`crate::observe`]).
+
+use std::any::Any;
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -29,17 +32,15 @@ use bt_markov::dist::sample_exponential;
 use crate::audit::SwarmAudit;
 use crate::config::{InitialPieces, SwarmConfig};
 use crate::metrics::{ObserverLog, SwarmMetrics};
-use crate::monitors::{
-    peer_slice, BundleContext, DoctorOptions, DoctorReport, FaultKind, FaultSpec, MonitorSample,
-    SwarmDoctor,
-};
+use crate::monitors::{DoctorOptions, DoctorReport, FaultKind, FaultSpec, SwarmDoctor};
 use crate::obs::SwarmObs;
+use crate::observe::{RoundObserver, OBSERVERS};
 use crate::peer::{Peer, PeerId};
 use crate::replication::ReplicationIndex;
 use crate::selection::replication_counts;
 use crate::stages::{default_pipeline, RoundStage};
 use crate::store::PeerStore;
-use crate::telemetry::{ObserverSample, TelemetryRecorder, TelemetrySample};
+use crate::telemetry::TelemetryRecorder;
 use crate::tracker::Tracker;
 
 /// Events driving the simulation.
@@ -509,6 +510,13 @@ struct PipelineEntry {
     stage: Box<dyn RoundStage>,
 }
 
+/// One observer slot, in [`OBSERVERS`] order: the `obs.<name>` timer
+/// and the observer, when attached.
+struct ObserverSlot {
+    timer: bt_obs::Timer,
+    observer: Option<Box<dyn RoundObserver>>,
+}
+
 /// A running (or finished) swarm simulation: a [`SwarmCore`] driven
 /// through a stage pipeline each round.
 ///
@@ -535,9 +543,9 @@ struct PipelineEntry {
 pub struct Swarm {
     core: SwarmCore,
     pipeline: Vec<PipelineEntry>,
-    telemetry: Option<TelemetryRecorder>,
-    doctor: Option<SwarmDoctor>,
-    heartbeat: Option<bt_obs::HeartbeatEmitter>,
+    /// The pipeline's stage names, in execution order.
+    stage_names: Vec<&'static str>,
+    observers: Vec<ObserverSlot>,
     fault: Option<FaultSpec>,
 }
 
@@ -545,14 +553,7 @@ impl std::fmt::Debug for Swarm {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Swarm")
             .field("core", &self.core)
-            .field(
-                "pipeline",
-                &self
-                    .pipeline
-                    .iter()
-                    .map(|entry| entry.stage.name())
-                    .collect::<Vec<_>>(),
-            )
+            .field("pipeline", &self.stage_names)
             .finish_non_exhaustive()
     }
 }
@@ -588,6 +589,14 @@ impl Swarm {
         stages: Vec<Box<dyn RoundStage>>,
     ) -> Self {
         let rng = SeedStream::new(config.seed).rng("swarm", 0);
+        let stage_names = stages.iter().map(|stage| stage.name()).collect();
+        let observers = OBSERVERS
+            .iter()
+            .map(|name| ObserverSlot {
+                timer: registry.timer(&format!("obs.{name}")),
+                observer: None,
+            })
+            .collect();
         let pipeline = stages
             .into_iter()
             .map(|stage| PipelineEntry {
@@ -616,9 +625,8 @@ impl Swarm {
         Swarm {
             core,
             pipeline,
-            telemetry: None,
-            doctor: None,
-            heartbeat: None,
+            stage_names,
+            observers,
             fault: None,
         }
     }
@@ -650,10 +658,7 @@ impl Swarm {
     /// The stage names of the active pipeline, in execution order.
     #[must_use]
     pub fn stage_names(&self) -> Vec<&'static str> {
-        self.pipeline
-            .iter()
-            .map(|entry| entry.stage.name())
-            .collect()
+        self.stage_names.clone()
     }
 
     /// Sets the worker-thread count for stages with a parallel plan
@@ -704,23 +709,13 @@ impl Swarm {
     /// phase-detector observations.
     pub fn attach_telemetry(&mut self, mut recorder: TelemetryRecorder) {
         recorder.bind(&self.core.config);
-        self.telemetry = Some(recorder);
-    }
-
-    /// The attached telemetry recorder, if any.
-    #[must_use]
-    pub fn telemetry(&self) -> Option<&TelemetryRecorder> {
-        self.telemetry.as_ref()
+        self.attach(Box::new(recorder));
     }
 
     /// Detaches and returns the telemetry recorder (flushing its stream),
     /// e.g. to inspect it after driving rounds with [`Swarm::step_round`].
     pub fn take_telemetry(&mut self) -> Option<TelemetryRecorder> {
-        let mut recorder = self.telemetry.take();
-        if let Some(r) = recorder.as_mut() {
-            r.finish();
-        }
-        recorder
+        self.detach()
     }
 
     /// Enables cost-attribution profiling for subsequent rounds (see
@@ -763,13 +758,6 @@ impl Swarm {
         self.core.cohort = sink;
     }
 
-    /// The cohort sink (disabled unless [`Swarm::attach_cohort`] was
-    /// called).
-    #[must_use]
-    pub fn cohort(&self) -> &bt_obs::CohortSink {
-        &self.core.cohort
-    }
-
     /// Detaches and returns the cohort sink (flushing its stream),
     /// leaving cohort tracing disabled — e.g. to inspect membership
     /// after driving rounds with [`Swarm::step_round`].
@@ -787,7 +775,7 @@ impl Swarm {
     /// the property in. Emission errors are logged, never fatal: a full
     /// disk must not kill a multi-hour run.
     pub fn attach_heartbeat(&mut self, emitter: bt_obs::HeartbeatEmitter) {
-        self.heartbeat = Some(emitter);
+        self.attach(Box::new(emitter));
     }
 
     /// Detaches and returns the heartbeat emitter after writing its
@@ -795,8 +783,7 @@ impl Swarm {
     /// driving rounds with [`Swarm::step_round`]. `None` when no
     /// emitter was attached.
     pub fn take_heartbeat(&mut self) -> Option<bt_obs::HeartbeatEmitter> {
-        self.finish_heartbeat();
-        self.heartbeat.take()
+        self.detach()
     }
 
     /// Attaches a [`SwarmDoctor`]: subsequent rounds are checked against
@@ -804,14 +791,38 @@ impl Swarm {
     /// profiler and telemetry, the doctor only reads state and makes no
     /// RNG calls, so attaching it leaves a same-seed run byte-identical.
     pub fn attach_doctor(&mut self, options: DoctorOptions) {
-        self.doctor = Some(SwarmDoctor::new(options));
+        self.attach(Box::new(SwarmDoctor::new(options)));
     }
 
     /// Detaches the doctor and returns its report, e.g. after driving
     /// rounds with [`Swarm::step_round`]. `None` when no doctor was
     /// attached.
     pub fn take_doctor_report(&mut self) -> Option<DoctorReport> {
-        self.doctor.take().map(SwarmDoctor::finish)
+        self.detach().map(SwarmDoctor::finish)
+    }
+
+    /// Puts `observer` in its slot, replacing any observer of its kind.
+    fn attach(&mut self, observer: Box<dyn RoundObserver>) {
+        let index = OBSERVERS
+            .iter()
+            .position(|&name| name == observer.name())
+            .expect("every observer is listed in OBSERVERS");
+        self.observers[index].observer = Some(observer);
+    }
+
+    /// Finishes and detaches the attached observer of type `T`.
+    fn detach<T: RoundObserver>(&mut self) -> Option<T> {
+        let slot = self.observers.iter_mut().find(|slot| {
+            slot.observer
+                .as_deref()
+                .is_some_and(|observer| (observer as &dyn Any).is::<T>())
+        })?;
+        let mut observer = slot.observer.take()?;
+        observer.finish(&self.core);
+        (observer as Box<dyn Any>)
+            .downcast()
+            .ok()
+            .map(|observer| *observer)
     }
 
     /// Schedules a deliberate invariant-breaking fault (see
@@ -837,7 +848,7 @@ impl Swarm {
     #[must_use]
     pub fn run_diagnosed(mut self) -> (SwarmMetrics, bt_obs::ProfileSink, Option<DoctorReport>) {
         self.drive();
-        let report = self.doctor.take().map(SwarmDoctor::finish);
+        let report = self.take_doctor_report();
         let SwarmCore {
             metrics, profile, ..
         } = self.core;
@@ -887,11 +898,12 @@ impl Swarm {
             }
         });
         self.core.metrics.rounds_run = self.core.round;
-        if let Some(recorder) = self.telemetry.as_mut() {
-            recorder.finish();
+        for slot in &mut self.observers {
+            if let Some(observer) = slot.observer.as_mut() {
+                observer.finish(&self.core);
+            }
         }
         self.core.cohort.finish();
-        self.finish_heartbeat();
         tracing::info!(
             target: "bt_swarm",
             rounds = self.core.metrics.rounds_run,
@@ -938,37 +950,31 @@ impl Swarm {
         for entry in &mut self.pipeline {
             self.core.profile.begin_stage(entry.stage.name());
             let probes_before = self.core.store.probe_count();
-            {
-                let _g = entry.timer.start();
-                entry.stage.run(&mut self.core);
-            }
+            // The stage's one clock reading: the registry timer records
+            // it as `round.<stage>` and the profiler gets the same value.
+            let elapsed = entry.timer.time(|| entry.stage.run(&mut self.core));
             let probes = self.core.store.probe_count().wrapping_sub(probes_before);
             self.core.profile.add_work("store.slab_probes", probes);
-            // Audited: telemetry flush into the profiler's registry
-            // timers — commutative counts, never read back by model
-            // code. bt-lint: allow(shared-interior-mut)
-            self.core.profile.end_stage();
+            // Audited: the profiler folds the stage time into its own
+            // histograms, never read back by model code; the registry
+            // `Mutex` it is linked to is a same-named `record` method.
+            // bt-lint: allow(shared-interior-mut)
+            self.core.profile.end_stage(elapsed);
         }
         self.core.profile.end_round();
         if self.fault.is_some_and(|f| f.round == self.core.round) {
             let fault = self.fault.take().expect("fault presence just checked");
             self.core.apply_fault(fault.kind);
         }
-        // Observer work runs under its own `obs.*` timers (only when
-        // attached, so unobserved runs pay nothing): the manifest sums
-        // them into `obs_share`, the quantity the `--obs-budget` gate
-        // checks.
-        if self.doctor.is_some() {
-            let _g = self.core.obs.doctor_timer.start();
-            self.check_doctor();
-        }
-        if self.telemetry.is_some() {
-            let _g = self.core.obs.telemetry_timer.start();
-            self.record_telemetry();
-        }
-        if self.heartbeat.is_some() {
-            let _g = self.core.obs.heartbeat_timer.start();
-            self.record_heartbeat();
+        // Each attached observer runs under its `obs.<name>` timer
+        // (unobserved runs pay nothing): the manifest sums them into
+        // `obs_share`, the quantity the `--obs-budget` gate checks.
+        for slot in &mut self.observers {
+            let Some(observer) = slot.observer.as_mut() else {
+                continue;
+            };
+            slot.timer
+                .time(|| observer.on_round(&self.core, &self.stage_names));
         }
         tracing::debug!(
             target: "bt_swarm::round",
@@ -977,178 +983,6 @@ impl Swarm {
             departures = self.core.metrics.departures;
             "round complete"
         );
-    }
-
-    /// Runs the attached doctor's monitors if this round is on its
-    /// cadence, writing the diagnosis bundle on the first violation. A
-    /// no-op (no scan, no allocation) when no doctor is attached.
-    fn check_doctor(&mut self) {
-        let Some(mut doctor) = self.doctor.take() else {
-            return;
-        };
-        if doctor.due(self.core.round) {
-            let sample = MonitorSample::capture(&self.core);
-            let telemetry = self.current_sample();
-            let violations = doctor.observe(&sample, telemetry);
-            if !violations.is_empty() {
-                for v in &violations {
-                    tracing::warn!(target: "bt_swarm::doctor", "{}", v);
-                }
-                if !doctor.bundle_written() {
-                    let subjects: Vec<u64> = violations
-                        .iter()
-                        .flat_map(|v| v.subjects.iter().copied())
-                        .collect();
-                    let context = BundleContext {
-                        seed: self.core.config.seed,
-                        pipeline: self
-                            .pipeline
-                            .iter()
-                            .map(|entry| entry.stage.name().to_string())
-                            .collect(),
-                        peers: peer_slice(&self.core, &subjects, 32),
-                        profile: self.core.profile.report(),
-                    };
-                    match doctor.emit_bundle(&sample, &violations, &context) {
-                        Ok(Some(dir)) => tracing::warn!(
-                            target: "bt_swarm::doctor",
-                            "diagnosis bundle written to {}",
-                            dir.display()
-                        ),
-                        Ok(None) => {}
-                        Err(e) => tracing::warn!(
-                            target: "bt_swarm::doctor",
-                            "failed to write diagnosis bundle: {}",
-                            e
-                        ),
-                    }
-                }
-            }
-        }
-        self.doctor = Some(doctor);
-    }
-
-    /// The current round's heartbeat pulse: population off the tracker,
-    /// entropy off the replication index, and the swarm phase from the
-    /// median piece count ([`bt_obs::swarm_phase`]) — all O(pieces)
-    /// sketch reads, no population scan, no RNG.
-    fn heartbeat_pulse(&self) -> bt_obs::HeartbeatPulse {
-        let core = &self.core;
-        let population = core.tracker.len() as u64;
-        let median_pieces = u64::from(core.piece_cells.quantile(0.5).unwrap_or(0));
-        bt_obs::HeartbeatPulse {
-            round: core.round,
-            population,
-            entropy: entropy_of(core.replication.counts()),
-            phase: bt_obs::swarm_phase(population, median_pieces, core.config.pieces),
-        }
-    }
-
-    /// Emits a heartbeat if the attached emitter's wall-clock cadence
-    /// says one is due. Emission errors are logged and swallowed.
-    fn record_heartbeat(&mut self) {
-        if !self
-            .heartbeat
-            .as_ref()
-            .is_some_and(bt_obs::HeartbeatEmitter::due)
-        {
-            return;
-        }
-        let pulse = self.heartbeat_pulse();
-        if let Some(emitter) = self.heartbeat.as_mut() {
-            if let Err(e) = emitter.beat(&pulse) {
-                tracing::warn!(target: "bt_swarm", "heartbeat emission failed: {e}");
-            }
-        }
-    }
-
-    /// Writes the final beat and marks the run status finished. A no-op
-    /// when no emitter is attached (or it already finished — the
-    /// emitter's `finish` is idempotent).
-    fn finish_heartbeat(&mut self) {
-        if self.heartbeat.is_none() {
-            return;
-        }
-        let _g = self.core.obs.heartbeat_timer.start();
-        let pulse = self.heartbeat_pulse();
-        if let Some(emitter) = self.heartbeat.as_mut() {
-            if let Err(e) = emitter.finish(&pulse) {
-                tracing::warn!(target: "bt_swarm", "heartbeat finalization failed: {e}");
-            }
-        }
-    }
-
-    /// The current round's [`TelemetrySample`], built from the streaming
-    /// sketches instead of a full population scan: replication counts
-    /// and availability bins off the replication index (O(pieces)),
-    /// piece-count quantiles off the [`bt_obs::CountCells`] maintained
-    /// by the possession mutators (O(pieces)), and the mean degree from
-    /// the audit's connection balance (O(1)) — bit-identical to the
-    /// [`crate::snapshot::Snapshot::capture`] +
-    /// [`TelemetrySample::from_snapshot`] path
-    /// (`sketch_sample_matches_snapshot_oracle` locks the equivalence).
-    #[must_use]
-    pub fn current_sample(&self) -> TelemetrySample {
-        let core = &self.core;
-        let replication = core.replication.counts();
-        let population = core.tracker.len() as u64;
-        let max_rep = replication.iter().max().copied().unwrap_or(0);
-        let mut availability = vec![0u64; max_rep as usize + 1];
-        for &d in replication {
-            availability[d as usize] += 1;
-        }
-        let q = |fraction: f64| core.piece_cells.quantile(fraction).unwrap_or(0);
-        // Every open connection contributes exactly two endpoints, so the
-        // audit balance reproduces the per-peer degree sum without a
-        // scan. Exact in f64: the endpoint total stays far below 2^53.
-        let mean_degree = if population == 0 {
-            0.0
-        } else {
-            2.0 * (core.audit.conn_opened as f64 - core.audit.conn_closed as f64)
-                / population as f64
-        };
-        let k = core.config.max_connections;
-        let slot_utilization = if k == 0 {
-            0.0
-        } else {
-            mean_degree / f64::from(k)
-        };
-        TelemetrySample {
-            round: core.round,
-            population,
-            entropy: entropy_of(replication),
-            extinct_pieces: replication.iter().filter(|&&d| d == 0).count() as u64,
-            availability,
-            piece_quantiles: [q(0.0), q(0.25), q(0.5), q(0.75), q(1.0)],
-            mean_degree,
-            slot_utilization,
-        }
-    }
-
-    /// Feeds the attached telemetry recorder one round: the sketch-built
-    /// sample plus the per-observer `(pieces, potential, connections)`
-    /// states driving online phase detection.
-    fn record_telemetry(&mut self) {
-        let sample = self.current_sample();
-        let core = &self.core;
-        let obs_lo = u64::from(core.config.observe_from);
-        let obs_hi = obs_lo + u64::from(core.config.observers);
-        let observers: Vec<ObserverSample> = core
-            .tracker
-            .peers()
-            .iter()
-            .copied()
-            .filter(|id| (obs_lo..obs_hi).contains(&id.seq()))
-            .map(|id| ObserverSample {
-                peer: id.seq(),
-                pieces: core.store.peer(id).have.count(),
-                potential: core.potential_size(id),
-                connections: core.store.peer(id).connections.len() as u32,
-            })
-            .collect();
-        if let Some(recorder) = self.telemetry.as_mut() {
-            recorder.record_sample(&sample, &observers);
-        }
     }
 
     /// Checks the structural invariants: symmetric neighbor and
@@ -1243,6 +1077,7 @@ pub fn entropy_of(replication: &[u64]) -> f64 {
 mod tests {
     use super::*;
     use crate::config::{BootstrapInjection, PieceSelection};
+    use crate::telemetry::TelemetrySample;
 
     fn small_config(seed: u64) -> SwarmConfig {
         SwarmConfig::builder()
@@ -1306,7 +1141,7 @@ mod tests {
                 &crate::snapshot::Snapshot::capture(&swarm),
                 swarm.config().max_connections,
             );
-            assert_eq!(swarm.current_sample(), exact);
+            assert_eq!(crate::observe::current_sample(&swarm.core), exact);
         }
     }
 
@@ -1327,8 +1162,9 @@ mod tests {
             &crate::snapshot::Snapshot::capture(&swarm),
             swarm.config().max_connections,
         );
-        assert_eq!(swarm.current_sample(), exact);
-        assert_eq!(swarm.current_sample().population, 0);
+        let sample = crate::observe::current_sample(&swarm.core);
+        assert_eq!(sample, exact);
+        assert_eq!(sample.population, 0);
     }
 
     #[test]
@@ -1350,7 +1186,7 @@ mod tests {
         let buf = Buf::default();
         let mut swarm = Swarm::new(small_config(11));
         swarm.attach_cohort(4, Box::new(buf.clone()));
-        assert!(swarm.cohort().is_enabled());
+        assert!(swarm.core.cohort.is_enabled());
         for _ in 0..120 {
             swarm.step_round();
         }

@@ -47,6 +47,7 @@ pub mod engine;
 pub mod metrics;
 pub mod monitors;
 mod obs;
+mod observe;
 pub mod peer;
 pub mod piece;
 pub mod replication;

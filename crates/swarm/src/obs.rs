@@ -1,16 +1,18 @@
 //! Cached observability handles for the swarm engine.
 //!
 //! All counter lookups happen once, at swarm construction; the round
-//! loop then touches pre-resolved atomic handles only. Phase timers are
-//! resolved by the stage pipeline (each [`crate::stages::RoundStage`]
-//! names its own `round.*` timer). See DESIGN.md ("Observability") for
-//! the counter and timer name schema.
+//! loop then touches pre-resolved atomic handles only. Timers are
+//! resolved beside what they time, also at construction: each pipeline
+//! stage's `round.<stage>` timer (named by its
+//! [`crate::stages::RoundStage::name`]) and each observer slot's
+//! `obs.<name>` timer. See DESIGN.md ("Observability") for the counter
+//! and timer name schema.
 
 // Audited: this module *is* the model/observer boundary — resolving
 // counter and timer handles walks the registry's lock-guarded tables,
 // once, at construction. bt-lint: allow-file(shared-interior-mut)
 
-use bt_obs::{Counter, Registry, Timer};
+use bt_obs::{Counter, Registry};
 
 /// Counter handles used by the round loop.
 ///
@@ -38,14 +40,6 @@ pub(crate) struct SwarmObs {
     pub peak_population: Counter,
     /// Rounds executed (`swarm.rounds`).
     pub rounds: Counter,
-    /// Wall time in the telemetry observer (`obs.telemetry`). The
-    /// `obs.` prefix routes it into the manifest's `obs_share`, the
-    /// quantity the `--obs-budget` gate checks.
-    pub telemetry_timer: Timer,
-    /// Wall time in the doctor's monitor checks (`obs.doctor`).
-    pub doctor_timer: Timer,
-    /// Wall time in the heartbeat emitter (`obs.heartbeat`).
-    pub heartbeat_timer: Timer,
 }
 
 impl SwarmObs {
@@ -62,9 +56,6 @@ impl SwarmObs {
             bootstrap_injections: registry.counter("swarm.bootstrap_injections"),
             peak_population: registry.counter("swarm.peak_population"),
             rounds: registry.counter("swarm.rounds"),
-            telemetry_timer: registry.timer("obs.telemetry"),
-            doctor_timer: registry.timer("obs.doctor"),
-            heartbeat_timer: registry.timer("obs.heartbeat"),
         }
     }
 }

@@ -384,21 +384,6 @@ impl TelemetryRecorder {
         self.meta = Some(meta);
     }
 
-    /// Records one round from a full [`Snapshot`]. Equivalent to
-    /// [`TelemetryRecorder::record_sample`] with
-    /// [`TelemetrySample::from_snapshot`]; the engine's hot loop uses
-    /// `record_sample` directly with a sketch-built sample so the
-    /// per-round cost stays sublinear in population.
-    pub fn record_round(
-        &mut self,
-        snapshot: &Snapshot,
-        max_connections: u32,
-        observers: &[ObserverSample],
-    ) {
-        let sample = TelemetrySample::from_snapshot(snapshot, max_connections);
-        self.record_sample(&sample, observers);
-    }
-
     /// Records one round from a pre-built sample: feeds phase detectors
     /// every round and samples the series on the stride.
     pub fn record_sample(&mut self, sample: &TelemetrySample, observers: &[ObserverSample]) {

@@ -634,3 +634,124 @@ fn completion_records_match_the_pinned_digests() {
         }
     }
 }
+
+/// An open swarm whose observers are later arrivals, not initial
+/// leechers, so phase detection, cohort offers and doctor checks all
+/// see peers that joined mid-run.
+fn open_config() -> SwarmConfig {
+    SwarmConfig::builder()
+        .pieces(16)
+        .max_connections(4)
+        .neighbor_set_size(8)
+        .arrival_rate(2.0)
+        .initial_leechers(10)
+        .initial_pieces(InitialPieces::Random { count: 4 })
+        .observers(4)
+        .observe_from(12)
+        .max_rounds(150)
+        .seed(31)
+        .build()
+        .expect("valid config")
+}
+
+/// What an open run's observers and metrics produced: telemetry bytes,
+/// cohort bytes, completion records as JSON, and the doctor's checks
+/// and verdicts.
+type OpenRun = (Vec<u8>, Vec<u8>, String, String);
+
+/// Drives [`open_config`] through the DES driver (so Poisson arrivals
+/// join) at `threads` workers with telemetry, cohort, doctor and
+/// heartbeat attached.
+fn run_open(threads: u32) -> OpenRun {
+    let config = open_config();
+    let initial = u64::from(config.initial_leechers);
+    let mut swarm = Swarm::with_registry(config, bt_obs::Registry::new());
+    swarm.set_threads(threads);
+    let buf = SharedBuf::default();
+    swarm.attach_telemetry(
+        TelemetryRecorder::new(TelemetryOptions::default()).to_writer(Box::new(buf.clone())),
+    );
+    let cohort_buf = SharedBuf::default();
+    swarm.attach_cohort(8, Box::new(cohort_buf.clone()));
+    swarm.attach_doctor(DoctorOptions {
+        cadence: 3,
+        ..DoctorOptions::default()
+    });
+    let dir = std::env::temp_dir().join(format!(
+        "bt_swarm_det_open_{}_{threads}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let emitter = bt_obs::HeartbeatEmitter::new(
+        bt_obs::HeartbeatOptions {
+            dir: dir.clone(),
+            interval: std::time::Duration::ZERO,
+            command: "swarm".to_string(),
+            seed: 31,
+            target_rounds: 150,
+        },
+        bt_obs::Registry::new(),
+    )
+    .expect("heartbeat artifacts in temp dir");
+    swarm.attach_heartbeat(emitter);
+    let (metrics, _profile, report) = swarm.run_diagnosed();
+    let status = bt_obs::read_status(&dir.join(bt_obs::RUN_STATUS_FILE)).expect("status parses");
+    assert!(status.is_finished(), "the run finished its heartbeat");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        metrics.arrivals > initial,
+        "{} arrivals from {initial} initial leechers: no peer joined mid-run",
+        metrics.arrivals
+    );
+    assert!(
+        metrics.completions.iter().any(|c| c.joined_round > 0),
+        "no mid-run arrival completed"
+    );
+    let report = report.expect("doctor was attached");
+    assert!(report.report.checks > 0, "monitors sampled rounds");
+    let completions =
+        serde_json::to_string(&metrics.completions).expect("completion records serialize");
+    (
+        buf.contents(),
+        cohort_buf.contents(),
+        completions,
+        format!(
+            "{} checks: {:?}",
+            report.report.checks, report.report.violations
+        ),
+    )
+}
+
+#[test]
+fn open_swarm_outputs_are_identical_across_thread_counts() {
+    // Stepped rounds schedule no Poisson arrivals, so every comparison
+    // above sees a closed swarm. This one runs the DES driver: joins
+    // hit the tracker handout, join eviction and the cohort reservoir
+    // while the exchange plan runs sharded.
+    let serial = run_open(1);
+    let telemetry = String::from_utf8_lossy(&serial.0);
+    assert!(
+        telemetry.contains("{\"Phase\":"),
+        "the observers, all mid-run arrivals, changed phase"
+    );
+    assert!(!serial.1.is_empty(), "cohort produced records");
+    for threads in [2, 8] {
+        let threaded = run_open(threads);
+        assert_eq!(
+            serial.0, threaded.0,
+            "telemetry diverged at --threads {threads}"
+        );
+        assert_eq!(
+            serial.1, threaded.1,
+            "cohort stream diverged at --threads {threads}"
+        );
+        assert_eq!(
+            serial.2, threaded.2,
+            "completion records diverged at --threads {threads}"
+        );
+        assert_eq!(
+            serial.3, threaded.3,
+            "monitor verdicts diverged at --threads {threads}"
+        );
+    }
+}

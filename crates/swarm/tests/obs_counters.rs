@@ -3,7 +3,7 @@
 //! is a bookkeeping bug in one of the two paths.
 
 use bt_obs::Registry;
-use bt_swarm::{Swarm, SwarmConfig};
+use bt_swarm::{DoctorOptions, Swarm, SwarmConfig, TelemetryOptions, TelemetryRecorder};
 
 fn config(seed: u64) -> SwarmConfig {
     SwarmConfig::builder()
@@ -111,4 +111,60 @@ fn same_seed_same_counters() {
     let mb = Swarm::with_registry(config(11), b.clone()).run();
     assert_eq!(ma, mb);
     assert_eq!(a.counter_totals(), b.counter_totals());
+}
+
+#[test]
+fn profiler_and_registry_time_stages_with_one_clock() {
+    // The engine reads the clock once per stage: the registry's
+    // `round.<stage>` timer records it and the profiler gets the same
+    // value, so the two views agree to the nanosecond.
+    let registry = Registry::new();
+    let mut swarm = Swarm::with_registry(config(13), registry.clone());
+    swarm.attach_profiler(bt_obs::ProfileOptions::default());
+    swarm.attach_telemetry(TelemetryRecorder::new(TelemetryOptions::default()));
+    swarm.attach_doctor(DoctorOptions {
+        cadence: 5,
+        ..DoctorOptions::default()
+    });
+    let dir = std::env::temp_dir().join(format!("bt_swarm_one_clock_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let emitter = bt_obs::HeartbeatEmitter::new(
+        bt_obs::HeartbeatOptions {
+            dir: dir.clone(),
+            interval: std::time::Duration::ZERO,
+            command: "swarm".to_string(),
+            seed: 13,
+            target_rounds: 150,
+        },
+        registry.clone(),
+    )
+    .expect("heartbeat artifacts in temp dir");
+    swarm.attach_heartbeat(emitter);
+    let stages = swarm.stage_names();
+    let (metrics, profile, _) = swarm.run_diagnosed();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let report = profile.report().expect("profiler was attached");
+    assert_eq!(report.rounds, metrics.rounds_run);
+    let mut stage_ns = 0.0;
+    for stage in stages {
+        let timer = registry.timer(&format!("round.{stage}")).snapshot();
+        let profiled = report.stage(stage).expect("every stage is profiled");
+        assert_eq!(profiled.rounds, timer.count, "{stage} rounds");
+        assert_eq!(profiled.total_secs, timer.total_secs, "{stage} time");
+        stage_ns += profiled.total_secs * 1e9;
+    }
+    // A round's latency is the sum of its stages' times.
+    let round_ns = report.total_secs * 1e9;
+    assert!(
+        (round_ns - stage_ns).abs() < 1.0,
+        "rounds {round_ns} ns, stages {stage_ns} ns"
+    );
+    for observer in ["doctor", "telemetry", "heartbeat"] {
+        assert_eq!(
+            registry.timer(&format!("obs.{observer}")).snapshot().count,
+            metrics.rounds_run,
+            "obs.{observer} times each round once"
+        );
+    }
 }
