@@ -35,7 +35,7 @@ use crate::metrics::{ObserverLog, SwarmMetrics};
 use crate::monitors::{DoctorOptions, DoctorReport, FaultKind, FaultSpec, SwarmDoctor};
 use crate::obs::SwarmObs;
 use crate::observe::{RoundObserver, OBSERVERS};
-use crate::peer::{Peer, PeerId};
+use crate::peer::{Peer, PeerId, PeerRef};
 use crate::replication::ReplicationIndex;
 use crate::selection::replication_counts;
 use crate::stages::{default_pipeline, RoundStage};
@@ -126,7 +126,8 @@ impl SwarmCore {
     }
 
     /// Mutable access to the peer store, for custom stages that edit
-    /// topology (neighbors, connections, credit). Piece possession must
+    /// peer state; topology edits go through
+    /// [`add_symmetric_neighbor`](Self::add_symmetric_neighbor). Piece possession must
     /// go through [`acquire_piece`](Self::acquire_piece) /
     /// [`receive_block`](Self::receive_block) so the replication index
     /// stays in sync.
@@ -251,8 +252,8 @@ impl SwarmCore {
         self.audit.departures += 1;
         self.tracker.deregister(id);
         for &other in &peer.neighbors {
-            if let Some(o) = self.store.get_mut(other) {
-                o.remove_neighbor(id);
+            if let Some(o) = self.store.at_mut(other) {
+                o.remove_neighbor(id.into());
             }
         }
         peer
@@ -271,24 +272,36 @@ impl SwarmCore {
             .iter()
             .filter(|&&n| {
                 self.store
-                    .get(n)
+                    .at(n)
                     .is_some_and(|o| me.have.can_trade_with(&o.have))
             })
             .count() as u32
     }
 
     /// Collects all current connections as canonical `(low, high)`
-    /// pairs, sorted, into `out` (cleared first).
-    pub fn collect_connection_pairs(&self, out: &mut Vec<(PeerId, PeerId)>) {
+    /// pairs, sorted by the sequence numbers of both ends, into `out`
+    /// (cleared first).
+    ///
+    /// The tracker lists peers in `seq` order, so sorting each peer's
+    /// higher-`seq` partners (at most `k`, their `seq`s read from the
+    /// slab) and appending them builds the sorted list without a global
+    /// sort.
+    pub(crate) fn collect_connection_pairs(&self, out: &mut Vec<(PeerRef, PeerRef)>) {
         out.clear();
+        let mut partners: Vec<PeerId> = Vec::with_capacity(self.config.max_connections as usize);
         for &id in self.tracker.peers() {
-            for &other in &self.store.peer(id).connections {
-                if id < other {
-                    out.push((id, other));
-                }
-            }
+            partners.clear();
+            partners.extend(
+                self.store
+                    .peer(id)
+                    .connections
+                    .iter()
+                    .map(|&other| self.store.peer_at(other).id)
+                    .filter(|&other| id < other),
+            );
+            partners.sort_unstable();
+            out.extend(partners.iter().map(|&other| (id.into(), other.into())));
         }
-        out.sort_unstable();
     }
 
     /// Makes `a` and `b` neighbors symmetrically. With `evict` set (used
@@ -299,7 +312,7 @@ impl SwarmCore {
     /// full, keeping established neighborhoods stable between tracker
     /// contacts.
     pub fn add_symmetric_neighbor(&mut self, a: PeerId, b: PeerId, evict: bool) -> bool {
-        if a == b || self.store.peer(a).is_neighbor(b) {
+        if a == b || self.store.peer(a).is_neighbor(b.into()) {
             return false;
         }
         let s = self.config.neighbor_set_size as usize;
@@ -309,8 +322,8 @@ impl SwarmCore {
                 return false;
             }
         }
-        self.store.peer_mut(a).add_neighbor(b);
-        self.store.peer_mut(b).add_neighbor(a);
+        self.store.peer_mut(a).add_neighbor(b.into());
+        self.store.peer_mut(b).add_neighbor(a.into());
         true
     }
 
@@ -340,8 +353,8 @@ impl SwarmCore {
             .nth(pick)
             .expect("pick is within the idle count");
         self.store.peer_mut(id).remove_neighbor(victim);
-        if let Some(v) = self.store.get_mut(victim) {
-            v.remove_neighbor(id);
+        if let Some(v) = self.store.at_mut(victim) {
+            v.remove_neighbor(id.into());
         }
         true
     }
@@ -471,8 +484,13 @@ impl SwarmCore {
                         .iter_missing()
                         .find(|&p| self.replication.counts()[p as usize] > 0)
                         .or_else(|| self.store.peer(id).have.iter_missing().next());
+                    // The piece-count cells move with the bit: no
+                    // monitor checks them, and a cell left behind would
+                    // underflow at the peer's next acquisition.
                     if let Some(piece) = piece {
                         self.store.peer_mut(id).have.set(piece);
+                        let count = self.store.peer(id).have.count();
+                        self.piece_cells.shift(count - 1, count);
                     }
                 }
             }
@@ -490,7 +508,7 @@ impl SwarmCore {
                         continue;
                     }
                     for &n in &peer.neighbors {
-                        if !peer.is_connected(n) && self.store.get(n).is_some() {
+                        if !peer.is_connected(n) && self.store.at(n).is_some() {
                             found = Some((id, n));
                             break 'outer;
                         }
@@ -1024,20 +1042,29 @@ impl Swarm {
             for &n in &peer.neighbors {
                 let other = core
                     .store
-                    .get(n)
-                    .unwrap_or_else(|| panic!("{id} lists departed neighbor {n}"));
+                    .at(n)
+                    .unwrap_or_else(|| panic!("{id} lists departed neighbor {n:?}"));
                 assert!(
-                    other.is_neighbor(id),
-                    "neighbor relation asymmetric: {id} {n}"
+                    other.is_neighbor(id.into()),
+                    "neighbor relation asymmetric: {id} {}",
+                    other.id
                 );
             }
             for &c in &peer.connections {
-                assert!(peer.is_neighbor(c), "{id} connected to non-neighbor {c}");
                 let other = core
                     .store
-                    .get(c)
-                    .unwrap_or_else(|| panic!("{id} connected to departed {c}"));
-                assert!(other.is_connected(id), "connection asymmetric: {id} {c}");
+                    .at(c)
+                    .unwrap_or_else(|| panic!("{id} connected to departed {c:?}"));
+                assert!(
+                    peer.is_neighbor(c),
+                    "{id} connected to non-neighbor {}",
+                    other.id
+                );
+                assert!(
+                    other.is_connected(id.into()),
+                    "connection asymmetric: {id} {}",
+                    other.id
+                );
             }
         }
         let oracle = replication_counts(
@@ -1718,9 +1745,12 @@ mod plan_commit_tests {
         for &id in core.tracker.peers() {
             let peer = core.store.peer(id);
             let have: Vec<u32> = peer.have.iter().collect();
-            let neighbors: Vec<u64> = peer.neighbors.iter().map(|n| n.seq()).collect();
-            let connections: Vec<u64> = peer.connections.iter().map(|n| n.seq()).collect();
-            let credit: Vec<(u64, u32)> = peer.credit.iter().map(|&(k, v)| (k.seq(), v)).collect();
+            let seq = |&r: &PeerRef| core.store.peer_at(r).id.seq();
+            let neighbors: Vec<u64> = peer.neighbors.iter().map(seq).collect();
+            let connections: Vec<u64> = peer.connections.iter().map(seq).collect();
+            // Departed senders keep their entries, so credit is listed
+            // by reference.
+            let credit = &peer.credit;
             writeln!(
                 out,
                 "peer {} have={:?} nbrs={:?} conns={:?} credit={:?} partial={:?} shaken={} slow={}",
@@ -1792,6 +1822,62 @@ mod plan_commit_tests {
             serial.assert_invariants();
             sharded.assert_invariants();
         }
+    }
+
+    /// The pair list as it was built before the sort-free builder:
+    /// every connection as `(low, high)` ids, collected, then sorted
+    /// whole.
+    fn sorted_pairs_oracle(core: &SwarmCore) -> Vec<(PeerId, PeerId)> {
+        let mut out = Vec::new();
+        for &id in core.tracker.peers() {
+            for &other in &core.store.peer(id).connections {
+                let other = core.store.peer_at(other).id;
+                if id < other {
+                    out.push((id, other));
+                }
+            }
+        }
+        out.sort_unstable();
+        out
+    }
+
+    #[test]
+    fn sort_free_pairs_equal_the_sorted_collection_under_churn() {
+        // An open swarm: peers complete and depart every round, and
+        // arrivals between rounds move into the freed slots, so slot
+        // order drifts away from seq order.
+        let config = SwarmConfig::builder()
+            .pieces(12)
+            .max_connections(4)
+            .neighbor_set_size(8)
+            .initial_leechers(30)
+            .initial_pieces(InitialPieces::Random { count: 3 })
+            .max_rounds(200)
+            .seed(11)
+            .build()
+            .unwrap();
+        let mut swarm = Swarm::new(config);
+        let mut pairs = Vec::new();
+        let mut pairs_seen = 0;
+        for round in 0..120 {
+            for _ in 0..round % 4 {
+                swarm.core.spawn_peer();
+            }
+            swarm.step_round();
+            swarm.core.collect_connection_pairs(&mut pairs);
+            let store = &swarm.core.store;
+            let built: Vec<(PeerId, PeerId)> = pairs
+                .iter()
+                .map(|&(a, b)| (store.peer_at(a).id, store.peer_at(b).id))
+                .collect();
+            assert_eq!(built, sorted_pairs_oracle(&swarm.core), "round {round}");
+            pairs_seen += pairs.len();
+        }
+        assert!(pairs_seen > 500, "only {pairs_seen} pairs compared");
+        assert!(
+            (swarm.core.store.capacity() as u64) < swarm.core.metrics.arrivals,
+            "arrivals reused freed slots"
+        );
     }
 
     /// The same equivalence on the metrics a full threaded run reports.

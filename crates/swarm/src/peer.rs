@@ -5,17 +5,20 @@ use std::collections::BTreeMap;
 use crate::piece::Bitfield;
 
 pub use crate::store::PeerId;
+pub(crate) use crate::store::PeerRef;
 
 /// A leecher participating in the swarm.
 ///
 /// Neighbor and connection sets are kept as ordered vectors (sizes are
 /// small — at most `s` and `k`), the credit table as a vector sorted by
-/// peer id, and the partial table as a `BTreeMap`, so every iteration
+/// reference, and the partial table as a `BTreeMap`, so every iteration
 /// order is deterministic and seeded replay is exact.
 ///
-/// A peer's memory grows with what it holds. The engine reserves exactly
-/// `s` neighbor and `k` connection slots when the peer joins and never
-/// pushes past either cap, so neither list reallocates. The acquisition
+/// A peer's memory grows with what it holds. The three per-peer lists
+/// hold 8-byte `PeerRef`s, not 16-byte [`PeerId`]s, so a credit entry
+/// is 12 bytes. The engine reserves exactly `s` neighbor and `k`
+/// connection slots when the peer joins and never pushes past either
+/// cap, so neither list reallocates. The acquisition
 /// log holds one `u32` round per piece held, in acquisition order; it is
 /// the only record of when pieces arrived, and a completion record reads
 /// it as is.
@@ -28,13 +31,15 @@ pub struct Peer {
     /// Round at which the peer joined.
     pub joined_round: u64,
     /// Current neighbor set (symmetric relation, capped at `s`).
-    pub neighbors: Vec<PeerId>,
+    pub(crate) neighbors: Vec<PeerRef>,
     /// Currently active connections (subset of `neighbors`, capped at `k`).
-    pub connections: Vec<PeerId>,
+    pub(crate) connections: Vec<PeerRef>,
     /// Pieces received from each neighbor, for tit-for-tat ranking:
-    /// `(sender, pieces)` sorted by sender, one entry per sender; only
-    /// [`Peer::record_credit`] writes it, which keeps that order.
-    pub(crate) credit: Vec<(PeerId, u32)>,
+    /// `(sender, pieces)` sorted by [`PeerRef::key`], one entry per
+    /// sender; only [`Peer::record_credit`] writes it, which keeps that
+    /// order. Entries of departed senders stay, and never match the
+    /// newcomer in their slot.
+    pub(crate) credit: Vec<(PeerRef, u32)>,
     /// Acquisition log: the round of each piece acquired, in
     /// acquisition order. Rounds never decrease, so the log is sorted;
     /// only [`Peer::acquire`] writes it.
@@ -126,20 +131,18 @@ impl Peer {
     }
 
     /// Whether `other` is currently a neighbor.
-    #[must_use]
-    pub fn is_neighbor(&self, other: PeerId) -> bool {
+    pub(crate) fn is_neighbor(&self, other: PeerRef) -> bool {
         self.neighbors.contains(&other)
     }
 
     /// Whether an active connection to `other` exists.
-    #[must_use]
-    pub fn is_connected(&self, other: PeerId) -> bool {
+    pub(crate) fn is_connected(&self, other: PeerRef) -> bool {
         self.connections.contains(&other)
     }
 
     /// Adds a neighbor if absent. Returns `true` on change.
-    pub fn add_neighbor(&mut self, other: PeerId) -> bool {
-        if other == self.id || self.is_neighbor(other) {
+    pub(crate) fn add_neighbor(&mut self, other: PeerRef) -> bool {
+        if other == self.id.into() || self.is_neighbor(other) {
             return false;
         }
         self.neighbors.push(other);
@@ -148,7 +151,7 @@ impl Peer {
 
     /// Removes a neighbor (and any connection to it). Returns `true` on
     /// change.
-    pub fn remove_neighbor(&mut self, other: PeerId) -> bool {
+    pub(crate) fn remove_neighbor(&mut self, other: PeerRef) -> bool {
         let before = self.neighbors.len();
         self.neighbors.retain(|&p| p != other);
         self.connections.retain(|&p| p != other);
@@ -156,16 +159,18 @@ impl Peer {
     }
 
     /// Tit-for-tat credit accrued from `other`.
-    #[must_use]
-    pub fn credit_for(&self, other: PeerId) -> u32 {
+    pub(crate) fn credit_for(&self, other: PeerRef) -> u32 {
         self.credit
-            .binary_search_by_key(&other, |&(id, _)| id)
+            .binary_search_by_key(&other.key(), |&(sender, _)| sender.key())
             .map_or(0, |i| self.credit[i].1)
     }
 
     /// Records a piece received from `other`.
-    pub fn record_credit(&mut self, other: PeerId) {
-        match self.credit.binary_search_by_key(&other, |&(id, _)| id) {
+    pub(crate) fn record_credit(&mut self, other: PeerRef) {
+        match self
+            .credit
+            .binary_search_by_key(&other.key(), |&(sender, _)| sender.key())
+        {
             Ok(i) => self.credit[i].1 += 1,
             Err(i) => self.credit.insert(i, (other, 1)),
         }
@@ -189,6 +194,7 @@ impl Peer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::PeerStore;
     use proptest::prelude::*;
 
     #[test]
@@ -227,29 +233,57 @@ mod tests {
         p.acquire(0, u64::from(u32::MAX) + 1);
     }
 
+    /// `n` peers issued by a store: real ids whose references resolve,
+    /// one slot each, so slot order is seq order.
+    fn issued(n: usize) -> (PeerStore, Vec<PeerId>) {
+        let mut store = PeerStore::new();
+        let ids = (0..n)
+            .map(|_| store.insert_with(|id| Peer::new(id, 5, 0)))
+            .collect();
+        (store, ids)
+    }
+
     #[test]
     fn neighbor_management() {
-        let mut p = Peer::new(PeerId::synthetic(1), 5, 0);
-        assert!(p.add_neighbor(PeerId::synthetic(2)));
-        assert!(!p.add_neighbor(PeerId::synthetic(2)), "no duplicates");
-        assert!(!p.add_neighbor(PeerId::synthetic(1)), "never own neighbor");
-        assert!(p.is_neighbor(PeerId::synthetic(2)));
-        p.connections.push(PeerId::synthetic(2));
-        assert!(p.remove_neighbor(PeerId::synthetic(2)));
-        assert!(
-            !p.is_connected(PeerId::synthetic(2)),
-            "connection dropped too"
-        );
-        assert!(!p.remove_neighbor(PeerId::synthetic(2)));
+        let (_store, ids) = issued(2);
+        let (me, other) = (ids[0], PeerRef::from(ids[1]));
+        let mut p = Peer::new(me, 5, 0);
+        assert!(p.add_neighbor(other));
+        assert!(!p.add_neighbor(other), "no duplicates");
+        assert!(!p.add_neighbor(me.into()), "never own neighbor");
+        assert!(p.is_neighbor(other));
+        p.connections.push(other);
+        assert!(p.remove_neighbor(other));
+        assert!(!p.is_connected(other), "connection dropped too");
+        assert!(!p.remove_neighbor(other));
     }
 
     #[test]
     fn credit_accrues() {
-        let mut p = Peer::new(PeerId::synthetic(1), 5, 0);
-        assert_eq!(p.credit_for(PeerId::synthetic(2)), 0);
-        p.record_credit(PeerId::synthetic(2));
-        p.record_credit(PeerId::synthetic(2));
-        assert_eq!(p.credit_for(PeerId::synthetic(2)), 2);
+        let (_store, ids) = issued(2);
+        let (mut p, other) = (Peer::new(ids[0], 5, 0), PeerRef::from(ids[1]));
+        assert_eq!(p.credit_for(other), 0);
+        p.record_credit(other);
+        p.record_credit(other);
+        assert_eq!(p.credit_for(other), 2);
+    }
+
+    /// One step of the churned credit proptest: a join, a departure of
+    /// an issued peer, or a piece credited to one (departed or not).
+    #[derive(Debug, Clone, Copy)]
+    enum CreditStep {
+        Join,
+        Depart(usize),
+        Credit(usize),
+    }
+
+    /// Joins and departures each a quarter of the steps, credits half.
+    fn credit_step() -> impl Strategy<Value = CreditStep> {
+        (0u8..4, 0usize..64).prop_map(|(kind, i)| match kind {
+            0 => CreditStep::Join,
+            1 => CreditStep::Depart(i),
+            _ => CreditStep::Credit(i),
+        })
     }
 
     proptest! {
@@ -257,18 +291,61 @@ mod tests {
         fn credit_matches_btreemap_oracle(
             steps in prop::collection::vec((0u64..24, prop::bool::ANY), 0..200),
         ) {
+            let (store, ids) = issued(24);
             let mut p = Peer::new(PeerId::synthetic(99), 5, 0);
             let mut oracle: BTreeMap<PeerId, u32> = BTreeMap::new();
             for (seq, record) in steps {
-                let other = PeerId::synthetic(seq);
+                let other = ids[seq as usize];
                 if record {
-                    p.record_credit(other);
+                    p.record_credit(other.into());
                     *oracle.entry(other).or_insert(0) += 1;
                 }
-                prop_assert_eq!(p.credit_for(other), oracle.get(&other).copied().unwrap_or(0));
+                prop_assert_eq!(
+                    p.credit_for(other.into()),
+                    oracle.get(&other).copied().unwrap_or(0)
+                );
+                // No slot was reused, so the table's reference order is
+                // the oracle's seq order.
+                let entries: Vec<(PeerId, u32)> = p
+                    .credit
+                    .iter()
+                    .map(|&(sender, n)| (store.peer_at(sender).id, n))
+                    .collect();
                 let oracle_entries: Vec<(PeerId, u32)> =
                     oracle.iter().map(|(&id, &n)| (id, n)).collect();
-                prop_assert_eq!(&p.credit, &oracle_entries);
+                prop_assert_eq!(&entries, &oracle_entries);
+            }
+        }
+
+        #[test]
+        fn credit_answers_by_seq_across_departures_and_slot_reuse(
+            steps in prop::collection::vec(credit_step(), 0..200),
+        ) {
+            let (mut store, mut ids) = issued(4);
+            let mut p = Peer::new(PeerId::synthetic(u64::MAX), 5, 0);
+            let mut oracle: BTreeMap<u64, u32> = BTreeMap::new();
+            for step in steps {
+                match step {
+                    CreditStep::Join => ids.push(store.insert_with(|id| Peer::new(id, 5, 0))),
+                    CreditStep::Depart(i) => {
+                        store.remove(ids[i % ids.len()]);
+                    }
+                    CreditStep::Credit(i) => {
+                        let sender = ids[i % ids.len()];
+                        p.record_credit(sender.into());
+                        *oracle.entry(sender.seq()).or_insert(0) += 1;
+                    }
+                }
+                // Every id ever issued, departed ones included: a stale
+                // reference keeps its own count and never reads the
+                // newcomer's in its slot, nor the newcomer its.
+                for &id in &ids {
+                    prop_assert_eq!(
+                        p.credit_for(id.into()),
+                        oracle.get(&id.seq()).copied().unwrap_or(0),
+                        "{}", id
+                    );
+                }
             }
         }
     }
@@ -283,9 +360,10 @@ mod tests {
 
     #[test]
     fn shake_clears_topology() {
-        let mut p = Peer::new(PeerId::synthetic(1), 4, 0);
-        p.add_neighbor(PeerId::synthetic(2));
-        p.connections.push(PeerId::synthetic(2));
+        let (_store, ids) = issued(2);
+        let mut p = Peer::new(ids[0], 4, 0);
+        p.add_neighbor(ids[1].into());
+        p.connections.push(ids[1].into());
         p.shake();
         assert!(p.neighbors.is_empty());
         assert!(p.connections.is_empty());

@@ -12,6 +12,9 @@ use crate::stages::RoundStage;
 /// preference with an optimistic-unchoke slot, success probability
 /// `p_n`, capped at `k` connections and optionally at
 /// `new_connections_per_round` initiations.
+///
+/// The scratch lists hold the [`PeerId`]s read from the peers the scan
+/// looked up, so the tit-for-tat tie-break compares sequence numbers.
 #[derive(Debug, Default)]
 pub struct EstablishConnections {
     order: Vec<PeerId>,
@@ -55,8 +58,8 @@ impl RoundStage for EstablishConnections {
                 // slot occupancy is unknown at selection time.
                 let store = &core.store;
                 let me = store.peer(id);
-                let open = |other: PeerId, remote: &Peer| {
-                    !me.is_connected(other) && (blind || remote.connections.len() < k)
+                let open = |remote: &Peer| {
+                    !me.is_connected(remote.id.into()) && (blind || remote.connections.len() < k)
                 };
                 self.candidates.clear();
                 if initiated == 0 {
@@ -67,13 +70,13 @@ impl RoundStage for EstablishConnections {
                     comparisons += me.neighbors.len() as u64;
                     self.tradable.clear();
                     for &other in &me.neighbors {
-                        let Some(remote) = store.get(other) else {
+                        let Some(remote) = store.at(other) else {
                             continue;
                         };
                         if me.have.can_trade_with(&remote.have) {
-                            self.tradable.push(other);
-                            if open(other, remote) {
-                                self.candidates.push(other);
+                            self.tradable.push(remote.id);
+                            if open(remote) {
+                                self.candidates.push(remote.id);
                             }
                         }
                     }
@@ -83,7 +86,7 @@ impl RoundStage for EstablishConnections {
                         self.tradable
                             .iter()
                             .copied()
-                            .filter(|&other| open(other, store.peer(other))),
+                            .filter(|&other| open(store.peer(other))),
                     );
                 }
                 if self.candidates.is_empty() {
@@ -98,15 +101,15 @@ impl RoundStage for EstablishConnections {
                     *self
                         .candidates
                         .iter()
-                        .min_by_key(|&&c| (Reverse(me.credit_for(c)), c))
+                        .min_by_key(|&&c| (Reverse(me.credit_for(c.into())), c))
                         .expect("candidates checked non-empty")
                 };
                 // A blind attempt against a fully busy target fails.
                 core.obs.conn_attempts.incr();
                 let target_busy = core.store.peer(choice).connections.len() >= k;
                 if !target_busy && core.rng.gen::<f64>() < core.config.p_new_connection {
-                    core.store.peer_mut(id).connections.push(choice);
-                    core.store.peer_mut(choice).connections.push(id);
+                    core.store.peer_mut(id).connections.push(choice.into());
+                    core.store.peer_mut(choice).connections.push(id.into());
                     core.obs.conn_successes.incr();
                     core.audit.conn_opened += 1;
                     core.cohort.slot(core.round, id.seq(), choice.seq(), true);

@@ -23,7 +23,7 @@
 //! randomness.
 
 use crate::engine::{CoreView, SwarmCore};
-use crate::peer::{Peer, PeerId};
+use crate::peer::{Peer, PeerRef};
 use crate::piece::{lane_words, Bitfield};
 use crate::selection::{PlanStream, Ranker};
 use crate::stages::RoundStage;
@@ -50,9 +50,13 @@ use crate::stages::RoundStage;
 ///
 /// `stamp` marks which slots were initialized this round; stale entries
 /// from earlier rounds are never read, so nothing needs clearing.
+///
+/// `pairs` holds each connection as two 8-byte slab references; the
+/// plan and commit read the sequence numbers the plan streams and the
+/// cohort need from the peers they look up.
 #[derive(Debug, Default)]
 pub struct ExchangePieces {
-    pairs: Vec<(PeerId, PeerId)>,
+    pairs: Vec<(PeerRef, PeerRef)>,
     stamp: Vec<u64>,
     lanes: Vec<u64>,
     taken: Vec<Vec<u32>>,
@@ -60,7 +64,7 @@ pub struct ExchangePieces {
     earlier: Vec<u32>,
     plans: Vec<PairPlan>,
     ranks: Vec<u32>,
-    involved: Vec<PeerId>,
+    involved: Vec<PeerRef>,
     threads: u32,
 }
 
@@ -148,20 +152,20 @@ struct ShardWork {
 
 impl ShardWork {
     /// Resolves a peer the shard knows is alive, counting the lookup.
-    fn peer<'a>(&mut self, view: CoreView<'a>, id: PeerId) -> &'a Peer {
+    fn peer<'a>(&mut self, view: CoreView<'a>, r: PeerRef) -> &'a Peer {
         self.probes += 1;
         view.store
-            .lookup(id)
+            .lookup(r)
             .expect("peer departed but was referenced")
     }
 }
 
 /// Fills the neighbor-local replication views for one shard of involved
 /// peers, counting scanned bitfield words for cost attribution.
-fn fill_lanes_shard(view: CoreView<'_>, tasks: &mut [(PeerId, &mut [u64])], work: &mut ShardWork) {
+fn fill_lanes_shard(view: CoreView<'_>, tasks: &mut [(PeerRef, &mut [u64])], work: &mut ShardWork) {
     let words_per_field = u64::from(view.config.pieces).div_ceil(64);
-    for (id, lanes) in tasks {
-        let peer = work.peer(view, *id);
+    for (r, lanes) in tasks {
+        let peer = work.peer(view, *r);
         // Byte lanes count exactly up to 255 neighbors. The config
         // builder caps the neighbor set there, but its fields are
         // public, so an edited config must fail here rather than carry
@@ -189,7 +193,7 @@ fn fill_lanes_shard(view: CoreView<'_>, tasks: &mut [(PeerId, &mut [u64])], work
 fn plan_pairs_shard(
     view: CoreView<'_>,
     lanes: &[u64],
-    pairs: &[(PeerId, PeerId)],
+    pairs: &[(PeerRef, PeerRef)],
     plans: &mut [PairPlan],
     ranks: &mut [u32],
     work: &mut ShardWork,
@@ -198,8 +202,8 @@ fn plan_pairs_shard(
     let mut ranked = Vec::new();
     let seed = view.config.seed;
     let lane_stride = lane_words(view.config.pieces);
-    let view_of = |id: PeerId| {
-        let at = id.slot() as usize * lane_stride;
+    let view_of = |r: PeerRef| {
+        let at = r.slot() as usize * lane_stride;
         &lanes[at..at + lane_stride]
     };
     let stride = rank_stride(view.config.max_connections);
@@ -207,8 +211,9 @@ fn plan_pairs_shard(
     for ((&(a, b), plan), window) in pairs.iter().zip(plans).zip(windows) {
         let peer_a = work.peer(view, a);
         let peer_b = work.peer(view, b);
+        let (seq_a, seq_b) = (peer_a.id.seq(), peer_b.id.seq());
         let (down_lo, down_hi) = window.split_at_mut(stride);
-        let mut stream = PlanStream::pair(seed, view.round, a.seq(), b.seq(), 0);
+        let mut stream = PlanStream::pair(seed, view.round, seq_a, seq_b, 0);
         work.units += ranker.rank(
             &peer_a.have,
             &peer_b.have,
@@ -219,7 +224,7 @@ fn plan_pairs_shard(
         );
         down_lo[..ranked.len()].copy_from_slice(&ranked);
         plan.len_lo = ranked.len() as u32;
-        let mut stream = PlanStream::pair(seed, view.round, a.seq(), b.seq(), 1);
+        let mut stream = PlanStream::pair(seed, view.round, seq_a, seq_b, 1);
         work.units += ranker.rank(
             &peer_b.have,
             &peer_a.have,
@@ -276,16 +281,16 @@ impl ExchangePieces {
         }
         self.involved.clear();
         for (&(a, b), plan) in self.pairs.iter().zip(&mut self.plans) {
-            for id in [a, b] {
-                let slot = id.slot() as usize;
+            for r in [a, b] {
+                let slot = r.slot() as usize;
                 if self.stamp[slot] == round {
                     continue;
                 }
                 self.stamp[slot] = round;
-                self.involved.push(id);
+                self.involved.push(r);
                 // Heterogeneous bandwidth: slow peers can serve only a
                 // bounded number of block-transfers per round.
-                self.budgets[slot] = if view.store.peer(id).slow {
+                self.budgets[slot] = if view.store.peer_at(r).slow {
                     view.config.slow_upload_budget
                 } else {
                     u32::MAX
@@ -305,9 +310,9 @@ impl ExchangePieces {
         // windows needs no locking: the windows come from one
         // `chunks_exact_mut` pass (slot order) zipped against the
         // involved ids sorted the same way.
-        self.involved.sort_unstable_by_key(|id| id.slot());
+        self.involved.sort_unstable_by_key(|r| r.slot());
         let stamp = &self.stamp;
-        let mut tasks: Vec<(PeerId, &mut [u64])> = self
+        let mut tasks: Vec<(PeerRef, &mut [u64])> = self
             .involved
             .iter()
             .copied()
@@ -373,22 +378,19 @@ impl ExchangePieces {
         let stride = rank_stride(core.config.max_connections);
         let windows = self.ranks.chunks_exact(2 * stride);
         for (i, window) in windows.take(self.pairs.len()).enumerate() {
-            let (a, b) = self.pairs[i];
-            let (slot_a, slot_b) = (a.slot() as usize, b.slot() as usize);
+            let (ref_a, ref_b) = self.pairs[i];
+            let (slot_a, slot_b) = (ref_a.slot() as usize, ref_b.slot() as usize);
             // Strict tit-for-tat needs upload budget on both sides.
             if self.budgets[slot_a] == 0 || self.budgets[slot_b] == 0 {
                 continue;
             }
+            let (peer_a, peer_b) = (core.store.peer_at(ref_a), core.store.peer_at(ref_b));
+            let (a, b) = (peer_a.id, peer_b.id);
             // Re-check tradability live: earlier commits this round may
             // have exhausted the novelty.
-            if !core
-                .store
-                .peer(a)
-                .have
-                .can_trade_with(&core.store.peer(b).have)
-            {
-                core.store.peer_mut(a).connections.retain(|&p| p != b);
-                core.store.peer_mut(b).connections.retain(|&p| p != a);
+            if !peer_a.have.can_trade_with(&peer_b.have) {
+                core.store.peer_mut(a).connections.retain(|&p| p != ref_b);
+                core.store.peer_mut(b).connections.retain(|&p| p != ref_a);
                 core.audit.conn_closed += 1;
                 core.cohort.slot(core.round, a.seq(), b.seq(), false);
                 core.cohort.slot(core.round, b.seq(), a.seq(), false);
@@ -416,7 +418,7 @@ impl ExchangePieces {
                 continue;
             };
             if core.receive_block(a, piece_a) {
-                core.store.peer_mut(a).record_credit(b);
+                core.store.peer_mut(a).record_credit(ref_b);
                 core.cohort.acquire(
                     core.round,
                     a.seq(),
@@ -425,7 +427,7 @@ impl ExchangePieces {
                 );
             }
             if core.receive_block(b, piece_b) {
-                core.store.peer_mut(b).record_credit(a);
+                core.store.peer_mut(b).record_credit(ref_a);
                 core.cohort.acquire(
                     core.round,
                     b.seq(),

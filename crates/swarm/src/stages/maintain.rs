@@ -7,8 +7,10 @@ use crate::stages::RoundStage;
 /// Tops every under-populated neighbor set back up to `s` with a fresh
 /// tracker handout (paper §2.1: periodic tracker contact).
 ///
-/// The handout excludes the peer's current neighbors by borrowing the
-/// neighbor list in place — the old engine cloned it per peer per round.
+/// The handout excludes the peer's current neighbors. The neighbor list
+/// holds slab references, and the tracker excludes by sequence number,
+/// so each neighbor's [`PeerId`] is read from the slab into a scratch
+/// list reused across peers and rounds.
 ///
 /// Tracker contact is amortized by `reannounce_interval`: the top-up
 /// runs only on rounds where `(round - 1) % interval == 0` (rounds 1,
@@ -22,6 +24,7 @@ use crate::stages::RoundStage;
 #[derive(Debug, Default)]
 pub struct MaintainNeighbors {
     handout: Vec<PeerId>,
+    exclude: Vec<PeerId>,
 }
 
 // bt-stage: reads(config, round, tracker), writes(audit, cohort, profile, rng, store)
@@ -43,14 +46,18 @@ impl RoundStage for MaintainNeighbors {
         // indexing it afresh each iteration observes a stable order.
         for i in 0..core.tracker.len() {
             let id = core.tracker.peers()[i];
-            let need = s.saturating_sub(core.store.peer(id).neighbors.len());
+            let neighbors = &core.store.peer(id).neighbors;
+            let need = s.saturating_sub(neighbors.len());
             if need == 0 {
                 continue;
             }
+            self.exclude.clear();
+            self.exclude
+                .extend(neighbors.iter().map(|&n| core.store.peer_at(n).id));
             probes += core.tracker.handout_into(
                 &mut self.handout,
                 id,
-                &core.store.peer(id).neighbors,
+                &self.exclude,
                 need,
                 &mut core.rng,
             );

@@ -1,7 +1,7 @@
 //! Peer-set shaking (§7.1).
 
 use crate::engine::SwarmCore;
-use crate::peer::PeerId;
+use crate::peer::PeerRef;
 use crate::stages::RoundStage;
 
 /// Peers crossing the `shake_at` completion threshold drop their whole
@@ -13,7 +13,7 @@ use crate::stages::RoundStage;
 /// reserved when the peer joined.
 #[derive(Debug, Default)]
 pub struct ShakePeers {
-    ex_neighbors: Vec<PeerId>,
+    ex_neighbors: Vec<PeerRef>,
 }
 
 // bt-stage: reads(config, round, tracker), writes(audit, cohort, obs, profile, store)
@@ -43,8 +43,8 @@ impl RoundStage for ShakePeers {
             core.cohort.shake(core.round, id.seq());
             shaken += 1;
             for &other in &self.ex_neighbors {
-                if let Some(o) = core.store.get_mut(other) {
-                    o.remove_neighbor(id);
+                if let Some(o) = core.store.at_mut(other) {
+                    o.remove_neighbor(id.into());
                 }
             }
         }

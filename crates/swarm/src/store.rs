@@ -3,20 +3,27 @@
 //! [`PeerStore`] is a slab with a free-list: departed peers leave holes
 //! that later arrivals fill, so the backing vector stays dense no matter
 //! how much churn the swarm sees. Every slot carries a *generation*
-//! counter that is bumped on removal, and every [`PeerId`] embeds the
-//! generation it was issued under — an id held across a departure stops
-//! resolving instead of silently aliasing whichever newcomer inherited
-//! the slot. Stale-id bugs thereby become `None` at the access site
-//! rather than corrupted simulation state.
+//! counter that is bumped on removal, and every reference into the slab
+//! carries the generation it was issued under — a reference held across
+//! a departure stops resolving instead of silently aliasing whichever
+//! newcomer inherited the slot. Stale-reference bugs thereby become
+//! `None` at the access site rather than corrupted simulation state.
 //!
-//! Identity, ordering, hashing, display, and serialization of a
-//! [`PeerId`] all use only its *sequence number* — the arrival index the
-//! tracker hands out, unique for the whole run. The slot and generation
-//! are routing detail private to the store. This matters for
-//! determinism: everything the engine sorts, samples, or serializes
-//! (connection pairs, credit maps, observer windows, telemetry) behaves
-//! exactly as if ids were plain arrival numbers, regardless of which
-//! slot a peer happens to occupy.
+//! **Identity is `seq`; routing is `PeerRef`.** A [`PeerId`] is the
+//! peer's identity: identity, ordering, hashing, display, and
+//! serialization use only its *sequence number* — the arrival index the
+//! tracker hands out, unique for the whole run. Everything the engine
+//! sorts, samples, or serializes (connection pairs, tit-for-tat ties,
+//! tracker exclusions, observer windows, telemetry) orders by `seq`, so
+//! the run behaves exactly as if ids were plain arrival numbers,
+//! regardless of which slot a peer happens to occupy.
+//!
+//! A `PeerRef` is the 8-byte route a peer's own lists hold (neighbors,
+//! connections, tit-for-tat credit, the exchange plan's pairs): the slot
+//! and generation alone, half a `PeerId`. It resolves with the same
+//! generation check, and it has no order of its own worth sorting by:
+//! code that needs the arrival order resolves the reference and reads
+//! `seq` from the peer it has just looked up.
 
 use serde::{DeError, Deserialize, Serialize, Value};
 
@@ -60,11 +67,45 @@ impl PeerId {
     pub const fn seq(self) -> u64 {
         self.seq
     }
+}
 
-    /// The slab slot this id routes to (meaningless for synthetic ids).
-    #[must_use]
+impl From<PeerId> for PeerRef {
+    fn from(id: PeerId) -> Self {
+        PeerRef {
+            slot: id.slot,
+            generation: id.generation,
+        }
+    }
+}
+
+/// An 8-byte route to a stored peer: the slot and the generation it was
+/// issued under, without the sequence number.
+///
+/// Two references are equal exactly when they route to the same slot
+/// under the same generation, which for live peers is the same peer. A
+/// reference to a departed peer never equals one to the newcomer in its
+/// slot (the generations differ), and it stops resolving. Synthetic ids
+/// all map to one detached reference that never resolves.
+///
+/// [`key`](Self::key) orders references by slot, not by arrival: it
+/// serves lookup tables keyed by reference (the tit-for-tat credit
+/// table), never an order the run can observe.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PeerRef {
+    slot: u32,
+    generation: u32,
+}
+
+impl PeerRef {
+    /// The slab slot this reference routes to.
     pub(crate) const fn slot(self) -> u32 {
         self.slot
+    }
+
+    /// A search key unique per `(slot, generation)`, for tables kept
+    /// sorted by reference.
+    pub(crate) const fn key(self) -> u64 {
+        (self.slot as u64) << 32 | self.generation as u64
     }
 }
 
@@ -209,18 +250,24 @@ impl PeerStore {
     /// synthetic ids.
     #[must_use]
     pub fn get(&self, id: PeerId) -> Option<&Peer> {
-        self.add_probes(1);
-        self.lookup(id)
+        self.at(id.into())
     }
 
-    /// [`get`](Self::get) without the probe count, for lookups made on
+    /// Resolves a reference, returning `None` once its peer departed
+    /// (or for the detached reference of a synthetic id).
+    pub(crate) fn at(&self, r: PeerRef) -> Option<&Peer> {
+        self.add_probes(1);
+        self.lookup(r)
+    }
+
+    /// [`at`](Self::at) without the probe count, for lookups made on
     /// several threads at once: the count is a load and a store, so
     /// concurrent counting would lose increments. Sharded code counts
     /// its lookups in a local and passes the total to
     /// [`add_probes`](Self::add_probes) after the join.
-    pub(crate) fn lookup(&self, id: PeerId) -> Option<&Peer> {
-        let slot = self.slots.get(id.slot as usize)?;
-        if slot.generation != id.generation {
+    pub(crate) fn lookup(&self, r: PeerRef) -> Option<&Peer> {
+        let slot = self.slots.get(r.slot as usize)?;
+        if slot.generation != r.generation {
             return None;
         }
         slot.peer.as_ref()
@@ -240,10 +287,15 @@ impl PeerStore {
     /// Mutable variant of [`get`](Self::get).
     #[must_use]
     pub fn get_mut(&mut self, id: PeerId) -> Option<&mut Peer> {
+        self.at_mut(id.into())
+    }
+
+    /// Mutable variant of [`at`](Self::at).
+    pub(crate) fn at_mut(&mut self, r: PeerRef) -> Option<&mut Peer> {
         let probes = self.probes.get_mut();
         *probes = probes.wrapping_add(1);
-        let slot = self.slots.get_mut(id.slot as usize)?;
-        if slot.generation != id.generation {
+        let slot = self.slots.get_mut(r.slot as usize)?;
+        if slot.generation != r.generation {
             return None;
         }
         slot.peer.as_mut()
@@ -269,6 +321,24 @@ impl PeerStore {
     #[must_use]
     pub fn peer_mut(&mut self, id: PeerId) -> &mut Peer {
         self.get_mut(id).expect("peer departed but was referenced")
+    }
+
+    /// Resolves a reference that is known to be alive.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the peer departed, like [`peer`](Self::peer).
+    pub(crate) fn peer_at(&self, r: PeerRef) -> &Peer {
+        self.at(r).expect("peer departed but was referenced")
+    }
+
+    /// Mutable variant of [`peer_at`](Self::peer_at).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the peer departed.
+    pub(crate) fn peer_at_mut(&mut self, r: PeerRef) -> &mut Peer {
+        self.at_mut(r).expect("peer departed but was referenced")
     }
 
     /// Whether `id` resolves to a live peer.
@@ -324,6 +394,38 @@ mod tests {
     }
 
     #[test]
+    fn references_are_half_an_id() {
+        assert_eq!(std::mem::size_of::<PeerId>(), 16);
+        assert_eq!(std::mem::size_of::<PeerRef>(), 8);
+        assert_eq!(
+            std::mem::size_of::<(PeerRef, u32)>(),
+            12,
+            "a credit entry has no padding"
+        );
+    }
+
+    #[test]
+    fn stale_reference_never_aliases_the_newcomer() {
+        let (mut store, ids) = store_with(2);
+        let stale = PeerRef::from(ids[0]);
+        store.remove(ids[0]).expect("alive");
+        let newcomer = store.insert_with(|id| Peer::new(id, 4, 5));
+        assert_eq!(
+            PeerRef::from(newcomer).slot(),
+            stale.slot(),
+            "slot was recycled"
+        );
+        assert_ne!(PeerRef::from(newcomer), stale);
+        assert_ne!(PeerRef::from(newcomer).key(), stale.key());
+        assert!(
+            store.at(stale).is_none(),
+            "stale reference must not resolve"
+        );
+        assert_eq!(store.peer_at(newcomer.into()).id, newcomer);
+        assert!(store.at(PeerId::synthetic(0).into()).is_none());
+    }
+
+    #[test]
     fn sequence_numbers_are_run_unique() {
         let (mut store, ids) = store_with(3);
         assert_eq!(ids[0].seq(), 0);
@@ -331,7 +433,11 @@ mod tests {
         store.remove(ids[1]).expect("alive");
         let replacement = store.insert_with(|id| Peer::new(id, 4, 1));
         assert_eq!(replacement.seq(), 3, "seq never reused");
-        assert_eq!(replacement.slot(), ids[1].slot(), "slot reused");
+        assert_eq!(
+            PeerRef::from(replacement).slot(),
+            PeerRef::from(ids[1]).slot(),
+            "slot reused"
+        );
     }
 
     #[test]
@@ -340,7 +446,11 @@ mod tests {
         let stale = ids[0];
         store.remove(stale).expect("alive");
         let replacement = store.insert_with(|id| Peer::new(id, 4, 5));
-        assert_eq!(replacement.slot(), stale.slot(), "slot was recycled");
+        assert_eq!(
+            PeerRef::from(replacement).slot(),
+            PeerRef::from(stale).slot(),
+            "slot was recycled"
+        );
         assert!(store.get(stale).is_none(), "stale id must not resolve");
         assert!(!store.contains(stale));
         assert!(store.remove(stale).is_none(), "stale remove is a no-op");
@@ -374,7 +484,7 @@ mod tests {
         let (mut store, ids) = store_with(2);
         store.remove(ids[0]).expect("alive");
         let recycled = store.insert_with(|id| Peer::new(id, 4, 0));
-        assert_eq!(recycled.slot(), ids[0].slot());
+        assert_eq!(PeerRef::from(recycled).slot(), PeerRef::from(ids[0]).slot());
         assert_ne!(recycled, ids[0], "same slot, different identity");
         let mut sorted = vec![recycled, ids[1], ids[0]];
         sorted.sort();

@@ -141,6 +141,47 @@ fn unaccounted_piece_fires_conservation_and_oracle() {
     assert!(first.round >= 5, "violation found at or after the fault");
 }
 
+/// `btlab doctor`'s default swarm: an open swarm of B = 100 pieces
+/// (k = 5, s = 20, λ = 1.5, 20 initial leechers, 300 rounds).
+fn doctor_default_config(seed: u64) -> SwarmConfig {
+    SwarmConfig::builder()
+        .pieces(100)
+        .max_connections(5)
+        .neighbor_set_size(20)
+        .arrival_rate(1.5)
+        .initial_leechers(20)
+        .max_rounds(300)
+        .observers(4)
+        .seed(seed)
+        .build()
+        .expect("valid config")
+}
+
+#[test]
+fn unaccounted_piece_in_an_open_swarm_runs_to_the_end() {
+    // The corrupted peer keeps trading after the fault, so its next
+    // acquisition moves it out of the piece-count cell the fault put it
+    // in; the run must reach its round budget and report the fault.
+    let mut swarm = Swarm::with_registry(doctor_default_config(7), bt_obs::Registry::new());
+    swarm.attach_doctor(DoctorOptions {
+        run_id: "doctor-open-test".to_string(),
+        ..DoctorOptions::default()
+    });
+    swarm.schedule_fault(FaultSpec {
+        round: 30,
+        kind: FaultKind::UnaccountedPiece,
+    });
+    let (metrics, _profile, report) = swarm.run_diagnosed();
+    assert_eq!(metrics.rounds_run, 300, "the run reached its round budget");
+    let report = report.expect("doctor was attached");
+    let firing = firing_monitors(&report);
+    assert!(
+        firing.contains(&"piece-conservation".to_string()),
+        "{firing:?}"
+    );
+    assert!(report.report.violations[0].round >= 30);
+}
+
 #[test]
 fn index_drift_fires_oracle_only() {
     let report = diagnose(

@@ -853,6 +853,55 @@ fn doctor_seeded_fault_exits_one_with_bundle_and_ledger_record() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn doctor_open_swarm_fault_exits_one_instead_of_panicking() {
+    // The doctor's default open swarm keeps trading after the fault, so
+    // the corrupted peer acquires again; the run must still end in a
+    // verdict (exit 1), not a panic (exit 101).
+    let dir = std::env::temp_dir().join("btlab-e2e-doctor-open-fault");
+    std::fs::remove_dir_all(&dir).ok();
+    let out = btlab()
+        .args([
+            "doctor",
+            "--seed",
+            "7",
+            "--observers",
+            "4",
+            "--inject-fault",
+            "unaccounted-piece@30",
+            "--log",
+            "quiet",
+        ])
+        .env("BT_MANIFEST_DIR", &dir)
+        .output()
+        .expect("binary runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "stdout: {stdout}\nstderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        stdout.contains("violation [piece-conservation]"),
+        "{stdout}"
+    );
+    let bundle = std::fs::read_dir(&dir)
+        .expect("manifest dir exists")
+        .filter_map(Result::ok)
+        .find(|e| {
+            e.file_name()
+                .to_string_lossy()
+                .starts_with("diagnosis-doctor-7-")
+        })
+        .expect("diagnosis bundle directory");
+    assert!(
+        bundle.path().join("meta.json").exists(),
+        "meta.json written"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 const DOCTOR_CLEAN_RUN: [&str; 13] = [
     "doctor",
     "--pieces",
