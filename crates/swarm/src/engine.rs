@@ -127,8 +127,8 @@ impl SwarmCore {
 
     /// Mutable access to the peer store, for custom stages that edit
     /// peer state; topology edits go through
-    /// [`add_symmetric_neighbor`](Self::add_symmetric_neighbor). Piece possession must
-    /// go through [`acquire_piece`](Self::acquire_piece) /
+    /// [`add_symmetric_neighbor`](Self::add_symmetric_neighbor). Piece
+    /// possession must go through [`acquire_piece`](Self::acquire_piece) /
     /// [`receive_block`](Self::receive_block) so the replication index
     /// stays in sync.
     #[must_use]

@@ -310,7 +310,7 @@ impl PeerStore {
     /// recoverable condition.
     #[must_use]
     pub fn peer(&self, id: PeerId) -> &Peer {
-        self.get(id).expect("peer departed but was referenced")
+        self.peer_at(id.into())
     }
 
     /// Mutable variant of [`peer`](Self::peer).
@@ -320,7 +320,7 @@ impl PeerStore {
     /// Panics if the peer departed or the id is stale/synthetic.
     #[must_use]
     pub fn peer_mut(&mut self, id: PeerId) -> &mut Peer {
-        self.get_mut(id).expect("peer departed but was referenced")
+        self.peer_at_mut(id.into())
     }
 
     /// Resolves a reference that is known to be alive.
