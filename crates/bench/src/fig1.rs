@@ -211,81 +211,3 @@ mod tests {
         }
     }
 }
-
-/// Fig. 1(a) with replication: averages the ratio curves over several
-/// seeds and reports the cross-seed standard deviation per point.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReplicatedRatio {
-    /// Peer-set size.
-    pub pss: u32,
-    /// Mean ratio per piece count (NaN where unobserved in every seed).
-    pub mean: Vec<f64>,
-    /// Cross-seed standard deviation per point (0 where only one seed
-    /// observed the bucket).
-    pub std_dev: Vec<f64>,
-}
-
-/// Runs [`fig1a`] once per seed and aggregates mean ± std per point.
-///
-/// # Panics
-///
-/// Panics if `seeds` is empty, or on internal scenario bugs.
-#[must_use]
-pub fn fig1a_replicated(completions: u64, seeds: &[u64]) -> Vec<ReplicatedRatio> {
-    assert!(!seeds.is_empty(), "need at least one seed");
-    let runs: Vec<Vec<RatioSeries>> = seeds.iter().map(|&s| fig1a(completions, s)).collect();
-    FIG1A_PSS
-        .iter()
-        .enumerate()
-        .map(|(idx, &pss)| {
-            let len = runs.iter().map(|run| run[idx].1.len()).max().unwrap_or(0);
-            let mut mean = vec![f64::NAN; len];
-            let mut std_dev = vec![0.0; len];
-            for b in 0..len {
-                let values: Vec<f64> = runs
-                    .iter()
-                    .filter_map(|run| run[idx].1.get(b).copied())
-                    .filter(|v| !v.is_nan())
-                    .collect();
-                if values.is_empty() {
-                    continue;
-                }
-                let m = values.iter().sum::<f64>() / values.len() as f64;
-                mean[b] = m;
-                if values.len() > 1 {
-                    let var =
-                        values.iter().map(|v| (v - m).powi(2)).sum::<f64>() / values.len() as f64;
-                    std_dev[b] = var.sqrt();
-                }
-            }
-            ReplicatedRatio { pss, mean, std_dev }
-        })
-        .collect()
-}
-
-#[cfg(test)]
-mod replicated_tests {
-    use super::*;
-
-    #[test]
-    fn replication_aggregates_across_seeds() {
-        let rep = fig1a_replicated(4, &[1, 2]);
-        assert_eq!(rep.len(), 4);
-        for r in &rep {
-            let finite = r.mean.iter().filter(|v| !v.is_nan()).count();
-            assert!(finite > 0, "PSS={} has data", r.pss);
-            for (&m, &sd) in r.mean.iter().zip(&r.std_dev) {
-                if !m.is_nan() {
-                    assert!((0.0..=1.0 + 1e-9).contains(&m));
-                    assert!(sd >= 0.0);
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one seed")]
-    fn replication_requires_seeds() {
-        let _ = fig1a_replicated(4, &[]);
-    }
-}

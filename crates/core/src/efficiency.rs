@@ -113,6 +113,7 @@ impl EfficiencyModel {
     /// # Errors
     ///
     /// Same conditions as [`EfficiencyModel::new`].
+    // bt-lint: allow(pub-unused) paper entry point: the §5 duration coupling behind Fig. 4(a)
     pub fn with_duration_coupling(k: u32, p_r_base: f64) -> Result<Self> {
         if k == 0 {
             return Err(Error::InvalidParameter {
@@ -142,6 +143,7 @@ impl EfficiencyModel {
     /// # Errors
     ///
     /// [`Error::InvalidParameter`] if `p ∉ [0, 1]`.
+    // bt-lint: allow(pub-unused) paper entry point: the potential-set probability of Eq. 1
     pub fn match_prob(mut self, p: f64) -> Result<Self> {
         if !(0.0..=1.0).contains(&p) || p.is_nan() {
             return Err(Error::InvalidParameter {
@@ -274,6 +276,7 @@ impl EfficiencyModel {
     /// # Errors
     ///
     /// Propagates [`EfficiencyModel::solve`] errors.
+    // bt-lint: allow(pub-unused) paper entry point: the Fig. 4(a) sweep over k
     pub fn sweep_k(k_max: u32, p_r: f64) -> Result<Vec<(u32, f64)>> {
         (1..=k_max)
             .map(|k| {

@@ -52,13 +52,6 @@ impl Trajectory {
         self.final_state().is_absorbed(self.pieces)
     }
 
-    /// The first step index at which the peer held at least `b` pieces,
-    /// or `None` if it never did.
-    #[must_use]
-    pub fn first_step_with_pieces(&self, b: u32) -> Option<usize> {
-        self.states.iter().position(|s| s.b >= b)
-    }
-
     /// Per-phase step counts along the trajectory.
     #[must_use]
     pub fn sojourns(&self) -> PhaseSojourns {
@@ -69,22 +62,6 @@ impl Trajectory {
             sojourns.record(Phase::classify(state, self.pieces));
         }
         sojourns
-    }
-
-    /// Mean potential-set size at each piece count `0..=B` (NaN where a
-    /// piece count was never observed).
-    #[must_use]
-    pub fn potential_by_pieces(&self) -> Vec<f64> {
-        let mut sums = vec![0.0; self.pieces as usize + 1];
-        let mut counts = vec![0u32; self.pieces as usize + 1];
-        for s in &self.states {
-            sums[s.b as usize] += f64::from(s.i);
-            counts[s.b as usize] += 1;
-        }
-        sums.iter()
-            .zip(&counts)
-            .map(|(&sum, &c)| if c == 0 { f64::NAN } else { sum / f64::from(c) })
-            .collect()
     }
 }
 
@@ -144,11 +121,6 @@ impl<R: Rng> Walker<R> {
         })
     }
 
-    /// Overrides the per-trajectory step cap.
-    pub fn set_max_steps(&mut self, max_steps: usize) {
-        self.max_steps = max_steps;
-    }
-
     /// Samples one step from `state`.
     pub fn step(&mut self, state: DownloadState) -> DownloadState {
         let successors = self.kernel.successors(state);
@@ -201,6 +173,7 @@ impl Timeline {
     /// Potential-set size divided by the neighbor-set size `s` — the y-axis
     /// of Fig. 1(a).
     #[must_use]
+    // bt-lint: allow(pub-unused) paper entry point: the Fig. 1(a) y-axis
     pub fn potential_ratio(&self, s: u32) -> Vec<f64> {
         self.mean_potential
             .iter()
@@ -317,8 +290,9 @@ mod tests {
     fn first_piece_in_one_step() {
         let mut w = Walker::new(&params(10, 5), StdRng::seed_from_u64(5));
         let t = w.run();
-        assert_eq!(t.first_step_with_pieces(0), Some(0));
-        assert_eq!(t.first_step_with_pieces(1), Some(1));
+        let first_step_with = |b| t.states().iter().position(|s| s.b >= b);
+        assert_eq!(first_step_with(0), Some(0));
+        assert_eq!(first_step_with(1), Some(1));
     }
 
     #[test]
@@ -343,7 +317,7 @@ mod tests {
             .build()
             .unwrap();
         let mut w = Walker::new(&p, StdRng::seed_from_u64(0));
-        w.set_max_steps(200);
+        w.max_steps = 200;
         let t = w.run();
         assert!(!t.completed());
         assert_eq!(t.steps(), 200);
@@ -377,7 +351,7 @@ mod tests {
         for _ in 0..replications {
             let t = walker.run();
             for b in 0..=b_max {
-                if let Some(step) = t.first_step_with_pieces(b as u32) {
+                if let Some(step) = t.states().iter().position(|s| s.b >= b as u32) {
                     step_sum[b] += step as f64;
                     step_count[b] += 1;
                 }
@@ -435,18 +409,6 @@ mod tests {
         let mut w = Walker::new(&params(15, 6), StdRng::seed_from_u64(21));
         let t = w.run();
         assert_eq!(t.sojourns().total() as usize, t.steps());
-    }
-
-    #[test]
-    fn potential_by_pieces_has_full_support_on_completion() {
-        let mut w = Walker::new(&params(12, 6), StdRng::seed_from_u64(13));
-        let t = w.run();
-        let pot = t.potential_by_pieces();
-        assert_eq!(pot.len(), 13);
-        // Piece counts actually visited have finite means.
-        for s in t.states() {
-            assert!(!pot[s.b as usize].is_nan());
-        }
     }
 
     #[test]

@@ -276,7 +276,8 @@ mod tests {
             let pieces = params.pieces();
             // Rebuild the matrix with last-download states absorbing.
             let n = space.len();
-            let mut rows = matrix.as_matrix().clone();
+            let mut rows =
+                bt_markov::Matrix::from_rows((0..n).map(|r| matrix.row(r).to_vec()).collect())?;
             let mut absorbing = Vec::new();
             let mut last_states = Vec::new();
             for (idx, state) in space.iter().enumerate() {

@@ -1,7 +1,6 @@
 //! Model parameters (§3.1 of the paper) with a validating builder.
 
 use bt_markov::dist::Empirical;
-use serde::{Deserialize, Serialize};
 
 use crate::{Error, Result};
 
@@ -128,20 +127,6 @@ impl ModelParams {
     #[must_use]
     pub fn p_seed(&self) -> f64 {
         self.p_seed
-    }
-
-    /// Expected bootstrap-phase sojourn `1/α` (steps), the paper's §6
-    /// observation. Infinite if `α = 0`.
-    #[must_use]
-    pub fn expected_bootstrap_sojourn(&self) -> f64 {
-        1.0 / self.alpha
-    }
-
-    /// Expected last-download-phase sojourn per piece `1/γ` (steps).
-    /// Infinite if `γ = 0`.
-    #[must_use]
-    pub fn expected_last_phase_sojourn(&self) -> f64 {
-        1.0 / self.gamma
     }
 }
 
@@ -365,43 +350,6 @@ pub fn uniform_phi(pieces: u32) -> Empirical {
     Empirical::from_probs(probs).expect("uniform phi is a valid distribution")
 }
 
-/// A compact serializable snapshot of model parameters (φ elided to its
-/// mean) for experiment records.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ParamsSummary {
-    /// Number of pieces `B`.
-    pub pieces: u32,
-    /// Maximum connections `k`.
-    pub max_connections: u32,
-    /// Neighbor-set size `s`.
-    pub neighbor_set_size: u32,
-    /// `α`.
-    pub alpha: f64,
-    /// `γ`.
-    pub gamma: f64,
-    /// `p_r`.
-    pub p_r: f64,
-    /// `p_n`.
-    pub p_n: f64,
-    /// Mean of `φ`.
-    pub phi_mean: f64,
-}
-
-impl From<&ModelParams> for ParamsSummary {
-    fn from(p: &ModelParams) -> Self {
-        ParamsSummary {
-            pieces: p.pieces,
-            max_connections: p.max_connections,
-            neighbor_set_size: p.neighbor_set_size,
-            alpha: p.alpha,
-            gamma: p.gamma,
-            p_r: p.p_r,
-            p_n: p.p_n,
-            phi_mean: p.phi.mean(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -441,28 +389,11 @@ mod tests {
 
     #[test]
     fn custom_phi_support_checked() {
-        let wrong = Empirical::uniform(5);
+        let wrong = Empirical::from_counts(&[1; 6]).unwrap();
         let err = ModelParams::builder().pieces(10).phi(wrong).build();
         assert!(err.is_err());
-        let right = Empirical::uniform(10);
+        let right = Empirical::from_counts(&[1; 11]).unwrap();
         assert!(ModelParams::builder().pieces(10).phi(right).build().is_ok());
-    }
-
-    #[test]
-    fn sojourn_expectations() {
-        let p = ModelParams::builder()
-            .alpha(0.25)
-            .gamma(0.1)
-            .build()
-            .unwrap();
-        assert_eq!(p.expected_bootstrap_sojourn(), 4.0);
-        assert_eq!(p.expected_last_phase_sojourn(), 10.0);
-    }
-
-    #[test]
-    fn zero_alpha_gives_infinite_sojourn() {
-        let p = ModelParams::builder().alpha(0.0).build().unwrap();
-        assert!(p.expected_bootstrap_sojourn().is_infinite());
     }
 
     #[test]
@@ -481,15 +412,5 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn alpha_from_swarm_rejects_zero_peers() {
         let _ = alpha_from_swarm(1.0, 0.5, 40, 0.0);
-    }
-
-    #[test]
-    fn summary_round_trips_through_json() {
-        let p = ModelParams::builder().pieces(20).build().unwrap();
-        let s = ParamsSummary::from(&p);
-        let json = serde_json::to_string(&s).unwrap();
-        let back: ParamsSummary = serde_json::from_str(&json).unwrap();
-        assert_eq!(s, back);
-        assert_eq!(back.pieces, 20);
     }
 }

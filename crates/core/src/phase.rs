@@ -50,12 +50,6 @@ impl Phase {
             Phase::Efficient
         }
     }
-
-    /// Whether the peer is making piece progress in this phase at full rate.
-    #[must_use]
-    pub fn is_trading(&self) -> bool {
-        matches!(self, Phase::Efficient)
-    }
 }
 
 impl std::fmt::Display for Phase {
@@ -97,16 +91,6 @@ impl PhaseSojourns {
     #[must_use]
     pub fn total(&self) -> u64 {
         self.bootstrap + self.efficient + self.last_download
-    }
-
-    /// Fraction of steps spent in the efficient phase (0 if empty).
-    #[must_use]
-    pub fn efficient_fraction(&self) -> f64 {
-        if self.total() == 0 {
-            0.0
-        } else {
-            self.efficient as f64 / self.total() as f64
-        }
     }
 }
 
@@ -223,12 +207,6 @@ mod tests {
         s.record(Phase::Done); // not counted
         assert_eq!(s.bootstrap, 2);
         assert_eq!(s.total(), 4);
-        assert!((s.efficient_fraction() - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_sojourns_fraction_zero() {
-        assert_eq!(PhaseSojourns::default().efficient_fraction(), 0.0);
     }
 
     #[test]
@@ -244,7 +222,5 @@ mod tests {
     fn display_names() {
         assert_eq!(Phase::Bootstrap.to_string(), "bootstrap");
         assert_eq!(Phase::LastDownload.to_string(), "last-download");
-        assert!(Phase::Efficient.is_trading());
-        assert!(!Phase::Done.is_trading());
     }
 }

@@ -33,30 +33,6 @@ pub fn entropy(replication: &[u64]) -> f64 {
     }
 }
 
-/// §6: how the bootstrap parameter `α` responds to entropy. Skew (`E < 1`)
-/// makes newly arriving peers more likely to pick up highly replicated
-/// pieces, which are less tradable, so the *effective* `α` shrinks with
-/// `E`: `α_eff = α_base · E`.
-///
-/// # Panics
-///
-/// Panics if `entropy ∉ [0, 1]` or `alpha_base ∉ [0, 1]`.
-#[must_use]
-pub fn effective_alpha(alpha_base: f64, entropy: f64) -> f64 {
-    assert!(
-        (0.0..=1.0).contains(&alpha_base) && (0.0..=1.0).contains(&entropy),
-        "alpha_base and entropy must be probabilities"
-    );
-    alpha_base * entropy
-}
-
-/// §6: expected bootstrap sojourn `1/α_eff` under skew. Infinite when the
-/// effective α vanishes.
-#[must_use]
-pub fn bootstrap_sojourn_under_skew(alpha_base: f64, entropy: f64) -> f64 {
-    1.0 / effective_alpha(alpha_base, entropy)
-}
-
 /// Inputs of the reduced-form entropy drift relation.
 ///
 /// The full transient analysis is out of scope even for the paper ("left
@@ -64,6 +40,7 @@ pub fn bootstrap_sojourn_under_skew(alpha_base: f64, entropy: f64) -> f64 {
 /// larger `B` (more pieces → longer trading-phase residence) pushes entropy
 /// toward 1, while a larger arrival rate amplifies skew.
 #[derive(Debug, Clone, Copy, PartialEq)]
+// bt-lint: allow(pub-unused) paper entry point: the §6 entropy drift
 pub struct DriftParams {
     /// Number of pieces `B`.
     pub pieces: u32,
@@ -162,6 +139,7 @@ impl DriftParams {
     /// # Errors
     ///
     /// Propagates [`DriftParams::validate`].
+    // bt-lint: allow(pub-unused) paper entry point: the §6 stability criterion
     pub fn is_stable(&self, e0: f64, rounds: usize, threshold: f64) -> Result<bool> {
         let series = self.trajectory(e0, rounds)?;
         Ok(series.last().copied().unwrap_or(0.0) >= threshold)
@@ -185,25 +163,6 @@ mod tests {
     fn entropy_bounded() {
         assert!(entropy(&[1, 1000]) > 0.0);
         assert!(entropy(&[1, 1000]) < 1.0);
-    }
-
-    #[test]
-    fn effective_alpha_scales_with_entropy() {
-        assert_eq!(effective_alpha(0.4, 1.0), 0.4);
-        assert_eq!(effective_alpha(0.4, 0.5), 0.2);
-        assert_eq!(effective_alpha(0.4, 0.0), 0.0);
-    }
-
-    #[test]
-    fn bootstrap_sojourn_blows_up_under_full_skew() {
-        assert!(bootstrap_sojourn_under_skew(0.3, 0.0).is_infinite());
-        assert!((bootstrap_sojourn_under_skew(0.5, 1.0) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "probabilities")]
-    fn effective_alpha_rejects_bad_entropy() {
-        let _ = effective_alpha(0.5, 1.5);
     }
 
     fn params(pieces: u32, arrival: f64) -> DriftParams {

@@ -34,8 +34,8 @@ use bt_markov::float::exactly_zero;
 /// A probability-weighted successor entry.
 pub type Successor = (DownloadState, f64);
 
-/// The transition kernel for a fixed set of [`ModelParams`], with the
-/// Eq. 1 trading-power curve precomputed.
+/// The transition kernel for a fixed set of [`ModelParams`], with its
+/// factor tables precomputed from the Eq. 1 trading-power curve.
 ///
 /// # Example
 ///
@@ -57,8 +57,6 @@ pub type Successor = (DownloadState, f64);
 #[derive(Debug, Clone)]
 pub struct TransitionKernel {
     params: ModelParams,
-    /// `p₍c₎` for `c = 0..=B` (0 at both ends).
-    curve: Vec<f64>,
     /// `S ~ Bin(seed_connections, p_seed)`, the §7.2 free pieces.
     seed_pmf: Vec<f64>,
     /// `g` on entry: `Bin(s, p_init)`.
@@ -73,7 +71,7 @@ pub struct TransitionKernel {
 }
 
 impl TransitionKernel {
-    /// Builds the kernel, precomputing the trading-power curve and the
+    /// Builds the kernel, precomputing from the trading-power curve the
     /// `g` and `h` factor tables [`TransitionKernel::successors`] reads:
     /// O(B·s + k²) entries, so a step evaluates no binomial pmf.
     ///
@@ -103,7 +101,6 @@ impl TransitionKernel {
             trading,
             connections,
             params: params.clone(),
-            curve,
         })
     }
 
@@ -113,15 +110,9 @@ impl TransitionKernel {
         &self.params
     }
 
-    /// The precomputed trading-power curve (indexed by `c = b + n`).
-    #[must_use]
-    pub fn trading_curve(&self) -> &[f64] {
-        &self.curve
-    }
-
     /// `f(b′ | n, b)` — the next piece count from tit-for-tat trading
     /// alone (deterministic, the paper's Eq. for `f`). Seed connections
-    /// (§7.2) add on top of this; see [`TransitionKernel::pieces_dist`].
+    /// (§7.2) add on top of this.
     #[must_use]
     pub fn next_pieces(&self, state: DownloadState) -> u32 {
         let pieces = self.params.pieces();
@@ -132,23 +123,13 @@ impl TransitionKernel {
         }
     }
 
-    /// Distribution of the next piece count including the §7.2 seeding
-    /// extension: `b′ = min(f(b, n) + S, B)` with
-    /// `S ~ Bin(seed_connections, p_seed)` free pieces from seeds.
-    ///
-    /// With `seed_connections = 0` (the paper's setting) this is the
-    /// deterministic point mass at [`TransitionKernel::next_pieces`].
-    #[must_use]
-    pub fn pieces_dist(&self, state: DownloadState) -> Vec<(u32, f64)> {
-        let mut out = Vec::with_capacity(self.seed_pmf.len());
-        self.for_each_piece_count(state, |b_new, p| out.push((b_new, p)));
-        out
-    }
-
-    /// Calls `visit(b′, probability)` for [`TransitionKernel::pieces_dist`]'s
-    /// entries, in its order, without allocating. Only piece counts capped
-    /// at `B` can coincide; their masses are summed in draw order and
-    /// visited last, as the merge in `pieces_dist` left them.
+    /// Calls `visit(b′, probability)` for each next piece count under the
+    /// §7.2 seeding extension: `b′ = min(f(b, n) + S, B)` with
+    /// `S ~ Bin(seed_connections, p_seed)` free pieces from seeds. With
+    /// `seed_connections = 0` (the paper's setting) the only count is
+    /// [`TransitionKernel::next_pieces`], with probability 1. Only piece
+    /// counts capped at `B` can coincide; their masses are summed in draw
+    /// order and visited last.
     fn for_each_piece_count(&self, state: DownloadState, mut visit: impl FnMut(u32, f64)) {
         let pieces = self.params.pieces();
         let base = self.next_pieces(state);
@@ -586,7 +567,11 @@ mod tests {
 
     /// The per-call formula `successors` evaluated before the factor
     /// tables: `g` and `h` rebuilt from binomial pmfs at every state.
-    fn successors_oracle(kernel: &TransitionKernel, state: DownloadState) -> Vec<Successor> {
+    fn successors_oracle(
+        kernel: &TransitionKernel,
+        curve: &[f64],
+        state: DownloadState,
+    ) -> Vec<Successor> {
         let params = kernel.params();
         let pieces = params.pieces();
         if state.is_absorbed(pieces) {
@@ -614,7 +599,7 @@ mod tests {
                 return out;
             }
             let c = stock.min(pieces - 1);
-            binomial_support(s, kernel.trading_curve()[c as usize])
+            binomial_support(s, curve[c as usize])
         };
         let connections = |i_new: u32| {
             if state.stock() == 0 {
@@ -699,6 +684,7 @@ mod tests {
                             .build()
                             .unwrap();
                         let kernel = TransitionKernel::new(&params).unwrap();
+                        let curve = trading_power_curve(pieces, params.phi()).unwrap();
                         // Entry (stock 0), waiting, trading up to the
                         // c = B − 1 clamp, and absorbed, at every n. A
                         // state's successors depend on its i only through
@@ -714,7 +700,7 @@ mod tests {
                                     let state = DownloadState::new(n, b, i);
                                     assert_eq!(
                                         kernel.successors(state),
-                                        successors_oracle(&kernel, state),
+                                        successors_oracle(&kernel, &curve, state),
                                         "B={pieces} k={k} s={s} seeds={seeds} at {state}"
                                     );
                                 }
@@ -781,17 +767,24 @@ mod seeding_tests {
             .unwrap()
     }
 
+    /// The next piece counts and their probabilities, in visit order.
+    fn pieces_dist(kernel: &TransitionKernel, state: DownloadState) -> Vec<(u32, f64)> {
+        let mut out = Vec::new();
+        kernel.for_each_piece_count(state, |b_new, p| out.push((b_new, p)));
+        out
+    }
+
     #[test]
     fn zero_seeds_is_deterministic_f() {
         let kernel = TransitionKernel::new(&seeded_params(0, 0.5)).unwrap();
-        let dist = kernel.pieces_dist(DownloadState::new(1, 3, 2));
+        let dist = pieces_dist(&kernel, DownloadState::new(1, 3, 2));
         assert_eq!(dist, vec![(4, 1.0)]);
     }
 
     #[test]
     fn seeds_spread_piece_distribution() {
         let kernel = TransitionKernel::new(&seeded_params(2, 0.5)).unwrap();
-        let dist = kernel.pieces_dist(DownloadState::new(1, 3, 2));
+        let dist = pieces_dist(&kernel, DownloadState::new(1, 3, 2));
         // b' in {4, 5, 6} with Bin(2, 0.5) masses.
         assert_eq!(dist.len(), 3);
         assert_eq!(dist[0].0, 4);

@@ -57,9 +57,7 @@ proptest! {
 
     #[test]
     fn trajectories_are_monotone_and_classified(params in small_params(), seed in any::<u64>()) {
-        let mut walker = Walker::new(&params, StdRng::seed_from_u64(seed));
-        walker.set_max_steps(5_000);
-        let t = walker.run();
+        let t = Walker::new(&params, StdRng::seed_from_u64(seed)).run();
         for pair in t.states().windows(2) {
             prop_assert!(pair[1].b >= pair[0].b);
         }

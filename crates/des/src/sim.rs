@@ -71,12 +71,6 @@ impl<E> Simulator<E> {
         self.now
     }
 
-    /// Number of events processed so far.
-    #[must_use]
-    pub fn events_processed(&self) -> u64 {
-        self.processed
-    }
-
     /// Number of events currently pending.
     #[must_use]
     pub fn pending(&self) -> usize {
@@ -205,7 +199,7 @@ mod tests {
         });
         assert_eq!(count, 10);
         assert_eq!(sim.now(), SimTime::from_secs(9.0));
-        assert_eq!(sim.events_processed(), 10);
+        assert_eq!(sim.processed, 10);
     }
 
     #[test]
@@ -227,7 +221,7 @@ mod tests {
         }
         let reason = sim.run_until(SimTime::MAX, 3, |_, _, _| {});
         assert_eq!(reason, StopReason::EventBudgetExhausted);
-        assert_eq!(sim.events_processed(), 3);
+        assert_eq!(sim.processed, 3);
         assert_eq!(sim.pending(), 7);
     }
 
@@ -242,7 +236,7 @@ mod tests {
                 sim.request_stop();
             }
         });
-        assert_eq!(sim.events_processed(), 5);
+        assert_eq!(sim.processed, 5);
     }
 
     #[test]

@@ -64,12 +64,6 @@ impl SimTime {
         self.0 as f64 / TICKS_PER_SEC as f64
     }
 
-    /// Returns the raw tick count.
-    #[must_use]
-    pub const fn as_ticks(self) -> u64 {
-        self.0
-    }
-
     /// Duration elapsed since `earlier`, saturating at zero if `earlier` is
     /// actually later than `self`.
     #[must_use]
@@ -108,12 +102,6 @@ impl Duration {
     #[must_use]
     pub fn as_secs(self) -> f64 {
         self.0 as f64 / TICKS_PER_SEC as f64
-    }
-
-    /// Returns the raw tick count.
-    #[must_use]
-    pub const fn as_ticks(self) -> u64 {
-        self.0
     }
 }
 
@@ -229,7 +217,7 @@ mod tests {
     fn from_secs_round_trips() {
         let t = SimTime::from_secs(12.5);
         assert_eq!(t.as_secs(), 12.5);
-        assert_eq!(t.as_ticks(), 12_500_000);
+        assert_eq!(t.0, 12_500_000);
     }
 
     #[test]

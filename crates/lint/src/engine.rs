@@ -27,7 +27,15 @@
 //!   `stage-contract`) — computed over the whole library workspace
 //!   call graph; see [`crate::callgraph`] and [`crate::contracts`];
 //! * **waiver-unused** — every scanned file: a waiver that suppresses
-//!   nothing must be removed.
+//!   nothing must be removed;
+//! * **pub-unused** — `pub` items of every library source, against the
+//!   references in library, binary, example and bench code and in the
+//!   caller-only trees; `tests/` trees and `#[cfg(test)]` code are not
+//!   callers. See [`crate::unused`].
+//!
+//! `btbench/src` (the benchmark harness, its own cargo workspace) is a
+//! *caller-only* tree: it is read only to index the references it makes
+//! into the library, and no other rule runs on it.
 //!
 //! `vendor/` holds offline stand-ins for third-party crates and is
 //! excluded; `target/` is never scanned; the linter's own fixture
@@ -46,6 +54,7 @@ use crate::lexer;
 use crate::parse::{parse_file, FileAst};
 use crate::resolve::Workspace;
 use crate::rules::{self, Rule};
+use crate::unused::{self, References};
 
 /// Path prefixes (relative, forward slashes) where determinism rules apply.
 const DETERMINISM_SCOPE: [&str; 5] = [
@@ -155,40 +164,10 @@ pub fn rules_for_path(rel: &str) -> Vec<Rule> {
     set
 }
 
-/// Whether `rel` may reach the model RNG (see [`RNG_SANCTIONED`]).
+/// Whether `rel` may reach the model RNG (see `RNG_SANCTIONED`).
 #[must_use]
 pub fn rng_sanctioned(rel: &str) -> bool {
     in_scope(&RNG_SANCTIONED, rel)
-}
-
-/// Lints a single source text with an explicit rule set. Waivers found
-/// in the source are applied; waived findings are kept but marked.
-///
-/// This is the pure per-file core used by both the workspace walk and
-/// the fixture tests; the cross-file rules require
-/// [`analyze_workspace`].
-#[must_use]
-pub fn lint_source(
-    file: &str,
-    source: &str,
-    token_rules: &[Rule],
-    crate_root: bool,
-) -> Vec<Finding> {
-    let lexed = lexer::lex(source);
-    let mut findings = Vec::new();
-    if !token_rules.is_empty() {
-        let clean = rules::strip_test_code(&lexed.tokens);
-        rules::check_tokens(token_rules, &clean, file, &mut findings);
-    }
-    if crate_root {
-        rules::check_crate_root(&lexed.tokens, file, &mut findings);
-    }
-    for finding in &mut findings {
-        if lexed.waivers.covers(finding.rule.name(), finding.line) {
-            finding.waived = true;
-        }
-    }
-    findings
 }
 
 /// The full result of a workspace scan: the diagnostics report plus the
@@ -210,16 +189,15 @@ enum TreeKind {
     /// Test/bench/example trees: token rules on the raw stream (the
     /// whole file is test code), no cross-file participation.
     TestTree,
+    /// Trees read only for the references they make into the library
+    /// (`pub-unused`); no rule runs on them.
+    CallerOnly,
 }
 
-/// Lints the workspace rooted at `root` (the directory containing the
-/// top-level `Cargo.toml`) with the default scopes.
-///
-/// # Errors
-///
-/// Propagates filesystem errors from directory walking or file reads.
-pub fn lint_workspace(root: &Path) -> io::Result<Report> {
-    Ok(analyze_workspace(root)?.report)
+/// Whether `rel` is in a `tests/` tree, whose references do not keep a
+/// `pub` item alive.
+fn is_tests_dir(rel: &str) -> bool {
+    rel.starts_with("tests/") || rel.contains("/tests/")
 }
 
 /// Runs the complete analysis: token rules over every scanned tree,
@@ -235,6 +213,7 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Analysis> {
     let mut waiver_tables: BTreeMap<String, lexer::Waivers> = BTreeMap::new();
     let mut stage_notes: BTreeMap<String, Vec<(u32, String)>> = BTreeMap::new();
     let mut asts: BTreeMap<String, FileAst> = BTreeMap::new();
+    let mut refs = References::default();
 
     for (dir, rel_prefix, kind) in scan_roots(root)? {
         if !dir.is_dir() {
@@ -253,6 +232,10 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Analysis> {
             let lexed = lexer::lex(&source);
             let token_rules = rules_for_path(&rel);
             match kind {
+                TreeKind::CallerOnly => {
+                    refs.index(&rel, &rules::strip_test_code(&lexed.tokens));
+                    continue;
+                }
                 TreeKind::Model => {
                     let clean = rules::strip_test_code(&lexed.tokens);
                     if !token_rules.is_empty() {
@@ -265,11 +248,15 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Analysis> {
                     if crate_root {
                         rules::check_crate_root(&lexed.tokens, &rel, &mut findings);
                     }
+                    refs.index(&rel, &clean);
                     asts.insert(rel.clone(), parse_file(&rel, &clean));
                 }
                 TreeKind::TestTree => {
                     if !token_rules.is_empty() {
                         rules::check_tokens(&token_rules, &lexed.tokens, &rel, &mut findings);
+                    }
+                    if !is_tests_dir(&rel) {
+                        refs.index(&rel, &rules::strip_test_code(&lexed.tokens));
                     }
                 }
             }
@@ -289,6 +276,7 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Analysis> {
     let caps = contracts::capabilities(&ws, &cg);
     let (matrix, contract_findings) = contracts::analyze_stages(&ws, &caps, &stage_notes);
     findings.extend(contract_findings);
+    unused::findings(&asts, &refs, &mut findings);
 
     // Apply waivers (cross-file findings are waivable at their site).
     for finding in &mut findings {
@@ -300,8 +288,21 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Analysis> {
     }
 
     // Unused-waiver detection: an entry must have suppressed something.
+    // A `pub-unused` waiver must also say which allowed reason it uses.
     for (file, waivers) in &waiver_tables {
         for entry in waivers.entries() {
+            if entry.rule == Rule::PubUnused.name() && !unused::waiver_has_reason(&entry.note) {
+                findings.push(Finding::new(
+                    Rule::PubUnused,
+                    file,
+                    entry.line,
+                    1,
+                    format!(
+                        "`allow(pub-unused)` waiver names no reason; write one of {:?} after it",
+                        unused::WAIVER_REASONS
+                    ),
+                ));
+            }
             let used = findings
                 .iter()
                 .any(|f| f.file == *file && f.waived && entry.matches(f.rule.name(), f.line));
@@ -326,10 +327,16 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Analysis> {
     Ok(Analysis { report, matrix })
 }
 
-/// Every tree to scan: library sources plus test/bench/example trees.
+/// Every tree to scan: library sources, test/bench/example trees, and
+/// the caller-only benchmark harness.
 fn scan_roots(root: &Path) -> io::Result<Vec<(PathBuf, String, TreeKind)>> {
     let mut roots: Vec<(PathBuf, String, TreeKind)> = vec![
         (root.join("src"), "src".to_string(), TreeKind::Model),
+        (
+            root.join("btbench/src"),
+            "btbench/src".to_string(),
+            TreeKind::CallerOnly,
+        ),
         (root.join("tests"), "tests".to_string(), TreeKind::TestTree),
         (
             root.join("examples"),
@@ -456,20 +463,5 @@ mod tests {
         assert!(!rng_sanctioned("crates/swarm/src/obs.rs"));
         assert!(!rng_sanctioned("crates/swarm/src/monitors.rs"));
         assert!(!rng_sanctioned("crates/swarm/src/audit.rs"));
-    }
-
-    #[test]
-    fn lint_source_applies_waivers() {
-        let src = "use std::collections::HashMap; // bt-lint: allow(det-unordered-collection)\n";
-        let findings = lint_source("x.rs", src, &[Rule::DetUnorderedCollection], false);
-        assert_eq!(findings.len(), 1);
-        assert!(findings[0].waived);
-        assert!(!findings[0].blocking());
-    }
-
-    #[test]
-    fn lint_source_checks_crate_root_policy() {
-        let findings = lint_source("lib.rs", "//! docs\n", &[], true);
-        assert_eq!(findings.len(), 2);
     }
 }

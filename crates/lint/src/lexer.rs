@@ -65,6 +65,8 @@ pub struct WaiverEntry {
     pub rule: String,
     /// Whether the waiver covers the whole file (`allow-file`).
     pub file_wide: bool,
+    /// The comment text after the closing `)`: the waiver's reason.
+    pub note: String,
 }
 
 impl WaiverEntry {
@@ -115,6 +117,7 @@ impl Waivers {
             };
             let rest = &comment[start + marker.len()..];
             let Some(end) = rest.find(')') else { continue };
+            let note = rest[end + 1..].trim().to_string();
             for rule in rest[..end].split(',') {
                 let rule = rule.trim().to_string();
                 if rule.is_empty() {
@@ -124,6 +127,7 @@ impl Waivers {
                     line,
                     rule,
                     file_wide,
+                    note: note.clone(),
                 });
             }
             // `allow-file(` contains `allow(`? No — but `allow(` would also

@@ -8,8 +8,9 @@
 //! Rust lexer ([`lexer`]), a lightweight item parser ([`parse`]),
 //! workspace symbol resolution ([`resolve`]), a conservative call
 //! graph ([`callgraph`]), stage capability contracts ([`contracts`]),
-//! a rule catalog ([`rules::Rule`]), and a workspace walker
-//! ([`engine`]) that together enforce seven rule families:
+//! a workspace reference index ([`unused`]), a rule catalog
+//! ([`rules::Rule`]), and a workspace walker ([`engine`]) that together
+//! enforce eight rule families:
 //!
 //! | family | rules | scope |
 //! | --- | --- | --- |
@@ -20,6 +21,7 @@
 //! | panic-safety | `panic-unwrap`, `panic-macro`, `panic-index` | `bt-obs` sources, `bt-swarm` telemetry/obs |
 //! | numeric hygiene | `float-cmp` | `bt-markov`, `bt-model` sources |
 //! | policy | `policy-crate-attrs`, `waiver-unused` | every workspace crate root / every scanned file |
+//! | dead surface | `pub-unused` | `pub` items of every library source, against references from library, binary, example and bench code and the caller-only `btbench/src` |
 //!
 //! Library test code (`#[cfg(test)]` / `#[test]` items) is exempt from
 //! the token rules; dedicated test/bench/example trees are scanned
@@ -36,6 +38,18 @@
 //!
 //! A waiver that no longer suppresses anything is itself a blocking
 //! `waiver-unused` finding, so the waiver inventory can only shrink.
+//!
+//! A `pub-unused` waiver must also say why the item stays, with one of
+//! three reasons ([`unused::WAIVER_REASONS`]); a waiver without one is a
+//! blocking finding:
+//!
+//! * `test oracle` — a reference implementation the tests check the
+//!   product against (`AbsorbingChain::expected_visits`);
+//! * `integration-test access` — run output that integration tests read
+//!   through the public API (`Swarm::take_cohort`);
+//! * `paper entry point` — a `bt-model` or `bt-traces` function whose doc
+//!   cites the section, equation or figure of the paper it computes
+//!   (`EfficiencyModel::sweep_k`, Fig. 4(a)).
 //!
 //! Run it as `cargo run -p bt-lint` or `btlab lint`; `--format json`
 //! emits the machine-readable diagnostics CI consumes, and
@@ -56,7 +70,8 @@ pub mod lexer;
 pub mod parse;
 pub mod resolve;
 pub mod rules;
+pub mod unused;
 
 pub use diag::{Finding, Report, Severity};
-pub use engine::{analyze_workspace, lint_source, lint_workspace, rules_for_path, Analysis};
+pub use engine::{analyze_workspace, rules_for_path, Analysis};
 pub use rules::Rule;

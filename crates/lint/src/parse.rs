@@ -4,11 +4,12 @@
 //! This is deliberately *not* a full Rust parser. It recovers exactly
 //! the structure the workspace analyses need — which functions exist,
 //! who owns them (`impl Type` / `impl Trait for Type` / `trait Decl`),
-//! what their parameters look like, which tokens form their bodies, and
-//! which fields a struct declares with which primary type — and skips
-//! everything else by balanced-delimiter matching. Inputs are expected
-//! to be test-stripped ([`crate::rules::strip_test_code`]) so test-only
-//! items never enter the symbol tables.
+//! what their parameters look like, which tokens form their bodies,
+//! which fields a struct declares with which primary type, and which
+//! named items (with their visibility and token span) a file declares —
+//! and skips everything else by balanced-delimiter matching. Inputs are
+//! expected to be test-stripped ([`crate::rules::strip_test_code`]) so
+//! test-only items never enter the symbol tables.
 //!
 //! Known approximations (all conservative for the downstream rules):
 //! macro-generated items are invisible, type aliases are not followed,
@@ -74,6 +75,8 @@ pub struct FnItem {
 /// One parsed `impl` block header.
 #[derive(Debug, Clone)]
 pub struct ImplItem {
+    /// Token span `[start, end)` of the whole block in the parsed stream.
+    pub span: (usize, usize),
     /// The implementing type (`ExchangePieces` in
     /// `impl RoundStage for ExchangePieces`).
     pub self_type: String,
@@ -94,6 +97,44 @@ pub struct StructItem {
     pub fields: Vec<(String, String)>,
 }
 
+/// The kind of a named item recorded in [`FileAst::decls`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DeclKind {
+    /// `fn`, free or in an impl/trait block.
+    Fn,
+    /// `struct`.
+    Struct,
+    /// `enum`.
+    Enum,
+    /// `trait`.
+    Trait,
+    /// `const` (not `const fn`).
+    Const,
+    /// `static`.
+    Static,
+}
+
+/// One named item declaration with its visibility and token span.
+#[derive(Debug, Clone)]
+pub struct Decl {
+    /// Item name.
+    pub name: String,
+    /// Item kind.
+    pub kind: DeclKind,
+    /// 1-based line of the item's first token (`pub` when present).
+    pub line: u32,
+    /// Whether the item is plain `pub` (not `pub(crate)`, `pub(super)`, …).
+    pub public: bool,
+    /// Self type of the enclosing `impl` block (trait name inside a
+    /// `trait` block); `None` at module level.
+    pub owner: Option<String>,
+    /// Whether the item sits in an `impl Trait for Type` block or a
+    /// `trait` declaration.
+    pub in_trait: bool,
+    /// Token span `[start, end)` of the whole item in the parsed stream.
+    pub span: (usize, usize),
+}
+
 /// Everything extracted from one file.
 #[derive(Debug, Default, Clone)]
 pub struct FileAst {
@@ -103,6 +144,17 @@ pub struct FileAst {
     pub impls: Vec<ImplItem>,
     /// Structs with named fields.
     pub structs: Vec<StructItem>,
+    /// Named item declarations, in order of their closing token.
+    pub decls: Vec<Decl>,
+}
+
+/// Visibility and start of the item being parsed, recorded from its
+/// first qualifier token.
+#[derive(Clone, Copy)]
+struct ItemStart {
+    index: usize,
+    line: u32,
+    public: bool,
 }
 
 /// Keywords that start items the parser recognizes or skips.
@@ -136,6 +188,7 @@ fn parse_items(
     trait_name: Option<&str>,
     ast: &mut FileAst,
 ) {
+    let mut start: Option<ItemStart> = None;
     while *i < tokens.len() {
         let t = &tokens[*i];
         if t.is_punct("}") {
@@ -146,7 +199,12 @@ fn parse_items(
             continue;
         }
         if t.kind == TokenKind::Ident {
-            match t.text.as_str() {
+            let begun = start.get_or_insert(ItemStart {
+                index: *i,
+                line: t.line,
+                public: false,
+            });
+            let kind = match t.text.as_str() {
                 // Item qualifiers: skip and re-dispatch on what follows.
                 "pub" => {
                     *i += 1;
@@ -164,6 +222,8 @@ fn parse_items(
                             }
                             *i += 1;
                         }
+                    } else {
+                        begun.public = true;
                     }
                     continue;
                 }
@@ -181,19 +241,31 @@ fn parse_items(
                 }
                 "fn" => {
                     parse_fn(file, tokens, i, owner, trait_name, ast);
-                    continue;
+                    Some(DeclKind::Fn)
                 }
                 "impl" => {
-                    parse_impl(file, tokens, i, ast);
-                    continue;
+                    parse_impl(file, tokens, i, begun.index, ast);
+                    None
                 }
                 "trait" => {
                     parse_trait(file, tokens, i, ast);
-                    continue;
+                    Some(DeclKind::Trait)
                 }
                 "struct" => {
                     parse_struct(tokens, i, ast);
-                    continue;
+                    Some(DeclKind::Struct)
+                }
+                "enum" => {
+                    *i = skip_to_item_end(tokens, *i);
+                    Some(DeclKind::Enum)
+                }
+                "const" | "static" => {
+                    *i = skip_to_semicolon(tokens, *i);
+                    Some(if t.text == "const" {
+                        DeclKind::Const
+                    } else {
+                        DeclKind::Static
+                    })
                 }
                 "mod" => {
                     // `mod name { items }` — recurse into inline modules;
@@ -214,15 +286,62 @@ fn parse_items(
                     } else {
                         *i += 1;
                     }
-                    continue;
+                    None
                 }
-                _ => {}
+                _ => {
+                    // Anything else (use, type, macros, stray tokens):
+                    // skip to the end of the item — the first `;` or the
+                    // matching close of the first brace block.
+                    *i = skip_to_item_end(tokens, *i);
+                    None
+                }
+            };
+            if let (Some(kind), Some(begun)) = (kind, start.take()) {
+                record_decl(tokens, kind, begun, *i, owner, trait_name, ast);
             }
+            continue;
         }
-        // Anything else (use, const, static, enum, type, macros, stray
-        // tokens): skip to the end of the item — the first `;` or the
-        // matching close of the first brace block.
+        start = None;
         *i = skip_to_item_end(tokens, *i);
+    }
+}
+
+/// Records the declaration of a `kind` item spanning `begun.index..end`.
+/// Its name is the first identifier after the item keyword (skipping
+/// `mut` in `static mut`); an unnamed `const _` is not recorded.
+fn record_decl(
+    tokens: &[Token],
+    kind: DeclKind,
+    begun: ItemStart,
+    end: usize,
+    owner: Option<&str>,
+    trait_name: Option<&str>,
+    ast: &mut FileAst,
+) {
+    let keyword = match kind {
+        DeclKind::Fn => "fn",
+        DeclKind::Struct => "struct",
+        DeclKind::Enum => "enum",
+        DeclKind::Trait => "trait",
+        DeclKind::Const => "const",
+        DeclKind::Static => "static",
+    };
+    let name = tokens[begun.index..end.min(tokens.len())]
+        .iter()
+        .skip_while(|t| !t.is_ident(keyword))
+        .skip(1)
+        .find(|t| !t.is_ident("mut"))
+        .filter(|t| t.kind == TokenKind::Ident);
+    if let Some(name) = name {
+        ast.decls.push(Decl {
+            name: name.text.clone(),
+            kind,
+            line: begun.line,
+            public: begun.public,
+            owner: owner.map(str::to_string),
+            in_trait: trait_name.is_some(),
+            span: (begun.index, end),
+        });
     }
 }
 
@@ -274,6 +393,27 @@ fn skip_to_item_end(tokens: &[Token], mut i: usize) -> usize {
     i
 }
 
+/// Skips a `const`/`static` item: past the first `;` outside every
+/// bracket, so an initializer's braces do not end the item early.
+fn skip_to_semicolon(tokens: &[Token], mut i: usize) -> usize {
+    let mut depth = 0usize;
+    while i < tokens.len() {
+        let t = &tokens[i];
+        if t.is_punct("{") || t.is_punct("(") || t.is_punct("[") {
+            depth += 1;
+        } else if t.is_punct("}") || t.is_punct(")") || t.is_punct("]") {
+            if depth == 0 {
+                return i;
+            }
+            depth -= 1;
+        } else if t.is_punct(";") && depth == 0 {
+            return i + 1;
+        }
+        i += 1;
+    }
+    i
+}
+
 /// Net `<`-nesting delta of one punctuation token, treating `<<` / `>>`
 /// as two and ignoring arrows (`->`, `=>`).
 fn angle_delta(text: &str) -> i32 {
@@ -307,7 +447,7 @@ fn skip_generics(tokens: &[Token], mut i: usize) -> usize {
 
 /// Parses `impl [<..>] Path [for Path] [where ..] { items }` starting at
 /// the `impl` keyword.
-fn parse_impl(file: &str, tokens: &[Token], i: &mut usize, ast: &mut FileAst) {
+fn parse_impl(file: &str, tokens: &[Token], i: &mut usize, start: usize, ast: &mut FileAst) {
     let impl_line = tokens[*i].line;
     *i += 1;
     *i = skip_generics(tokens, *i);
@@ -353,7 +493,9 @@ fn parse_impl(file: &str, tokens: &[Token], i: &mut usize, ast: &mut FileAst) {
         (first_path.last().cloned().unwrap_or_default(), None)
     };
     if *i < tokens.len() && tokens[*i].is_punct("{") {
+        let slot = ast.impls.len();
         ast.impls.push(ImplItem {
+            span: (start, start),
             self_type: self_type.clone(),
             trait_name: trait_name.clone(),
             file: file.to_string(),
@@ -371,6 +513,7 @@ fn parse_impl(file: &str, tokens: &[Token], i: &mut usize, ast: &mut FileAst) {
         if *i < tokens.len() {
             *i += 1; // closing brace
         }
+        ast.impls[slot].span.1 = *i;
     } else {
         *i += 1; // `impl Trait for Type;` style — nothing to collect
     }

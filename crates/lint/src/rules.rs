@@ -49,11 +49,14 @@ pub enum Rule {
     /// An inline `// bt-lint: allow(...)` waiver that no longer
     /// suppresses any finding.
     WaiverUnused,
+    /// A `pub` library item that no non-test code refers to (see
+    /// [`crate::unused`]).
+    PubUnused,
 }
 
 impl Rule {
     /// Every rule, in catalog order.
-    pub const ALL: [Rule; 14] = [
+    pub const ALL: [Rule; 15] = [
         Rule::DetUnorderedCollection,
         Rule::DetWallClock,
         Rule::DetAmbientRng,
@@ -68,6 +71,7 @@ impl Rule {
         Rule::StageContract,
         Rule::CommitNoRng,
         Rule::WaiverUnused,
+        Rule::PubUnused,
     ];
 
     /// Stable rule name, used in diagnostics and waivers.
@@ -88,6 +92,7 @@ impl Rule {
             Rule::StageContract => "stage-contract",
             Rule::CommitNoRng => "commit-no-rng",
             Rule::WaiverUnused => "waiver-unused",
+            Rule::PubUnused => "pub-unused",
         }
     }
 
@@ -136,6 +141,9 @@ impl Rule {
             }
             Rule::WaiverUnused => {
                 "inline bt-lint waiver no longer suppresses any finding; remove it"
+            }
+            Rule::PubUnused => {
+                "pub library item no non-test code refers to; delete it or waive it with a reason"
             }
         }
     }

@@ -1,13 +1,13 @@
 //! Integration tests for the workspace analyzer (cross-file dataflow,
-//! stage contracts, waiver accounting) against the miniature fixture
-//! workspace in `tests/fixtures/analyzer/`.
+//! stage contracts, waiver accounting, unused `pub` items) against the
+//! miniature fixture workspace in `tests/fixtures/analyzer/`.
 //!
 //! The fixture workspace mirrors the real repo's shape — a sanctioned
 //! model crate (`crates/swarm`) with a stage subtree, an observer crate
-//! (`crates/obs`), and a test tree — and packs one positive and one
-//! negative case per rule family. A golden snapshot pins the full
-//! diagnostic set and the stage-matrix JSON; regenerate after an
-//! intentional change with
+//! (`crates/obs`), a test tree, and a caller-only benchmark tree
+//! (`btbench/src`) — and packs one positive and one negative case per
+//! rule family. A golden snapshot pins the full diagnostic set and the
+//! stage-matrix JSON; regenerate after an intentional change with
 //! `BTLINT_BLESS=1 cargo test -p bt-lint --test analyzer`.
 
 use std::path::{Path, PathBuf};
@@ -143,6 +143,50 @@ fn test_trees_are_scanned_with_determinism_rules() {
 }
 
 #[test]
+fn pub_unused_positive_and_negative() {
+    let a = analysis();
+    let names: Vec<(String, bool)> = a
+        .report
+        .findings
+        .iter()
+        .filter(|f| f.rule == Rule::PubUnused)
+        .map(|f| {
+            let name = f.message.split('`').nth(1).unwrap_or_default();
+            (format!("{}:{name}", f.file), f.waived)
+        })
+        .collect();
+    let dead = |name: &str, waived: bool| (format!("crates/swarm/src/dead.rs:{name}"), waived);
+    assert_eq!(
+        names,
+        vec![
+            // A dead `pub fn`, an item only a `tests/` tree calls, and a
+            // type plus method that only their own impl block names.
+            dead("orphan", false),
+            dead("only_tested", false),
+            dead("Lonely", false),
+            dead("Lonely::make", false),
+            // Waived with an allowed reason: reported, not blocking.
+            dead("waived_oracle", true),
+            // A waiver without a reason blocks at the waiver's line...
+            dead("allow(pub-unused)", false),
+            // ...although it still waives its item.
+            dead("waived_without_reason", true),
+        ],
+        "the caller-only tree keeps `bench_only`, `Row` and the other \
+         fixtures alive; trait-impl methods and `pub(crate)` are exempt"
+    );
+    // The caller-only tree is not linted: its rule bait raises nothing.
+    assert!(
+        !a.report
+            .findings
+            .iter()
+            .any(|f| f.file.starts_with("btbench/")),
+        "{:?}",
+        a.report.findings
+    );
+}
+
+#[test]
 fn stage_matrix_classifies_fields_and_disjointness() {
     let a = analysis();
     let json = a.matrix.render_json();
@@ -198,6 +242,11 @@ fn blocking_census() {
         pairs,
         vec![
             ("det-wall-clock", "tests/scale.rs".to_string()),
+            ("pub-unused", "crates/swarm/src/dead.rs".to_string()),
+            ("pub-unused", "crates/swarm/src/dead.rs".to_string()),
+            ("pub-unused", "crates/swarm/src/dead.rs".to_string()),
+            ("pub-unused", "crates/swarm/src/dead.rs".to_string()),
+            ("pub-unused", "crates/swarm/src/dead.rs".to_string()),
             ("rng-reachability", "crates/obs/src/lib.rs".to_string()),
             (
                 "rng-reachability",

@@ -12,7 +12,7 @@
 
 use std::path::Path;
 
-use bt_lint::{lint_source, Finding, Report, Rule};
+use bt_lint::{lexer, rules, Finding, Report, Rule};
 
 const DETERMINISM: &str = include_str!("fixtures/determinism.rs");
 const PANICS: &str = include_str!("fixtures/panics.rs");
@@ -26,6 +26,24 @@ const DET_RULES: [Rule; 3] = [
     Rule::DetAmbientRng,
 ];
 const PANIC_RULES: [Rule; 3] = [Rule::PanicUnwrap, Rule::PanicMacro, Rule::PanicIndex];
+
+/// Lints one source text with an explicit rule set, as the workspace
+/// walk lints a library file: the token rules on the test-stripped
+/// stream, the crate-root policy on the raw one, then the file's own
+/// waivers (waived findings are kept but marked).
+fn lint_source(file: &str, source: &str, token_rules: &[Rule], crate_root: bool) -> Vec<Finding> {
+    let lexed = lexer::lex(source);
+    let mut findings = Vec::new();
+    let clean = rules::strip_test_code(&lexed.tokens);
+    rules::check_tokens(token_rules, &clean, file, &mut findings);
+    if crate_root {
+        rules::check_crate_root(&lexed.tokens, file, &mut findings);
+    }
+    for finding in &mut findings {
+        finding.waived = lexed.waivers.covers(finding.rule.name(), finding.line);
+    }
+    findings
+}
 
 /// Collapses findings to comparable `(rule, line, waived)` triples.
 fn triples(findings: &[Finding]) -> Vec<(&'static str, u32, bool)> {

@@ -6,3 +6,7 @@ fn timed() {
     let t1 = Instant::now(); // bt-lint: allow(det-wall-clock) — fixture
     let _ = (t0, t1);
 }
+
+fn exercises_the_library() {
+    let _ = only_tested();
+}

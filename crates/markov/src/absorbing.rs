@@ -7,8 +7,7 @@
 //! matrix `N = (I - Q)^{-1}` gives:
 //!
 //! * expected visits to each transient state (`N[i][j]`),
-//! * expected steps to absorption (`t = N · 1`),
-//! * absorption probabilities (`B = N · R`).
+//! * expected steps to absorption (`t = N · 1`).
 //!
 //! No method forms `(I - Q)^{-1}` by eliminating the whole matrix. Ordering
 //! the strongly connected components (SCCs) of `Q` topologically makes
@@ -46,19 +45,13 @@ use crate::{Error, Result};
 /// let chain = AbsorbingChain::new(&p, &[0, 2]).unwrap();
 /// let steps = chain.expected_steps().unwrap();
 /// assert!((steps[0] - 1.0).abs() < 1e-12); // one bet decides it
-/// let absorb = chain.absorption_probabilities().unwrap();
-/// assert!((absorb[(0, 0)] - 0.5).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone)]
 pub struct AbsorbingChain {
     /// Transient→transient non-zeros, by transient block index.
     q: SparseRows,
-    /// Transient→absorbing non-zeros, by absorbing block index.
-    r: SparseRows,
     /// Original indices of the transient states, in block order.
     transient: Vec<usize>,
-    /// Original indices of the absorbing states, in block order.
-    absorbing: Vec<usize>,
     /// The SCCs of `Q` in topological order: every edge of `Q` leaving a
     /// block enters a later one.
     blocks: Vec<Block>,
@@ -139,34 +132,22 @@ impl AbsorbingChain {
                 detail: "all states are absorbing".into(),
             });
         }
-        let absorbing_sorted: Vec<usize> = {
-            let mut a = absorbing.to_vec();
-            a.sort_unstable();
-            a
-        };
-        // Each state's position among the transient or the absorbing states.
+        // Each transient state's position among the transient states.
         let mut slot = vec![0; n];
         for (ti, &i) in transient.iter().enumerate() {
             slot[i] = ti;
-        }
-        for (ai, &a) in absorbing_sorted.iter().enumerate() {
-            slot[a] = ai;
         }
         let mut q = SparseRows {
             start: vec![0],
             entries: Vec::new(),
         };
-        let mut r = q.clone();
         for &i in &transient {
             for (j, &pij) in p.row(i).iter().enumerate() {
-                if exactly_zero(pij) {
-                    continue;
+                if !is_absorbing[j] && !exactly_zero(pij) {
+                    q.entries.push((slot[j], pij));
                 }
-                let to = if is_absorbing[j] { &mut r } else { &mut q };
-                to.entries.push((slot[j], pij));
             }
             q.start.push(q.entries.len());
-            r.start.push(r.entries.len());
         }
         let components = strongly_connected_components(&q);
         let mut block_of = vec![0; transient.len()];
@@ -191,9 +172,7 @@ impl AbsorbingChain {
             .collect();
         Ok(AbsorbingChain {
             q,
-            r,
             transient,
-            absorbing: absorbing_sorted,
             blocks,
             block_of,
         })
@@ -203,12 +182,6 @@ impl AbsorbingChain {
     #[must_use]
     pub fn transient_states(&self) -> &[usize] {
         &self.transient
-    }
-
-    /// The absorbing states, in the block order used by all outputs.
-    #[must_use]
-    pub fn absorbing_states(&self) -> &[usize] {
-        &self.absorbing
     }
 
     /// The fundamental matrix `N = (I - Q)^{-1}`.
@@ -236,25 +209,6 @@ impl AbsorbingChain {
         Ok((0..steps.rows()).map(|i| steps[(i, 0)]).collect())
     }
 
-    /// Absorption probability matrix `B = N · R`.
-    ///
-    /// `B[(i, a)]` is the probability of being absorbed in absorbing state
-    /// `a` (block index) starting from transient state `i`.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Singular`] under the same condition as
-    /// [`AbsorbingChain::fundamental`].
-    pub fn absorption_probabilities(&self) -> Result<Matrix> {
-        let mut r = Matrix::zeros(self.transient.len(), self.absorbing.len());
-        for i in 0..self.r.len() {
-            for &(a, ria) in self.r.row(i) {
-                r[(i, a)] = ria;
-            }
-        }
-        self.solve_backward(r)
-    }
-
     /// Expected visits to each transient state starting from block state
     /// `from` (a row of the fundamental matrix), by one forward
     /// substitution of that row alone.
@@ -267,6 +221,7 @@ impl AbsorbingChain {
     /// # Panics
     ///
     /// Panics if `from` is not a transient block index.
+    // bt-lint: allow(pub-unused) test oracle: the dense phase sojourns the exact pass is checked against
     pub fn expected_visits(&self, from: usize) -> Result<Vec<f64>> {
         let n = self.transient.len();
         assert!(from < n, "row {from} out of bounds ({n})");
@@ -426,28 +381,6 @@ mod tests {
     }
 
     #[test]
-    fn gamblers_ruin_absorption_probabilities() {
-        // P[hit 4 from i] = i / 4.
-        let (_, chain) = gamblers_ruin();
-        let b = chain.absorption_probabilities().unwrap();
-        assert_eq!(chain.absorbing_states(), &[0, 4]);
-        for (row, start) in [(0usize, 1.0), (1, 2.0), (2, 3.0)] {
-            assert!((b[(row, 1)] - start / 4.0).abs() < 1e-10);
-            assert!((b[(row, 0)] - (1.0 - start / 4.0)).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn absorption_rows_sum_to_one() {
-        let (_, chain) = gamblers_ruin();
-        let b = chain.absorption_probabilities().unwrap();
-        for i in 0..3 {
-            let sum: f64 = (0..2).map(|j| b[(i, j)]).sum();
-            assert!((sum - 1.0).abs() < 1e-10);
-        }
-    }
-
-    #[test]
     fn expected_visits_diagonal_at_least_one() {
         let (_, chain) = gamblers_ruin();
         for i in 0..3 {
@@ -525,35 +458,26 @@ mod tests {
     /// eliminated and inverted in one piece.
     struct DenseOracle {
         lhs: Matrix,
-        r: Matrix,
     }
 
     impl DenseOracle {
         fn new(chain: &AbsorbingChain) -> Self {
             let n = chain.transient.len();
             let mut lhs = Matrix::identity(n);
-            let mut r = Matrix::zeros(n, chain.absorbing.len());
             for i in 0..n {
                 for &(j, qij) in chain.q.row(i) {
                     lhs[(i, j)] -= qij;
                 }
-                for &(a, ria) in chain.r.row(i) {
-                    r[(i, a)] = ria;
-                }
             }
-            DenseOracle { lhs, r }
+            DenseOracle { lhs }
         }
 
         fn fundamental(&self) -> Result<Matrix> {
-            self.lhs.inverse()
+            self.lhs.solve_many(&Matrix::identity(self.lhs.rows()))
         }
 
         fn expected_steps(&self) -> Result<Vec<f64>> {
             self.lhs.solve(&vec![1.0; self.lhs.rows()])
-        }
-
-        fn absorption_probabilities(&self) -> Result<Matrix> {
-            self.fundamental()?.mul(&self.r)
         }
 
         fn expected_visits(&self, from: usize) -> Result<Vec<f64>> {
@@ -648,10 +572,6 @@ mod tests {
                 &entries(&chain.fundamental().unwrap()),
                 &entries(&oracle.fundamental().unwrap())
             ));
-            prop_assert!(agree(
-                &entries(&chain.absorption_probabilities().unwrap()),
-                &entries(&oracle.absorption_probabilities().unwrap())
-            ));
             for from in 0..chain.transient_states().len() {
                 prop_assert!(agree(
                     &chain.expected_visits(from).unwrap(),
@@ -669,7 +589,6 @@ mod tests {
             prop_assert_eq!(oracle.fundamental().unwrap_err(), Error::Singular);
             prop_assert_eq!(chain.expected_steps().unwrap_err(), Error::Singular);
             prop_assert_eq!(chain.fundamental().unwrap_err(), Error::Singular);
-            prop_assert_eq!(chain.absorption_probabilities().unwrap_err(), Error::Singular);
             for from in 0..chain.transient_states().len() {
                 prop_assert_eq!(chain.expected_visits(from).unwrap_err(), Error::Singular);
             }

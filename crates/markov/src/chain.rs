@@ -2,7 +2,7 @@
 
 use rand::Rng;
 
-use crate::float::exactly_zero;
+use crate::float::{approx_eq, exactly_zero};
 use crate::matrix::Matrix;
 use crate::{Error, Result};
 
@@ -31,7 +31,7 @@ where
     for (r, row) in rows.into_iter().enumerate() {
         let sum: f64 = row.iter().sum();
         debug_assert!(
-            (sum - 1.0).abs() <= STOCHASTIC_TOL,
+            approx_eq(sum, 1.0, STOCHASTIC_TOL),
             "{context}: row {r} is not row-stochastic (sum {sum})"
         );
         for (c, &p) in row.iter().enumerate() {
@@ -97,7 +97,7 @@ impl TransitionMatrix {
                 });
             }
             let sum: f64 = row.iter().sum();
-            if (sum - 1.0).abs() > STOCHASTIC_TOL {
+            if !approx_eq(sum, 1.0, STOCHASTIC_TOL) {
                 return Err(Error::NotStochastic { row: r, sum });
             }
         }
@@ -126,12 +126,6 @@ impl TransitionMatrix {
         self.inner.row(i)
     }
 
-    /// The underlying matrix.
-    #[must_use]
-    pub fn as_matrix(&self) -> &Matrix {
-        &self.inner
-    }
-
     /// Advances a distribution one step: returns `dist * P`.
     ///
     /// # Panics
@@ -151,97 +145,6 @@ impl TransitionMatrix {
             }
         }
         out
-    }
-
-    /// Stationary distribution by power iteration from the uniform
-    /// distribution, stopping when the L1 change drops below `tol`.
-    ///
-    /// For periodic chains the iteration averages successive steps, which
-    /// converges to the Cesàro limit (the unique stationary distribution for
-    /// unichain matrices).
-    ///
-    /// # Errors
-    ///
-    /// [`Error::NoConvergence`] if `max_iters` is exhausted.
-    pub fn stationary(&self, tol: f64, max_iters: usize) -> Result<Vec<f64>> {
-        let n = self.n_states();
-        let mut dist = vec![1.0 / n as f64; n];
-        for it in 0..max_iters {
-            let stepped = self.step(&dist);
-            // Average with the current iterate to damp period-2 oscillation.
-            let next: Vec<f64> = stepped
-                .iter()
-                .zip(&dist)
-                .map(|(a, b)| 0.5 * (a + b))
-                .collect();
-            let residual: f64 = next.iter().zip(&dist).map(|(a, b)| (a - b).abs()).sum();
-            dist = next;
-            if residual < tol {
-                return Ok(dist);
-            }
-            let _ = it;
-        }
-        Err(Error::NoConvergence {
-            iterations: max_iters,
-            residual: f64::NAN,
-        })
-    }
-
-    /// Samples the successor of state `i` using `rng`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of bounds.
-    pub fn sample_next<R: Rng + ?Sized>(&self, i: usize, rng: &mut R) -> usize {
-        sample_index(self.row(i), rng)
-    }
-
-    /// Samples a path of `steps` transitions starting from `start`,
-    /// returning the visited states (length `steps + 1`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start` is out of bounds.
-    pub fn simulate_path<R: Rng + ?Sized>(
-        &self,
-        start: usize,
-        steps: usize,
-        rng: &mut R,
-    ) -> Vec<usize> {
-        assert!(start < self.n_states(), "start state out of bounds");
-        let mut path = Vec::with_capacity(steps + 1);
-        let mut current = start;
-        path.push(current);
-        for _ in 0..steps {
-            current = self.sample_next(current, rng);
-            path.push(current);
-        }
-        path
-    }
-
-    /// Empirical occupation frequencies of a sampled path of `steps`
-    /// transitions from `start` — a Monte-Carlo approximation of the
-    /// stationary distribution for ergodic chains.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start` is out of bounds or `steps == 0`.
-    pub fn occupation_frequencies<R: Rng + ?Sized>(
-        &self,
-        start: usize,
-        steps: usize,
-        rng: &mut R,
-    ) -> Vec<f64> {
-        assert!(steps > 0, "need at least one step");
-        let path = self.simulate_path(start, steps, rng);
-        let mut counts = vec![0u64; self.n_states()];
-        for &s in &path[1..] {
-            counts[s] += 1;
-        }
-        counts
-            .into_iter()
-            .map(|c| c as f64 / steps as f64)
-            .collect()
     }
 }
 
@@ -322,42 +225,6 @@ mod tests {
     }
 
     #[test]
-    fn stationary_of_two_state() {
-        // pi = (q/(p+q), p/(p+q)) with p=0.1, q=0.5.
-        let pi = two_state().stationary(1e-13, 100_000).unwrap();
-        assert!((pi[0] - 5.0 / 6.0).abs() < 1e-9);
-        assert!((pi[1] - 1.0 / 6.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn stationary_of_periodic_chain_converges() {
-        // A 2-cycle is period-2; the Cesàro average is (0.5, 0.5).
-        let p = TransitionMatrix::from_rows(vec![vec![0.0, 1.0], vec![1.0, 0.0]]).unwrap();
-        let pi = p.stationary(1e-12, 100_000).unwrap();
-        assert!((pi[0] - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn stationary_is_fixed_point() {
-        let p = two_state();
-        let pi = p.stationary(1e-13, 100_000).unwrap();
-        let stepped = p.step(&pi);
-        for (a, b) in pi.iter().zip(&stepped) {
-            assert!((a - b).abs() < 1e-8);
-        }
-    }
-
-    #[test]
-    fn sample_next_respects_support() {
-        let p = TransitionMatrix::from_rows(vec![vec![0.0, 1.0], vec![1.0, 0.0]]).unwrap();
-        let mut rng = StdRng::seed_from_u64(1);
-        for _ in 0..100 {
-            assert_eq!(p.sample_next(0, &mut rng), 1);
-            assert_eq!(p.sample_next(1, &mut rng), 0);
-        }
-    }
-
-    #[test]
     fn sample_index_frequencies() {
         let weights = [1.0, 3.0];
         let mut rng = StdRng::seed_from_u64(7);
@@ -382,44 +249,5 @@ mod tests {
         assert_eq!(p.prob(0, 1), 0.1);
         assert_eq!(p.row(1), &[0.5, 0.5]);
         assert_eq!(p.n_states(), 2);
-        assert_eq!(p.as_matrix().rows(), 2);
-    }
-}
-
-#[cfg(test)]
-mod path_tests {
-    use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    #[test]
-    fn simulate_path_has_right_length_and_support() {
-        let p = TransitionMatrix::from_rows(vec![vec![0.0, 1.0], vec![1.0, 0.0]]).unwrap();
-        let mut rng = StdRng::seed_from_u64(1);
-        let path = p.simulate_path(0, 10, &mut rng);
-        assert_eq!(path.len(), 11);
-        // A 2-cycle alternates deterministically.
-        for (i, &s) in path.iter().enumerate() {
-            assert_eq!(s, i % 2);
-        }
-    }
-
-    #[test]
-    fn occupation_approximates_stationary() {
-        let p = TransitionMatrix::from_rows(vec![vec![0.9, 0.1], vec![0.5, 0.5]]).unwrap();
-        let mut rng = StdRng::seed_from_u64(2);
-        let occ = p.occupation_frequencies(0, 200_000, &mut rng);
-        let pi = p.stationary(1e-12, 1_000_000).unwrap();
-        for (a, b) in occ.iter().zip(&pi) {
-            assert!((a - b).abs() < 0.01, "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn simulate_path_checks_start() {
-        let p = TransitionMatrix::from_rows(vec![vec![1.0]]).unwrap();
-        let mut rng = StdRng::seed_from_u64(0);
-        let _ = p.simulate_path(5, 3, &mut rng);
     }
 }

@@ -138,12 +138,6 @@ impl Binomial {
         self.n as f64 * self.p
     }
 
-    /// Variance `n * p * (1 - p)`.
-    #[must_use]
-    pub fn variance(&self) -> f64 {
-        self.mean() * (1.0 - self.p)
-    }
-
     /// Probability of exactly `k` successes.
     #[must_use]
     pub fn pmf(&self, k: u64) -> f64 {
@@ -161,13 +155,6 @@ impl Binomial {
             + k as f64 * self.p.ln()
             + (self.n - k) as f64 * (1.0 - self.p).ln();
         ln_pmf.exp()
-    }
-
-    /// Probability of at most `k` successes.
-    #[must_use]
-    pub fn cdf(&self, k: u64) -> f64 {
-        let k = k.min(self.n);
-        (0..=k).map(|j| self.pmf(j)).sum::<f64>().min(1.0)
     }
 
     /// The full pmf as a vector of length `n + 1`.
@@ -256,19 +243,6 @@ impl Empirical {
             });
         }
         Ok(Empirical { probs })
-    }
-
-    /// The uniform distribution over `0..=max`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max == usize::MAX` (overflow constructing `max + 1` bins).
-    #[must_use]
-    pub fn uniform(max: usize) -> Self {
-        let n = max.checked_add(1).expect("uniform support overflow");
-        Empirical {
-            probs: vec![1.0 / n as f64; n],
-        }
     }
 
     /// Probability of value `v` (0 outside the support).
@@ -395,20 +369,6 @@ mod tests {
     }
 
     #[test]
-    fn binomial_cdf_monotone_and_bounded() {
-        let b = Binomial::new(20, 0.3).unwrap();
-        let mut prev = 0.0;
-        for k in 0..=20 {
-            let c = b.cdf(k);
-            assert!(c >= prev - 1e-12);
-            assert!(c <= 1.0);
-            prev = c;
-        }
-        assert!((b.cdf(20) - 1.0).abs() < 1e-9);
-        assert!((b.cdf(99) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn binomial_sample_mean_near_np() {
         let b = Binomial::new(30, 0.4).unwrap();
         let mut rng = StdRng::seed_from_u64(11);
@@ -422,7 +382,6 @@ mod tests {
     fn binomial_moments() {
         let b = Binomial::new(10, 0.25).unwrap();
         assert_eq!(b.mean(), 2.5);
-        assert!((b.variance() - 1.875).abs() < 1e-12);
         assert_eq!(b.n(), 10);
         assert_eq!(b.p(), 0.25);
     }
@@ -468,162 +427,11 @@ mod tests {
     }
 
     #[test]
-    fn empirical_uniform() {
-        let u = Empirical::uniform(3);
-        for v in 0..=3 {
-            assert_eq!(u.prob(v), 0.25);
-        }
-        assert!((u.mean() - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn empirical_sample_respects_support() {
         let e = Empirical::from_probs(vec![0.0, 1.0, 0.0]).unwrap();
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..50 {
             assert_eq!(e.sample(&mut rng), 1);
         }
-    }
-}
-
-/// A geometric distribution on `{1, 2, 3, …}`: the number of Bernoulli
-/// trials up to and including the first success.
-///
-/// The sojourn times of the paper's waiting states (bootstrap `α`, last
-/// download `γ`) are exactly geometric.
-///
-/// # Example
-///
-/// ```
-/// use bt_markov::dist::Geometric;
-///
-/// let g = Geometric::new(0.25).unwrap();
-/// assert_eq!(g.mean(), 4.0);
-/// assert!((g.pmf(1) - 0.25).abs() < 1e-12);
-/// assert!((g.pmf(2) - 0.1875).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Geometric {
-    p: f64,
-}
-
-impl Geometric {
-    /// Creates a geometric distribution with success probability `p`.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::InvalidParameter`] unless `0 < p <= 1`.
-    pub fn new(p: f64) -> Result<Self> {
-        if !(p > 0.0 && p <= 1.0) {
-            return Err(Error::InvalidParameter {
-                name: "p",
-                detail: format!("success probability {p} outside (0, 1]"),
-            });
-        }
-        Ok(Geometric { p })
-    }
-
-    /// Success probability per trial.
-    #[must_use]
-    pub fn p(&self) -> f64 {
-        self.p
-    }
-
-    /// Mean `1/p`.
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        1.0 / self.p
-    }
-
-    /// Variance `(1 − p)/p²`.
-    #[must_use]
-    pub fn variance(&self) -> f64 {
-        (1.0 - self.p) / (self.p * self.p)
-    }
-
-    /// Probability of the first success on trial `k` (`k ≥ 1`).
-    #[must_use]
-    pub fn pmf(&self, k: u64) -> f64 {
-        if k == 0 {
-            return 0.0;
-        }
-        (1.0 - self.p).powi((k - 1) as i32) * self.p
-    }
-
-    /// Probability the first success arrives within `k` trials.
-    #[must_use]
-    pub fn cdf(&self, k: u64) -> f64 {
-        1.0 - (1.0 - self.p).powi(k as i32)
-    }
-
-    /// Samples a value by inverse transform.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        if self.p >= 1.0 {
-            return 1;
-        }
-        let u: f64 = 1.0 - rng.gen::<f64>(); // in (0, 1]
-        (u.ln() / (1.0 - self.p).ln()).floor() as u64 + 1
-    }
-}
-
-#[cfg(test)]
-mod geometric_tests {
-    use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    #[test]
-    fn moments() {
-        let g = Geometric::new(0.5).unwrap();
-        assert_eq!(g.mean(), 2.0);
-        assert_eq!(g.variance(), 2.0);
-        assert_eq!(g.p(), 0.5);
-    }
-
-    #[test]
-    fn pmf_sums_toward_one() {
-        let g = Geometric::new(0.3).unwrap();
-        let partial: f64 = (1..=200).map(|k| g.pmf(k)).sum();
-        assert!((partial - 1.0).abs() < 1e-12);
-        assert_eq!(g.pmf(0), 0.0);
-    }
-
-    #[test]
-    fn cdf_matches_pmf_sums() {
-        let g = Geometric::new(0.2);
-        let g = g.unwrap();
-        for k in 1..=20u64 {
-            let sum: f64 = (1..=k).map(|j| g.pmf(j)).sum();
-            assert!((g.cdf(k) - sum).abs() < 1e-12, "k={k}");
-        }
-    }
-
-    #[test]
-    fn rejects_bad_probabilities() {
-        assert!(Geometric::new(0.0).is_err());
-        assert!(Geometric::new(-0.5).is_err());
-        assert!(Geometric::new(1.5).is_err());
-        assert!(Geometric::new(f64::NAN).is_err());
-        assert!(Geometric::new(1.0).is_ok());
-    }
-
-    #[test]
-    fn degenerate_p_one_always_first_trial() {
-        let g = Geometric::new(1.0).unwrap();
-        let mut rng = StdRng::seed_from_u64(0);
-        for _ in 0..10 {
-            assert_eq!(g.sample(&mut rng), 1);
-        }
-        assert_eq!(g.pmf(1), 1.0);
-        assert_eq!(g.pmf(2), 0.0);
-    }
-
-    #[test]
-    fn sample_mean_near_expectation() {
-        let g = Geometric::new(0.25).unwrap();
-        let mut rng = StdRng::seed_from_u64(7);
-        let n = 50_000;
-        let mean: f64 = (0..n).map(|_| g.sample(&mut rng) as f64).sum::<f64>() / f64::from(n);
-        assert!((mean - 4.0).abs() < 0.1, "mean={mean}");
     }
 }

@@ -9,10 +9,6 @@
 //! helper and an audited waiver, instead of as anonymous comparisons
 //! scattered through the numerics.
 
-/// Default tolerance for [`approx_eq`]: matches the row-stochasticity
-/// validation tolerance [`crate::chain::STOCHASTIC_TOL`].
-pub const DEFAULT_TOL: f64 = 1e-9;
-
 /// Whether `a` and `b` agree within absolute tolerance `tol`.
 #[inline]
 #[must_use]
@@ -44,8 +40,8 @@ mod tests {
 
     #[test]
     fn approx_eq_respects_tolerance() {
-        assert!(approx_eq(1.0, 1.0 + 0.5e-9, DEFAULT_TOL));
-        assert!(!approx_eq(1.0, 1.0 + 2e-9, DEFAULT_TOL));
+        assert!(approx_eq(1.0, 1.0 + 0.5e-9, 1e-9));
+        assert!(!approx_eq(1.0, 1.0 + 2e-9, 1e-9));
         assert!(approx_eq(-0.5, -0.5, 0.0));
     }
 

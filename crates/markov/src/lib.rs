@@ -9,15 +9,12 @@
 //!
 //! * [`matrix::Matrix`] — dense row-major matrices with Gaussian-elimination
 //!   solves (used for the small diagonal blocks of absorbing-chain solves);
-//! * [`chain::TransitionMatrix`] — validated row-stochastic matrices,
-//!   distribution stepping and stationary distributions;
-//! * [`absorbing::AbsorbingChain`] — expected absorption times, visits and
-//!   absorption probabilities by block substitution over the strongly
-//!   connected components of the transient block, with no whole-matrix
-//!   inverse;
-//! * [`birth_death::BirthDeath`] — birth–death chains (connection classes
-//!   evolve as one in the paper's §5);
-//! * [`dist`] — exact binomial pmf/cdf/sampling in the log domain,
+//! * [`chain::TransitionMatrix`] — validated row-stochastic matrices and
+//!   distribution stepping;
+//! * [`absorbing::AbsorbingChain`] — expected absorption times and visits
+//!   by block substitution over the strongly connected components of the
+//!   transient block, with no whole-matrix inverse;
+//! * [`dist`] — exact binomial pmf/sampling in the log domain,
 //!   exponential/Poisson sampling, empirical discrete distributions;
 //! * [`fixed_point`] — damped fixed-point iteration with convergence
 //!   diagnostics (drives the §5 balance equations).
@@ -27,20 +24,20 @@
 //! ```
 //! use bt_markov::chain::TransitionMatrix;
 //!
-//! // A two-state weather chain.
+//! // A two-state weather chain: its stationary distribution (5/6, 1/6)
+//! // is a fixed point of one step.
 //! let p = TransitionMatrix::from_rows(vec![
 //!     vec![0.9, 0.1],
 //!     vec![0.5, 0.5],
 //! ]).unwrap();
-//! let pi = p.stationary(1e-12, 100_000).unwrap();
-//! assert!((pi[0] - 5.0 / 6.0).abs() < 1e-9);
+//! let pi = p.step(&[5.0 / 6.0, 1.0 / 6.0]);
+//! assert!((pi[0] - 5.0 / 6.0).abs() < 1e-12);
 //! ```
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod absorbing;
-pub mod birth_death;
 pub mod chain;
 pub mod dist;
 pub mod fixed_point;
@@ -48,7 +45,6 @@ pub mod float;
 pub mod matrix;
 
 pub use absorbing::AbsorbingChain;
-pub use birth_death::BirthDeath;
 pub use chain::TransitionMatrix;
 pub use dist::Binomial;
 pub use matrix::Matrix;

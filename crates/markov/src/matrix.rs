@@ -106,69 +106,6 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Matrix product `self * rhs`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Shape`] on inner-dimension mismatch.
-    pub fn mul(&self, rhs: &Matrix) -> Result<Matrix> {
-        if self.cols != rhs.rows {
-            return Err(Error::Shape {
-                context: "Matrix::mul",
-                detail: format!("{}x{} * {}x{}", self.rows, self.cols, rhs.rows, rhs.cols),
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        for i in 0..self.rows {
-            for l in 0..self.cols {
-                let a = self[(i, l)];
-                if exactly_zero(a) {
-                    continue;
-                }
-                for j in 0..rhs.cols {
-                    out[(i, j)] += a * rhs[(l, j)];
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Matrix–vector product `self * v`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Shape`] if `v.len() != cols`.
-    pub fn mul_vec(&self, v: &[f64]) -> Result<Vec<f64>> {
-        if v.len() != self.cols {
-            return Err(Error::Shape {
-                context: "Matrix::mul_vec",
-                detail: format!("vector of {} for {}x{}", v.len(), self.rows, self.cols),
-            });
-        }
-        Ok((0..self.rows)
-            .map(|i| self.row(i).iter().zip(v).map(|(a, b)| a * b).sum())
-            .collect())
-    }
-
-    /// Elementwise `self - rhs`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Shape`] on dimension mismatch.
-    pub fn sub(&self, rhs: &Matrix) -> Result<Matrix> {
-        if self.rows != rhs.rows || self.cols != rhs.cols {
-            return Err(Error::Shape {
-                context: "Matrix::sub",
-                detail: format!("{}x{} - {}x{}", self.rows, self.cols, rhs.rows, rhs.cols),
-            });
-        }
-        let mut out = self.clone();
-        for (o, r) in out.data.iter_mut().zip(&rhs.data) {
-            *o -= r;
-        }
-        Ok(out)
-    }
-
     /// Solves `self * x = b` by Gaussian elimination with partial pivoting.
     ///
     /// # Errors
@@ -249,15 +186,6 @@ impl Matrix {
         Ok(x)
     }
 
-    /// Inverts the matrix.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Matrix::solve`].
-    pub fn inverse(&self) -> Result<Matrix> {
-        self.solve_many(&Matrix::identity(self.rows))
-    }
-
     fn swap_rows(&mut self, i: usize, j: usize) {
         if i == j {
             return;
@@ -313,23 +241,6 @@ mod tests {
     }
 
     #[test]
-    fn mul_known_product() {
-        let a = Matrix::from_rows(vec![vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-        let b = Matrix::from_rows(vec![vec![0.0, 1.0], vec![1.0, 0.0]]).unwrap();
-        let c = a.mul(&b).unwrap();
-        assert_eq!(
-            c,
-            Matrix::from_rows(vec![vec![2.0, 1.0], vec![4.0, 3.0]]).unwrap()
-        );
-    }
-
-    #[test]
-    fn mul_vec_matches_mul() {
-        let a = Matrix::from_rows(vec![vec![1.0, -1.0], vec![2.0, 0.5]]).unwrap();
-        assert_eq!(a.mul_vec(&[2.0, 4.0]).unwrap(), vec![-2.0, 6.0]);
-    }
-
-    #[test]
     fn solve_requires_square() {
         let a = Matrix::zeros(2, 3);
         assert!(matches!(a.solve(&[0.0, 0.0]), Err(Error::Shape { .. })));
@@ -350,35 +261,21 @@ mod tests {
     }
 
     #[test]
-    fn inverse_times_self_is_identity() {
+    fn solve_many_against_identity_inverts() {
         let a = Matrix::from_rows(vec![
             vec![4.0, 7.0, 2.0],
             vec![3.0, 6.0, 1.0],
             vec![2.0, 5.0, 3.0],
         ])
         .unwrap();
-        let inv = a.inverse().unwrap();
-        let prod = a.mul(&inv).unwrap();
+        let inv = a.solve_many(&Matrix::identity(3)).unwrap();
         for i in 0..3 {
             for j in 0..3 {
+                let prod: f64 = (0..3).map(|l| a[(i, l)] * inv[(l, j)]).sum();
                 let expect = if i == j { 1.0 } else { 0.0 };
-                assert!((prod[(i, j)] - expect).abs() < 1e-10, "({i},{j})");
+                assert!((prod - expect).abs() < 1e-10, "({i},{j})");
             }
         }
-    }
-
-    #[test]
-    fn sub_elementwise() {
-        let a = Matrix::identity(2);
-        let b = Matrix::from_rows(vec![vec![0.5, 0.0], vec![0.0, 0.5]]).unwrap();
-        let c = a.sub(&b).unwrap();
-        assert_eq!(c[(0, 0)], 0.5);
-        assert_eq!(c[(1, 1)], 0.5);
-    }
-
-    #[test]
-    fn sub_shape_mismatch() {
-        assert!(Matrix::identity(2).sub(&Matrix::identity(3)).is_err());
     }
 
     #[test]

@@ -34,11 +34,9 @@
 //!    [`read_ledger`]): every run appends one compact health-and-perf
 //!    record to `results/ledger.jsonl` so `btlab trend` can track
 //!    trajectories across runs instead of against a single baseline.
-//! 8. **Streaming sketches** ([`CountCells`], [`P2Quantile`]):
-//!    deterministic, dependency-free distribution summaries — exact
-//!    sharded counter cells for bounded domains and a P² quantile
-//!    estimator for unbounded ones — so per-sample telemetry work is
-//!    sublinear in population.
+//! 8. **Streaming sketches** ([`CountCells`]): exact, deterministic,
+//!    dependency-free sharded counter cells over a bounded domain, so
+//!    per-sample telemetry work is sublinear in population.
 //! 9. **Peer cohorts** ([`CohortSink`], [`read_cohort`]): a
 //!    deterministic reservoir-sampled peer cohort whose members get
 //!    full binary-framed lifecycle traces at O(cohort) cost per round,
@@ -107,6 +105,6 @@ pub use profiling::{
     PROFILE_SCHEMA_VERSION,
 };
 pub use registry::{Counter, Histogram, Registry, Timer, TimerSnapshot};
-pub use sketch::{CountCells, P2Quantile};
+pub use sketch::CountCells;
 pub use subscriber::{init, init_from_env, LogMode};
 pub use timeseries::{RingSeries, SeriesPoint, SeriesStore};

@@ -420,12 +420,6 @@ impl ProfileSink {
         }
     }
 
-    /// Whether the sink is recording.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
     /// Marks the start of round `round`.
     #[inline]
     pub fn begin_round(&mut self, round: u64) {
@@ -546,7 +540,7 @@ mod tests {
     fn disabled_sink_is_inert() {
         let mut sink = ProfileSink::disabled();
         run_rounds(&mut sink, 5);
-        assert!(!sink.is_enabled());
+        assert!(sink.inner.is_none());
         assert!(sink.report().is_none());
         assert!(sink.series().is_none());
         let path = std::env::temp_dir().join("bt-obs-prof-disabled/profile.json");

@@ -195,17 +195,6 @@ impl SeriesStore {
         }
         out
     }
-
-    /// Rebuilds a store from a point stream. Points are recorded in the
-    /// given order; ticks off the stride are dropped, as on live capture.
-    #[must_use]
-    pub fn from_points(stride: u64, capacity: usize, points: &[SeriesPoint]) -> Self {
-        let mut store = SeriesStore::new(stride, capacity);
-        for p in points {
-            store.record(&p.series, p.tick, p.value);
-        }
-        store
-    }
 }
 
 #[cfg(test)]
@@ -257,16 +246,6 @@ mod tests {
         assert!((ring.mean().unwrap() - 0.5).abs() < 1e-12);
         assert!(store.get("missing").is_none());
         assert_eq!(store.names(), vec!["e"]);
-    }
-
-    #[test]
-    fn points_rebuild_the_store() {
-        let mut store = SeriesStore::new(1, 32);
-        for tick in 0..5 {
-            store.record("entropy", tick, tick as f64 / 7.0);
-            store.record("population", tick, (tick * 10) as f64);
-        }
-        assert_eq!(SeriesStore::from_points(1, 32, &store.points()), store);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! piece conservation (`held == acquired − departed`) and slot balance
 //! (`Σ degree == 2·(opened − closed)`) are pure identities over them.
 //!
-//! Unlike [`crate::obs::SwarmObs`] (atomic counters in the process-wide
+//! Unlike `SwarmObs` (atomic counters in the process-wide
 //! registry, for reporting), the audit is a private field of the core
 //! with zero synchronization: incrementing it costs one add, so it stays
 //! on even when no monitors are attached, and it makes no RNG calls.

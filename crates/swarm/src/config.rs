@@ -150,7 +150,7 @@ pub struct SwarmConfig {
     pub shake_at: Option<f64>,
     /// Fraction of arrivals that are *slow* peers (heterogeneous-bandwidth
     /// extension; the paper assumes homogeneous peers and defers this to
-    /// future work following its ref. [11]). Slow peers can serve at most
+    /// future work following its ref. \[11\]). Slow peers can serve at most
     /// [`SwarmConfig::slow_upload_budget`] block-transfers per round.
     pub slow_peer_fraction: f64,
     /// Per-round upload budget of a slow peer (fast peers are bounded only
@@ -311,27 +311,9 @@ impl SwarmConfigBuilder {
         self
     }
 
-    /// Sets the new-connection success probability `p_n`.
-    pub fn p_new_connection(&mut self, p: f64) -> &mut Self {
-        self.config.p_new_connection = p;
-        self
-    }
-
-    /// Sets the optimistic-unchoke probability.
-    pub fn optimistic_prob(&mut self, p: f64) -> &mut Self {
-        self.config.optimistic_prob = p;
-        self
-    }
-
     /// Caps successful new-connection initiations per peer per round.
     pub fn new_connections_per_round(&mut self, cap: u32) -> &mut Self {
         self.config.new_connections_per_round = Some(cap);
-        self
-    }
-
-    /// Enables blind encounters (attempts can fail against busy targets).
-    pub fn blind_encounters(&mut self, blind: bool) -> &mut Self {
-        self.config.blind_encounters = blind;
         self
     }
 
@@ -572,14 +554,12 @@ mod tests {
     #[test]
     fn rejects_bad_probabilities() {
         assert!(SwarmConfig::builder().p_reencounter(1.5).build().is_err());
-        assert!(SwarmConfig::builder()
-            .p_new_connection(-0.1)
-            .build()
-            .is_err());
-        assert!(SwarmConfig::builder()
-            .optimistic_prob(f64::NAN)
-            .build()
-            .is_err());
+        let mut bad_p_n = SwarmConfig::builder();
+        bad_p_n.config.p_new_connection = -0.1;
+        assert!(bad_p_n.build().is_err());
+        let mut bad_optimistic = SwarmConfig::builder();
+        bad_optimistic.config.optimistic_prob = f64::NAN;
+        assert!(bad_optimistic.build().is_err());
         assert!(SwarmConfig::builder().arrival_rate(-1.0).build().is_err());
         assert!(SwarmConfig::builder()
             .arrival_rate(f64::INFINITY)

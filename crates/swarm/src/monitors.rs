@@ -659,14 +659,6 @@ impl SwarmDoctor {
         }
     }
 
-    /// A doctor running a custom monitor set (tests, experiments).
-    #[must_use]
-    pub fn with_monitors(options: DoctorOptions, set: MonitorSet<MonitorSample>) -> Self {
-        let mut doctor = SwarmDoctor::new(options);
-        doctor.set = set;
-        doctor
-    }
-
     /// The sampling options.
     #[must_use]
     pub fn options(&self) -> &DoctorOptions {

@@ -124,12 +124,6 @@ impl Peer {
         }
     }
 
-    /// Total blocks received of in-flight (incomplete) pieces.
-    #[must_use]
-    pub fn partial_blocks(&self) -> u64 {
-        self.partial.values().map(|&b| u64::from(b)).sum()
-    }
-
     /// Whether `other` is currently a neighbor.
     pub(crate) fn is_neighbor(&self, other: PeerRef) -> bool {
         self.neighbors.contains(&other)

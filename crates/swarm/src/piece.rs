@@ -1,7 +1,5 @@
 //! Pieces and piece-possession bitfields.
 
-use rand::Rng;
-
 /// Identifier of a piece: its index in `0..B`.
 pub type PieceId = u32;
 
@@ -43,16 +41,6 @@ impl Bitfield {
             len,
             count: 0,
         }
-    }
-
-    /// Creates a complete bitfield (a seed's possession map).
-    #[must_use]
-    pub fn full(len: u32) -> Self {
-        let mut bf = Bitfield::new(len);
-        for p in 0..len {
-            bf.set(p);
-        }
-        bf
     }
 
     /// Number of pieces in the file.
@@ -131,27 +119,6 @@ impl Bitfield {
         WordBits::new(words)
     }
 
-    /// Adds one to `counts[p]` for every held piece `p` — the inner
-    /// loop of replication counting, word-at-a-time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `counts` is shorter than `len` pieces.
-    pub fn accumulate_into(&self, counts: &mut [u64]) {
-        assert!(
-            counts.len() >= self.len as usize,
-            "count table shorter than bitfield"
-        );
-        for (i, &word) in self.words.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let p = i * 64 + bits.trailing_zeros() as usize;
-                counts[p] += 1;
-                bits &= bits - 1;
-            }
-        }
-    }
-
     /// Adds this bitfield into a byte-lane count table: lane `p` (byte
     /// `p % 8` of `lanes[p / 8]`) gains one for every held piece `p`.
     ///
@@ -217,16 +184,6 @@ impl Bitfield {
                 visit(i as u32 * 64 + bits.trailing_zeros());
                 bits &= bits - 1;
             }
-        }
-    }
-
-    /// A uniformly random missing piece, or `None` if complete.
-    pub fn random_missing<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<PieceId> {
-        let missing: Vec<PieceId> = self.iter_missing().collect();
-        if missing.is_empty() {
-            None
-        } else {
-            Some(missing[rng.gen_range(0..missing.len())])
         }
     }
 }
@@ -323,14 +280,35 @@ impl Iterator for SetBits<'_> {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Adds one to `counts[p]` for every piece `p` that `bf` holds,
+    /// word-at-a-time: the oracle for [`Bitfield::accumulate_lanes`].
+    fn accumulate_into(bf: &Bitfield, counts: &mut [u64]) {
+        for (i, &word) in bf.words.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                counts[i * 64 + bits.trailing_zeros() as usize] += 1;
+                bits &= bits - 1;
+            }
+        }
+    }
+
+    /// A complete bitfield (a seed's possession map).
+    fn full(len: u32) -> Bitfield {
+        let mut bf = Bitfield::new(len);
+        for p in 0..len {
+            bf.set(p);
+        }
+        bf
+    }
 
     #[test]
     fn new_is_empty_full_is_complete() {
         let empty = Bitfield::new(100);
         assert!(empty.is_empty());
         assert_eq!(empty.count(), 0);
-        let full = Bitfield::full(100);
+        let full = full(100);
         assert!(full.is_complete());
         assert_eq!(full.count(), 100);
     }
@@ -420,20 +398,6 @@ mod tests {
     }
 
     #[test]
-    fn random_missing_respects_support() {
-        let mut bf = Bitfield::new(6);
-        for p in [0, 1, 2, 4, 5] {
-            bf.set(p);
-        }
-        let mut rng = StdRng::seed_from_u64(0);
-        for _ in 0..20 {
-            assert_eq!(bf.random_missing(&mut rng), Some(3));
-        }
-        bf.set(3);
-        assert_eq!(bf.random_missing(&mut rng), None);
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
     fn contains_bounds_checked() {
         let _ = Bitfield::new(5).contains(5);
@@ -482,8 +446,8 @@ mod tests {
         }
         b.set(63);
         let mut counts = vec![0u64; 70];
-        a.accumulate_into(&mut counts);
-        b.accumulate_into(&mut counts);
+        accumulate_into(&a, &mut counts);
+        accumulate_into(&b, &mut counts);
         assert_eq!(counts[0], 1);
         assert_eq!(counts[63], 2);
         assert_eq!(counts[64], 1);
@@ -506,7 +470,7 @@ mod tests {
                         bf.set(p);
                     }
                 }
-                bf.accumulate_into(&mut counts);
+                accumulate_into(&bf, &mut counts);
                 bf.accumulate_lanes(&mut lanes);
             }
             for p in 0..pieces {
@@ -522,11 +486,11 @@ mod tests {
     #[test]
     fn accumulate_lanes_holds_255_full_neighbors() {
         let pieces = 77;
-        let full = Bitfield::full(pieces);
+        let full = full(pieces);
         let mut counts = vec![0u64; pieces as usize];
         let mut lanes = vec![0u64; lane_words(pieces)];
         for _ in 0..255 {
-            full.accumulate_into(&mut counts);
+            accumulate_into(&full, &mut counts);
             full.accumulate_lanes(&mut lanes);
         }
         for p in 0..pieces {

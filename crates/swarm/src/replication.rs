@@ -47,15 +47,6 @@ impl ReplicationIndex {
         self.counts[piece as usize] += 1;
     }
 
-    /// Records the arrival of a peer already holding `have`.
-    ///
-    /// The engine endows initial pieces through the acquire path, so it
-    /// only ever calls this with empty bitfields today; the method
-    /// exists so external stages and tests can inject pre-loaded peers.
-    pub fn on_arrival(&mut self, have: &Bitfield) {
-        have.accumulate_into(&mut self.counts);
-    }
-
     /// Records the departure of a peer that held `have`.
     pub fn on_departure(&mut self, have: &Bitfield) {
         for piece in have.iter() {
@@ -88,7 +79,8 @@ mod tests {
     #[test]
     fn events_accumulate() {
         let mut index = ReplicationIndex::new(4);
-        index.on_arrival(&bf(4, &[0, 2]));
+        index.on_acquire(0);
+        index.on_acquire(2);
         index.on_acquire(2);
         index.on_acquire(3);
         assert_eq!(index.counts(), &[1, 0, 2, 1]);
@@ -100,8 +92,8 @@ mod tests {
     fn matches_oracle_on_simple_history() {
         let fields = [bf(8, &[0, 1, 2]), bf(8, &[2, 3]), bf(8, &[7])];
         let mut index = ReplicationIndex::new(8);
-        for field in &fields {
-            index.on_arrival(field);
+        for piece in fields.iter().flat_map(Bitfield::iter) {
+            index.on_acquire(piece);
         }
         let oracle = crate::selection::replication_counts(8, fields.iter());
         assert_eq!(index.counts(), &oracle[..]);

@@ -164,7 +164,10 @@ impl Ranker {
     /// use bt_swarm::selection::{PlanStream, Ranker};
     ///
     /// let mine = Bitfield::new(4);
-    /// let theirs = Bitfield::full(4);
+    /// let mut theirs = Bitfield::new(4);
+    /// for p in 0..4 {
+    ///     theirs.set(p);
+    /// }
     /// // Two neighbors hold pieces 0, 2 and 3; piece 1 is rare.
     /// let mut common = Bitfield::new(4);
     /// for p in [0, 2, 3] {
@@ -649,7 +652,7 @@ mod tests {
 
     #[test]
     fn ranker_matches_oracle_on_an_empty_want() {
-        let mine = Bitfield::full(70);
+        let mine = bf(70, &(0..70).collect::<Vec<_>>());
         let theirs = bf(70, &[3, 69]);
         for strategy in [PieceSelection::RarestFirst, PieceSelection::RandomFirst] {
             let mut ranker = Ranker::new(strategy);

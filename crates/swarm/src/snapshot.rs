@@ -174,11 +174,10 @@ mod tests {
         assert_eq!(snap.availability.n_bins() as u64, max_rep + 1);
         // Every count lands in its own unit-width bucket.
         assert_eq!(snap.availability.bin_count(max_rep as usize), 4);
-        assert_eq!(snap.availability.overflow(), 0);
-        assert_eq!(
-            snap.availability.bin_bounds(max_rep as usize).0,
-            max_rep as f64
-        );
+        let binned: u64 = (0..snap.availability.n_bins())
+            .map(|i| snap.availability.bin_count(i))
+            .sum();
+        assert_eq!(snap.availability.total(), binned);
     }
 
     #[test]

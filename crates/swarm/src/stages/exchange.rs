@@ -44,7 +44,7 @@ use crate::stages::RoundStage;
 /// * `plans` — per-pair list lengths and commit positions from the plan
 ///   phase, and `ranks` — the lists themselves: one flat table in which
 ///   pair `i` owns the window of `2 * stride` ranks at `2 * stride * i`,
-///   its `lo` direction's [`rank_stride`] ranks, then its `hi`
+///   its `lo` direction's `rank_stride` ranks, then its `hi`
 ///   direction's. The table outlives the round, so a warm plan table
 ///   allocates nothing.
 ///

@@ -77,6 +77,7 @@ pub struct TelemetrySample {
 impl TelemetrySample {
     /// Derives a sample from a snapshot.
     #[must_use]
+    // bt-lint: allow(pub-unused) test oracle: the full-scan sample the incremental one is checked against
     pub fn from_snapshot(snapshot: &Snapshot, max_connections: u32) -> Self {
         let availability: Vec<u64> = (0..snapshot.availability.n_bins())
             .map(|i| snapshot.availability.bin_count(i))
@@ -465,6 +466,7 @@ impl TelemetryRecorder {
 
     /// All phase transitions detected so far, in emission order.
     #[must_use]
+    // bt-lint: allow(pub-unused) integration-test access: the telemetry suite reads the detected transitions
     pub fn phase_events(&self) -> &[PhaseEvent] {
         &self.phase_events
     }

@@ -218,7 +218,7 @@ fn run_with_cohort(seed: u64, rounds: u64, cohort: Option<u32>) -> (Vec<u8>, Str
     }
     let sink = swarm.take_cohort();
     if cohort.is_some() {
-        assert!(sink.is_enabled(), "cohort stayed attached for the run");
+        assert!(sink.events() > 0, "cohort stayed attached for the run");
     }
     let digest = format!("{:?}", swarm.metrics());
     (buf.contents(), digest, cohort_buf.contents())

@@ -23,14 +23,13 @@ fn small_config() -> impl Strategy<Value = SwarmConfig> {
     )
         .prop_map(
             |(pieces, k, s, lambda, init, p_r, p_n, seed, rarest, uploads)| {
-                SwarmConfig::builder()
+                let mut config = SwarmConfig::builder()
                     .pieces(pieces)
                     .max_connections(k)
                     .neighbor_set_size(s)
                     .arrival_rate(lambda)
                     .initial_leechers(init)
                     .p_reencounter(p_r)
-                    .p_new_connection(p_n)
                     .piece_selection(if rarest {
                         PieceSelection::RarestFirst
                     } else {
@@ -40,7 +39,9 @@ fn small_config() -> impl Strategy<Value = SwarmConfig> {
                     .max_rounds(40)
                     .seed(seed)
                     .build()
-                    .expect("strategy generates valid configs")
+                    .expect("strategy generates valid configs");
+                config.p_new_connection = p_n;
+                config
             },
         )
 }
@@ -315,7 +316,9 @@ proptest! {
                             have.set(p as u32);
                         }
                     }
-                    index.on_arrival(&have);
+                    for piece in have.iter() {
+                        index.on_acquire(piece);
+                    }
                     alive.push(have);
                 }
                 IndexEvent::Acquire { peer, piece } => {

@@ -59,19 +59,6 @@ impl PhaseSummary {
             self.last_secs / total
         }
     }
-
-    /// Whether the dominant feature is a long bootstrap (threshold on the
-    /// time fraction).
-    #[must_use]
-    pub fn has_significant_bootstrap(&self, threshold: f64) -> bool {
-        self.bootstrap_fraction() >= threshold
-    }
-
-    /// Whether the dominant feature is a long last phase.
-    #[must_use]
-    pub fn has_significant_last_phase(&self, threshold: f64) -> bool {
-        self.last_fraction() >= threshold
-    }
 }
 
 /// Segments a trace into the three phases.
@@ -223,8 +210,8 @@ mod tests {
         }
         let p = segment(&trace(samples));
         assert!(p.bootstrap_samples >= 8, "{p:?}");
-        assert!(p.has_significant_bootstrap(0.5), "{p:?}");
-        assert!(!p.has_significant_last_phase(0.5));
+        assert!(p.bootstrap_fraction() >= 0.5, "{p:?}");
+        assert!(p.last_fraction() < 0.5);
     }
 
     #[test]
@@ -238,7 +225,7 @@ mod tests {
         }
         let p = segment(&trace(samples));
         assert!(p.last_samples >= 9, "{p:?}");
-        assert!(p.has_significant_last_phase(0.5), "{p:?}");
+        assert!(p.last_fraction() >= 0.5, "{p:?}");
     }
 
     #[test]

@@ -1,9 +1,14 @@
 //! JSON-lines trace serialization.
 //!
 //! One trace per line, so collections stream and append naturally — the
-//! format an instrumented client would log to disk.
+//! format an instrumented client would log to disk. Lines go through the
+//! workspace's record codec ([`bt_obs::records`]), as every other stream
+//! does: a final line cut mid-write is skipped, and a complete line that
+//! does not parse is `ErrorKind::InvalidData`.
 
 use std::io::{BufRead, Write};
+
+use bt_obs::records::{read_lines, write_line};
 
 use crate::record::Trace;
 use crate::Result;
@@ -39,29 +44,25 @@ use crate::Result;
 /// ```
 pub fn write_traces<W: Write>(mut writer: W, traces: &[Trace]) -> Result<()> {
     for trace in traces {
-        serde_json::to_writer(&mut writer, trace)?;
-        writer.write_all(b"\n")?;
+        write_line(&mut writer, trace)?;
     }
     writer.flush()?;
     Ok(())
 }
 
-/// Reads traces from JSON lines, validating each. Blank lines are skipped.
-/// A `&mut` reference can be passed as the reader.
+/// Reads the complete traces of a JSON-lines stream, validating each.
+/// Blank lines and a final unterminated line are skipped. A `&mut`
+/// reference can be passed as the reader.
 ///
 /// # Errors
 ///
-/// I/O, deserialization, or [`Trace::validate`] failures.
+/// I/O failures; a complete line that does not parse is an
+/// `ErrorKind::InvalidData` [`Error::Io`](crate::Error::Io); a trace
+/// that fails [`Trace::validate`] is [`Error::InvalidTrace`](crate::Error::InvalidTrace).
 pub fn read_traces<R: BufRead>(reader: R) -> Result<Vec<Trace>> {
-    let mut traces = Vec::new();
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let trace: Trace = serde_json::from_str(&line)?;
+    let traces: Vec<Trace> = read_lines(reader, "traces")?;
+    for trace in &traces {
         trace.validate()?;
-        traces.push(trace);
     }
     Ok(traces)
 }
@@ -133,7 +134,18 @@ mod tests {
     #[test]
     fn malformed_line_errors() {
         let result = read_traces(b"{not json}\n".as_slice());
-        assert!(matches!(result, Err(crate::Error::Serde(_))));
+        assert!(
+            matches!(&result, Err(crate::Error::Io(e)) if e.kind() == std::io::ErrorKind::InvalidData),
+            "{result:?}"
+        );
+    }
+
+    #[test]
+    fn torn_final_line_is_skipped() {
+        let mut buf = Vec::new();
+        write_traces(&mut buf, &[trace("a"), trace("b")]).unwrap();
+        let torn = &buf[..buf.len() - 10];
+        assert_eq!(read_traces(torn).unwrap(), vec![trace("a")]);
     }
 
     #[test]

@@ -81,49 +81,6 @@ pub fn summarize(traces: &[Trace]) -> CollectionSummary {
     }
 }
 
-/// Empirical CDF of completed-download durations: sorted `(duration_secs,
-/// cumulative_fraction)` points. Empty if no trace completed.
-#[must_use]
-pub fn duration_cdf(traces: &[Trace]) -> Vec<(f64, f64)> {
-    let mut durations: Vec<f64> = traces
-        .iter()
-        .filter(|t| t.completed)
-        .map(Trace::duration)
-        .collect();
-    durations.sort_by(|a, b| a.partial_cmp(b).expect("durations are finite"));
-    let n = durations.len();
-    durations
-        .into_iter()
-        .enumerate()
-        .map(|(i, d)| (d, (i + 1) as f64 / n as f64))
-        .collect()
-}
-
-/// Downsamples a trace to at most `max_samples` samples (uniform stride,
-/// always keeping the first and last). Traces already small are returned
-/// unchanged.
-#[must_use]
-pub fn downsample(trace: &Trace, max_samples: usize) -> Trace {
-    if max_samples < 2 || trace.samples.len() <= max_samples {
-        return trace.clone();
-    }
-    let n = trace.samples.len();
-    let mut samples = Vec::with_capacity(max_samples);
-    for i in 0..max_samples {
-        let idx = if i == max_samples - 1 {
-            n - 1
-        } else {
-            i * (n - 1) / (max_samples - 1)
-        };
-        samples.push(trace.samples[idx]);
-    }
-    samples.dedup_by_key(|s| s.t.to_bits());
-    Trace {
-        samples,
-        ..trace.clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,43 +125,5 @@ mod tests {
         assert_eq!(s.traces, 0);
         assert!(s.mean_duration_secs.is_nan());
         assert_eq!(s.phase_shares, [0.0; 3]);
-    }
-
-    #[test]
-    fn cdf_is_monotone_and_complete() {
-        let traces = vec![
-            trace(true, vec![(0.0, 0, 1), (30.0, 1000, 1)]),
-            trace(true, vec![(0.0, 0, 1), (10.0, 1000, 1)]),
-            trace(false, vec![(0.0, 0, 1)]),
-        ];
-        let cdf = duration_cdf(&traces);
-        assert_eq!(cdf.len(), 2);
-        assert_eq!(cdf[0], (10.0, 0.5));
-        assert_eq!(cdf[1], (30.0, 1.0));
-    }
-
-    #[test]
-    fn cdf_empty_when_no_completions() {
-        assert!(duration_cdf(&[trace(false, vec![(0.0, 0, 0)])]).is_empty());
-    }
-
-    #[test]
-    fn downsample_keeps_endpoints() {
-        let samples: Vec<(f64, u64, u32)> = (0..100)
-            .map(|i| (f64::from(i), u64::from(i as u32) * 10, 3))
-            .collect();
-        let t = trace(true, samples);
-        let small = downsample(&t, 10);
-        assert!(small.samples.len() <= 10);
-        assert_eq!(small.samples[0].t, 0.0);
-        assert_eq!(small.samples.last().unwrap().t, 99.0);
-        small.validate().unwrap();
-    }
-
-    #[test]
-    fn downsample_noop_when_small() {
-        let t = trace(true, vec![(0.0, 0, 1), (1.0, 10, 1)]);
-        assert_eq!(downsample(&t, 10), t);
-        assert_eq!(downsample(&t, 0), t);
     }
 }

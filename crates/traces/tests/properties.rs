@@ -2,7 +2,7 @@
 
 use bt_traces::analyzer::segment;
 use bt_traces::io::{read_traces, write_traces};
-use bt_traces::stats::{downsample, duration_cdf, summarize};
+use bt_traces::stats::summarize;
 use bt_traces::{Trace, TraceSample};
 use proptest::prelude::*;
 
@@ -74,32 +74,9 @@ proptest! {
     }
 
     #[test]
-    fn downsample_preserves_validity_and_endpoints(
-        trace in valid_trace(),
-        cap in 2usize..20,
-    ) {
-        let small = downsample(&trace, cap);
-        small.validate().expect("downsampling preserves validity");
-        prop_assert!(small.samples.len() <= cap.max(trace.samples.len().min(cap)));
-        if let (Some(first), Some(last)) = (trace.samples.first(), trace.samples.last()) {
-            prop_assert_eq!(small.samples.first().map(|s| s.t), Some(first.t));
-            prop_assert_eq!(small.samples.last().map(|s| s.t), Some(last.t));
-        }
-    }
-
-    #[test]
     fn summary_is_consistent(traces in prop::collection::vec(valid_trace(), 0..6)) {
         let s = summarize(&traces);
         prop_assert_eq!(s.traces, traces.len());
         prop_assert!(s.completed <= s.traces);
-        let cdf = duration_cdf(&traces);
-        prop_assert_eq!(cdf.len(), traces.iter().filter(|t| t.completed).count());
-        for pair in cdf.windows(2) {
-            prop_assert!(pair[1].0 >= pair[0].0, "durations sorted");
-            prop_assert!(pair[1].1 >= pair[0].1, "cdf monotone");
-        }
-        if let Some(&(_, last)) = cdf.last() {
-            prop_assert!((last - 1.0).abs() < 1e-12);
-        }
     }
 }

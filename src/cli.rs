@@ -146,7 +146,7 @@ impl From<String> for CliError {
 }
 
 /// A failed write of command output is a run failure (exit 1); reads of
-/// input artifacts go through [`read_error`] instead.
+/// input artifacts go through `read_error` instead.
 impl From<std::io::Error> for CliError {
     fn from(e: std::io::Error) -> Self {
         CliError::Failure(format!("i/o error: {e}"))
@@ -667,9 +667,9 @@ EXIT CODES:
   0 success; 1 run failure (simulation error, compare regression,
   doctor violation, report --strict warning); 2 usage error or
   malformed/mismatched input data.
-  Streams (telemetry, heartbeat, ledger) are read up to their last
-  complete record; a missing file, a malformed complete line, or a
-  torn document (manifest, profile, status) exits 2.
+  Streams (telemetry, cohort, heartbeat, ledger, traces) are read up to
+  their last complete record; a missing file, a malformed complete
+  record, or a torn document (manifest, profile, status) exits 2.
 
 STAGE ABLATION (btlab swarm):
   --disable-stage removes stages from the round pipeline for ablation
@@ -1415,6 +1415,12 @@ pub fn run<W: std::io::Write>(command: Command, out: &mut W) -> Result<(), CliEr
                 bt_traces::Error::Io(e) => read_error(&format!("traces {}", a.input), e),
                 other => CliError::Invalid(format!("cannot read traces {}: {other}", a.input)),
             })?;
+            if traces.is_empty() {
+                return Err(CliError::Invalid(format!(
+                    "traces {} holds no complete trace",
+                    a.input
+                )));
+            }
             writeln!(
                 out,
                 "{:<30} {:>10} {:>10} {:>10}  completed",

@@ -1284,61 +1284,229 @@ fn btlab_in(dir: &std::path::Path, args: &[&str]) -> std::process::Output {
         .expect("binary runs")
 }
 
-/// Runs `btlab ARGS` and asserts a data error: exit 2 naming the read.
-fn assert_data_error(dir: &std::path::Path, args: &[&str]) {
-    let out = btlab_in(dir, args);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-    assert!(stderr.contains("cannot read"), "{args:?}: {stderr}");
+/// How an artifact reader frames its input.
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum Framing {
+    /// One JSON document (manifest, profile report, run status).
+    Document,
+    /// JSON lines, read up to the last complete line.
+    Lines,
+    /// The binary-framed cohort stream: a 24-byte header, then frames of
+    /// at most 33 bytes, read up to the last complete frame.
+    Frames,
 }
 
-/// A fresh temp dir holding JSON cut mid-value but newline-terminated,
-/// so line readers see one complete malformed line.
-fn garbage(label: &str) -> (std::path::PathBuf, String) {
-    let dir = std::env::temp_dir().join(format!("btlab-e2e-garbage-{label}"));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    let path = dir.join("garbage.json");
-    std::fs::write(&path, "{\"truncated\": \n").expect("write garbage");
-    (dir, path.to_str().unwrap().to_string())
+/// A malformed variant of a valid artifact.
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum Damage {
+    Missing,
+    Empty,
+    /// Cut to half its length.
+    Torn,
+    /// The middle byte set to 0x01, which no JSON token contains.
+    Flipped,
 }
 
+/// The exit code `btlab` owes a reader of `framing` given a `damage`d
+/// copy of `valid`, or `None` where only "no panic" is promised: a
+/// flipped byte inside a cohort frame's payload, which carries no
+/// checksum, can still decode.
+fn owed_exit(framing: Framing, damage: Damage, valid: &[u8]) -> Option<i32> {
+    let torn = &valid[..valid.len() / 2];
+    match (damage, framing) {
+        (Damage::Torn, Framing::Lines) => Some(if torn.contains(&b'\n') { 0 } else { 2 }),
+        (Damage::Torn, Framing::Frames) => Some(if torn.len() >= 24 + 33 { 0 } else { 2 }),
+        (Damage::Flipped, Framing::Frames) => None,
+        _ => Some(2),
+    }
+}
+
+/// Every artifact reader against a missing, an empty, a torn and a
+/// byte-flipped copy of a valid artifact: missing, empty and torn
+/// documents exit 2; a torn stream exits 0 while a complete record
+/// remains and 2 otherwise; a flipped byte exits 2 (a cohort frame's
+/// payload excepted); and no case panics (exit 101).
 #[test]
-fn report_exits_two_on_a_malformed_manifest_or_stream() {
-    let (dir, garbage) = garbage("report");
-    let telemetry = dir.join("run.jsonl");
-    let telemetry = telemetry.to_str().unwrap();
-    let out = btlab_in(
-        &dir,
-        &[&LOG_TEST_SWARM[..], &["--telemetry", telemetry]].concat(),
-    );
-    assert!(out.status.success());
-    assert_data_error(
-        &dir,
-        &["report", "--telemetry", telemetry, "--manifest", &garbage],
-    );
-    assert_data_error(&dir, &["report", "--telemetry", &garbage]);
+fn malformed_artifacts_exit_two_and_never_panic() {
+    let dir = std::env::temp_dir().join("btlab-e2e-malformed-matrix");
     std::fs::remove_dir_all(&dir).ok();
-}
+    let valid = dir.join("valid");
+    std::fs::create_dir_all(valid.join("hb")).expect("create temp dir");
+    let path = |root: &std::path::Path, name: &str| root.join(name).to_str().unwrap().to_string();
+    let ok = |args: &[&str]| {
+        let out = btlab_in(&dir, args);
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    };
+    // Two runs fill the ledger; the first also writes every other
+    // swarm artifact.
+    let swarm = [
+        "swarm",
+        "--pieces",
+        "10",
+        "--rounds",
+        "60",
+        "--initial",
+        "8",
+        "--log",
+        "quiet",
+    ];
+    let artifacts = [
+        "--observers".to_string(),
+        "2".to_string(),
+        "--telemetry".to_string(),
+        path(&valid, "t.jsonl"),
+        "--cohort".to_string(),
+        path(&valid, "c.bin"),
+        "--profile".to_string(),
+        path(&valid, "p.json"),
+        "--heartbeat".to_string(),
+        path(&valid, "hb"),
+        "--heartbeat-secs".to_string(),
+        "0".to_string(),
+    ];
+    let artifacts: Vec<&str> = artifacts.iter().map(String::as_str).collect();
+    ok(&[&swarm[..], &["--seed", "5"], &artifacts].concat());
+    ok(&[&swarm[..], &["--seed", "6"]].concat());
+    ok(&[
+        "traces",
+        "--out",
+        &path(&valid, "tr.jsonl"),
+        "--clients",
+        "6",
+    ]);
+    std::fs::copy(dir.join("manifest-swarm.json"), valid.join("m.json")).unwrap();
+    std::fs::copy(dir.join("ledger.jsonl"), valid.join("l.jsonl")).unwrap();
+    let baseline = path(&valid, "p.json");
 
-#[test]
-fn profile_exits_two_on_a_malformed_report() {
-    let (dir, garbage) = garbage("profile");
-    assert_data_error(&dir, &["profile", &garbage]);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn analyze_exits_two_on_malformed_traces() {
-    let (dir, garbage) = garbage("analyze");
-    assert_data_error(&dir, &["analyze", "--input", &garbage]);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn trend_exits_two_on_a_malformed_ledger_line() {
-    let (dir, garbage) = garbage("trend");
-    assert_data_error(&dir, &["trend", "--ledger", &garbage]);
+    // (reader, damaged file, framing, argv over a case directory `{}`).
+    let readers: [(&str, &str, Framing, &[&str]); 9] = [
+        (
+            "report --telemetry",
+            "t.jsonl",
+            Framing::Lines,
+            &["report", "--telemetry", "{}/t.jsonl", "--replications", "3"],
+        ),
+        (
+            "report --cohort",
+            "c.bin",
+            Framing::Frames,
+            &[
+                "report",
+                "--telemetry",
+                "{}/t.jsonl",
+                "--cohort",
+                "{}/c.bin",
+                "--replications",
+                "3",
+            ],
+        ),
+        (
+            "report --manifest",
+            "m.json",
+            Framing::Document,
+            &[
+                "report",
+                "--telemetry",
+                "{}/t.jsonl",
+                "--manifest",
+                "{}/m.json",
+                "--replications",
+                "3",
+            ],
+        ),
+        (
+            "profile",
+            "p.json",
+            Framing::Document,
+            &["profile", "{}/p.json"],
+        ),
+        (
+            "compare",
+            "p.json",
+            Framing::Document,
+            &["compare", &baseline, "{}/p.json"],
+        ),
+        (
+            "trend",
+            "l.jsonl",
+            Framing::Lines,
+            &["trend", "--ledger", "{}/l.jsonl"],
+        ),
+        (
+            "analyze",
+            "tr.jsonl",
+            Framing::Lines,
+            &["analyze", "--input", "{}/tr.jsonl"],
+        ),
+        (
+            "watch (status)",
+            "hb/run.status.json",
+            Framing::Document,
+            &["watch", "{}/hb", "--timeout-secs", "2"],
+        ),
+        (
+            "watch (stream)",
+            "hb/run.heartbeat.jsonl",
+            Framing::Lines,
+            &["watch", "{}/hb", "--timeout-secs", "2"],
+        ),
+    ];
+    let out_dir = dir.join("out");
+    std::fs::create_dir_all(&out_dir).unwrap();
+    let mut failures = Vec::new();
+    for (reader, file, framing, argv) in readers {
+        let bytes = std::fs::read(valid.join(file)).expect("valid artifact written");
+        for damage in [
+            Damage::Missing,
+            Damage::Empty,
+            Damage::Torn,
+            Damage::Flipped,
+        ] {
+            let case = dir.join("case");
+            std::fs::remove_dir_all(&case).ok();
+            std::fs::create_dir_all(case.join("hb")).unwrap();
+            for name in [
+                "t.jsonl",
+                "c.bin",
+                "m.json",
+                "p.json",
+                "l.jsonl",
+                "tr.jsonl",
+                "hb/run.status.json",
+                "hb/run.heartbeat.jsonl",
+            ] {
+                std::fs::copy(valid.join(name), case.join(name)).unwrap();
+            }
+            let target = case.join(file);
+            match damage {
+                Damage::Missing => std::fs::remove_file(&target).unwrap(),
+                Damage::Empty => std::fs::write(&target, b"").unwrap(),
+                Damage::Torn => std::fs::write(&target, &bytes[..bytes.len() / 2]).unwrap(),
+                Damage::Flipped => {
+                    let mut flipped = bytes.clone();
+                    flipped[bytes.len() / 2] = 0x01;
+                    std::fs::write(&target, flipped).unwrap();
+                }
+            }
+            let case_dir = case.to_str().unwrap();
+            let args: Vec<String> = argv.iter().map(|a| a.replace("{}", case_dir)).collect();
+            let args: Vec<&str> = args.iter().map(String::as_str).collect();
+            let out = btlab_in(&out_dir, &args);
+            let code = out.status.code();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            let owed = owed_exit(framing, damage, &bytes);
+            if code.is_none() || code == Some(101) || owed.is_some_and(|o| code != Some(o)) {
+                failures.push(format!(
+                    "{reader} on a {damage:?} {file}: exit {code:?}, owed {owed:?}: {stderr}"
+                ));
+            }
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
     std::fs::remove_dir_all(&dir).ok();
 }
 
