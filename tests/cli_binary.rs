@@ -1284,6 +1284,64 @@ fn btlab_in(dir: &std::path::Path, args: &[&str]) -> std::process::Output {
         .expect("binary runs")
 }
 
+/// Runs `btlab ARGS` and asserts a data error: exit 2 naming the read.
+fn assert_data_error(dir: &std::path::Path, args: &[&str]) {
+    let out = btlab_in(dir, args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(stderr.contains("cannot read"), "{args:?}: {stderr}");
+}
+
+/// A fresh temp dir holding JSON cut mid-value but newline-terminated,
+/// so line readers see one complete malformed line.
+fn garbage(label: &str) -> (std::path::PathBuf, String) {
+    let dir = std::env::temp_dir().join(format!("btlab-e2e-garbage-{label}"));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let path = dir.join("garbage.json");
+    std::fs::write(&path, "{\"truncated\": \n").expect("write garbage");
+    (dir, path.to_str().unwrap().to_string())
+}
+
+#[test]
+fn report_exits_two_on_a_malformed_manifest_or_stream() {
+    let (dir, garbage) = garbage("report");
+    let telemetry = dir.join("run.jsonl");
+    let telemetry = telemetry.to_str().unwrap();
+    let out = btlab_in(
+        &dir,
+        &[&LOG_TEST_SWARM[..], &["--telemetry", telemetry]].concat(),
+    );
+    assert!(out.status.success());
+    assert_data_error(
+        &dir,
+        &["report", "--telemetry", telemetry, "--manifest", &garbage],
+    );
+    assert_data_error(&dir, &["report", "--telemetry", &garbage]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn profile_exits_two_on_a_malformed_report() {
+    let (dir, garbage) = garbage("profile");
+    assert_data_error(&dir, &["profile", &garbage]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn analyze_exits_two_on_malformed_traces() {
+    let (dir, garbage) = garbage("analyze");
+    assert_data_error(&dir, &["analyze", "--input", &garbage]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn trend_exits_two_on_a_malformed_ledger_line() {
+    let (dir, garbage) = garbage("trend");
+    assert_data_error(&dir, &["trend", "--ledger", &garbage]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// How an artifact reader frames its input.
 #[derive(Clone, Copy, PartialEq, Debug)]
 enum Framing {
