@@ -9,7 +9,7 @@
 //!   open peer per round. This is the like-for-like counterpart of the
 //!   balance-equation model, as in the paper's figure.
 //! * `protocol_sim` — the full `bt-swarm` protocol simulator's slot
-//!   utilization under blind encounters. Reported for context; its peers
+//!   utilization at one initiation per round. Reported for context; its peers
 //!   retry failed encounters across rounds and serve as targets, so the
 //!   `k = 1` penalty is structurally smaller there.
 //!

@@ -1,4 +1,4 @@
-//! Reservoir-sampled peer cohorts with binary-framed lifecycle traces.
+//! Reservoir-sampled peer cohorts with JSON-lines lifecycle traces.
 //!
 //! Full per-peer tracing is O(population) per round — unaffordable at
 //! the 50k/500k populations the roadmap targets. A *cohort* is a small,
@@ -20,27 +20,20 @@
 //!
 //! # Stream format
 //!
-//! A `.cohort` stream is a 24-byte header (magic, schema version, run
-//! seed, cohort size) followed by fixed-width little-endian records,
-//! one per event, each led by a 1-byte tag. [`read_cohort`] parses a
-//! stream back; [`write_jsonl`] re-exports it as JSON lines for ad-hoc
-//! tooling.
+//! A cohort stream is JSON lines written through
+//! [`crate::records::write_line`]: one [`CohortMeta`] line (schema
+//! version, run seed, cohort size), then one [`CohortEvent`] per line.
+//! [`read_cohort`] parses a stream back.
 
-// bt-lint: allow-file(panic-index) — every index below is structurally
-// bounded: encode writes fixed-width frames into a 32-byte scratch
-// sized for the largest record, and decode slices only after the
-// `at + 1 + len > bytes.len()` guard with `len` from `payload_len`.
-// Malformed input surfaces as `CohortError::Parse`, never a panic;
-// the round-trip and truncation tests below exercise both paths.
+// bt-lint: allow-file(panic-index) — the one index below is bounded:
+// Algorithm R replaces `slots[j]` only when `j < size`, and `slots` is
+// full (`size` long) by then.
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::{Read, Write};
+use std::io::{BufRead, Write};
 
 use serde::{Deserialize, Serialize};
 
-/// Magic bytes opening every `.cohort` stream.
-pub const COHORT_MAGIC: [u8; 8] = *b"BTCOHORT";
-
-/// Schema version of the `.cohort` framing.
+/// Schema version of the cohort stream.
 pub const COHORT_SCHEMA_VERSION: u32 = 1;
 
 /// Salt mixed into the run seed so the cohort's private RNG stream is
@@ -56,10 +49,10 @@ pub struct CohortOptions {
     pub seed: u64,
 }
 
-/// Stream header of a `.cohort` trace.
+/// First line of a cohort trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CohortMeta {
-    /// Framing schema version.
+    /// Stream schema version.
     pub schema_version: u32,
     /// Run seed recorded at capture time.
     pub seed: u64,
@@ -248,52 +241,6 @@ impl CohortEvent {
     }
 }
 
-/// Record tags of the binary framing.
-mod tag {
-    pub const JOIN: u8 = 1;
-    pub const EVICT: u8 = 2;
-    pub const ACQUIRE: u8 = 3;
-    pub const SLOT: u8 = 4;
-    pub const PHASE: u8 = 5;
-    pub const OBSERVE: u8 = 6;
-    pub const SHAKE: u8 = 7;
-    pub const DEPART: u8 = 8;
-    pub const HANDOUT: u8 = 9;
-}
-
-/// Errors reading a `.cohort` stream.
-#[derive(Debug)]
-pub enum CohortError {
-    /// The underlying reader failed.
-    Io(std::io::Error),
-    /// The stream is malformed at `offset`.
-    Parse {
-        /// Byte offset of the problem.
-        offset: u64,
-        /// What went wrong.
-        detail: String,
-    },
-}
-
-impl std::fmt::Display for CohortError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CohortError::Io(e) => write!(f, "cohort stream I/O error: {e}"),
-            CohortError::Parse { offset, detail } => {
-                write!(f, "cohort stream malformed at byte {offset}: {detail}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for CohortError {}
-
-impl From<std::io::Error> for CohortError {
-    fn from(e: std::io::Error) -> CohortError {
-        CohortError::Io(e)
-    }
-}
-
 /// Private SplitMix64 step — the cohort's own RNG stream.
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -325,9 +272,7 @@ impl CohortRecorder {
         let Some(writer) = self.writer.as_mut() else {
             return;
         };
-        let mut frame = [0u8; 32];
-        let len = encode_event(event, &mut frame);
-        if let Err(e) = writer.write_all(&frame[..len]) {
+        if let Err(e) = crate::records::write_line(writer, event) {
             tracing::warn!(target: "bt_obs::cohort", error = e.to_string(); "cohort writer failed; tracing stops");
             self.writer = None;
             return;
@@ -359,15 +304,15 @@ impl CohortSink {
         CohortSink::default()
     }
 
-    /// An enabled sink writing the binary stream header immediately.
+    /// An enabled sink writing the [`CohortMeta`] line immediately.
     #[must_use]
     pub fn enabled(options: CohortOptions, mut writer: Box<dyn Write + Send>) -> CohortSink {
-        let mut header = Vec::with_capacity(24);
-        header.extend_from_slice(&COHORT_MAGIC);
-        header.extend_from_slice(&COHORT_SCHEMA_VERSION.to_le_bytes());
-        header.extend_from_slice(&options.seed.to_le_bytes());
-        header.extend_from_slice(&options.size.to_le_bytes());
-        let writer = match writer.write_all(&header) {
+        let meta = CohortMeta {
+            schema_version: COHORT_SCHEMA_VERSION,
+            seed: options.seed,
+            size: options.size,
+        };
+        let writer = match crate::records::write_line(&mut writer, &meta) {
             Ok(()) => Some(writer),
             Err(e) => {
                 tracing::warn!(target: "bt_obs::cohort", error = e.to_string(); "cohort header write failed; tracing disabled");
@@ -558,218 +503,31 @@ impl CohortSink {
     }
 }
 
-/// Encodes one event into `frame`, returning the frame length.
-fn encode_event(event: &CohortEvent, frame: &mut [u8; 32]) -> usize {
-    let mut n = 0usize;
-    let mut put = |bytes: &[u8]| {
-        frame[n..n + bytes.len()].copy_from_slice(bytes);
-        n += bytes.len();
-    };
-    match event {
-        CohortEvent::Join(e) => {
-            put(&[tag::JOIN]);
-            put(&e.round.to_le_bytes());
-            put(&e.peer.to_le_bytes());
-        }
-        CohortEvent::Evict(e) => {
-            put(&[tag::EVICT]);
-            put(&e.round.to_le_bytes());
-            put(&e.peer.to_le_bytes());
-        }
-        CohortEvent::Acquire(e) => {
-            put(&[tag::ACQUIRE]);
-            put(&e.round.to_le_bytes());
-            put(&e.peer.to_le_bytes());
-            put(&e.piece.to_le_bytes());
-            put(&[e.source]);
-        }
-        CohortEvent::Slot(e) => {
-            put(&[tag::SLOT]);
-            put(&e.round.to_le_bytes());
-            put(&e.peer.to_le_bytes());
-            put(&e.other.to_le_bytes());
-            put(&[u8::from(e.opened)]);
-        }
-        CohortEvent::Phase(e) => {
-            put(&[tag::PHASE]);
-            put(&e.round.to_le_bytes());
-            put(&e.peer.to_le_bytes());
-            put(&[e.phase]);
-        }
-        CohortEvent::Observe(e) => {
-            put(&[tag::OBSERVE]);
-            put(&e.round.to_le_bytes());
-            put(&e.peer.to_le_bytes());
-            put(&e.pieces.to_le_bytes());
-            put(&e.connections.to_le_bytes());
-        }
-        CohortEvent::Shake(e) => {
-            put(&[tag::SHAKE]);
-            put(&e.round.to_le_bytes());
-            put(&e.peer.to_le_bytes());
-        }
-        CohortEvent::Depart(e) => {
-            put(&[tag::DEPART]);
-            put(&e.round.to_le_bytes());
-            put(&e.peer.to_le_bytes());
-            put(&e.pieces.to_le_bytes());
-        }
-        CohortEvent::Handout(e) => {
-            put(&[tag::HANDOUT]);
-            put(&e.round.to_le_bytes());
-            put(&e.peer.to_le_bytes());
-            put(&e.entries.to_le_bytes());
-        }
-    }
-    n
-}
-
-/// Payload length (after the tag byte) of each record kind.
-fn payload_len(t: u8) -> Option<usize> {
-    match t {
-        tag::JOIN | tag::EVICT | tag::SHAKE => Some(16),
-        tag::ACQUIRE => Some(21),
-        tag::SLOT => Some(25),
-        tag::PHASE => Some(17),
-        tag::OBSERVE => Some(24),
-        tag::DEPART | tag::HANDOUT => Some(20),
-        _ => None,
-    }
-}
-
-fn le_u64(b: &[u8]) -> u64 {
-    let mut a = [0u8; 8];
-    a.copy_from_slice(&b[..8]);
-    u64::from_le_bytes(a)
-}
-
-fn le_u32(b: &[u8]) -> u32 {
-    let mut a = [0u8; 4];
-    a.copy_from_slice(&b[..4]);
-    u32::from_le_bytes(a)
-}
-
-/// Parses a `.cohort` stream: header followed by every complete event.
-/// A final record cut short (a crash or an in-flight write) ends the
-/// stream, as a torn last line ends a JSON-lines stream.
+/// Parses a cohort stream: the [`CohortMeta`] line, then every
+/// complete event line ([`crate::records::read_lines`]). A final line
+/// cut short ends the stream, as in every JSON-lines artifact.
 ///
 /// # Errors
 ///
-/// [`CohortError::Io`] on reader failure, [`CohortError::Parse`] on a
-/// header cut short, bad magic, or an unknown schema version or record
-/// tag (with the byte offset of the damage).
-pub fn read_cohort<R: Read>(mut reader: R) -> Result<(CohortMeta, Vec<CohortEvent>), CohortError> {
-    let mut bytes = Vec::new();
-    reader.read_to_end(&mut bytes)?;
-    if bytes.len() < 24 {
-        return Err(CohortError::Parse {
-            offset: bytes.len() as u64,
-            detail: format!("stream too short for header ({} of 24 bytes)", bytes.len()),
-        });
+/// Propagates reader failures. A missing or malformed meta line, an
+/// unknown schema version, or a malformed event line is
+/// `ErrorKind::InvalidData`.
+pub fn read_cohort<R: BufRead>(mut reader: R) -> std::io::Result<(CohortMeta, Vec<CohortEvent>)> {
+    let mut first = Vec::new();
+    reader.read_until(b'\n', &mut first)?;
+    let invalid = |message: String| std::io::Error::new(std::io::ErrorKind::InvalidData, message);
+    let meta: Vec<CohortMeta> = crate::records::read_lines(first.as_slice(), "cohort meta")?;
+    let meta = *meta
+        .first()
+        .ok_or_else(|| invalid("cohort stream has no meta line".to_string()))?;
+    if meta.schema_version != COHORT_SCHEMA_VERSION {
+        return Err(invalid(format!(
+            "cohort schema version {} unsupported (expected {COHORT_SCHEMA_VERSION})",
+            meta.schema_version
+        )));
     }
-    if bytes[..8] != COHORT_MAGIC {
-        return Err(CohortError::Parse {
-            offset: 0,
-            detail: "bad magic (not a .cohort stream)".to_string(),
-        });
-    }
-    let schema_version = le_u32(&bytes[8..12]);
-    if schema_version != COHORT_SCHEMA_VERSION {
-        return Err(CohortError::Parse {
-            offset: 8,
-            detail: format!(
-                "schema version {schema_version} unsupported (expected {COHORT_SCHEMA_VERSION})"
-            ),
-        });
-    }
-    let meta = CohortMeta {
-        schema_version,
-        seed: le_u64(&bytes[12..20]),
-        size: le_u32(&bytes[20..24]),
-    };
-    let mut events = Vec::new();
-    let mut at = 24usize;
-    while at < bytes.len() {
-        let t = bytes[at];
-        let Some(len) = payload_len(t) else {
-            return Err(CohortError::Parse {
-                offset: at as u64,
-                detail: format!("unknown record tag {t}"),
-            });
-        };
-        if at + 1 + len > bytes.len() {
-            break;
-        }
-        let p = &bytes[at + 1..at + 1 + len];
-        let (round, peer) = (le_u64(&p[0..8]), le_u64(&p[8..16]));
-        let event = match t {
-            tag::JOIN => CohortEvent::Join(CohortJoin { round, peer }),
-            tag::EVICT => CohortEvent::Evict(CohortEvict { round, peer }),
-            tag::ACQUIRE => CohortEvent::Acquire(CohortAcquire {
-                round,
-                peer,
-                piece: le_u32(&p[16..20]),
-                source: p[20],
-            }),
-            tag::SLOT => CohortEvent::Slot(CohortSlot {
-                round,
-                peer,
-                other: le_u64(&p[16..24]),
-                opened: p[24] != 0,
-            }),
-            tag::PHASE => CohortEvent::Phase(CohortPhase {
-                round,
-                peer,
-                phase: p[16],
-            }),
-            tag::OBSERVE => CohortEvent::Observe(CohortObserve {
-                round,
-                peer,
-                pieces: le_u32(&p[16..20]),
-                connections: le_u32(&p[20..24]),
-            }),
-            tag::SHAKE => CohortEvent::Shake(CohortShake { round, peer }),
-            tag::DEPART => CohortEvent::Depart(CohortDepart {
-                round,
-                peer,
-                pieces: le_u32(&p[16..20]),
-            }),
-            tag::HANDOUT => CohortEvent::Handout(CohortHandout {
-                round,
-                peer,
-                entries: le_u32(&p[16..20]),
-            }),
-            _ => {
-                return Err(CohortError::Parse {
-                    offset: at as u64,
-                    detail: format!("unknown record tag {t}"),
-                })
-            }
-        };
-        events.push(event);
-        at += 1 + len;
-    }
+    let events = crate::records::read_lines(reader, "cohort events")?;
     Ok((meta, events))
-}
-
-/// Exports a parsed cohort trace as JSON lines
-/// ([`crate::records::write_line`]): one meta line followed by one line
-/// per event.
-///
-/// # Errors
-///
-/// Propagates serialization and write failures, including the final
-/// flush.
-pub fn write_jsonl<W: Write>(
-    meta: &CohortMeta,
-    events: &[CohortEvent],
-    mut writer: W,
-) -> std::io::Result<()> {
-    crate::records::write_line(&mut writer, meta)?;
-    for event in events {
-        crate::records::write_line(&mut writer, event)?;
-    }
-    writer.flush()
 }
 
 #[cfg(test)]
@@ -823,7 +581,7 @@ mod tests {
     }
 
     #[test]
-    fn round_trips_through_binary_and_jsonl() {
+    fn round_trips_through_json_lines() {
         let (mut s, buf) = sink(2, 9);
         s.offer_join(0, 10);
         s.offer_join(0, 11);
@@ -855,9 +613,7 @@ mod tests {
             .filter(|e| matches!(e, CohortEvent::Phase(_)))
             .count();
         assert_eq!(phases, 1);
-        let mut jsonl = Vec::new();
-        write_jsonl(&meta, &events, &mut jsonl).expect("export");
-        let text = String::from_utf8(jsonl).expect("utf8");
+        let text = String::from_utf8(buf.contents()).expect("utf8");
         assert_eq!(text.lines().count(), events.len() + 1);
         assert!(text
             .lines()
@@ -912,14 +668,23 @@ mod tests {
         bytes.pop();
         let (_, torn) = read_cohort(bytes.as_slice()).unwrap();
         assert_eq!(torn, whole[..1]);
-        // A header cut short is still malformed.
-        let err = read_cohort(&bytes[..10]).expect_err("header truncation detected");
-        assert!(err.to_string().contains("too short"), "{err}");
+        // A meta line cut short is still malformed.
+        let err = read_cohort(&bytes[..10]).expect_err("meta truncation detected");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
     }
 
     #[test]
-    fn bad_magic_rejected() {
-        let err = read_cohort(&b"NOTACOHORTSTREAM01234567"[..]).expect_err("bad magic");
-        assert!(err.to_string().contains("bad magic"));
+    fn bad_meta_line_rejected() {
+        for first in [
+            "NOTACOHORTSTREAM\n",
+            "{\"schema_version\":2,\"seed\":1,\"size\":4}\n",
+        ] {
+            let err = read_cohort(first.as_bytes()).expect_err("bad meta line");
+            assert_eq!(
+                err.kind(),
+                std::io::ErrorKind::InvalidData,
+                "{first}: {err}"
+            );
+        }
     }
 }

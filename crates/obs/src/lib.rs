@@ -39,8 +39,7 @@
 //!    per-sample telemetry work is sublinear in population.
 //! 9. **Peer cohorts** ([`CohortSink`], [`read_cohort`]): a
 //!    deterministic reservoir-sampled peer cohort whose members get
-//!    full binary-framed lifecycle traces at O(cohort) cost per round,
-//!    with a JSONL export path.
+//!    full JSON-lines lifecycle traces at O(cohort) cost per round.
 //! 10. **Heartbeats** ([`HeartbeatEmitter`], [`read_status`],
 //!     [`read_heartbeat`]): wall-clock-cadenced progress records for
 //!     long runs — an append-only `run.heartbeat.jsonl` stream plus an
@@ -81,10 +80,9 @@ mod subscriber;
 mod timeseries;
 
 pub use cohort::{
-    acquire_source, read_cohort, write_jsonl as write_cohort_jsonl, CohortAcquire, CohortDepart,
-    CohortError, CohortEvent, CohortEvict, CohortHandout, CohortJoin, CohortMeta, CohortObserve,
-    CohortOptions, CohortPhase, CohortShake, CohortSink, CohortSlot, COHORT_MAGIC,
-    COHORT_SCHEMA_VERSION,
+    acquire_source, read_cohort, CohortAcquire, CohortDepart, CohortEvent, CohortEvict,
+    CohortHandout, CohortJoin, CohortMeta, CohortObserve, CohortOptions, CohortPhase, CohortShake,
+    CohortSink, CohortSlot, COHORT_SCHEMA_VERSION,
 };
 pub use filter::EnvFilter;
 pub use heartbeat::{

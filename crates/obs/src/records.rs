@@ -1,6 +1,6 @@
 //! The one record codec every JSON artifact reads and writes through:
-//! JSON-lines streams (telemetry, heartbeat, ledger, series exports,
-//! diagnosis trails) via [`write_line`] / [`read_lines`], and whole
+//! JSON-lines streams (telemetry, cohort traces, heartbeat, ledger,
+//! series exports, diagnosis trails, bt-traces) via [`write_line`] / [`read_lines`], and whole
 //! documents (manifests, profile reports, `run.status.json`, bundle
 //! files) via [`write_doc`] / [`read_doc`]. A line is written in one
 //! `write_all`, so a crash can cut a record short but never glue two

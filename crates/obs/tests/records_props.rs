@@ -1,7 +1,7 @@
 //! Property suite for the shared record codec ([`bt_obs::records`]),
 //! modelled on `heartbeat_props.rs` (which stays as the test of the
-//! heartbeat header rules). On [`SeriesPoint`] and [`LedgerRecord`]
-//! streams:
+//! heartbeat header rules). On [`SeriesPoint`], [`LedgerRecord`] and
+//! [`CohortEvent`] streams:
 //!
 //! * EVERY byte prefix of a stream written with `write_line` reads back
 //!   through `read_lines` as exactly the records it holds complete (the
@@ -16,7 +16,11 @@ use std::fmt::Debug;
 use std::io::ErrorKind;
 
 use bt_obs::records::{read_doc, read_lines, write_doc, write_line};
-use bt_obs::{LedgerRecord, SeriesPoint, LEDGER_SCHEMA_VERSION};
+use bt_obs::{
+    CohortAcquire, CohortDepart, CohortEvent, CohortEvict, CohortHandout, CohortJoin,
+    CohortObserve, CohortPhase, CohortShake, CohortSlot, LedgerRecord, SeriesPoint,
+    LEDGER_SCHEMA_VERSION,
+};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -46,6 +50,48 @@ fn ledger((seed, rounds, wall_clock_secs): (u64, u64, f64)) -> LedgerRecord {
         obs_share: wall_clock_secs.fract(),
         threads: 1,
         peak_rss_bytes: seed / 2,
+    }
+}
+
+/// One event of each of the nine kinds, picked by `kind`.
+fn cohort_event((kind, round, peer, a, b): (u8, u64, u64, u32, u32)) -> CohortEvent {
+    match kind % 9 {
+        0 => CohortEvent::Join(CohortJoin { round, peer }),
+        1 => CohortEvent::Evict(CohortEvict { round, peer }),
+        2 => CohortEvent::Acquire(CohortAcquire {
+            round,
+            peer,
+            piece: a,
+            source: b as u8,
+        }),
+        3 => CohortEvent::Slot(CohortSlot {
+            round,
+            peer,
+            other: u64::from(a),
+            opened: b % 2 == 0,
+        }),
+        4 => CohortEvent::Phase(CohortPhase {
+            round,
+            peer,
+            phase: (a % 4) as u8,
+        }),
+        5 => CohortEvent::Observe(CohortObserve {
+            round,
+            peer,
+            pieces: a,
+            connections: b,
+        }),
+        6 => CohortEvent::Shake(CohortShake { round, peer }),
+        7 => CohortEvent::Depart(CohortDepart {
+            round,
+            peer,
+            pieces: a,
+        }),
+        _ => CohortEvent::Handout(CohortHandout {
+            round,
+            peer,
+            entries: b,
+        }),
     }
 }
 
@@ -98,6 +144,18 @@ proptest! {
         mask in 1u8..=255,
     ) {
         check_stream(&raw.into_iter().map(ledger).collect::<Vec<_>>(), at, mask)?;
+    }
+
+    #[test]
+    fn cohort_event_streams(
+        raw in prop::collection::vec(
+            (any::<u8>(), any::<u64>(), any::<u64>(), any::<u32>(), any::<u32>()),
+            0..6,
+        ),
+        at in any::<usize>(),
+        mask in 1u8..=255,
+    ) {
+        check_stream(&raw.into_iter().map(cohort_event).collect::<Vec<_>>(), at, mask)?;
     }
 }
 

@@ -136,11 +136,6 @@ pub struct SwarmConfig {
     /// off, full neighborhoods refuse newcomers until a slot frees up —
     /// stale neighborhoods, as between infrequent tracker contacts.
     pub join_eviction: bool,
-    /// When true, a connection attempt targets a random tradable neighbor
-    /// *without* knowing whether it has a free slot — the attempt fails
-    /// against a fully busy target, as in the §5 encounter model. When
-    /// false (default) peers only approach neighbors with open slots.
-    pub blind_encounters: bool,
     /// Piece-selection strategy.
     pub piece_selection: PieceSelection,
     /// Peer-set shaking (§7.1): at this completion fraction the peer drops
@@ -226,7 +221,6 @@ impl Default for SwarmConfigBuilder {
                 optimistic_prob: 0.2,
                 new_connections_per_round: None,
                 join_eviction: true,
-                blind_encounters: false,
                 metrics_warmup_rounds: 0,
                 piece_selection: PieceSelection::default(),
                 shake_at: None,

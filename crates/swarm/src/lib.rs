@@ -72,8 +72,8 @@ pub use replication::ReplicationIndex;
 pub use stages::RoundStage;
 pub use store::{PeerId, PeerStore};
 pub use telemetry::{
-    ObserverBoundaries, ObserverSample, PhaseDetector, PhaseEvent, TelemetryFormat,
-    TelemetryOptions, TelemetryRecord, TelemetryRecorder,
+    ObserverBoundaries, ObserverSample, PhaseDetector, PhaseEvent, TelemetryOptions,
+    TelemetryRecord, TelemetryRecorder,
 };
 
 /// Errors produced by this crate.

@@ -45,7 +45,6 @@ impl RoundStage for EstablishConnections {
         // Candidate-viability comparisons, for cost attribution: the
         // neighbors a peer's first attempt scans, plus the tradable
         // entries each later attempt re-filters.
-        let blind = core.config.blind_encounters;
         let mut total_comparisons = 0u64;
         for &id in &self.order {
             let mut initiated = 0usize;
@@ -54,12 +53,11 @@ impl RoundStage for EstablishConnections {
                 if initiated >= attempt_cap || core.store.peer(id).connections.len() >= k {
                     break;
                 }
-                // Potential candidates; with blind encounters the remote
-                // slot occupancy is unknown at selection time.
+                // Potential candidates: remote peers with a free slot.
                 let store = &core.store;
                 let me = store.peer(id);
                 let open = |remote: &Peer| {
-                    !me.is_connected(remote.id.into()) && (blind || remote.connections.len() < k)
+                    !me.is_connected(remote.id.into()) && remote.connections.len() < k
                 };
                 self.candidates.clear();
                 if initiated == 0 {
@@ -104,10 +102,8 @@ impl RoundStage for EstablishConnections {
                         .min_by_key(|&&c| (Reverse(me.credit_for(c.into())), c))
                         .expect("candidates checked non-empty")
                 };
-                // A blind attempt against a fully busy target fails.
                 core.obs.conn_attempts.incr();
-                let target_busy = core.store.peer(choice).connections.len() >= k;
-                if !target_busy && core.rng.gen::<f64>() < core.config.p_new_connection {
+                if core.rng.gen::<f64>() < core.config.p_new_connection {
                     core.store.peer_mut(id).connections.push(choice.into());
                     core.store.peer_mut(choice).connections.push(id.into());
                     core.obs.conn_successes.incr();

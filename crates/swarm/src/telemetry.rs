@@ -9,7 +9,7 @@
 //!   population, replication entropy, the availability histogram,
 //!   per-peer piece-count quantiles, and connection-slot utilization —
 //!   retaining a bounded window in a [`bt_obs::SeriesStore`] and
-//!   streaming the full run as JSON lines or CSV;
+//!   streaming the full run as JSON lines;
 //! * an online [`PhaseDetector`] per observer peer tags rounds as
 //!   bootstrap / efficient / last-download using the §3 potential-set
 //!   criteria ([`bt_model::Phase::classify`]) and emits each transition
@@ -263,32 +263,6 @@ impl PhaseDetector {
     }
 }
 
-/// Output format of the telemetry stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TelemetryFormat {
-    /// One [`TelemetryRecord`] as JSON per line (the machine-readable,
-    /// re-parseable format).
-    #[default]
-    Jsonl,
-    /// Sample rows only, with a header (phase records and the
-    /// variable-length availability histogram are omitted).
-    Csv,
-}
-
-impl std::str::FromStr for TelemetryFormat {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "jsonl" => Ok(TelemetryFormat::Jsonl),
-            "csv" => Ok(TelemetryFormat::Csv),
-            other => Err(format!(
-                "unknown telemetry format `{other}`; use jsonl or csv"
-            )),
-        }
-    }
-}
-
 /// Construction options of a [`TelemetryRecorder`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryOptions {
@@ -297,8 +271,6 @@ pub struct TelemetryOptions {
     pub stride: u64,
     /// In-memory samples retained per series (zero is normalized to 1).
     pub capacity: usize,
-    /// Stream output format.
-    pub format: TelemetryFormat,
 }
 
 impl Default for TelemetryOptions {
@@ -306,7 +278,6 @@ impl Default for TelemetryOptions {
         TelemetryOptions {
             stride: 1,
             capacity: 4096,
-            format: TelemetryFormat::default(),
         }
     }
 }
@@ -329,7 +300,6 @@ pub struct ObserverSample {
 /// [`Swarm::attach_telemetry`](crate::Swarm::attach_telemetry).
 pub struct TelemetryRecorder {
     meta: Option<TelemetryMeta>,
-    options: TelemetryOptions,
     store: SeriesStore,
     writer: Option<Box<dyn Write + Send>>,
     detectors: Vec<PhaseDetector>,
@@ -344,7 +314,6 @@ impl TelemetryRecorder {
         let store = SeriesStore::new(options.stride, options.capacity);
         TelemetryRecorder {
             meta: None,
-            options,
             store,
             writer: None,
             detectors: Vec::new(),
@@ -374,14 +343,7 @@ impl TelemetryRecorder {
             seed: config.seed,
             stride: self.store.stride(),
         };
-        match self.options.format {
-            TelemetryFormat::Jsonl => self.write_record(&TelemetryRecord::Meta(meta.clone())),
-            TelemetryFormat::Csv => self.write_csv_row(
-                "round,population,entropy,extinct_pieces,\
-                 pieces_min,pieces_p25,pieces_p50,pieces_p75,pieces_max,\
-                 mean_degree,slot_utilization",
-            ),
-        }
+        self.write_record(&TelemetryRecord::Meta(meta.clone()));
         self.meta = Some(meta);
     }
 
@@ -426,24 +388,7 @@ impl TelemetryRecorder {
                 .record("utilization", round, sample.slot_utilization);
             self.store
                 .record("extinct_pieces", round, sample.extinct_pieces as f64);
-            match self.options.format {
-                TelemetryFormat::Jsonl => {
-                    self.write_record(&TelemetryRecord::Sample(sample));
-                }
-                TelemetryFormat::Csv => {
-                    let [p0, p25, p50, p75, p100] = sample.piece_quantiles;
-                    let line = format!(
-                        "{},{},{},{},{p0},{p25},{p50},{p75},{p100},{},{}",
-                        sample.round,
-                        sample.population,
-                        sample.entropy,
-                        sample.extinct_pieces,
-                        sample.mean_degree,
-                        sample.slot_utilization,
-                    );
-                    self.write_csv_row(&line);
-                }
-            }
+            self.write_record(&TelemetryRecord::Sample(sample));
             self.samples += 1;
         }
     }
@@ -495,27 +440,17 @@ impl TelemetryRecorder {
             phase = event.phase.to_string();
             "observer phase transition"
         );
-        if self.options.format == TelemetryFormat::Jsonl {
-            self.write_record(&TelemetryRecord::Phase(event));
-        }
+        self.write_record(&TelemetryRecord::Phase(event));
         self.phase_events.push(event);
     }
 
-    fn write_record(&mut self, record: &TelemetryRecord) {
-        self.write_stream(|writer| bt_obs::records::write_line(writer, record));
-    }
-
-    fn write_csv_row(&mut self, row: &str) {
-        self.write_stream(|writer| writeln!(writer, "{row}"));
-    }
-
-    /// Runs one write against the stream; a failing writer is dropped
+    /// Writes one record to the stream; a failing writer is dropped
     /// (with a warning) rather than aborting the simulation.
-    fn write_stream(&mut self, write: impl FnOnce(&mut dyn Write) -> std::io::Result<()>) {
+    fn write_record(&mut self, record: &TelemetryRecord) {
         let Some(writer) = self.writer.as_mut() else {
             return;
         };
-        if let Err(e) = write(writer.as_mut()) {
+        if let Err(e) = bt_obs::records::write_line(writer, record) {
             tracing::warn!(target: "bt_swarm::telemetry", error = e.to_string(); "telemetry write failed; disabling stream");
             self.writer = None;
         }
@@ -559,19 +494,6 @@ mod tests {
         let mut d = PhaseDetector::new(0, 10);
         // One piece, one connection: stock 2 > 1, efficient.
         assert_eq!(d.observe(1, 1, 0, 1).unwrap().phase, Phase::Efficient);
-    }
-
-    #[test]
-    fn sample_from_snapshot_quantiles_empty() {
-        // Quantile helper handles the empty swarm without panicking via
-        // the from_snapshot path; covered end-to-end in tests/telemetry.rs.
-        let format: TelemetryFormat = "jsonl".parse().unwrap();
-        assert_eq!(format, TelemetryFormat::Jsonl);
-        assert_eq!(
-            "csv".parse::<TelemetryFormat>().unwrap(),
-            TelemetryFormat::Csv
-        );
-        assert!("tsv".parse::<TelemetryFormat>().is_err());
     }
 
     #[test]

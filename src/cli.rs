@@ -254,8 +254,6 @@ pub struct SwarmArgs {
     pub observers: u32,
     /// Telemetry stream output path.
     pub telemetry: Option<String>,
-    /// Telemetry stream format: jsonl or csv.
-    pub telemetry_format: String,
     /// Sample every Nth round.
     pub telemetry_stride: u64,
     /// Round stages removed from the default pipeline (ablation runs).
@@ -263,7 +261,7 @@ pub struct SwarmArgs {
     /// Cost-attribution profile output path (`profile.json`; folded
     /// stacks and per-round series land next to it).
     pub profile: Option<String>,
-    /// Cohort trace output path (binary-framed `.cohort` stream).
+    /// Cohort trace output path (JSON lines).
     pub cohort: Option<String>,
     /// Reservoir size of the sampled peer cohort.
     pub cohort_size: u32,
@@ -293,7 +291,6 @@ impl Default for SwarmArgs {
             json: false,
             observers: 0,
             telemetry: None,
-            telemetry_format: "jsonl".to_string(),
             telemetry_stride: 1,
             disabled_stages: Vec::new(),
             profile: None,
@@ -422,10 +419,8 @@ pub struct WatchArgs {
 pub struct ReportArgs {
     /// Telemetry stream to read (JSON lines).
     pub telemetry: Option<String>,
-    /// Cohort trace to summarize (binary `.cohort` stream).
+    /// Cohort trace to summarize (JSON lines).
     pub cohort: Option<String>,
-    /// Export the parsed cohort trace as JSON lines to this path.
-    pub cohort_export: Option<String>,
     /// Optional run manifest to cross-check.
     pub manifest: Option<String>,
     /// Bootstrap inflow α for the model comparison.
@@ -445,7 +440,6 @@ impl Default for ReportArgs {
         ReportArgs {
             telemetry: None,
             cohort: None,
-            cohort_export: None,
             manifest: None,
             alpha: 0.25,
             gamma: 0.15,
@@ -535,16 +529,15 @@ USAGE:
   btlab swarm   [--pieces N] [--k N] [--s N] [--lambda F] [--initial N]
                 [--rounds N] [--seed N] [--shake F] [--json]
                 [--observers N] [--telemetry FILE]
-                [--telemetry-format jsonl|csv] [--telemetry-stride N]
-                [--disable-stage NAME[,NAME..]]
+                [--telemetry-stride N] [--disable-stage NAME[,NAME..]]
                 [--profile FILE] [--cohort FILE] [--cohort-size N]
                 [--threads N] [--reannounce R]
                 [--heartbeat DIR] [--heartbeat-secs S]
   btlab model   [--pieces N] [--k N] [--s N] [--alpha F] [--gamma F]
                 [--replications N] [--seed N]
-  btlab report  [--telemetry FILE] [--cohort FILE] [--cohort-export FILE]
-                [--manifest FILE] [--alpha F] [--gamma F]
-                [--replications N] [--seed N] [--strict]
+  btlab report  [--telemetry FILE] [--cohort FILE] [--manifest FILE]
+                [--alpha F] [--gamma F] [--replications N] [--seed N]
+                [--strict]
   btlab profile PROFILE.json [--top N] [--json]
   btlab compare BASELINE CANDIDATE [--tolerance F] [--obs-budget PCT]
                 [--mem-budget PCT]
@@ -589,11 +582,11 @@ COHORT TRACING (btlab swarm / report):
   --cohort FILE attaches a deterministic reservoir-sampled peer cohort
   of --cohort-size members (default 16) and streams their full
   lifecycles — join, piece acquisitions with source, connection-slot
-  changes, phase transitions, shakes, handouts, departure — as a
-  compact binary-framed trace. Membership is drawn from a private RNG
-  salted off the run seed, so traced runs are byte-identical to bare
-  ones. `btlab report --cohort FILE` renders per-peer trajectories;
-  --cohort-export FILE re-emits the trace as JSON lines.
+  changes, phase transitions, shakes, handouts, departure — as JSON
+  lines: a meta header, then one event per line. Membership is drawn
+  from a private RNG salted off the run seed, so traced runs are
+  byte-identical to bare ones. `btlab report --cohort FILE` renders
+  per-peer trajectories.
 
 OBSERVER OVERHEAD (btlab compare --obs-budget):
   Run manifests record the wall-time share spent inside observers
@@ -770,7 +763,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 match key.as_str() {
                     "telemetry" => a.telemetry = Some(required(key, value)?),
                     "cohort" => a.cohort = Some(required(key, value)?),
-                    "cohort-export" => a.cohort_export = Some(required(key, value)?),
                     "manifest" => a.manifest = Some(required(key, value)?),
                     "alpha" => a.alpha = num(key, value)?,
                     "gamma" => a.gamma = num(key, value)?,
@@ -782,9 +774,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             }
             if a.telemetry.is_none() && a.cohort.is_none() {
                 return Err("report requires --telemetry FILE and/or --cohort FILE".to_string());
-            }
-            if a.cohort_export.is_some() && a.cohort.is_none() {
-                return Err("--cohort-export requires --cohort FILE".to_string());
             }
             Ok(Command::Report(a))
         }
@@ -896,14 +885,6 @@ fn apply_swarm_flag(a: &mut SwarmArgs, key: &str, value: &str) -> Result<bool, S
         "json" => a.json = flag(key, value)?,
         "observers" => a.observers = num(key, value)?,
         "telemetry" => a.telemetry = Some(required(key, value)?),
-        "telemetry-format" => {
-            let format = required(key, value)?;
-            // Validate eagerly; the recorder re-parses at run time.
-            format
-                .parse::<bt_swarm::TelemetryFormat>()
-                .map_err(|e| format!("--{key}: {e}"))?;
-            a.telemetry_format = format;
-        }
         "telemetry-stride" => a.telemetry_stride = num(key, value)?,
         "cohort" => a.cohort = Some(required(key, value)?),
         "cohort-size" => {
@@ -1234,12 +1215,10 @@ fn build_swarm(a: &SwarmArgs, command: &str) -> Result<bt_swarm::Swarm, String> 
     let mut swarm = bt_swarm::Swarm::with_pipeline(config, bt_obs::Registry::global(), stages);
     swarm.set_threads(a.threads);
     if let Some(path) = &a.telemetry {
-        let format: bt_swarm::TelemetryFormat = a.telemetry_format.parse()?;
         let file = std::fs::File::create(path)
             .map_err(|e| format!("cannot create telemetry file {path}: {e}"))?;
         let recorder = bt_swarm::TelemetryRecorder::new(bt_swarm::TelemetryOptions {
             stride: a.telemetry_stride,
-            format,
             ..bt_swarm::TelemetryOptions::default()
         })
         .to_writer(Box::new(std::io::BufWriter::new(file)));
@@ -1446,8 +1425,8 @@ pub fn run<W: std::io::Write>(command: Command, out: &mut W) -> Result<(), CliEr
 /// Executes `btlab report`: summarizes a JSONL telemetry stream —
 /// entropy trajectory and per-observer phase boundaries —
 /// and compares mean observer boundaries against the analytical model;
-/// and/or summarizes a binary `.cohort` trace as per-peer lifecycle
-/// trajectories (with an optional `--cohort-export` JSONL export).
+/// and/or summarizes a cohort trace as per-peer lifecycle
+/// trajectories.
 /// Under `--strict`, any manifest cross-check warning fails the run.
 fn run_report<W: std::io::Write>(a: &ReportArgs, out: &mut W) -> Result<(), CliError> {
     let mut warnings: Vec<String> = Vec::new();
@@ -1470,8 +1449,8 @@ fn run_report<W: std::io::Write>(a: &ReportArgs, out: &mut W) -> Result<(), CliE
 /// The telemetry half of `btlab report`, read up to the stream's last
 /// complete record. A malformed line, an empty stream, a stream with no
 /// Meta header, and a headed stream with zero samples are all malformed
-/// input data ([`CliError::Invalid`], exit 2) — the usual causes are a
-/// run interrupted before its first sample or a CSV-format stream.
+/// input data ([`CliError::Invalid`], exit 2) — the usual cause is a
+/// run interrupted before its first sample.
 fn report_telemetry<W: std::io::Write>(
     a: &ReportArgs,
     telemetry: &str,
@@ -1499,10 +1478,7 @@ fn report_telemetry<W: std::io::Write>(
             _ => None,
         })
         .ok_or_else(|| {
-            CliError::Invalid(format!(
-                "telemetry stream {telemetry} has no Meta header; \
-                 report needs the jsonl format"
-            ))
+            CliError::Invalid(format!("telemetry stream {telemetry} has no Meta header"))
         })?;
 
     writeln!(out, "telemetry report: {telemetry}")?;
@@ -1760,20 +1736,20 @@ struct CohortTrajectory {
     last_phase: Option<u8>,
 }
 
-/// The cohort half of `btlab report`: parses the binary `.cohort`
-/// stream, prints one trajectory line per traced peer, and optionally
-/// exports the parsed trace as JSON lines. A header-only or unreadable
-/// trace is malformed input data ([`CliError::Invalid`], exit 2).
+/// The cohort half of `btlab report`: parses the JSON-lines cohort
+/// stream and prints one trajectory line per traced peer. A missing,
+/// header-only or malformed trace is malformed input data
+/// ([`CliError::Invalid`], exit 2).
 fn report_cohort<W: std::io::Write>(
     a: &ReportArgs,
     cohort: &str,
     out: &mut W,
 ) -> Result<(), CliError> {
     tracing::info!(target: "btlab", cohort = cohort; "reporting on cohort trace");
-    let file = std::fs::File::open(cohort)
-        .map_err(|e| CliError::Invalid(format!("cannot read cohort {cohort}: {e}")))?;
-    let (meta, events) = bt_obs::read_cohort(std::io::BufReader::new(file))
-        .map_err(|e| CliError::Invalid(format!("cannot parse cohort {cohort}: {e}")))?;
+    let what = format!("cohort {cohort}");
+    let file = std::fs::File::open(cohort).map_err(|e| read_error(&what, e))?;
+    let (meta, events) =
+        bt_obs::read_cohort(std::io::BufReader::new(file)).map_err(|e| read_error(&what, e))?;
     if events.is_empty() {
         return Err(CliError::Invalid(format!(
             "cohort trace {cohort} has a header but no events; \
@@ -1847,14 +1823,6 @@ fn report_cohort<W: std::io::Write>(
         )?;
     }
     writeln!(out, "peers traced: {}", by_peer.len())?;
-
-    if let Some(export) = &a.cohort_export {
-        let file = std::fs::File::create(export)
-            .map_err(|e| format!("cannot create cohort export {export}: {e}"))?;
-        bt_obs::write_cohort_jsonl(&meta, &events, std::io::BufWriter::new(file))
-            .map_err(|e| format!("cannot write cohort export {export}: {e}"))?;
-        writeln!(out, "cohort export (jsonl): {export}")?;
-    }
     Ok(())
 }
 
@@ -3129,14 +3097,10 @@ mod tests {
             let err = parse(&args(&["swarm", gone, "1"])).unwrap_err();
             assert!(err.contains("unknown flag"), "{gone}: {err}");
         }
-        // Format is validated at parse time; paths need values.
-        assert!(parse(&args(&["swarm", "--telemetry-format", "tsv"])).is_err());
+        // Telemetry is JSON lines only; paths need values.
+        let err = parse(&args(&["swarm", "--telemetry-format", "csv"])).unwrap_err();
+        assert!(err.contains("unknown flag"), "{err}");
         assert!(parse(&args(&["swarm", "--telemetry"])).is_err());
-        let cmd = parse(&args(&["swarm", "--telemetry-format", "csv"])).unwrap();
-        let Command::Swarm(a) = cmd else {
-            panic!("expected swarm");
-        };
-        assert_eq!(a.telemetry_format, "csv");
     }
 
     #[test]
@@ -3224,7 +3188,7 @@ mod tests {
         assert_eq!(err.exit_code(), 2, "empty stream is a data error");
         assert!(err.to_string().contains("is empty"), "{err}");
 
-        // A stream with records but no Meta header (e.g. CSV format).
+        // A stream with records but no Meta header.
         std::fs::write(
             &path,
             "{\"Phase\":{\"peer\":1,\"round\":2,\"phase\":\"Bootstrap\"}}\n",
@@ -4169,9 +4133,8 @@ mod tests {
     }
 
     #[test]
-    fn swarm_cohort_trace_feeds_report_and_jsonl_export() {
-        let trace = std::env::temp_dir().join("btlab-cli-cohort-unit.cohort");
-        let export = std::env::temp_dir().join("btlab-cli-cohort-unit.jsonl");
+    fn swarm_cohort_trace_is_json_lines_and_feeds_report() {
+        let trace = std::env::temp_dir().join("btlab-cli-cohort-unit.jsonl");
         let cmd = parse(&args(&[
             "swarm",
             "--pieces",
@@ -4206,7 +4169,6 @@ mod tests {
         run(
             Command::Report(ReportArgs {
                 cohort: Some(trace.to_str().unwrap().into()),
-                cohort_export: Some(export.to_str().unwrap().into()),
                 ..ReportArgs::default()
             }),
             &mut buf,
@@ -4217,16 +4179,16 @@ mod tests {
         assert!(text.contains("reservoir=4"), "{text}");
         assert!(text.contains("peers traced:"), "{text}");
         assert!(text.contains("acquires"), "trajectory table header: {text}");
-        let exported = std::fs::read_to_string(&export).unwrap();
-        assert!(!exported.is_empty(), "export produced JSON lines");
-        for line in exported.lines() {
+        let written = std::fs::read_to_string(&trace).unwrap();
+        assert!(written.ends_with('\n'), "the trace ends on a whole line");
+        for line in written.lines() {
             let value: serde_json::Value =
-                serde_json::from_str(line).expect("each export line is JSON");
+                serde_json::from_str(line).expect("each trace line is JSON");
             assert!(value.as_object().is_some(), "{line}");
         }
 
-        // Truncating the stream below its header turns report into a
-        // data error, mirroring the telemetry hardening.
+        // Truncating the stream inside its meta line turns report into
+        // a data error, mirroring the telemetry hardening.
         let bytes = std::fs::read(&trace).unwrap();
         std::fs::write(&trace, &bytes[..10]).unwrap();
         let mut buf = Vec::new();
@@ -4244,7 +4206,6 @@ mod tests {
             "truncated cohort stream is a data error"
         );
         std::fs::remove_file(&trace).ok();
-        std::fs::remove_file(&export).ok();
     }
 
     #[test]

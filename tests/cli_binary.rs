@@ -342,34 +342,14 @@ fn swarm_telemetry_then_report_pipeline() {
         "\n{summary}\n{report}"
     );
 
-    // CSV format produces a sample table with a header.
-    let csv = dir.join("run.csv");
+    // Telemetry is JSON lines only: the CSV format flag is gone.
     let out = btlab()
-        .args([
-            "swarm",
-            "--pieces",
-            "10",
-            "--rounds",
-            "40",
-            "--initial",
-            "8",
-            "--seed",
-            "5",
-            "--telemetry",
-            csv.to_str().unwrap(),
-            "--telemetry-format",
-            "csv",
-        ])
+        .args(["swarm", "--telemetry-format", "csv"])
         .env("BT_MANIFEST_DIR", &dir)
         .output()
         .expect("binary runs");
-    assert!(out.status.success());
-    let text = std::fs::read_to_string(&csv).expect("csv written");
-    assert!(
-        text.starts_with("round,population,entropy"),
-        "{}",
-        text.lines().next().unwrap_or("")
-    );
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag"));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -1349,9 +1329,6 @@ enum Framing {
     Document,
     /// JSON lines, read up to the last complete line.
     Lines,
-    /// The binary-framed cohort stream: a 24-byte header, then frames of
-    /// at most 33 bytes, read up to the last complete frame.
-    Frames,
 }
 
 /// A malformed variant of a valid artifact.
@@ -1366,24 +1343,20 @@ enum Damage {
 }
 
 /// The exit code `btlab` owes a reader of `framing` given a `damage`d
-/// copy of `valid`, or `None` where only "no panic" is promised: a
-/// flipped byte inside a cohort frame's payload, which carries no
-/// checksum, can still decode.
-fn owed_exit(framing: Framing, damage: Damage, valid: &[u8]) -> Option<i32> {
+/// copy of `valid`.
+fn owed_exit(framing: Framing, damage: Damage, valid: &[u8]) -> i32 {
     let torn = &valid[..valid.len() / 2];
     match (damage, framing) {
-        (Damage::Torn, Framing::Lines) => Some(if torn.contains(&b'\n') { 0 } else { 2 }),
-        (Damage::Torn, Framing::Frames) => Some(if torn.len() >= 24 + 33 { 0 } else { 2 }),
-        (Damage::Flipped, Framing::Frames) => None,
-        _ => Some(2),
+        (Damage::Torn, Framing::Lines) if torn.contains(&b'\n') => 0,
+        _ => 2,
     }
 }
 
 /// Every artifact reader against a missing, an empty, a torn and a
 /// byte-flipped copy of a valid artifact: missing, empty and torn
 /// documents exit 2; a torn stream exits 0 while a complete record
-/// remains and 2 otherwise; a flipped byte exits 2 (a cohort frame's
-/// payload excepted); and no case panics (exit 101).
+/// remains and 2 otherwise; a flipped byte exits 2; and no case panics
+/// (exit 101).
 #[test]
 fn malformed_artifacts_exit_two_and_never_panic() {
     let dir = std::env::temp_dir().join("btlab-e2e-malformed-matrix");
@@ -1418,7 +1391,7 @@ fn malformed_artifacts_exit_two_and_never_panic() {
         "--telemetry".to_string(),
         path(&valid, "t.jsonl"),
         "--cohort".to_string(),
-        path(&valid, "c.bin"),
+        path(&valid, "c.jsonl"),
         "--profile".to_string(),
         path(&valid, "p.json"),
         "--heartbeat".to_string(),
@@ -1450,14 +1423,14 @@ fn malformed_artifacts_exit_two_and_never_panic() {
         ),
         (
             "report --cohort",
-            "c.bin",
-            Framing::Frames,
+            "c.jsonl",
+            Framing::Lines,
             &[
                 "report",
                 "--telemetry",
                 "{}/t.jsonl",
                 "--cohort",
-                "{}/c.bin",
+                "{}/c.jsonl",
                 "--replications",
                 "3",
             ],
@@ -1529,7 +1502,7 @@ fn malformed_artifacts_exit_two_and_never_panic() {
             std::fs::create_dir_all(case.join("hb")).unwrap();
             for name in [
                 "t.jsonl",
-                "c.bin",
+                "c.jsonl",
                 "m.json",
                 "p.json",
                 "l.jsonl",
@@ -1557,7 +1530,7 @@ fn malformed_artifacts_exit_two_and_never_panic() {
             let code = out.status.code();
             let stderr = String::from_utf8_lossy(&out.stderr);
             let owed = owed_exit(framing, damage, &bytes);
-            if code.is_none() || code == Some(101) || owed.is_some_and(|o| code != Some(o)) {
+            if code != Some(owed) {
                 failures.push(format!(
                     "{reader} on a {damage:?} {file}: exit {code:?}, owed {owed:?}: {stderr}"
                 ));
