@@ -507,11 +507,16 @@ impl CohortSink {
 /// complete event line ([`crate::records::read_lines`]). A final line
 /// cut short ends the stream, as in every JSON-lines artifact.
 ///
+/// The events must be in the order [`CohortSink`] writes them: rounds
+/// never decrease along the stream, and each peer's events lie between
+/// its `Join` and its `Depart` or `Evict`. The lines carry no checksum,
+/// so this is what catches a damaged digit that still parses.
+///
 /// # Errors
 ///
 /// Propagates reader failures. A missing or malformed meta line, an
-/// unknown schema version, or a malformed event line is
-/// `ErrorKind::InvalidData`.
+/// unknown schema version, a malformed event line, or events out of
+/// that order is `ErrorKind::InvalidData`.
 pub fn read_cohort<R: BufRead>(mut reader: R) -> std::io::Result<(CohortMeta, Vec<CohortEvent>)> {
     let mut first = Vec::new();
     reader.read_until(b'\n', &mut first)?;
@@ -527,7 +532,36 @@ pub fn read_cohort<R: BufRead>(mut reader: R) -> std::io::Result<(CohortMeta, Ve
         )));
     }
     let events = crate::records::read_lines(reader, "cohort events")?;
+    check_order(&events).map_err(invalid)?;
     Ok((meta, events))
+}
+
+/// Checks the writer's ordering guarantees (see [`read_cohort`]),
+/// naming the first event that breaks them.
+fn check_order(events: &[CohortEvent]) -> Result<(), String> {
+    // Per peer: `true` while traced, `false` once its trace ended.
+    let mut traced: BTreeMap<u64, bool> = BTreeMap::new();
+    let mut last_round = 0;
+    for (index, event) in events.iter().enumerate() {
+        let (peer, round) = (event.peer(), event.round());
+        let at = || format!("cohort event {} (peer {peer}, round {round})", index + 1);
+        if round < last_round {
+            return Err(format!("{} comes after round {last_round}", at()));
+        }
+        let fault = match (traced.get(&peer).copied(), event) {
+            (Some(true), CohortEvent::Join(_)) => Some("joins a traced peer again"),
+            (None, CohortEvent::Join(_)) | (Some(true), _) => None,
+            (None, _) => Some("comes before the peer's Join"),
+            (Some(false), _) => Some("comes after the peer's trace ended"),
+        };
+        if let Some(fault) = fault {
+            return Err(format!("{} {fault}", at()));
+        }
+        last_round = round;
+        let ended = matches!(event, CohortEvent::Depart(_) | CohortEvent::Evict(_));
+        traced.insert(peer, !ended);
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -671,6 +705,35 @@ mod tests {
         // A meta line cut short is still malformed.
         let err = read_cohort(&bytes[..10]).expect_err("meta truncation detected");
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    }
+
+    #[test]
+    fn events_out_of_writer_order_rejected() {
+        let meta = "{\"schema_version\":1,\"seed\":1,\"size\":4}\n";
+        let join = "{\"Join\":{\"round\":3,\"peer\":7}}\n";
+        let shake = |round: u64| format!("{{\"Shake\":{{\"round\":{round},\"peer\":7}}}}\n");
+        let depart = "{\"Depart\":{\"round\":5,\"peer\":7,\"pieces\":2}}\n";
+        let ok = format!("{meta}{join}{}{depart}", shake(4));
+        assert_eq!(read_cohort(ok.as_bytes()).expect("writer order").1.len(), 3);
+        for (stream, fault) in [
+            (
+                format!("{meta}{join}{}{}", shake(4), shake(2)),
+                "comes after round 4",
+            ),
+            (
+                format!("{meta}{}{join}", shake(3)),
+                "before the peer's Join",
+            ),
+            (
+                format!("{meta}{join}{depart}{}", shake(6)),
+                "after the peer's trace ended",
+            ),
+            (format!("{meta}{join}{join}"), "joins a traced peer again"),
+        ] {
+            let err = read_cohort(stream.as_bytes()).expect_err(fault);
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+            assert!(err.to_string().contains(fault), "{err}");
+        }
     }
 
     #[test]

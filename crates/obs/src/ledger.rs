@@ -147,17 +147,12 @@ impl LedgerRecord {
 }
 
 /// The ledger path every producer shares: `$BT_LEDGER_PATH` when set,
-/// else `ledger.jsonl` under `$BT_MANIFEST_DIR` (or `results/`), so the
-/// ledger lands next to the run manifests by default.
+/// else `ledger.jsonl` in `run_dir`, so the ledger lands next to the run
+/// manifests by default.
 #[must_use]
-pub fn default_ledger_path() -> std::path::PathBuf {
-    if let Some(path) = std::env::var_os("BT_LEDGER_PATH") {
-        return std::path::PathBuf::from(path);
-    }
-    let dir = std::env::var_os("BT_MANIFEST_DIR")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::path::PathBuf::from("results"));
-    dir.join("ledger.jsonl")
+pub fn ledger_path(run_dir: &std::path::Path) -> std::path::PathBuf {
+    std::env::var_os("BT_LEDGER_PATH")
+        .map_or_else(|| run_dir.join("ledger.jsonl"), std::path::PathBuf::from)
 }
 
 /// Appends one record to the ledger at `path` as a single

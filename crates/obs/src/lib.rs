@@ -91,8 +91,8 @@ pub use heartbeat::{
     HEARTBEAT_SCHEMA_VERSION, HEARTBEAT_STREAM_FILE, RUN_STATUS_FILE,
 };
 pub use ledger::{
-    append_record, default_ledger_path, read_ledger, rotate_ledger, LedgerRecord,
-    DEFAULT_MAX_LEDGER_BYTES, LEDGER_SCHEMA_VERSION,
+    append_record, ledger_path, read_ledger, rotate_ledger, LedgerRecord, DEFAULT_MAX_LEDGER_BYTES,
+    LEDGER_SCHEMA_VERSION,
 };
 pub use manifest::{fnv1a_hex, git_describe, RunManifest, MANIFEST_SCHEMA_VERSION};
 pub use monitor::{

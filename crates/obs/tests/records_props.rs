@@ -1,7 +1,7 @@
 //! Property suite for the shared record codec ([`bt_obs::records`]),
 //! modelled on `heartbeat_props.rs` (which stays as the test of the
-//! heartbeat header rules). On [`SeriesPoint`], [`LedgerRecord`] and
-//! [`CohortEvent`] streams:
+//! heartbeat header rules). On [`SeriesPoint`], [`LedgerRecord`],
+//! [`CohortEvent`] and `bt_traces` [`Trace`] streams:
 //!
 //! * EVERY byte prefix of a stream written with `write_line` reads back
 //!   through `read_lines` as exactly the records it holds complete (the
@@ -21,6 +21,7 @@ use bt_obs::{
     CohortObserve, CohortPhase, CohortShake, CohortSlot, LedgerRecord, SeriesPoint,
     LEDGER_SCHEMA_VERSION,
 };
+use bt_traces::{Trace, TraceSample};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -95,6 +96,32 @@ fn cohort_event((kind, round, peer, a, b): (u8, u64, u64, u32, u32)) -> CohortEv
     }
 }
 
+/// A client trace whose samples are the running sums of `steps`
+/// (seconds, bytes, potential), so it also passes `Trace::validate`.
+fn trace((client, completed, steps): (u8, bool, Vec<(f64, u32, u32)>)) -> Trace {
+    let (mut t, mut bytes) = (0.0, 0u64);
+    let samples = steps
+        .into_iter()
+        .map(|(dt, db, potential)| {
+            t += dt;
+            bytes += u64::from(db);
+            TraceSample {
+                t,
+                bytes,
+                potential,
+            }
+        })
+        .collect();
+    Trace {
+        client: format!("client \"{client}\""),
+        swarm: "alpha".to_string(),
+        piece_bytes: 262_144,
+        pieces: 200,
+        completed,
+        samples,
+    }
+}
+
 /// Checks the line-stream properties on one generated stream.
 fn check_stream<T>(records: &[T], at: usize, mask: u8) -> Result<(), TestCaseError>
 where
@@ -156,6 +183,22 @@ proptest! {
         mask in 1u8..=255,
     ) {
         check_stream(&raw.into_iter().map(cohort_event).collect::<Vec<_>>(), at, mask)?;
+    }
+
+    #[test]
+    fn trace_streams(
+        raw in prop::collection::vec(
+            (
+                any::<u8>(),
+                any::<bool>(),
+                prop::collection::vec((0.0f64..60.0, 0u32..=262_144, 0u32..50), 0..4),
+            ),
+            0..4,
+        ),
+        at in any::<usize>(),
+        mask in 1u8..=255,
+    ) {
+        check_stream(&raw.into_iter().map(trace).collect::<Vec<_>>(), at, mask)?;
     }
 }
 

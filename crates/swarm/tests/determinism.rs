@@ -335,6 +335,8 @@ fn thread_count_is_invisible_to_every_output() {
     let serial = run_threaded(42, 120, 1);
     assert!(!serial.0.is_empty(), "telemetry produced records");
     assert!(!serial.1.is_empty(), "cohort produced records");
+    bt_obs::read_cohort(&serial.1[..])
+        .expect("the cohort stream keeps the order its reader checks");
     // Work counters too: a shard that dropped its lookups from
     // `store.slab_probes` would leave every byte above unchanged.
     let counted = |stage: &str, counter: &str| {
@@ -736,6 +738,8 @@ fn open_swarm_outputs_are_identical_across_thread_counts() {
         "the observers, all mid-run arrivals, changed phase"
     );
     assert!(!serial.1.is_empty(), "cohort produced records");
+    bt_obs::read_cohort(&serial.1[..])
+        .expect("the cohort stream keeps the order its reader checks");
     for threads in [2, 8] {
         let threaded = run_open(threads);
         assert_eq!(

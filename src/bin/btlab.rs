@@ -1,14 +1,16 @@
 //! `btlab` — command-line laboratory for the multiphase-bt workspace.
 //!
 //! See `btlab help` for usage. Results print to stdout; diagnostics go
-//! to stderr under the `--log` / `--log-filter` global flags. Every
-//! run except `help` writes a JSON manifest (config hash, seed, counter
-//! totals, per-phase wall clock) to `results/manifest-<command>.json`,
-//! or `$BT_MANIFEST_DIR` when set. `swarm` and `doctor` runs also
-//! append one compact record to the cross-run ledger
-//! (`$BT_LEDGER_PATH`, default `results/ledger.jsonl`) — including
-//! failing doctor runs, so regressions are on the record. Exit codes:
-//! 0 success, 1 run failure, 2 usage or data error.
+//! to stderr under the `--log` / `--log-filter` global flags. The run
+//! directory is `$BT_MANIFEST_DIR`, default `results/`: every run except
+//! `help` and `watch` writes a JSON manifest (config hash, seed, counter
+//! totals, per-phase wall clock) there as `manifest-<command>.json`, and
+//! `swarm` and `doctor` write every artifact there under a fixed name.
+//! `swarm` and `doctor` runs also append one compact record to the
+//! cross-run ledger (`$BT_LEDGER_PATH`, default `ledger.jsonl` in the
+//! run directory) — including failing doctor runs, so regressions are
+//! on the record. Exit codes: 0 success, 1 run failure, 2 usage or data
+//! error.
 
 use std::path::PathBuf;
 
@@ -33,18 +35,10 @@ fn main() {
         command.config_hash(),
         command.seed().unwrap_or(0),
     );
-    match &command {
-        cli::Command::Swarm(a) => {
-            manifest.pipeline = cli::swarm_pipeline_names(a);
-            manifest.disabled_stages = a.disabled_stages.clone();
-            manifest.threads = a.threads;
-        }
-        cli::Command::Doctor(a) => {
-            manifest.pipeline = cli::swarm_pipeline_names(&a.swarm);
-            manifest.disabled_stages = a.swarm.disabled_stages.clone();
-            manifest.threads = a.swarm.threads;
-        }
-        _ => {}
+    if let Some(a) = command.swarm_args() {
+        manifest.pipeline = cli::swarm_pipeline_names(a);
+        manifest.disabled_stages = a.disabled_stages.clone();
+        manifest.threads = a.threads;
     }
     // `watch` is a read-only follower of someone else's run directory;
     // writing a manifest for it would pollute the results it observes.
@@ -52,11 +46,13 @@ fn main() {
     // The ledger tracks simulation runs; one record per swarm or
     // doctor invocation, appended even when the run fails so a
     // violation shows up in `btlab trend`.
-    let wants_ledger = matches!(command, cli::Command::Swarm(_) | cli::Command::Doctor(_));
+    let wants_ledger = command.swarm_args().is_some();
+    let run_dir =
+        PathBuf::from(std::env::var_os("BT_MANIFEST_DIR").unwrap_or_else(|| "results".into()));
     let start = std::time::Instant::now();
 
     let mut stdout = std::io::stdout().lock();
-    let result = cli::run(command, &mut stdout);
+    let result = cli::run(command, &run_dir, &mut stdout);
     drop(stdout);
     if let Err(e) = &result {
         eprintln!("error: {e}");
@@ -66,8 +62,7 @@ fn main() {
         let registry = bt_obs::Registry::global();
         manifest.finish(&registry, start.elapsed());
         manifest.peak_population = registry.counter("swarm.peak_population").get();
-        let dir = std::env::var("BT_MANIFEST_DIR").unwrap_or_else(|_| "results".to_string());
-        let path = PathBuf::from(dir).join(format!("manifest-{}.json", manifest.command));
+        let path = run_dir.join(format!("manifest-{}.json", manifest.command));
         match bt_obs::records::write_doc(&path, &manifest) {
             Ok(()) => {
                 tracing::info!(target: "btlab", path = path.display().to_string(); "run manifest written");
@@ -79,7 +74,7 @@ fn main() {
         if wants_ledger {
             let violations = manifest.counter("doctor.violations").unwrap_or(0);
             let record = bt_obs::LedgerRecord::from_manifest(&manifest, violations);
-            let ledger = bt_obs::default_ledger_path();
+            let ledger = bt_obs::ledger_path(&run_dir);
             match bt_obs::append_record(&ledger, &record) {
                 Ok(()) => {
                     tracing::info!(target: "btlab", path = ledger.display().to_string(); "ledger record appended");

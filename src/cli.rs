@@ -9,6 +9,7 @@
 //! subcommand accepts them without having to declare them.
 
 use std::collections::BTreeMap;
+use std::path::Path;
 
 use bt_obs::LogMode;
 
@@ -64,44 +65,45 @@ impl Command {
         }
     }
 
+    /// The swarm run a `swarm` or `doctor` command drives.
+    #[must_use]
+    pub fn swarm_args(&self) -> Option<&SwarmArgs> {
+        match self {
+            Command::Swarm(a) => Some(a),
+            Command::Doctor(a) => Some(&a.swarm),
+            _ => None,
+        }
+    }
+
     /// The RNG seed the command will run with, where it has one.
     #[must_use]
     pub fn seed(&self) -> Option<u64> {
         match self {
-            Command::Swarm(a) => Some(a.seed),
             Command::Model(a) => Some(a.seed),
             Command::Traces(a) => Some(a.seed),
             Command::Report(a) => Some(a.seed),
-            Command::Doctor(a) => Some(a.swarm.seed),
-            Command::Analyze(_)
-            | Command::Figure(_)
-            | Command::Profile(_)
-            | Command::Compare(_)
-            | Command::Trend(_)
-            | Command::Watch(_)
-            | Command::Lint(_)
-            | Command::Help => None,
+            _ => self.swarm_args().map(|a| a.seed),
         }
     }
 
     /// The run's identity hash, recorded as `config_hash` in the
     /// manifest, the ledger and the doctor's bundle directory name.
     /// For `swarm` and `doctor` it covers only what the run simulates
-    /// and checks, so runs that differ in threads, artifact paths,
-    /// heartbeat cadence or output format share one identity. Other
-    /// commands hash their parsed arguments.
+    /// and checks, so runs that differ in threads, artifacts, heartbeat
+    /// cadence or output format share one identity. Other commands hash
+    /// their parsed arguments.
     #[must_use]
     pub fn config_hash(&self) -> String {
-        let identity = match self {
-            Command::Swarm(a) => swarm_identity(a),
-            Command::Doctor(a) => swarm_identity(&a.swarm).map(|swarm| {
-                format!(
+        let identity = self
+            .swarm_args()
+            .and_then(swarm_identity)
+            .map(|swarm| match self {
+                Command::Doctor(a) => format!(
                     "{swarm}|cadence={} floor={} min_population={} stall_rounds={:?} fault={:?}",
                     a.cadence, a.floor, a.min_population, a.stall_rounds, a.inject_fault
-                )
-            }),
-            _ => None,
-        };
+                ),
+                _ => swarm,
+            });
         bt_obs::fnv1a_hex(identity.unwrap_or_else(|| format!("{self:?}")).as_bytes())
     }
 }
@@ -252,29 +254,26 @@ pub struct SwarmArgs {
     /// Number of observer peers for per-peer telemetry and phase
     /// detection.
     pub observers: u32,
-    /// Telemetry stream output path.
-    pub telemetry: Option<String>,
-    /// Sample every Nth round.
-    pub telemetry_stride: u64,
+    /// Telemetry stream: `Some(stride)` writes `telemetry.jsonl` to the
+    /// run directory, sampling every `stride`-th round.
+    pub telemetry: Option<u64>,
     /// Round stages removed from the default pipeline (ablation runs).
     pub disabled_stages: Vec<String>,
-    /// Cost-attribution profile output path (`profile.json`; folded
-    /// stacks and per-round series land next to it).
-    pub profile: Option<String>,
-    /// Cohort trace output path (JSON lines).
-    pub cohort: Option<String>,
-    /// Reservoir size of the sampled peer cohort.
-    pub cohort_size: u32,
+    /// Cost-attribution profile: writes `profile.json`, `profile.folded`
+    /// and `profile.rounds.jsonl` to the run directory.
+    pub profile: bool,
+    /// Cohort trace: `Some(size)` writes `cohort.jsonl` to the run
+    /// directory, tracing a reservoir of `size` peers.
+    pub cohort: Option<u32>,
     /// Worker threads for the parallel plan phases. Output bytes are
     /// identical at every value; only wall time changes.
     pub threads: u32,
     /// Tracker re-announce interval in rounds (1 = every round).
     pub reannounce: u64,
-    /// Run directory for heartbeat artifacts (`run.heartbeat.jsonl` +
-    /// `run.status.json`), the files `btlab watch` tails.
-    pub heartbeat: Option<String>,
-    /// Heartbeat emission cadence in wall seconds (0 beats every round).
-    pub heartbeat_secs: f64,
+    /// Heartbeat: `Some(secs)` keeps `run.heartbeat.jsonl` and
+    /// `run.status.json` in the run directory, the files `btlab watch`
+    /// tails, beating every `secs` wall seconds (0 beats every round).
+    pub heartbeat: Option<f64>,
 }
 
 impl Default for SwarmArgs {
@@ -291,15 +290,12 @@ impl Default for SwarmArgs {
             json: false,
             observers: 0,
             telemetry: None,
-            telemetry_stride: 1,
             disabled_stages: Vec::new(),
-            profile: None,
+            profile: false,
             cohort: None,
-            cohort_size: 16,
             threads: 1,
             reannounce: 1,
             heartbeat: None,
-            heartbeat_secs: 1.0,
         }
     }
 }
@@ -330,9 +326,6 @@ pub struct DoctorArgs {
     /// Adds the observer-stall monitor: fire when an observer makes no
     /// piece progress for this many rounds.
     pub stall_rounds: Option<u64>,
-    /// Where diagnosis bundles land; defaults to the manifest directory
-    /// (`$BT_MANIFEST_DIR` or `results/`).
-    pub bundle_dir: Option<String>,
     /// Seeded fault for monitor validation, parsed from `KIND@ROUND`.
     pub inject_fault: Option<bt_swarm::FaultSpec>,
 }
@@ -346,7 +339,6 @@ impl Default for DoctorArgs {
             floor: defaults.entropy_floor,
             min_population: defaults.entropy_min_population,
             stall_rounds: defaults.stall_rounds,
-            bundle_dir: None,
             inject_fault: None,
         }
     }
@@ -356,7 +348,7 @@ impl Default for DoctorArgs {
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrendArgs {
     /// Ledger file to read; defaults to `$BT_LEDGER_PATH`, then
-    /// `ledger.jsonl` under the manifest directory.
+    /// `ledger.jsonl` in the run directory.
     pub ledger: Option<String>,
     /// How many trailing records to render.
     pub last: usize,
@@ -381,9 +373,9 @@ impl Default for TrendArgs {
 /// Arguments of `btlab compare`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompareArgs {
-    /// Baseline profile.json or BENCH manifest.
+    /// Baseline run manifest.
     pub baseline: String,
-    /// Candidate profile.json or BENCH manifest.
+    /// Candidate run manifest.
     pub candidate: String,
     /// Allowed relative regression before the command fails (0.1 = 10%).
     pub tolerance: f64,
@@ -528,23 +520,22 @@ btlab — multiphase-bt laboratory
 USAGE:
   btlab swarm   [--pieces N] [--k N] [--s N] [--lambda F] [--initial N]
                 [--rounds N] [--seed N] [--shake F] [--json]
-                [--observers N] [--telemetry FILE]
-                [--telemetry-stride N] [--disable-stage NAME[,NAME..]]
-                [--profile FILE] [--cohort FILE] [--cohort-size N]
-                [--threads N] [--reannounce R]
-                [--heartbeat DIR] [--heartbeat-secs S]
+                [--observers N] [--telemetry [STRIDE]]
+                [--cohort [SIZE]] [--profile] [--heartbeat [SECS]]
+                [--disable-stage NAME[,NAME..]] [--threads N]
+                [--reannounce R]
   btlab model   [--pieces N] [--k N] [--s N] [--alpha F] [--gamma F]
                 [--replications N] [--seed N]
   btlab report  [--telemetry FILE] [--cohort FILE] [--manifest FILE]
                 [--alpha F] [--gamma F] [--replications N] [--seed N]
                 [--strict]
   btlab profile PROFILE.json [--top N] [--json]
-  btlab compare BASELINE CANDIDATE [--tolerance F] [--obs-budget PCT]
-                [--mem-budget PCT]
-  btlab compare MANIFEST --obs-budget PCT
+  btlab compare BASELINE.json CANDIDATE.json [--tolerance F]
+                [--obs-budget PCT] [--mem-budget PCT]
+  btlab compare MANIFEST.json --obs-budget PCT
   btlab watch   RUN_DIR [--timeout-secs S] [--interval-secs S] [--json]
   btlab doctor  [all swarm flags] [--cadence N] [--floor F]
-                [--min-population N] [--stall-rounds R] [--bundle-dir DIR]
+                [--min-population N] [--stall-rounds R]
                 [--inject-fault KIND@ROUND]
   btlab trend   [--ledger FILE] [--last N] [--tolerance F]
                 [--max-ledger-bytes N]
@@ -555,9 +546,19 @@ USAGE:
   btlab lint    [--root DIR] [--format text|json] [--stage-matrix]
   btlab help
 
+RUN DIRECTORY (btlab swarm / doctor):
+  Every artifact of a run lands in one directory, $BT_MANIFEST_DIR
+  (default results/), under a fixed name: manifest-<command>.json,
+  telemetry.jsonl (--telemetry), cohort.jsonl (--cohort), profile.json,
+  profile.folded and profile.rounds.jsonl (--profile),
+  run.heartbeat.jsonl and run.status.json (--heartbeat), and the
+  doctor's diagnosis-<run>/ bundle. An artifact flag's optional value is
+  its only setting; a later run into the same directory overwrites it.
+
 TELEMETRY (btlab swarm):
-  --telemetry FILE streams one record per line: a Meta header, then
-  per-round Sample records (population, entropy, availability histogram,
+  --telemetry [STRIDE] streams one record per line, sampling every
+  STRIDE-th round (default 1): a Meta header, then per-round Sample
+  records (population, entropy, availability histogram,
   piece-count quantiles, slot utilization) plus Phase transitions of the
   --observers peers. `btlab report` summarizes a JSONL stream and
   compares detected phase boundaries against the analytical model.
@@ -566,42 +567,43 @@ TELEMETRY (btlab swarm):
   diagnosis bundle.
 
 PROFILING (btlab swarm / profile / compare):
-  --profile FILE records a deterministic cost-attribution profile: per
+  --profile records a deterministic cost-attribution profile: per
   round x per stage wall time plus work counters (candidate comparisons,
   handout entries, bitfield words, piece transfers, slab probes). It
-  writes FILE (summary JSON), FILE with a .folded extension (flamegraph
-  folded stacks), and FILE with a .rounds.jsonl extension (per-round
-  series). Profiling never touches the simulation RNG, so profiled runs
-  are byte-identical to unprofiled ones. `btlab profile` summarizes a
-  recorded profile (hottest stages, work per round, top peers);
-  `btlab compare` diffs two profiles — or two run manifests such as
-  manifest-swarm.json — stage by stage and exits 1 when the candidate
-  regresses beyond --tolerance (default 0.10 = 10%).
+  writes profile.json (summary), profile.folded (flamegraph folded
+  stacks) and profile.rounds.jsonl (per-round series). Profiling never
+  touches the simulation RNG, so profiled runs are byte-identical to
+  unprofiled ones. `btlab profile` summarizes a recorded profile
+  (hottest stages, work per round, top peers); `btlab compare` diffs
+  two run manifests such as manifest-swarm.json stage by stage (the
+  manifest's round.<stage> timers hold the same clock readings as the
+  profile's stage totals) and exits 1 when the candidate regresses
+  beyond --tolerance (default 0.10 = 10%).
 
 COHORT TRACING (btlab swarm / report):
-  --cohort FILE attaches a deterministic reservoir-sampled peer cohort
-  of --cohort-size members (default 16) and streams their full
+  --cohort [SIZE] attaches a deterministic reservoir-sampled peer
+  cohort of SIZE members (default 16) and streams their full
   lifecycles — join, piece acquisitions with source, connection-slot
   changes, phase transitions, shakes, handouts, departure — as JSON
   lines: a meta header, then one event per line. Membership is drawn
   from a private RNG salted off the run seed, so traced runs are
   byte-identical to bare ones. `btlab report --cohort FILE` renders
-  per-peer trajectories.
+  per-peer trajectories; a trace whose rounds run backwards, or with a
+  peer's event before its join or after its departure, exits 2.
 
 OBSERVER OVERHEAD (btlab compare --obs-budget):
   Run manifests record the wall-time share spent inside observers
   (obs.* phase timers: telemetry capture, doctor checks, heartbeats) as
   obs_share. `btlab compare MANIFEST --obs-budget PCT` (one positional)
   gates that share alone; with two positionals the gate rides along the
-  regression diff. Over budget exits 1; gating a profile report (which
-  records no obs_share) exits 2.
+  regression diff. Over budget exits 1.
 
 HEARTBEATS (btlab swarm --heartbeat / watch):
-  --heartbeat DIR streams wall-clock-cadenced progress records (round,
-  rounds/sec, ETA to --rounds, swarm phase, entropy, observer share,
-  current/peak RSS) to DIR/run.heartbeat.jsonl and atomically replaces
-  DIR/run.status.json on every beat (default cadence 1s; tune with
-  --heartbeat-secs). The heartbeat is an observer: it makes no model-RNG
+  --heartbeat [SECS] streams wall-clock-cadenced progress records
+  (round, rounds/sec, ETA to --rounds, swarm phase, entropy, observer
+  share, current/peak RSS) to run.heartbeat.jsonl and atomically
+  replaces run.status.json on every beat, one beat every SECS wall
+  seconds (default 1; 0 beats every round). The heartbeat is an observer: it makes no model-RNG
   calls, so a run with heartbeats is byte-identical to one without.
   `btlab watch RUN_DIR` tails those artifacts, live or after the fact:
   a progress bar with ETA, phase, and memory, refreshed every
@@ -615,9 +617,9 @@ MEMORY (btlab compare --mem-budget / trend):
   Run manifests and ledger records carry current and peak RSS sampled
   from procfs. `btlab compare BASELINE CANDIDATE --mem-budget PCT`
   fails (exit 1) when the candidate's peak RSS exceeds the baseline's
-  by more than PCT percent; inputs without memory telemetry (profile
-  reports, pre-memory manifests) exit 2. `btlab trend` charts peak RSS
-  per run.
+  by more than PCT percent; manifests without memory telemetry
+  (pre-memory manifests, platforms without procfs) exit 2. `btlab trend`
+  charts peak RSS per run.
 
 DOCTOR (btlab doctor / trend):
   `btlab doctor` runs a swarm with the runtime invariant monitors
@@ -628,14 +630,14 @@ DOCTOR (btlab doctor / trend):
   rounds (e.g. on an empty potential set). On the first violation it
   writes a diagnosis bundle (meta.json, flight.json with the last
   checks, telemetry.jsonl, peers.json, profile.json when profiling) to
-  `--bundle-dir/diagnosis-<run>/` and exits 1. --inject-fault KIND@ROUND
-  corrupts the swarm deliberately to validate the monitors; kinds:
-  unaccounted-piece, index-drift, half-open-connection. Every swarm and
-  doctor run appends one compact record (seed, config hash, pipeline,
-  rounds/sec, stage p95s, violation count) to the cross-run ledger
-  (`$BT_LEDGER_PATH`, default results/ledger.jsonl). The config hash
-  covers what the run simulates and checks (configuration, pipeline,
-  monitor settings, injected fault), never threads, artifact paths or
+  diagnosis-<run>/ in the run directory and exits 1. --inject-fault
+  KIND@ROUND corrupts the swarm deliberately to validate the monitors;
+  kinds: unaccounted-piece, index-drift, half-open-connection. Every
+  swarm and doctor run appends one compact record (seed, config hash,
+  pipeline, rounds/sec, stage p95s, violation count) to the cross-run
+  ledger (`$BT_LEDGER_PATH`, default ledger.jsonl in the run
+  directory). The config hash covers what the run simulates and checks (configuration, pipeline,
+  monitor settings, injected fault), never threads, artifacts or
   heartbeat cadence; the manifest and the diagnosis bundle name use the
   same hash. `btlab trend` renders per-metric trajectories over the last
   --last records and flags values drifting beyond --tolerance against
@@ -683,8 +685,8 @@ GLOBAL OPTIONS (any position):
                            then `info`)
 
 Results and figures print to stdout; diagnostics go to stderr. Each run
-writes a JSON manifest (counters, phase timings, config hash) under
-results/ or $BT_MANIFEST_DIR.
+writes a JSON manifest (counters, phase timings, config hash) to the run
+directory, $BT_MANIFEST_DIR (default results/).
 ";
 
 /// Parses a command line (excluding the program name).
@@ -697,17 +699,18 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
     let Some((cmd, rest)) = args.split_first() else {
         return Ok(Command::Help);
     };
-    // profile/compare/watch take positional paths, which parse_flags
-    // rejects.
-    match cmd.as_str() {
-        "profile" => return parse_profile(rest),
-        "compare" => return parse_compare(rest),
-        "watch" => return parse_watch(rest),
-        _ => {}
+    let (positionals, flags) = parse_flags(rest)?;
+    // Only profile, compare and watch take positional paths.
+    if !matches!(cmd.as_str(), "profile" | "compare" | "watch") {
+        if let Some(arg) = positionals.first() {
+            return Err(format!("expected a --flag, got `{arg}`"));
+        }
     }
-    let flags = parse_flags(rest)?;
     match cmd.as_str() {
         "help" | "--help" | "-h" => Ok(Command::Help),
+        "profile" => parse_profile(positionals, &flags),
+        "compare" => parse_compare(positionals, &flags),
+        "watch" => parse_watch(positionals, &flags),
         "swarm" => {
             let mut a = SwarmArgs::default();
             for (key, value) in &flags {
@@ -725,7 +728,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     "floor" => a.floor = num(key, value)?,
                     "min-population" => a.min_population = num(key, value)?,
                     "stall-rounds" => a.stall_rounds = Some(num(key, value)?),
-                    "bundle-dir" => a.bundle_dir = Some(required(key, value)?),
                     "inject-fault" => {
                         a.inject_fault = Some(parse_fault(&required(key, value)?)?);
                     }
@@ -884,14 +886,24 @@ fn apply_swarm_flag(a: &mut SwarmArgs, key: &str, value: &str) -> Result<bool, S
         "shake" => a.shake = Some(num(key, value)?),
         "json" => a.json = flag(key, value)?,
         "observers" => a.observers = num(key, value)?,
-        "telemetry" => a.telemetry = Some(required(key, value)?),
-        "telemetry-stride" => a.telemetry_stride = num(key, value)?,
-        "cohort" => a.cohort = Some(required(key, value)?),
-        "cohort-size" => {
-            a.cohort_size = num(key, value)?;
-            if a.cohort_size == 0 {
-                return Err("--cohort-size must be >= 1".to_string());
+        "telemetry" => {
+            a.telemetry = Some(artifact(
+                key,
+                value,
+                1,
+                "an optional sample stride",
+                "telemetry.jsonl",
+            )?);
+        }
+        "cohort" => {
+            let size = artifact(key, value, 16, "an optional cohort size", "cohort.jsonl")?;
+            if size == 0 {
+                return Err("--cohort size must be >= 1".to_string());
             }
+            a.cohort = Some(size);
+        }
+        "profile" => {
+            a.profile = artifact(key, value, true, "no value", "profile.json")?;
         }
         "threads" => {
             a.threads = num(key, value)?;
@@ -905,17 +917,19 @@ fn apply_swarm_flag(a: &mut SwarmArgs, key: &str, value: &str) -> Result<bool, S
                 return Err("--reannounce must be >= 1".to_string());
             }
         }
-        "heartbeat" => a.heartbeat = Some(required(key, value)?),
-        "heartbeat-secs" => {
-            a.heartbeat_secs = num(key, value)?;
-            if a.heartbeat_secs < 0.0 {
-                return Err(format!(
-                    "--heartbeat-secs must be >= 0, got {}",
-                    a.heartbeat_secs
-                ));
+        "heartbeat" => {
+            let secs = artifact(
+                key,
+                value,
+                1.0,
+                "an optional cadence in seconds",
+                "run.heartbeat.jsonl and run.status.json",
+            )?;
+            if secs < 0.0 {
+                return Err(format!("--heartbeat cadence must be >= 0, got {secs}"));
             }
+            a.heartbeat = Some(secs);
         }
-        "profile" => a.profile = Some(required(key, value)?),
         "disable-stage" => {
             for name in required(key, value)?.split(',') {
                 let name = name.trim();
@@ -946,13 +960,36 @@ fn parse_fault(text: &str) -> Result<bt_swarm::FaultSpec, String> {
     Ok(bt_swarm::FaultSpec { round, kind })
 }
 
-fn parse_profile(rest: &[String]) -> Result<Command, String> {
-    let (positionals, flag_tokens) = split_positionals(rest);
-    let flags = parse_flags(&flag_tokens)?;
+/// The setting of an artifact flag (`--telemetry [STRIDE]` and the
+/// like): `default` when given bare. A value that does not parse — a
+/// path, say — is a usage error naming the file the run writes and
+/// where.
+fn artifact<T: std::str::FromStr>(
+    key: &str,
+    value: &str,
+    default: T,
+    takes: &str,
+    file: &str,
+) -> Result<T, String> {
+    if value.is_empty() {
+        return Ok(default);
+    }
+    value.parse().map_err(|_| {
+        format!(
+            "--{key} takes {takes}, got `{value}`; the run writes {file} into its run \
+             directory, $BT_MANIFEST_DIR (default results/)"
+        )
+    })
+}
+
+fn parse_profile(
+    positionals: Vec<String>,
+    flags: &BTreeMap<String, String>,
+) -> Result<Command, String> {
     let mut input = None;
     let mut top = 10usize;
     let mut json = false;
-    for (key, value) in &flags {
+    for (key, value) in flags {
         match key.as_str() {
             "input" => input = Some(required(key, value)?),
             "top" => top = num(key, value)?,
@@ -974,13 +1011,14 @@ fn parse_profile(rest: &[String]) -> Result<Command, String> {
     Ok(Command::Profile(ProfileArgs { input, top, json }))
 }
 
-fn parse_compare(rest: &[String]) -> Result<Command, String> {
-    let (mut positionals, flag_tokens) = split_positionals(rest);
-    let flags = parse_flags(&flag_tokens)?;
+fn parse_compare(
+    mut positionals: Vec<String>,
+    flags: &BTreeMap<String, String>,
+) -> Result<Command, String> {
     let mut tolerance = 0.10f64;
     let mut obs_budget = None;
     let mut mem_budget = None;
-    for (key, value) in &flags {
+    for (key, value) in flags {
         match key.as_str() {
             "tolerance" => tolerance = num(key, value)?,
             "obs-budget" => obs_budget = Some(num(key, value)?),
@@ -1044,13 +1082,14 @@ fn parse_compare(rest: &[String]) -> Result<Command, String> {
     }))
 }
 
-fn parse_watch(rest: &[String]) -> Result<Command, String> {
-    let (positionals, flag_tokens) = split_positionals(rest);
-    let flags = parse_flags(&flag_tokens)?;
+fn parse_watch(
+    positionals: Vec<String>,
+    flags: &BTreeMap<String, String>,
+) -> Result<Command, String> {
     let mut timeout_secs = None;
     let mut interval_secs = 1.0f64;
     let mut json = false;
-    for (key, value) in &flags {
+    for (key, value) in flags {
         match key.as_str() {
             "timeout-secs" => timeout_secs = Some(num(key, value)?),
             "interval-secs" => interval_secs = num(key, value)?,
@@ -1081,36 +1120,19 @@ fn parse_watch(rest: &[String]) -> Result<Command, String> {
     }))
 }
 
-/// Separates bare positional arguments from `--flag [value]` tokens so
-/// the latter can go through [`parse_flags`] (which rejects positionals).
-fn split_positionals(rest: &[String]) -> (Vec<String>, Vec<String>) {
-    let mut positionals = Vec::new();
-    let mut flag_tokens = Vec::new();
-    let mut iter = rest.iter().peekable();
-    while let Some(arg) = iter.next() {
-        if arg.starts_with("--") {
-            flag_tokens.push(arg.clone());
-            if let Some(next) = iter.peek() {
-                if !next.starts_with("--") {
-                    flag_tokens.push(iter.next().cloned().unwrap_or_default());
-                }
-            }
-        } else {
-            positionals.push(arg.clone());
-        }
-    }
-    (positionals, flag_tokens)
-}
-
-/// Splits `--key value` pairs; a trailing `--key` with no value maps to an
-/// empty string (boolean flags). A repeated flag is an error rather than
+/// Splits a command's arguments into positionals and `--key value`
+/// pairs. A `--key` followed by another flag or by nothing maps to an
+/// empty string (boolean flags, bare artifact flags); any other token
+/// after a `--key` is its value. A repeated flag is an error rather than
 /// a silent last-one-wins.
-fn parse_flags(rest: &[String]) -> Result<BTreeMap<String, String>, String> {
+fn parse_flags(rest: &[String]) -> Result<(Vec<String>, BTreeMap<String, String>), String> {
+    let mut positionals = Vec::new();
     let mut flags = BTreeMap::new();
     let mut iter = rest.iter().peekable();
     while let Some(arg) = iter.next() {
         let Some(key) = arg.strip_prefix("--") else {
-            return Err(format!("expected a --flag, got `{arg}`"));
+            positionals.push(arg.clone());
+            continue;
         };
         let value = match iter.peek() {
             Some(next) if !next.starts_with("--") => {
@@ -1125,7 +1147,7 @@ fn parse_flags(rest: &[String]) -> Result<BTreeMap<String, String>, String> {
             ));
         }
     }
-    Ok(flags)
+    Ok((positionals, flags))
 }
 
 fn num<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, String> {
@@ -1203,10 +1225,26 @@ fn swarm_identity(a: &SwarmArgs) -> Option<String> {
     Some(format!("{config}|{}", swarm_pipeline_names(a).join(",")))
 }
 
+/// The fixed name of the telemetry stream in a run directory.
+const TELEMETRY_FILE: &str = "telemetry.jsonl";
+/// The fixed name of the cohort trace in a run directory.
+const COHORT_FILE: &str = "cohort.jsonl";
+/// The fixed name of the profile summary in a run directory; the folded
+/// stacks and the per-round series share its stem.
+const PROFILE_FILE: &str = "profile.json";
+
+/// Creates `name` in the run directory, and the directory first.
+fn create_artifact(run_dir: &Path, name: &str) -> Result<std::fs::File, String> {
+    let path = run_dir.join(name);
+    std::fs::create_dir_all(run_dir)
+        .and_then(|()| std::fs::File::create(&path))
+        .map_err(|e| format!("cannot create {}: {e}", path.display()))
+}
+
 /// Builds the swarm a `btlab swarm` / `btlab doctor` run drives:
-/// config, optional stage ablation, telemetry stream, cohort trace and
-/// a heartbeat that names `command`.
-fn build_swarm(a: &SwarmArgs, command: &str) -> Result<bt_swarm::Swarm, String> {
+/// config, optional stage ablation, and the telemetry stream, cohort
+/// trace and heartbeat (naming `command`) in `run_dir`.
+fn build_swarm(a: &SwarmArgs, command: &str, run_dir: &Path) -> Result<bt_swarm::Swarm, String> {
     let config = swarm_config(a)?;
     if !a.disabled_stages.is_empty() {
         tracing::info!(target: "btlab", disabled = a.disabled_stages.join(",").as_str(); "stage ablation active");
@@ -1214,33 +1252,36 @@ fn build_swarm(a: &SwarmArgs, command: &str) -> Result<bt_swarm::Swarm, String> 
     let stages = swarm_stages(a, &config);
     let mut swarm = bt_swarm::Swarm::with_pipeline(config, bt_obs::Registry::global(), stages);
     swarm.set_threads(a.threads);
-    if let Some(path) = &a.telemetry {
-        let file = std::fs::File::create(path)
-            .map_err(|e| format!("cannot create telemetry file {path}: {e}"))?;
+    if let Some(stride) = a.telemetry {
+        let file = create_artifact(run_dir, TELEMETRY_FILE)?;
         let recorder = bt_swarm::TelemetryRecorder::new(bt_swarm::TelemetryOptions {
-            stride: a.telemetry_stride,
+            stride,
             ..bt_swarm::TelemetryOptions::default()
         })
         .to_writer(Box::new(std::io::BufWriter::new(file)));
         swarm.attach_telemetry(recorder);
     }
-    if let Some(path) = &a.cohort {
-        let file = std::fs::File::create(path)
-            .map_err(|e| format!("cannot create cohort file {path}: {e}"))?;
-        swarm.attach_cohort(a.cohort_size, Box::new(std::io::BufWriter::new(file)));
+    if let Some(size) = a.cohort {
+        let file = create_artifact(run_dir, COHORT_FILE)?;
+        swarm.attach_cohort(size, Box::new(std::io::BufWriter::new(file)));
     }
-    if let Some(dir) = &a.heartbeat {
+    if let Some(secs) = a.heartbeat {
         let emitter = bt_obs::HeartbeatEmitter::new(
             bt_obs::HeartbeatOptions {
-                dir: std::path::PathBuf::from(dir),
-                interval: std::time::Duration::from_secs_f64(a.heartbeat_secs),
+                dir: run_dir.to_path_buf(),
+                interval: std::time::Duration::from_secs_f64(secs),
                 command: command.to_string(),
                 seed: a.seed,
                 target_rounds: a.rounds,
             },
             bt_obs::Registry::global(),
         )
-        .map_err(|e| format!("cannot create heartbeat artifacts in {dir}: {e}"))?;
+        .map_err(|e| {
+            format!(
+                "cannot create heartbeat artifacts in {}: {e}",
+                run_dir.display()
+            )
+        })?;
         swarm.attach_heartbeat(emitter);
     }
     Ok(swarm)
@@ -1248,48 +1289,57 @@ fn build_swarm(a: &SwarmArgs, command: &str) -> Result<bt_swarm::Swarm, String> 
 
 /// Runs the swarm `a` describes as `command`: builds it, lets `attach`
 /// add a doctor or a fault, attaches the profiler under `--profile`,
-/// runs it to its stop condition and writes the profile artifacts.
+/// runs it to its stop condition and writes the profile artifacts to
+/// `run_dir`.
 fn run_swarm(
     a: &SwarmArgs,
     command: &str,
+    run_dir: &Path,
     attach: impl FnOnce(&mut bt_swarm::Swarm),
 ) -> Result<(bt_swarm::SwarmMetrics, Option<bt_swarm::DoctorReport>), CliError> {
-    let mut swarm = build_swarm(a, command)?;
+    let mut swarm = build_swarm(a, command, run_dir)?;
     attach(&mut swarm);
-    if a.profile.is_some() {
+    if a.profile {
         swarm.attach_profiler(bt_obs::ProfileOptions {
             seed: a.seed,
             ..bt_obs::ProfileOptions::default()
         });
     }
     let (metrics, profile, report) = swarm.run_diagnosed();
-    if let Some(profile_path) = &a.profile {
+    if a.profile {
+        let path = run_dir.join(PROFILE_FILE);
         profile
-            .write_artifacts(std::path::Path::new(profile_path))
-            .map_err(|e| format!("cannot write profile {profile_path}: {e}"))?;
-        tracing::info!(target: "btlab", path = profile_path.as_str(); "profile written");
+            .write_artifacts(&path)
+            .map_err(|e| format!("cannot write profile {}: {e}", path.display()))?;
+        tracing::info!(target: "btlab", path = path.display().to_string(); "profile written");
     }
     Ok((metrics, report))
 }
 
 /// Executes a parsed command, writing human-readable output to `out`.
+/// `swarm` and `doctor` write their artifacts to `run_dir` under fixed
+/// names, and `trend` reads the ledger there by default.
 ///
 /// # Errors
 ///
 /// Returns a [`CliError`] for configuration, data, or I/O failures;
 /// its [`CliError::exit_code`] tells the binary how to exit.
-pub fn run<W: std::io::Write>(command: Command, out: &mut W) -> Result<(), CliError> {
+pub fn run<W: std::io::Write>(
+    command: Command,
+    run_dir: &Path,
+    out: &mut W,
+) -> Result<(), CliError> {
     let config_hash = command.config_hash();
     match command {
         Command::Help => write!(out, "{USAGE}").map_err(CliError::from),
         Command::Swarm(a) => {
             tracing::info!(target: "btlab", pieces = a.pieces, rounds = a.rounds, seed = a.seed; "running swarm simulation");
-            let (metrics, _) = run_swarm(&a, "swarm", |_| {})?;
-            if let Some(path) = &a.telemetry {
-                tracing::info!(target: "btlab", path = path.as_str(); "telemetry stream written");
+            let (metrics, _) = run_swarm(&a, "swarm", run_dir, |_| {})?;
+            if a.telemetry.is_some() {
+                tracing::info!(target: "btlab", path = run_dir.join(TELEMETRY_FILE).display().to_string(); "telemetry stream written");
             }
-            if let Some(path) = &a.cohort {
-                tracing::info!(target: "btlab", path = path.as_str(), size = a.cohort_size; "cohort trace written");
+            if let Some(size) = a.cohort {
+                tracing::info!(target: "btlab", path = run_dir.join(COHORT_FILE).display().to_string(), size = size; "cohort trace written");
             }
             if a.json {
                 let json = serde_json::to_string_pretty(&metrics)
@@ -1363,8 +1413,8 @@ pub fn run<W: std::io::Write>(command: Command, out: &mut W) -> Result<(), CliEr
         Command::Report(a) => run_report(&a, out),
         Command::Profile(a) => run_profile(&a, out),
         Command::Compare(a) => run_compare(&a, out),
-        Command::Doctor(a) => run_doctor(&a, &config_hash, out),
-        Command::Trend(a) => run_trend(&a, out),
+        Command::Doctor(a) => run_doctor(&a, &config_hash, run_dir, out),
+        Command::Trend(a) => run_trend(&a, run_dir, out),
         Command::Watch(a) => run_watch(&a, out),
         Command::Lint(a) => {
             let root = a.root.clone().unwrap_or_else(|| ".".to_string());
@@ -1918,95 +1968,46 @@ fn run_profile<W: std::io::Write>(a: &ProfileArgs, out: &mut W) -> Result<(), Cl
     Ok(())
 }
 
-/// One side of a `btlab compare`: per-stage wall seconds plus an
-/// optional throughput figure, extracted from either artifact shape.
-struct CompareSide {
-    stages: Vec<(String, f64)>,
-    rounds_per_sec: Option<f64>,
-    /// Observer wall-time share from a run manifest; `None` for profile
-    /// reports, which do not record it.
-    obs_share: Option<f64>,
-    obs_wall_secs: f64,
-    /// Worker-thread count from a run manifest (pre-field manifests
-    /// count as 1); `None` for profile reports. Timing comparisons are
-    /// only meaningful at equal thread counts.
-    threads: Option<u32>,
-    /// Peak resident-set size from a run manifest; `None` for profile
-    /// reports, 0 for manifests written before memory telemetry (or
-    /// off-procfs platforms).
-    peak_rss_bytes: Option<u64>,
+/// Loads a run manifest for `btlab compare`. A missing or malformed
+/// document — a profile report included — and a schema-version
+/// mismatch map to [`CliError::Invalid`] (exit 2), so CI can tell "the
+/// candidate regressed" (exit 1) apart from "the inputs were garbage".
+fn load_manifest(path: &str) -> Result<bt_obs::RunManifest, CliError> {
+    let manifest: bt_obs::RunManifest =
+        bt_obs::records::read_doc(Path::new(path)).map_err(|e| {
+            match read_error("manifest", e) {
+                CliError::Invalid(message) => CliError::Invalid(format!(
+                    "{message}; compare reads run manifests such as manifest-swarm.json \
+                 (summarize a profile.json with `btlab profile`)"
+                )),
+                failure => failure,
+            }
+        })?;
+    if manifest.schema_version != bt_obs::MANIFEST_SCHEMA_VERSION {
+        return Err(CliError::Invalid(format!(
+            "{path}: manifest schema_version {} does not match the supported version {}",
+            manifest.schema_version,
+            bt_obs::MANIFEST_SCHEMA_VERSION
+        )));
+    }
+    Ok(manifest)
 }
 
-/// Loads `path` as either a [`bt_obs::ProfileReport`] (from
-/// `swarm --profile`) or a [`bt_obs::RunManifest`] (e.g. the
-/// `manifest-swarm.json` every `btlab swarm` run writes), detected by
-/// shape.
-///
-/// Every data problem — a missing file, malformed JSON, an
-/// unrecognized document shape, or a schema-version mismatch — maps to
-/// [`CliError::Invalid`] (exit 2), so CI can tell "the candidate
-/// regressed" (exit 1) apart from "the inputs were garbage".
-fn load_compare_side(path: &str) -> Result<CompareSide, CliError> {
-    let invalid = |message: String| CliError::Invalid(message);
-    // Sniff the document's shape, then read it again as that type.
-    let doc = std::path::Path::new(path);
-    let value: serde_json::Value =
-        bt_obs::records::read_doc(doc).map_err(|e| read_error("comparison input", e))?;
-    if value.get("stages").is_some() && value.get("round_latency").is_some() {
-        let report: bt_obs::ProfileReport =
-            bt_obs::records::read_doc(doc).map_err(|e| read_error("profile", e))?;
-        if report.schema_version != bt_obs::PROFILE_SCHEMA_VERSION {
-            return Err(invalid(format!(
-                "{path}: profile schema_version {} does not match the supported version {}",
-                report.schema_version,
-                bt_obs::PROFILE_SCHEMA_VERSION
-            )));
-        }
-        Ok(CompareSide {
-            stages: report
-                .stages
-                .iter()
-                .map(|s| (s.name.clone(), s.total_secs))
-                .collect(),
-            rounds_per_sec: (report.rounds_per_sec > 0.0).then_some(report.rounds_per_sec),
-            obs_share: None,
-            obs_wall_secs: 0.0,
-            threads: None,
-            peak_rss_bytes: None,
-        })
-    } else if value.get("phase_secs").is_some() {
-        let manifest: bt_obs::RunManifest =
-            bt_obs::records::read_doc(doc).map_err(|e| read_error("manifest", e))?;
-        if manifest.schema_version != bt_obs::MANIFEST_SCHEMA_VERSION {
-            return Err(invalid(format!(
-                "{path}: manifest schema_version {} does not match the supported version {}",
-                manifest.schema_version,
-                bt_obs::MANIFEST_SCHEMA_VERSION
-            )));
-        }
-        let stages = manifest
-            .phase_secs
-            .iter()
-            .filter_map(|(name, secs)| name.strip_prefix("round.").map(|s| (s.to_string(), *secs)))
-            .collect();
-        let rounds_per_sec = manifest.counter("swarm.rounds").and_then(|rounds| {
-            (rounds > 0 && manifest.wall_clock_secs > 0.0)
-                .then(|| rounds as f64 / manifest.wall_clock_secs)
-        });
-        Ok(CompareSide {
-            stages,
-            rounds_per_sec,
-            obs_share: Some(manifest.obs_share),
-            obs_wall_secs: manifest.obs_wall_secs,
-            threads: Some(manifest.threads.max(1)),
-            peak_rss_bytes: Some(manifest.peak_rss_bytes),
-        })
-    } else {
-        Err(invalid(format!(
-            "{path}: neither a profile report (stages + round_latency) nor a run manifest \
-             (phase_secs)"
-        )))
-    }
+/// A manifest's per-stage wall seconds: its `round.<stage>` timers.
+fn stage_secs(manifest: &bt_obs::RunManifest) -> Vec<(&str, f64)> {
+    manifest
+        .phase_secs
+        .iter()
+        .filter_map(|(name, secs)| name.strip_prefix("round.").map(|stage| (stage, *secs)))
+        .collect()
+}
+
+/// A manifest's rounds per wall second, when it ran any rounds.
+fn rounds_per_sec(manifest: &bt_obs::RunManifest) -> Option<f64> {
+    manifest.counter("swarm.rounds").and_then(|rounds| {
+        (rounds > 0 && manifest.wall_clock_secs > 0.0)
+            .then(|| rounds as f64 / manifest.wall_clock_secs)
+    })
 }
 
 /// Baseline stage times below this floor are noise; they never flag a
@@ -2019,22 +2020,22 @@ const COMPARE_MIN_STAGE_SECS: f64 = 1e-6;
 fn run_compare<W: std::io::Write>(a: &CompareArgs, out: &mut W) -> Result<(), CliError> {
     // Gate-only mode: one manifest, no baseline to diff against.
     if a.baseline == a.candidate && a.obs_budget.is_some() {
-        let candidate = load_compare_side(&a.candidate)?;
+        let candidate = load_manifest(&a.candidate)?;
         return check_obs_budget(a, &candidate, out);
     }
-    let baseline = load_compare_side(&a.baseline)?;
-    let candidate = load_compare_side(&a.candidate)?;
+    let baseline = load_manifest(&a.baseline)?;
+    let candidate = load_manifest(&a.candidate)?;
     // Timing deltas between runs at different worker-thread counts
     // measure the parallelism knob, not a code change; refuse the
     // mismatch as bad input rather than reporting a bogus verdict.
-    if let (Some(b), Some(c)) = (baseline.threads, candidate.threads) {
-        if b != c {
-            return Err(CliError::Invalid(format!(
-                "thread-count mismatch: baseline {} ran with threads={b}, candidate {} with \
-                 threads={c}; rerun one side so the counts match",
-                a.baseline, a.candidate
-            )));
-        }
+    // Manifests written before the field existed record 0: serial runs.
+    let (b, c) = (baseline.threads.max(1), candidate.threads.max(1));
+    if b != c {
+        return Err(CliError::Invalid(format!(
+            "thread-count mismatch: baseline {} ran with threads={b}, candidate {} with \
+             threads={c}; rerun one side so the counts match",
+            a.baseline, a.candidate
+        )));
     }
     writeln!(
         out,
@@ -2049,21 +2050,25 @@ fn run_compare<W: std::io::Write>(a: &CompareArgs, out: &mut W) -> Result<(), Cl
         "stage", "baseline_s", "candidate_s", "delta"
     )?;
 
-    let mut names: Vec<&str> = baseline.stages.iter().map(|(n, _)| n.as_str()).collect();
-    for (n, _) in &candidate.stages {
-        if !names.contains(&n.as_str()) {
-            names.push(n.as_str());
+    let (baseline_stages, candidate_stages) = (stage_secs(&baseline), stage_secs(&candidate));
+    let mut names: Vec<&str> = baseline_stages.iter().map(|(n, _)| *n).collect();
+    for (n, _) in &candidate_stages {
+        if !names.contains(n) {
+            names.push(n);
         }
     }
-    let lookup = |side: &CompareSide, name: &str| -> Option<f64> {
-        side.stages
+    let lookup = |stages: &[(&str, f64)], name: &str| -> Option<f64> {
+        stages
             .iter()
-            .find(|(n, _)| n == name)
+            .find(|(n, _)| *n == name)
             .map(|(_, secs)| *secs)
     };
     let mut regressions: Vec<String> = Vec::new();
     for name in &names {
-        match (lookup(&baseline, name), lookup(&candidate, name)) {
+        match (
+            lookup(&baseline_stages, name),
+            lookup(&candidate_stages, name),
+        ) {
             (Some(b), Some(c)) => {
                 let delta_pct = if b > 0.0 { (c - b) / b * 100.0 } else { 0.0 };
                 let regressed = b >= COMPARE_MIN_STAGE_SECS && c > b * (1.0 + a.tolerance);
@@ -2087,7 +2092,7 @@ fn run_compare<W: std::io::Write>(a: &CompareArgs, out: &mut W) -> Result<(), Cl
             (None, None) => {}
         }
     }
-    if let (Some(b), Some(c)) = (baseline.rounds_per_sec, candidate.rounds_per_sec) {
+    if let (Some(b), Some(c)) = (rounds_per_sec(&baseline), rounds_per_sec(&candidate)) {
         let delta_pct = (c - b) / b * 100.0;
         let regressed = c < b * (1.0 - a.tolerance);
         let verdict = if regressed { "REGRESSED" } else { "ok" };
@@ -2122,25 +2127,17 @@ fn run_compare<W: std::io::Write>(a: &CompareArgs, out: &mut W) -> Result<(), Cl
 /// Enforces `--obs-budget`: the candidate manifest's observer wall-time
 /// share (`obs_share`, the fraction of total wall time spent in the
 /// `obs.*` phase timers — telemetry capture and doctor checks) must not
-/// exceed the budget. A profile report has no `obs_share`, so gating one
-/// is a data error (exit 2); an over-budget manifest is a run failure
-/// (exit 1). Without `--obs-budget` this is a no-op.
+/// exceed the budget; an over-budget manifest is a run failure (exit
+/// 1). Without `--obs-budget` this is a no-op.
 fn check_obs_budget<W: std::io::Write>(
     a: &CompareArgs,
-    candidate: &CompareSide,
+    candidate: &bt_obs::RunManifest,
     out: &mut W,
 ) -> Result<(), CliError> {
     let Some(budget_pct) = a.obs_budget else {
         return Ok(());
     };
-    let Some(share) = candidate.obs_share else {
-        return Err(CliError::Invalid(format!(
-            "{}: --obs-budget needs a run manifest candidate (profile reports do not \
-             record an observer wall-time share)",
-            a.candidate
-        )));
-    };
-    let share_pct = share * 100.0;
+    let share_pct = candidate.obs_share * 100.0;
     let verdict = if share_pct > budget_pct {
         "OVER BUDGET"
     } else {
@@ -2166,14 +2163,14 @@ fn check_obs_budget<W: std::io::Write>(
 /// exceed the baseline's by more than the budget percentage. Peak RSS
 /// is machine-dependent, so the gate is relative headroom over a
 /// baseline recorded on the same hardware — never an absolute number.
-/// Inputs without memory telemetry (profile reports, manifests written
-/// before the field existed, off-procfs platforms recording 0) are a
-/// data error (exit 2); an over-budget candidate is a run failure
-/// (exit 1). Without `--mem-budget` this is a no-op.
+/// Manifests without memory telemetry (written before the field
+/// existed, or on off-procfs platforms, recording 0) are a data error
+/// (exit 2); an over-budget candidate is a run failure (exit 1).
+/// Without `--mem-budget` this is a no-op.
 fn check_mem_budget<W: std::io::Write>(
     a: &CompareArgs,
-    baseline: &CompareSide,
-    candidate: &CompareSide,
+    baseline: &bt_obs::RunManifest,
+    candidate: &bt_obs::RunManifest,
     out: &mut W,
 ) -> Result<(), CliError> {
     let Some(budget_pct) = a.mem_budget else {
@@ -2185,14 +2182,13 @@ fn check_mem_budget<W: std::io::Write>(
              (peak_rss_bytes > 0); regenerate the manifest on a procfs platform"
         ))
     };
-    let base = baseline
-        .peak_rss_bytes
-        .filter(|&b| b > 0)
-        .ok_or_else(|| missing(&a.baseline))?;
-    let cand = candidate
-        .peak_rss_bytes
-        .filter(|&c| c > 0)
-        .ok_or_else(|| missing(&a.candidate))?;
+    let (base, cand) = (baseline.peak_rss_bytes, candidate.peak_rss_bytes);
+    if base == 0 {
+        return Err(missing(&a.baseline));
+    }
+    if cand == 0 {
+        return Err(missing(&a.candidate));
+    }
     let mib = |bytes: u64| bytes as f64 / (1024.0 * 1024.0);
     let delta_pct = (cand as f64 - base as f64) / base as f64 * 100.0;
     let over = delta_pct > budget_pct;
@@ -2215,14 +2211,6 @@ fn check_mem_budget<W: std::io::Write>(
     Ok(())
 }
 
-/// The directory run artifacts default to: `$BT_MANIFEST_DIR`, then
-/// `results/`.
-fn manifest_dir() -> std::path::PathBuf {
-    std::env::var_os("BT_MANIFEST_DIR")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::path::PathBuf::from("results"))
-}
-
 /// How many violations `btlab doctor` prints in full before eliding;
 /// a broken invariant usually fires on every subsequent check, so the
 /// tail repeats the head.
@@ -2231,10 +2219,12 @@ const DOCTOR_MAX_PRINTED_VIOLATIONS: usize = 20;
 /// Executes `btlab doctor`: a swarm run with the invariant monitors
 /// sampling at `--cadence`, summarizing violations (and the diagnosis
 /// bundle, when one was written) and failing when any invariant broke.
-/// The bundle directory is named after the run's `config_hash`.
+/// The bundle directory, in `run_dir`, is named after the run's
+/// `config_hash`.
 fn run_doctor<W: std::io::Write>(
     a: &DoctorArgs,
     config_hash: &str,
+    run_dir: &Path,
     out: &mut W,
 ) -> Result<(), CliError> {
     let run_id = format!(
@@ -2243,17 +2233,12 @@ fn run_doctor<W: std::io::Write>(
         &config_hash[..config_hash.len().min(8)]
     );
     tracing::info!(target: "btlab", seed = a.swarm.seed, cadence = a.cadence, run_id = run_id.as_str(); "running doctored swarm");
-    let bundle_root = a
-        .bundle_dir
-        .clone()
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(manifest_dir);
-    let (metrics, report) = run_swarm(&a.swarm, "doctor", |swarm| {
+    let (metrics, report) = run_swarm(&a.swarm, "doctor", run_dir, |swarm| {
         swarm.attach_doctor(bt_swarm::DoctorOptions {
             cadence: a.cadence,
             entropy_floor: a.floor,
             entropy_min_population: a.min_population,
-            bundle_root: Some(bundle_root),
+            bundle_root: Some(run_dir.to_path_buf()),
             run_id,
             stall_rounds: a.stall_rounds,
             ..bt_swarm::DoctorOptions::default()
@@ -2326,12 +2311,16 @@ fn median(mut values: Vec<f64>) -> f64 {
 /// metrics that drifted beyond the tolerance against the median of
 /// matching prior runs. Advisory: exits 0 on any readable ledger. A
 /// final record cut short by an interrupted append is skipped.
-fn run_trend<W: std::io::Write>(a: &TrendArgs, out: &mut W) -> Result<(), CliError> {
+fn run_trend<W: std::io::Write>(
+    a: &TrendArgs,
+    run_dir: &Path,
+    out: &mut W,
+) -> Result<(), CliError> {
     let path = a
         .ledger
         .clone()
         .map(std::path::PathBuf::from)
-        .unwrap_or_else(bt_obs::default_ledger_path);
+        .unwrap_or_else(|| bt_obs::ledger_path(run_dir));
     // Cap the ledger before reading: the oldest lines move to a `.1`
     // archive once the file outgrows --max-ledger-bytes, so an
     // always-appending ledger cannot grow without bound.
@@ -2641,23 +2630,28 @@ fn format_eta(secs: f64) -> String {
 mod tests {
     use super::*;
 
-    fn args(list: &[&str]) -> Vec<String> {
-        list.iter().map(|s| s.to_string()).collect()
+    /// A command line's words.
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_string).collect()
+    }
+
+    /// A fresh run directory for one test, under the system temp dir.
+    fn run_dir(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("btlab-cli-{name}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
     }
 
     #[test]
     fn empty_is_help() {
         assert_eq!(parse(&[]).unwrap(), Command::Help);
-        assert_eq!(parse(&args(&["help"])).unwrap(), Command::Help);
-        assert_eq!(parse(&args(&["--help"])).unwrap(), Command::Help);
+        assert_eq!(parse(&args("help")).unwrap(), Command::Help);
+        assert_eq!(parse(&args("--help")).unwrap(), Command::Help);
     }
 
     #[test]
     fn swarm_defaults_and_overrides() {
-        let cmd = parse(&args(&[
-            "swarm", "--pieces", "50", "--shake", "0.9", "--json",
-        ]))
-        .unwrap();
+        let cmd = parse(&args("swarm --pieces 50 --shake 0.9 --json")).unwrap();
         let Command::Swarm(a) = cmd else {
             panic!("expected swarm");
         };
@@ -2669,43 +2663,25 @@ mod tests {
 
     #[test]
     fn disable_stage_parses_and_validates() {
-        let cmd = parse(&args(&["swarm", "--disable-stage", "shake,depart"])).unwrap();
+        let cmd = parse(&args("swarm --disable-stage shake,depart")).unwrap();
         let Command::Swarm(a) = cmd else {
             panic!("expected swarm");
         };
         assert_eq!(a.disabled_stages, vec!["shake", "depart"]);
-        let err = parse(&args(&["swarm", "--disable-stage", "teleport"])).unwrap_err();
+        let err = parse(&args("swarm --disable-stage teleport")).unwrap_err();
         assert!(err.contains("unknown stage `teleport`"), "{err}");
         assert!(err.contains("maintain"), "error lists known stages: {err}");
     }
 
     #[test]
     fn disable_stage_runs_an_ablated_pipeline() {
+        let dir = run_dir("disable-stage-runs-an-ablated-pipeline");
         // Without departures, completed peers linger: population equals
         // arrivals and no completions are recorded.
-        let cmd = parse(&args(&[
-            "swarm",
-            "--pieces",
-            "8",
-            "--k",
-            "3",
-            "--s",
-            "6",
-            "--lambda",
-            "0.0",
-            "--initial",
-            "10",
-            "--rounds",
-            "60",
-            "--seed",
-            "5",
-            "--json",
-            "--disable-stage",
-            "depart",
-        ]))
+        let cmd = parse(&args("swarm --pieces 8 --k 3 --s 6 --lambda 0.0 --initial 10 --rounds 60 --seed 5 --json --disable-stage depart"))
         .unwrap();
         let mut buf = Vec::new();
-        run(cmd, &mut buf).unwrap();
+        run(cmd, &dir, &mut buf).unwrap();
         let metrics: serde_json::Value = serde_json::from_slice(&buf).expect("json metrics");
         assert_eq!(metrics.get("departures").and_then(|v| v.as_u64()), Some(0));
         assert_eq!(metrics.get("rounds_run").and_then(|v| v.as_u64()), Some(60));
@@ -2713,7 +2689,7 @@ mod tests {
 
     #[test]
     fn model_parses() {
-        let cmd = parse(&args(&["model", "--alpha", "0.5", "--replications", "10"])).unwrap();
+        let cmd = parse(&args("model --alpha 0.5 --replications 10")).unwrap();
         let Command::Model(a) = cmd else {
             panic!("expected model");
         };
@@ -2723,15 +2699,8 @@ mod tests {
 
     #[test]
     fn traces_requires_out() {
-        assert!(parse(&args(&["traces"])).is_err());
-        let cmd = parse(&args(&[
-            "traces",
-            "--out",
-            "x.jsonl",
-            "--scenario",
-            "last-phase",
-        ]))
-        .unwrap();
+        assert!(parse(&args("traces")).is_err());
+        let cmd = parse(&args("traces --out x.jsonl --scenario last-phase")).unwrap();
         let Command::Traces(a) = cmd else {
             panic!("expected traces");
         };
@@ -2741,34 +2710,24 @@ mod tests {
 
     #[test]
     fn analyze_requires_input() {
-        assert!(parse(&args(&["analyze"])).is_err());
-        assert!(parse(&args(&["analyze", "--input", "f.jsonl"])).is_ok());
+        assert!(parse(&args("analyze")).is_err());
+        assert!(parse(&args("analyze --input f.jsonl")).is_ok());
     }
 
     #[test]
     fn rejects_unknown_command_and_flags() {
-        assert!(parse(&args(&["frobnicate"])).is_err());
-        assert!(parse(&args(&["swarm", "--warp", "9"])).is_err());
-        assert!(parse(&args(&["swarm", "oops"])).is_err());
-        assert!(parse(&args(&["swarm", "--pieces", "NaNery"])).is_err());
+        assert!(parse(&args("frobnicate")).is_err());
+        assert!(parse(&args("swarm --warp 9")).is_err());
+        assert!(parse(&args("swarm oops")).is_err());
+        assert!(parse(&args("swarm --pieces NaNery")).is_err());
     }
 
     #[test]
     fn run_swarm_prints_summary() {
-        let cmd = parse(&args(&[
-            "swarm",
-            "--pieces",
-            "10",
-            "--rounds",
-            "60",
-            "--initial",
-            "8",
-            "--seed",
-            "3",
-        ]))
-        .unwrap();
+        let dir = run_dir("run-swarm-prints-summary");
+        let cmd = parse(&args("swarm --pieces 10 --rounds 60 --initial 8 --seed 3")).unwrap();
         let mut buf = Vec::new();
-        run(cmd, &mut buf).unwrap();
+        run(cmd, &dir, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("completions="), "{text}");
         assert!(text.contains("final_entropy="), "{text}");
@@ -2776,24 +2735,17 @@ mod tests {
 
     #[test]
     fn run_model_prints_summary() {
-        let cmd = parse(&args(&[
-            "model",
-            "--pieces",
-            "15",
-            "--replications",
-            "20",
-            "--seed",
-            "2",
-        ]))
-        .unwrap();
+        let dir = run_dir("run-model-prints-summary");
+        let cmd = parse(&args("model --pieces 15 --replications 20 --seed 2")).unwrap();
         let mut buf = Vec::new();
-        run(cmd, &mut buf).unwrap();
+        run(cmd, &dir, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("expected_download_rounds="), "{text}");
     }
 
     #[test]
     fn run_traces_then_analyze() {
+        let dir = run_dir("run-traces-then-analyze");
         let path = std::env::temp_dir().join("btlab-cli-test.jsonl");
         let path_str = path.to_str().unwrap().to_string();
         let mut buf = Vec::new();
@@ -2804,11 +2756,17 @@ mod tests {
                 out: path_str.clone(),
                 seed: 1,
             }),
+            &dir,
             &mut buf,
         )
         .unwrap();
         let mut buf2 = Vec::new();
-        run(Command::Analyze(AnalyzeArgs { input: path_str }), &mut buf2).unwrap();
+        run(
+            Command::Analyze(AnalyzeArgs { input: path_str }),
+            &dir,
+            &mut buf2,
+        )
+        .unwrap();
         let text = String::from_utf8(buf2).unwrap();
         assert!(text.contains("smooth-"), "{text}");
         std::fs::remove_file(&path).ok();
@@ -2817,10 +2775,10 @@ mod tests {
     #[test]
     fn lint_parses_and_validates() {
         assert_eq!(
-            parse(&args(&["lint"])).unwrap(),
+            parse(&args("lint")).unwrap(),
             Command::Lint(LintArgs::default())
         );
-        let cmd = parse(&args(&["lint", "--root", "/tmp/x", "--format", "json"])).unwrap();
+        let cmd = parse(&args("lint --root /tmp/x --format json")).unwrap();
         assert_eq!(
             cmd,
             Command::Lint(LintArgs {
@@ -2832,39 +2790,41 @@ mod tests {
         assert_eq!(cmd.name(), "lint");
         assert_eq!(cmd.seed(), None);
         assert_eq!(
-            parse(&args(&["lint", "--stage-matrix"])).unwrap(),
+            parse(&args("lint --stage-matrix")).unwrap(),
             Command::Lint(LintArgs {
                 root: None,
                 json: false,
                 stage_matrix: true,
             })
         );
-        assert!(parse(&args(&["lint", "--format", "yaml"])).is_err());
-        assert!(parse(&args(&["lint", "--fix"])).is_err());
+        assert!(parse(&args("lint --format yaml")).is_err());
+        assert!(parse(&args("lint --fix")).is_err());
     }
 
     #[test]
     fn run_lint_on_workspace_is_clean() {
+        let dir = run_dir("run-lint-on-workspace-is-clean");
         let cmd = Command::Lint(LintArgs {
             root: Some(env!("CARGO_MANIFEST_DIR").to_string()),
             json: false,
             stage_matrix: false,
         });
         let mut buf = Vec::new();
-        run(cmd, &mut buf).unwrap();
+        run(cmd, &dir, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("0 blocking finding(s)"), "{text}");
     }
 
     #[test]
     fn run_lint_stage_matrix_emits_schema() {
+        let dir = run_dir("run-lint-stage-matrix-emits-schema");
         let cmd = Command::Lint(LintArgs {
             root: Some(env!("CARGO_MANIFEST_DIR").to_string()),
             json: false,
             stage_matrix: true,
         });
         let mut buf = Vec::new();
-        run(cmd, &mut buf).unwrap();
+        run(cmd, &dir, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(
             text.contains("\"schema\": \"bt-lint/stage-matrix/v1\""),
@@ -2875,11 +2835,11 @@ mod tests {
 
     #[test]
     fn figure_parses_and_validates() {
-        assert!(parse(&args(&["figure"])).is_err());
-        let cmd = parse(&args(&["figure", "--id", "fig4a"])).unwrap();
+        assert!(parse(&args("figure")).is_err());
+        let cmd = parse(&args("figure --id fig4a")).unwrap();
         assert_eq!(cmd, Command::Figure(FigureArgs { id: "fig4a".into() }));
         // An unknown id is a usage error (exit 2), naming the known ids.
-        let err = parse(&args(&["figure", "--id", "nope"])).unwrap_err();
+        let err = parse(&args("figure --id nope")).unwrap_err();
         assert!(err.contains("unknown figure id `nope`"), "{err}");
         assert!(
             err.contains("fig4a") && err.contains("transient_phases"),
@@ -2889,104 +2849,81 @@ mod tests {
 
     #[test]
     fn log_options_strip_anywhere() {
-        let (opts, rest) = extract_log_options(&args(&[
-            "swarm",
-            "--pieces",
-            "10",
-            "--log",
-            "json",
-            "--seed",
-            "4",
-            "--log-filter",
-            "info,bt_swarm=debug",
-        ]))
-        .unwrap();
+        let line = "swarm --pieces 10 --log json --seed 4 --log-filter info,bt_swarm=debug";
+        let (opts, rest) = extract_log_options(&args(line)).unwrap();
         assert_eq!(opts.mode, Some(LogMode::Json));
         assert_eq!(opts.filter.as_deref(), Some("info,bt_swarm=debug"));
-        assert_eq!(rest, args(&["swarm", "--pieces", "10", "--seed", "4"]));
+        assert_eq!(rest, args("swarm --pieces 10 --seed 4"));
 
         // Leading position works too, and absence leaves defaults.
-        let (opts, rest) = extract_log_options(&args(&["--log", "quiet", "help"])).unwrap();
+        let (opts, rest) = extract_log_options(&args("--log quiet help")).unwrap();
         assert_eq!(opts.mode, Some(LogMode::Quiet));
-        assert_eq!(rest, args(&["help"]));
-        let (opts, _) = extract_log_options(&args(&["help"])).unwrap();
+        assert_eq!(rest, args("help"));
+        let (opts, _) = extract_log_options(&args("help")).unwrap();
         assert_eq!(opts, LogOptions::default());
     }
 
     #[test]
     fn log_options_reject_bad_input() {
-        assert!(extract_log_options(&args(&["--log"])).is_err());
-        assert!(extract_log_options(&args(&["--log", "loud"])).is_err());
-        assert!(extract_log_options(&args(&["--log-filter"])).is_err());
-        assert!(extract_log_options(&args(&["--log-filter", "bt_swarm=shouty"])).is_err());
+        assert!(extract_log_options(&args("--log")).is_err());
+        assert!(extract_log_options(&args("--log loud")).is_err());
+        assert!(extract_log_options(&args("--log-filter")).is_err());
+        assert!(extract_log_options(&args("--log-filter bt_swarm=shouty")).is_err());
     }
 
     #[test]
     fn command_name_and_seed() {
-        let cmd = parse(&args(&["swarm", "--seed", "9"])).unwrap();
+        let cmd = parse(&args("swarm --seed 9")).unwrap();
         assert_eq!(cmd.name(), "swarm");
         assert_eq!(cmd.seed(), Some(9));
         assert_eq!(Command::Help.name(), "help");
         assert_eq!(Command::Help.seed(), None);
-        let cmd = parse(&args(&["figure", "--id", "fig2"])).unwrap();
+        let cmd = parse(&args("figure --id fig2")).unwrap();
         assert_eq!(cmd.seed(), None);
     }
 
     #[test]
     fn config_hash_covers_what_is_simulated_not_where_it_is_written() {
-        let hash = |list: &[&str]| parse(&args(list)).unwrap().config_hash();
+        let hash = |line: &str| parse(&args(line)).unwrap().config_hash();
         for command in ["swarm", "doctor"] {
-            let base = hash(&[command, "--pieces", "20", "--seed", "4"]);
+            let base = hash(&format!("{command} --pieces 20 --seed 4"));
             for extra in [
-                &["--threads", "8"][..],
-                &["--telemetry", "t.jsonl"],
-                &["--cohort", "c.cohort"],
-                &["--profile", "p.json"],
-                &["--heartbeat", "run"],
-                &["--heartbeat-secs", "0"],
-                &["--json"],
+                "--threads 8",
+                "--telemetry 5",
+                "--cohort 4",
+                "--profile",
+                "--heartbeat 0",
+                "--json",
             ] {
-                let with = hash(&[&[command, "--pieces", "20", "--seed", "4"][..], extra].concat());
-                assert_eq!(with, base, "{command} {extra:?} changed the hash");
+                let with = hash(&format!("{command} --pieces 20 --seed 4 {extra}"));
+                assert_eq!(with, base, "{command} {extra} changed the hash");
             }
             for changed in [
-                &[command, "--pieces", "20", "--seed", "5"][..],
-                &[command, "--pieces", "21", "--seed", "4"],
-                &[
-                    command,
-                    "--pieces",
-                    "20",
-                    "--seed",
-                    "4",
-                    "--disable-stage",
-                    "depart",
-                ],
+                "--pieces 20 --seed 5",
+                "--pieces 21 --seed 4",
+                "--pieces 20 --seed 4 --disable-stage depart",
             ] {
-                assert_ne!(hash(changed), base, "{changed:?} kept the hash");
+                assert_ne!(
+                    hash(&format!("{command} {changed}")),
+                    base,
+                    "{changed} kept the hash"
+                );
             }
         }
         assert_ne!(
-            hash(&["doctor", "--pieces", "20", "--seed", "4"]),
-            hash(&["swarm", "--pieces", "20", "--seed", "4"]),
+            hash("doctor --pieces 20 --seed 4"),
+            hash("swarm --pieces 20 --seed 4"),
             "the monitor settings are part of a doctor run's identity"
         );
         assert_ne!(
-            hash(&[
-                "doctor",
-                "--pieces",
-                "20",
-                "--seed",
-                "4",
-                "--inject-fault",
-                "index-drift@3"
-            ]),
-            hash(&["doctor", "--pieces", "20", "--seed", "4"]),
+            hash("doctor --pieces 20 --seed 4 --inject-fault index-drift@3"),
+            hash("doctor --pieces 20 --seed 4"),
         );
     }
 
     #[test]
     fn watch_parses_and_validates() {
-        let cmd = parse(&args(&["watch", "results/scale50k"])).unwrap();
+        let cmd = parse(&args("watch results/scale50k")).unwrap();
         assert_eq!(
             cmd,
             Command::Watch(WatchArgs {
@@ -2998,15 +2935,9 @@ mod tests {
         );
         assert_eq!(cmd.name(), "watch");
         assert_eq!(cmd.seed(), None);
-        let cmd = parse(&args(&[
-            "watch",
-            "d",
-            "--timeout-secs",
-            "30",
-            "--interval-secs",
-            "0.2",
-            "--json",
-        ]))
+        let cmd = parse(&args(
+            "watch d --timeout-secs 30 --interval-secs 0.2 --json",
+        ))
         .unwrap();
         let Command::Watch(a) = cmd else {
             panic!("expected watch");
@@ -3014,78 +2945,57 @@ mod tests {
         assert_eq!(a.timeout_secs, Some(30.0));
         assert!((a.interval_secs - 0.2).abs() < 1e-12);
         assert!(a.json);
-        assert!(parse(&args(&["watch"])).is_err());
-        assert!(parse(&args(&["watch", "a", "b"])).is_err());
-        assert!(parse(&args(&["watch", "d", "--timeout-secs", "0"])).is_err());
-        assert!(parse(&args(&["watch", "d", "--interval-secs", "-1"])).is_err());
-        assert!(parse(&args(&["watch", "d", "--follow"])).is_err());
+        assert!(parse(&args("watch")).is_err());
+        assert!(parse(&args("watch a b")).is_err());
+        assert!(parse(&args("watch d --timeout-secs 0")).is_err());
+        assert!(parse(&args("watch d --interval-secs -1")).is_err());
+        assert!(parse(&args("watch d --follow")).is_err());
     }
 
     #[test]
     fn swarm_heartbeat_flags_parse() {
-        let cmd = parse(&args(&[
-            "swarm",
-            "--heartbeat",
-            "rundir",
-            "--heartbeat-secs",
-            "0.5",
-        ]))
-        .unwrap();
-        let Command::Swarm(a) = cmd else {
-            panic!("expected swarm");
+        let heartbeat = |line: &str| match parse(&args(line)) {
+            Ok(Command::Swarm(a)) => Ok(a.heartbeat),
+            other => other.map(|_| None),
         };
-        assert_eq!(a.heartbeat.as_deref(), Some("rundir"));
-        assert!((a.heartbeat_secs - 0.5).abs() < 1e-12);
-        assert_eq!(SwarmArgs::default().heartbeat, None);
-        assert!(parse(&args(&["swarm", "--heartbeat"])).is_err());
-        assert!(parse(&args(&["swarm", "--heartbeat-secs", "-1"])).is_err());
+        assert_eq!(heartbeat("swarm --heartbeat 0.5"), Ok(Some(0.5)));
+        assert_eq!(heartbeat("swarm --heartbeat"), Ok(Some(1.0)));
+        assert_eq!(heartbeat("swarm"), Ok(None));
+        let err = heartbeat("swarm --heartbeat -1").unwrap_err();
+        assert!(err.contains("must be >= 0"), "{err}");
+        // The directory flag is gone: a path names the run directory.
+        let err = heartbeat("swarm --heartbeat rundir").unwrap_err();
+        assert!(err.contains("$BT_MANIFEST_DIR"), "{err}");
+        let err = heartbeat("swarm --heartbeat-secs 0").unwrap_err();
+        assert!(err.contains("unknown flag"), "{err}");
     }
 
     #[test]
     fn compare_mem_budget_parses_and_validates() {
-        let cmd = parse(&args(&[
-            "compare",
-            "a.json",
-            "b.json",
-            "--mem-budget",
-            "50",
-        ]))
-        .unwrap();
+        let cmd = parse(&args("compare a.json b.json --mem-budget 50")).unwrap();
         let Command::Compare(a) = cmd else {
             panic!("expected compare");
         };
         assert_eq!(a.mem_budget, Some(50.0));
-        assert!(parse(&args(&[
-            "compare",
-            "a.json",
-            "b.json",
-            "--mem-budget",
-            "120"
-        ]))
-        .is_err());
+        assert!(parse(&args("compare a.json b.json --mem-budget 120")).is_err());
         // No gate-only mode for memory: peak RSS is judged relative to
         // a baseline, so one positional cannot carry the gate.
-        assert!(parse(&args(&["compare", "a.json", "--mem-budget", "50"])).is_err());
+        assert!(parse(&args("compare a.json --mem-budget 50")).is_err());
     }
 
     #[test]
     fn swarm_telemetry_flags_parse() {
-        let cmd = parse(&args(&[
-            "swarm",
-            "--observers",
-            "3",
-            "--telemetry",
-            "t.jsonl",
-            "--telemetry-stride",
-            "5",
-        ]))
-        .unwrap();
+        let cmd = parse(&args("swarm --observers 3 --telemetry 5")).unwrap();
         let Command::Swarm(a) = cmd else {
             panic!("expected swarm");
         };
         assert_eq!(a.observers, 3);
-        assert_eq!(a.telemetry.as_deref(), Some("t.jsonl"));
-        assert_eq!(a.telemetry_stride, 5);
+        assert_eq!(a.telemetry, Some(5));
+        let Command::Swarm(a) = parse(&args("swarm --telemetry --json")).unwrap() else {
+            panic!("expected swarm");
+        };
+        assert_eq!(a.telemetry, Some(1), "bare --telemetry samples every round");
+        assert!(a.json);
         // Anomaly capture moved to the doctor: the swarm has no flight
         // recorder flags.
         for gone in [
@@ -3094,30 +3004,27 @@ mod tests {
             "--flight-capacity",
             "--stall-rounds",
         ] {
-            let err = parse(&args(&["swarm", gone, "1"])).unwrap_err();
+            let err = parse(&args(&format!("swarm {gone} 1"))).unwrap_err();
             assert!(err.contains("unknown flag"), "{gone}: {err}");
         }
-        // Telemetry is JSON lines only; paths need values.
-        let err = parse(&args(&["swarm", "--telemetry-format", "csv"])).unwrap_err();
+        // Telemetry is JSON lines only, written to telemetry.jsonl in
+        // the run directory: a path is a usage error naming it.
+        let err = parse(&args("swarm --telemetry-format csv")).unwrap_err();
         assert!(err.contains("unknown flag"), "{err}");
-        assert!(parse(&args(&["swarm", "--telemetry"])).is_err());
+        let err = parse(&args("swarm --telemetry t.jsonl")).unwrap_err();
+        assert!(err.contains("telemetry.jsonl"), "{err}");
+        assert!(err.contains("$BT_MANIFEST_DIR"), "{err}");
+        let err = parse(&args("swarm --telemetry-stride 5")).unwrap_err();
+        assert!(err.contains("unknown flag"), "{err}");
     }
 
     #[test]
     fn report_requires_telemetry() {
-        assert!(parse(&args(&["report"])).is_err());
-        assert!(parse(&args(&["report", "--warp", "9"])).is_err());
-        let cmd = parse(&args(&[
-            "report",
-            "--telemetry",
-            "t.jsonl",
-            "--replications",
-            "10",
-            "--manifest",
-            "m.json",
-            "--seed",
-            "4",
-        ]))
+        assert!(parse(&args("report")).is_err());
+        assert!(parse(&args("report --warp 9")).is_err());
+        let cmd = parse(&args(
+            "report --telemetry t.jsonl --replications 10 --manifest m.json --seed 4",
+        ))
         .unwrap();
         assert_eq!(cmd.name(), "report");
         assert_eq!(cmd.seed(), Some(4));
@@ -3131,22 +3038,16 @@ mod tests {
 
     #[test]
     fn run_swarm_telemetry_then_report() {
-        let path = std::env::temp_dir().join("btlab-cli-telemetry-unit.jsonl");
-        let path_str = path.to_str().unwrap().to_string();
+        let dir = run_dir("run-swarm-telemetry-then-report");
+        let path_str = dir.join("telemetry.jsonl").to_str().unwrap().to_string();
         let swarm_args = SwarmArgs {
-            pieces: 10,
-            k: 3,
-            s: 6,
-            lambda: 0.0,
-            initial: 8,
             rounds: 150,
-            seed: 3,
             observers: 2,
-            telemetry: Some(path_str.clone()),
-            ..SwarmArgs::default()
+            telemetry: Some(1),
+            ..small_swarm(3)
         };
         let mut buf = Vec::new();
-        run(Command::Swarm(swarm_args), &mut buf).unwrap();
+        run(Command::Swarm(swarm_args), &dir, &mut buf).unwrap();
 
         let mut report = Vec::new();
         run(
@@ -3155,6 +3056,7 @@ mod tests {
                 replications: 20,
                 ..ReportArgs::default()
             }),
+            &dir,
             &mut report,
         )
         .unwrap();
@@ -3162,11 +3064,12 @@ mod tests {
         assert!(text.contains("samples="), "{text}");
         assert!(text.contains("detected phase boundaries"), "{text}");
         assert!(text.contains("model comparison"), "{text}");
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn report_rejects_missing_empty_or_truncated_streams_with_exit_2() {
+        let dir = run_dir("report-rejects-missing-empty-or-truncated-streams-with-exit-2");
         let report = |path: &str| {
             let mut buf = Vec::new();
             run(
@@ -3174,6 +3077,7 @@ mod tests {
                     telemetry: Some(path.into()),
                     ..ReportArgs::default()
                 }),
+                &dir,
                 &mut buf,
             )
         };
@@ -3201,22 +3105,17 @@ mod tests {
 
         // A Meta header with zero samples: truncated mid-run.
         let stream = std::env::temp_dir().join("btlab-cli-report-truncated.jsonl");
-        let full = std::env::temp_dir().join("btlab-cli-report-truncated-src.jsonl");
         run(
             Command::Swarm(SwarmArgs {
-                pieces: 8,
-                k: 3,
-                s: 6,
-                lambda: 0.0,
-                initial: 6,
                 rounds: 20,
-                telemetry: Some(full.to_str().unwrap().into()),
-                ..SwarmArgs::default()
+                telemetry: Some(1),
+                ..small_swarm(0)
             }),
+            &dir,
             &mut Vec::new(),
         )
         .unwrap();
-        let text = std::fs::read_to_string(&full).unwrap();
+        let text = std::fs::read_to_string(dir.join("telemetry.jsonl")).unwrap();
         let header = text.lines().next().unwrap();
         assert!(header.contains("Meta"), "first record is the header");
         std::fs::write(&stream, format!("{header}\n")).unwrap();
@@ -3224,19 +3123,20 @@ mod tests {
         assert_eq!(err.exit_code(), 2, "truncated stream is a data error");
         assert!(err.to_string().contains("truncated"), "{err}");
         std::fs::remove_file(&stream).ok();
-        std::fs::remove_file(&full).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn run_help_prints_usage() {
+        let dir = run_dir("run-help-prints-usage");
         let mut buf = Vec::new();
-        run(Command::Help, &mut buf).unwrap();
+        run(Command::Help, &dir, &mut buf).unwrap();
         assert!(String::from_utf8(buf).unwrap().contains("USAGE"));
     }
 
     #[test]
     fn profile_command_parses_positionals_and_flags() {
-        let cmd = parse(&args(&["profile", "p.json"])).unwrap();
+        let cmd = parse(&args("profile p.json")).unwrap();
         assert_eq!(
             cmd,
             Command::Profile(ProfileArgs {
@@ -3247,7 +3147,7 @@ mod tests {
         );
         assert_eq!(cmd.name(), "profile");
         assert_eq!(cmd.seed(), None);
-        let cmd = parse(&args(&["profile", "--top", "3", "p.json"])).unwrap();
+        let cmd = parse(&args("profile --top 3 p.json")).unwrap();
         assert_eq!(
             cmd,
             Command::Profile(ProfileArgs {
@@ -3256,14 +3156,14 @@ mod tests {
                 json: false,
             })
         );
-        assert!(parse(&args(&["profile"])).is_err());
-        assert!(parse(&args(&["profile", "a.json", "b.json"])).is_err());
-        assert!(parse(&args(&["profile", "p.json", "--warp", "9"])).is_err());
+        assert!(parse(&args("profile")).is_err());
+        assert!(parse(&args("profile a.json b.json")).is_err());
+        assert!(parse(&args("profile p.json --warp 9")).is_err());
     }
 
     #[test]
     fn compare_command_parses_positionals_and_flags() {
-        let cmd = parse(&args(&["compare", "base.json", "cand.json"])).unwrap();
+        let cmd = parse(&args("compare base.json cand.json")).unwrap();
         let Command::Compare(a) = &cmd else {
             panic!("expected compare");
         };
@@ -3272,60 +3172,48 @@ mod tests {
         assert!((a.tolerance - 0.10).abs() < 1e-12);
         assert_eq!(cmd.name(), "compare");
         assert_eq!(cmd.seed(), None);
-        let cmd = parse(&args(&[
-            "compare",
-            "--tolerance",
-            "0.25",
-            "base.json",
-            "cand.json",
-        ]))
-        .unwrap();
+        let cmd = parse(&args("compare --tolerance 0.25 base.json cand.json")).unwrap();
         let Command::Compare(a) = cmd else {
             panic!("expected compare");
         };
         assert!((a.tolerance - 0.25).abs() < 1e-12);
-        assert!(parse(&args(&["compare", "only-one.json"])).is_err());
-        assert!(parse(&args(&["compare", "a", "b", "c"])).is_err());
-        assert!(parse(&args(&["compare", "a", "b", "--tolerance", "-0.5"])).is_err());
-        assert!(parse(&args(&["compare", "a", "b", "--warp", "9"])).is_err());
+        assert!(parse(&args("compare only-one.json")).is_err());
+        assert!(parse(&args("compare a b c")).is_err());
+        assert!(parse(&args("compare a b --tolerance -0.5")).is_err());
+        assert!(parse(&args("compare a b --warp 9")).is_err());
 
         // --obs-budget rides along a two-sided compare, and unlocks the
         // single-manifest gate-only form.
-        let cmd = parse(&args(&[
-            "compare",
-            "a.json",
-            "b.json",
-            "--obs-budget",
-            "10",
-        ]))
-        .unwrap();
+        let cmd = parse(&args("compare a.json b.json --obs-budget 10")).unwrap();
         let Command::Compare(a) = cmd else {
             panic!("expected compare");
         };
         assert_eq!(a.obs_budget, Some(10.0));
-        let cmd = parse(&args(&["compare", "m.json", "--obs-budget", "7.5"])).unwrap();
+        let cmd = parse(&args("compare m.json --obs-budget 7.5")).unwrap();
         let Command::Compare(a) = cmd else {
             panic!("expected compare");
         };
         assert_eq!(a.baseline, "m.json");
         assert_eq!(a.candidate, "m.json");
         assert_eq!(a.obs_budget, Some(7.5));
-        assert!(parse(&args(&["compare", "a", "b", "--obs-budget", "150"])).is_err());
-        assert!(parse(&args(&["compare", "a", "b", "--obs-budget", "-1"])).is_err());
+        assert!(parse(&args("compare a b --obs-budget 150")).is_err());
+        assert!(parse(&args("compare a b --obs-budget -1")).is_err());
     }
 
     #[test]
     fn swarm_profile_flag_parses() {
-        let cmd = parse(&args(&["swarm", "--profile", "out/profile.json"])).unwrap();
-        let Command::Swarm(a) = cmd else {
+        let Command::Swarm(a) = parse(&args("swarm --profile --seed 3")).unwrap() else {
             panic!("expected swarm");
         };
-        assert_eq!(a.profile.as_deref(), Some("out/profile.json"));
-        assert!(parse(&args(&["swarm", "--profile"])).is_err());
+        assert!(a.profile);
+        assert_eq!(a.seed, 3);
+        assert!(!SwarmArgs::default().profile);
+        let err = parse(&args("swarm --profile out/profile.json")).unwrap_err();
+        assert!(err.contains("takes no value"), "{err}");
+        assert!(err.contains("profile.json"), "{err}");
     }
 
-    /// A handcrafted profile report with one second-scale stage, safely
-    /// above the comparison noise floor.
+    /// A handcrafted profile report with two stages.
     fn sample_report(establish_secs: f64, exchange_secs: f64) -> bt_obs::ProfileReport {
         let latency = bt_obs::LatencySummary {
             count: 10,
@@ -3370,6 +3258,7 @@ mod tests {
 
     #[test]
     fn run_profile_summarizes_a_report() {
+        let dir = run_dir("run-profile-summarizes-a-report");
         let path = std::env::temp_dir().join("btlab-cli-profile-unit.json");
         bt_obs::records::write_doc(&path, &sample_report(1.0, 0.5)).unwrap();
         let mut buf = Vec::new();
@@ -3379,6 +3268,7 @@ mod tests {
                 top: 1,
                 json: false,
             }),
+            &dir,
             &mut buf,
         )
         .unwrap();
@@ -3398,6 +3288,7 @@ mod tests {
 
     #[test]
     fn run_profile_reports_missing_file() {
+        let dir = run_dir("run-profile-reports-missing-file");
         let mut buf = Vec::new();
         let err = run(
             Command::Profile(ProfileArgs {
@@ -3405,6 +3296,7 @@ mod tests {
                 top: 10,
                 json: false,
             }),
+            &dir,
             &mut buf,
         )
         .unwrap_err();
@@ -3413,34 +3305,21 @@ mod tests {
 
     #[test]
     fn compare_passes_within_tolerance_and_fails_beyond_it() {
-        let base = std::env::temp_dir().join("btlab-cli-compare-base.json");
-        let cand = std::env::temp_dir().join("btlab-cli-compare-cand.json");
-        bt_obs::records::write_doc(&base, &sample_report(1.0, 0.5)).unwrap();
-        // Candidate: establish 5% slower (within 10%), exchange equal.
-        bt_obs::records::write_doc(&cand, &sample_report(1.05, 0.5)).unwrap();
-        let compare = |tolerance: f64, out: &mut Vec<u8>| {
-            run(
-                Command::Compare(CompareArgs {
-                    baseline: base.to_str().unwrap().into(),
-                    candidate: cand.to_str().unwrap().into(),
-                    tolerance,
-                    obs_budget: None,
-                    mem_budget: None,
-                }),
-                out,
-            )
-        };
-        let mut buf = Vec::new();
-        compare(0.10, &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
+        let dir = run_dir("compare-tolerance");
+        let (base, cand) = (dir.join("base.json"), dir.join("cand.json"));
+        bt_obs::records::write_doc(&base, &sample_manifest(1.0, 60, 2.0)).unwrap();
+        // Candidate: exchange 5% slower (within 10%), establish equal.
+        bt_obs::records::write_doc(&cand, &sample_manifest(1.05, 60, 2.0)).unwrap();
+        let (result, text) = compare(&base, &cand, 0.10, None);
+        result.unwrap();
         assert!(text.contains("no regressions beyond tolerance"), "{text}");
         assert!(text.contains("establish"), "{text}");
         assert!(text.contains("rounds_per_sec"), "{text}");
 
-        // Candidate: establish 2x slower — beyond any sane tolerance.
-        bt_obs::records::write_doc(&cand, &sample_report(2.0, 0.5)).unwrap();
-        let mut buf = Vec::new();
-        let err = compare(0.10, &mut buf).unwrap_err();
+        // Candidate: exchange 2x slower — beyond any sane tolerance.
+        bt_obs::records::write_doc(&cand, &sample_manifest(2.0, 60, 2.0)).unwrap();
+        let (result, text) = compare(&base, &cand, 0.10, None);
+        let err = result.unwrap_err();
         assert_eq!(
             err.exit_code(),
             1,
@@ -3450,11 +3329,32 @@ mod tests {
             err.to_string().contains("regression(s) beyond tolerance"),
             "{err}"
         );
-        assert!(err.to_string().contains("establish"), "{err}");
-        let text = String::from_utf8(buf).unwrap();
+        assert!(err.to_string().contains("exchange"), "{err}");
         assert!(text.contains("REGRESSED"), "{text}");
-        std::fs::remove_file(&base).ok();
-        std::fs::remove_file(&cand).ok();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Runs `btlab compare` on two manifests, returning the verdict and
+    /// what it printed.
+    fn compare(
+        baseline: &std::path::Path,
+        candidate: &std::path::Path,
+        tolerance: f64,
+        obs_budget: Option<f64>,
+    ) -> (Result<(), CliError>, String) {
+        let mut buf = Vec::new();
+        let result = run(
+            Command::Compare(CompareArgs {
+                baseline: baseline.to_str().unwrap().into(),
+                candidate: candidate.to_str().unwrap().into(),
+                tolerance,
+                obs_budget,
+                mem_budget: None,
+            }),
+            &std::env::temp_dir(),
+            &mut buf,
+        );
+        (result, String::from_utf8(buf).unwrap())
     }
 
     /// A handcrafted `btlab swarm` run manifest.
@@ -3472,75 +3372,57 @@ mod tests {
 
     #[test]
     fn compare_accepts_bench_manifests() {
-        let base = std::env::temp_dir().join("btlab-cli-compare-bench-base.json");
-        let cand = std::env::temp_dir().join("btlab-cli-compare-bench-cand.json");
+        let dir = run_dir("compare-bench");
+        let (base, cand) = (dir.join("base.json"), dir.join("cand.json"));
         bt_obs::records::write_doc(&base, &sample_manifest(1.0, 60, 2.0)).unwrap();
         // Same stage cost but halved throughput: rounds/sec regresses.
         bt_obs::records::write_doc(&cand, &sample_manifest(1.0, 60, 4.0)).unwrap();
-        let mut buf = Vec::new();
-        let err = run(
-            Command::Compare(CompareArgs {
-                baseline: base.to_str().unwrap().into(),
-                candidate: cand.to_str().unwrap().into(),
-                tolerance: 0.25,
-                obs_budget: None,
-                mem_budget: None,
-            }),
-            &mut buf,
-        )
-        .unwrap_err();
+        let (result, text) = compare(&base, &cand, 0.25, None);
+        let err = result.unwrap_err();
         assert!(err.to_string().contains("rounds_per_sec"), "{err}");
-        let text = String::from_utf8(buf).unwrap();
         // Non-round phases are not stages and stay out of the table.
         assert!(!text.contains("telemetry.flush"), "{text}");
         assert!(text.contains("exchange"), "{text}");
-        std::fs::remove_file(&base).ok();
-        std::fs::remove_file(&cand).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn compare_rejects_unrecognized_shapes() {
-        let path = std::env::temp_dir().join("btlab-cli-compare-shape.json");
-        std::fs::write(&path, "{\"hello\": 1}").unwrap();
-        let mut buf = Vec::new();
-        let err = run(
-            Command::Compare(CompareArgs {
-                baseline: path.to_str().unwrap().into(),
-                candidate: path.to_str().unwrap().into(),
-                tolerance: 0.1,
-                obs_budget: None,
-                mem_budget: None,
-            }),
-            &mut buf,
-        )
-        .unwrap_err();
-        assert_eq!(err.exit_code(), 2, "malformed inputs are data errors");
-        assert!(
-            err.to_string().contains("neither a profile report"),
-            "{err}"
-        );
-        std::fs::remove_file(&path).ok();
+        let dir = run_dir("compare-shapes");
+        let (manifest, other) = (dir.join("manifest.json"), dir.join("other.json"));
+        bt_obs::records::write_doc(&manifest, &sample_manifest(1.0, 60, 2.0)).unwrap();
+        // Compare reads run manifests only: any other document, a
+        // profile report included, is a data error pointing at
+        // `btlab profile`.
+        for doc in [
+            serde_json::to_string(&sample_report(1.0, 0.5)).unwrap(),
+            "{\"hello\": 1}".to_string(),
+        ] {
+            std::fs::write(&other, doc).unwrap();
+            for (base, cand) in [(&manifest, &other), (&other, &manifest)] {
+                let err = compare(base, cand, 0.1, None).0.unwrap_err();
+                assert_eq!(err.exit_code(), 2, "malformed inputs are data errors");
+                assert!(err.to_string().contains("other.json"), "{err}");
+                assert!(err.to_string().contains("`btlab profile`"), "{err}");
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn report_prints_phase_timer_quantiles_and_pipeline_warnings() {
+        let dir = run_dir("report-quantiles");
         // A real telemetry stream (for the Meta header) plus a crafted
         // manifest whose pipeline disagrees with its timers.
-        let telemetry = std::env::temp_dir().join("btlab-cli-report-quantiles.jsonl");
-        let manifest_path = std::env::temp_dir().join("btlab-cli-report-quantiles-manifest.json");
+        let telemetry = dir.join("telemetry.jsonl");
+        let manifest_path = dir.join("manifest.json");
         let swarm_args = SwarmArgs {
-            pieces: 10,
-            k: 3,
-            s: 6,
-            lambda: 0.0,
-            initial: 8,
             rounds: 60,
-            seed: 3,
-            telemetry: Some(telemetry.to_str().unwrap().into()),
-            ..SwarmArgs::default()
+            telemetry: Some(1),
+            ..small_swarm(3)
         };
         let mut buf = Vec::new();
-        run(Command::Swarm(swarm_args), &mut buf).unwrap();
+        run(Command::Swarm(swarm_args), &dir, &mut buf).unwrap();
 
         let mut manifest = bt_obs::RunManifest::new("swarm", "cafebabe".into(), 3);
         manifest.phase_timers = vec![(
@@ -3569,6 +3451,7 @@ mod tests {
                 seed: 3,
                 ..ReportArgs::default()
             }),
+            &dir,
             &mut report,
         )
         .unwrap();
@@ -3582,59 +3465,32 @@ mod tests {
             text.contains("no recorded round.depart timer samples"),
             "{text}"
         );
-        std::fs::remove_file(&telemetry).ok();
-        std::fs::remove_file(&manifest_path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn run_swarm_with_profile_writes_artifacts() {
-        let dir = std::env::temp_dir().join("btlab-cli-swarm-profile-unit");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = run_dir("swarm-profile");
         let profile = dir.join("profile.json");
         let swarm_args = SwarmArgs {
-            pieces: 10,
-            k: 3,
-            s: 6,
-            lambda: 0.0,
-            initial: 8,
-            rounds: 40,
-            seed: 5,
-            profile: Some(profile.to_str().unwrap().into()),
-            ..SwarmArgs::default()
+            profile: true,
+            ..small_swarm(5)
         };
         let mut buf = Vec::new();
-        run(Command::Swarm(swarm_args), &mut buf).unwrap();
+        run(Command::Swarm(swarm_args), &dir, &mut buf).unwrap();
         let report: bt_obs::ProfileReport = bt_obs::records::read_doc(&profile).unwrap();
         assert_eq!(report.rounds, 40);
         assert_eq!(report.seed, 5);
         assert!(report.stage("exchange").is_some());
-        let folded = std::fs::read_to_string(profile.with_extension("folded")).unwrap();
+        let folded = std::fs::read_to_string(dir.join("profile.folded")).unwrap();
         assert!(folded.contains("swarm;exchange"), "{folded}");
-        assert!(profile.with_extension("rounds.jsonl").exists());
+        assert!(dir.join("profile.rounds.jsonl").exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn doctor_parses_flags_with_swarm_fallback() {
-        let cmd = parse(&args(&[
-            "doctor",
-            "--seed",
-            "9",
-            "--rounds",
-            "50",
-            "--cadence",
-            "4",
-            "--floor",
-            "0.05",
-            "--min-population",
-            "32",
-            "--stall-rounds",
-            "6",
-            "--bundle-dir",
-            "/tmp/bundles",
-            "--inject-fault",
-            "index-drift@12",
-        ]))
+        let cmd = parse(&args("doctor --seed 9 --rounds 50 --cadence 4 --floor 0.05 --min-population 32 --stall-rounds 6 --inject-fault index-drift@12"))
         .unwrap();
         let Command::Doctor(a) = cmd else {
             panic!("expected doctor, got {cmd:?}");
@@ -3646,7 +3502,6 @@ mod tests {
         assert_eq!(a.min_population, 32);
         assert_eq!(a.stall_rounds, Some(6));
         assert_eq!(DoctorArgs::default().stall_rounds, None, "opt-in");
-        assert_eq!(a.bundle_dir.as_deref(), Some("/tmp/bundles"));
         assert_eq!(
             a.inject_fault,
             Some(bt_swarm::FaultSpec {
@@ -3655,38 +3510,31 @@ mod tests {
             })
         );
 
-        let err = parse(&args(&["doctor", "--bogus", "1"])).unwrap_err();
-        assert!(err.contains("unknown flag --bogus for doctor"), "{err}");
+        // Bundles land in the run directory; the flag that moved them
+        // is gone.
+        for gone in ["--bogus", "--bundle-dir"] {
+            let err = parse(&args(&format!("doctor {gone} 1"))).unwrap_err();
+            assert!(
+                err.contains(&format!("unknown flag {gone} for doctor")),
+                "{err}"
+            );
+        }
     }
 
     #[test]
     fn repeated_flags_are_rejected_not_last_one_wins() {
-        let err = parse(&args(&[
-            "swarm",
-            "--disable-stage",
-            "maintain",
-            "--disable-stage",
-            "depart",
-        ]))
+        let err = parse(&args(
+            "swarm --disable-stage maintain --disable-stage depart",
+        ))
         .unwrap_err();
         assert!(
             err.contains("--disable-stage given more than once"),
             "{err}"
         );
-        let err = parse(&args(&[
-            "doctor",
-            "--seed",
-            "1",
-            "--cadence",
-            "2",
-            "--seed",
-            "3",
-        ]))
-        .unwrap_err();
+        let err = parse(&args("doctor --seed 1 --cadence 2 --seed 3")).unwrap_err();
         assert!(err.contains("--seed given more than once"), "{err}");
         // A comma list stays the way to pass several stages.
-        let Command::Swarm(a) =
-            parse(&args(&["swarm", "--disable-stage", "maintain,depart"])).unwrap()
+        let Command::Swarm(a) = parse(&args("swarm --disable-stage maintain,depart")).unwrap()
         else {
             panic!("expected swarm");
         };
@@ -3695,17 +3543,17 @@ mod tests {
 
     #[test]
     fn doctor_rejects_bad_fault_specs() {
-        let err = parse(&args(&["doctor", "--inject-fault", "nope"])).unwrap_err();
+        let err = parse(&args("doctor --inject-fault nope")).unwrap_err();
         assert!(err.contains("KIND@ROUND"), "{err}");
-        let err = parse(&args(&["doctor", "--inject-fault", "bogus@3"])).unwrap_err();
+        let err = parse(&args("doctor --inject-fault bogus@3")).unwrap_err();
         assert!(err.contains("unknown fault kind"), "{err}");
-        let err = parse(&args(&["doctor", "--inject-fault", "index-drift@x"])).unwrap_err();
+        let err = parse(&args("doctor --inject-fault index-drift@x")).unwrap_err();
         assert!(err.contains("round must be a number"), "{err}");
     }
 
     #[test]
     fn trend_parses_and_validates() {
-        let cmd = parse(&args(&["trend"])).unwrap();
+        let cmd = parse(&args("trend")).unwrap();
         let Command::Trend(a) = cmd else {
             panic!("expected trend, got {cmd:?}");
         };
@@ -3713,16 +3561,7 @@ mod tests {
         assert_eq!(a.last, 10);
         assert!((a.tolerance - 0.10).abs() < 1e-12);
 
-        let cmd = parse(&args(&[
-            "trend",
-            "--ledger",
-            "l.jsonl",
-            "--last",
-            "3",
-            "--tolerance",
-            "0.2",
-        ]))
-        .unwrap();
+        let cmd = parse(&args("trend --ledger l.jsonl --last 3 --tolerance 0.2")).unwrap();
         let Command::Trend(a) = cmd else {
             panic!("expected trend, got {cmd:?}");
         };
@@ -3730,16 +3569,17 @@ mod tests {
         assert_eq!(a.last, 3);
         assert!((a.tolerance - 0.2).abs() < 1e-12);
 
-        let err = parse(&args(&["trend", "--last", "0"])).unwrap_err();
+        let err = parse(&args("trend --last 0")).unwrap_err();
         assert!(err.contains("--last must be >= 1"), "{err}");
-        let err = parse(&args(&["trend", "--tolerance", "-0.5"])).unwrap_err();
+        let err = parse(&args("trend --tolerance -0.5")).unwrap_err();
         assert!(err.contains("--tolerance must be >= 0"), "{err}");
-        let err = parse(&args(&["trend", "--bogus", "1"])).unwrap_err();
+        let err = parse(&args("trend --bogus 1")).unwrap_err();
         assert!(err.contains("unknown flag --bogus for trend"), "{err}");
     }
 
     #[test]
     fn run_profile_json_emits_parseable_report() {
+        let dir = run_dir("run-profile-json-emits-parseable-report");
         let path = std::env::temp_dir().join("btlab-cli-profile-json-unit.json");
         bt_obs::records::write_doc(&path, &sample_report(1.0, 0.5)).unwrap();
         let mut buf = Vec::new();
@@ -3749,6 +3589,7 @@ mod tests {
                 top: 10,
                 json: true,
             }),
+            &dir,
             &mut buf,
         )
         .unwrap();
@@ -3766,21 +3607,16 @@ mod tests {
 
     #[test]
     fn report_strict_promotes_warnings_to_failure() {
-        let telemetry = std::env::temp_dir().join("btlab-cli-report-strict.jsonl");
-        let manifest_path = std::env::temp_dir().join("btlab-cli-report-strict-manifest.json");
+        let dir = run_dir("report-strict");
+        let telemetry = dir.join("telemetry.jsonl");
+        let manifest_path = dir.join("manifest.json");
         let swarm_args = SwarmArgs {
-            pieces: 10,
-            k: 3,
-            s: 6,
-            lambda: 0.0,
-            initial: 8,
             rounds: 60,
-            seed: 3,
-            telemetry: Some(telemetry.to_str().unwrap().into()),
-            ..SwarmArgs::default()
+            telemetry: Some(1),
+            ..small_swarm(3)
         };
         let mut buf = Vec::new();
-        run(Command::Swarm(swarm_args), &mut buf).unwrap();
+        run(Command::Swarm(swarm_args), &dir, &mut buf).unwrap();
 
         // A manifest whose pipeline lists a stage that never ran.
         let mut manifest = bt_obs::RunManifest::new("swarm", "cafebabe".into(), 3);
@@ -3797,12 +3633,12 @@ mod tests {
         };
         // Non-strict: the warning prints but the run succeeds.
         let mut buf = Vec::new();
-        run(Command::Report(report_args(false)), &mut buf).unwrap();
+        run(Command::Report(report_args(false)), &dir, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("warning:"), "{text}");
 
         let mut buf = Vec::new();
-        let err = run(Command::Report(report_args(true)), &mut buf).unwrap_err();
+        let err = run(Command::Report(report_args(true)), &dir, &mut buf).unwrap_err();
         assert_eq!(err.exit_code(), 1, "strict warnings are run failures");
         assert!(err.to_string().contains("--strict"), "{err}");
         assert!(
@@ -3821,40 +3657,29 @@ mod tests {
                 strict: true,
                 ..ReportArgs::default()
             }),
+            &dir,
             &mut buf,
         )
         .unwrap();
-        std::fs::remove_file(&telemetry).ok();
-        std::fs::remove_file(&manifest_path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn compare_rejects_schema_version_mismatch() {
-        let good = std::env::temp_dir().join("btlab-cli-compare-schema-good.json");
-        let bad = std::env::temp_dir().join("btlab-cli-compare-schema-bad.json");
-        bt_obs::records::write_doc(&good, &sample_report(1.0, 0.5)).unwrap();
-        let mut future = sample_report(1.0, 0.5);
-        future.schema_version = bt_obs::PROFILE_SCHEMA_VERSION + 1;
+        let dir = run_dir("compare-schema");
+        let (good, bad) = (dir.join("good.json"), dir.join("bad.json"));
+        bt_obs::records::write_doc(&good, &sample_manifest(1.0, 60, 2.0)).unwrap();
+        let mut future = sample_manifest(1.0, 60, 2.0);
+        future.schema_version = bt_obs::MANIFEST_SCHEMA_VERSION + 1;
         bt_obs::records::write_doc(&bad, &future).unwrap();
-        let mut buf = Vec::new();
-        let err = run(
-            Command::Compare(CompareArgs {
-                baseline: good.to_str().unwrap().into(),
-                candidate: bad.to_str().unwrap().into(),
-                tolerance: 0.1,
-                obs_budget: None,
-                mem_budget: None,
-            }),
-            &mut buf,
-        )
-        .unwrap_err();
+        let err = compare(&good, &bad, 0.1, None).0.unwrap_err();
         assert_eq!(err.exit_code(), 2, "schema drift is a data error");
         assert!(err.to_string().contains("schema"), "{err}");
-        std::fs::remove_file(&good).ok();
-        std::fs::remove_file(&bad).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
-    fn doctor_swarm_args(seed: u64) -> SwarmArgs {
+    /// A 40-round closed swarm of 8 peers over 10 pieces.
+    fn small_swarm(seed: u64) -> SwarmArgs {
         SwarmArgs {
             pieces: 10,
             k: 3,
@@ -3869,16 +3694,15 @@ mod tests {
 
     #[test]
     fn run_doctor_clean_run_holds_all_invariants() {
-        let dir = std::env::temp_dir().join("btlab-cli-doctor-clean-unit");
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = run_dir("doctor-clean");
         let mut buf = Vec::new();
         run(
             Command::Doctor(DoctorArgs {
-                swarm: doctor_swarm_args(5),
+                swarm: small_swarm(5),
                 cadence: 1,
-                bundle_dir: Some(dir.to_str().unwrap().into()),
                 ..DoctorArgs::default()
             }),
+            &dir,
             &mut buf,
         )
         .unwrap();
@@ -3894,25 +3718,24 @@ mod tests {
 
     #[test]
     fn run_doctor_seeded_fault_fails_and_writes_bundle() {
-        let dir = std::env::temp_dir().join("btlab-cli-doctor-fault-unit");
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = run_dir("doctor-fault");
         // Bootstrap is disabled so the unaccounted piece stays the only
         // piece in the swarm: no completion ever departs it, keeping the
         // corruption visible without tripping the departure accounting.
-        let mut swarm = doctor_swarm_args(5);
+        let mut swarm = small_swarm(5);
         swarm.disabled_stages = vec!["bootstrap".into()];
         let mut buf = Vec::new();
         let err = run(
             Command::Doctor(DoctorArgs {
                 swarm,
                 cadence: 1,
-                bundle_dir: Some(dir.to_str().unwrap().into()),
                 inject_fault: Some(bt_swarm::FaultSpec {
                     round: 5,
                     kind: bt_swarm::FaultKind::UnaccountedPiece,
                 }),
                 ..DoctorArgs::default()
             }),
+            &dir,
             &mut buf,
         )
         .unwrap_err();
@@ -3922,7 +3745,7 @@ mod tests {
         assert!(text.contains("violation [piece-conservation]"), "{text}");
         assert!(text.contains("diagnosis bundle:"), "{text}");
         let bundle = std::fs::read_dir(&dir)
-            .expect("bundle root exists")
+            .expect("run directory exists")
             .filter_map(Result::ok)
             .find(|e| e.file_name().to_string_lossy().starts_with("diagnosis-"))
             .expect("one diagnosis bundle");
@@ -3954,6 +3777,7 @@ mod tests {
 
     #[test]
     fn run_trend_flags_regressions_and_violations() {
+        let dir = run_dir("run-trend-flags-regressions-and-violations");
         let path = std::env::temp_dir().join("btlab-cli-trend-unit.jsonl");
         let _ = std::fs::remove_file(&path);
         for record in [
@@ -3968,7 +3792,7 @@ mod tests {
             ..TrendArgs::default()
         };
         let mut buf = Vec::new();
-        run(Command::Trend(trend_args.clone()), &mut buf).unwrap();
+        run(Command::Trend(trend_args.clone()), &dir, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("3 of 3 record(s)"), "{text}");
         assert!(text.contains("REGRESSED"), "{text}");
@@ -3978,7 +3802,7 @@ mod tests {
         // A healthy latest record reports a quiet trajectory.
         bt_obs::append_record(&path, &ledger_record(4, 101.0, 0)).unwrap();
         let mut buf = Vec::new();
-        run(Command::Trend(trend_args.clone()), &mut buf).unwrap();
+        run(Command::Trend(trend_args.clone()), &dir, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(
             text.contains("no metrics drifted beyond tolerance"),
@@ -3990,7 +3814,7 @@ mod tests {
         fresh.config_hash = "0ddba11".into();
         bt_obs::append_record(&path, &fresh).unwrap();
         let mut buf = Vec::new();
-        run(Command::Trend(trend_args), &mut buf).unwrap();
+        run(Command::Trend(trend_args), &dir, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("no verdicts"), "{text}");
         let _ = std::fs::remove_file(&path);
@@ -3998,12 +3822,14 @@ mod tests {
 
     #[test]
     fn run_trend_rejects_missing_or_empty_ledger() {
+        let dir = run_dir("run-trend-rejects-missing-or-empty-ledger");
         let mut buf = Vec::new();
         let err = run(
             Command::Trend(TrendArgs {
                 ledger: Some("/nonexistent/ledger.jsonl".into()),
                 ..TrendArgs::default()
             }),
+            &dir,
             &mut buf,
         )
         .unwrap_err();
@@ -4018,6 +3844,7 @@ mod tests {
                 ledger: Some(path.to_str().unwrap().into()),
                 ..TrendArgs::default()
             }),
+            &dir,
             &mut buf,
         )
         .unwrap_err();
@@ -4028,6 +3855,7 @@ mod tests {
 
     #[test]
     fn run_trend_rotates_an_oversized_ledger() {
+        let dir = run_dir("run-trend-rotates-an-oversized-ledger");
         let path = std::env::temp_dir().join("btlab-cli-trend-rotate-unit.jsonl");
         let archive = std::env::temp_dir().join("btlab-cli-trend-rotate-unit.jsonl.1");
         let _ = std::fs::remove_file(&path);
@@ -4043,6 +3871,7 @@ mod tests {
                 max_ledger_bytes: size / 2,
                 ..TrendArgs::default()
             }),
+            &dir,
             &mut buf,
         )
         .unwrap();
@@ -4061,6 +3890,7 @@ mod tests {
                 ledger: Some(path.to_str().unwrap().into()),
                 ..TrendArgs::default()
             }),
+            &dir,
             &mut buf,
         )
         .unwrap();
@@ -4072,32 +3902,19 @@ mod tests {
 
     #[test]
     fn compare_obs_budget_gates_a_manifest() {
-        let path = std::env::temp_dir().join("btlab-cli-compare-obs-unit.json");
+        let dir = run_dir("compare-obs");
+        let path = dir.join("manifest.json");
         let mut manifest = sample_manifest(1.0, 60, 2.0);
         manifest.obs_wall_secs = 0.08;
         manifest.obs_share = 0.04;
         bt_obs::records::write_doc(&path, &manifest).unwrap();
-        let gate = |budget: f64| {
-            let mut buf = Vec::new();
-            let result = run(
-                Command::Compare(CompareArgs {
-                    baseline: path.to_str().unwrap().into(),
-                    candidate: path.to_str().unwrap().into(),
-                    tolerance: 0.1,
-                    obs_budget: Some(budget),
-                    mem_budget: None,
-                }),
-                &mut buf,
-            );
-            (result, String::from_utf8(buf).unwrap())
-        };
 
-        let (result, text) = gate(5.0);
+        let (result, text) = compare(&path, &path, 0.1, Some(5.0));
         result.unwrap();
         assert!(text.contains("observer overhead: 4.00%"), "{text}");
         assert!(text.contains("ok"), "{text}");
 
-        let (result, text) = gate(2.5);
+        let (result, text) = compare(&path, &path, 0.1, Some(2.5));
         let err = result.unwrap_err();
         assert_eq!(
             err.exit_code(),
@@ -4109,60 +3926,20 @@ mod tests {
             "{err}"
         );
         assert!(text.contains("OVER BUDGET"), "{text}");
-        std::fs::remove_file(&path).ok();
-
-        // Profile reports carry no observer share: gating one is a
-        // data error, not a silent pass.
-        let profile = std::env::temp_dir().join("btlab-cli-compare-obs-profile.json");
-        bt_obs::records::write_doc(&profile, &sample_report(1.0, 0.5)).unwrap();
-        let mut buf = Vec::new();
-        let err = run(
-            Command::Compare(CompareArgs {
-                baseline: profile.to_str().unwrap().into(),
-                candidate: profile.to_str().unwrap().into(),
-                tolerance: 0.1,
-                obs_budget: Some(5.0),
-                mem_budget: None,
-            }),
-            &mut buf,
-        )
-        .unwrap_err();
-        assert_eq!(err.exit_code(), 2);
-        assert!(err.to_string().contains("needs a run manifest"), "{err}");
-        std::fs::remove_file(&profile).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn swarm_cohort_trace_is_json_lines_and_feeds_report() {
-        let trace = std::env::temp_dir().join("btlab-cli-cohort-unit.jsonl");
-        let cmd = parse(&args(&[
-            "swarm",
-            "--pieces",
-            "8",
-            "--k",
-            "3",
-            "--s",
-            "6",
-            "--lambda",
-            "0.2",
-            "--initial",
-            "12",
-            "--rounds",
-            "80",
-            "--seed",
-            "11",
-            "--cohort",
-            trace.to_str().unwrap(),
-            "--cohort-size",
-            "4",
-        ]))
+        let dir = run_dir("swarm-cohort");
+        let trace = dir.join("cohort.jsonl");
+        let cmd = parse(&args("swarm --pieces 8 --k 3 --s 6 --lambda 0.2 --initial 12 --rounds 80 --seed 11 --cohort 4"))
         .unwrap();
         let Command::Swarm(ref a) = cmd else {
             panic!("expected swarm");
         };
-        assert_eq!(a.cohort.as_deref(), trace.to_str());
-        assert_eq!(a.cohort_size, 4);
-        run(cmd, &mut Vec::new()).unwrap();
+        assert_eq!(a.cohort, Some(4));
+        run(cmd, &dir, &mut Vec::new()).unwrap();
         assert!(trace.exists(), "swarm --cohort writes the trace file");
 
         let mut buf = Vec::new();
@@ -4171,6 +3948,7 @@ mod tests {
                 cohort: Some(trace.to_str().unwrap().into()),
                 ..ReportArgs::default()
             }),
+            &dir,
             &mut buf,
         )
         .unwrap();
@@ -4197,6 +3975,7 @@ mod tests {
                 cohort: Some(trace.to_str().unwrap().into()),
                 ..ReportArgs::default()
             }),
+            &dir,
             &mut buf,
         )
         .unwrap_err();
@@ -4205,66 +3984,57 @@ mod tests {
             2,
             "truncated cohort stream is a data error"
         );
-        std::fs::remove_file(&trace).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn swarm_cohort_flags_parse_and_validate() {
-        let cmd = parse(&args(&["swarm", "--cohort", "t.cohort"])).unwrap();
+        let cmd = parse(&args("swarm --cohort")).unwrap();
         let Command::Swarm(a) = cmd else {
             panic!("expected swarm");
         };
-        assert_eq!(a.cohort.as_deref(), Some("t.cohort"));
-        assert_eq!(a.cohort_size, 16, "default reservoir size");
-        let err = parse(&args(&["swarm", "--cohort-size", "0"])).unwrap_err();
-        assert!(err.contains("--cohort-size must be >= 1"), "{err}");
+        assert_eq!(a.cohort, Some(16), "default reservoir size");
+        let err = parse(&args("swarm --cohort 0")).unwrap_err();
+        assert!(err.contains("--cohort size must be >= 1"), "{err}");
+        let err = parse(&args("swarm --cohort t.cohort")).unwrap_err();
+        assert!(err.contains("cohort.jsonl"), "{err}");
+        let err = parse(&args("swarm --cohort-size 4")).unwrap_err();
+        assert!(err.contains("unknown flag"), "{err}");
     }
 
     #[test]
     fn swarm_threads_and_reannounce_flags_parse_and_validate() {
-        let cmd = parse(&args(&["swarm", "--threads", "8", "--reannounce", "4"])).unwrap();
+        let cmd = parse(&args("swarm --threads 8 --reannounce 4")).unwrap();
         let Command::Swarm(a) = cmd else {
             panic!("expected swarm");
         };
         assert_eq!(a.threads, 8);
         assert_eq!(a.reannounce, 4);
-        let defaults = parse(&args(&["swarm"])).unwrap();
+        let defaults = parse(&args("swarm")).unwrap();
         let Command::Swarm(d) = defaults else {
             panic!("expected swarm");
         };
         assert_eq!(d.threads, 1, "serial by default");
         assert_eq!(d.reannounce, 1, "re-announce every round by default");
-        let err = parse(&args(&["swarm", "--threads", "0"])).unwrap_err();
+        let err = parse(&args("swarm --threads 0")).unwrap_err();
         assert!(err.contains("--threads must be >= 1"), "{err}");
-        let err = parse(&args(&["swarm", "--reannounce", "0"])).unwrap_err();
+        let err = parse(&args("swarm --reannounce 0")).unwrap_err();
         assert!(err.contains("--reannounce must be >= 1"), "{err}");
     }
 
     #[test]
     fn compare_refuses_mismatched_thread_counts() {
-        let base = std::env::temp_dir().join("btlab-cli-compare-threads-base.json");
-        let cand = std::env::temp_dir().join("btlab-cli-compare-threads-cand.json");
+        let dir = run_dir("compare-threads");
+        let (base, cand) = (dir.join("base.json"), dir.join("cand.json"));
         let mut baseline = sample_manifest(1.0, 60, 2.0);
         baseline.threads = 1;
         bt_obs::records::write_doc(&base, &baseline).unwrap();
         let mut candidate = sample_manifest(1.0, 60, 2.0);
         candidate.threads = 8;
         bt_obs::records::write_doc(&cand, &candidate).unwrap();
-        let mut buf = Vec::new();
-        let err = run(
-            Command::Compare(CompareArgs {
-                baseline: base.to_str().unwrap().into(),
-                candidate: cand.to_str().unwrap().into(),
-                tolerance: 0.25,
-                obs_budget: None,
-                mem_budget: None,
-            }),
-            &mut buf,
-        )
-        .unwrap_err();
+        let err = compare(&base, &cand, 0.25, None).0.unwrap_err();
         assert_eq!(err.exit_code(), 2, "thread mismatch is a usage error");
         assert!(err.to_string().contains("thread-count mismatch"), "{err}");
-        std::fs::remove_file(&base).ok();
-        std::fs::remove_file(&cand).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

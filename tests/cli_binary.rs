@@ -257,8 +257,7 @@ fn bad_log_filter_exits_two_with_clear_message() {
 fn swarm_telemetry_then_report_pipeline() {
     let dir = std::env::temp_dir().join("btlab-e2e-telemetry");
     std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    let telemetry = dir.join("run.jsonl");
+    let telemetry = dir.join("telemetry.jsonl");
     let telemetry_str = telemetry.to_str().unwrap();
 
     let out = btlab()
@@ -277,7 +276,6 @@ fn swarm_telemetry_then_report_pipeline() {
             "--observers",
             "2",
             "--telemetry",
-            telemetry_str,
         ])
         .env("BT_MANIFEST_DIR", &dir)
         .output()
@@ -342,7 +340,9 @@ fn swarm_telemetry_then_report_pipeline() {
         "\n{summary}\n{report}"
     );
 
-    // Telemetry is JSON lines only: the CSV format flag is gone.
+    // Telemetry is JSON lines only: the CSV format flag is gone. And it
+    // goes to telemetry.jsonl in the run directory: a leftover path is a
+    // usage error that says so.
     let out = btlab()
         .args(["swarm", "--telemetry-format", "csv"])
         .env("BT_MANIFEST_DIR", &dir)
@@ -350,6 +350,15 @@ fn swarm_telemetry_then_report_pipeline() {
         .expect("binary runs");
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag"));
+    let out = btlab()
+        .args(["swarm", "--telemetry", "t.jsonl"])
+        .env("BT_MANIFEST_DIR", &dir)
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("run directory"), "{stderr}");
+    assert!(stderr.contains("$BT_MANIFEST_DIR"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -455,7 +464,6 @@ fn figure_prints_the_committed_table_and_rejects_unknown_ids() {
 fn swarm_profile_records_artifacts_and_manifest_pipeline() {
     let dir = std::env::temp_dir().join("btlab-e2e-profile");
     std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).expect("create temp dir");
     let profile = dir.join("profile.json");
     let out = btlab()
         .args([
@@ -469,7 +477,6 @@ fn swarm_profile_records_artifacts_and_manifest_pipeline() {
             "--seed",
             "5",
             "--profile",
-            profile.to_str().unwrap(),
         ])
         .env("BT_MANIFEST_DIR", &dir)
         .output()
@@ -480,7 +487,7 @@ fn swarm_profile_records_artifacts_and_manifest_pipeline() {
         String::from_utf8_lossy(&out.stderr)
     );
 
-    // The three profile artifacts landed next to each other.
+    // The three profile artifacts landed in the run directory.
     let report: serde_json::Value =
         serde_json::from_str(&std::fs::read_to_string(&profile).expect("profile written"))
             .expect("profile is JSON");
@@ -490,10 +497,9 @@ fn swarm_profile_records_artifacts_and_manifest_pipeline() {
         .get("stages")
         .and_then(|v| v.as_array())
         .is_some_and(|s| !s.is_empty()));
-    let folded = std::fs::read_to_string(profile.with_extension("folded")).expect("folded written");
+    let folded = std::fs::read_to_string(dir.join("profile.folded")).expect("folded written");
     assert!(folded.contains("swarm;exchange"), "{folded}");
-    let series =
-        std::fs::read_to_string(profile.with_extension("rounds.jsonl")).expect("series written");
+    let series = std::fs::read_to_string(dir.join("profile.rounds.jsonl")).expect("series written");
     assert!(series.lines().any(|l| l.contains("round.ns")), "{series}");
 
     // The run manifest records the active pipeline configuration.
@@ -544,31 +550,19 @@ fn swarm_profile_records_artifacts_and_manifest_pipeline() {
 fn compare_exits_zero_on_parity_and_one_on_regression() {
     let dir = std::env::temp_dir().join("btlab-e2e-compare");
     std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    // Handcrafted profiles with second-scale stage costs, far above the
+    // Handcrafted manifests with second-scale stage costs, far above the
     // comparison noise floor.
-    let report = |establish_secs: f64| {
-        format!(
-            r#"{{
-  "schema_version": 1,
-  "seed": 7,
-  "rounds": 10,
-  "total_secs": {establish_secs},
-  "rounds_per_sec": 100.0,
-  "round_latency": {{"count": 10, "total_secs": {establish_secs}, "p50_ns": 1000, "p95_ns": 2000, "p99_ns": 3000, "max_ns": 4000}},
-  "stages": [
-    {{"name": "establish", "rounds": 10, "total_secs": {establish_secs}, "share": 1.0,
-      "latency": {{"count": 10, "total_secs": {establish_secs}, "p50_ns": 1000, "p95_ns": 2000, "p99_ns": 3000, "max_ns": 4000}},
-      "work": [["establish.candidate_comparisons", 500]]}}
-  ],
-  "top_peers": []
-}}"#
-        )
+    let manifest = |establish_secs: f64| {
+        let mut manifest = bt_obs::RunManifest::new("swarm", "cafebabe".into(), 7);
+        manifest.wall_clock_secs = 2.0;
+        manifest.phase_secs = vec![("round.establish".into(), establish_secs)];
+        manifest.counters = vec![("swarm.rounds".into(), 10)];
+        manifest
     };
     let base = dir.join("base.json");
     let cand = dir.join("cand.json");
-    std::fs::write(&base, report(1.0)).unwrap();
-    std::fs::write(&cand, report(3.0)).unwrap();
+    bt_obs::records::write_doc(&base, &manifest(1.0)).unwrap();
+    bt_obs::records::write_doc(&cand, &manifest(3.0)).unwrap();
 
     let out = btlab()
         .args(["compare", base.to_str().unwrap(), base.to_str().unwrap()])
@@ -627,7 +621,7 @@ fn compare_malformed_input_exits_two() {
         "malformed comparison input is a data error, not a regression"
     );
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("neither a profile report"), "{stderr}");
+    assert!(stderr.contains("`btlab profile`"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -635,7 +629,6 @@ fn compare_malformed_input_exits_two() {
 fn profile_json_flag_emits_machine_readable_report() {
     let dir = std::env::temp_dir().join("btlab-e2e-profile-json");
     std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).expect("create temp dir");
     let profile = dir.join("profile.json");
     let out = btlab()
         .args([
@@ -649,7 +642,6 @@ fn profile_json_flag_emits_machine_readable_report() {
             "--seed",
             "5",
             "--profile",
-            profile.to_str().unwrap(),
         ])
         .env("BT_MANIFEST_DIR", &dir)
         .output()
@@ -679,9 +671,8 @@ fn profile_json_flag_emits_machine_readable_report() {
 fn report_strict_promotes_manifest_warnings_to_exit_one() {
     let dir = std::env::temp_dir().join("btlab-e2e-report-strict");
     std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    let telemetry = dir.join("run.jsonl");
-    let swarm = |seed: &str, telemetry: Option<&str>| {
+    let telemetry = dir.join("telemetry.jsonl");
+    let swarm = |seed: &str, telemetry: bool| {
         let mut cmd = btlab();
         cmd.args([
             "swarm",
@@ -694,19 +685,17 @@ fn report_strict_promotes_manifest_warnings_to_exit_one() {
             "--seed",
             seed,
         ]);
-        if let Some(path) = telemetry {
-            cmd.args(["--telemetry", path]);
+        if telemetry {
+            cmd.arg("--telemetry");
         }
         cmd.env("BT_MANIFEST_DIR", &dir)
             .output()
             .expect("binary runs")
     };
-    assert!(swarm("5", Some(telemetry.to_str().unwrap()))
-        .status
-        .success());
+    assert!(swarm("5", true).status.success());
     // A second run under another seed overwrites manifest-swarm.json,
     // so the manifest on disk now disagrees with the telemetry stream.
-    assert!(swarm("6", None).status.success());
+    assert!(swarm("6", false).status.success());
     let manifest = dir.join("manifest-swarm.json");
     let report_args = |strict: bool| {
         let mut args = vec![
@@ -959,8 +948,8 @@ fn set_field(value: &mut serde_json::Value, key: &str, new: serde_json::Value) {
     entry.1 = new;
 }
 
-/// Runs a short heartbeat-enabled swarm into `dir/run`, returning the
-/// run directory. Zero cadence means every round beats, so even a
+/// Runs a short heartbeat-enabled swarm in the run directory `dir/run`,
+/// returning it. Zero cadence means every round beats, so even a
 /// sub-second run leaves a stream worth watching.
 fn heartbeat_run(dir: &std::path::Path) -> std::path::PathBuf {
     let run_dir = dir.join("run");
@@ -976,13 +965,11 @@ fn heartbeat_run(dir: &std::path::Path) -> std::path::PathBuf {
             "--seed",
             "5",
             "--heartbeat",
-            run_dir.to_str().unwrap(),
-            "--heartbeat-secs",
             "0",
             "--log",
             "quiet",
         ])
-        .env("BT_MANIFEST_DIR", dir)
+        .env("BT_MANIFEST_DIR", &run_dir)
         .output()
         .expect("binary runs");
     assert!(
@@ -1286,12 +1273,9 @@ fn garbage(label: &str) -> (std::path::PathBuf, String) {
 #[test]
 fn report_exits_two_on_a_malformed_manifest_or_stream() {
     let (dir, garbage) = garbage("report");
-    let telemetry = dir.join("run.jsonl");
+    let telemetry = dir.join("telemetry.jsonl");
     let telemetry = telemetry.to_str().unwrap();
-    let out = btlab_in(
-        &dir,
-        &[&LOG_TEST_SWARM[..], &["--telemetry", telemetry]].concat(),
-    );
+    let out = btlab_in(&dir, &[&LOG_TEST_SWARM[..], &["--telemetry"]].concat());
     assert!(out.status.success());
     assert_data_error(
         &dir,
@@ -1356,24 +1340,24 @@ fn owed_exit(framing: Framing, damage: Damage, valid: &[u8]) -> i32 {
 /// byte-flipped copy of a valid artifact: missing, empty and torn
 /// documents exit 2; a torn stream exits 0 while a complete record
 /// remains and 2 otherwise; a flipped byte exits 2; and no case panics
-/// (exit 101).
+/// (exit 101). A cohort trace whose rounds are valid JSON in the wrong
+/// order exits 2 as well.
 #[test]
 fn malformed_artifacts_exit_two_and_never_panic() {
     let dir = std::env::temp_dir().join("btlab-e2e-malformed-matrix");
     std::fs::remove_dir_all(&dir).ok();
     let valid = dir.join("valid");
-    std::fs::create_dir_all(valid.join("hb")).expect("create temp dir");
     let path = |root: &std::path::Path, name: &str| root.join(name).to_str().unwrap().to_string();
     let ok = |args: &[&str]| {
-        let out = btlab_in(&dir, args);
+        let out = btlab_in(&valid, args);
         assert!(
             out.status.success(),
             "{args:?}: {}",
             String::from_utf8_lossy(&out.stderr)
         );
     };
-    // Two runs fill the ledger; the first also writes every other
-    // swarm artifact.
+    // Two runs in one run directory fill the ledger; the first also
+    // writes every other swarm artifact there.
     let swarm = [
         "swarm",
         "--pieces",
@@ -1386,20 +1370,14 @@ fn malformed_artifacts_exit_two_and_never_panic() {
         "quiet",
     ];
     let artifacts = [
-        "--observers".to_string(),
-        "2".to_string(),
-        "--telemetry".to_string(),
-        path(&valid, "t.jsonl"),
-        "--cohort".to_string(),
-        path(&valid, "c.jsonl"),
-        "--profile".to_string(),
-        path(&valid, "p.json"),
-        "--heartbeat".to_string(),
-        path(&valid, "hb"),
-        "--heartbeat-secs".to_string(),
-        "0".to_string(),
+        "--observers",
+        "2",
+        "--telemetry",
+        "--cohort",
+        "--profile",
+        "--heartbeat",
+        "0",
     ];
-    let artifacts: Vec<&str> = artifacts.iter().map(String::as_str).collect();
     ok(&[&swarm[..], &["--seed", "5"], &artifacts].concat());
     ok(&[&swarm[..], &["--seed", "6"]].concat());
     ok(&[
@@ -1409,63 +1387,67 @@ fn malformed_artifacts_exit_two_and_never_panic() {
         "--clients",
         "6",
     ]);
-    std::fs::copy(dir.join("manifest-swarm.json"), valid.join("m.json")).unwrap();
-    std::fs::copy(dir.join("ledger.jsonl"), valid.join("l.jsonl")).unwrap();
-    let baseline = path(&valid, "p.json");
+    let baseline = path(&valid, "manifest-swarm.json");
 
     // (reader, damaged file, framing, argv over a case directory `{}`).
     let readers: [(&str, &str, Framing, &[&str]); 9] = [
         (
             "report --telemetry",
-            "t.jsonl",
-            Framing::Lines,
-            &["report", "--telemetry", "{}/t.jsonl", "--replications", "3"],
-        ),
-        (
-            "report --cohort",
-            "c.jsonl",
+            "telemetry.jsonl",
             Framing::Lines,
             &[
                 "report",
                 "--telemetry",
-                "{}/t.jsonl",
+                "{}/telemetry.jsonl",
+                "--replications",
+                "3",
+            ],
+        ),
+        (
+            "report --cohort",
+            "cohort.jsonl",
+            Framing::Lines,
+            &[
+                "report",
+                "--telemetry",
+                "{}/telemetry.jsonl",
                 "--cohort",
-                "{}/c.jsonl",
+                "{}/cohort.jsonl",
                 "--replications",
                 "3",
             ],
         ),
         (
             "report --manifest",
-            "m.json",
+            "manifest-swarm.json",
             Framing::Document,
             &[
                 "report",
                 "--telemetry",
-                "{}/t.jsonl",
+                "{}/telemetry.jsonl",
                 "--manifest",
-                "{}/m.json",
+                "{}/manifest-swarm.json",
                 "--replications",
                 "3",
             ],
         ),
         (
             "profile",
-            "p.json",
+            "profile.json",
             Framing::Document,
-            &["profile", "{}/p.json"],
+            &["profile", "{}/profile.json"],
         ),
         (
             "compare",
-            "p.json",
+            "manifest-swarm.json",
             Framing::Document,
-            &["compare", &baseline, "{}/p.json"],
+            &["compare", &baseline, "{}/manifest-swarm.json"],
         ),
         (
             "trend",
-            "l.jsonl",
+            "ledger.jsonl",
             Framing::Lines,
-            &["trend", "--ledger", "{}/l.jsonl"],
+            &["trend", "--ledger", "{}/ledger.jsonl"],
         ),
         (
             "analyze",
@@ -1475,15 +1457,15 @@ fn malformed_artifacts_exit_two_and_never_panic() {
         ),
         (
             "watch (status)",
-            "hb/run.status.json",
+            "run.status.json",
             Framing::Document,
-            &["watch", "{}/hb", "--timeout-secs", "2"],
+            &["watch", "{}", "--timeout-secs", "2"],
         ),
         (
             "watch (stream)",
-            "hb/run.heartbeat.jsonl",
+            "run.heartbeat.jsonl",
             Framing::Lines,
-            &["watch", "{}/hb", "--timeout-secs", "2"],
+            &["watch", "{}", "--timeout-secs", "2"],
         ),
     ];
     let out_dir = dir.join("out");
@@ -1499,18 +1481,10 @@ fn malformed_artifacts_exit_two_and_never_panic() {
         ] {
             let case = dir.join("case");
             std::fs::remove_dir_all(&case).ok();
-            std::fs::create_dir_all(case.join("hb")).unwrap();
-            for name in [
-                "t.jsonl",
-                "c.jsonl",
-                "m.json",
-                "p.json",
-                "l.jsonl",
-                "tr.jsonl",
-                "hb/run.status.json",
-                "hb/run.heartbeat.jsonl",
-            ] {
-                std::fs::copy(valid.join(name), case.join(name)).unwrap();
+            std::fs::create_dir_all(&case).unwrap();
+            for entry in std::fs::read_dir(&valid).unwrap() {
+                let name = entry.unwrap().file_name();
+                std::fs::copy(valid.join(&name), case.join(&name)).unwrap();
             }
             let target = case.join(file);
             match damage {
@@ -1537,6 +1511,32 @@ fn malformed_artifacts_exit_two_and_never_panic() {
             }
         }
     }
+    // Valid JSON, wrong round: a mid-stream Depart moved 50 rounds
+    // later parses, but breaks the order the cohort writer keeps.
+    let cohort = std::fs::read_to_string(valid.join("cohort.jsonl")).unwrap();
+    let mut lines: Vec<String> = cohort.lines().map(str::to_string).collect();
+    let at = lines[..lines.len() - 1]
+        .iter()
+        .position(|l| l.starts_with("{\"Depart\""))
+        .expect("a traced peer departs mid-stream");
+    let Ok(bt_obs::CohortEvent::Depart(mut depart)) = serde_json::from_str(&lines[at]) else {
+        panic!("a Depart line parses: {}", lines[at]);
+    };
+    depart.round += 50;
+    lines[at] = serde_json::to_string(&bt_obs::CohortEvent::Depart(depart)).unwrap();
+    let reordered = dir.join("reordered.jsonl");
+    std::fs::write(&reordered, lines.join("\n") + "\n").unwrap();
+    let out = btlab_in(
+        &out_dir,
+        &["report", "--cohort", reordered.to_str().unwrap()],
+    );
+    if out.status.code() != Some(2) {
+        failures.push(format!(
+            "report --cohort on a Depart moved to round {}: exit {:?}, owed 2",
+            depart.round,
+            out.status.code()
+        ));
+    }
     assert!(failures.is_empty(), "{}", failures.join("\n"));
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -1546,17 +1546,8 @@ fn streams_cut_mid_line_read_up_to_their_last_complete_record() {
     let dir = std::env::temp_dir().join("btlab-e2e-cut-streams");
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).expect("create temp dir");
-    let telemetry = dir.join("run.jsonl");
-    let swarm = [
-        &LOG_TEST_SWARM[..],
-        &[
-            "--observers",
-            "2",
-            "--telemetry",
-            telemetry.to_str().unwrap(),
-        ],
-    ]
-    .concat();
+    let telemetry = dir.join("telemetry.jsonl");
+    let swarm = [&LOG_TEST_SWARM[..], &["--observers", "2", "--telemetry"]].concat();
     let run = |args: &[&str]| {
         let out = btlab_in(&dir, args);
         assert!(
@@ -1600,7 +1591,6 @@ fn streams_cut_mid_line_read_up_to_their_last_complete_record() {
 fn doctor_heartbeat_names_the_doctor_command() {
     let dir = std::env::temp_dir().join("btlab-e2e-doctor-heartbeat");
     std::fs::remove_dir_all(&dir).ok();
-    let run_dir = dir.join("run");
     let out = btlab_in(
         &dir,
         &[
@@ -1616,8 +1606,6 @@ fn doctor_heartbeat_names_the_doctor_command() {
             "--seed",
             "5",
             "--heartbeat",
-            run_dir.to_str().unwrap(),
-            "--heartbeat-secs",
             "0",
             "--log",
             "quiet",
@@ -1628,7 +1616,7 @@ fn doctor_heartbeat_names_the_doctor_command() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let status = bt_obs::read_status(&run_dir.join(bt_obs::RUN_STATUS_FILE)).expect("status");
+    let status = bt_obs::read_status(&dir.join(bt_obs::RUN_STATUS_FILE)).expect("status");
     assert_eq!(status.command, "doctor");
     assert!(status.is_finished());
     std::fs::remove_dir_all(&dir).ok();
@@ -1640,9 +1628,6 @@ fn swarm_artifacts_and_normalized_ledger_match_across_thread_counts() {
     std::fs::remove_dir_all(&dir).ok();
     let run = |threads: &str| {
         let run_dir = dir.join(format!("t{threads}"));
-        std::fs::create_dir_all(&run_dir).expect("create run dir");
-        let telemetry = run_dir.join("telemetry.jsonl");
-        let cohort = run_dir.join("cohort.cohort");
         let ledger = run_dir.join("ledger.jsonl");
         let out = btlab()
             .args([
@@ -1660,9 +1645,7 @@ fn swarm_artifacts_and_normalized_ledger_match_across_thread_counts() {
                 "--observers",
                 "2",
                 "--telemetry",
-                telemetry.to_str().unwrap(),
                 "--cohort",
-                cohort.to_str().unwrap(),
                 "--threads",
                 threads,
                 "--log",
@@ -1682,8 +1665,8 @@ fn swarm_artifacts_and_normalized_ledger_match_across_thread_counts() {
         let normalized =
             serde_json::to_string(&records[0].normalized()).expect("record serializes");
         (
-            std::fs::read(&telemetry).expect("telemetry written"),
-            std::fs::read(&cohort).expect("cohort written"),
+            std::fs::read(run_dir.join("telemetry.jsonl")).expect("telemetry written"),
+            std::fs::read(run_dir.join("cohort.jsonl")).expect("cohort written"),
             normalized,
         )
     };
