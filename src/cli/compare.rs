@@ -1,3 +1,6 @@
+//! `btlab compare`: two run manifests stage by stage, and the observer
+//! and memory budgets.
+
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -24,7 +27,7 @@ pub struct CompareArgs {
 }
 
 pub(super) fn parse_compare(
-    mut positionals: Vec<String>,
+    positionals: &[String],
     flags: &BTreeMap<String, String>,
 ) -> Result<Command, String> {
     let mut tolerance = 0.10f64;
@@ -41,50 +44,33 @@ pub(super) fn parse_compare(
     if tolerance < 0.0 {
         return Err(format!("--tolerance must be >= 0, got {tolerance}"));
     }
-    if let Some(budget) = obs_budget {
-        if !(0.0..=100.0).contains(&budget) {
-            return Err(format!(
-                "--obs-budget is a percentage (0..=100), got {budget}"
-            ));
-        }
-    }
-    if let Some(budget) = mem_budget {
-        if !(0.0..=100.0).contains(&budget) {
-            return Err(format!(
-                "--mem-budget is a percentage (0..=100), got {budget}"
-            ));
+    for (key, budget) in [("obs-budget", obs_budget), ("mem-budget", mem_budget)] {
+        if let Some(pct) = budget.filter(|pct| !(0.0..=100.0).contains(pct)) {
+            return Err(format!("--{key} is a percentage (0..=100), got {pct}"));
         }
     }
     // With --obs-budget, a single manifest path gates observer overhead
     // alone (baseline == candidate, no regression comparison). The
     // memory gate has no such mode: peak RSS is only meaningful
     // relative to a baseline.
-    if positionals.len() == 1 && mem_budget.is_some() {
-        return Err(
-            "--mem-budget compares peak RSS against a baseline; pass BASELINE and \
-             CANDIDATE paths"
-                .to_string(),
-        );
-    }
-    if positionals.len() == 1 && obs_budget.is_some() {
-        let path = positionals.pop().unwrap_or_default();
-        return Ok(Command::Compare(CompareArgs {
-            baseline: path.clone(),
-            candidate: path,
-            tolerance,
-            obs_budget,
-            mem_budget,
-        }));
-    }
-    if positionals.len() != 2 {
-        return Err(format!(
-            "compare takes BASELINE and CANDIDATE paths (or one manifest with --obs-budget), \
-             got {} positional argument(s)",
-            positionals.len()
-        ));
-    }
-    let candidate = positionals.pop().unwrap_or_default();
-    let baseline = positionals.pop().unwrap_or_default();
+    let (baseline, candidate) = match positionals {
+        [_] if mem_budget.is_some() => {
+            return Err(
+                "--mem-budget compares peak RSS against a baseline; pass BASELINE and \
+                 CANDIDATE paths"
+                    .to_string(),
+            )
+        }
+        [manifest] if obs_budget.is_some() => (manifest.clone(), manifest.clone()),
+        [baseline, candidate] => (baseline.clone(), candidate.clone()),
+        other => {
+            return Err(format!(
+                "compare takes BASELINE and CANDIDATE paths (or one manifest with \
+                 --obs-budget), got {} positional argument(s)",
+                other.len()
+            ))
+        }
+    };
     Ok(Command::Compare(CompareArgs {
         baseline,
         candidate,

@@ -7,6 +7,9 @@
 //! The global `--log` / `--log-filter` flags are position-independent and
 //! stripped by [`extract_log_options`] before command parsing, so every
 //! subcommand accepts them without having to declare them.
+//!
+//! [`run`] takes the run directory from its caller: `swarm` and `doctor`
+//! write every artifact there under a fixed name.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -45,7 +48,7 @@ pub enum Command {
     Report(ReportArgs),
     /// Summarize a profile.json produced by `swarm --profile`.
     Profile(ProfileArgs),
-    /// Compare two profiles (or bench manifests) stage by stage.
+    /// Compare two run manifests stage by stage.
     Compare(CompareArgs),
     /// Run a swarm with the runtime invariant monitors attached.
     Doctor(DoctorArgs),
@@ -512,7 +515,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
     match cmd.as_str() {
         "help" | "--help" | "-h" => Ok(Command::Help),
         "profile" => parse_profile(positionals, &flags),
-        "compare" => parse_compare(positionals, &flags),
+        "compare" => parse_compare(&positionals, &flags),
         "watch" => parse_watch(positionals, &flags),
         "swarm" => {
             let mut a = SwarmArgs::default();

@@ -1,7 +1,11 @@
+//! The readers of one run's artifacts: `btlab report` (telemetry
+//! stream, cohort trace, manifest), `btlab profile` (`profile.json`) and
+//! `btlab trend` (the cross-run ledger).
+
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use super::{flag, num, read_error, required, CliError, Command};
+use super::{flag, num, read_error, CliError, Command};
 
 /// Arguments of `btlab profile`.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,28 +85,21 @@ pub(super) fn parse_profile(
     positionals: Vec<String>,
     flags: &BTreeMap<String, String>,
 ) -> Result<Command, String> {
-    let mut input = None;
     let mut top = 10usize;
     let mut json = false;
     for (key, value) in flags {
         match key.as_str() {
-            "input" => input = Some(required(key, value)?),
             "top" => top = num(key, value)?,
             "json" => json = flag(key, value)?,
             _ => return Err(format!("unknown flag --{key} for profile")),
         }
     }
-    if positionals.len() > 1 {
-        return Err(format!(
-            "profile takes one PROFILE.json path, got {}",
-            positionals.len()
-        ));
-    }
-    let input = positionals
-        .into_iter()
-        .next()
-        .or(input)
-        .ok_or("profile requires a PROFILE.json path")?;
+    let [input] = <[String; 1]>::try_from(positionals).map_err(|other| {
+        format!(
+            "profile takes one PROFILE.json path, got {} positional argument(s)",
+            other.len()
+        )
+    })?;
     Ok(Command::Profile(ProfileArgs { input, top, json }))
 }
 

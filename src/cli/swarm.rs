@@ -1,3 +1,7 @@
+//! `btlab swarm` and `btlab doctor`: the swarm run both drive, the
+//! artifacts it writes to the run directory under fixed names, and the
+//! doctor's verdict.
+
 use std::path::Path;
 
 use super::{flag, num, required, CliError};

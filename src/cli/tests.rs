@@ -1,3 +1,5 @@
+//! Unit tests of the parser and of `run` for every subcommand.
+
 use super::*;
 
 /// A command line's words.

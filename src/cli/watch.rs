@@ -1,3 +1,5 @@
+//! `btlab watch`: tails a run directory's heartbeat artifacts.
+
 use std::collections::BTreeMap;
 
 use super::{flag, num, read_error, CliError, Command};
@@ -41,13 +43,12 @@ pub(super) fn parse_watch(
     if interval_secs <= 0.0 {
         return Err(format!("--interval-secs must be > 0, got {interval_secs}"));
     }
-    if positionals.len() != 1 {
-        return Err(format!(
+    let [dir] = <[String; 1]>::try_from(positionals).map_err(|other| {
+        format!(
             "watch takes one RUN_DIR path, got {} positional argument(s)",
-            positionals.len()
-        ));
-    }
-    let dir = positionals.into_iter().next().unwrap_or_default();
+            other.len()
+        )
+    })?;
     Ok(Command::Watch(WatchArgs {
         dir,
         timeout_secs,
