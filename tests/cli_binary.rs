@@ -24,8 +24,10 @@ fn unknown_command_exits_nonzero_with_usage() {
 
 #[test]
 fn swarm_summary_runs() {
-    let out = btlab()
-        .args([
+    let dir = std::env::temp_dir().join("btlab-e2e-summary");
+    let out = btlab_in(
+        &dir,
+        &[
             "swarm",
             "--pieces",
             "12",
@@ -35,9 +37,8 @@ fn swarm_summary_runs() {
             "10",
             "--seed",
             "1",
-        ])
-        .output()
-        .expect("binary runs");
+        ],
+    );
     assert!(
         out.status.success(),
         "{}",
@@ -45,12 +46,15 @@ fn swarm_summary_runs() {
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("completions="), "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn swarm_json_is_parseable() {
-    let out = btlab()
-        .args([
+    let dir = std::env::temp_dir().join("btlab-e2e-json");
+    let out = btlab_in(
+        &dir,
+        &[
             "swarm",
             "--pieces",
             "8",
@@ -61,37 +65,36 @@ fn swarm_json_is_parseable() {
             "--seed",
             "2",
             "--json",
-        ])
-        .output()
-        .expect("binary runs");
+        ],
+    );
     assert!(out.status.success());
     let metrics: serde_json::Value =
         serde_json::from_slice(&out.stdout).expect("valid JSON metrics");
     assert!(metrics.get("completions").is_some());
     assert!(metrics.get("entropy").is_some());
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn traces_then_analyze_pipeline() {
-    let path = std::env::temp_dir().join("btlab-binary-test.jsonl");
+    let dir = std::env::temp_dir().join("btlab-e2e-traces");
+    let path = dir.join("traces.jsonl");
     let path_str = path.to_str().unwrap();
-    let out = btlab()
-        .args(["traces", "--out", path_str, "--clients", "2", "--seed", "3"])
-        .output()
-        .expect("binary runs");
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let out = btlab_in(
+        &dir,
+        &["traces", "--out", path_str, "--clients", "2", "--seed", "3"],
+    );
     assert!(
         out.status.success(),
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let out = btlab()
-        .args(["analyze", "--input", path_str])
-        .output()
-        .expect("binary runs");
+    let out = btlab_in(&dir, &["analyze", "--input", path_str]);
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("bootstrap"), "{stdout}");
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 const LOG_TEST_SWARM: [&str; 9] = [
@@ -444,10 +447,8 @@ fn unknown_disable_stage_exits_two_listing_stage_names() {
 
 #[test]
 fn figure_prints_the_committed_table_and_rejects_unknown_ids() {
-    let out = btlab()
-        .args(["figure", "--id", "transient_phases"])
-        .output()
-        .expect("binary runs");
+    let dir = std::env::temp_dir().join("btlab-e2e-figure");
+    let out = btlab_in(&dir, &["figure", "--id", "transient_phases"]);
     let committed = include_bytes!("../results/transient_phases.tsv");
     assert!(out.status.success() && out.stdout == committed);
     let out = btlab()
@@ -458,6 +459,7 @@ fn figure_prints_the_committed_table_and_rejects_unknown_ids() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown figure id `nope`"), "{stderr}");
     assert!(stderr.contains("model_sensitivity"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
