@@ -27,7 +27,6 @@ use report::{parse_profile, run_profile, run_report, run_trend};
 pub use report::{ProfileArgs, ReportArgs, TrendArgs};
 use swarm::{apply_swarm_flag, parse_fault, run_doctor, run_swarm, swarm_identity};
 pub use swarm::{swarm_pipeline_names, DoctorArgs, SwarmArgs};
-use swarm::{COHORT_FILE, TELEMETRY_FILE};
 pub use watch::WatchArgs;
 use watch::{parse_watch, run_watch};
 
@@ -747,12 +746,6 @@ pub fn run<W: std::io::Write>(
         Command::Swarm(a) => {
             tracing::info!(target: "btlab", pieces = a.pieces, rounds = a.rounds, seed = a.seed; "running swarm simulation");
             let (metrics, _) = run_swarm(&a, "swarm", run_dir, |_| {})?;
-            if a.telemetry.is_some() {
-                tracing::info!(target: "btlab", path = run_dir.join(TELEMETRY_FILE).display().to_string(); "telemetry stream written");
-            }
-            if let Some(size) = a.cohort {
-                tracing::info!(target: "btlab", path = run_dir.join(COHORT_FILE).display().to_string(), size = size; "cohort trace written");
-            }
             if a.json {
                 let json = serde_json::to_string_pretty(&metrics)
                     .map_err(|e| format!("serialization error: {e}"))?;

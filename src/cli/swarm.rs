@@ -274,9 +274,9 @@ pub(super) fn swarm_identity(a: &SwarmArgs) -> Option<String> {
 }
 
 /// The fixed name of the telemetry stream in a run directory.
-pub(super) const TELEMETRY_FILE: &str = "telemetry.jsonl";
+const TELEMETRY_FILE: &str = "telemetry.jsonl";
 /// The fixed name of the cohort trace in a run directory.
-pub(super) const COHORT_FILE: &str = "cohort.jsonl";
+const COHORT_FILE: &str = "cohort.jsonl";
 /// The fixed name of the profile summary in a run directory; the folded
 /// stacks and the per-round series share its stem.
 const PROFILE_FILE: &str = "profile.json";
@@ -338,7 +338,7 @@ fn build_swarm(a: &SwarmArgs, command: &str, run_dir: &Path) -> Result<bt_swarm:
 /// Runs the swarm `a` describes as `command`: builds it, lets `attach`
 /// add a doctor or a fault, attaches the profiler under `--profile`,
 /// runs it to its stop condition and writes the profile artifacts to
-/// `run_dir`.
+/// `run_dir`, logging each artifact it wrote.
 pub(super) fn run_swarm(
     a: &SwarmArgs,
     command: &str,
@@ -354,6 +354,12 @@ pub(super) fn run_swarm(
         });
     }
     let (metrics, profile, report) = swarm.run_diagnosed();
+    if a.telemetry.is_some() {
+        tracing::info!(target: "btlab", path = run_dir.join(TELEMETRY_FILE).display().to_string(); "telemetry stream written");
+    }
+    if let Some(size) = a.cohort {
+        tracing::info!(target: "btlab", path = run_dir.join(COHORT_FILE).display().to_string(), size = size; "cohort trace written");
+    }
     if a.profile {
         let path = run_dir.join(PROFILE_FILE);
         profile
