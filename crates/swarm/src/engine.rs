@@ -77,6 +77,9 @@ pub struct SwarmCore {
     pub(crate) audit: SwarmAudit,
     pub(crate) piece_cells: bt_obs::CountCells,
     pub(crate) cohort: bt_obs::CohortSink,
+    /// Scratch for the tracker handout of each join, reused so a join
+    /// allocates no handout buffer.
+    pub(crate) join_handout: Vec<PeerId>,
 }
 
 /// An immutable, `Sync` view of the swarm state a parallel plan phase
@@ -246,8 +249,8 @@ impl SwarmCore {
     ///
     /// The tracker lists peers in `seq` order, so sorting each peer's
     /// higher-`seq` partners (at most `k`, their `seq`s read from the
-    /// slab) and appending them builds the sorted list without a global
-    /// sort.
+    /// store's id table) and appending them builds the sorted list
+    /// without a global sort.
     pub(crate) fn collect_connection_pairs(&self, out: &mut Vec<(PeerRef, PeerRef)>) {
         out.clear();
         let mut partners: Vec<PeerId> = Vec::with_capacity(self.config.max_connections as usize);
@@ -258,7 +261,7 @@ impl SwarmCore {
                     .peer(id)
                     .connections
                     .iter()
-                    .map(|&other| self.store.peer_at(other).id)
+                    .map(|&other| self.store.id_at(other))
                     .filter(|&other| id < other),
             );
             partners.sort_unstable();
@@ -273,6 +276,10 @@ impl SwarmCore {
     /// Without it (steady-state top-ups), the add fails if either side is
     /// full, keeping established neighborhoods stable between tracker
     /// contacts.
+    ///
+    /// The relation is symmetric, so one scan of `a`'s list decides
+    /// membership for both sides and the link is pushed on each without
+    /// a second check.
     pub fn add_symmetric_neighbor(&mut self, a: PeerId, b: PeerId, evict: bool) -> bool {
         if a == b || self.store.peer(a).is_neighbor(b.into()) {
             return false;
@@ -284,39 +291,57 @@ impl SwarmCore {
                 return false;
             }
         }
-        self.store.peer_mut(a).add_neighbor(b.into());
-        self.store.peer_mut(b).add_neighbor(a.into());
+        self.store.peer_mut(a).neighbors.push(b.into());
+        self.store.peer_mut(b).neighbors.push(a.into());
         true
     }
 
     /// Evicts a uniformly random neighbor of `id` that is not an active
     /// connection, removing the backlink too. Returns false if every
     /// neighbor is connected.
+    ///
+    /// The idle neighbors are the list minus the connections: every
+    /// connection is a neighbor and no neighbor is listed twice
+    /// ([`Swarm::assert_invariants`] checks both). A connection listed
+    /// twice, which only a seeded half-open fault produces, is counted
+    /// once, so the draw's bound is the idle count in every state. The
+    /// victim is the `pick`-th idle entry in list order, found in one
+    /// scan, or indexed directly when nothing is connected; removing it
+    /// by index keeps the order of the rest.
     fn evict_idle_neighbor(&mut self, id: PeerId) -> bool {
-        // Count-then-nth over the same filtered order the old engine
-        // collected into a Vec: one RNG draw with the same bound picks
-        // the same victim, without the allocation.
         let me = self.store.peer(id);
-        let idle_count = me
-            .neighbors
-            .iter()
-            .filter(|&&n| !me.is_connected(n))
+        debug_assert!(
+            me.connections.iter().all(|c| me.neighbors.contains(c)),
+            "{id} is connected to a non-neighbor"
+        );
+        let connections = &me.connections;
+        let connected = (0..connections.len())
+            .filter(|&i| !connections[..i].contains(&connections[i]))
             .count();
+        let idle_count = me.neighbors.len().saturating_sub(connected);
         if idle_count == 0 {
             return false;
         }
         let pick = self.rng.gen_range(0..idle_count);
-        let me = self.store.peer(id);
-        let victim = me
-            .neighbors
-            .iter()
-            .copied()
-            .filter(|&n| !me.is_connected(n))
-            .nth(pick)
-            .expect("pick is within the idle count");
-        self.store.peer_mut(id).remove_neighbor(victim);
+        let me = self.store.peer_mut(id);
+        let at = if me.connections.is_empty() {
+            pick
+        } else {
+            let connections = &me.connections;
+            me.neighbors
+                .iter()
+                .enumerate()
+                .filter(|(_, n)| !connections.contains(n))
+                .nth(pick)
+                .expect("pick is within the idle count")
+                .0
+        };
+        let victim = me.neighbors.remove(at);
         if let Some(v) = self.store.at_mut(victim) {
-            v.remove_neighbor(id.into());
+            if let Some(back) = v.neighbors.iter().position(|&n| n == id.into()) {
+                v.neighbors.remove(back);
+            }
+            v.connections.retain(|&p| p != id.into());
         }
         true
     }
@@ -345,31 +370,31 @@ impl SwarmCore {
         // bootstrap relief (§4.3), the tracker fills up to half the slots
         // with peers trapped in the bootstrap phase, so the newcomer's
         // fresh pieces reach them.
-        let want = s;
-        let mut handout = Vec::with_capacity(want);
+        let mut trapped = Vec::new();
         if self.config.bootstrap_relief {
-            let mut trapped: Vec<PeerId> = self
-                .tracker
-                .peers()
-                .iter()
-                .copied()
-                .filter(|&p| self.store.peer(p).have.count() <= 1)
-                .collect();
-            let take = (want / 2).min(trapped.len());
+            trapped.extend(
+                self.tracker
+                    .peers()
+                    .iter()
+                    .copied()
+                    .filter(|&p| self.store.peer(p).have.count() <= 1),
+            );
+            let take = (s / 2).min(trapped.len());
             for i in 0..take {
                 let j = self.rng.gen_range(i..trapped.len());
                 trapped.swap(i, j);
             }
-            handout.extend_from_slice(&trapped[..take]);
+            trapped.truncate(take);
         }
-        let rest = self
-            .tracker
-            .handout(id, &handout, want - handout.len(), &mut self.rng);
-        handout.extend(rest);
+        // The tracker's share lands in a buffer kept across joins.
+        let mut handout = std::mem::take(&mut self.join_handout);
+        self.tracker
+            .handout_into(&mut handout, id, &trapped, s - trapped.len(), &mut self.rng);
         let evict = self.config.join_eviction;
-        for other in handout {
+        for &other in trapped.iter().chain(&handout) {
             self.add_symmetric_neighbor(id, other, evict);
         }
+        self.join_handout = handout;
         self.tracker.register(id);
         self.metrics.arrivals += 1;
         self.obs.arrivals.incr();
@@ -596,6 +621,7 @@ impl Swarm {
             audit: SwarmAudit::default(),
             piece_cells: bt_obs::CountCells::new(config.pieces),
             cohort: bt_obs::CohortSink::disabled(),
+            join_handout: Vec::new(),
             config,
         };
         for _ in 0..core.config.initial_leechers {
@@ -682,6 +708,23 @@ impl Swarm {
     #[must_use]
     pub fn peer_connection_count(&self, id: PeerId) -> u32 {
         self.core.store.peer(id).connections.len() as u32
+    }
+
+    /// The neighbors of an alive peer, in the order its list holds them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the peer has departed.
+    #[must_use]
+    // bt-lint: allow(pub-unused) integration-test access: the determinism suite pins a join wave's neighbor lists
+    pub fn peer_neighbor_ids(&self, id: PeerId) -> Vec<PeerId> {
+        let store = &self.core.store;
+        store
+            .peer(id)
+            .neighbors
+            .iter()
+            .map(|&n| store.id_at(n))
+            .collect()
     }
 
     /// Attaches a per-round telemetry recorder, binding it to this run's
@@ -969,7 +1012,8 @@ impl Swarm {
     }
 
     /// Checks the structural invariants: symmetric neighbor and
-    /// connection relations, the `s` and `k` caps, each acquisition log
+    /// connection relations, connections a subset of neighbors, neither
+    /// list holding a peer twice, the `s` and `k` caps, each acquisition log
     /// agreeing with its bitfield, and the replication index agreeing
     /// with a from-scratch rebuild (its property-test oracle); used by
     /// tests and debug assertions.
@@ -989,6 +1033,14 @@ impl Swarm {
                 peer.connections.len() <= core.config.max_connections as usize,
                 "{id} exceeds k"
             );
+            // The join path counts idle neighbors as the list minus the
+            // connections, which needs both lists free of repeats.
+            for list in [&peer.neighbors, &peer.connections] {
+                assert!(
+                    (1..list.len()).all(|i| !list[..i].contains(&list[i])),
+                    "{id} lists a peer twice"
+                );
+            }
             let log = peer.acquisition_rounds();
             assert_eq!(
                 log.len(),
@@ -1906,5 +1958,226 @@ mod bandwidth_tests {
         assert!(metrics.completions.iter().all(|r| !r.slow));
         let (_, slow_mean) = metrics.mean_download_rounds_by_class();
         assert!(slow_mean.is_nan());
+    }
+}
+
+#[cfg(test)]
+mod join_path_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The scan-based linking the engine ran before the idle count came
+    /// from the list lengths: membership checked again on both sides,
+    /// idle neighbors counted and then found by a second filtered scan,
+    /// both removals by `retain`. The oracle for
+    /// [`SwarmCore::add_symmetric_neighbor`].
+    fn oracle_add_symmetric_neighbor(
+        core: &mut SwarmCore,
+        a: PeerId,
+        b: PeerId,
+        evict: bool,
+    ) -> bool {
+        if a == b || core.store.peer(a).is_neighbor(b.into()) {
+            return false;
+        }
+        let s = core.config.neighbor_set_size as usize;
+        for id in [a, b] {
+            if core.store.peer(id).neighbors.len() >= s
+                && (!evict || !oracle_evict_idle_neighbor(core, id))
+            {
+                return false;
+            }
+        }
+        core.store.peer_mut(a).add_neighbor(b.into());
+        core.store.peer_mut(b).add_neighbor(a.into());
+        true
+    }
+
+    /// The oracle for [`SwarmCore::evict_idle_neighbor`].
+    fn oracle_evict_idle_neighbor(core: &mut SwarmCore, id: PeerId) -> bool {
+        let me = core.store.peer(id);
+        let idle_count = me
+            .neighbors
+            .iter()
+            .filter(|&&n| !me.is_connected(n))
+            .count();
+        if idle_count == 0 {
+            return false;
+        }
+        let pick = core.rng.gen_range(0..idle_count);
+        let me = core.store.peer(id);
+        let victim = me
+            .neighbors
+            .iter()
+            .copied()
+            .filter(|&n| !me.is_connected(n))
+            .nth(pick)
+            .expect("pick is within the idle count");
+        core.store.peer_mut(id).remove_neighbor(victim);
+        if let Some(v) = core.store.at_mut(victim) {
+            v.remove_neighbor(id.into());
+        }
+        true
+    }
+
+    /// A random topology to link into: neighbor pairs (added while both
+    /// sides have room, so some lists end full), connection pairs
+    /// between neighbors (while both sides are under `k`), and an
+    /// optional half-open connection, the seeded fault's one-sided push,
+    /// optionally followed by the reciprocal open that lists it twice.
+    #[derive(Debug, Clone)]
+    struct Topology {
+        peers: u32,
+        s: u32,
+        k: u32,
+        links: Vec<(usize, usize)>,
+        connections: Vec<(usize, usize)>,
+        half_open: Option<(usize, bool)>,
+        joins: Vec<(usize, usize, bool)>,
+        seed: u64,
+    }
+
+    fn topology() -> impl Strategy<Value = Topology> {
+        (2u32..30, 2u32..9).prop_flat_map(|(peers, s)| {
+            let n = peers as usize;
+            (
+                1..=s,
+                prop::collection::vec((0..n, 0..n), 0..(n * s as usize)),
+                prop::collection::vec((0..n, 0..n), 0..(2 * n)),
+                (0..3u8, 0..n, any::<bool>()),
+                prop::collection::vec((0..n, 0..n, any::<bool>()), 1..60),
+                any::<u64>(),
+            )
+                .prop_map(
+                    move |(k, links, connections, (fault, at, reciprocal), joins, seed)| Topology {
+                        peers,
+                        s,
+                        k,
+                        links,
+                        connections,
+                        half_open: (fault > 0).then_some((at, reciprocal)),
+                        joins,
+                        seed,
+                    },
+                )
+        })
+    }
+
+    /// A swarm of `t.peers` peers whose construction-time topology is
+    /// replaced by `t`'s.
+    fn build(t: &Topology) -> (Swarm, Vec<PeerId>) {
+        let config = SwarmConfig::builder()
+            .pieces(8)
+            .max_connections(t.k)
+            .neighbor_set_size(t.s)
+            .initial_leechers(t.peers)
+            .seed(t.seed)
+            .build()
+            .expect("valid config");
+        let mut swarm = Swarm::new(config);
+        let ids = swarm.alive_peer_ids();
+        let core = &mut swarm.core;
+        for &id in &ids {
+            let peer = core.store.peer_mut(id);
+            peer.neighbors.clear();
+            peer.connections.clear();
+        }
+        let (s, k) = (t.s as usize, t.k as usize);
+        for &(i, j) in &t.links {
+            let (a, b) = (ids[i], ids[j]);
+            let room = |id| core.store.peer(id).neighbors.len() < s;
+            if a != b && !core.store.peer(a).is_neighbor(b.into()) && room(a) && room(b) {
+                core.store.peer_mut(a).neighbors.push(b.into());
+                core.store.peer_mut(b).neighbors.push(a.into());
+            }
+        }
+        for &(i, j) in &t.connections {
+            let (a, b) = (ids[i], ids[j]);
+            let room = |id| core.store.peer(id).connections.len() < k;
+            if core.store.peer(a).is_neighbor(b.into())
+                && !core.store.peer(a).is_connected(b.into())
+                && room(a)
+                && room(b)
+            {
+                core.store.peer_mut(a).connections.push(b.into());
+                core.store.peer_mut(b).connections.push(a.into());
+            }
+        }
+        if let Some((i, reciprocal)) = t.half_open {
+            let a = ids[i];
+            let me = core.store.peer(a);
+            let idle = me.neighbors.iter().copied().find(|&n| !me.is_connected(n));
+            if let Some(b) = idle {
+                core.store.peer_mut(a).connections.push(b);
+                if reciprocal {
+                    core.store.peer_at_mut(b).connections.push(a.into());
+                    core.store.peer_mut(a).connections.push(b);
+                }
+            }
+        }
+        (swarm, ids)
+    }
+
+    /// Every peer's neighbor and connection lists, as seqs in list order.
+    fn lists(swarm: &Swarm) -> Vec<(Vec<u64>, Vec<u64>)> {
+        let store = &swarm.core.store;
+        let seqs = |refs: &[PeerRef]| refs.iter().map(|&r| store.peer_at(r).id.seq()).collect();
+        swarm
+            .core
+            .tracker
+            .peers()
+            .iter()
+            .map(|&id| {
+                let peer = store.peer(id);
+                (seqs(&peer.neighbors), seqs(&peer.connections))
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn join_linking_matches_the_scan_oracle(t in topology()) {
+            let (mut fast, ids) = build(&t);
+            let (mut oracle, _) = build(&t);
+            prop_assert_eq!(lists(&fast), lists(&oracle));
+            for &(i, j, evict) in &t.joins {
+                let (a, b) = (ids[i], ids[j]);
+                let got = fast.core.add_symmetric_neighbor(a, b, evict);
+                let want = oracle_add_symmetric_neighbor(&mut oracle.core, a, b, evict);
+                prop_assert_eq!(got, want, "linking {} and {}", a, b);
+            }
+            prop_assert_eq!(lists(&fast), lists(&oracle));
+            prop_assert_eq!(fast.core.rng.gen::<u64>(), oracle.core.rng.gen::<u64>());
+        }
+    }
+
+    #[test]
+    fn eviction_without_connections_indexes_the_pick() {
+        // A full peer with no open connection: every neighbor is idle, so
+        // the pick indexes the list directly, and the rest keep order.
+        let t = Topology {
+            peers: 6,
+            s: 3,
+            k: 2,
+            links: vec![(0, 1), (0, 2), (0, 3)],
+            connections: Vec::new(),
+            half_open: None,
+            joins: vec![(4, 0, true)],
+            seed: 5,
+        };
+        let (mut swarm, ids) = build(&t);
+        let before = swarm.peer_neighbor_ids(ids[0]);
+        assert!(swarm.core.add_symmetric_neighbor(ids[4], ids[0], true));
+        let after = swarm.peer_neighbor_ids(ids[0]);
+        assert_eq!(after.len(), 3);
+        assert_eq!(after[2], ids[4], "the newcomer is appended");
+        let kept: Vec<PeerId> = before
+            .iter()
+            .copied()
+            .filter(|p| after.contains(p))
+            .collect();
+        assert_eq!(kept, after[..2], "survivors keep their order");
+        swarm.assert_invariants();
     }
 }

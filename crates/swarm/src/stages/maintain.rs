@@ -9,8 +9,8 @@ use crate::stages::RoundStage;
 ///
 /// The handout excludes the peer's current neighbors. The neighbor list
 /// holds slab references, and the tracker excludes by sequence number,
-/// so each neighbor's [`PeerId`] is read from the slab into a scratch
-/// list reused across peers and rounds.
+/// so each neighbor's [`PeerId`] is read from the store's dense id table
+/// (no slab lookup) into a scratch list reused across peers and rounds.
 ///
 /// Tracker contact is amortized by `reannounce_interval`: the top-up
 /// runs only on rounds where `(round - 1) % interval == 0` (rounds 1,
@@ -53,7 +53,7 @@ impl RoundStage for MaintainNeighbors {
             }
             self.exclude.clear();
             self.exclude
-                .extend(neighbors.iter().map(|&n| core.store.peer_at(n).id));
+                .extend(neighbors.iter().map(|&n| core.store.id_at(n)));
             probes += core.tracker.handout_into(
                 &mut self.handout,
                 id,

@@ -23,7 +23,8 @@
 //! and generation alone, half a `PeerId`. It resolves with the same
 //! generation check, and it has no order of its own worth sorting by:
 //! code that needs the arrival order resolves the reference and reads
-//! `seq` from the peer it has just looked up.
+//! `seq` from the peer it has just looked up, or, when it needs only the
+//! id, reads it from the store's dense slot-indexed id table.
 
 use serde::{DeError, Deserialize, Serialize, Value};
 
@@ -169,15 +170,22 @@ struct Slot {
 #[derive(Debug, Default)]
 pub struct PeerStore {
     slots: Vec<Slot>,
+    /// The id issued for each slot's latest occupant, by slot, with the
+    /// slot's current generation: a dense copy of the identities, so
+    /// reading a neighbor's `seq` ([`id_at`](Self::id_at)) touches 16
+    /// bytes, not the peer. Removal bumps the generation here too.
+    ids: Vec<PeerId>,
     free: Vec<u32>,
     next_seq: u64,
     len: usize,
     /// Lifetime count of slab lookups ([`get`](Self::get) /
-    /// [`get_mut`](Self::get_mut)), for cost-attribution profiling. An
-    /// atomic (relaxed) so read paths stay `&self` and the store stays
-    /// `Sync` for sharded execution; wraps on overflow — consumers diff
-    /// consecutive readings, so only deltas are meaningful. Counted by
-    /// one thread at a time ([`add_probes`](Self::add_probes)).
+    /// [`get_mut`](Self::get_mut)), for cost-attribution profiling;
+    /// reads of the id table ([`id_at`](Self::id_at)) reach no slot and
+    /// are not counted. An atomic (relaxed) so read paths stay `&self`
+    /// and the store stays `Sync` for sharded execution; wraps on
+    /// overflow — consumers diff consecutive readings, so only deltas
+    /// are meaningful. Counted by one thread at a time
+    /// ([`add_probes`](Self::add_probes)).
     probes: std::sync::atomic::AtomicU64,
 }
 
@@ -185,6 +193,7 @@ impl Clone for PeerStore {
     fn clone(&self) -> Self {
         PeerStore {
             slots: self.slots.clone(),
+            ids: self.ids.clone(),
             free: self.free.clone(),
             next_seq: self.next_seq,
             len: self.len,
@@ -240,6 +249,10 @@ impl PeerStore {
             slot,
             generation: self.slots[slot as usize].generation,
         };
+        match self.ids.get_mut(slot as usize) {
+            Some(entry) => *entry = id,
+            None => self.ids.push(id),
+        }
         self.next_seq += 1;
         self.slots[slot as usize].peer = Some(f(id));
         self.len += 1;
@@ -341,6 +354,22 @@ impl PeerStore {
         self.at_mut(r).expect("peer departed but was referenced")
     }
 
+    /// The id of the live peer `r` routes to, read from the dense id
+    /// table. This is not a slab lookup and does not count as a probe:
+    /// [`probe_count`](Self::probe_count) counts only the lookups that
+    /// reach a slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the peer departed, like [`peer_at`](Self::peer_at).
+    pub(crate) fn id_at(&self, r: PeerRef) -> PeerId {
+        self.ids
+            .get(r.slot as usize)
+            .copied()
+            .filter(|&id| PeerRef::from(id) == r)
+            .expect("peer departed but was referenced")
+    }
+
     /// Whether `id` resolves to a live peer.
     #[must_use]
     pub fn contains(&self, id: PeerId) -> bool {
@@ -357,6 +386,7 @@ impl PeerStore {
         }
         let peer = slot.peer.take()?;
         slot.generation = slot.generation.wrapping_add(1);
+        self.ids[id.slot as usize].generation = slot.generation;
         self.free.push(id.slot);
         self.len -= 1;
         Some(peer)
@@ -509,6 +539,31 @@ mod tests {
         let _ = store.get_mut(ids[1]);
         let _ = store.peer(ids[0]); // goes through get
         assert_eq!(store.probe_count() - before, 3);
+    }
+
+    #[test]
+    fn id_table_answers_without_probing() {
+        let (mut store, ids) = store_with(3);
+        let before = store.probe_count();
+        for &id in &ids {
+            let r = PeerRef::from(id);
+            assert_eq!(PeerRef::from(store.id_at(r)), r);
+            assert_eq!(store.id_at(r).seq(), id.seq());
+        }
+        assert_eq!(store.probe_count(), before, "table reads are not probes");
+        store.remove(ids[1]).expect("alive");
+        let newcomer = store.insert_with(|id| Peer::new(id, 4, 0));
+        assert_eq!(store.id_at(newcomer.into()).seq(), 3);
+        assert_eq!(store.id_at(ids[2].into()).seq(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "peer departed")]
+    fn id_table_rejects_a_departed_peers_reference() {
+        let (mut store, ids) = store_with(2);
+        store.remove(ids[0]).expect("alive");
+        store.insert_with(|id| Peer::new(id, 4, 0));
+        let _ = store.id_at(ids[0].into());
     }
 
     #[test]

@@ -14,6 +14,11 @@ use crate::peer::PeerId;
 /// larger ones copy O(count).
 const WINDOW_PER_DRAW: usize = 32;
 
+/// Bits of the filter in front of a handout's side table. A join draws
+/// `s` = 40 peers, which set at most 40 of 1 024 bits, so a draw that
+/// lands outside the table scans it with probability under 4%.
+const FILTER_BITS: usize = 1024;
+
 /// The swarm tracker. Keeps the set of alive peers sorted by
 /// [`PeerId`], i.e. by arrival sequence number. The engine registers
 /// each peer as it joins, so this is join order — the order every stage
@@ -74,37 +79,24 @@ impl Tracker {
         &self.alive
     }
 
-    /// Hands out up to `count` distinct random peers, excluding `requester`
-    /// and anything in `exclude`.
+    /// Hands out up to `count` distinct random peers, excluding
+    /// `requester` and anything in `exclude`, into `out`. The buffer is
+    /// cleared and left holding the sampled peers; its capacity is
+    /// reused across calls.
     ///
-    /// Sampling is a partial Fisher–Yates over a candidate list, so the
-    /// result is uniform without replacement.
-    pub fn handout<R: Rng + ?Sized>(
-        &self,
-        requester: PeerId,
-        exclude: &[PeerId],
-        count: usize,
-        rng: &mut R,
-    ) -> Vec<PeerId> {
-        let mut candidates = Vec::new();
-        self.handout_into(&mut candidates, requester, exclude, count, rng);
-        candidates
-    }
-
-    /// [`handout`](Self::handout) into a caller-supplied buffer, for hot
-    /// loops that hand out every round: the buffer is cleared and left
-    /// holding the sampled peers, and its capacity is reused across
-    /// calls. RNG consumption is identical to `handout`.
-    ///
-    /// The candidate list — `alive` minus the requester and `exclude` —
-    /// is never built whole. The excluded peers are binary-searched to
-    /// their positions in `alive`, which gives the list's length and maps
-    /// any candidate index back to `alive`. A window at the front of the
-    /// list, `WINDOW_PER_DRAW` candidates per requested peer, is copied
-    /// into `out` by runs; candidates beyond it that a swap overwrote live
-    /// in a small side table. The draws and their bounds are those of a
-    /// shuffle over the whole list, so the output is the same peer for
-    /// peer. Cost is O((|exclude| + count) · log N + count²), independent
+    /// Sampling is a partial Fisher–Yates over the candidate list —
+    /// `alive` minus the requester and `exclude` — so the result is
+    /// uniform without replacement. The list is never built whole. The
+    /// excluded peers are binary-searched to their positions in `alive`,
+    /// which gives the list's length and maps any candidate index back
+    /// to `alive`. A window at the front of the list, `WINDOW_PER_DRAW`
+    /// candidates per requested peer, is copied into `out` by runs;
+    /// candidates beyond it that a swap overwrote live in a small side
+    /// table, behind a bit filter that answers "not overwritten" without
+    /// scanning it for all but a few percent of draws. The draws and
+    /// their bounds are those of a shuffle over the whole list, so the
+    /// output is the same peer for peer. Cost is O((|exclude| + count)
+    /// · log N) plus O(count) expected for the side table, independent
     /// of the population N.
     ///
     /// Returns the number of candidates examined: one per requester or
@@ -146,19 +138,32 @@ impl Tracker {
             *pos -= m;
         }
         let candidate = |k: usize| self.alive[k + skip.partition_point(|&before| before <= k)];
-        // Candidates past the window that a swap overwrote, by index.
+        // Candidates past the window that a swap overwrote, by index,
+        // and a filter with bit `k % FILTER_BITS` set for each index `k`
+        // in the table: a clear bit proves `j` was never overwritten.
         let mut displaced: Vec<(usize, PeerId)> = Vec::new();
+        let mut filter = [0u64; FILTER_BITS / 64];
         for i in 0..take {
             let j = rng.gen_range(i..len);
             if j < window {
                 out.swap(i, j);
                 continue;
             }
-            match displaced.iter().position(|&(k, _)| k == j) {
+            let (word, bit) = (j % FILTER_BITS / 64, 1u64 << (j % 64));
+            let at = if filter[word] & bit == 0 {
+                None
+            } else {
+                displaced.iter().position(|&(k, _)| k == j)
+            };
+            match at {
                 Some(at) => std::mem::swap(&mut out[i], &mut displaced[at].1),
                 None => {
+                    if displaced.is_empty() {
+                        displaced.reserve_exact(take - i);
+                    }
                     let front = std::mem::replace(&mut out[i], candidate(j));
                     displaced.push((j, front));
+                    filter[word] |= bit;
                 }
             }
         }
@@ -313,6 +318,27 @@ mod tests {
     }
 
     #[test]
+    fn handout_matches_reference_at_join_scale() {
+        // A join's handout: 40 draws from 20 000 alive peers, almost all
+        // past the 1 280-candidate window, so the side table fills and
+        // its filter sees revisits and collisions; a third of the seeds
+        // also exclude a full neighbor list.
+        let departed: Vec<u64> = (0..21_000).step_by(21).collect();
+        let t = tracker_with_gaps(21_000, &departed);
+        assert_eq!(t.len(), 20_000);
+        for seed in 0..400 {
+            let requester = PeerId::synthetic(seed * 37 % 21_000);
+            let exclude: Vec<PeerId> = match seed % 3 {
+                0 => (0..40)
+                    .map(|n| PeerId::synthetic(seed * 101 + n * 500))
+                    .collect(),
+                _ => Vec::new(),
+            };
+            assert_matches_reference(&t, requester, &exclude, 40, seed);
+        }
+    }
+
+    #[test]
     fn register_out_of_order_sorts_by_seq() {
         let mut t = Tracker::new();
         for seq in [5, 2, 9, 0] {
@@ -357,7 +383,9 @@ mod tests {
             t.register(PeerId::synthetic(i));
         }
         let mut rng = StdRng::seed_from_u64(1);
-        let got = t.handout(
+        let mut got = Vec::new();
+        t.handout_into(
+            &mut got,
             PeerId::synthetic(0),
             &[PeerId::synthetic(1), PeerId::synthetic(2)],
             20,
@@ -376,7 +404,8 @@ mod tests {
             t.register(PeerId::synthetic(i));
         }
         let mut rng = StdRng::seed_from_u64(2);
-        let got = t.handout(PeerId::synthetic(0), &[], 49, &mut rng);
+        let mut got = Vec::new();
+        t.handout_into(&mut got, PeerId::synthetic(0), &[], 49, &mut rng);
         let mut sorted = got.clone();
         sorted.sort();
         sorted.dedup();
@@ -390,8 +419,11 @@ mod tests {
             t.register(PeerId::synthetic(i));
         }
         let mut rng = StdRng::seed_from_u64(3);
-        assert_eq!(t.handout(PeerId::synthetic(0), &[], 5, &mut rng).len(), 5);
-        assert_eq!(t.handout(PeerId::synthetic(0), &[], 0, &mut rng).len(), 0);
+        let mut got = Vec::new();
+        t.handout_into(&mut got, PeerId::synthetic(0), &[], 5, &mut rng);
+        assert_eq!(got.len(), 5);
+        t.handout_into(&mut got, PeerId::synthetic(0), &[], 0, &mut rng);
+        assert_eq!(got.len(), 0);
     }
 
     #[test]
@@ -403,10 +435,10 @@ mod tests {
         }
         let mut rng = StdRng::seed_from_u64(4);
         let mut seen = std::collections::HashSet::new();
+        let mut got = Vec::new();
         for _ in 0..200 {
-            for p in t.handout(PeerId::synthetic(0), &[], 1, &mut rng) {
-                seen.insert(p);
-            }
+            t.handout_into(&mut got, PeerId::synthetic(0), &[], 1, &mut rng);
+            seen.extend(got.iter().copied());
         }
         assert_eq!(seen.len(), 5);
     }

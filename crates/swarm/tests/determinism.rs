@@ -760,3 +760,36 @@ fn open_swarm_outputs_are_identical_across_thread_counts() {
         );
     }
 }
+
+/// A flash crowd of 2 000 peers with `s` = 40: every construction-time
+/// join takes a tracker handout and, once the early joiners' lists are
+/// full, evicts an idle neighbor on the far side of each new link.
+fn join_wave_config() -> SwarmConfig {
+    SwarmConfig::builder()
+        .pieces(20)
+        .neighbor_set_size(40)
+        .initial_leechers(2_000)
+        .seed(41)
+        .build()
+        .expect("valid config")
+}
+
+#[test]
+fn join_wave_neighbor_lists_match_the_pinned_digest() {
+    // Every neighbor list after the join wave, peers in tracker order,
+    // each list in its own order: the bytes the tracker handout and the
+    // eviction path decide. Like the digests above, this constant
+    // changes only with a versioned RNG stream change.
+    let swarm = Swarm::new(join_wave_config());
+    let mut lists = String::new();
+    for id in swarm.alive_peer_ids() {
+        let neighbors: Vec<String> = swarm
+            .peer_neighbor_ids(id)
+            .iter()
+            .map(|n| n.seq().to_string())
+            .collect();
+        lists.push_str(&format!("{}:{}\n", id.seq(), neighbors.join(",")));
+    }
+    assert_eq!(swarm.population(), 2_000);
+    assert_eq!(bt_obs::fnv1a_hex(lists.as_bytes()), "a25b3d4c30660db5");
+}
