@@ -56,7 +56,7 @@ pub fn piece_selection(seed: u64) -> Vec<SelectionRow> {
             SelectionRow {
                 strategy,
                 mean_entropy,
-                mean_download_rounds: metrics.mean_download_rounds(),
+                mean_download_rounds: metrics.completions.mean_download_rounds(),
             }
         })
         .collect()
@@ -123,7 +123,7 @@ pub struct SeedingRow {
     /// Mean inter-piece time over the final 5% of acquisition indices.
     pub tail_ttd: f64,
     /// Completions observed.
-    pub completions: usize,
+    pub completions: u64,
 }
 
 /// §7.2: more seed capacity shortens the last phase.
@@ -139,7 +139,7 @@ pub fn seeding(uploads_sweep: &[u32], seed: u64) -> Vec<SeedingRow> {
         config.seed_uploads_per_round = uploads;
         let pieces = config.pieces;
         let metrics = Swarm::new(config).run();
-        let gaps = metrics.mean_inter_piece_times(pieces);
+        let gaps = metrics.completions.mean_inter_piece_times();
         let first = (pieces as usize * 95) / 100;
         let tail: Vec<f64> = (first..=pieces as usize)
             .map(|j| gaps[j])
@@ -152,7 +152,7 @@ pub fn seeding(uploads_sweep: &[u32], seed: u64) -> Vec<SeedingRow> {
             } else {
                 tail.iter().sum::<f64>() / tail.len() as f64
             },
-            completions: metrics.completions.len(),
+            completions: metrics.completions.count(),
         }
     })
 }
@@ -186,7 +186,7 @@ pub fn shake_threshold(thresholds: &[f64], completions: u64, seed: u64) -> Vec<S
         }
         let pieces = config.pieces;
         let metrics = Swarm::new(config).run();
-        let gaps = metrics.mean_inter_piece_times(pieces);
+        let gaps = metrics.completions.mean_inter_piece_times();
         let tail: Vec<f64> = (190..=pieces as usize)
             .map(|j| gaps[j])
             .filter(|v| !v.is_nan())
@@ -241,7 +241,7 @@ pub struct ReliefRow {
     /// Mean rounds from joining to holding a second piece.
     pub mean_bootstrap_rounds: f64,
     /// Completions observed.
-    pub completions: usize,
+    pub completions: u64,
 }
 
 /// §4.3: tracker bootstrap relief in a skewed swarm where newcomers tend
@@ -278,8 +278,8 @@ pub fn bootstrap_relief(seed: u64) -> Vec<ReliefRow> {
             let metrics = Swarm::new(config).run();
             ReliefRow {
                 relief,
-                mean_bootstrap_rounds: metrics.mean_bootstrap_rounds(),
-                completions: metrics.completions.len(),
+                mean_bootstrap_rounds: metrics.completions.mean_bootstrap_rounds(),
+                completions: metrics.completions.count(),
             }
         })
         .collect()
@@ -552,7 +552,7 @@ pub fn block_granularity(blocks_sweep: &[u32], seed: u64) -> Vec<BlockRow> {
                 .build()
                 .expect("valid ablation config");
             let metrics = Swarm::new(config).run();
-            let mean_rounds = metrics.mean_download_rounds();
+            let mean_rounds = metrics.completions.mean_download_rounds();
             BlockRow {
                 blocks,
                 mean_rounds,
@@ -601,7 +601,7 @@ pub fn heterogeneous_bandwidth(fractions: &[f64], seed: u64) -> Vec<BandwidthRow
                 .build()
                 .expect("valid ablation config");
             let metrics = Swarm::new(config).run();
-            let (fast_mean, slow_mean) = metrics.mean_download_rounds_by_class();
+            let (fast_mean, slow_mean) = metrics.completions.mean_download_rounds_by_class();
             BandwidthRow {
                 slow_fraction,
                 fast_mean,

@@ -81,7 +81,7 @@ pub fn fig1b(completions: u64, replications: usize, seed: u64) -> Vec<TimelinePa
         let p_n = config.p_new_connection;
         let lambda = config.arrival_rate;
         let metrics = Swarm::new(config).run();
-        let sim = metrics.mean_time_to_pieces(pieces);
+        let sim = metrics.completions.mean_time_to_pieces();
         let mean_pop = metrics
             .population
             .iter()

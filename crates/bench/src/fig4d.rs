@@ -21,7 +21,7 @@ pub struct ShakeComparison {
     /// Same with peer-set shaking at 90%.
     pub shake: Vec<f64>,
     /// Completions observed per arm.
-    pub completions: (usize, usize),
+    pub completions: (u64, u64),
 }
 
 /// Runs both arms of the experiment.
@@ -35,9 +35,9 @@ pub fn fig4d(completions: u64, seed: u64) -> ShakeComparison {
         let config =
             scenario::shake_study(shake, completions, seed).expect("scenario preset is valid");
         let metrics = Swarm::new(config).run();
-        let gaps = metrics.mean_inter_piece_times(PIECES as u32);
+        let gaps = metrics.completions.mean_inter_piece_times();
         let series: Vec<f64> = (FIRST_INDEX..=PIECES).map(|j| gaps[j]).collect();
-        (series, metrics.completions.len())
+        (series, metrics.completions.count())
     });
     let [(normal, n_normal), (shake, n_shake)]: [_; 2] =
         arms.try_into().expect("one result per arm");

@@ -33,7 +33,7 @@
 //! `btlab lint --stage-matrix` renders the same analysis as JSON. The
 //! matrix classifies core fields into **state** (the model's evolving
 //! data), **telemetry** (commutative sinks: counters, profile, audit,
-//! cohort), and **rng**, and reports pairwise write-disjointness over
+//! cohort, completion stream), and **rng**, and reports pairwise write-disjointness over
 //! the *state* fields — the go/no-go artifact for sharding stages
 //! across threads: two stages whose state writes are disjoint (and
 //! whose rng use is restructured onto per-shard streams) can run in
@@ -60,6 +60,7 @@ const TELEMETRY_TYPES: &[&str] = &[
     "ProfileSink",
     "SwarmAudit",
     "CohortSink",
+    "CompletionStream",
     "CountCells",
 ];
 

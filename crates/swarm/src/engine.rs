@@ -31,7 +31,7 @@ use bt_markov::dist::sample_exponential;
 
 use crate::audit::SwarmAudit;
 use crate::config::{InitialPieces, SwarmConfig};
-use crate::metrics::{ObserverLog, SwarmMetrics};
+use crate::metrics::{CompletionMeta, CompletionStream, ObserverLog, SwarmMetrics};
 use crate::monitors::{DoctorOptions, DoctorReport, FaultKind, FaultSpec, SwarmDoctor};
 use crate::obs::SwarmObs;
 use crate::observe::{RoundObserver, OBSERVERS};
@@ -77,6 +77,7 @@ pub struct SwarmCore {
     pub(crate) audit: SwarmAudit,
     pub(crate) piece_cells: bt_obs::CountCells,
     pub(crate) cohort: bt_obs::CohortSink,
+    pub(crate) completion_stream: CompletionStream,
     /// Scratch for the tracker handout of each join, reused so a join
     /// allocates no handout buffer.
     pub(crate) join_handout: Vec<PeerId>,
@@ -621,6 +622,7 @@ impl Swarm {
             audit: SwarmAudit::default(),
             piece_cells: bt_obs::CountCells::new(config.pieces),
             cohort: bt_obs::CohortSink::disabled(),
+            completion_stream: CompletionStream::default(),
             join_handout: Vec::new(),
             config,
         };
@@ -792,6 +794,22 @@ impl Swarm {
         sink
     }
 
+    /// Streams one [`CompletionRecord`](crate::metrics::CompletionRecord)
+    /// per counted completion to `writer`, after a
+    /// [`CompletionMeta`] header written now: the per-peer acquisition
+    /// rounds that [`SwarmMetrics::completions`] only sums. The stream
+    /// only reads what the depart stage already has and makes no RNG
+    /// calls, so attaching it leaves a same-seed run byte-identical.
+    /// Read it back with [`read_completions`](crate::metrics::read_completions).
+    pub fn attach_completions(&mut self, writer: Box<dyn std::io::Write + Send>) {
+        let meta = CompletionMeta {
+            schema_version: crate::metrics::COMPLETION_SCHEMA_VERSION,
+            pieces: self.core.config.pieces,
+            warmup_rounds: self.core.config.metrics_warmup_rounds,
+        };
+        self.core.completion_stream = CompletionStream::enabled(meta, writer);
+    }
+
     /// Attaches a heartbeat emitter (see [`bt_obs::HeartbeatEmitter`]):
     /// subsequent rounds emit wall-clock-cadenced progress records to
     /// the emitter's run directory. The emitter only reads swarm state
@@ -915,7 +933,7 @@ impl Swarm {
                     .core
                     .config
                     .stop_after_completions
-                    .is_some_and(|n| self.core.metrics.completions.len() as u64 >= n);
+                    .is_some_and(|n| self.core.metrics.completions.count() >= n);
                 if done_rounds || done_completions {
                     sim.request_stop();
                 } else {
@@ -930,12 +948,13 @@ impl Swarm {
             }
         }
         self.core.cohort.finish();
+        self.core.completion_stream.finish();
         tracing::info!(
             target: "bt_swarm",
             rounds = self.core.metrics.rounds_run,
             arrivals = self.core.metrics.arrivals,
             departures = self.core.metrics.departures,
-            completions = self.core.metrics.completions.len(),
+            completions = self.core.metrics.completions.count(),
             final_population = self.core.metrics.final_population(),
             pieces = self.core.config.pieces,
             k = self.core.config.max_connections,
@@ -1117,6 +1136,44 @@ pub fn entropy_of(replication: &[u64]) -> f64 {
     }
 }
 
+/// An in-memory stream a test keeps a handle to after the swarm owns
+/// its writer.
+#[cfg(test)]
+#[derive(Clone, Default)]
+struct SharedBuf(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
+
+#[cfg(test)]
+impl SharedBuf {
+    fn contents(&self) -> Vec<u8> {
+        self.0.lock().unwrap().clone()
+    }
+}
+
+#[cfg(test)]
+impl std::io::Write for SharedBuf {
+    fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(data);
+        Ok(data.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Runs `config` to its stop condition with a completion stream
+/// attached: the metrics, and the per-peer records read back from the
+/// stream, whose count the metrics must agree with.
+#[cfg(test)]
+fn run_recorded(config: SwarmConfig) -> (SwarmMetrics, Vec<crate::metrics::CompletionRecord>) {
+    let buf = SharedBuf::default();
+    let mut swarm = Swarm::new(config);
+    swarm.attach_completions(Box::new(buf.clone()));
+    let metrics = swarm.run();
+    let (_, records) = crate::metrics::read_completions(&buf.contents()[..]).unwrap();
+    assert_eq!(records.len() as u64, metrics.completions.count());
+    (metrics, records)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1138,10 +1195,10 @@ mod tests {
 
     #[test]
     fn run_completes_downloads() {
-        let metrics = Swarm::new(small_config(1)).run();
+        let (metrics, records) = run_recorded(small_config(1));
         assert!(metrics.departures > 0, "no peer completed in 120 rounds");
-        assert_eq!(metrics.departures as usize, metrics.completions.len());
-        for rec in &metrics.completions {
+        assert_eq!(metrics.departures as usize, records.len());
+        for rec in &records {
             assert_eq!(rec.acquisition_rounds.len(), 12);
             assert!(rec.completed_round >= rec.joined_round);
             for w in rec.acquisition_rounds.windows(2) {
@@ -1586,7 +1643,7 @@ mod mechanism_tests {
                 .seed(43)
                 .build()
                 .unwrap();
-            Swarm::new(config).run().mean_bootstrap_rounds()
+            Swarm::new(config).run().completions.mean_bootstrap_rounds()
         };
         let without = run(false);
         let with = run(true);
@@ -1609,10 +1666,10 @@ mod mechanism_tests {
             .seed(47)
             .build()
             .unwrap();
-        let metrics = Swarm::new(config).run();
+        let (metrics, records) = run_recorded(config);
         // Records only from post-warm-up joiners; departures count all.
-        assert!(metrics.completions.len() as u64 <= metrics.departures);
-        for rec in &metrics.completions {
+        assert!(metrics.completions.count() <= metrics.departures);
+        for rec in &records {
             assert!(rec.joined_round >= 5, "{rec:?} joined during warm-up");
         }
     }
@@ -1633,9 +1690,9 @@ mod mechanism_tests {
             .seed(53)
             .build()
             .unwrap();
-        let metrics = Swarm::new(config).run();
+        let (metrics, records) = run_recorded(config);
         assert_eq!(metrics.departures, 1, "4 uploads complete 4 pieces");
-        assert_eq!(metrics.completions[0].acquisition_rounds, vec![1, 2, 3, 4]);
+        assert_eq!(records[0].acquisition_rounds, vec![1, 2, 3, 4]);
     }
 }
 
@@ -1668,9 +1725,9 @@ mod block_tests {
 
     #[test]
     fn block_mode_completes_downloads() {
-        let metrics = Swarm::new(block_config(4, 1)).run();
+        let (metrics, records) = run_recorded(block_config(4, 1));
         assert!(metrics.departures >= 10);
-        for rec in &metrics.completions {
+        for rec in &records {
             assert_eq!(rec.acquisition_rounds.len(), 10);
         }
     }
@@ -1680,6 +1737,7 @@ mod block_tests {
         let rounds = |blocks| {
             Swarm::new(block_config(blocks, 2))
                 .run()
+                .completions
                 .mean_download_rounds()
         };
         let fast = rounds(1);
@@ -1717,7 +1775,7 @@ mod block_tests {
         assert!(metrics.departures >= 10);
         // One piece per connection-round: a download of 10 pieces with up
         // to 3 connections finishes within a handful of rounds.
-        assert!(metrics.mean_download_rounds() < 30.0);
+        assert!(metrics.completions.mean_download_rounds() < 30.0);
     }
 }
 
@@ -1878,15 +1936,24 @@ mod plan_commit_tests {
     #[test]
     fn threaded_run_metrics_match_serial() {
         for threads in [2, 4, 8] {
+            let (serial_stream, sharded_stream) = (SharedBuf::default(), SharedBuf::default());
             let mut serial = Swarm::new(plan_commit_config(77, true));
             serial.set_threads(1);
+            serial.attach_completions(Box::new(serial_stream.clone()));
             let mut sharded = Swarm::new(plan_commit_config(77, true));
             sharded.set_threads(threads);
+            sharded.attach_completions(Box::new(sharded_stream.clone()));
             for _ in 0..40 {
                 serial.step_round();
                 sharded.step_round();
             }
             assert_eq!(serial.metrics(), sharded.metrics(), "threads={threads}");
+            assert!(serial.metrics().completions.count() > 0, "peers completed");
+            assert_eq!(
+                serial_stream.contents(),
+                sharded_stream.contents(),
+                "completion records at threads={threads}"
+            );
         }
     }
 }
@@ -1931,7 +1998,7 @@ mod bandwidth_tests {
             .build()
             .unwrap();
         let metrics = Swarm::new(config).run();
-        let (fast, slow) = metrics.mean_download_rounds_by_class();
+        let (fast, slow) = metrics.completions.mean_download_rounds_by_class();
         assert!(
             fast.is_finite() && slow.is_finite(),
             "both classes complete"
@@ -1954,9 +2021,9 @@ mod bandwidth_tests {
             .seed(67)
             .build()
             .unwrap();
-        let metrics = Swarm::new(config).run();
-        assert!(metrics.completions.iter().all(|r| !r.slow));
-        let (_, slow_mean) = metrics.mean_download_rounds_by_class();
+        let (metrics, records) = run_recorded(config);
+        assert!(records.iter().all(|r| !r.slow));
+        let (_, slow_mean) = metrics.completions.mean_download_rounds_by_class();
         assert!(slow_mean.is_nan());
     }
 }

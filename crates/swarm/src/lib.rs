@@ -33,7 +33,7 @@
 //!     .seed(1)
 //!     .build()?;
 //! let metrics = Swarm::new(config).run();
-//! println!("mean download: {} rounds", metrics.mean_download_rounds());
+//! println!("mean download: {} rounds", metrics.completions.mean_download_rounds());
 //! # Ok(())
 //! # }
 //! ```
@@ -62,7 +62,7 @@ pub mod tracker;
 pub use audit::SwarmAudit;
 pub use config::{BootstrapInjection, InitialPieces, PieceSelection, SwarmConfig};
 pub use engine::{Swarm, SwarmCore};
-pub use metrics::SwarmMetrics;
+pub use metrics::{CompletionStats, SwarmMetrics};
 pub use monitors::{
     default_monitors, DoctorOptions, DoctorReport, EntropyCollapse, FaultKind, FaultSpec,
     MonitorSample, ObserverPhase, ObserverStall, PhaseMonotonic, PieceConservation,

@@ -1,13 +1,13 @@
 //! Departures: completed peers leave immediately.
 
 use crate::engine::SwarmCore;
-use crate::metrics::CompletionRecord;
 use crate::peer::PeerId;
 use crate::stages::RoundStage;
 
 /// Removes every peer that completed its download this round (the
-/// paper's no-seeding assumption) and records its completion, unless it
-/// joined during the metrics warm-up window.
+/// paper's no-seeding assumption) and counts its completion into the
+/// completion statistics (and the completion stream, when attached),
+/// unless it joined during the metrics warm-up window.
 ///
 /// Disabling this stage turns the swarm into a closed population where
 /// finished peers linger as de-facto seeds — useful for seeding-ratio
@@ -17,7 +17,7 @@ pub struct DepartCompleted {
     done: Vec<PeerId>,
 }
 
-// bt-stage: reads(config, round), writes(audit, cohort, metrics, obs, piece_cells, profile, replication, store, tracker)
+// bt-stage: reads(config, round), writes(audit, cohort, completion_stream, metrics, obs, piece_cells, profile, replication, store, tracker)
 impl RoundStage for DepartCompleted {
     fn name(&self) -> &'static str {
         "depart"
@@ -38,20 +38,24 @@ impl RoundStage for DepartCompleted {
             let peer = core.depart(id);
             core.cohort.depart(core.round, id.seq(), peer.have.count());
             // Peers that joined during warm-up carry transient startup
-            // dynamics; they depart normally but leave no record.
+            // dynamics; they depart normally but are not counted.
             if peer.joined_round >= core.config.metrics_warmup_rounds {
-                core.metrics.completions.push(CompletionRecord {
-                    id,
-                    joined_round: peer.joined_round,
-                    completed_round: core.round,
-                    // The acquisition log is already in round order.
-                    acquisition_rounds: peer
-                        .acquisition_rounds()
-                        .iter()
-                        .map(|&r| u64::from(r))
-                        .collect(),
-                    slow: peer.slow,
-                });
+                // The acquisition log is already in round order.
+                let rounds = peer.acquisition_rounds();
+                core.metrics.completions.record(
+                    peer.joined_round,
+                    core.round,
+                    rounds.iter().map(|&r| u64::from(r)),
+                    peer.slow,
+                );
+                core.completion_stream
+                    .write(id, peer.joined_round, core.round, rounds, peer.slow);
+                let obs_lo = u64::from(core.config.observe_from);
+                if (obs_lo..obs_lo + u64::from(core.config.observers)).contains(&id.seq()) {
+                    if let Some(log) = core.metrics.observers.iter_mut().find(|l| l.id == id) {
+                        log.completed_round = Some(core.round);
+                    }
+                }
                 core.obs.completions.incr();
             }
             core.metrics.departures += 1;

@@ -604,17 +604,30 @@ fn completion_config(blocks_per_piece: u32, max_rounds: u64) -> SwarmConfig {
         .expect("valid config")
 }
 
+/// The completion records a run's completion stream holds, checked
+/// against the count in its metrics.
+fn completion_records(
+    stream: &SharedBuf,
+    metrics: &bt_swarm::SwarmMetrics,
+) -> Vec<bt_swarm::metrics::CompletionRecord> {
+    let (_, records) = bt_swarm::metrics::read_completions(&stream.contents()[..])
+        .expect("the completion stream reads back");
+    assert_eq!(records.len() as u64, metrics.completions.count());
+    records
+}
+
 /// The number of completion records and the FNV-1a-64 digest of their
-/// JSON bytes after a run of [`completion_config`] at `threads` workers.
+/// JSON array after a run of [`completion_config`] at `threads` workers,
+/// read from the run's completion stream.
 fn completion_digest(blocks_per_piece: u32, max_rounds: u64, threads: u32) -> (usize, String) {
     let mut swarm = Swarm::new(completion_config(blocks_per_piece, max_rounds));
     swarm.set_threads(threads);
+    let stream = SharedBuf::default();
+    swarm.attach_completions(Box::new(stream.clone()));
     let metrics = swarm.run();
-    let json = serde_json::to_string(&metrics.completions).expect("completion records serialize");
-    (
-        metrics.completions.len(),
-        bt_obs::fnv1a_hex(json.as_bytes()),
-    )
+    let records = completion_records(&stream, &metrics);
+    let json = serde_json::to_string(&records).expect("completion records serialize");
+    (records.len(), bt_obs::fnv1a_hex(json.as_bytes()))
 }
 
 #[test]
@@ -676,6 +689,8 @@ fn run_open(threads: u32) -> OpenRun {
     );
     let cohort_buf = SharedBuf::default();
     swarm.attach_cohort(8, Box::new(cohort_buf.clone()));
+    let completion_buf = SharedBuf::default();
+    swarm.attach_completions(Box::new(completion_buf.clone()));
     swarm.attach_doctor(DoctorOptions {
         cadence: 3,
         ..DoctorOptions::default()
@@ -706,14 +721,14 @@ fn run_open(threads: u32) -> OpenRun {
         "{} arrivals from {initial} initial leechers: no peer joined mid-run",
         metrics.arrivals
     );
+    let records = completion_records(&completion_buf, &metrics);
     assert!(
-        metrics.completions.iter().any(|c| c.joined_round > 0),
+        records.iter().any(|c| c.joined_round > 0),
         "no mid-run arrival completed"
     );
     let report = report.expect("doctor was attached");
     assert!(report.report.checks > 0, "monitors sampled rounds");
-    let completions =
-        serde_json::to_string(&metrics.completions).expect("completion records serialize");
+    let completions = serde_json::to_string(&records).expect("completion records serialize");
     (
         buf.contents(),
         cohort_buf.contents(),

@@ -31,7 +31,7 @@ fn counters_match_swarm_metrics() {
     assert_eq!(counter(&registry, "swarm.departures"), metrics.departures);
     assert_eq!(
         counter(&registry, "swarm.completions"),
-        metrics.completions.len() as u64
+        metrics.completions.count()
     );
     assert_eq!(counter(&registry, "swarm.rounds"), metrics.rounds_run);
 

@@ -2,10 +2,38 @@
 
 use bt_swarm::config::{BootstrapInjection, InitialPieces, PieceSelection};
 use bt_swarm::engine::entropy_of;
+use bt_swarm::metrics::{read_completions, CompletionRecord};
 use bt_swarm::piece::Bitfield;
 use bt_swarm::selection::replication_counts;
-use bt_swarm::{Swarm, SwarmConfig};
+use bt_swarm::{Swarm, SwarmConfig, SwarmMetrics};
 use proptest::prelude::*;
+
+/// An in-memory completion stream the test keeps a handle to.
+#[derive(Clone, Default)]
+struct SharedBuf(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
+
+impl std::io::Write for SharedBuf {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().expect("buffer lock").extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Runs `config` with a completion stream attached and reads the
+/// per-peer records back from it.
+fn run_recorded(config: SwarmConfig) -> (SwarmMetrics, Vec<CompletionRecord>) {
+    let buf = SharedBuf::default();
+    let mut swarm = Swarm::new(config);
+    swarm.attach_completions(Box::new(buf.clone()));
+    let metrics = swarm.run();
+    let bytes = buf.0.lock().expect("buffer lock").clone();
+    let (_, records) = read_completions(&bytes[..]).expect("the stream reads back");
+    (metrics, records)
+}
 
 /// Strategy: a small but varied swarm configuration.
 fn small_config() -> impl Strategy<Value = SwarmConfig> {
@@ -61,10 +89,11 @@ proptest! {
     #[test]
     fn metrics_are_consistent(config in small_config()) {
         let pieces = config.pieces;
-        let metrics = Swarm::new(config).run();
-        prop_assert!(metrics.completions.len() as u64 <= metrics.departures);
+        let (metrics, records) = run_recorded(config);
+        prop_assert_eq!(records.len() as u64, metrics.completions.count());
+        prop_assert!(metrics.completions.count() <= metrics.departures);
         prop_assert!(metrics.arrivals >= metrics.departures);
-        for rec in &metrics.completions {
+        for rec in &records {
             prop_assert_eq!(rec.acquisition_rounds.len(), pieces as usize);
             prop_assert!(rec.completed_round >= rec.joined_round);
             for w in rec.acquisition_rounds.windows(2) {
@@ -231,14 +260,14 @@ fn mean_bootstrap_rounds_is_finite_for_healthy_swarms() {
         .build()
         .unwrap();
     let metrics = Swarm::new(config).run();
-    let bootstrap = metrics.mean_bootstrap_rounds();
+    let bootstrap = metrics.completions.mean_bootstrap_rounds();
     assert!(bootstrap.is_finite());
     assert!(
         bootstrap >= 1.0,
         "second piece takes at least a round: {bootstrap}"
     );
     assert!(
-        bootstrap <= metrics.mean_download_rounds(),
+        bootstrap <= metrics.completions.mean_download_rounds(),
         "bootstrap is a prefix of the download"
     );
 }

@@ -145,12 +145,12 @@ fn observers_walk_from_bootstrap_to_done() {
     swarm.attach_telemetry(TelemetryRecorder::new(TelemetryOptions::default()));
     for _ in 0..400 {
         swarm.step_round();
-        if swarm.metrics().completions.len() >= 3 {
+        if swarm.metrics().completions.count() >= 3 {
             break;
         }
     }
     assert!(
-        swarm.metrics().completions.len() >= 3,
+        swarm.metrics().completions.count() >= 3,
         "observers should finish within 400 rounds"
     );
     let recorder = swarm.take_telemetry().expect("recorder attached");

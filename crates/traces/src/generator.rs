@@ -127,9 +127,8 @@ pub fn generate(scenario: TraceScenario, observers: u32, seed: u64) -> Result<Ve
         .iter()
         .map(|log| {
             // Peers depart the round they complete, before metric sampling,
-            // so completion is determined from the completion records.
-            let completion = metrics.completions.iter().find(|rec| rec.id == log.id);
-            let completed = completion.is_some();
+            // so completion is the round the depart stage noted on the log.
+            let completed = log.completed_round.is_some();
             let start_round = log.rounds.first().copied().unwrap_or(0);
             let samples = log
                 .rounds
@@ -162,10 +161,9 @@ pub fn generate(scenario: TraceScenario, observers: u32, seed: u64) -> Result<Ve
             }
             // Close a completed trace with a full-file sample at the
             // completion round (the client logs its own finish).
-            if let Some(rec) = completion {
+            if let Some(completed_round) = log.completed_round {
                 samples.push(TraceSample {
-                    t: (rec.completed_round.max(start_round) - start_round) as f64
-                        * SECONDS_PER_ROUND,
+                    t: (completed_round.max(start_round) - start_round) as f64 * SECONDS_PER_ROUND,
                     bytes: u64::from(pieces) * piece_bytes,
                     potential: 0,
                 });

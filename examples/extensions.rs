@@ -29,8 +29,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let metrics = Swarm::new(config).run();
         println!(
             "blocks/piece = {blocks:>2}: {:.1} rounds/download ({:.2} piece-periods)",
-            metrics.mean_download_rounds(),
-            metrics.mean_download_rounds() / f64::from(blocks)
+            metrics.completions.mean_download_rounds(),
+            metrics.completions.mean_download_rounds() / f64::from(blocks)
         );
     }
 
@@ -50,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .seed(2)
         .build()?;
     let metrics = Swarm::new(config).run();
-    let (fast, slow) = metrics.mean_download_rounds_by_class();
+    let (fast, slow) = metrics.completions.mean_download_rounds_by_class();
     println!("fast peers: {fast:.1} rounds   slow peers: {slow:.1} rounds");
     println!("(tit-for-tat: serving little means being served little)");
 

@@ -51,8 +51,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let metrics = Swarm::new(config).run();
     println!(
         "sim:   mean download time = {:.1} rounds over {} completions",
-        metrics.mean_download_rounds(),
-        metrics.completions.len()
+        metrics.completions.mean_download_rounds(),
+        metrics.completions.count()
     );
     println!(
         "sim:   final entropy = {:.2}, mean slot utilization = {:.2}",

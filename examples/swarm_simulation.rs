@@ -19,8 +19,8 @@ fn run_named(name: &str, config: SwarmConfig) {
     };
     println!(
         "{name:<28} B={pieces:<4} completions={:<5} mean_rounds={:<7.1} entropy={:.2} pop_end={}",
-        metrics.completions.len(),
-        metrics.mean_download_rounds(),
+        metrics.completions.count(),
+        metrics.completions.mean_download_rounds(),
         mid_entropy,
         metrics.final_population()
     );

@@ -326,8 +326,8 @@ USAGE:
   btlab swarm   [--pieces N] [--k N] [--s N] [--lambda F] [--initial N]
                 [--rounds N] [--seed N] [--shake F] [--json]
                 [--observers N] [--telemetry [STRIDE]]
-                [--cohort [SIZE]] [--profile] [--heartbeat [SECS]]
-                [--disable-stage NAME[,NAME..]] [--threads N]
+                [--cohort [SIZE]] [--completions] [--profile]
+                [--heartbeat [SECS]] [--disable-stage NAME[,NAME..]] [--threads N]
                 [--reannounce R]
   btlab model   [--pieces N] [--k N] [--s N] [--alpha F] [--gamma F]
                 [--replications N] [--seed N]
@@ -354,7 +354,8 @@ USAGE:
 RUN DIRECTORY (btlab swarm / doctor):
   Every artifact of a run lands in one directory, $BT_MANIFEST_DIR
   (default results/), under a fixed name: manifest-<command>.json,
-  telemetry.jsonl (--telemetry), cohort.jsonl (--cohort), profile.json,
+  telemetry.jsonl (--telemetry), cohort.jsonl (--cohort),
+  completions.jsonl (--completions), profile.json,
   profile.folded and profile.rounds.jsonl (--profile),
   run.heartbeat.jsonl and run.status.json (--heartbeat), and the
   doctor's diagnosis-<run>/ bundle. An artifact flag's optional value is
@@ -727,6 +728,41 @@ fn required(key: &str, value: &str) -> Result<String, String> {
     }
 }
 
+/// The `btlab swarm --json` document: the metrics with the completion
+/// records of the run's completion stream in place of the statistics,
+/// and no completion rounds on the observer logs.
+fn swarm_json_v1(metrics: &bt_swarm::SwarmMetrics, run_dir: &Path) -> Result<String, CliError> {
+    let path = run_dir.join(swarm::COMPLETIONS_FILE);
+    let what = format!("completion stream {}", path.display());
+    let file = std::fs::File::open(&path).map_err(|e| read_error(&what, e))?;
+    let (_, records) = bt_swarm::metrics::read_completions(std::io::BufReader::new(file))
+        .map_err(|e| read_error(&what, e))?;
+    let serialize = |e: serde_json::Error| format!("serialization error: {e}");
+    let text = serde_json::to_string(metrics).map_err(serialize)?;
+    let serde_json::Value::Object(mut doc) = serde_json::from_str(&text).map_err(serialize)? else {
+        return Err(CliError::Failure(
+            "metrics serialize to an object".to_string(),
+        ));
+    };
+    let records: serde_json::Value =
+        serde_json::from_str(&serde_json::to_string(&records).map_err(serialize)?)
+            .map_err(serialize)?;
+    for (key, value) in &mut doc {
+        match (key.as_str(), value) {
+            ("completions", value) => *value = records.clone(),
+            ("observers", serde_json::Value::Array(logs)) => {
+                for log in logs {
+                    if let serde_json::Value::Object(fields) = log {
+                        fields.retain(|(name, _)| name != "completed_round");
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+    Ok(serde_json::to_string_pretty(&serde_json::Value::Object(doc)).map_err(serialize)?)
+}
+
 /// Executes a parsed command, writing human-readable output to `out`.
 /// `swarm` and `doctor` write their artifacts to `run_dir` under fixed
 /// names, and `trend` reads the ledger there by default.
@@ -747,8 +783,7 @@ pub fn run<W: std::io::Write>(
             tracing::info!(target: "btlab", pieces = a.pieces, rounds = a.rounds, seed = a.seed; "running swarm simulation");
             let (metrics, _) = run_swarm(&a, "swarm", run_dir, |_| {})?;
             if a.json {
-                let json = serde_json::to_string_pretty(&metrics)
-                    .map_err(|e| format!("serialization error: {e}"))?;
+                let json = swarm_json_v1(&metrics, run_dir)?;
                 writeln!(out, "{json}").map_err(CliError::from)
             } else {
                 writeln!(
@@ -757,9 +792,9 @@ pub fn run<W: std::io::Write>(
                      mean_bootstrap_rounds={:.2} final_entropy={:.3} final_population={} utilization={:.3}",
                     metrics.rounds_run,
                     metrics.arrivals,
-                    metrics.completions.len(),
-                    metrics.mean_download_rounds(),
-                    metrics.mean_bootstrap_rounds(),
+                    metrics.completions.count(),
+                    metrics.completions.mean_download_rounds(),
+                    metrics.completions.mean_bootstrap_rounds(),
                     metrics.final_entropy(),
                     metrics.final_population(),
                     metrics.mean_utilization(),

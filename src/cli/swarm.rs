@@ -41,6 +41,10 @@ pub struct SwarmArgs {
     /// Cohort trace: `Some(size)` writes `cohort.jsonl` to the run
     /// directory, tracing a reservoir of `size` peers.
     pub cohort: Option<u32>,
+    /// Completion stream: writes `completions.jsonl` to the run
+    /// directory, one record of acquisition rounds per counted
+    /// completion.
+    pub completions: bool,
     /// Worker threads for the parallel plan phases. Output bytes are
     /// identical at every value; only wall time changes.
     pub threads: u32,
@@ -69,6 +73,7 @@ impl Default for SwarmArgs {
             disabled_stages: Vec::new(),
             profile: false,
             cohort: None,
+            completions: false,
             threads: 1,
             reannounce: 1,
             heartbeat: None,
@@ -142,6 +147,9 @@ pub(super) fn apply_swarm_flag(a: &mut SwarmArgs, key: &str, value: &str) -> Res
         }
         "profile" => {
             a.profile = artifact(key, value, true, "no value", "profile.json")?;
+        }
+        "completions" => {
+            a.completions = artifact(key, value, true, "no value", COMPLETIONS_FILE)?;
         }
         "threads" => {
             a.threads = num(key, value)?;
@@ -277,6 +285,8 @@ pub(super) fn swarm_identity(a: &SwarmArgs) -> Option<String> {
 const TELEMETRY_FILE: &str = "telemetry.jsonl";
 /// The fixed name of the cohort trace in a run directory.
 const COHORT_FILE: &str = "cohort.jsonl";
+/// The fixed name of the completion stream in a run directory.
+pub(super) const COMPLETIONS_FILE: &str = "completions.jsonl";
 /// The fixed name of the profile summary in a run directory; the folded
 /// stacks and the per-round series share its stem.
 const PROFILE_FILE: &str = "profile.json";
@@ -291,7 +301,8 @@ fn create_artifact(run_dir: &Path, name: &str) -> Result<std::fs::File, String> 
 
 /// Builds the swarm a `btlab swarm` / `btlab doctor` run drives:
 /// config, optional stage ablation, and the telemetry stream, cohort
-/// trace and heartbeat (naming `command`) in `run_dir`.
+/// trace, completion stream and heartbeat (naming `command`) in
+/// `run_dir`.
 fn build_swarm(a: &SwarmArgs, command: &str, run_dir: &Path) -> Result<bt_swarm::Swarm, String> {
     let config = swarm_config(a)?;
     if !a.disabled_stages.is_empty() {
@@ -312,6 +323,10 @@ fn build_swarm(a: &SwarmArgs, command: &str, run_dir: &Path) -> Result<bt_swarm:
     if let Some(size) = a.cohort {
         let file = create_artifact(run_dir, COHORT_FILE)?;
         swarm.attach_cohort(size, Box::new(std::io::BufWriter::new(file)));
+    }
+    if a.completions || a.json {
+        let file = create_artifact(run_dir, COMPLETIONS_FILE)?;
+        swarm.attach_completions(Box::new(std::io::BufWriter::new(file)));
     }
     if let Some(secs) = a.heartbeat {
         let emitter = bt_obs::HeartbeatEmitter::new(
@@ -359,6 +374,9 @@ pub(super) fn run_swarm(
     }
     if let Some(size) = a.cohort {
         tracing::info!(target: "btlab", path = run_dir.join(COHORT_FILE).display().to_string(), size = size; "cohort trace written");
+    }
+    if a.completions {
+        tracing::info!(target: "btlab", path = run_dir.join(COMPLETIONS_FILE).display().to_string(); "completion stream written");
     }
     if a.profile {
         let path = run_dir.join(PROFILE_FILE);
@@ -413,7 +431,7 @@ pub(super) fn run_doctor<W: std::io::Write>(
         out,
         "rounds={} completions={} final_entropy={:.3} final_population={}",
         metrics.rounds_run,
-        metrics.completions.len(),
+        metrics.completions.count(),
         metrics.final_entropy(),
         metrics.final_population(),
     )?;

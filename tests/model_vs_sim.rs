@@ -21,7 +21,7 @@ fn matched_download_times(pieces: u32, k: u32, s: u32, seed: u64) -> (f64, f64) 
         .build()
         .expect("valid config");
     let metrics = Swarm::new(config).run();
-    let sim = metrics.mean_download_rounds();
+    let sim = metrics.completions.mean_download_rounds();
     let params = ModelParams::builder()
         .pieces(pieces)
         .max_connections(k)

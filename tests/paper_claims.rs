@@ -103,7 +103,7 @@ fn shake_reduces_last_piece_times() {
             builder.shake_at(0.9);
         }
         let metrics = Swarm::new(builder.build().expect("valid config")).run();
-        let gaps = metrics.mean_inter_piece_times(60);
+        let gaps = metrics.completions.mean_inter_piece_times();
         let tail: Vec<f64> = (55..=60).map(|j| gaps[j]).filter(|v| !v.is_nan()).collect();
         tail.iter().sum::<f64>() / tail.len() as f64
     };
@@ -130,7 +130,7 @@ fn peer_set_size_helps_downloads() {
             .seed(7)
             .build()
             .expect("valid config");
-        Swarm::new(config).run().mean_download_rounds()
+        Swarm::new(config).run().completions.mean_download_rounds()
     };
     let small = mean_rounds(2);
     let large = mean_rounds(16);
