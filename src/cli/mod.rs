@@ -728,39 +728,24 @@ fn required(key: &str, value: &str) -> Result<String, String> {
     }
 }
 
-/// The `btlab swarm --json` document: the metrics with the completion
-/// records of the run's completion stream in place of the statistics,
-/// and no completion rounds on the observer logs.
-fn swarm_json_v1(metrics: &bt_swarm::SwarmMetrics, run_dir: &Path) -> Result<String, CliError> {
-    let path = run_dir.join(swarm::COMPLETIONS_FILE);
-    let what = format!("completion stream {}", path.display());
-    let file = std::fs::File::open(&path).map_err(|e| read_error(&what, e))?;
-    let (_, records) = bt_swarm::metrics::read_completions(std::io::BufReader::new(file))
-        .map_err(|e| read_error(&what, e))?;
-    let serialize = |e: serde_json::Error| format!("serialization error: {e}");
-    let text = serde_json::to_string(metrics).map_err(serialize)?;
-    let serde_json::Value::Object(mut doc) = serde_json::from_str(&text).map_err(serialize)? else {
-        return Err(CliError::Failure(
-            "metrics serialize to an object".to_string(),
-        ));
-    };
-    let records: serde_json::Value =
-        serde_json::from_str(&serde_json::to_string(&records).map_err(serialize)?)
-            .map_err(serialize)?;
-    for (key, value) in &mut doc {
-        match (key.as_str(), value) {
-            ("completions", value) => *value = records.clone(),
-            ("observers", serde_json::Value::Array(logs)) => {
-                for log in logs {
-                    if let serde_json::Value::Object(fields) = log {
-                        fields.retain(|(name, _)| name != "completed_round");
-                    }
-                }
-            }
-            _ => {}
-        }
+/// Version of the `btlab swarm --json` document. Version 1 carried no
+/// `schema` field and listed every completion record under
+/// `completions`; version 2 holds the completion statistics there (the
+/// records are the `--completions` stream).
+const SWARM_JSON_SCHEMA: u64 = 2;
+
+/// The `btlab swarm --json` document: `schema`, then every field of the
+/// run's metrics.
+fn swarm_document(metrics: &bt_swarm::SwarmMetrics) -> serde_json::Value {
+    use serde::Serialize;
+    let mut fields = vec![(
+        "schema".to_string(),
+        serde_json::Value::UInt(SWARM_JSON_SCHEMA),
+    )];
+    if let serde_json::Value::Object(metrics) = metrics.to_value() {
+        fields.extend(metrics);
     }
-    Ok(serde_json::to_string_pretty(&serde_json::Value::Object(doc)).map_err(serialize)?)
+    serde_json::Value::Object(fields)
 }
 
 /// Executes a parsed command, writing human-readable output to `out`.
@@ -783,7 +768,8 @@ pub fn run<W: std::io::Write>(
             tracing::info!(target: "btlab", pieces = a.pieces, rounds = a.rounds, seed = a.seed; "running swarm simulation");
             let (metrics, _) = run_swarm(&a, "swarm", run_dir, |_| {})?;
             if a.json {
-                let json = swarm_json_v1(&metrics, run_dir)?;
+                let json = serde_json::to_string_pretty(&swarm_document(&metrics))
+                    .map_err(|e| format!("serialization error: {e}"))?;
                 writeln!(out, "{json}").map_err(CliError::from)
             } else {
                 writeln!(

@@ -25,7 +25,8 @@ pub struct SwarmArgs {
     pub seed: u64,
     /// Optional shake threshold.
     pub shake: Option<f64>,
-    /// Emit full metrics as JSON instead of a summary.
+    /// Emit the metrics as a versioned JSON document instead of a
+    /// summary.
     pub json: bool,
     /// Number of observer peers for per-peer telemetry and phase
     /// detection.
@@ -286,7 +287,7 @@ const TELEMETRY_FILE: &str = "telemetry.jsonl";
 /// The fixed name of the cohort trace in a run directory.
 const COHORT_FILE: &str = "cohort.jsonl";
 /// The fixed name of the completion stream in a run directory.
-pub(super) const COMPLETIONS_FILE: &str = "completions.jsonl";
+const COMPLETIONS_FILE: &str = "completions.jsonl";
 /// The fixed name of the profile summary in a run directory; the folded
 /// stacks and the per-round series share its stem.
 const PROFILE_FILE: &str = "profile.json";
@@ -324,7 +325,7 @@ fn build_swarm(a: &SwarmArgs, command: &str, run_dir: &Path) -> Result<bt_swarm:
         let file = create_artifact(run_dir, COHORT_FILE)?;
         swarm.attach_cohort(size, Box::new(std::io::BufWriter::new(file)));
     }
-    if a.completions || a.json {
+    if a.completions {
         let file = create_artifact(run_dir, COMPLETIONS_FILE)?;
         swarm.attach_completions(Box::new(std::io::BufWriter::new(file)));
     }

@@ -70,7 +70,10 @@ fn swarm_json_is_parseable() {
     assert!(out.status.success());
     let metrics: serde_json::Value =
         serde_json::from_slice(&out.stdout).expect("valid JSON metrics");
-    assert!(metrics.get("completions").is_some());
+    assert_eq!(metrics.get("schema").and_then(|v| v.as_u64()), Some(2));
+    // Schema 2: completion statistics, not one record per peer.
+    let completions = metrics.get("completions").expect("completion statistics");
+    assert!(completions.get("class_count").is_some(), "{completions:?}");
     assert!(metrics.get("entropy").is_some());
     std::fs::remove_dir_all(&dir).ok();
 }
