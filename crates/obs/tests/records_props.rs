@@ -1,7 +1,8 @@
 //! Property suite for the shared record codec ([`bt_obs::records`]),
 //! modelled on `heartbeat_props.rs` (which stays as the test of the
 //! heartbeat header rules). On [`SeriesPoint`], [`LedgerRecord`],
-//! [`CohortEvent`] and `bt_traces` [`Trace`] streams:
+//! [`CohortEvent`], `bt_traces` [`Trace`] and `bt_swarm`
+//! [`CompletionRecord`] streams:
 //!
 //! * EVERY byte prefix of a stream written with `write_line` reads back
 //!   through `read_lines` as exactly the records it holds complete (the
@@ -21,6 +22,8 @@ use bt_obs::{
     CohortObserve, CohortPhase, CohortShake, CohortSlot, LedgerRecord, SeriesPoint,
     LEDGER_SCHEMA_VERSION,
 };
+use bt_swarm::metrics::CompletionRecord;
+use bt_swarm::PeerId;
 use bt_traces::{Trace, TraceSample};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -122,6 +125,26 @@ fn trace((client, completed, steps): (u8, bool, Vec<(f64, u32, u32)>)) -> Trace 
     }
 }
 
+/// A completion record whose acquisition rounds are the running sums
+/// of `gaps` after the join round.
+fn completion((seq, joined, gaps, slow): (u64, u64, Vec<u64>, bool)) -> CompletionRecord {
+    let mut round = joined;
+    let acquisition_rounds: Vec<u64> = gaps
+        .into_iter()
+        .map(|gap| {
+            round += gap;
+            round
+        })
+        .collect();
+    CompletionRecord {
+        id: PeerId::synthetic(seq),
+        joined_round: joined,
+        completed_round: round,
+        acquisition_rounds,
+        slow,
+    }
+}
+
 /// Checks the line-stream properties on one generated stream.
 fn check_stream<T>(records: &[T], at: usize, mask: u8) -> Result<(), TestCaseError>
 where
@@ -199,6 +222,23 @@ proptest! {
         mask in 1u8..=255,
     ) {
         check_stream(&raw.into_iter().map(trace).collect::<Vec<_>>(), at, mask)?;
+    }
+
+    #[test]
+    fn completion_record_streams(
+        raw in prop::collection::vec(
+            (
+                any::<u64>(),
+                0u64..1_000_000,
+                prop::collection::vec(0u64..50, 0..6),
+                any::<bool>(),
+            ),
+            0..5,
+        ),
+        at in any::<usize>(),
+        mask in 1u8..=255,
+    ) {
+        check_stream(&raw.into_iter().map(completion).collect::<Vec<_>>(), at, mask)?;
     }
 }
 

@@ -1270,21 +1270,7 @@ mod tests {
 
     #[test]
     fn cohort_reservoir_traces_member_lifecycles() {
-        use std::sync::{Arc, Mutex};
-
-        #[derive(Clone, Default)]
-        struct Buf(Arc<Mutex<Vec<u8>>>);
-        impl std::io::Write for Buf {
-            fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(data);
-                Ok(data.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-
-        let buf = Buf::default();
+        let buf = SharedBuf::default();
         let mut swarm = Swarm::new(small_config(11));
         swarm.attach_cohort(4, Box::new(buf.clone()));
         for _ in 0..120 {
@@ -1292,8 +1278,7 @@ mod tests {
         }
         let sink = swarm.take_cohort();
         assert!(sink.events() > 0, "a 120-round run must trace something");
-        let bytes = buf.0.lock().unwrap().clone();
-        let (meta, events) = bt_obs::read_cohort(&bytes[..]).unwrap();
+        let (meta, events) = bt_obs::read_cohort(&buf.contents()[..]).unwrap();
         assert_eq!(meta.size, 4);
         assert_eq!(meta.seed, swarm.config().seed);
         assert_eq!(events.len() as u64, sink.events());
@@ -1672,6 +1657,40 @@ mod mechanism_tests {
         for rec in &records {
             assert!(rec.joined_round >= 5, "{rec:?} joined during warm-up");
         }
+    }
+
+    #[test]
+    fn observer_completion_follows_the_warmup_rule() {
+        // An observer's log carries its completion round exactly when
+        // the completion is counted: never for a warm-up joiner.
+        let config = SwarmConfig::builder()
+            .pieces(8)
+            .max_connections(3)
+            .neighbor_set_size(6)
+            .arrival_rate(1.0)
+            .initial_leechers(10)
+            .metrics_warmup_rounds(5)
+            .observers(40)
+            .max_rounds(80)
+            .seed(47)
+            .build()
+            .unwrap();
+        let (metrics, records) = run_recorded(config);
+        let (mut counted, mut warmup) = (0, 0);
+        for log in &metrics.observers {
+            let record = records.iter().find(|rec| rec.id == log.id);
+            assert_eq!(
+                log.completed_round,
+                record.map(|rec| rec.completed_round),
+                "observer {}",
+                log.id
+            );
+            counted += usize::from(record.is_some());
+            let departed = log.rounds.last() < Some(&metrics.rounds_run);
+            warmup += usize::from(departed && log.completed_round.is_none());
+        }
+        assert!(counted > 0, "some observer completed after the warm-up");
+        assert!(warmup > 0, "some warm-up observer departed uncounted");
     }
 
     #[test]

@@ -208,13 +208,14 @@ impl CompletionStream {
     /// A stream writing `meta` to `writer` now and records as they come.
     /// A failed header write disables it with a warning.
     pub(crate) fn enabled(meta: CompletionMeta, mut writer: Box<dyn Write + Send>) -> Self {
-        let mut stream = CompletionStream { writer: None };
-        if let Err(e) = bt_obs::records::write_line(&mut writer, &meta) {
-            tracing::warn!(target: "bt_swarm", error = e.to_string(); "completion stream header write failed; stream disabled");
-        } else {
-            stream.writer = Some(writer);
-        }
-        stream
+        let writer = match bt_obs::records::write_line(&mut writer, &meta) {
+            Ok(()) => Some(writer),
+            Err(e) => {
+                tracing::warn!(target: "bt_swarm", error = e.to_string(); "completion stream header write failed; stream disabled");
+                None
+            }
+        };
+        CompletionStream { writer }
     }
 
     /// Writes the record of `id`, which joined at `joined_round`,

@@ -331,9 +331,9 @@ USAGE:
                 [--reannounce R]
   btlab model   [--pieces N] [--k N] [--s N] [--alpha F] [--gamma F]
                 [--replications N] [--seed N]
-  btlab report  [--telemetry FILE] [--cohort FILE] [--manifest FILE]
-                [--alpha F] [--gamma F] [--replications N] [--seed N]
-                [--strict]
+  btlab report  [--telemetry FILE] [--cohort FILE] [--completions FILE]
+                [--manifest FILE] [--alpha F] [--gamma F]
+                [--replications N] [--seed N] [--strict]
   btlab profile PROFILE.json [--top N] [--json]
   btlab compare BASELINE.json CANDIDATE.json [--tolerance F]
                 [--obs-budget PCT] [--mem-budget PCT]
@@ -396,6 +396,18 @@ COHORT TRACING (btlab swarm / report):
   byte-identical to bare ones. `btlab report --cohort FILE` renders
   per-peer trajectories; a trace whose rounds run backwards, or with a
   peer's event before its join or after its departure, exits 2.
+
+COMPLETION STREAM (btlab swarm / report):
+  A run keeps completion statistics (per acquisition index, the count,
+  time-to-piece and inter-piece sums; per bandwidth class, the duration
+  sum and count), never one record per finished peer, so its memory
+  follows the live swarm. --completions streams the per-peer records
+  instead, as JSON lines: a meta header (schema, pieces, warm-up), then
+  one record per counted completion (peer, join and completion rounds,
+  the round of every acquisition, bandwidth class), in completion
+  order. `btlab report --completions FILE` recomputes the summary's
+  completion means from it; a record whose rounds are out of order or
+  before the warm-up exits 2.
 
 OBSERVER OVERHEAD (btlab compare --obs-budget):
   Run manifests record the wall-time share spent inside observers
@@ -468,9 +480,10 @@ EXIT CODES:
   0 success; 1 run failure (simulation error, compare regression,
   doctor violation, report --strict warning); 2 usage error or
   malformed/mismatched input data.
-  Streams (telemetry, cohort, heartbeat, ledger, traces) are read up to
-  their last complete record; a missing file, a malformed complete
-  record, or a torn document (manifest, profile, status) exits 2.
+  Streams (telemetry, cohort, completions, heartbeat, ledger, traces)
+  are read up to their last complete record; a missing file, a
+  malformed complete record, or a torn document (manifest, profile,
+  status) exits 2.
 
 STAGE ABLATION (btlab swarm):
   --disable-stage removes stages from the round pipeline for ablation
@@ -571,6 +584,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 match key.as_str() {
                     "telemetry" => a.telemetry = Some(required(key, value)?),
                     "cohort" => a.cohort = Some(required(key, value)?),
+                    "completions" => a.completions = Some(required(key, value)?),
                     "manifest" => a.manifest = Some(required(key, value)?),
                     "alpha" => a.alpha = num(key, value)?,
                     "gamma" => a.gamma = num(key, value)?,
@@ -580,8 +594,11 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     _ => return Err(format!("unknown flag --{key} for report")),
                 }
             }
-            if a.telemetry.is_none() && a.cohort.is_none() {
-                return Err("report requires --telemetry FILE and/or --cohort FILE".to_string());
+            if a.telemetry.is_none() && a.cohort.is_none() && a.completions.is_none() {
+                return Err(
+                    "report requires --telemetry FILE, --cohort FILE and/or --completions FILE"
+                        .to_string(),
+                );
             }
             Ok(Command::Report(a))
         }

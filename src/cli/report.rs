@@ -52,6 +52,8 @@ pub struct ReportArgs {
     pub telemetry: Option<String>,
     /// Cohort trace to summarize (JSON lines).
     pub cohort: Option<String>,
+    /// Completion stream to summarize (JSON lines).
+    pub completions: Option<String>,
     /// Optional run manifest to cross-check.
     pub manifest: Option<String>,
     /// Bootstrap inflow α for the model comparison.
@@ -71,6 +73,7 @@ impl Default for ReportArgs {
         ReportArgs {
             telemetry: None,
             cohort: None,
+            completions: None,
             manifest: None,
             alpha: 0.25,
             gamma: 0.15,
@@ -107,7 +110,7 @@ pub(super) fn parse_profile(
 /// entropy trajectory and per-observer phase boundaries —
 /// and compares mean observer boundaries against the analytical model;
 /// and/or summarizes a cohort trace as per-peer lifecycle
-/// trajectories.
+/// trajectories, and/or a completion stream as completion means.
 /// Under `--strict`, any manifest cross-check warning fails the run.
 pub(super) fn run_report<W: std::io::Write>(a: &ReportArgs, out: &mut W) -> Result<(), CliError> {
     let mut warnings: Vec<String> = Vec::new();
@@ -116,6 +119,12 @@ pub(super) fn run_report<W: std::io::Write>(a: &ReportArgs, out: &mut W) -> Resu
     }
     if let Some(cohort) = &a.cohort {
         report_cohort(a, cohort, out)?;
+    }
+    if let Some(completions) = &a.completions {
+        if a.telemetry.is_some() || a.cohort.is_some() {
+            writeln!(out)?;
+        }
+        report_completions(completions, out)?;
     }
     if a.strict && !warnings.is_empty() {
         return Err(CliError::Failure(format!(
@@ -504,6 +513,46 @@ fn report_cohort<W: std::io::Write>(
         )?;
     }
     writeln!(out, "peers traced: {}", by_peer.len())?;
+    Ok(())
+}
+
+/// The completion half of `btlab report`: reads a completion stream
+/// back into [`bt_swarm::CompletionStats`] and prints the means the
+/// run's summary printed, in the same format, plus the split by
+/// bandwidth class. A missing, empty or malformed stream, or one whose
+/// records the writer never produces, is malformed input data
+/// ([`CliError::Invalid`], exit 2).
+fn report_completions<W: std::io::Write>(path: &str, out: &mut W) -> Result<(), CliError> {
+    tracing::info!(target: "btlab", completions = path; "reporting on completion stream");
+    let what = format!("completion stream {path}");
+    let file = std::fs::File::open(path).map_err(|e| read_error(&what, e))?;
+    let (meta, records) = bt_swarm::metrics::read_completions(std::io::BufReader::new(file))
+        .map_err(|e| read_error(&what, e))?;
+    let mut stats = bt_swarm::CompletionStats::new(meta.pieces);
+    for rec in &records {
+        stats.record(
+            rec.joined_round,
+            rec.completed_round,
+            rec.acquisition_rounds.iter().copied(),
+            rec.slow,
+        );
+    }
+    let (fast, slow) = stats.mean_download_rounds_by_class();
+    writeln!(out, "completion stream: {path}")?;
+    writeln!(
+        out,
+        "pieces={} warmup_rounds={} completions={} mean_download_rounds={:.2} \
+         mean_bootstrap_rounds={:.2}",
+        meta.pieces,
+        meta.warmup_rounds,
+        stats.count(),
+        stats.mean_download_rounds(),
+        stats.mean_bootstrap_rounds(),
+    )?;
+    writeln!(
+        out,
+        "mean_download_rounds by class: fast={fast:.2} slow={slow:.2}"
+    )?;
     Ok(())
 }
 

@@ -106,6 +106,46 @@ fn run_swarm_prints_summary() {
 }
 
 #[test]
+fn swarm_completion_stream_feeds_report() {
+    // The stream holds what the summary only sums: reading it back
+    // through `report --completions` reproduces the summary's count
+    // and means, byte for byte.
+    let dir = run_dir("swarm-completion-stream-feeds-report");
+    let cmd = parse(&args(
+        "swarm --pieces 10 --rounds 60 --initial 8 --lambda 1.5 --seed 3 --completions",
+    ))
+    .unwrap();
+    let mut buf = Vec::new();
+    run(cmd, &dir, &mut buf).unwrap();
+    let summary = String::from_utf8(buf).unwrap();
+    let stream = dir.join("completions.jsonl");
+    let cmd = parse(&args(&format!(
+        "report --completions {}",
+        stream.to_str().unwrap()
+    )))
+    .unwrap();
+    let mut buf = Vec::new();
+    run(cmd, &dir, &mut buf).unwrap();
+    let report = String::from_utf8(buf).unwrap();
+    let field = |text: &str, key: &str| {
+        text.split_whitespace()
+            .find_map(|word| word.strip_prefix(key))
+            .unwrap_or_else(|| panic!("{key} in {text}"))
+            .to_string()
+    };
+    let count = field(&summary, "completions=");
+    assert!(count.parse::<u64>().unwrap() > 0, "{summary}");
+    for key in [
+        "completions=",
+        "mean_download_rounds=",
+        "mean_bootstrap_rounds=",
+    ] {
+        assert_eq!(field(&report, key), field(&summary, key), "{report}");
+    }
+    assert!(report.contains("pieces=10 warmup_rounds=0"), "{report}");
+}
+
+#[test]
 fn run_model_prints_summary() {
     let dir = run_dir("run-model-prints-summary");
     let cmd = parse(&args("model --pieces 15 --replications 20 --seed 2")).unwrap();
@@ -394,6 +434,7 @@ fn swarm_telemetry_flags_parse() {
 fn report_requires_telemetry() {
     assert!(parse(&args("report")).is_err());
     assert!(parse(&args("report --warp 9")).is_err());
+    assert!(parse(&args("report --completions c.jsonl")).is_ok());
     let cmd = parse(&args(
         "report --telemetry t.jsonl --replications 10 --manifest m.json --seed 4",
     ))

@@ -1346,7 +1346,8 @@ fn owed_exit(framing: Framing, damage: Damage, valid: &[u8]) -> i32 {
 /// documents exit 2; a torn stream exits 0 while a complete record
 /// remains and 2 otherwise; a flipped byte exits 2; and no case panics
 /// (exit 101). A cohort trace whose rounds are valid JSON in the wrong
-/// order exits 2 as well.
+/// order exits 2 as well, and so does a completion record whose peer
+/// joins after it completed.
 #[test]
 fn malformed_artifacts_exit_two_and_never_panic() {
     let dir = std::env::temp_dir().join("btlab-e2e-malformed-matrix");
@@ -1379,6 +1380,7 @@ fn malformed_artifacts_exit_two_and_never_panic() {
         "2",
         "--telemetry",
         "--cohort",
+        "--completions",
         "--profile",
         "--heartbeat",
         "0",
@@ -1395,7 +1397,7 @@ fn malformed_artifacts_exit_two_and_never_panic() {
     let baseline = path(&valid, "manifest-swarm.json");
 
     // (reader, damaged file, framing, argv over a case directory `{}`).
-    let readers: [(&str, &str, Framing, &[&str]); 9] = [
+    let readers: [(&str, &str, Framing, &[&str]); 10] = [
         (
             "report --telemetry",
             "telemetry.jsonl",
@@ -1421,6 +1423,12 @@ fn malformed_artifacts_exit_two_and_never_panic() {
                 "--replications",
                 "3",
             ],
+        ),
+        (
+            "report --completions",
+            "completions.jsonl",
+            Framing::Lines,
+            &["report", "--completions", "{}/completions.jsonl"],
         ),
         (
             "report --manifest",
@@ -1539,6 +1547,27 @@ fn malformed_artifacts_exit_two_and_never_panic() {
         failures.push(format!(
             "report --cohort on a Depart moved to round {}: exit {:?}, owed 2",
             depart.round,
+            out.status.code()
+        ));
+    }
+    // Valid JSON, impossible rounds: a completion record whose peer
+    // joins after its last acquisition parses, but no run writes it.
+    let stream = std::fs::read_to_string(valid.join("completions.jsonl")).unwrap();
+    let mut lines: Vec<String> = stream.lines().map(str::to_string).collect();
+    assert!(lines.len() > 2, "the valid run counted completions");
+    let mut record: bt_swarm::metrics::CompletionRecord =
+        serde_json::from_str(&lines[1]).expect("a record line parses");
+    record.joined_round = record.completed_round + 1;
+    lines[1] = serde_json::to_string(&record).unwrap();
+    let damaged = dir.join("late-join.jsonl");
+    std::fs::write(&damaged, lines.join("\n") + "\n").unwrap();
+    let out = btlab_in(
+        &out_dir,
+        &["report", "--completions", damaged.to_str().unwrap()],
+    );
+    if out.status.code() != Some(2) {
+        failures.push(format!(
+            "report --completions on a record joining after it completed: exit {:?}, owed 2",
             out.status.code()
         ));
     }
