@@ -194,6 +194,14 @@ impl SwarmConfig {
     pub fn builder() -> SwarmConfigBuilder {
         SwarmConfigBuilder::default()
     }
+
+    /// Whether the peer with arrival sequence number `seq` is one of
+    /// the observers (`observe_from..observe_from + observers`).
+    #[must_use]
+    pub(crate) fn observes(&self, seq: u64) -> bool {
+        let from = u64::from(self.observe_from);
+        (from..from + u64::from(self.observers)).contains(&seq)
+    }
 }
 
 /// Builder for [`SwarmConfig`].

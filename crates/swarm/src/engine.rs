@@ -402,9 +402,7 @@ impl SwarmCore {
         self.obs
             .peak_population
             .record_max(self.tracker.len() as u64);
-        let obs_lo = u64::from(self.config.observe_from);
-        let obs_hi = obs_lo + u64::from(self.config.observers);
-        if (obs_lo..obs_hi).contains(&id.seq()) {
+        if self.config.observes(id.seq()) {
             self.metrics.observers.push(ObserverLog::new(id));
         }
         // Offer the arrival to the cohort reservoir: one private-RNG draw

@@ -88,8 +88,6 @@ impl MonitorSample {
         let mut held_total = 0u64;
         let mut degree_sum = 0u64;
         let mut max_degree = 0u64;
-        let obs_lo = u64::from(core.config.observe_from);
-        let obs_hi = obs_lo + u64::from(core.config.observers);
         let mut observers = Vec::new();
         for &id in core.tracker.peers() {
             let peer = core.store.peer(id);
@@ -97,7 +95,7 @@ impl MonitorSample {
             let degree = peer.connections.len() as u64;
             degree_sum += degree;
             max_degree = max_degree.max(degree);
-            if (obs_lo..obs_hi).contains(&id.seq()) {
+            if core.config.observes(id.seq()) {
                 let pieces_held = peer.have.count();
                 let connections = peer.connections.len() as u32;
                 let potential = core.potential_size(id);

@@ -135,14 +135,12 @@ impl RoundObserver for TelemetryRecorder {
     }
 
     fn on_round(&mut self, core: &SwarmCore, _stages: &[&'static str]) {
-        let obs_lo = u64::from(core.config.observe_from);
-        let obs_hi = obs_lo + u64::from(core.config.observers);
         let observers: Vec<ObserverSample> = core
             .tracker
             .peers()
             .iter()
             .copied()
-            .filter(|id| (obs_lo..obs_hi).contains(&id.seq()))
+            .filter(|id| core.config.observes(id.seq()))
             .map(|id| ObserverSample {
                 peer: id.seq(),
                 pieces: core.store.peer(id).have.count(),

@@ -50,8 +50,7 @@ impl RoundStage for DepartCompleted {
                 );
                 core.completion_stream
                     .write(id, peer.joined_round, core.round, rounds, peer.slow);
-                let obs_lo = u64::from(core.config.observe_from);
-                if (obs_lo..obs_lo + u64::from(core.config.observers)).contains(&id.seq()) {
+                if core.config.observes(id.seq()) {
                     if let Some(log) = core.metrics.observers.iter_mut().find(|l| l.id == id) {
                         log.completed_round = Some(core.round);
                     }

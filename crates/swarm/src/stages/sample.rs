@@ -44,8 +44,6 @@ impl RoundStage for SampleMetrics {
         // measurements, so they respect the warm-up.
         let in_steady_state = round >= core.config.metrics_warmup_rounds;
         let k = f64::from(core.config.max_connections);
-        let obs_lo = u64::from(core.config.observe_from);
-        let obs_hi = obs_lo + u64::from(core.config.observers);
         let mut conn_total = 0usize;
         for i in 0..population {
             let id = core.tracker.peers()[i];
@@ -64,7 +62,7 @@ impl RoundStage for SampleMetrics {
                 let phase = Phase::classify(state, core.config.pieces);
                 core.cohort.phase(round, id.seq(), phase_code(phase));
             }
-            if (obs_lo..obs_hi).contains(&id.seq()) {
+            if core.config.observes(id.seq()) {
                 let connections = core.store.peer(id).connections.len() as u32;
                 let pieces = core.store.peer(id).have.count();
                 let log = core

@@ -327,8 +327,8 @@ USAGE:
                 [--rounds N] [--seed N] [--shake F] [--json]
                 [--observers N] [--telemetry [STRIDE]]
                 [--cohort [SIZE]] [--completions] [--profile]
-                [--heartbeat [SECS]] [--disable-stage NAME[,NAME..]] [--threads N]
-                [--reannounce R]
+                [--heartbeat [SECS]] [--disable-stage NAME[,NAME..]]
+                [--threads N] [--reannounce R]
   btlab model   [--pieces N] [--k N] [--s N] [--alpha F] [--gamma F]
                 [--replications N] [--seed N]
   btlab report  [--telemetry FILE] [--cohort FILE] [--completions FILE]
