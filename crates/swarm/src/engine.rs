@@ -60,9 +60,9 @@ enum Event {
 /// mutation entry points [`acquire_piece`](SwarmCore::acquire_piece),
 /// [`receive_block`](SwarmCore::receive_block), and
 /// [`depart`](SwarmCore::depart), which keep the replication index in
-/// sync with piece possession. A stage that mutates bitfields through
-/// the store directly bypasses the index — [`Swarm::assert_invariants`]
-/// will catch the drift.
+/// sync with piece possession. Possession itself lives in the peer
+/// store's dense table, read through
+/// [`PeerStore::pieces_of`](crate::store::PeerStore::pieces_of).
 #[derive(Debug)]
 pub struct SwarmCore {
     pub(crate) config: SwarmConfig,
@@ -169,16 +169,11 @@ impl SwarmCore {
     ///
     /// Panics if `id` is not alive.
     pub fn acquire_piece(&mut self, id: PeerId, piece: u32) -> bool {
-        let round = self.round;
-        if self.store.peer_mut(id).acquire(piece, round) {
-            self.replication.on_acquire(piece);
-            self.audit.pieces_acquired += 1;
-            let count = self.store.peer(id).have.count();
-            self.piece_cells.shift(count - 1, count);
-            true
-        } else {
-            false
+        let acquired = self.store.acquire(id.into(), piece, self.round);
+        if acquired {
+            self.count_acquisition(id, piece);
         }
+        acquired
     }
 
     /// Delivers one block of `piece` to `id`. Returns `true` and updates
@@ -188,32 +183,43 @@ impl SwarmCore {
     ///
     /// Panics if `id` is not alive.
     pub fn receive_block(&mut self, id: PeerId, piece: u32) -> bool {
-        let round = self.round;
         let blocks = self.config.blocks_per_piece;
-        if self.store.peer_mut(id).receive_block(piece, blocks, round) {
-            self.replication.on_acquire(piece);
-            self.audit.pieces_acquired += 1;
-            let count = self.store.peer(id).have.count();
-            self.piece_cells.shift(count - 1, count);
-            true
-        } else {
-            false
+        let acquired = self
+            .store
+            .receive_block(id.into(), piece, blocks, self.round);
+        if acquired {
+            self.count_acquisition(id, piece);
         }
+        acquired
+    }
+
+    /// Moves the replication index, the audit and the piece-count cells
+    /// for `id`'s new `piece`.
+    fn count_acquisition(&mut self, id: PeerId, piece: u32) {
+        self.replication.on_acquire(piece);
+        self.audit.pieces_acquired += 1;
+        let count = self.store.have(id.into()).count();
+        self.piece_cells.shift(count - 1, count);
     }
 
     /// Removes `id` from the swarm: deregisters it, updates the
-    /// replication index for the pieces it carried away, and removes
-    /// neighbor backlinks. Returns the departed peer for the caller to
-    /// record.
+    /// replication index for the pieces it carried away (read from its
+    /// row before the slot is freed), and removes neighbor backlinks.
+    /// Returns the departed peer for the caller to record.
     ///
     /// # Panics
     ///
     /// Panics if `id` is not alive.
     pub fn depart(&mut self, id: PeerId) -> Peer {
+        let have = self
+            .store
+            .have_at(id.into())
+            .expect("departing peer must be alive");
+        let held = have.count();
+        self.replication.on_departure(have);
+        self.piece_cells.decr(held);
+        self.audit.pieces_departed += u64::from(held);
         let peer = self.store.remove(id).expect("departing peer must be alive");
-        self.replication.on_departure(&peer.have);
-        self.piece_cells.decr(peer.have.count());
-        self.audit.pieces_departed += u64::from(peer.have.count());
         self.audit.conn_closed += peer.connections.len() as u64;
         self.audit.departures += 1;
         self.tracker.deregister(id);
@@ -233,15 +239,37 @@ impl SwarmCore {
     /// Panics if `id` is not alive.
     #[must_use]
     pub fn potential_size(&self, id: PeerId) -> u32 {
-        let me = self.store.peer(id);
+        self.potential_of(self.store.peer(id))
+    }
+
+    /// [`potential_size`](Self::potential_size) of a peer already looked
+    /// up: its neighbors' rows are read from the possession table, so
+    /// no neighbor's slot is touched.
+    pub(crate) fn potential_of(&self, me: &Peer) -> u32 {
+        let mine = self.store.have(me.id.into());
         me.neighbors
             .iter()
             .filter(|&&n| {
                 self.store
-                    .at(n)
-                    .is_some_and(|o| me.have.can_trade_with(&o.have))
+                    .have_at(n)
+                    .is_some_and(|theirs| mine.can_trade_with(theirs))
             })
             .count() as u32
+    }
+
+    /// The log of observer `id`, or `None` if `id` is not an observer.
+    ///
+    /// Every arrival with a `seq` in the observed range gets its log at
+    /// spawn, and arrivals spawn in `seq` order, so the log of `seq` is
+    /// entry `seq - observe_from`: an index, not a search.
+    pub(crate) fn observer_log(&mut self, id: PeerId) -> Option<&mut ObserverLog> {
+        if !self.config.observes(id.seq()) {
+            return None;
+        }
+        let index = id.seq() - u64::from(self.config.observe_from);
+        let log = self.metrics.observers.get_mut(index as usize)?;
+        debug_assert_eq!(log.id, id, "observer logs are kept in seq order");
+        Some(log)
     }
 
     /// Collects all current connections as canonical `(low, high)`
@@ -348,7 +376,6 @@ impl SwarmCore {
     }
 
     pub(crate) fn spawn_peer(&mut self) -> PeerId {
-        let pieces = self.config.pieces;
         let round = self.round;
         // Exactly `s` neighbor and `k` connection slots: both are hard
         // caps, so neither list ever grows past its reservation.
@@ -357,7 +384,7 @@ impl SwarmCore {
             self.config.max_connections as usize,
         );
         let id = self.store.insert_with(|id| {
-            let mut peer = Peer::new(id, pieces, round);
+            let mut peer = Peer::new(id, round);
             peer.neighbors.reserve_exact(s);
             peer.connections.reserve_exact(k);
             peer
@@ -378,7 +405,7 @@ impl SwarmCore {
                     .peers()
                     .iter()
                     .copied()
-                    .filter(|&p| self.store.peer(p).have.count() <= 1),
+                    .filter(|&p| self.store.have(p.into()).count() <= 1),
             );
             let take = (s / 2).min(trapped.len());
             for i in 0..take {
@@ -461,21 +488,21 @@ impl SwarmCore {
                     .peers()
                     .iter()
                     .copied()
-                    .find(|&id| !self.store.peer(id).have.is_complete());
+                    .find(|&id| !self.store.have(id.into()).is_complete());
                 if let Some(id) = target {
-                    let piece = self
-                        .store
-                        .peer(id)
-                        .have
+                    let have = self.store.have(id.into());
+                    let piece = have
                         .iter_missing()
                         .find(|&p| self.replication.counts()[p as usize] > 0)
-                        .or_else(|| self.store.peer(id).have.iter_missing().next());
-                    // The piece-count cells move with the bit: no
-                    // monitor checks them, and a cell left behind would
+                        .or_else(|| have.iter_missing().next());
+                    // The bit is written through the store but bypasses
+                    // the acquisition log and the replication index.
+                    // The piece-count cells move with it: no monitor
+                    // checks them, and a cell left behind would
                     // underflow at the peer's next acquisition.
                     if let Some(piece) = piece {
-                        self.store.peer_mut(id).have.set(piece);
-                        let count = self.store.peer(id).have.count();
+                        self.store.set_unlogged(id.into(), piece);
+                        let count = self.store.have(id.into()).count();
                         self.piece_cells.shift(count - 1, count);
                     }
                 }
@@ -610,7 +637,7 @@ impl Swarm {
             .collect();
         let mut core = SwarmCore {
             metrics: SwarmMetrics::new(config.pieces),
-            store: PeerStore::new(),
+            store: PeerStore::new(config.pieces),
             tracker: Tracker::new(),
             replication: ReplicationIndex::new(config.pieces),
             round: 0,
@@ -690,14 +717,15 @@ impl Swarm {
         self.core.tracker.peers().to_vec()
     }
 
-    /// The possession bitfield of an alive peer.
+    /// The possession bitfield of an alive peer: its row of the store's
+    /// possession table.
     ///
     /// # Panics
     ///
     /// Panics if the peer has departed.
     #[must_use]
-    pub fn peer_bitfield(&self, id: PeerId) -> &crate::piece::Bitfield {
-        &self.core.store.peer(id).have
+    pub fn peer_bitfield(&self, id: PeerId) -> crate::piece::Row<'_> {
+        self.core.store.pieces_of(id)
     }
 
     /// The active-connection count of an alive peer.
@@ -1061,7 +1089,7 @@ impl Swarm {
             let log = peer.acquisition_rounds();
             assert_eq!(
                 log.len(),
-                peer.have.count() as usize,
+                core.store.have(id.into()).count() as usize,
                 "{id}'s acquisition log disagrees with its bitfield"
             );
             assert!(
@@ -1101,12 +1129,14 @@ impl Swarm {
                 );
             }
         }
+        // The oracle recounts the possession table's rows of the live
+        // peers, never the index's own bookkeeping.
         let oracle = replication_counts(
             core.config.pieces,
             core.tracker
                 .peers()
                 .iter()
-                .map(|&id| &core.store.peer(id).have),
+                .map(|&id| core.store.have(id.into())),
         );
         assert_eq!(
             core.replication.counts(),
@@ -1115,7 +1145,7 @@ impl Swarm {
         );
         let mut cells_oracle = vec![0u64; core.config.pieces as usize + 1];
         for &id in core.tracker.peers() {
-            cells_oracle[core.store.peer(id).have.count() as usize] += 1;
+            cells_oracle[core.store.have(id.into()).count() as usize] += 1;
         }
         assert_eq!(
             core.piece_cells.counts(),
@@ -1776,7 +1806,7 @@ mod block_tests {
                 for (&piece, &progress) in &peer.partial {
                     assert!(progress < 4, "partial progress must stay below completion");
                     assert!(
-                        !peer.have.contains(piece),
+                        !swarm.peer_bitfield(id).contains(piece),
                         "held pieces must not linger in partial"
                     );
                 }
@@ -1813,7 +1843,7 @@ mod plan_commit_tests {
         let mut out = String::new();
         for &id in core.tracker.peers() {
             let peer = core.store.peer(id);
-            let have: Vec<u32> = peer.have.iter().collect();
+            let have: Vec<u32> = core.store.have(id.into()).iter().collect();
             let seq = |&r: &PeerRef| core.store.peer_at(r).id.seq();
             let neighbors: Vec<u64> = peer.neighbors.iter().map(seq).collect();
             let connections: Vec<u64> = peer.connections.iter().map(seq).collect();

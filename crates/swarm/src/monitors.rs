@@ -91,14 +91,14 @@ impl MonitorSample {
         let mut observers = Vec::new();
         for &id in core.tracker.peers() {
             let peer = core.store.peer(id);
-            held_total += u64::from(peer.have.count());
+            let pieces_held = core.store.have(id.into()).count();
+            held_total += u64::from(pieces_held);
             let degree = peer.connections.len() as u64;
             degree_sum += degree;
             max_degree = max_degree.max(degree);
             if core.config.observes(id.seq()) {
-                let pieces_held = peer.have.count();
                 let connections = peer.connections.len() as u32;
-                let potential = core.potential_size(id);
+                let potential = core.potential_of(peer);
                 let state = DownloadState::new(connections, pieces_held, potential);
                 observers.push(ObserverPhase {
                     peer: id.seq(),
@@ -112,7 +112,7 @@ impl MonitorSample {
             core.tracker
                 .peers()
                 .iter()
-                .map(|&id| &core.store.peer(id).have),
+                .map(|&id| core.store.have(id.into())),
         );
         MonitorSample {
             round: core.round,
@@ -838,11 +838,12 @@ pub(crate) fn peer_slice(core: &SwarmCore, subjects: &[u64], cap: usize) -> Vec<
             continue;
         }
         let peer = core.store.peer(id);
+        let have = core.store.have(id.into());
         out.push(PeerSliceEntry {
             seq: id.seq(),
             joined_round: peer.joined_round,
-            pieces: peer.have.count(),
-            completion: peer.completion(),
+            pieces: have.count(),
+            completion: have.completion(),
             neighbors: peer.neighbors.len() as u64,
             connections: peer.connections.len() as u64,
             shaken: peer.shaken,

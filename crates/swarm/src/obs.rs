@@ -5,16 +5,18 @@
 //! resolved beside what they time, also at construction: each pipeline
 //! stage's `round.<stage>` timer (named by its
 //! [`crate::stages::RoundStage::name`]) and each observer slot's
-//! `obs.<name>` timer. See DESIGN.md ("Observability") for the counter
-//! and timer name schema.
+//! `obs.<name>` timer. The exchange stage's two phase timers
+//! (`exchange.plan`, `exchange.commit`) live here with the counters.
+//! See DESIGN.md ("Observability") for the counter and timer name
+//! schema.
 
 // Audited: this module *is* the model/observer boundary — resolving
 // counter and timer handles walks the registry's lock-guarded tables,
 // once, at construction. bt-lint: allow-file(shared-interior-mut)
 
-use bt_obs::{Counter, Registry};
+use bt_obs::{Counter, Registry, Timer};
 
-/// Counter handles used by the round loop.
+/// Counter and sub-stage timer handles used by the round loop.
 ///
 /// Counter names are prefixed `swarm.`; the names are part of the
 /// manifest schema and must stay stable.
@@ -40,6 +42,10 @@ pub(crate) struct SwarmObs {
     pub peak_population: Counter,
     /// Rounds executed (`swarm.rounds`).
     pub rounds: Counter,
+    /// The exchange stage's read-only plan phase (`exchange.plan`).
+    pub exchange_plan: Timer,
+    /// The exchange stage's serial commit phase (`exchange.commit`).
+    pub exchange_commit: Timer,
 }
 
 impl SwarmObs {
@@ -56,6 +62,8 @@ impl SwarmObs {
             bootstrap_injections: registry.counter("swarm.bootstrap_injections"),
             peak_population: registry.counter("swarm.peak_population"),
             rounds: registry.counter("swarm.rounds"),
+            exchange_plan: registry.timer("exchange.plan"),
+            exchange_commit: registry.timer("exchange.commit"),
         }
     }
 }

@@ -143,7 +143,7 @@ impl RoundObserver for TelemetryRecorder {
             .filter(|id| core.config.observes(id.seq()))
             .map(|id| ObserverSample {
                 peer: id.seq(),
-                pieces: core.store.peer(id).have.count(),
+                pieces: core.store.have(id.into()).count(),
                 potential: core.potential_size(id),
                 connections: core.store.peer(id).connections.len() as u32,
             })

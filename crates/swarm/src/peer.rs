@@ -2,8 +2,6 @@
 
 use std::collections::BTreeMap;
 
-use crate::piece::Bitfield;
-
 pub use crate::store::PeerId;
 pub(crate) use crate::store::PeerRef;
 
@@ -13,6 +11,11 @@ pub(crate) use crate::store::PeerRef;
 /// small — at most `s` and `k`), the credit table as a vector sorted by
 /// reference, and the partial table as a `BTreeMap`, so every iteration
 /// order is deterministic and seeded replay is exact.
+///
+/// Which pieces a peer holds is not stored here: the peer store keeps
+/// every peer's bitfield in one dense possession table
+/// ([`PeerStore::pieces_of`](crate::store::PeerStore::pieces_of)), and
+/// writes a piece there and into this peer's acquisition log together.
 ///
 /// A peer's memory grows with what it holds. The three per-peer lists
 /// hold 8-byte `PeerRef`s, not 16-byte [`PeerId`]s, so a credit entry
@@ -26,8 +29,6 @@ pub(crate) use crate::store::PeerRef;
 pub struct Peer {
     /// This peer's identifier.
     pub id: PeerId,
-    /// Which pieces the peer holds.
-    pub have: Bitfield,
     /// Round at which the peer joined.
     pub joined_round: u64,
     /// Current neighbor set (symmetric relation, capped at `s`).
@@ -42,7 +43,7 @@ pub struct Peer {
     pub(crate) credit: Vec<(PeerRef, u32)>,
     /// Acquisition log: the round of each piece acquired, in
     /// acquisition order. Rounds never decrease, so the log is sorted;
-    /// only [`Peer::acquire`] writes it.
+    /// only [`Peer::log_acquisition`] writes it.
     pub(crate) acquired: Vec<u32>,
     /// Blocks received of pieces still in flight (piece id → blocks done).
     pub partial: BTreeMap<u32, u32>,
@@ -56,10 +57,9 @@ pub struct Peer {
 impl Peer {
     /// Creates a peer with no pieces.
     #[must_use]
-    pub fn new(id: PeerId, pieces: u32, joined_round: u64) -> Self {
+    pub fn new(id: PeerId, joined_round: u64) -> Self {
         Peer {
             id,
-            have: Bitfield::new(pieces),
             joined_round,
             neighbors: Vec::new(),
             connections: Vec::new(),
@@ -71,8 +71,9 @@ impl Peer {
         }
     }
 
-    /// Records acquisition of `piece` at `round`. Returns `true` if the
-    /// piece was new.
+    /// Logs the acquisition of a new `piece` of a `pieces`-piece file
+    /// at `round`, and drops its partial progress. The store calls this
+    /// once it has set the piece's bit.
     ///
     /// The log grows by half its length at a time (at least four slots,
     /// where a `Vec` would double) and never past one slot per piece of
@@ -83,22 +84,18 @@ impl Peer {
     /// Panics if `round` exceeds `u32::MAX`, the acquisition log's
     /// limit. Stepped swarms ignore `max_rounds`, so no config check
     /// rules this out.
-    pub fn acquire(&mut self, piece: u32, round: u64) -> bool {
+    pub(crate) fn log_acquisition(&mut self, piece: u32, round: u64, pieces: u32) {
         let round = u32::try_from(round).unwrap_or_else(|_| {
             panic!("round {round} exceeds the acquisition log's limit of u32::MAX rounds")
         });
-        if !self.have.set(piece) {
-            return false;
-        }
         let logged = self.acquired.len();
         if logged == self.acquired.capacity() {
-            let unlogged = self.have.len() as usize - logged;
+            let unlogged = (pieces as usize).saturating_sub(logged);
             self.acquired
                 .reserve_exact((logged / 2).max(4).min(unlogged));
         }
         self.acquired.push(round);
         self.partial.remove(&piece);
-        true
     }
 
     /// The acquisition log: the round at which the peer got its 1st,
@@ -106,26 +103,6 @@ impl Peer {
     #[must_use]
     pub fn acquisition_rounds(&self) -> &[u32] {
         &self.acquired
-    }
-
-    /// Records one received block of `piece` at `round`. Completes the
-    /// piece (and returns `true`) once `blocks_per_piece` blocks are in.
-    /// Blocks of already-held pieces are ignored. A one-block piece is
-    /// complete on arrival and never enters the partial table.
-    pub fn receive_block(&mut self, piece: u32, blocks_per_piece: u32, round: u64) -> bool {
-        if self.have.contains(piece) {
-            return false;
-        }
-        if blocks_per_piece <= 1 {
-            return self.acquire(piece, round);
-        }
-        let progress = self.partial.entry(piece).or_insert(0);
-        *progress += 1;
-        if *progress >= blocks_per_piece {
-            self.acquire(piece, round)
-        } else {
-            false
-        }
     }
 
     /// Whether `other` is currently a neighbor.
@@ -177,12 +154,6 @@ impl Peer {
         }
     }
 
-    /// Completion fraction `pieces held / B`.
-    #[must_use]
-    pub fn completion(&self) -> f64 {
-        f64::from(self.have.count()) / f64::from(self.have.len())
-    }
-
     /// Drops the entire neighbor set and all connections (§7.1 shake).
     /// Both lists keep their reserved slots.
     pub fn shake(&mut self) {
@@ -200,46 +171,34 @@ mod tests {
 
     #[test]
     fn new_peer_is_empty() {
-        let p = Peer::new(PeerId::synthetic(1), 10, 5);
-        assert_eq!(p.have.count(), 0);
+        let p = Peer::new(PeerId::synthetic(1), 5);
         assert_eq!(p.joined_round, 5);
         assert!(p.neighbors.is_empty());
-        assert_eq!(p.completion(), 0.0);
+        assert!(p.acquisition_rounds().is_empty());
     }
 
     #[test]
-    fn acquire_records_round_once() {
-        let mut p = Peer::new(PeerId::synthetic(1), 10, 0);
-        assert!(p.acquire(3, 7));
-        assert!(!p.acquire(3, 9));
-        assert!(p.acquire(0, 9));
-        assert_eq!(p.acquisition_rounds(), &[7, 9]);
-        assert_eq!(p.have.count(), 2);
-    }
-
-    #[test]
-    fn acquisition_log_never_outgrows_the_file() {
-        let mut p = Peer::new(PeerId::synthetic(1), 10, 0);
-        for piece in 0..10 {
-            assert!(p.acquire(piece, u64::from(piece)));
-        }
-        assert_eq!(p.acquisition_rounds().len(), 10);
-        assert_eq!(p.acquired.capacity(), 10);
+    fn logging_an_acquisition_drops_its_partial() {
+        let mut p = Peer::new(PeerId::synthetic(1), 0);
+        p.partial.insert(3, 2);
+        p.log_acquisition(3, 7, 10);
+        assert_eq!(p.acquisition_rounds(), &[7]);
+        assert!(p.partial.is_empty());
     }
 
     #[test]
     #[should_panic(expected = "exceeds the acquisition log's limit")]
     fn a_round_past_u32_panics() {
-        let mut p = Peer::new(PeerId::synthetic(1), 4, 0);
-        p.acquire(0, u64::from(u32::MAX) + 1);
+        let mut p = Peer::new(PeerId::synthetic(1), 0);
+        p.log_acquisition(0, u64::from(u32::MAX) + 1, 4);
     }
 
     /// `n` peers issued by a store: real ids whose references resolve,
     /// one slot each, so slot order is seq order.
     fn issued(n: usize) -> (PeerStore, Vec<PeerId>) {
-        let mut store = PeerStore::new();
+        let mut store = PeerStore::new(5);
         let ids = (0..n)
-            .map(|_| store.insert_with(|id| Peer::new(id, 5, 0)))
+            .map(|_| store.insert_with(|id| Peer::new(id, 0)))
             .collect();
         (store, ids)
     }
@@ -248,7 +207,7 @@ mod tests {
     fn neighbor_management() {
         let (_store, ids) = issued(2);
         let (me, other) = (ids[0], PeerRef::from(ids[1]));
-        let mut p = Peer::new(me, 5, 0);
+        let mut p = Peer::new(me, 0);
         assert!(p.add_neighbor(other));
         assert!(!p.add_neighbor(other), "no duplicates");
         assert!(!p.add_neighbor(me.into()), "never own neighbor");
@@ -262,7 +221,7 @@ mod tests {
     #[test]
     fn credit_accrues() {
         let (_store, ids) = issued(2);
-        let (mut p, other) = (Peer::new(ids[0], 5, 0), PeerRef::from(ids[1]));
+        let (mut p, other) = (Peer::new(ids[0], 0), PeerRef::from(ids[1]));
         assert_eq!(p.credit_for(other), 0);
         p.record_credit(other);
         p.record_credit(other);
@@ -293,7 +252,7 @@ mod tests {
             steps in prop::collection::vec((0u64..24, prop::bool::ANY), 0..200),
         ) {
             let (store, ids) = issued(24);
-            let mut p = Peer::new(PeerId::synthetic(99), 5, 0);
+            let mut p = Peer::new(PeerId::synthetic(99), 0);
             let mut oracle: BTreeMap<PeerId, u32> = BTreeMap::new();
             for (seq, record) in steps {
                 let other = ids[seq as usize];
@@ -323,11 +282,11 @@ mod tests {
             steps in prop::collection::vec(credit_step(), 0..200),
         ) {
             let (mut store, mut ids) = issued(4);
-            let mut p = Peer::new(PeerId::synthetic(u64::MAX), 5, 0);
+            let mut p = Peer::new(PeerId::synthetic(u64::MAX), 0);
             let mut oracle: BTreeMap<u64, u32> = BTreeMap::new();
             for step in steps {
                 match step {
-                    CreditStep::Join => ids.push(store.insert_with(|id| Peer::new(id, 5, 0))),
+                    CreditStep::Join => ids.push(store.insert_with(|id| Peer::new(id, 0))),
                     CreditStep::Depart(i) => {
                         store.remove(ids[i % ids.len()]);
                     }
@@ -352,17 +311,9 @@ mod tests {
     }
 
     #[test]
-    fn completion_fraction() {
-        let mut p = Peer::new(PeerId::synthetic(1), 4, 0);
-        p.acquire(0, 0);
-        p.acquire(1, 0);
-        assert!((p.completion() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn shake_clears_topology() {
         let (_store, ids) = issued(2);
-        let mut p = Peer::new(ids[0], 4, 0);
+        let mut p = Peer::new(ids[0], 0);
         p.add_neighbor(ids[1].into());
         p.connections.push(ids[1].into());
         p.shake();

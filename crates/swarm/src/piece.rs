@@ -4,7 +4,10 @@
 pub type PieceId = u32;
 
 /// A fixed-size bitfield recording which of a file's `B` pieces a peer
-/// holds.
+/// holds: the owned form of a [`Row`].
+///
+/// Every read goes through [`Bitfield::row`], so an owned bitfield and a
+/// row of the peer store's possession table answer with the same code.
 ///
 /// # Example
 ///
@@ -24,7 +27,6 @@ pub type PieceId = u32;
 pub struct Bitfield {
     words: Vec<u64>,
     len: u32,
-    count: u32,
 }
 
 impl Bitfield {
@@ -37,10 +39,15 @@ impl Bitfield {
     pub fn new(len: u32) -> Self {
         assert!(len > 0, "a file has at least one piece");
         Bitfield {
-            words: vec![0; (len as usize).div_ceil(64)],
+            words: vec![0; row_words(len)],
             len,
-            count: 0,
         }
+    }
+
+    /// The read-only view every query goes through.
+    #[must_use]
+    pub fn row(&self) -> Row<'_> {
+        Row::new(&self.words, self.len)
     }
 
     /// Number of pieces in the file.
@@ -52,19 +59,19 @@ impl Bitfield {
     /// Whether the peer holds no pieces.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.count == 0
+        self.row().is_empty()
     }
 
     /// Number of pieces held.
     #[must_use]
     pub fn count(&self) -> u32 {
-        self.count
+        self.row().count()
     }
 
     /// Whether all pieces are held.
     #[must_use]
     pub fn is_complete(&self) -> bool {
-        self.count == self.len
+        self.row().is_complete()
     }
 
     /// Whether piece `p` is held.
@@ -74,8 +81,7 @@ impl Bitfield {
     /// Panics if `p >= len`.
     #[must_use]
     pub fn contains(&self, p: PieceId) -> bool {
-        assert!(p < self.len, "piece {p} out of range {}", self.len);
-        self.words[(p / 64) as usize] & (1 << (p % 64)) != 0
+        self.row().contains(p)
     }
 
     /// Marks piece `p` as held. Returns `true` if it was newly added.
@@ -84,27 +90,128 @@ impl Bitfield {
     ///
     /// Panics if `p >= len`.
     pub fn set(&mut self, p: PieceId) -> bool {
-        assert!(p < self.len, "piece {p} out of range {}", self.len);
-        let word = &mut self.words[(p / 64) as usize];
-        let mask = 1 << (p % 64);
-        if *word & mask != 0 {
-            return false;
-        }
-        *word |= mask;
-        self.count += 1;
-        true
+        set_piece(&mut self.words, self.len, p)
     }
 
     /// Iterates over held pieces in increasing order.
-    ///
-    /// Word-at-a-time via `trailing_zeros`, so sparse bitfields cost
-    /// O(words + held) rather than O(len).
-    pub fn iter(&self) -> SetBits<'_> {
-        SetBits(WordBits::new(self.words.iter().copied()))
+    pub fn iter(&self) -> impl Iterator<Item = PieceId> + '_ {
+        self.row().iter()
     }
 
     /// Iterates over missing pieces in increasing order.
     pub fn iter_missing(&self) -> impl Iterator<Item = PieceId> + '_ {
+        self.row().iter_missing()
+    }
+
+    /// Whether `self` and `other` can trade under strict tit-for-tat
+    /// ([`Row::can_trade_with`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bitfields cover different files.
+    #[must_use]
+    pub fn can_trade_with(&self, other: &Bitfield) -> bool {
+        self.row().can_trade_with(other.row())
+    }
+}
+
+/// Number of `u64` words in a possession bitfield over `pieces` pieces.
+pub(crate) fn row_words(pieces: u32) -> usize {
+    (pieces as usize).div_ceil(64)
+}
+
+/// Marks piece `p` held in the bitfield words `words` over `len`
+/// pieces. Returns `true` if it was newly added. The one write both an
+/// owned [`Bitfield`] and the peer store's possession table use.
+///
+/// # Panics
+///
+/// Panics if `p >= len`.
+pub(crate) fn set_piece(words: &mut [u64], len: u32, p: PieceId) -> bool {
+    assert!(p < len, "piece {p} out of range {len}");
+    let word = &mut words[(p / 64) as usize];
+    let mask = 1 << (p % 64);
+    if *word & mask != 0 {
+        return false;
+    }
+    *word |= mask;
+    true
+}
+
+/// A borrowed possession bitfield: the `⌈B/64⌉` words of one peer's
+/// row in the peer store's possession table, or of a [`Bitfield`].
+///
+/// Piece `p` is bit `p % 64` of word `p / 64`; bits past `B` are zero.
+/// The count is a popcount over the words, so nothing beside the bits
+/// has to be kept in step with them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Row<'a> {
+    words: &'a [u64],
+    len: u32,
+}
+
+impl<'a> Row<'a> {
+    /// The row over `words` for a file of `len` pieces.
+    #[inline]
+    pub(crate) fn new(words: &'a [u64], len: u32) -> Self {
+        debug_assert_eq!(words.len(), row_words(len), "row width");
+        Row { words, len }
+    }
+
+    /// Number of pieces in the file.
+    #[must_use]
+    pub fn len(self) -> u32 {
+        self.len
+    }
+
+    /// Whether the peer holds no pieces.
+    #[must_use]
+    #[inline]
+    pub fn is_empty(self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+
+    /// Number of pieces held: a popcount of the words.
+    #[must_use]
+    #[inline]
+    pub fn count(self) -> u32 {
+        self.words.iter().map(|w| w.count_ones()).sum()
+    }
+
+    /// Whether all pieces are held.
+    #[must_use]
+    pub fn is_complete(self) -> bool {
+        self.count() == self.len
+    }
+
+    /// Completion fraction `pieces held / B`.
+    #[must_use]
+    pub fn completion(self) -> f64 {
+        f64::from(self.count()) / f64::from(self.len)
+    }
+
+    /// Whether piece `p` is held.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p >= len`.
+    #[must_use]
+    #[inline]
+    pub fn contains(self, p: PieceId) -> bool {
+        assert!(p < self.len, "piece {p} out of range {}", self.len);
+        self.words[(p / 64) as usize] & (1 << (p % 64)) != 0
+    }
+
+    /// Iterates over held pieces in increasing order.
+    ///
+    /// Word-at-a-time via `trailing_zeros`, so sparse rows cost
+    /// O(words + held) rather than O(len).
+    pub fn iter(self) -> impl Iterator<Item = PieceId> + 'a {
+        WordBits::new(self.words.iter().copied())
+    }
+
+    /// Iterates over missing pieces in increasing order.
+    pub fn iter_missing(self) -> impl Iterator<Item = PieceId> + 'a {
         let last = self.words.len().saturating_sub(1);
         let tail_bits = self.len % 64;
         let words = self.words.iter().enumerate().map(move |(i, &word)| {
@@ -119,19 +226,19 @@ impl Bitfield {
         WordBits::new(words)
     }
 
-    /// Adds this bitfield into a byte-lane count table: lane `p` (byte
+    /// Adds this row into a byte-lane count table: lane `p` (byte
     /// `p % 8` of `lanes[p / 8]`) gains one for every held piece `p`.
     ///
     /// Each 64-bit word costs eight lookups into a 256-entry table that
     /// spreads a byte's bits into the low bit of eight lanes; zero words
     /// are skipped. Lanes do not saturate: a table summing more than
-    /// 255 bitfields carries into the next lane, which is why the swarm
+    /// 255 rows carries into the next lane, which is why the swarm
     /// caps `neighbor_set_size` at 255.
     ///
     /// # Panics
     ///
     /// Panics if `lanes` is shorter than [`lane_words`]`(len)`.
-    pub fn accumulate_lanes(&self, lanes: &mut [u64]) {
+    pub fn accumulate_lanes(self, lanes: &mut [u64]) {
         assert!(
             lanes.len() >= lane_words(self.len),
             "lane table shorter than bitfield"
@@ -139,7 +246,7 @@ impl Bitfield {
         // Eight lane words per bitfield word; the last group is partial
         // when B is not a multiple of 64, and its phantom bits are 0.
         let (groups, tail) = lanes[..lane_words(self.len)].as_chunks_mut::<8>();
-        for (group, &word) in groups.iter_mut().zip(&self.words) {
+        for (group, &word) in groups.iter_mut().zip(self.words) {
             add_spread(group, word);
         }
         if let Some(&word) = self.words.get(groups.len()) {
@@ -152,13 +259,14 @@ impl Bitfield {
     ///
     /// # Panics
     ///
-    /// Panics if the bitfields cover different files.
+    /// Panics if the rows cover different files.
     #[must_use]
-    pub fn is_interested_in(&self, other: &Bitfield) -> bool {
+    #[inline]
+    pub fn is_interested_in(self, other: Row<'_>) -> bool {
         assert_eq!(self.len, other.len, "bitfields cover different files");
         self.words
             .iter()
-            .zip(&other.words)
+            .zip(other.words)
             .any(|(mine, theirs)| theirs & !mine != 0)
     }
 
@@ -166,7 +274,8 @@ impl Bitfield {
     /// each holds at least one piece the other lacks (the paper's
     /// potential-set membership test).
     #[must_use]
-    pub fn can_trade_with(&self, other: &Bitfield) -> bool {
+    #[inline]
+    pub fn can_trade_with(self, other: Row<'_>) -> bool {
         self.is_interested_in(other) && other.is_interested_in(self)
     }
 
@@ -175,10 +284,10 @@ impl Bitfield {
     ///
     /// # Panics
     ///
-    /// Panics if the bitfields cover different files.
-    pub fn for_each_wanted(&self, other: &Bitfield, mut visit: impl FnMut(PieceId)) {
+    /// Panics if the rows cover different files.
+    pub fn for_each_wanted(self, other: Row<'_>, mut visit: impl FnMut(PieceId)) {
         assert_eq!(self.len, other.len, "bitfields cover different files");
-        for (i, (mine, theirs)) in self.words.iter().zip(&other.words).enumerate() {
+        for (i, (mine, theirs)) in self.words.iter().zip(other.words).enumerate() {
             let mut bits = theirs & !mine;
             while bits != 0 {
                 visit(i as u32 * 64 + bits.trailing_zeros());
@@ -196,7 +305,7 @@ pub fn lane_words(pieces: u32) -> usize {
 }
 
 /// The count in lane `p` of a byte-lane table filled by
-/// [`Bitfield::accumulate_lanes`].
+/// [`Row::accumulate_lanes`].
 #[must_use]
 pub fn lane(lanes: &[u64], p: PieceId) -> u32 {
     ((lanes[(p / 8) as usize] >> (8 * (p % 8))) & 0xFF) as u32
@@ -265,17 +374,6 @@ impl<I: Iterator<Item = u64>> Iterator for WordBits<I> {
     }
 }
 
-/// Iterator over held pieces, returned by [`Bitfield::iter`].
-pub struct SetBits<'a>(WordBits<std::iter::Copied<std::slice::Iter<'a, u64>>>);
-
-impl Iterator for SetBits<'_> {
-    type Item = PieceId;
-
-    fn next(&mut self) -> Option<PieceId> {
-        self.0.next()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,7 +381,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     /// Adds one to `counts[p]` for every piece `p` that `bf` holds,
-    /// word-at-a-time: the oracle for [`Bitfield::accumulate_lanes`].
+    /// word-at-a-time: the oracle for [`Row::accumulate_lanes`].
     fn accumulate_into(bf: &Bitfield, counts: &mut [u64]) {
         for (i, &word) in bf.words.iter().enumerate() {
             let mut bits = word;
@@ -342,8 +440,8 @@ mod tests {
         a.set(0);
         b.set(0);
         b.set(1);
-        assert!(a.is_interested_in(&b)); // b has piece 1
-        assert!(!b.is_interested_in(&a)); // a has nothing new
+        assert!(a.row().is_interested_in(b.row())); // b has piece 1
+        assert!(!b.row().is_interested_in(a.row())); // a has nothing new
         assert!(!a.can_trade_with(&b));
     }
 
@@ -370,7 +468,7 @@ mod tests {
 
     fn wanted(mine: &Bitfield, theirs: &Bitfield) -> Vec<PieceId> {
         let mut out = Vec::new();
-        mine.for_each_wanted(theirs, |p| out.push(p));
+        mine.row().for_each_wanted(theirs.row(), |p| out.push(p));
         out
     }
 
@@ -406,7 +504,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "different files")]
     fn interest_requires_same_len() {
-        let _ = Bitfield::new(5).is_interested_in(&Bitfield::new(6));
+        let _ = Bitfield::new(5)
+            .row()
+            .is_interested_in(Bitfield::new(6).row());
     }
 
     #[test]
@@ -471,7 +571,7 @@ mod tests {
                     }
                 }
                 accumulate_into(&bf, &mut counts);
-                bf.accumulate_lanes(&mut lanes);
+                bf.row().accumulate_lanes(&mut lanes);
             }
             for p in 0..pieces {
                 assert_eq!(
@@ -491,7 +591,7 @@ mod tests {
         let mut lanes = vec![0u64; lane_words(pieces)];
         for _ in 0..255 {
             accumulate_into(&full, &mut counts);
-            full.accumulate_lanes(&mut lanes);
+            full.row().accumulate_lanes(&mut lanes);
         }
         for p in 0..pieces {
             assert_eq!(lane(&lanes, p), 255, "lane {p} saturates without carry");

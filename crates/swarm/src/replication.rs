@@ -18,7 +18,7 @@
 //!
 //! [`selection::replication_counts`]: crate::selection::replication_counts
 
-use crate::piece::Bitfield;
+use crate::piece::Row;
 
 /// Global per-piece replication counts, updated event-by-event.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,12 +47,13 @@ impl ReplicationIndex {
         self.counts[piece as usize] += 1;
     }
 
-    /// Records the departure of a peer that held `have`. A count the
+    /// Records the departure of a peer that held `have` (its row of the
+    /// possession table, read before its slot is freed). A count the
     /// departure would take below zero — a piece granted behind the
     /// index's back, as a seeded fault does — stays at zero, in debug
     /// and release builds alike; the doctor's `replication-oracle`
     /// monitor reports the drift.
-    pub fn on_departure(&mut self, have: &Bitfield) {
+    pub fn on_departure(&mut self, have: Row<'_>) {
         for piece in have.iter() {
             let count = &mut self.counts[piece as usize];
             *count = count.saturating_sub(1);
@@ -70,6 +71,7 @@ impl ReplicationIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::piece::Bitfield;
 
     fn bf(pieces: u32, held: &[u32]) -> Bitfield {
         let mut field = Bitfield::new(pieces);
@@ -87,7 +89,7 @@ mod tests {
         index.on_acquire(2);
         index.on_acquire(3);
         assert_eq!(index.counts(), &[1, 0, 2, 1]);
-        index.on_departure(&bf(4, &[0, 2]));
+        index.on_departure(bf(4, &[0, 2]).row());
         assert_eq!(index.counts(), &[0, 0, 1, 1]);
     }
 
@@ -98,7 +100,7 @@ mod tests {
         for piece in fields.iter().flat_map(Bitfield::iter) {
             index.on_acquire(piece);
         }
-        let oracle = crate::selection::replication_counts(8, fields.iter());
+        let oracle = crate::selection::replication_counts(8, fields.iter().map(Bitfield::row));
         assert_eq!(index.counts(), &oracle[..]);
     }
 

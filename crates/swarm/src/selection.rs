@@ -9,7 +9,7 @@
 use rand::Rng;
 
 use crate::config::PieceSelection;
-use crate::piece::{lane, lane_words, Bitfield, PieceId};
+use crate::piece::{lane, lane_words, PieceId, Row};
 
 /// A source of uniform random picks for piece selection.
 ///
@@ -151,7 +151,7 @@ impl Ranker {
     /// Ranks up to `limit` pieces `theirs` holds and `mine` lacks, best
     /// first, into `out` (cleared first). `lanes` is the downloader's
     /// byte-lane replication view over its neighbor set (see
-    /// [`Bitfield::accumulate_lanes`]); random-first ignores it.
+    /// [`Row::accumulate_lanes`]); random-first ignores it.
     ///
     /// Returns the candidates examined: one per wanted piece scanned
     /// plus one per rank drawn.
@@ -174,24 +174,24 @@ impl Ranker {
     ///     common.set(p);
     /// }
     /// let mut lanes = vec![0u64; lane_words(4)];
-    /// common.accumulate_lanes(&mut lanes);
-    /// common.accumulate_lanes(&mut lanes);
+    /// common.row().accumulate_lanes(&mut lanes);
+    /// common.row().accumulate_lanes(&mut lanes);
     /// let mut stream = PlanStream::pair(0, 1, 0, 1, 0);
     /// let mut ranked = Vec::new();
     /// let mut ranker = Ranker::new(PieceSelection::RarestFirst);
-    /// ranker.rank(&mine, &theirs, &lanes, 2, &mut stream, &mut ranked);
+    /// ranker.rank(mine.row(), theirs.row(), &lanes, 2, &mut stream, &mut ranked);
     /// assert_eq!(ranked.len(), 2);
     /// assert_eq!(ranked[0], 1);
     /// ```
     ///
     /// # Panics
     ///
-    /// Panics if the bitfields cover different files, or if `strategy`
-    /// is rarest-first and `lanes` does not cover all pieces.
+    /// Panics if the rows cover different files, or if `strategy` is
+    /// rarest-first and `lanes` does not cover all pieces.
     pub fn rank<S: Substream + ?Sized>(
         &mut self,
-        mine: &Bitfield,
-        theirs: &Bitfield,
+        mine: Row<'_>,
+        theirs: Row<'_>,
         lanes: &[u64],
         limit: usize,
         rng: &mut S,
@@ -290,7 +290,7 @@ impl Ranker {
     }
 }
 
-/// Per-piece replication counts over a collection of bitfields (the view a
+/// Per-piece replication counts over a collection of rows (the view a
 /// peer has of its neighbor set, and the quantity whose skew defines the
 /// §6 entropy).
 ///
@@ -303,7 +303,7 @@ impl Ranker {
 #[must_use]
 pub fn replication_counts<'a, I>(pieces: u32, fields: I) -> Vec<u64>
 where
-    I: IntoIterator<Item = &'a Bitfield>,
+    I: IntoIterator<Item = Row<'a>>,
 {
     let mut counts = vec![0u64; pieces as usize];
     for field in fields {
@@ -317,6 +317,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::piece::Bitfield;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -335,7 +336,8 @@ mod tests {
     ) {
         out.clear();
         let mut remaining = Vec::new();
-        mine.for_each_wanted(theirs, |p| remaining.push(p));
+        mine.row()
+            .for_each_wanted(theirs.row(), |p| remaining.push(p));
         if remaining.is_empty() {
             return;
         }
@@ -399,7 +401,14 @@ mod tests {
         rng: &mut S,
     ) -> Option<PieceId> {
         let mut out = Vec::new();
-        Ranker::new(strategy).rank(mine, theirs, &lanes_of(counts), 1, rng, &mut out);
+        Ranker::new(strategy).rank(
+            mine.row(),
+            theirs.row(),
+            &lanes_of(counts),
+            1,
+            rng,
+            &mut out,
+        );
         out.first().copied()
     }
 
@@ -522,8 +531,8 @@ mod tests {
         let mut stream = PlanStream::pair(1, 1, 0, 1, 0);
         let mut out = Vec::new();
         let examined = Ranker::new(PieceSelection::RandomFirst).rank(
-            &mine,
-            &theirs,
+            mine.row(),
+            theirs.row(),
             &[],
             10,
             &mut stream,
@@ -542,10 +551,10 @@ mod tests {
         let mut stream = PlanStream::pair(2, 1, 0, 1, 0);
         let mut ranker = Ranker::new(PieceSelection::RandomFirst);
         let mut out = vec![99];
-        ranker.rank(&mine, &theirs, &[], 3, &mut stream, &mut out);
+        ranker.rank(mine.row(), theirs.row(), &[], 3, &mut stream, &mut out);
         assert_eq!(out.len(), 3);
         let full = bf(8, &[0, 1, 2, 3, 4, 5, 6, 7]);
-        let examined = ranker.rank(&full, &theirs, &[], 3, &mut stream, &mut out);
+        let examined = ranker.rank(full.row(), theirs.row(), &[], 3, &mut stream, &mut out);
         assert!(out.is_empty(), "nothing wanted clears the output");
         assert_eq!(examined, 0);
     }
@@ -558,8 +567,8 @@ mod tests {
         let mut stream = PlanStream::pair(3, 1, 0, 1, 0);
         let mut out = Vec::new();
         Ranker::new(PieceSelection::RarestFirst).rank(
-            &mine,
-            &theirs,
+            mine.row(),
+            theirs.row(),
             &lanes,
             10,
             &mut stream,
@@ -596,10 +605,10 @@ mod tests {
         let mut stream = PlanStream::pair(seed, 1, 2, 3, 0);
         let mut ranked = vec![u32::MAX];
         let mut wanted = 0;
-        mine.for_each_wanted(theirs, |_| wanted += 1);
+        mine.row().for_each_wanted(theirs.row(), |_| wanted += 1);
         let examined = ranker.rank(
-            mine,
-            theirs,
+            mine.row(),
+            theirs.row(),
             &lanes_of(counts),
             limit,
             &mut stream,
@@ -637,7 +646,7 @@ mod tests {
                     }
                 }
                 let mut wanted = 0;
-                mine.for_each_wanted(&theirs, |_| wanted += 1);
+                mine.row().for_each_wanted(theirs.row(), |_| wanted += 1);
                 for ranker in &mut rankers {
                     let strategy = ranker.strategy;
                     for limit in [0, 1, 2, 17, 40, wanted, wanted + 1, wanted + 9] {
@@ -705,7 +714,7 @@ mod tests {
     #[test]
     fn replication_counts_sum() {
         let fields = [bf(4, &[0, 1]), bf(4, &[1, 2]), bf(4, &[1])];
-        let counts = replication_counts(4, fields.iter());
+        let counts = replication_counts(4, fields.iter().map(Bitfield::row));
         assert_eq!(counts, vec![1, 3, 1, 0]);
     }
 
@@ -716,7 +725,13 @@ mod tests {
         let theirs = bf(65, &[0]);
         let mut rng = StdRng::seed_from_u64(6);
         let mut out = Vec::new();
-        Ranker::new(PieceSelection::RarestFirst)
-            .rank(&mine, &theirs, &[0; 8], 1, &mut rng, &mut out);
+        Ranker::new(PieceSelection::RarestFirst).rank(
+            mine.row(),
+            theirs.row(),
+            &[0; 8],
+            1,
+            &mut rng,
+            &mut out,
+        );
     }
 }

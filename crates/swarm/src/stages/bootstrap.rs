@@ -33,7 +33,7 @@ impl Bootstrap {
         let mut injected = 0u64;
         self.empty.clear();
         for &id in core.tracker.peers() {
-            if core.store.peer(id).have.is_empty() {
+            if core.store.have(id.into()).is_empty() {
                 self.empty.push(id);
             }
         }
@@ -93,7 +93,7 @@ impl Bootstrap {
             let target = alive[core.rng.gen_range(0..alive.len())];
             self.wanted.clear();
             self.wanted
-                .extend(core.store.peer(target).have.iter_missing());
+                .extend(core.store.have(target.into()).iter_missing());
             // Each upload sees the counts left by the previous one: the
             // index advances on acquire, exactly like the old engine's
             // locally incremented rescan copy.

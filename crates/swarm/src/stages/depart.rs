@@ -26,7 +26,7 @@ impl RoundStage for DepartCompleted {
     fn run(&mut self, core: &mut SwarmCore) {
         self.done.clear();
         for &id in core.tracker.peers() {
-            if core.store.peer(id).have.is_complete() {
+            if core.store.have(id.into()).is_complete() {
                 self.done.push(id);
             }
         }
@@ -35,8 +35,9 @@ impl RoundStage for DepartCompleted {
         for &id in &self.done {
             // core.depart is the audit hook: it tallies the departure,
             // the pieces carried away, and the connections closed.
+            let held = core.store.have(id.into()).count();
             let peer = core.depart(id);
-            core.cohort.depart(core.round, id.seq(), peer.have.count());
+            core.cohort.depart(core.round, id.seq(), held);
             // Peers that joined during warm-up carry transient startup
             // dynamics; they depart normally but are not counted.
             if peer.joined_round >= core.config.metrics_warmup_rounds {
@@ -50,10 +51,9 @@ impl RoundStage for DepartCompleted {
                 );
                 core.completion_stream
                     .write(id, peer.joined_round, core.round, rounds, peer.slow);
-                if core.config.observes(id.seq()) {
-                    if let Some(log) = core.metrics.observers.iter_mut().find(|l| l.id == id) {
-                        log.completed_round = Some(core.round);
-                    }
+                let round = core.round;
+                if let Some(log) = core.observer_log(id) {
+                    log.completed_round = Some(round);
                 }
                 core.obs.completions.incr();
             }

@@ -13,8 +13,11 @@ use crate::stages::RoundStage;
 /// `p_n`, capped at `k` connections and optionally at
 /// `new_connections_per_round` initiations.
 ///
-/// The scratch lists hold the [`PeerId`]s read from the peers the scan
-/// looked up, so the tit-for-tat tie-break compares sequence numbers.
+/// Tradability is tested on the neighbors' rows of the possession table
+/// before the scan touches a neighbor's slot, so only tradable
+/// neighbors are looked up (for their open slots). The scratch lists
+/// hold [`PeerId`]s, so the tit-for-tat tie-break compares sequence
+/// numbers.
 #[derive(Debug, Default)]
 pub struct EstablishConnections {
     order: Vec<PeerId>,
@@ -67,11 +70,13 @@ impl RoundStage for EstablishConnections {
                     // re-filter only those for open slots.
                     comparisons += me.neighbors.len() as u64;
                     self.tradable.clear();
+                    let mine = store.have(id.into());
                     for &other in &me.neighbors {
-                        let Some(remote) = store.at(other) else {
+                        let Some(theirs) = store.have_at(other) else {
                             continue;
                         };
-                        if me.have.can_trade_with(&remote.have) {
+                        if mine.can_trade_with(theirs) {
+                            let remote = store.peer_at(other);
                             self.tradable.push(remote.id);
                             if open(remote) {
                                 self.candidates.push(remote.id);

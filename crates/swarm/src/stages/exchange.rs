@@ -24,7 +24,7 @@
 
 use crate::engine::{CoreView, SwarmCore};
 use crate::peer::{Peer, PeerRef};
-use crate::piece::{lane_words, Bitfield};
+use crate::piece::{lane_words, Row};
 use crate::selection::{PlanStream, Ranker};
 use crate::stages::RoundStage;
 
@@ -36,8 +36,8 @@ use crate::stages::RoundStage;
 /// store keeps slot indices dense, so the tables stay small):
 ///
 /// * `lanes` — the downloader's neighbor-local replication view, one
-///   byte lane per piece ([`Bitfield::accumulate_lanes`]), computed once
-///   per round from pre-exchange bitfields for every pair member;
+///   byte lane per piece ([`Row::accumulate_lanes`]), computed once
+///   per round from pre-exchange rows for every pair member;
 /// * `taken` — pieces already claimed this round per peer;
 /// * `budgets` — remaining upload budget (slow-peer bandwidth class);
 /// * `earlier` — how many of a peer's pairs the prepare walk has passed;
@@ -51,9 +51,12 @@ use crate::stages::RoundStage;
 /// `stamp` marks which slots were initialized this round; stale entries
 /// from earlier rounds are never read, so nothing needs clearing.
 ///
-/// `pairs` holds each connection as two 8-byte slab references; the
-/// plan and commit read the sequence numbers the plan streams and the
-/// cohort need from the peers they look up.
+/// `pairs` holds each connection as two 8-byte slab references. The
+/// plan reads possession from the store's possession table and the
+/// sequence numbers its streams need from the store's id table, so it
+/// looks up no peer but the fill's downloaders (for their neighbor
+/// lists); the commit looks up the peers whose partial pieces and
+/// credit it reads and writes.
 #[derive(Debug, Default)]
 pub struct ExchangePieces {
     pairs: Vec<(PeerRef, PeerRef)>,
@@ -93,7 +96,7 @@ fn rank_stride(max_connections: u32) -> usize {
 
 /// Prefer finishing an in-flight partial piece the uploader has (block
 /// continuity); otherwise the caller resolves a planned candidate.
-fn continue_piece(downloader: &Peer, uploader_have: &Bitfield) -> Option<u32> {
+fn continue_piece(downloader: &Peer, uploader_have: Row<'_>) -> Option<u32> {
     downloader
         .partial
         .keys()
@@ -107,7 +110,8 @@ fn continue_piece(downloader: &Peer, uploader_have: &Bitfield) -> Option<u32> {
 /// ([`first_usable`]).
 fn resolve_candidate(
     downloader: &Peer,
-    uploader_have: &Bitfield,
+    downloader_have: Row<'_>,
+    uploader_have: Row<'_>,
     candidates: &[u32],
     taken: &[u32],
     earlier: u32,
@@ -115,7 +119,7 @@ fn resolve_candidate(
     if let Some(piece) = continue_piece(downloader, uploader_have) {
         return Some(piece);
     }
-    first_usable(&downloader.have, candidates, taken, earlier)
+    first_usable(downloader_have, candidates, taken, earlier)
 }
 
 /// The best planned candidate the downloader neither holds nor has
@@ -126,7 +130,7 @@ fn resolve_candidate(
 /// Each of the downloader's `earlier` pairs claims at most one piece,
 /// so at most `earlier` ranks can be invalid and the plan draws only
 /// `earlier + 1` of them.
-fn first_usable(have: &Bitfield, candidates: &[u32], taken: &[u32], earlier: u32) -> Option<u32> {
+fn first_usable(have: Row<'_>, candidates: &[u32], taken: &[u32], earlier: u32) -> Option<u32> {
     if let Some(rank) = candidates
         .iter()
         .position(|&c| !have.contains(c) && !taken.contains(&c))
@@ -141,7 +145,8 @@ fn first_usable(have: &Bitfield, candidates: &[u32], taken: &[u32], earlier: u32
 }
 
 /// One shard's work counts: the shard's own unit (bitfield words or
-/// ranked candidates) and its slab lookups. Shards look up peers
+/// ranked candidates) and its slab lookups (only the fill makes any:
+/// one per downloader, for its neighbor list). Shards look up peers
 /// uncounted ([`PeerStore::lookup`](crate::store::PeerStore::lookup)); the
 /// lookups are added to the store's probe count after the join.
 #[derive(Debug, Clone, Copy, Default)]
@@ -161,7 +166,9 @@ impl ShardWork {
 }
 
 /// Fills the neighbor-local replication views for one shard of involved
-/// peers, counting scanned bitfield words for cost attribution.
+/// peers, counting scanned bitfield words for cost attribution. Each
+/// downloader is looked up for its neighbor list; the neighbors are
+/// read as rows, their liveness checked against the id table.
 fn fill_lanes_shard(view: CoreView<'_>, tasks: &mut [(PeerRef, &mut [u64])], work: &mut ShardWork) {
     let words_per_field = u64::from(view.config.pieces).div_ceil(64);
     for (r, lanes) in tasks {
@@ -176,9 +183,8 @@ fn fill_lanes_shard(view: CoreView<'_>, tasks: &mut [(PeerRef, &mut [u64])], wor
         );
         lanes.fill(0);
         for &n in &peer.neighbors {
-            work.probes += 1;
-            if let Some(other) = view.store.lookup(n) {
-                other.have.accumulate_lanes(lanes);
+            if let Some(theirs) = view.store.have_at(n) {
+                theirs.accumulate_lanes(lanes);
                 work.units += words_per_field;
             }
         }
@@ -189,7 +195,8 @@ fn fill_lanes_shard(view: CoreView<'_>, tasks: &mut [(PeerRef, &mut [u64])], wor
 /// candidate list drawn from that direction's [`PlanStream`], ranked
 /// into the shard's own scratch list and copied into the pair's window
 /// of `ranks` (the shard's part of the flat table). Counts the
-/// candidates the ranker examined.
+/// candidates the ranker examined. Reads rows and the id table only:
+/// no slab lookup.
 fn plan_pairs_shard(
     view: CoreView<'_>,
     lanes: &[u64],
@@ -209,14 +216,13 @@ fn plan_pairs_shard(
     let stride = rank_stride(view.config.max_connections);
     let windows = ranks.chunks_exact_mut(2 * stride);
     for ((&(a, b), plan), window) in pairs.iter().zip(plans).zip(windows) {
-        let peer_a = work.peer(view, a);
-        let peer_b = work.peer(view, b);
-        let (seq_a, seq_b) = (peer_a.id.seq(), peer_b.id.seq());
+        let (seq_a, seq_b) = (view.store.id_at(a).seq(), view.store.id_at(b).seq());
+        let (have_a, have_b) = (view.store.have(a), view.store.have(b));
         let (down_lo, down_hi) = window.split_at_mut(stride);
         let mut stream = PlanStream::pair(seed, view.round, seq_a, seq_b, 0);
         work.units += ranker.rank(
-            &peer_a.have,
-            &peer_b.have,
+            have_a,
+            have_b,
             view_of(a),
             stride.min(plan.earlier_lo as usize + 1),
             &mut stream,
@@ -226,8 +232,8 @@ fn plan_pairs_shard(
         plan.len_lo = ranked.len() as u32;
         let mut stream = PlanStream::pair(seed, view.round, seq_a, seq_b, 1);
         work.units += ranker.rank(
-            &peer_b.have,
-            &peer_a.have,
+            have_b,
+            have_a,
             view_of(b),
             stride.min(plan.earlier_hi as usize + 1),
             &mut stream,
@@ -239,6 +245,7 @@ fn plan_pairs_shard(
 }
 
 /// The plan phase's work counts, for cost attribution.
+#[derive(Default)]
 struct PlanWork {
     /// Bitfield words scanned while filling replication views.
     words: u64,
@@ -363,8 +370,7 @@ impl ExchangePieces {
         // Fixed lane-order merges (summation commutes, but the order is
         // pinned anyway so the merge never becomes scheduling-visible).
         let total = |work: &[ShardWork], unit: fn(&ShardWork) -> u64| work.iter().map(unit).sum();
-        view.store
-            .add_probes(total(&fill_work, |w| w.probes) + total(&plan_work, |w| w.probes));
+        view.store.add_probes(total(&fill_work, |w| w.probes));
         PlanWork {
             words: total(&fill_work, |w| w.units),
             candidates: total(&plan_work, |w| w.units),
@@ -384,11 +390,11 @@ impl ExchangePieces {
             if self.budgets[slot_a] == 0 || self.budgets[slot_b] == 0 {
                 continue;
             }
-            let (peer_a, peer_b) = (core.store.peer_at(ref_a), core.store.peer_at(ref_b));
-            let (a, b) = (peer_a.id, peer_b.id);
+            let (a, b) = (core.store.id_at(ref_a), core.store.id_at(ref_b));
+            let (have_a, have_b) = (core.store.have(ref_a), core.store.have(ref_b));
             // Re-check tradability live: earlier commits this round may
             // have exhausted the novelty.
-            if !peer_a.have.can_trade_with(&peer_b.have) {
+            if !have_a.can_trade_with(have_b) {
                 core.store.peer_mut(a).connections.retain(|&p| p != ref_b);
                 core.store.peer_mut(b).connections.retain(|&p| p != ref_a);
                 core.audit.conn_closed += 1;
@@ -399,15 +405,17 @@ impl ExchangePieces {
             let plan = self.plans[i];
             let (down_lo, down_hi) = window.split_at(stride);
             let wanted_a = resolve_candidate(
-                core.store.peer(a),
-                &core.store.peer(b).have,
+                core.store.peer_at(ref_a),
+                have_a,
+                have_b,
                 &down_lo[..plan.len_lo as usize],
                 &self.taken[slot_a],
                 plan.earlier_lo,
             );
             let wanted_b = resolve_candidate(
-                core.store.peer(b),
-                &core.store.peer(a).have,
+                core.store.peer_at(ref_b),
+                have_b,
+                have_a,
                 &down_hi[..plan.len_hi as usize],
                 &self.taken[slot_b],
                 plan.earlier_hi,
@@ -457,11 +465,17 @@ impl RoundStage for ExchangePieces {
 
     fn run(&mut self, core: &mut SwarmCore) {
         core.collect_connection_pairs(&mut self.pairs);
-        let work = self.plan(core);
+        // The two phases' own timers (`exchange.plan`, `exchange.commit`)
+        // split the stage's `round.exchange` time; they are not stage
+        // timers, so nothing that sums `round.*` counts them twice.
+        let mut work = PlanWork::default();
+        core.obs.exchange_plan.time(|| work = self.plan(core));
         core.profile.add_work("exchange.bitfield_words", work.words);
         core.profile
             .add_work("exchange.rank_candidates", work.candidates);
-        let transfers = self.commit(core);
+        let mut transfers = 0;
+        let commit_timer = core.obs.exchange_commit.clone();
+        commit_timer.time(|| transfers = self.commit(core));
         core.profile.add_work("exchange.piece_transfers", transfers);
     }
 
@@ -474,6 +488,7 @@ impl RoundStage for ExchangePieces {
 mod tests {
     use super::*;
     use crate::config::PieceSelection;
+    use crate::piece::Bitfield;
 
     fn bf(pieces: u32, have: &[u32]) -> Bitfield {
         let mut b = Bitfield::new(pieces);
@@ -490,8 +505,8 @@ mod tests {
         let mut stream = PlanStream::pair(seed, 1, 0, 1, 0);
         let mut out = Vec::new();
         Ranker::new(PieceSelection::RarestFirst).rank(
-            mine,
-            theirs,
+            mine.row(),
+            theirs.row(),
             &lanes,
             8,
             &mut stream,
@@ -506,7 +521,7 @@ mod tests {
         let theirs = bf(4, &[0, 1]);
         for seed in 0..20 {
             let candidates = ranked(&mine, &theirs, seed);
-            assert_eq!(first_usable(&mine, &candidates, &[0], 1), Some(1));
+            assert_eq!(first_usable(mine.row(), &candidates, &[0], 1), Some(1));
         }
     }
 
@@ -516,7 +531,7 @@ mod tests {
         let mine = bf(4, &[]);
         let theirs = bf(4, &[2]);
         let candidates = ranked(&mine, &theirs, 5);
-        assert_eq!(first_usable(&mine, &candidates, &[2], 1), Some(2));
+        assert_eq!(first_usable(mine.row(), &candidates, &[2], 1), Some(2));
     }
 
     #[test]
@@ -524,8 +539,14 @@ mod tests {
         // An earlier pair completed piece 0 after the plan ranked it.
         let theirs = bf(4, &[0, 3]);
         let candidates = ranked(&bf(4, &[]), &theirs, 1);
-        assert_eq!(first_usable(&bf(4, &[0]), &candidates, &[0], 1), Some(3));
-        assert_eq!(first_usable(&bf(4, &[0, 3]), &candidates, &[0, 3], 2), None);
+        assert_eq!(
+            first_usable(bf(4, &[0]).row(), &candidates, &[0], 1),
+            Some(3)
+        );
+        assert_eq!(
+            first_usable(bf(4, &[0, 3]).row(), &candidates, &[0, 3], 2),
+            None
+        );
     }
 
     #[test]

@@ -8,6 +8,10 @@ use crate::stages::RoundStage;
 
 /// Drops connections that lost mutual interest or fail the per-round
 /// `p_r` survival roll (the paper's re-encounter probability).
+///
+/// Tradability is read from the possession table's rows and the
+/// sequence numbers from the id table, so a pair that survives costs
+/// no slab lookup.
 #[derive(Debug, Default)]
 pub struct PruneConnections {
     pairs: Vec<(PeerRef, PeerRef)>,
@@ -24,9 +28,8 @@ impl RoundStage for PruneConnections {
         core.profile
             .add_work("prune.pairs_checked", self.pairs.len() as u64);
         for &(a, b) in &self.pairs {
-            let (peer_a, peer_b) = (core.store.peer_at(a), core.store.peer_at(b));
-            let tradable = peer_a.have.can_trade_with(&peer_b.have);
-            let (seq_a, seq_b) = (peer_a.id.seq(), peer_b.id.seq());
+            let tradable = core.store.have(a).can_trade_with(core.store.have(b));
+            let (seq_a, seq_b) = (core.store.id_at(a).seq(), core.store.id_at(b).seq());
             let survives = core.rng.gen::<f64>() < core.config.p_reencounter;
             if !tradable || !survives {
                 core.store.peer_at_mut(a).connections.retain(|&p| p != b);

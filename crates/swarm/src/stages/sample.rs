@@ -47,30 +47,24 @@ impl RoundStage for SampleMetrics {
         let mut conn_total = 0usize;
         for i in 0..population {
             let id = core.tracker.peers()[i];
-            let potential = core.potential_size(id);
-            let held = core.store.peer(id).have.count() as usize;
+            // One slab lookup per peer: the pieces held and every
+            // neighbor's tradability come from the possession table.
+            let peer = core.store.peer(id);
+            let potential = core.potential_of(peer);
+            let connections = peer.connections.len() as u32;
+            let pieces = core.store.have(id.into()).count();
             if in_steady_state {
-                core.metrics.potential_sum_by_pieces[held] += f64::from(potential);
-                core.metrics.potential_count_by_pieces[held] += 1;
+                core.metrics.potential_sum_by_pieces[pieces as usize] += f64::from(potential);
+                core.metrics.potential_count_by_pieces[pieces as usize] += 1;
             }
-            conn_total += core.store.peer(id).connections.len();
+            conn_total += connections as usize;
             if core.cohort.is_member(id.seq()) {
-                let connections = core.store.peer(id).connections.len() as u32;
-                let pieces = held as u32;
                 core.cohort.observe(round, id.seq(), pieces, connections);
                 let state = DownloadState::new(connections, pieces, potential);
                 let phase = Phase::classify(state, core.config.pieces);
                 core.cohort.phase(round, id.seq(), phase_code(phase));
             }
-            if core.config.observes(id.seq()) {
-                let connections = core.store.peer(id).connections.len() as u32;
-                let pieces = core.store.peer(id).have.count();
-                let log = core
-                    .metrics
-                    .observers
-                    .iter_mut()
-                    .find(|l| l.id == id)
-                    .expect("observer log pre-created at spawn");
+            if let Some(log) = core.observer_log(id) {
                 log.rounds.push(round);
                 log.pieces.push(pieces);
                 log.potential.push(potential);

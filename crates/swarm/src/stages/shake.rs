@@ -30,7 +30,7 @@ impl RoundStage for ShakePeers {
         for i in 0..core.tracker.len() {
             let id = core.tracker.peers()[i];
             let peer = core.store.peer(id);
-            if peer.shaken || peer.completion() < threshold {
+            if peer.shaken || core.store.have(id.into()).completion() < threshold {
                 continue;
             }
             core.audit.conn_closed += core.store.peer(id).connections.len() as u64;

@@ -25,10 +25,20 @@
 //! code that needs the arrival order resolves the reference and reads
 //! `seq` from the peer it has just looked up, or, when it needs only the
 //! id, reads it from the store's dense slot-indexed id table.
+//!
+//! **Possession is a dense table.** The store keeps every peer's
+//! bitfield in one slot-indexed table of `⌈B/64⌉` words per slot,
+//! zeroed whenever a slot is issued; the peer itself holds no copy. A
+//! neighbor's pieces are read as a [`Row`] of that table, checked for
+//! liveness against the id table, so a stage that only needs what a
+//! neighbor holds never reaches its slot. Every write goes through the
+//! store, whose `acquire` and `receive_block` set the bit and log the
+//! acquisition together.
 
 use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::peer::Peer;
+use crate::piece::{row_words, set_piece, PieceId, Row};
 
 /// Identifier of a peer: an arrival sequence number plus the slot and
 /// generation that make it resolvable in a [`PeerStore`].
@@ -162,12 +172,12 @@ struct Slot {
     peer: Option<Peer>,
 }
 
-/// Generational slab of peers.
+/// Generational slab of peers, with their possession table beside it.
 ///
 /// Insertion reuses freed slots (LIFO), lookup checks the generation,
 /// and removal bumps it. Iteration over occupied slots is dense:
 /// `capacity()` tracks the high-water population, not total arrivals.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct PeerStore {
     slots: Vec<Slot>,
     /// The id issued for each slot's latest occupant, by slot, with the
@@ -175,6 +185,14 @@ pub struct PeerStore {
     /// reading a neighbor's `seq` ([`id_at`](Self::id_at)) touches 16
     /// bytes, not the peer. Removal bumps the generation here too.
     ids: Vec<PeerId>,
+    /// The possession table: `width` words per slot, slot `i`'s row at
+    /// `i * width`. The only record of which pieces a peer holds; a
+    /// slot's row is zeroed when the slot is issued.
+    have: Vec<u64>,
+    /// Pieces in the file (`B`).
+    pieces: u32,
+    /// Words per row, `⌈B/64⌉`.
+    width: usize,
     free: Vec<u32>,
     next_seq: u64,
     len: usize,
@@ -194,6 +212,9 @@ impl Clone for PeerStore {
         PeerStore {
             slots: self.slots.clone(),
             ids: self.ids.clone(),
+            have: self.have.clone(),
+            pieces: self.pieces,
+            width: self.width,
             free: self.free.clone(),
             next_seq: self.next_seq,
             len: self.len,
@@ -203,10 +224,20 @@ impl Clone for PeerStore {
 }
 
 impl PeerStore {
-    /// Creates an empty store.
+    /// Creates an empty store for a file of `pieces` pieces.
     #[must_use]
-    pub fn new() -> Self {
-        PeerStore::default()
+    pub fn new(pieces: u32) -> Self {
+        PeerStore {
+            slots: Vec::new(),
+            ids: Vec::new(),
+            have: Vec::new(),
+            pieces,
+            width: row_words(pieces),
+            free: Vec::new(),
+            next_seq: 0,
+            len: 0,
+            probes: std::sync::atomic::AtomicU64::new(0),
+        }
     }
 
     /// Number of peers currently stored.
@@ -230,10 +261,14 @@ impl PeerStore {
     }
 
     /// Allocates an id (fresh sequence number, first free slot) and
-    /// stores the peer `f` builds for it.
+    /// stores the peer `f` builds for it, holding no pieces: the slot's
+    /// possession row is zeroed, whatever its last occupant held.
     pub fn insert_with(&mut self, f: impl FnOnce(PeerId) -> Peer) -> PeerId {
         let slot = match self.free.pop() {
-            Some(slot) => slot,
+            Some(slot) => {
+                self.row_mut(slot).fill(0);
+                slot
+            }
             None => {
                 let slot = u32::try_from(self.slots.len()).unwrap_or(u32::MAX);
                 assert!(slot < PeerId::DETACHED, "peer store slot space exhausted");
@@ -241,6 +276,7 @@ impl PeerStore {
                     generation: 0,
                     peer: None,
                 });
+                self.have.resize(self.have.len() + self.width, 0);
                 slot
             }
         };
@@ -362,12 +398,120 @@ impl PeerStore {
     /// # Panics
     ///
     /// Panics if the peer departed, like [`peer_at`](Self::peer_at).
+    #[inline]
     pub(crate) fn id_at(&self, r: PeerRef) -> PeerId {
         self.ids
             .get(r.slot as usize)
             .copied()
             .filter(|&id| PeerRef::from(id) == r)
             .expect("peer departed but was referenced")
+    }
+
+    /// The pieces the live peer `r` routes to holds: its row of the
+    /// possession table, or `None` once it departed. Liveness is read
+    /// from the id table, so this touches no slot and is not a probe.
+    #[inline]
+    pub(crate) fn have_at(&self, r: PeerRef) -> Option<Row<'_>> {
+        let slot = r.slot as usize;
+        let id = self.ids.get(slot)?;
+        (PeerRef::from(*id) == r).then(|| self.row(r.slot))
+    }
+
+    /// The possession row of a peer known to be alive.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the peer departed, like [`peer_at`](Self::peer_at).
+    #[inline]
+    pub(crate) fn have(&self, r: PeerRef) -> Row<'_> {
+        self.have_at(r).expect("peer departed but was referenced")
+    }
+
+    /// The possession row of an alive peer, by id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the peer departed or the id is stale/synthetic.
+    #[must_use]
+    pub fn pieces_of(&self, id: PeerId) -> Row<'_> {
+        self.have(id.into())
+    }
+
+    /// Slot `slot`'s row, whoever holds the slot.
+    #[inline]
+    fn row(&self, slot: u32) -> Row<'_> {
+        let at = slot as usize * self.width;
+        Row::new(&self.have[at..at + self.width], self.pieces)
+    }
+
+    /// Mutable words of slot `slot`'s row.
+    #[inline]
+    fn row_mut(&mut self, slot: u32) -> &mut [u64] {
+        let at = slot as usize * self.width;
+        &mut self.have[at..at + self.width]
+    }
+
+    /// Records that the live peer `r` acquired `piece` at `round`: sets
+    /// its bit and appends the round to the peer's acquisition log.
+    /// Returns `true` if the piece was new.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the peer departed, or if `round` exceeds `u32::MAX`,
+    /// the acquisition log's limit.
+    pub(crate) fn acquire(&mut self, r: PeerRef, piece: PieceId, round: u64) -> bool {
+        if !self.set_unlogged(r, piece) {
+            return false;
+        }
+        let pieces = self.pieces;
+        self.peer_at_mut(r).log_acquisition(piece, round, pieces);
+        true
+    }
+
+    /// Delivers one block of `piece` to the live peer `r` at `round`.
+    /// Completes the piece ([`acquire`](Self::acquire), and returns
+    /// `true`) once `blocks_per_piece` blocks are in. Blocks of pieces
+    /// already held are ignored. A one-block piece is complete on
+    /// arrival and never enters the partial table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the peer departed.
+    pub(crate) fn receive_block(
+        &mut self,
+        r: PeerRef,
+        piece: PieceId,
+        blocks_per_piece: u32,
+        round: u64,
+    ) -> bool {
+        if self.have(r).contains(piece) {
+            return false;
+        }
+        if blocks_per_piece > 1 {
+            let progress = self.peer_at_mut(r).partial.entry(piece).or_insert(0);
+            *progress += 1;
+            if *progress < blocks_per_piece {
+                return false;
+            }
+        }
+        self.acquire(r, piece, round)
+    }
+
+    /// Sets `piece` in the live peer `r`'s row without logging it. Only
+    /// [`acquire`](Self::acquire), which logs right after, and the seeded
+    /// unaccounted-piece fault, which deliberately bypasses every
+    /// accounting path, call it. Returns `true` if the bit was new.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the peer departed.
+    pub(crate) fn set_unlogged(&mut self, r: PeerRef, piece: PieceId) -> bool {
+        assert!(
+            self.have_at(r).is_some(),
+            "peer departed but was referenced"
+        );
+        let pieces = self.pieces;
+        set_piece(self.row_mut(r.slot), pieces, piece)
     }
 
     /// Whether `id` resolves to a live peer.
@@ -414,11 +558,13 @@ impl PeerStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::piece::Bitfield;
+    use proptest::prelude::*;
 
     fn store_with(n: usize) -> (PeerStore, Vec<PeerId>) {
-        let mut store = PeerStore::new();
+        let mut store = PeerStore::new(4);
         let ids = (0..n)
-            .map(|_| store.insert_with(|id| Peer::new(id, 4, 0)))
+            .map(|_| store.insert_with(|id| Peer::new(id, 0)))
             .collect();
         (store, ids)
     }
@@ -439,7 +585,7 @@ mod tests {
         let (mut store, ids) = store_with(2);
         let stale = PeerRef::from(ids[0]);
         store.remove(ids[0]).expect("alive");
-        let newcomer = store.insert_with(|id| Peer::new(id, 4, 5));
+        let newcomer = store.insert_with(|id| Peer::new(id, 5));
         assert_eq!(
             PeerRef::from(newcomer).slot(),
             stale.slot(),
@@ -461,7 +607,7 @@ mod tests {
         assert_eq!(ids[0].seq(), 0);
         assert_eq!(ids[2].seq(), 2);
         store.remove(ids[1]).expect("alive");
-        let replacement = store.insert_with(|id| Peer::new(id, 4, 1));
+        let replacement = store.insert_with(|id| Peer::new(id, 1));
         assert_eq!(replacement.seq(), 3, "seq never reused");
         assert_eq!(
             PeerRef::from(replacement).slot(),
@@ -475,7 +621,7 @@ mod tests {
         let (mut store, ids) = store_with(2);
         let stale = ids[0];
         store.remove(stale).expect("alive");
-        let replacement = store.insert_with(|id| Peer::new(id, 4, 5));
+        let replacement = store.insert_with(|id| Peer::new(id, 5));
         assert_eq!(
             PeerRef::from(replacement).slot(),
             PeerRef::from(stale).slot(),
@@ -513,7 +659,7 @@ mod tests {
     fn identity_ignores_slot_and_generation() {
         let (mut store, ids) = store_with(2);
         store.remove(ids[0]).expect("alive");
-        let recycled = store.insert_with(|id| Peer::new(id, 4, 0));
+        let recycled = store.insert_with(|id| Peer::new(id, 0));
         assert_eq!(PeerRef::from(recycled).slot(), PeerRef::from(ids[0]).slot());
         assert_ne!(recycled, ids[0], "same slot, different identity");
         let mut sorted = vec![recycled, ids[1], ids[0]];
@@ -552,7 +698,7 @@ mod tests {
         }
         assert_eq!(store.probe_count(), before, "table reads are not probes");
         store.remove(ids[1]).expect("alive");
-        let newcomer = store.insert_with(|id| Peer::new(id, 4, 0));
+        let newcomer = store.insert_with(|id| Peer::new(id, 0));
         assert_eq!(store.id_at(newcomer.into()).seq(), 3);
         assert_eq!(store.id_at(ids[2].into()).seq(), 2);
     }
@@ -562,8 +708,153 @@ mod tests {
     fn id_table_rejects_a_departed_peers_reference() {
         let (mut store, ids) = store_with(2);
         store.remove(ids[0]).expect("alive");
-        store.insert_with(|id| Peer::new(id, 4, 0));
+        store.insert_with(|id| Peer::new(id, 0));
         let _ = store.id_at(ids[0].into());
+    }
+
+    #[test]
+    fn acquire_sets_the_row_and_logs_once() {
+        let (mut store, ids) = store_with(2);
+        let r = PeerRef::from(ids[0]);
+        assert!(store.acquire(r, 3, 7));
+        assert!(!store.acquire(r, 3, 9), "a held piece is not new");
+        assert!(store.acquire(r, 0, 9));
+        assert_eq!(store.peer_at(r).acquisition_rounds(), &[7, 9]);
+        assert_eq!(store.have(r).count(), 2);
+        assert!((store.have(r).completion() - 0.5).abs() < 1e-12);
+        assert_eq!(store.have(r).iter().collect::<Vec<_>>(), vec![0, 3]);
+        assert!(store.have(ids[1].into()).is_empty(), "rows are per slot");
+    }
+
+    #[test]
+    fn acquisition_log_never_outgrows_the_file() {
+        let mut store = PeerStore::new(10);
+        let r = PeerRef::from(store.insert_with(|id| Peer::new(id, 0)));
+        for piece in 0..10 {
+            assert!(store.acquire(r, piece, u64::from(piece)));
+        }
+        assert!(store.have(r).is_complete());
+        assert_eq!(store.peer_at(r).acquisition_rounds().len(), 10);
+        assert_eq!(store.peer_at(r).acquired.capacity(), 10);
+    }
+
+    #[test]
+    fn blocks_complete_a_piece_once_all_are_in() {
+        let (mut store, ids) = store_with(1);
+        let r = PeerRef::from(ids[0]);
+        assert!(!store.receive_block(r, 2, 3, 1));
+        assert!(!store.receive_block(r, 2, 3, 2));
+        assert_eq!(store.peer_at(r).partial.get(&2), Some(&2));
+        assert!(
+            store.receive_block(r, 2, 3, 3),
+            "the third block completes it"
+        );
+        assert!(store.peer_at(r).partial.is_empty());
+        assert!(
+            !store.receive_block(r, 2, 3, 4),
+            "blocks of held pieces are ignored"
+        );
+        assert_eq!(store.peer_at(r).acquisition_rounds(), &[3]);
+        assert!(
+            store.receive_block(r, 0, 1, 5),
+            "a one-block piece is whole"
+        );
+    }
+
+    #[test]
+    fn a_recycled_slot_starts_with_an_empty_row() {
+        let (mut store, ids) = store_with(2);
+        for piece in 0..4 {
+            store.acquire(ids[0].into(), piece, 1);
+        }
+        assert!(store.have(ids[0].into()).is_complete());
+        store.remove(ids[0]).expect("alive");
+        assert!(
+            store.have_at(ids[0].into()).is_none(),
+            "departed rows do not read"
+        );
+        let newcomer = store.insert_with(|id| Peer::new(id, 2));
+        assert_eq!(PeerRef::from(newcomer).slot(), PeerRef::from(ids[0]).slot());
+        assert!(store.have(newcomer.into()).is_empty());
+        assert_eq!(store.have(newcomer.into()).count(), 0);
+    }
+
+    #[test]
+    fn row_reads_are_not_probes() {
+        let (store, ids) = store_with(2);
+        let before = store.probe_count();
+        assert!(store.have_at(ids[0].into()).is_some());
+        assert!(store.have(ids[1].into()).is_empty());
+        assert!(store.have_at(PeerId::synthetic(0).into()).is_none());
+        assert_eq!(store.probe_count(), before);
+    }
+
+    /// One step of the possession-table proptest: a join (which reuses
+    /// the slot of the latest departure, if any), an acquisition by an
+    /// issued peer, or the departure of one.
+    #[derive(Debug, Clone, Copy)]
+    enum TableStep {
+        Join,
+        Acquire(usize, u32),
+        Depart(usize),
+    }
+
+    /// A file of 70 pieces: two words per row, the second partial.
+    const TABLE_PIECES: u32 = 70;
+
+    fn table_step() -> impl Strategy<Value = TableStep> {
+        (0u8..4, 0usize..64, 0..TABLE_PIECES).prop_map(|(kind, i, piece)| match kind {
+            0 => TableStep::Join,
+            1 => TableStep::Depart(i),
+            _ => TableStep::Acquire(i, piece),
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn every_live_row_equals_its_acquisition_history(
+            steps in prop::collection::vec(table_step(), 0..200),
+        ) {
+            let mut store = PeerStore::new(TABLE_PIECES);
+            // Every id ever issued, with the pieces it acquired in order.
+            let mut issued: Vec<(PeerId, Vec<u32>)> = Vec::new();
+            for step in steps {
+                match step {
+                    TableStep::Join => {
+                        let id = store.insert_with(|id| Peer::new(id, 0));
+                        issued.push((id, Vec::new()));
+                    }
+                    TableStep::Acquire(i, piece) if !issued.is_empty() => {
+                        let n = issued.len();
+                        let (id, log) = &mut issued[i % n];
+                        if store.have_at((*id).into()).is_some()
+                            && store.acquire((*id).into(), piece, 1)
+                        {
+                            log.push(piece);
+                        }
+                    }
+                    TableStep::Depart(i) if !issued.is_empty() => {
+                        store.remove(issued[i % issued.len()].0);
+                    }
+                    _ => {}
+                }
+                for (id, log) in &issued {
+                    let Some(row) = store.have_at((*id).into()) else {
+                        prop_assert!(!store.contains(*id), "{} lost its row", id);
+                        continue;
+                    };
+                    let mut rebuilt = Bitfield::new(TABLE_PIECES);
+                    for &piece in log {
+                        rebuilt.set(piece);
+                    }
+                    prop_assert_eq!(row, rebuilt.row(), "{}", id);
+                    prop_assert_eq!(
+                        store.peer(*id).acquisition_rounds().len(),
+                        log.len()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

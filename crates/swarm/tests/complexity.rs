@@ -1,5 +1,6 @@
 //! Complexity ratchet: every stage's deterministic work counters must
-//! grow at most linearly with the population.
+//! grow at most linearly with the population, and the stages that read
+//! every neighbor's bitfield must not pay a slab lookup per neighbor.
 //!
 //! The scale preset runs for two rounds at 1 000 and 4 000 peers with
 //! the profiler attached. Quadrupling the swarm may at most quadruple
@@ -21,6 +22,12 @@ const BOUND: f64 = 4.0 * 1.1;
 /// `(stage, counter) -> total` over a profiled scale-probe run.
 fn work_counters(peers: u32) -> Vec<((String, String), u64)> {
     let config = scenario::scale_probe(peers, ROUNDS, SEED).expect("valid config");
+    profiled(config)
+}
+
+/// `(stage, counter) -> total` over a profiled run of `config`.
+fn profiled(config: bt_swarm::SwarmConfig) -> Vec<((String, String), u64)> {
+    let rounds = config.max_rounds;
     let mut swarm = Swarm::new(config);
     swarm.attach_profiler(bt_obs::ProfileOptions {
         seed: SEED,
@@ -28,7 +35,7 @@ fn work_counters(peers: u32) -> Vec<((String, String), u64)> {
     });
     let (_, profile, _) = swarm.run_diagnosed();
     let report = profile.report().expect("profiler was attached");
-    assert_eq!(report.rounds, ROUNDS, "profiler saw every round");
+    assert_eq!(report.rounds, rounds, "profiler saw every round");
     report
         .stages
         .iter()
@@ -83,4 +90,52 @@ fn work_counters_grow_at_most_linearly() {
         LARGE / SMALL,
         superlinear.join("\n")
     );
+}
+
+/// The total of `counter` in `stage`, zero when the stage reported none.
+fn counter(work: &[((String, String), u64)], stage: &str, counter: &str) -> u64 {
+    work.iter()
+        .find(|((s, c), _)| s == stage && c == counter)
+        .map_or(0, |&(_, total)| total)
+}
+
+/// Slab lookups per unit of a stage's work, at neighbor-set size `s`
+/// on a fixed population.
+fn probes_per_unit(s: u32, stage: &str, unit: &str) -> f64 {
+    let mut config = scenario::scale_probe(SMALL, 4, SEED).expect("valid config");
+    config.neighbor_set_size = s;
+    let work = profiled(config);
+    let units = counter(&work, stage, unit);
+    assert!(units > 0, "{stage} reported no {unit} at s = {s}");
+    counter(&work, stage, "store.slab_probes") as f64 / units as f64
+}
+
+/// The potential set (sample) and the tradability test (prune) read
+/// every neighbor's bitfield. Both read rows of the store's possession
+/// table, so their slab lookups per sampled peer or checked pair stay
+/// flat as the neighbor set grows fourfold; a potential set that
+/// resolves each neighbor's slot again grows with `s` (from 12.8 to
+/// 42.7 lookups per sampled peer). Prune's lookups per pair stay flat
+/// either way, so its ratchet is absolute: a pair that survives costs
+/// no lookup, so the stage stays below the two a pair would cost if it
+/// resolved both of its ends (2.6 when it did).
+#[test]
+fn neighbor_bitfield_reads_cost_no_slab_lookups() {
+    for (stage, unit) in [
+        ("sample", "sample.peers_sampled"),
+        ("prune", "prune.pairs_checked"),
+    ] {
+        let narrow = probes_per_unit(10, stage, unit);
+        let wide = probes_per_unit(40, stage, unit);
+        assert!(
+            wide <= narrow * 1.1,
+            "{stage}: slab lookups per {unit} grew from {narrow:.2} at s = 10 to {wide:.2} at s = 40"
+        );
+        if stage == "prune" {
+            assert!(
+                wide < 2.0,
+                "prune: {wide:.2} slab lookups per checked pair; a surviving pair should cost none"
+            );
+        }
+    }
 }

@@ -163,7 +163,7 @@ proptest! {
                 bf
             })
             .collect();
-        let counts = replication_counts(8, bitfields.iter());
+        let counts = replication_counts(8, bitfields.iter().map(Bitfield::row));
         for &c in &counts {
             prop_assert!(c <= bitfields.len() as u64);
         }
@@ -365,10 +365,10 @@ proptest! {
                         continue;
                     }
                     let gone = alive.swap_remove(peer % alive.len());
-                    index.on_departure(&gone);
+                    index.on_departure(gone.row());
                 }
             }
-            let oracle = replication_counts(pieces as u32, alive.iter());
+            let oracle = replication_counts(pieces as u32, alive.iter().map(Bitfield::row));
             prop_assert_eq!(index.counts(), &oracle[..]);
         }
     }
