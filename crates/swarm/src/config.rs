@@ -403,8 +403,8 @@ impl SwarmConfigBuilder {
     /// # Errors
     ///
     /// [`Error::InvalidConfig`] for zero counts, a neighbor set above
-    /// 255 (the byte-lane limit of the exchange stage's replication
-    /// views), probabilities outside `[0, 1]`, negative rates, or a shake
+    /// 255 (the exchange stage's neighbor views count in at most eight
+    /// bit planes), probabilities outside `[0, 1]`, negative rates, or a shake
     /// fraction outside `(0, 1)`.
     pub fn build(&self) -> Result<SwarmConfig> {
         let c = &self.config;
@@ -423,7 +423,7 @@ impl SwarmConfigBuilder {
         }
         if c.neighbor_set_size > 255 {
             return Err(Error::InvalidConfig(format!(
-                "neighbor_set_size {} exceeds 255: replication views count neighbors in one-byte lanes",
+                "neighbor_set_size {} exceeds 255: replication views count neighbors in at most eight bit planes",
                 c.neighbor_set_size
             )));
         }
@@ -515,7 +515,7 @@ mod tests {
     }
 
     #[test]
-    fn rejects_neighbor_sets_beyond_the_byte_lane_limit() {
+    fn rejects_neighbor_sets_beyond_eight_count_planes() {
         assert!(SwarmConfig::builder()
             .neighbor_set_size(255)
             .build()
@@ -523,10 +523,10 @@ mod tests {
         let err = SwarmConfig::builder()
             .neighbor_set_size(256)
             .build()
-            .expect_err("256 neighbors overflow a byte lane");
+            .expect_err("256 neighbors need a ninth plane");
         let message = err.to_string();
         assert!(message.contains("neighbor_set_size 256"), "{message}");
-        assert!(message.contains("one-byte lanes"), "{message}");
+        assert!(message.contains("eight bit planes"), "{message}");
     }
 
     #[test]

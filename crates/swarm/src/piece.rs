@@ -226,32 +226,10 @@ impl<'a> Row<'a> {
         WordBits::new(words)
     }
 
-    /// Adds this row into a byte-lane count table: lane `p` (byte
-    /// `p % 8` of `lanes[p / 8]`) gains one for every held piece `p`.
-    ///
-    /// Each 64-bit word costs eight lookups into a 256-entry table that
-    /// spreads a byte's bits into the low bit of eight lanes; zero words
-    /// are skipped. Lanes do not saturate: a table summing more than
-    /// 255 rows carries into the next lane, which is why the swarm
-    /// caps `neighbor_set_size` at 255.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is shorter than [`lane_words`]`(len)`.
-    pub fn accumulate_lanes(self, lanes: &mut [u64]) {
-        assert!(
-            lanes.len() >= lane_words(self.len),
-            "lane table shorter than bitfield"
-        );
-        // Eight lane words per bitfield word; the last group is partial
-        // when B is not a multiple of 64, and its phantom bits are 0.
-        let (groups, tail) = lanes[..lane_words(self.len)].as_chunks_mut::<8>();
-        for (group, &word) in groups.iter_mut().zip(self.words) {
-            add_spread(group, word);
-        }
-        if let Some(&word) = self.words.get(groups.len()) {
-            add_spread(tail, word);
-        }
+    /// The row's words: piece `p` is bit `p % 64` of word `p / 64`.
+    #[inline]
+    pub(crate) fn words(self) -> &'a [u64] {
+        self.words
     }
 
     /// Whether `other` holds at least one piece that `self` lacks
@@ -278,67 +256,7 @@ impl<'a> Row<'a> {
     pub fn can_trade_with(self, other: Row<'_>) -> bool {
         self.is_interested_in(other) && other.is_interested_in(self)
     }
-
-    /// Calls `visit` on every piece `other` holds that `self` lacks, in
-    /// increasing order, without materializing the set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rows cover different files.
-    pub fn for_each_wanted(self, other: Row<'_>, mut visit: impl FnMut(PieceId)) {
-        assert_eq!(self.len, other.len, "bitfields cover different files");
-        for (i, (mine, theirs)) in self.words.iter().zip(other.words).enumerate() {
-            let mut bits = theirs & !mine;
-            while bits != 0 {
-                visit(i as u32 * 64 + bits.trailing_zeros());
-                bits &= bits - 1;
-            }
-        }
-    }
 }
-
-/// Number of `u64` words in a byte-lane count table over `pieces`
-/// pieces: eight one-byte lanes per word.
-#[must_use]
-pub fn lane_words(pieces: u32) -> usize {
-    (pieces as usize).div_ceil(8)
-}
-
-/// The count in lane `p` of a byte-lane table filled by
-/// [`Row::accumulate_lanes`].
-#[must_use]
-pub fn lane(lanes: &[u64], p: PieceId) -> u32 {
-    ((lanes[(p / 8) as usize] >> (8 * (p % 8))) & 0xFF) as u32
-}
-
-/// Adds byte `b` of `word`, spread one bit per lane, to `group[b]`.
-#[inline]
-fn add_spread(group: &mut [u64], word: u64) {
-    if word == 0 {
-        return;
-    }
-    for (b, lanes) in group.iter_mut().enumerate() {
-        *lanes += SPREAD[((word >> (8 * b)) & 0xFF) as usize];
-    }
-}
-
-/// `SPREAD[x]` has bit `b` of `x` in the low bit of byte `b`: adding it
-/// to a lane word adds one to the lanes of the pieces set in byte `x`.
-const SPREAD: [u64; 256] = {
-    let mut table = [0u64; 256];
-    let mut x = 0;
-    while x < 256 {
-        let mut b = 0;
-        while b < 8 {
-            if (x >> b) & 1 == 1 {
-                table[x] |= 1 << (8 * b);
-            }
-            b += 1;
-        }
-        x += 1;
-    }
-    table
-};
 
 /// Iterator over the set bits of a stream of 64-bit words, yielding
 /// bit indices in increasing order via `trailing_zeros`.
@@ -377,20 +295,6 @@ impl<I: Iterator<Item = u64>> Iterator for WordBits<I> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    /// Adds one to `counts[p]` for every piece `p` that `bf` holds,
-    /// word-at-a-time: the oracle for [`Row::accumulate_lanes`].
-    fn accumulate_into(bf: &Bitfield, counts: &mut [u64]) {
-        for (i, &word) in bf.words.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                counts[i * 64 + bits.trailing_zeros() as usize] += 1;
-                bits &= bits - 1;
-            }
-        }
-    }
 
     /// A complete bitfield (a seed's possession map).
     fn full(len: u32) -> Bitfield {
@@ -466,35 +370,6 @@ mod tests {
         assert!(!a.can_trade_with(&b));
     }
 
-    fn wanted(mine: &Bitfield, theirs: &Bitfield) -> Vec<PieceId> {
-        let mut out = Vec::new();
-        mine.row().for_each_wanted(theirs.row(), |p| out.push(p));
-        out
-    }
-
-    #[test]
-    fn for_each_wanted_lists_difference() {
-        let mut a = Bitfield::new(5);
-        let mut b = Bitfield::new(5);
-        a.set(0);
-        b.set(0);
-        b.set(2);
-        b.set(4);
-        assert_eq!(wanted(&a, &b), vec![2, 4]);
-        assert!(wanted(&b, &a).is_empty());
-    }
-
-    #[test]
-    fn for_each_wanted_crosses_word_boundaries() {
-        let mut mine = Bitfield::new(130);
-        let mut theirs = Bitfield::new(130);
-        for p in [0, 63, 64, 100, 129] {
-            theirs.set(p);
-        }
-        mine.set(64);
-        assert_eq!(wanted(&mine, &theirs), vec![0, 63, 100, 129]);
-    }
-
     #[test]
     #[should_panic(expected = "out of range")]
     fn contains_bounds_checked() {
@@ -535,69 +410,5 @@ mod tests {
         assert_eq!(missing.len(), 68);
         assert_eq!(missing.first(), Some(&1));
         assert_eq!(missing.last(), Some(&68));
-    }
-
-    #[test]
-    fn accumulate_into_counts_each_held_piece() {
-        let mut a = Bitfield::new(70);
-        let mut b = Bitfield::new(70);
-        for p in [0, 63, 64, 69] {
-            a.set(p);
-        }
-        b.set(63);
-        let mut counts = vec![0u64; 70];
-        accumulate_into(&a, &mut counts);
-        accumulate_into(&b, &mut counts);
-        assert_eq!(counts[0], 1);
-        assert_eq!(counts[63], 2);
-        assert_eq!(counts[64], 1);
-        assert_eq!(counts[69], 1);
-        assert_eq!(counts.iter().sum::<u64>(), 5);
-    }
-
-    #[test]
-    fn accumulate_lanes_matches_accumulate_into() {
-        // B = 77 is a multiple of neither 8 nor 64, so the last lane word
-        // and the last bitfield word are both partial.
-        let mut rng = StdRng::seed_from_u64(9);
-        for pieces in [1, 8, 64, 77, 200] {
-            let mut counts = vec![0u64; pieces as usize];
-            let mut lanes = vec![0u64; lane_words(pieces)];
-            for _ in 0..40 {
-                let mut bf = Bitfield::new(pieces);
-                for p in 0..pieces {
-                    if rng.gen_bool(0.3) {
-                        bf.set(p);
-                    }
-                }
-                accumulate_into(&bf, &mut counts);
-                bf.row().accumulate_lanes(&mut lanes);
-            }
-            for p in 0..pieces {
-                assert_eq!(
-                    u64::from(lane(&lanes, p)),
-                    counts[p as usize],
-                    "B={pieces} p={p}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn accumulate_lanes_holds_255_full_neighbors() {
-        let pieces = 77;
-        let full = full(pieces);
-        let mut counts = vec![0u64; pieces as usize];
-        let mut lanes = vec![0u64; lane_words(pieces)];
-        for _ in 0..255 {
-            accumulate_into(&full, &mut counts);
-            full.row().accumulate_lanes(&mut lanes);
-        }
-        for p in 0..pieces {
-            assert_eq!(lane(&lanes, p), 255, "lane {p} saturates without carry");
-            assert_eq!(u64::from(lane(&lanes, p)), counts[p as usize]);
-        }
-        // Lanes past B stay zero: phantom bits are never set.
-        assert!((pieces..lanes.len() as u32 * 8).all(|p| lane(&lanes, p) == 0));
     }
 }

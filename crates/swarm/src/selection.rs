@@ -9,7 +9,7 @@
 use rand::Rng;
 
 use crate::config::PieceSelection;
-use crate::piece::{lane, lane_words, PieceId, Row};
+use crate::piece::{row_words, PieceId, Row};
 
 /// A source of uniform random picks for piece selection.
 ///
@@ -85,209 +85,405 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Ranks candidate pieces to download from connected peers: the plan
-/// phase's selection step, with scratch space reused across calls so a
-/// warm ranker allocates nothing.
+/// Draws ranked candidate pieces one at a time, for one download
+/// direction after another of a single downloader: the plan phase's
+/// selection step, with scratch space reused across calls so a warm
+/// ranker allocates nothing.
 ///
-/// Each rank is drawn by the §2.1 rule from the wanted pieces (held by
-/// the uploader, missing at the downloader) not yet ranked: uniformly
-/// over all of them for random-first, uniformly over the ones with the
-/// fewest copies in the downloader's neighbor set for rarest-first.
+/// Each draw follows the §2.1 rule over the wanted pieces (held by the
+/// uploader, missing at the downloader) not drawn yet: uniformly over
+/// all of them for random-first, uniformly over the ones with the fewest
+/// copies in the downloader's neighbor set for rarest-first.
 ///
-/// The draws are those of selection without replacement over the
-/// wanted list in increasing piece order, where a ranked piece is
-/// removed by `swap_remove` (the last entry moves into its place) and a
-/// tie is resolved by the `pick(ties)`-th tied entry in list order. That
-/// is the engine's RNG stream; the ranker reproduces it in one pass:
+/// The draws are those of selection without replacement over the wanted
+/// list in increasing piece order, where a drawn piece is removed by
+/// `swap_remove` (the last entry moves into its place) and a tie is
+/// resolved by the `pick(ties)`-th tied entry in list order. That is the
+/// engine's RNG stream; the ranker reproduces it without building the
+/// list:
 ///
-/// * the wanted pieces are recorded as `(key, position, piece)` with the
-///   replication count as key (0 for random-first), and their keys
-///   counted into a histogram;
-/// * only pieces whose key is at most the `limit`-th smallest key can
-///   be drawn within `limit` ranks, so the histogram gives that
-///   threshold and a counting sort places the rest by
-///   `(key, position)`;
-/// * each rank picks among the minimum-key prefix, then moves the entry
-///   at the list's last position into the freed position, re-sorting it
-///   inside its key group.
+/// * the neighbor view is bit-sliced ([`Ranker::set_view`]): plane `j`
+///   holds bit `j` of every piece's neighbor count, so the minimum-count
+///   group of the remaining wanted pieces takes `depth` masked passes
+///   over the row's words, not a scan of the pieces;
+/// * a list position holds its original piece unless a `swap_remove`
+///   moved another one there. After `r` draws at most `r` positions
+///   have, and the ranker records only those. An unmoved piece's
+///   position is its rank in the wanted mask, so the chosen tie's
+///   position comes from rank/select over the mask and the moved entries.
 ///
 /// Every `pick` call and its argument match the list-based ranking, so
-/// the output and the stream state afterwards are identical.
+/// every prefix of the draws, and the stream state after it, is the
+/// same.
+///
+/// # Example
+///
+/// ```
+/// use bt_swarm::config::PieceSelection;
+/// use bt_swarm::piece::Bitfield;
+/// use bt_swarm::selection::{PlanStream, Ranker};
+///
+/// let mine = Bitfield::new(4);
+/// let mut theirs = Bitfield::new(4);
+/// for p in 0..4 {
+///     theirs.set(p);
+/// }
+/// // Two neighbors hold pieces 0, 2 and 3; piece 1 is rare.
+/// let mut common = Bitfield::new(4);
+/// for p in [0, 2, 3] {
+///     common.set(p);
+/// }
+/// let mut ranker = Ranker::new(PieceSelection::RarestFirst, 4, 2);
+/// assert_eq!(ranker.set_view([common.row(), common.row()]), 2);
+/// ranker.start(mine.row(), theirs.row());
+/// let mut stream = PlanStream::pair(0, 1, 0, 1, 0);
+/// assert_eq!(ranker.draw(&mut stream), Some(1));
+/// assert!(ranker.draw(&mut stream).is_some());
+/// ```
 #[derive(Debug)]
 pub struct Ranker {
     strategy: PieceSelection,
-    /// The wanted pieces by list position; after a rank, the entry at
-    /// a freed position carries the key of the piece moved there.
-    wanted: Vec<Candidate>,
-    /// Candidates still rankable, sorted by `(key, pos)`.
-    kept: Vec<Candidate>,
-    /// Per-key counts, then bucket offsets up to the threshold, during
-    /// one call; all zero between calls. Lane counts are bytes, so 256
-    /// keys suffice.
-    histogram: [u32; 256],
+    pieces: u32,
+    /// Count planes: the bit length of the neighbor-set size.
+    depth: usize,
+    /// The neighbor view, `depth` planes of the blocks' width: bit `j`
+    /// of piece `p`'s count is bit `p % 64` of word `p / 64` of plane
+    /// `j`.
+    planes: Vec<Block>,
+    /// The direction's wanted pieces at [`Ranker::start`]. Piece `p`'s
+    /// list position before any draw is its rank in this mask.
+    wanted: Vec<Block>,
+    /// Wanted pieces not drawn yet.
+    remaining: Vec<Block>,
+    /// The remaining pieces of the minimum-count group the last draw
+    /// chose from (all remaining pieces for random-first). Removing a
+    /// piece cannot lower the minimum, so while the group keeps a piece
+    /// it is still the minimum-count group.
+    group: Vec<Block>,
+    /// One draw's tie group, less its moved entries.
+    ties: Vec<Block>,
+    /// Length of the virtual list, counting the pending draw.
+    len: u32,
+    /// The last piece drawn, still in the list: a draw removes the one
+    /// before it first, so a direction's last draw costs no removal.
+    pending: Option<PieceId>,
+    /// `(position, piece)` for every list position a `swap_remove`
+    /// moved a piece into.
+    moved: Vec<(u32, PieceId)>,
+    /// One draw's moved entries that are in its tie group, by position.
+    moved_ties: Vec<(u32, PieceId)>,
 }
 
-/// One wanted piece: its key (replication count, or 0), its position in
-/// the virtual wanted list, and its id.
-#[derive(Debug, Clone, Copy, Default)]
-struct Candidate {
-    key: u32,
-    pos: u32,
-    piece: PieceId,
-}
+/// Four words of a piece mask. The ranker's masks are whole blocks,
+/// zero past the file's last piece, so its word loops have a fixed
+/// length the compiler unrolls (one block up to B = 256).
+type Block = [u64; 4];
 
 impl Ranker {
-    /// A ranker for `strategy` with empty scratch space.
+    /// A ranker for `strategy` over a file of `pieces` pieces, whose
+    /// views count up to `neighbor_set_size` neighbors.
     #[must_use]
-    pub fn new(strategy: PieceSelection) -> Self {
+    pub fn new(strategy: PieceSelection, pieces: u32, neighbor_set_size: u32) -> Self {
+        let blocks = row_words(pieces).div_ceil(4);
+        let depth = (u32::BITS - neighbor_set_size.leading_zeros()) as usize;
+        let mask = || vec![[0; 4]; blocks];
         Ranker {
             strategy,
-            wanted: Vec::new(),
-            kept: Vec::new(),
-            histogram: [0; 256],
+            pieces,
+            depth,
+            planes: vec![[0; 4]; blocks * depth],
+            wanted: mask(),
+            remaining: mask(),
+            group: mask(),
+            ties: mask(),
+            len: 0,
+            pending: None,
+            moved: Vec::new(),
+            moved_ties: Vec::new(),
         }
     }
 
-    /// Ranks up to `limit` pieces `theirs` holds and `mine` lacks, best
-    /// first, into `out` (cleared first). `lanes` is the downloader's
-    /// byte-lane replication view over its neighbor set (see
-    /// [`Row::accumulate_lanes`]); random-first ignores it.
-    ///
-    /// Returns the candidates examined: one per wanted piece scanned
-    /// plus one per rank drawn.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use bt_swarm::config::PieceSelection;
-    /// use bt_swarm::piece::{lane_words, Bitfield};
-    /// use bt_swarm::selection::{PlanStream, Ranker};
-    ///
-    /// let mine = Bitfield::new(4);
-    /// let mut theirs = Bitfield::new(4);
-    /// for p in 0..4 {
-    ///     theirs.set(p);
-    /// }
-    /// // Two neighbors hold pieces 0, 2 and 3; piece 1 is rare.
-    /// let mut common = Bitfield::new(4);
-    /// for p in [0, 2, 3] {
-    ///     common.set(p);
-    /// }
-    /// let mut lanes = vec![0u64; lane_words(4)];
-    /// common.row().accumulate_lanes(&mut lanes);
-    /// common.row().accumulate_lanes(&mut lanes);
-    /// let mut stream = PlanStream::pair(0, 1, 0, 1, 0);
-    /// let mut ranked = Vec::new();
-    /// let mut ranker = Ranker::new(PieceSelection::RarestFirst);
-    /// ranker.rank(mine.row(), theirs.row(), &lanes, 2, &mut stream, &mut ranked);
-    /// assert_eq!(ranked.len(), 2);
-    /// assert_eq!(ranked[0], 1);
-    /// ```
+    /// Replaces the neighbor view with the per-piece counts over `rows`,
+    /// the downloader's neighbors' rows. Returns the rows read. Rows are
+    /// added four at a time through carry-save adders into planes 0 and
+    /// 1, so only their weight-4 carry ripples further up; the last one
+    /// to three rows ripple up from plane 0 one by one.
+    /// Random-first draws ignore the view.
     ///
     /// # Panics
     ///
-    /// Panics if the rows cover different files, or if `strategy` is
-    /// rarest-first and `lanes` does not cover all pieces.
-    pub fn rank<S: Substream + ?Sized>(
-        &mut self,
-        mine: Row<'_>,
-        theirs: Row<'_>,
-        lanes: &[u64],
-        limit: usize,
-        rng: &mut S,
-        out: &mut Vec<PieceId>,
-    ) -> u64 {
-        out.clear();
-        let rarest = self.strategy == PieceSelection::RarestFirst;
-        if rarest {
-            assert!(
-                lanes.len() >= lane_words(mine.len()),
-                "replication lanes must cover all {} pieces",
-                mine.len()
-            );
-        }
-        let Ranker {
-            wanted,
-            kept,
-            histogram,
-            ..
-        } = self;
-        wanted.clear();
-        let mut max_key = 0;
-        mine.for_each_wanted(theirs, |piece| {
-            let key = if rarest { lane(lanes, piece) } else { 0 };
-            histogram[key as usize] += 1;
-            max_key = max_key.max(key as usize);
-            wanted.push(Candidate {
-                key,
-                pos: wanted.len() as u32,
-                piece,
-            });
-        });
-        let scanned = wanted.len() as u64;
-
-        let need = limit.min(wanted.len());
-        if need == 0 {
-            histogram[..=max_key].fill(0);
-            return scanned;
-        }
-        // The threshold is the `limit`-th smallest key; turn the counts
-        // up to it into bucket offsets and place the candidates in
-        // position order, which leaves each bucket sorted by position.
-        let mut threshold = 0;
-        let mut kept_len = histogram[0] as usize;
-        while kept_len < need {
-            threshold += 1;
-            kept_len += histogram[threshold] as usize;
-        }
-        let mut below = 0;
-        for count in &mut histogram[..=threshold] {
-            let bucket = *count;
-            *count = below;
-            below += bucket;
-        }
-        kept.clear();
-        kept.resize(kept_len, Candidate::default());
-        for c in wanted.iter().filter(|c| c.key as usize <= threshold) {
-            let slot = &mut histogram[c.key as usize];
-            kept[*slot as usize] = *c;
-            *slot += 1;
-        }
-        histogram[..=max_key].fill(0);
-        let threshold = threshold as u32;
-
-        // `kept[start..]` are the unranked candidates; `last` is the
-        // list position of the last unranked wanted piece.
-        let mut start = 0;
-        let mut last = wanted.len() - 1;
-        while out.len() < limit && start < kept.len() {
-            let min = kept[start].key;
-            let ties = kept[start..].partition_point(|c| c.key == min);
-            let chosen = start + rng.pick(ties);
-            let Candidate { pos, piece, .. } = kept[chosen];
-            out.push(piece);
-            kept[start..=chosen].rotate_right(1);
-            start += 1;
-            // swap_remove: the entry at `last` moves into `pos`.
-            let pos = pos as usize;
-            if pos != last {
-                let key = wanted[last].key;
-                wanted[pos].key = key;
-                if key <= threshold {
-                    let at = |c: &Candidate| (c.key, c.pos as usize);
-                    let from = start
-                        + kept[start..]
-                            .binary_search_by(|c| at(c).cmp(&(key, last)))
-                            .expect("every kept key is in the sorted candidates");
-                    kept[from].pos = pos as u32;
-                    let to = start + kept[start..from].partition_point(|c| at(c) < (key, pos));
-                    kept[to..=from].rotate_right(1);
-                }
+    /// Panics if a row covers a different file, or if `rows` holds more
+    /// rows than the planes count (`2^depth - 1`): a count past it would
+    /// carry out of the top plane.
+    pub fn set_view<'a>(&mut self, rows: impl IntoIterator<Item = Row<'a>>) -> u64 {
+        self.planes.fill([0; 4]);
+        let capacity = (1u64 << self.depth) - 1;
+        let planes = self.planes.as_flattened_mut();
+        let width = planes.len() / self.depth.max(1);
+        let mut batch: [&[u64]; 4] = [&[]; 4];
+        let mut batched = 0;
+        let mut read = 0;
+        for row in rows {
+            assert_eq!(row.len(), self.pieces, "bitfields cover different files");
+            assert!(read < capacity, "neighbor set overflows the count planes");
+            read += 1;
+            batch[batched] = row.words();
+            batched += 1;
+            if batched == batch.len() {
+                add_four(planes, width, batch);
+                batched = 0;
             }
-            last = last.saturating_sub(1);
         }
-        scanned + out.len() as u64
+        for words in &batch[..batched] {
+            for (w, &word) in words.iter().enumerate() {
+                ripple(planes, width, 0, w, word);
+            }
+        }
+        read
     }
+
+    /// Starts a download direction: the wanted pieces are those `theirs`
+    /// holds and `mine` lacks, and nothing is drawn yet.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row covers a different file.
+    pub fn start(&mut self, mine: Row<'_>, theirs: Row<'_>) {
+        assert!(
+            mine.len() == self.pieces && theirs.len() == self.pieces,
+            "bitfields cover different files"
+        );
+        let wanted = self.wanted.as_flattened_mut();
+        for ((wanted, &mine), &theirs) in wanted.iter_mut().zip(mine.words()).zip(theirs.words()) {
+            *wanted = theirs & !mine;
+        }
+        self.remaining.copy_from_slice(&self.wanted);
+        self.group.fill([0; 4]);
+        self.len = ones(&self.wanted);
+        self.pending = None;
+        self.moved.clear();
+    }
+
+    /// Draws the direction's next rank, or `None` once every wanted
+    /// piece is drawn. Makes exactly one `pick` call per rank drawn.
+    pub fn draw<S: Substream + ?Sized>(&mut self, rng: &mut S) -> Option<PieceId> {
+        if let Some(piece) = self.pending.take() {
+            self.remove(piece);
+        }
+        if self.len == 0 {
+            return None;
+        }
+        if ones(&self.group) == 0 {
+            self.group.copy_from_slice(&self.remaining);
+            if self.strategy == PieceSelection::RarestFirst {
+                keep_minimum(&mut self.group, &self.planes);
+            }
+        }
+        self.ties.copy_from_slice(&self.group);
+        let nth = rng.pick(ones(&self.ties) as usize) as u32;
+
+        // Moved ties sit at their recorded positions, the others at their
+        // rank in the wanted mask: set the moved ones apart, by position.
+        self.moved.sort_unstable();
+        self.moved_ties.clear();
+        for &(at, piece) in &self.moved {
+            if take_bit(&mut self.ties, piece) {
+                self.moved_ties.push((at, piece));
+            }
+        }
+        let mut passed = 0;
+        for &(at, piece) in &self.moved_ties {
+            // The unmoved ties ahead of position `at` are the ones below
+            // the piece the wanted mask places there.
+            let ahead = rank(&self.ties, select(&self.wanted, at)) + passed;
+            if nth < ahead {
+                break;
+            }
+            if nth == ahead {
+                self.pending = Some(piece);
+                return self.pending;
+            }
+            passed += 1;
+        }
+        self.pending = Some(select(&self.ties, nth - passed));
+        self.pending
+    }
+
+    /// Removes a drawn piece from the list as `swap_remove` does: the
+    /// entry at the last position moves into the piece's position.
+    fn remove(&mut self, piece: PieceId) {
+        take_bit(&mut self.remaining, piece);
+        take_bit(&mut self.group, piece);
+        let pos = match self.moved.iter().position(|&(_, p)| p == piece) {
+            Some(i) => self.moved.swap_remove(i).0,
+            None => rank(&self.wanted, piece),
+        };
+        let last = self.len - 1;
+        if pos != last {
+            let from_last = match self.moved.iter().position(|&(at, _)| at == last) {
+                Some(i) => self.moved.swap_remove(i).1,
+                None => select(&self.wanted, last),
+            };
+            self.moved.push((pos, from_last));
+        }
+        self.len = last;
+    }
+}
+
+/// Adds four rows to the count planes (`width` words each; four rows
+/// pass the capacity check only with three planes or more): two full
+/// adders per word fold the rows into plane 0, a third folds their two
+/// weight-2 carries into plane 1, and the weight-4 carry ripples up
+/// from plane 2.
+fn add_four(planes: &mut [u64], width: usize, rows: [&[u64]; 4]) {
+    for w in 0..rows[0].len() {
+        let [a, b, c, d] = rows.map(|words| words[w]);
+        let (ones, twos_ab) = full_add(planes[w], a, b);
+        let (ones, twos_cd) = full_add(ones, c, d);
+        let (twos, fours) = full_add(planes[width + w], twos_ab, twos_cd);
+        planes[w] = ones;
+        planes[width + w] = twos;
+        ripple(planes, width, 2, w, fours);
+    }
+}
+
+/// The sum and carry bits of `a + b + c`, bit by bit.
+fn full_add(a: u64, b: u64, c: u64) -> (u64, u64) {
+    let partial = a ^ b;
+    (partial ^ c, (a & b) | (partial & c))
+}
+
+/// Adds `carry`, at the weight of plane `from`, into word `w` of the
+/// count planes, rippling it up.
+fn ripple(planes: &mut [u64], width: usize, from: usize, w: usize, mut carry: u64) {
+    for bits in planes[from * width + w..].iter_mut().step_by(width) {
+        let next = *bits & carry;
+        *bits ^= carry;
+        carry = next;
+    }
+}
+
+/// Narrows `group` to its pieces of minimum count in `planes`: from the
+/// top plane down, keep the pieces whose bit is clear if any are.
+fn keep_minimum(group: &mut [Block], planes: &[Block]) {
+    if let [pieces] = group {
+        // One block (B <= 256): it stays in registers across the planes.
+        let mut kept = *pieces;
+        for bits in planes.iter().rev() {
+            let clear = clear_bits(&kept, bits);
+            narrow(&mut kept, bits, clear);
+        }
+        *pieces = kept;
+        return;
+    }
+    for plane in planes.chunks_exact(group.len()).rev() {
+        let clear = group
+            .iter()
+            .zip(plane)
+            .fold(0, |any, (pieces, bits)| any | clear_bits(pieces, bits));
+        for (pieces, bits) in group.iter_mut().zip(plane) {
+            narrow(pieces, bits, clear);
+        }
+    }
+}
+
+/// The pieces of `pieces` whose bit in `bits` is clear, folded into one
+/// word: zero if and only if there are none.
+fn clear_bits(pieces: &Block, bits: &Block) -> u64 {
+    pieces
+        .iter()
+        .zip(bits)
+        .fold(0, |any, (&piece, &bit)| any | (piece & !bit))
+}
+
+/// Drops the pieces whose bit in `bits` is set, if `clear` says some
+/// piece has it clear. Nothing branches on the data.
+fn narrow(pieces: &mut Block, bits: &Block, clear: u64) {
+    let keep = 0u64.wrapping_sub(u64::from(clear != 0));
+    for (piece, &bit) in pieces.iter_mut().zip(bits) {
+        *piece &= !(bit & keep);
+    }
+}
+
+/// Number of set bits in `mask`.
+fn ones(mask: &[Block]) -> u32 {
+    mask.as_flattened().iter().map(|w| w.count_ones()).sum()
+}
+
+/// Number of set bits in `mask` below bit `p`.
+fn rank(mask: &[Block], p: PieceId) -> u32 {
+    let (word, below) = ((p / 64) as usize, (1 << (p % 64)) - 1);
+    mask.as_flattened()
+        .iter()
+        .enumerate()
+        .map(|(i, &bits)| {
+            let keep = match i.cmp(&word) {
+                std::cmp::Ordering::Less => u64::MAX,
+                std::cmp::Ordering::Equal => below,
+                std::cmp::Ordering::Greater => 0,
+            };
+            (bits & keep).count_ones()
+        })
+        .sum()
+}
+
+/// The `n`-th set bit of `mask`, counting from 0.
+///
+/// # Panics
+///
+/// Panics if `mask` has at most `n` set bits.
+fn select(mask: &[Block], mut n: u32) -> PieceId {
+    for (i, &word) in mask.as_flattened().iter().enumerate() {
+        let count = word.count_ones();
+        if n < count {
+            return i as u32 * 64 + select_in_word(word, n);
+        }
+        n -= count;
+    }
+    panic!("select past the last set bit");
+}
+
+/// The `n`-th set bit of `word` (`n` below its popcount): halve the
+/// search three times by popcount, then look the bit up in its byte,
+/// without branching on the data.
+fn select_in_word(mut word: u64, mut n: u32) -> u32 {
+    let mut base = 0;
+    for width in [32, 16, 8] {
+        let low = (word & ((1 << width) - 1)).count_ones();
+        let up = u32::from(n >= low);
+        n -= low * up;
+        word >>= width * up;
+        base += width * up;
+    }
+    base + u32::from(SELECT_IN_BYTE[(word & 0xFF) as usize][n as usize])
+}
+
+/// `SELECT_IN_BYTE[x][n]` is the position of the `n`-th set bit of `x`
+/// (0 where `x` has no `n`-th bit).
+const SELECT_IN_BYTE: [[u8; 8]; 256] = {
+    let mut table = [[0; 8]; 256];
+    let mut x = 0;
+    while x < 256 {
+        let (mut bit, mut n) = (0, 0);
+        while bit < 8 {
+            if (x >> bit) & 1 == 1 {
+                table[x][n] = bit as u8;
+                n += 1;
+            }
+            bit += 1;
+        }
+        x += 1;
+    }
+    table
+};
+
+/// Clears bit `p` of `mask`; returns whether it was set.
+fn take_bit(mask: &mut [Block], p: PieceId) -> bool {
+    let word = &mut mask.as_flattened_mut()[(p / 64) as usize];
+    let bit = 1 << (p % 64);
+    let was = *word & bit != 0;
+    *word &= !bit;
+    was
 }
 
 /// Per-piece replication counts over a collection of rows (the view a
@@ -335,9 +531,7 @@ mod tests {
         out: &mut Vec<PieceId>,
     ) {
         out.clear();
-        let mut remaining = Vec::new();
-        mine.row()
-            .for_each_wanted(theirs.row(), |p| remaining.push(p));
+        let mut remaining: Vec<PieceId> = theirs.iter().filter(|&p| !mine.contains(p)).collect();
         if remaining.is_empty() {
             return;
         }
@@ -383,13 +577,41 @@ mod tests {
         b
     }
 
-    /// A byte-lane view holding `counts[p]` in lane `p`.
-    fn lanes_of(counts: &[u8]) -> Vec<u64> {
-        let mut lanes = vec![0u64; lane_words(counts.len() as u32)];
-        for (p, &c) in counts.iter().enumerate() {
-            lanes[p / 8] |= u64::from(c) << (8 * (p % 8));
-        }
-        lanes
+    /// A ranker whose view counts `counts[p]` neighbors holding piece
+    /// `p`: one row per count level, so up to 255 rows in 8 planes.
+    fn ranker_with(strategy: PieceSelection, pieces: u32, counts: &[u8]) -> Ranker {
+        let levels = counts.iter().copied().max().unwrap_or(0);
+        let rows: Vec<Bitfield> = (0..levels)
+            .map(|level| {
+                let mut row = Bitfield::new(pieces);
+                for (p, &c) in counts.iter().enumerate() {
+                    if c > level {
+                        row.set(p as u32);
+                    }
+                }
+                row
+            })
+            .collect();
+        let mut ranker = Ranker::new(strategy, pieces, 255);
+        assert_eq!(
+            ranker.set_view(rows.iter().map(Bitfield::row)),
+            u64::from(levels)
+        );
+        ranker
+    }
+
+    /// Up to `limit` ranks of one direction.
+    fn draws<S: Substream>(
+        ranker: &mut Ranker,
+        mine: &Bitfield,
+        theirs: &Bitfield,
+        limit: usize,
+        rng: &mut S,
+    ) -> Vec<PieceId> {
+        ranker.start(mine.row(), theirs.row());
+        std::iter::from_fn(|| ranker.draw(rng))
+            .take(limit)
+            .collect()
     }
 
     /// The top-ranked piece, as the engine's first candidate.
@@ -400,16 +622,8 @@ mod tests {
         counts: &[u8],
         rng: &mut S,
     ) -> Option<PieceId> {
-        let mut out = Vec::new();
-        Ranker::new(strategy).rank(
-            mine.row(),
-            theirs.row(),
-            &lanes_of(counts),
-            1,
-            rng,
-            &mut out,
-        );
-        out.first().copied()
+        let mut ranker = ranker_with(strategy, mine.len(), counts);
+        draws(&mut ranker, mine, theirs, 1, rng).first().copied()
     }
 
     #[test]
@@ -529,19 +743,11 @@ mod tests {
         let mine = bf(8, &[0]);
         let theirs = bf(8, &[1, 2, 3, 4]);
         let mut stream = PlanStream::pair(1, 1, 0, 1, 0);
-        let mut out = Vec::new();
-        let examined = Ranker::new(PieceSelection::RandomFirst).rank(
-            mine.row(),
-            theirs.row(),
-            &[],
-            10,
-            &mut stream,
-            &mut out,
-        );
-        let mut sorted = out.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![1, 2, 3, 4], "all wanted pieces, each once");
-        assert_eq!(examined, 4 + 4, "four scanned, four drawn");
+        let mut ranker = Ranker::new(PieceSelection::RandomFirst, 8, 40);
+        let mut out = draws(&mut ranker, &mine, &theirs, 10, &mut stream);
+        out.sort_unstable();
+        assert_eq!(out, vec![1, 2, 3, 4], "all wanted pieces, each once");
+        assert_eq!(ranker.draw(&mut stream), None, "the list is spent");
     }
 
     #[test]
@@ -549,94 +755,82 @@ mod tests {
         let mine = bf(8, &[]);
         let theirs = bf(8, &[0, 1, 2, 3, 4, 5, 6, 7]);
         let mut stream = PlanStream::pair(2, 1, 0, 1, 0);
-        let mut ranker = Ranker::new(PieceSelection::RandomFirst);
-        let mut out = vec![99];
-        ranker.rank(mine.row(), theirs.row(), &[], 3, &mut stream, &mut out);
-        assert_eq!(out.len(), 3);
+        let mut ranker = Ranker::new(PieceSelection::RandomFirst, 8, 40);
+        assert_eq!(draws(&mut ranker, &mine, &theirs, 3, &mut stream).len(), 3);
+        // A new direction starts afresh, whatever the last one left.
         let full = bf(8, &[0, 1, 2, 3, 4, 5, 6, 7]);
-        let examined = ranker.rank(full.row(), theirs.row(), &[], 3, &mut stream, &mut out);
-        assert!(out.is_empty(), "nothing wanted clears the output");
-        assert_eq!(examined, 0);
+        let before = stream;
+        assert!(draws(&mut ranker, &full, &theirs, 3, &mut stream).is_empty());
+        assert_eq!(
+            stream.pick(usize::MAX),
+            { before }.pick(usize::MAX),
+            "nothing wanted draws nothing from the stream"
+        );
     }
 
     #[test]
     fn ranker_orders_rarest_first() {
         let mine = bf(6, &[]);
         let theirs = bf(6, &[0, 1, 2, 3]);
-        let lanes = lanes_of(&[9, 1, 5, 5, 0, 0]);
+        let mut ranker = ranker_with(PieceSelection::RarestFirst, 6, &[9, 1, 5, 5, 0, 0]);
         let mut stream = PlanStream::pair(3, 1, 0, 1, 0);
-        let mut out = Vec::new();
-        Ranker::new(PieceSelection::RarestFirst).rank(
-            mine.row(),
-            theirs.row(),
-            &lanes,
-            10,
-            &mut stream,
-            &mut out,
-        );
+        let out = draws(&mut ranker, &mine, &theirs, 10, &mut stream);
         assert_eq!(out[0], 1, "unique rarest piece ranks first");
         assert_eq!(out[3], 0, "most replicated ranks last");
         assert!(out[1] == 2 || out[1] == 3, "ties fill the middle ranks");
     }
 
-    /// Ranks with both the ranker and the oracle from identical streams
-    /// and checks the lists and the next draw agree.
+    /// Draws one direction to its end and checks every prefix against
+    /// the oracle run with that prefix's length as its limit: the same
+    /// list, and the same next draw from the stream afterwards. Limits
+    /// past the wanted count must leave both unchanged.
     fn assert_matches_oracle(
         ranker: &mut Ranker,
         strategy: PieceSelection,
         mine: &Bitfield,
         theirs: &Bitfield,
         counts: &[u8],
-        limit: usize,
         seed: u64,
     ) {
         let replication: Vec<u64> = counts.iter().map(|&c| u64::from(c)).collect();
-        let mut oracle_stream = PlanStream::pair(seed, 1, 2, 3, 0);
-        let mut expected = Vec::new();
-        rank_pieces(
-            strategy,
-            mine,
-            theirs,
-            &replication,
-            limit,
-            &mut oracle_stream,
-            &mut expected,
-        );
+        let wanted = theirs.iter().filter(|&p| !mine.contains(p)).count();
         let mut stream = PlanStream::pair(seed, 1, 2, 3, 0);
-        let mut ranked = vec![u32::MAX];
-        let mut wanted = 0;
-        mine.row().for_each_wanted(theirs.row(), |_| wanted += 1);
-        let examined = ranker.rank(
-            mine.row(),
-            theirs.row(),
-            &lanes_of(counts),
-            limit,
-            &mut stream,
-            &mut ranked,
-        );
-        assert_eq!(ranked, expected, "{strategy:?} limit {limit}");
-        assert_eq!(
-            stream.pick(usize::MAX),
-            oracle_stream.pick(usize::MAX),
-            "{strategy:?} limit {limit}: streams diverged after ranking"
-        );
-        assert_eq!(examined, wanted + ranked.len() as u64);
+        let mut drawn = Vec::new();
+        let mut expected = Vec::new();
+        ranker.start(mine.row(), theirs.row());
+        for limit in 0..=wanted + 2 {
+            let mut oracle_stream = PlanStream::pair(seed, 1, 2, 3, 0);
+            rank_pieces(
+                strategy,
+                mine,
+                theirs,
+                &replication,
+                limit,
+                &mut oracle_stream,
+                &mut expected,
+            );
+            assert_eq!(drawn, expected, "{strategy:?} limit {limit}");
+            assert_eq!(
+                { stream }.pick(usize::MAX),
+                oracle_stream.pick(usize::MAX),
+                "{strategy:?} limit {limit}: streams diverged after ranking"
+            );
+            drawn.extend(ranker.draw(&mut stream));
+        }
+        assert_eq!(drawn.len(), wanted, "every wanted piece drawn once");
     }
 
     #[test]
-    fn ranker_matches_oracle_at_edge_limits() {
-        // One ranker per strategy serves every call, so scratch state
-        // left by one ranking must not leak into the next.
-        let mut rankers = [
-            Ranker::new(PieceSelection::RarestFirst),
-            Ranker::new(PieceSelection::RandomFirst),
-        ];
+    fn ranker_matches_oracle_at_edge_sizes() {
+        // One ranker per strategy serves every direction, so scratch
+        // state left by one direction must not leak into the next. Keys
+        // up to 255 fill all eight planes.
         let mut rng = StdRng::seed_from_u64(8);
-        for pieces in [1, 7, 8, 63, 64, 65, 100, 200] {
-            for trial in 0..20u64 {
+        for pieces in [1, 7, 8, 63, 64, 65, 100, 128, 200, 260] {
+            for (trial, max_key) in [0u8, 1, 2, 7, 255].into_iter().enumerate() {
                 let mut mine = Bitfield::new(pieces);
                 let mut theirs = Bitfield::new(pieces);
-                let counts: Vec<u8> = (0..pieces).map(|_| rng.gen_range(0..3)).collect();
+                let counts: Vec<u8> = (0..pieces).map(|_| rng.gen_range(0..=max_key)).collect();
                 for p in 0..pieces {
                     if rng.gen_bool(0.3) {
                         mine.set(p);
@@ -645,14 +839,11 @@ mod tests {
                         theirs.set(p);
                     }
                 }
-                let mut wanted = 0;
-                mine.row().for_each_wanted(theirs.row(), |_| wanted += 1);
-                for ranker in &mut rankers {
-                    let strategy = ranker.strategy;
-                    for limit in [0, 1, 2, 17, 40, wanted, wanted + 1, wanted + 9] {
-                        assert_matches_oracle(
-                            ranker, strategy, &mine, &theirs, &counts, limit, trial,
-                        );
+                for strategy in [PieceSelection::RarestFirst, PieceSelection::RandomFirst] {
+                    let mut ranker = ranker_with(strategy, pieces, &counts);
+                    for seed in [trial as u64, 99] {
+                        assert_matches_oracle(&mut ranker, strategy, &mine, &theirs, &counts, seed);
+                        assert_matches_oracle(&mut ranker, strategy, &theirs, &mine, &counts, seed);
                     }
                 }
             }
@@ -664,28 +855,24 @@ mod tests {
         let mine = bf(70, &(0..70).collect::<Vec<_>>());
         let theirs = bf(70, &[3, 69]);
         for strategy in [PieceSelection::RarestFirst, PieceSelection::RandomFirst] {
-            let mut ranker = Ranker::new(strategy);
-            for limit in [0, 1, 8] {
-                assert_matches_oracle(&mut ranker, strategy, &mine, &theirs, &[1; 70], limit, 5);
-            }
+            let mut ranker = ranker_with(strategy, 70, &[1; 70]);
+            assert_matches_oracle(&mut ranker, strategy, &mine, &theirs, &[1; 70], 5);
         }
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(512))]
+        #![proptest_config(ProptestConfig::with_cases(256))]
         #[test]
         fn ranker_matches_list_oracle(
-            pieces in 1u32..260,
+            pieces in 1u32..=260,
             mine_density in 0u8..100,
             theirs_density in 0u8..100,
-            max_key in 0u8..255,
-            limit in 0usize..80,
-            second_limit in 0usize..80,
+            max_key in 0u8..=255,
             random_first in prop::bool::ANY,
             seed in any::<u64>(),
         ) {
-            // Small `max_key` values give heavy ties; 254 gives nearly
-            // distinct keys.
+            // Small `max_key` values give heavy ties; 255 gives nearly
+            // distinct keys in all eight planes.
             let mut rng = StdRng::seed_from_u64(seed);
             let mut mine = Bitfield::new(pieces);
             let mut theirs = Bitfield::new(pieces);
@@ -704,11 +891,45 @@ mod tests {
             } else {
                 PieceSelection::RarestFirst
             };
-            // The second call runs on the scratch state the first left.
-            let mut ranker = Ranker::new(strategy);
-            assert_matches_oracle(&mut ranker, strategy, &mine, &theirs, &counts, limit, seed);
-            assert_matches_oracle(&mut ranker, strategy, &theirs, &mine, &counts, second_limit, seed);
+            // The second direction runs on the scratch state the first left.
+            let mut ranker = ranker_with(strategy, pieces, &counts);
+            assert_matches_oracle(&mut ranker, strategy, &mine, &theirs, &counts, seed);
+            assert_matches_oracle(&mut ranker, strategy, &theirs, &mine, &counts, seed);
         }
+    }
+
+    #[test]
+    fn set_view_counts_each_row_in_the_planes() {
+        // Counts from 0 to 255 across B = 77 (the last word is partial):
+        // the rarest-first draw order of a full want sorts them.
+        let counts: Vec<u8> = (0..77u32).map(|p| ((p * 97) % 256) as u8).collect();
+        let mut ranker = ranker_with(PieceSelection::RarestFirst, 77, &counts);
+        let mut stream = PlanStream::pair(4, 1, 0, 1, 0);
+        let order = draws(
+            &mut ranker,
+            &Bitfield::new(77),
+            &bf(77, &(0..77).collect::<Vec<_>>()),
+            77,
+            &mut stream,
+        );
+        let keys: Vec<u8> = order.iter().map(|&p| counts[p as usize]).collect();
+        assert!(keys.windows(2).all(|w| w[0] <= w[1]), "{keys:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows the count planes")]
+    fn a_view_past_its_planes_panics() {
+        // Three planes count up to seven rows.
+        let row = bf(9, &[1]);
+        let mut ranker = Ranker::new(PieceSelection::RarestFirst, 9, 4);
+        ranker.set_view(std::iter::repeat_n(row.row(), 8));
+    }
+
+    #[test]
+    #[should_panic(expected = "different files")]
+    fn a_ranker_checks_row_lengths() {
+        let mut ranker = Ranker::new(PieceSelection::RarestFirst, 65, 40);
+        ranker.start(bf(64, &[]).row(), bf(64, &[0]).row());
     }
 
     #[test]
@@ -716,22 +937,5 @@ mod tests {
         let fields = [bf(4, &[0, 1]), bf(4, &[1, 2]), bf(4, &[1])];
         let counts = replication_counts(4, fields.iter().map(Bitfield::row));
         assert_eq!(counts, vec![1, 3, 1, 0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "replication lanes")]
-    fn rarest_first_checks_lane_length() {
-        let mine = bf(65, &[]);
-        let theirs = bf(65, &[0]);
-        let mut rng = StdRng::seed_from_u64(6);
-        let mut out = Vec::new();
-        Ranker::new(PieceSelection::RarestFirst).rank(
-            mine.row(),
-            theirs.row(),
-            &[0; 8],
-            1,
-            &mut rng,
-            &mut out,
-        );
     }
 }

@@ -1,6 +1,7 @@
 //! Complexity ratchet: every stage's deterministic work counters must
-//! grow at most linearly with the population, and the stages that read
-//! every neighbor's bitfield must not pay a slab lookup per neighbor.
+//! grow at most linearly with the population, the stages that read
+//! every neighbor's bitfield must not pay a slab lookup per neighbor,
+//! and the exchange plan must draw about one rank per piece moved.
 //!
 //! The scale preset runs for two rounds at 1 000 and 4 000 peers with
 //! the profiler attached. Quadrupling the swarm may at most quadruple
@@ -138,4 +139,22 @@ fn neighbor_bitfield_reads_cost_no_slab_lookups() {
             );
         }
     }
+}
+
+/// The exchange plan draws only the ranks its commit can reach: a
+/// direction's list ends at its first piece that no earlier pair of the
+/// downloader can resolve, so ranks drawn stay close to the pieces the
+/// commit moves (1.03 a transfer on this probe). Drawing every
+/// direction's full `earlier + 1` ranks reads 3.79.
+#[test]
+fn exchange_draws_about_one_rank_per_transfer() {
+    let work = work_counters(SMALL);
+    let ranks = counter(&work, "exchange", "exchange.rank_candidates");
+    let transfers = counter(&work, "exchange", "exchange.piece_transfers");
+    assert!(transfers > 0, "the probe moved no pieces");
+    let per_transfer = ranks as f64 / transfers as f64;
+    assert!(
+        per_transfer <= 2.0,
+        "exchange drew {ranks} ranks for {transfers} piece transfers ({per_transfer:.2} a transfer)"
+    );
 }
