@@ -403,9 +403,8 @@ impl SwarmConfigBuilder {
     /// # Errors
     ///
     /// [`Error::InvalidConfig`] for zero counts, a neighbor set above
-    /// 255 (the exchange stage's neighbor views count in at most eight
-    /// bit planes), probabilities outside `[0, 1]`, negative rates, or a shake
-    /// fraction outside `(0, 1)`.
+    /// 255 (the largest the swarm accepts), probabilities outside
+    /// `[0, 1]`, negative rates, or a shake fraction outside `(0, 1)`.
     pub fn build(&self) -> Result<SwarmConfig> {
         let c = &self.config;
         if c.pieces == 0 {
@@ -423,7 +422,7 @@ impl SwarmConfigBuilder {
         }
         if c.neighbor_set_size > 255 {
             return Err(Error::InvalidConfig(format!(
-                "neighbor_set_size {} exceeds 255: replication views count neighbors in at most eight bit planes",
+                "neighbor_set_size {} exceeds 255, the largest neighbor set the swarm accepts",
                 c.neighbor_set_size
             )));
         }
@@ -515,7 +514,7 @@ mod tests {
     }
 
     #[test]
-    fn rejects_neighbor_sets_beyond_eight_count_planes() {
+    fn rejects_neighbor_sets_beyond_255() {
         assert!(SwarmConfig::builder()
             .neighbor_set_size(255)
             .build()
@@ -523,10 +522,10 @@ mod tests {
         let err = SwarmConfig::builder()
             .neighbor_set_size(256)
             .build()
-            .expect_err("256 neighbors need a ninth plane");
+            .expect_err("256 neighbors exceed the cap");
         let message = err.to_string();
         assert!(message.contains("neighbor_set_size 256"), "{message}");
-        assert!(message.contains("eight bit planes"), "{message}");
+        assert!(message.contains("largest neighbor set"), "{message}");
     }
 
     #[test]

@@ -104,8 +104,8 @@ fn splitmix64(mut z: u64) -> u64 {
 ///
 /// * the neighbor view is bit-sliced ([`Ranker::set_view`]): plane `j`
 ///   holds bit `j` of every piece's neighbor count, so the minimum-count
-///   group of the remaining wanted pieces takes `depth` masked passes
-///   over the row's words, not a scan of the pieces;
+///   group of the remaining wanted pieces takes one masked pass over the
+///   row's words per plane, not a scan of the pieces;
 /// * a list position holds its original piece unless a `swap_remove`
 ///   moved another one there. After `r` draws at most `r` positions
 ///   have, and the ranker records only those. An unmoved piece's
@@ -133,7 +133,7 @@ fn splitmix64(mut z: u64) -> u64 {
 /// for p in [0, 2, 3] {
 ///     common.set(p);
 /// }
-/// let mut ranker = Ranker::new(PieceSelection::RarestFirst, 4, 2);
+/// let mut ranker = Ranker::new(PieceSelection::RarestFirst, 4);
 /// assert_eq!(ranker.set_view([common.row(), common.row()]), 2);
 /// ranker.start(mine.row(), theirs.row());
 /// let mut stream = PlanStream::pair(0, 1, 0, 1, 0);
@@ -144,11 +144,9 @@ fn splitmix64(mut z: u64) -> u64 {
 pub struct Ranker {
     strategy: PieceSelection,
     pieces: u32,
-    /// Count planes: the bit length of the neighbor-set size.
-    depth: usize,
-    /// The neighbor view, `depth` planes of the blocks' width: bit `j`
-    /// of piece `p`'s count is bit `p % 64` of word `p / 64` of plane
-    /// `j`.
+    /// The neighbor view, one plane of the blocks' width per bit of the
+    /// largest count: bit `j` of piece `p`'s count is bit `p % 64` of
+    /// word `p / 64` of plane `j`.
     planes: Vec<Block>,
     /// The direction's wanted pieces at [`Ranker::start`]. Piece `p`'s
     /// list position before any draw is its rank in this mask.
@@ -180,18 +178,15 @@ pub struct Ranker {
 type Block = [u64; 4];
 
 impl Ranker {
-    /// A ranker for `strategy` over a file of `pieces` pieces, whose
-    /// views count up to `neighbor_set_size` neighbors.
+    /// A ranker for `strategy` over a file of `pieces` pieces.
     #[must_use]
-    pub fn new(strategy: PieceSelection, pieces: u32, neighbor_set_size: u32) -> Self {
+    pub fn new(strategy: PieceSelection, pieces: u32) -> Self {
         let blocks = row_words(pieces).div_ceil(4);
-        let depth = (u32::BITS - neighbor_set_size.leading_zeros()) as usize;
         let mask = || vec![[0; 4]; blocks];
         Ranker {
             strategy,
             pieces,
-            depth,
-            planes: vec![[0; 4]; blocks * depth],
+            planes: Vec::new(),
             wanted: mask(),
             remaining: mask(),
             group: mask(),
@@ -204,39 +199,28 @@ impl Ranker {
     }
 
     /// Replaces the neighbor view with the per-piece counts over `rows`,
-    /// the downloader's neighbors' rows. Returns the rows read. Rows are
-    /// added four at a time through carry-save adders into planes 0 and
-    /// 1, so only their weight-4 carry ripples further up; the last one
-    /// to three rows ripple up from plane 0 one by one.
-    /// Random-first draws ignore the view.
+    /// the downloader's neighbors' rows. Returns the rows read. Each row
+    /// ripples up from plane 0, and a plane is added whenever the rows
+    /// read reach a power of two, so the planes count any number of
+    /// rows. Random-first draws ignore the view.
     ///
     /// # Panics
     ///
-    /// Panics if a row covers a different file, or if `rows` holds more
-    /// rows than the planes count (`2^depth - 1`): a count past it would
-    /// carry out of the top plane.
+    /// Panics if a row covers a different file.
     pub fn set_view<'a>(&mut self, rows: impl IntoIterator<Item = Row<'a>>) -> u64 {
-        self.planes.fill([0; 4]);
-        let capacity = (1u64 << self.depth) - 1;
-        let planes = self.planes.as_flattened_mut();
-        let width = planes.len() / self.depth.max(1);
-        let mut batch: [&[u64]; 4] = [&[]; 4];
-        let mut batched = 0;
-        let mut read = 0;
+        self.planes.clear();
+        let blocks = self.wanted.len();
+        let width = blocks * 4;
+        let mut read = 0u64;
         for row in rows {
             assert_eq!(row.len(), self.pieces, "bitfields cover different files");
-            assert!(read < capacity, "neighbor set overflows the count planes");
             read += 1;
-            batch[batched] = row.words();
-            batched += 1;
-            if batched == batch.len() {
-                add_four(planes, width, batch);
-                batched = 0;
+            if read.is_power_of_two() {
+                self.planes.resize(self.planes.len() + blocks, [0; 4]);
             }
-        }
-        for words in &batch[..batched] {
-            for (w, &word) in words.iter().enumerate() {
-                ripple(planes, width, 0, w, word);
+            let planes = self.planes.as_flattened_mut();
+            for (w, &word) in row.words().iter().enumerate() {
+                ripple(planes, width, w, word);
             }
         }
         read
@@ -330,33 +314,10 @@ impl Ranker {
     }
 }
 
-/// Adds four rows to the count planes (`width` words each; four rows
-/// pass the capacity check only with three planes or more): two full
-/// adders per word fold the rows into plane 0, a third folds their two
-/// weight-2 carries into plane 1, and the weight-4 carry ripples up
-/// from plane 2.
-fn add_four(planes: &mut [u64], width: usize, rows: [&[u64]; 4]) {
-    for w in 0..rows[0].len() {
-        let [a, b, c, d] = rows.map(|words| words[w]);
-        let (ones, twos_ab) = full_add(planes[w], a, b);
-        let (ones, twos_cd) = full_add(ones, c, d);
-        let (twos, fours) = full_add(planes[width + w], twos_ab, twos_cd);
-        planes[w] = ones;
-        planes[width + w] = twos;
-        ripple(planes, width, 2, w, fours);
-    }
-}
-
-/// The sum and carry bits of `a + b + c`, bit by bit.
-fn full_add(a: u64, b: u64, c: u64) -> (u64, u64) {
-    let partial = a ^ b;
-    (partial ^ c, (a & b) | (partial & c))
-}
-
-/// Adds `carry`, at the weight of plane `from`, into word `w` of the
-/// count planes, rippling it up.
-fn ripple(planes: &mut [u64], width: usize, from: usize, w: usize, mut carry: u64) {
-    for bits in planes[from * width + w..].iter_mut().step_by(width) {
+/// Adds `carry`, at the weight of plane 0, into word `w` of the count
+/// planes (`width` words each), rippling it up.
+fn ripple(planes: &mut [u64], width: usize, w: usize, mut carry: u64) {
+    for bits in planes[w..].iter_mut().step_by(width) {
         let next = *bits & carry;
         *bits ^= carry;
         carry = next;
@@ -366,16 +327,6 @@ fn ripple(planes: &mut [u64], width: usize, from: usize, w: usize, mut carry: u6
 /// Narrows `group` to its pieces of minimum count in `planes`: from the
 /// top plane down, keep the pieces whose bit is clear if any are.
 fn keep_minimum(group: &mut [Block], planes: &[Block]) {
-    if let [pieces] = group {
-        // One block (B <= 256): it stays in registers across the planes.
-        let mut kept = *pieces;
-        for bits in planes.iter().rev() {
-            let clear = clear_bits(&kept, bits);
-            narrow(&mut kept, bits, clear);
-        }
-        *pieces = kept;
-        return;
-    }
     for plane in planes.chunks_exact(group.len()).rev() {
         let clear = group
             .iter()
@@ -592,7 +543,7 @@ mod tests {
                 row
             })
             .collect();
-        let mut ranker = Ranker::new(strategy, pieces, 255);
+        let mut ranker = Ranker::new(strategy, pieces);
         assert_eq!(
             ranker.set_view(rows.iter().map(Bitfield::row)),
             u64::from(levels)
@@ -743,7 +694,7 @@ mod tests {
         let mine = bf(8, &[0]);
         let theirs = bf(8, &[1, 2, 3, 4]);
         let mut stream = PlanStream::pair(1, 1, 0, 1, 0);
-        let mut ranker = Ranker::new(PieceSelection::RandomFirst, 8, 40);
+        let mut ranker = Ranker::new(PieceSelection::RandomFirst, 8);
         let mut out = draws(&mut ranker, &mine, &theirs, 10, &mut stream);
         out.sort_unstable();
         assert_eq!(out, vec![1, 2, 3, 4], "all wanted pieces, each once");
@@ -755,7 +706,7 @@ mod tests {
         let mine = bf(8, &[]);
         let theirs = bf(8, &[0, 1, 2, 3, 4, 5, 6, 7]);
         let mut stream = PlanStream::pair(2, 1, 0, 1, 0);
-        let mut ranker = Ranker::new(PieceSelection::RandomFirst, 8, 40);
+        let mut ranker = Ranker::new(PieceSelection::RandomFirst, 8);
         assert_eq!(draws(&mut ranker, &mine, &theirs, 3, &mut stream).len(), 3);
         // A new direction starts afresh, whatever the last one left.
         let full = bf(8, &[0, 1, 2, 3, 4, 5, 6, 7]);
@@ -827,7 +778,8 @@ mod tests {
         // up to 255 fill all eight planes.
         let mut rng = StdRng::seed_from_u64(8);
         for pieces in [1, 7, 8, 63, 64, 65, 100, 128, 200, 260] {
-            for (trial, max_key) in [0u8, 1, 2, 7, 255].into_iter().enumerate() {
+            for trial in 0..20u64 {
+                let max_key = [0u8, 1, 2, 7, 255][trial as usize % 5];
                 let mut mine = Bitfield::new(pieces);
                 let mut theirs = Bitfield::new(pieces);
                 let counts: Vec<u8> = (0..pieces).map(|_| rng.gen_range(0..=max_key)).collect();
@@ -841,7 +793,7 @@ mod tests {
                 }
                 for strategy in [PieceSelection::RarestFirst, PieceSelection::RandomFirst] {
                     let mut ranker = ranker_with(strategy, pieces, &counts);
-                    for seed in [trial as u64, 99] {
+                    for seed in [trial, 99] {
                         assert_matches_oracle(&mut ranker, strategy, &mine, &theirs, &counts, seed);
                         assert_matches_oracle(&mut ranker, strategy, &theirs, &mine, &counts, seed);
                     }
@@ -861,7 +813,7 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
+        #![proptest_config(ProptestConfig::with_cases(512))]
         #[test]
         fn ranker_matches_list_oracle(
             pieces in 1u32..=260,
@@ -917,18 +869,32 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "overflows the count planes")]
-    fn a_view_past_its_planes_panics() {
-        // Three planes count up to seven rows.
-        let row = bf(9, &[1]);
-        let mut ranker = Ranker::new(PieceSelection::RarestFirst, 9, 4);
-        ranker.set_view(std::iter::repeat_n(row.row(), 8));
+    fn set_view_adds_planes_past_eight() {
+        // 300 rows: piece 0 is in every row, piece 1 in the first 256
+        // and piece 2 in the first 257, so the counts need nine planes
+        // and rarest-first draws 1, 2, 0.
+        let rows: Vec<Bitfield> = (0..300)
+            .map(|r| match r {
+                0..256 => bf(3, &[0, 1, 2]),
+                256 => bf(3, &[0, 2]),
+                _ => bf(3, &[0]),
+            })
+            .collect();
+        let mut ranker = Ranker::new(PieceSelection::RarestFirst, 3);
+        assert_eq!(ranker.set_view(rows.iter().map(Bitfield::row)), 300);
+        let mut stream = PlanStream::pair(6, 1, 0, 1, 0);
+        let order = draws(&mut ranker, &bf(3, &[]), &bf(3, &[0, 1, 2]), 3, &mut stream);
+        assert_eq!(order, vec![1, 2, 0]);
+        // A smaller view after it drops the planes it no longer needs.
+        assert_eq!(ranker.set_view([bf(3, &[1]).row()]), 1);
+        let order = draws(&mut ranker, &bf(3, &[]), &bf(3, &[0, 1, 2]), 3, &mut stream);
+        assert_eq!(order[2], 1, "the only held piece ranks last");
     }
 
     #[test]
     #[should_panic(expected = "different files")]
     fn a_ranker_checks_row_lengths() {
-        let mut ranker = Ranker::new(PieceSelection::RarestFirst, 65, 40);
+        let mut ranker = Ranker::new(PieceSelection::RarestFirst, 65);
         ranker.start(bf(64, &[]).row(), bf(64, &[0]).row());
     }
 

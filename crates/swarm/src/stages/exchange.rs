@@ -264,11 +264,7 @@ fn plan_downloaders_shard(
 ) {
     let view = tables.view;
     let pieces = view.config.pieces;
-    let mut ranker = Ranker::new(
-        view.config.piece_selection,
-        pieces,
-        view.config.neighbor_set_size,
-    );
+    let mut ranker = Ranker::new(view.config.piece_selection, pieces);
     let mut stop = vec![0; row_words(pieces)];
     for &d in downloaders {
         let region = tables.regions[d.slot() as usize];
@@ -553,7 +549,7 @@ mod tests {
     /// Ranks up to eight wanted pieces under uniform replication (an
     /// empty view), so the list order is the stream's alone.
     fn ranked(mine: &Bitfield, theirs: &Bitfield, seed: u64) -> Vec<u32> {
-        let mut ranker = Ranker::new(PieceSelection::RarestFirst, mine.len(), 40);
+        let mut ranker = Ranker::new(PieceSelection::RarestFirst, mine.len());
         ranker.set_view([]);
         ranker.start(mine.row(), theirs.row());
         let mut stream = PlanStream::pair(seed, 1, 0, 1, 0);
@@ -604,7 +600,7 @@ mod tests {
         let pieces = 8;
         let mine = Bitfield::new(pieces);
         let full = bf(pieces, &(0..pieces).collect::<Vec<_>>());
-        let mut ranker = Ranker::new(PieceSelection::RandomFirst, pieces, 40);
+        let mut ranker = Ranker::new(PieceSelection::RandomFirst, pieces);
         let mut stop = vec![0; row_words(pieces)];
         let streams = (0..4).map(|dir| (full.row(), PlanStream::pair(3, 1, 0, 1, dir)));
         let mut windows = vec![0; triangle(4)];
@@ -681,7 +677,7 @@ mod tests {
                 .collect();
             let directions = || uploaders.iter().map(Bitfield::row).zip(streams.iter().copied());
 
-            let mut ranker = Ranker::new(strategy, pieces, 40);
+            let mut ranker = Ranker::new(strategy, pieces);
             ranker.set_view(neighbors.iter().map(Bitfield::row));
             let mut stop = vec![0; row_words(pieces)];
             let mut stopped = vec![0; triangle(pairs as u32)];
@@ -738,19 +734,26 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "overflows the count planes")]
     fn an_edited_config_cannot_overflow_the_planes() {
-        // The planes hold counts up to the bit length of the configured
-        // neighbor-set size; a config edited below the neighbor sets
-        // already built must fail here rather than carry counts out of
-        // the top plane.
+        // The count planes grow with the neighbor rows a view reads, not
+        // with the configured neighbor-set size: a config edited past
+        // the builder's cap of 255, or below the neighbor sets already
+        // built, still plans every round.
         let config = crate::config::SwarmConfig::builder()
             .pieces(8)
-            .initial_leechers(60)
+            .initial_leechers(300)
             .neighbor_set_size(20)
             .initial_pieces(crate::config::InitialPieces::Random { count: 2 })
             .build()
             .expect("valid config");
+        let mut past_cap = config.clone();
+        past_cap.neighbor_set_size = 300;
+        let mut swarm = crate::engine::Swarm::new(past_cap);
+        for _ in 0..3 {
+            swarm.step_round();
+            swarm.assert_invariants();
+        }
+
         let mut stages = crate::stages::default_pipeline(&config);
         let exchange = stages
             .iter()
@@ -759,6 +762,8 @@ mod tests {
         stages.insert(exchange, Box::new(ShrinkNeighborSetSize));
         let mut swarm =
             crate::engine::Swarm::with_pipeline(config, bt_obs::Registry::default(), stages);
+        // The neighbor sets now exceed the edited s, which the
+        // invariants forbid, so this half only has to run.
         for _ in 0..3 {
             swarm.step_round();
         }

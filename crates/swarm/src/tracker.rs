@@ -99,9 +99,9 @@ impl Tracker {
     /// · log N) plus O(count) expected for the side table, independent
     /// of the population N.
     ///
-    /// Returns the number of candidates examined: one per requester or
-    /// exclude lookup, one per candidate copied into the window and one
-    /// per draw.
+    /// Returns the number of candidates examined, counted where they are
+    /// read: one per requester or exclude lookup, one per candidate
+    /// copied into the window and one per draw.
     pub fn handout_into<R: Rng + ?Sized>(
         &self,
         out: &mut Vec<PeerId>,
@@ -111,12 +111,12 @@ impl Tracker {
         rng: &mut R,
     ) -> u64 {
         out.clear();
+        let mut probes = 0u64;
         let mut skip = Vec::with_capacity(exclude.len() + 1);
-        skip.extend(
-            std::iter::once(&requester)
-                .chain(exclude)
-                .filter_map(|p| self.alive.binary_search(p).ok()),
-        );
+        skip.extend(std::iter::once(&requester).chain(exclude).filter_map(|p| {
+            probes += 1;
+            self.alive.binary_search(p).ok()
+        }));
         skip.sort_unstable();
         skip.dedup();
         let len = self.alive.len() - skip.len();
@@ -126,7 +126,9 @@ impl Tracker {
         let mut from = 0;
         for end in skip.iter().copied().chain([self.alive.len()]) {
             let room = window - out.len();
-            out.extend_from_slice(&self.alive[from..end.min(from + room)]);
+            let run = &self.alive[from..end.min(from + room)];
+            probes += run.len() as u64;
+            out.extend_from_slice(run);
             if out.len() == window {
                 break;
             }
@@ -144,6 +146,7 @@ impl Tracker {
         let mut displaced: Vec<(usize, PeerId)> = Vec::new();
         let mut filter = [0u64; FILTER_BITS / 64];
         for i in 0..take {
+            probes += 1;
             let j = rng.gen_range(i..len);
             if j < window {
                 out.swap(i, j);
@@ -168,7 +171,7 @@ impl Tracker {
             }
         }
         out.truncate(take);
-        (1 + exclude.len() + window + take) as u64
+        probes
     }
 }
 
