@@ -1,6 +1,5 @@
 //! Microbenchmarks of the core primitives every experiment leans on.
 
-use bt_des::{EventQueue, SimTime};
 use bt_model::params::uniform_phi;
 use bt_model::trading::trading_power_curve;
 use bt_model::transitions::TransitionKernel;
@@ -33,19 +32,6 @@ fn bench_micro(c: &mut Criterion) {
             y.set(p + 50);
         }
         b.iter(|| std::hint::black_box(x.can_trade_with(&y)))
-    });
-    group.bench_function("event_queue_push_pop_1k", |b| {
-        b.iter(|| {
-            let mut q = EventQueue::new();
-            for i in 0..1_000u64 {
-                q.push(SimTime::from_ticks(i * 37 % 1_000), i);
-            }
-            let mut acc = 0u64;
-            while let Some((_, e)) = q.pop() {
-                acc = acc.wrapping_add(e);
-            }
-            std::hint::black_box(acc)
-        })
     });
     group.finish();
 }

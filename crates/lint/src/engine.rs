@@ -10,8 +10,8 @@
 //! (see `DESIGN.md` for the rationale):
 //!
 //! * **determinism** (`det-*`, `shared-interior-mut` token form) —
-//!   library sources of the simulation and model crates (`bt-des`,
-//!   `bt-swarm`, `bt-model`, `bt-markov`) plus the bench drivers,
+//!   library sources of the seed-stream, simulation and model crates
+//!   (`bt-des`, `bt-swarm`, `bt-model`, `bt-markov`) plus the bench drivers,
 //!   where iteration order or wall-clock reads break seeded replay;
 //! * **determinism, test trees** (`det-*` only) — `tests/`,
 //!   `examples/`, and every crate's `tests/`/`benches/` tree: test code

@@ -104,7 +104,7 @@ impl Rule {
                 "HashMap/HashSet iteration order is nondeterministic and breaks seeded replay"
             }
             Rule::DetWallClock => {
-                "SystemTime/Instant leak wall-clock time into simulation code; use the DES clock"
+                "SystemTime/Instant leak wall-clock time into simulation code; use the simulation clock"
             }
             Rule::DetAmbientRng => {
                 "thread_rng is ambient, unseeded randomness; thread an explicit seeded Rng instead"

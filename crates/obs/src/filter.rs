@@ -7,7 +7,7 @@ use tracing::Level;
 /// default, or `target-prefix=level` overriding it for one module tree
 /// (longest matching prefix wins).
 ///
-/// Examples: `info`, `debug,bt_des=off`, `warn,bt_swarm::round=debug`.
+/// Examples: `info`, `debug,bt_obs=off`, `warn,bt_swarm::round=debug`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EnvFilter {
     default: Option<Level>,

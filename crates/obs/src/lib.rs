@@ -56,8 +56,6 @@
 //! # Span hierarchy
 //!
 //! ```text
-//! sim.run                  (bt-des)   one DES drive to the horizon
-//! └─ per-event dispatch    TRACE events, target "bt_des::event"
 //! swarm.run                (bt-swarm) one swarm simulation
 //! └─ swarm.round           DEBUG span per simulated round
 //! ```

@@ -402,8 +402,7 @@ impl SwarmConfigBuilder {
     ///
     /// # Errors
     ///
-    /// [`Error::InvalidConfig`] for zero counts, a neighbor set above
-    /// 255 (the largest the swarm accepts), probabilities outside
+    /// [`Error::InvalidConfig`] for zero counts, probabilities outside
     /// `[0, 1]`, negative rates, or a shake fraction outside `(0, 1)`.
     pub fn build(&self) -> Result<SwarmConfig> {
         let c = &self.config;
@@ -419,12 +418,6 @@ impl SwarmConfigBuilder {
             return Err(Error::InvalidConfig(
                 "neighbor_set_size must be at least 1".into(),
             ));
-        }
-        if c.neighbor_set_size > 255 {
-            return Err(Error::InvalidConfig(format!(
-                "neighbor_set_size {} exceeds 255, the largest neighbor set the swarm accepts",
-                c.neighbor_set_size
-            )));
         }
         if c.max_rounds == 0 {
             return Err(Error::InvalidConfig("max_rounds must be at least 1".into()));
@@ -511,21 +504,6 @@ mod tests {
         assert_eq!(c.neighbor_set_size, 40);
         assert_eq!(c.piece_bytes, 256 * 1024);
         assert!(c.shake_at.is_none());
-    }
-
-    #[test]
-    fn rejects_neighbor_sets_beyond_255() {
-        assert!(SwarmConfig::builder()
-            .neighbor_set_size(255)
-            .build()
-            .is_ok());
-        let err = SwarmConfig::builder()
-            .neighbor_set_size(256)
-            .build()
-            .expect_err("256 neighbors exceed the cap");
-        let message = err.to_string();
-        assert!(message.contains("neighbor_set_size 256"), "{message}");
-        assert!(message.contains("largest neighbor set"), "{message}");
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! The swarm simulation engine.
 //!
-//! A round-based protocol simulation driven by the `bt-des` kernel. One
-//! round corresponds to one piece-exchange period (one step of the paper's
-//! Markov model): arrivals are a Poisson process, each round every active
-//! connection swaps one piece in each direction under strict tit-for-tat,
-//! and peers depart the moment they complete.
+//! A round-based protocol simulation. One round corresponds to one
+//! piece-exchange period (one step of the paper's Markov model): arrivals
+//! are a Poisson process, each round every active connection swaps one
+//! piece in each direction under strict tit-for-tat, and peers depart the
+//! moment they complete. A `Clock` of two tick counts orders the
+//! arrivals against the rounds.
 //!
 //! The engine is layered (see DESIGN.md, "Swarm engine architecture"):
 //!
@@ -26,7 +27,7 @@ use std::any::Any;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use bt_des::{Duration, SeedStream, SimTime, Simulator};
+use bt_des::SeedStream;
 use bt_markov::dist::sample_exponential;
 
 use crate::audit::SwarmAudit;
@@ -43,13 +44,74 @@ use crate::store::PeerStore;
 use crate::telemetry::TelemetryRecorder;
 use crate::tracker::Tracker;
 
-/// Events driving the simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Event {
-    /// A new leecher joins the swarm.
-    Arrival,
-    /// One piece-exchange round elapses.
-    Round,
+/// Clock ticks in one round: a round is one simulated second, and a
+/// tick is one microsecond.
+const ROUND_TICKS: u64 = 1_000_000;
+
+/// Ticks to the next Poisson arrival at `rate` arrivals per round: an
+/// exponential gap, rounded to the nearest tick.
+///
+/// # Panics
+///
+/// Panics if the gap is negative, NaN, or too large to represent.
+fn arrival_gap(rate: f64, rng: &mut StdRng) -> u64 {
+    let secs = sample_exponential(rate, rng);
+    assert!(
+        secs.is_finite() && secs >= 0.0,
+        "time must be finite and non-negative, got {secs}"
+    );
+    let ticks = secs * ROUND_TICKS as f64;
+    assert!(ticks <= u64::MAX as f64, "time overflow: {secs} seconds");
+    ticks.round() as u64
+}
+
+/// The two pending events of [`Swarm::drive`]: the next Poisson
+/// arrival and the next round, as tick counts.
+///
+/// Events on the same tick fire in the order they were scheduled, so
+/// the clock records which of the two was scheduled last.
+#[derive(Debug)]
+struct Clock {
+    /// Tick of the pending arrival; `None` when the arrival rate is 0.
+    arrival: Option<u64>,
+    /// Tick of the pending round.
+    round: u64,
+    /// Whether the pending arrival was scheduled after the pending round.
+    arrival_last: bool,
+}
+
+impl Clock {
+    /// A clock with round 1 pending and, scheduled before it, the first
+    /// arrival at tick `first_arrival` (none when the rate is 0).
+    fn new(first_arrival: Option<u64>) -> Self {
+        Clock {
+            arrival: first_arrival,
+            round: ROUND_TICKS,
+            arrival_last: false,
+        }
+    }
+
+    /// Whether the pending arrival fires before the pending round.
+    fn arrival_first(&self) -> bool {
+        self.arrival
+            .is_some_and(|at| at < self.round || (at == self.round && !self.arrival_last))
+    }
+
+    /// Schedules the next arrival `gap` ticks after the one firing.
+    fn arrival_after(&mut self, gap: u64) {
+        let at = self.arrival.expect("an arrival is firing");
+        self.arrival = Some(at.checked_add(gap).expect("sim time overflow"));
+        self.arrival_last = true;
+    }
+
+    /// Schedules the next round one round after the one firing.
+    fn round_after(&mut self) {
+        self.round = self
+            .round
+            .checked_add(ROUND_TICKS)
+            .expect("sim time overflow");
+        self.arrival_last = false;
+    }
 }
 
 /// The swarm state the round stages operate on: configuration, peer
@@ -925,7 +987,8 @@ impl Swarm {
         (metrics, profile, report)
     }
 
-    /// Drives the DES event loop to the stop condition.
+    /// Fires arrivals and rounds in clock order until the stop condition
+    /// holds after a round; the arrival still pending then is dropped.
     fn drive(&mut self) {
         let _span = tracing::info_span!(target: "bt_swarm", "swarm.run").entered();
         tracing::info!(
@@ -938,35 +1001,33 @@ impl Swarm {
             seed = self.core.config.seed;
             "swarm run starting"
         );
-        let mut sim: Simulator<Event> = Simulator::new();
-        if self.core.config.arrival_rate > 0.0 {
-            let gap = sample_exponential(self.core.config.arrival_rate, &mut self.core.rng);
-            sim.schedule(SimTime::from_secs(gap), Event::Arrival);
+        let core = &mut self.core;
+        let mut clock = Clock::new(
+            (core.config.arrival_rate > 0.0)
+                .then(|| arrival_gap(core.config.arrival_rate, &mut core.rng)),
+        );
+        loop {
+            if clock.arrival_first() {
+                self.core.spawn_peer();
+                clock.arrival_after(arrival_gap(
+                    self.core.config.arrival_rate,
+                    &mut self.core.rng,
+                ));
+                continue;
+            }
+            self.core.round += 1;
+            self.execute_round();
+            let done_rounds = self.core.round >= self.core.config.max_rounds;
+            let done_completions = self
+                .core
+                .config
+                .stop_after_completions
+                .is_some_and(|n| self.core.metrics.completions.count() >= n);
+            if done_rounds || done_completions {
+                break;
+            }
+            clock.round_after();
         }
-        sim.schedule(SimTime::from_secs(1.0), Event::Round);
-        sim.run(|sim, _time, event| match event {
-            Event::Arrival => {
-                let id = self.core.spawn_peer();
-                let _ = id;
-                let gap = sample_exponential(self.core.config.arrival_rate, &mut self.core.rng);
-                sim.schedule_in(Duration::from_secs(gap), Event::Arrival);
-            }
-            Event::Round => {
-                self.core.round += 1;
-                self.execute_round();
-                let done_rounds = self.core.round >= self.core.config.max_rounds;
-                let done_completions = self
-                    .core
-                    .config
-                    .stop_after_completions
-                    .is_some_and(|n| self.core.metrics.completions.count() >= n);
-                if done_rounds || done_completions {
-                    sim.request_stop();
-                } else {
-                    sim.schedule_in(Duration::from_secs(1.0), Event::Round);
-                }
-            }
-        });
         self.core.metrics.rounds_run = self.core.round;
         for slot in &mut self.observers {
             if let Some(observer) = slot.observer.as_mut() {
@@ -990,9 +1051,9 @@ impl Swarm {
         );
     }
 
-    /// Runs exactly one round without the DES driver (step-level control
-    /// for tests and custom harnesses). Note: Poisson arrivals are
-    /// scheduled by [`Swarm::run`]'s event loop, so stepped swarms see no
+    /// Runs exactly one round without the arrival clock (step-level
+    /// control for tests and custom harnesses). Note: Poisson arrivals
+    /// are fired only by [`Swarm::run`]'s clock, so stepped swarms see no
     /// new arrivals.
     pub fn step_round(&mut self) {
         self.core.round += 1;
@@ -2293,5 +2354,145 @@ mod join_path_tests {
             .collect();
         assert_eq!(kept, after[..2], "survivors keep their order");
         swarm.assert_invariants();
+    }
+}
+
+#[cfg(test)]
+mod clock_tests {
+    use super::*;
+    use proptest::prelude::*;
+    use rand::SeedableRng;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// One fired event: its tick, and whether it was an arrival (else a
+    /// round).
+    type Fired = (u64, bool);
+
+    /// The event loop `drive` ran before the clock: a binary heap keyed
+    /// by `(tick, seq)`, where `seq` counts pushes, so events on one tick
+    /// fire in the order they were scheduled. Fires the first arrival at
+    /// `first`, each next one `gap()` ticks after it, and round `r` at
+    /// tick `r * ROUND_TICKS`, until `rounds` rounds or `max_events`
+    /// events have fired.
+    fn heap_order(
+        first: u64,
+        rounds: u64,
+        max_events: usize,
+        mut gap: impl FnMut() -> u64,
+    ) -> Vec<Fired> {
+        let mut heap =
+            BinaryHeap::from([Reverse((first, 0, true)), Reverse((ROUND_TICKS, 1, false))]);
+        let mut fired = Vec::new();
+        for seq in 2.. {
+            let Reverse((tick, _, arrival)) = heap.pop().expect("two events pending");
+            fired.push((tick, arrival));
+            if fired.len() == max_events || (!arrival && tick == rounds * ROUND_TICKS) {
+                break;
+            }
+            let next = if arrival {
+                tick + gap()
+            } else {
+                tick + ROUND_TICKS
+            };
+            heap.push(Reverse((next, seq, arrival)));
+        }
+        fired
+    }
+
+    /// [`heap_order`] through the [`Clock`], as `drive` steps it.
+    fn clock_order(
+        first: u64,
+        rounds: u64,
+        max_events: usize,
+        mut gap: impl FnMut() -> u64,
+    ) -> Vec<Fired> {
+        let mut clock = Clock::new(Some(first));
+        let mut fired = Vec::new();
+        loop {
+            let arrival = clock.arrival_first();
+            let tick = if arrival {
+                clock.arrival.expect("an arrival is pending")
+            } else {
+                clock.round
+            };
+            fired.push((tick, arrival));
+            if fired.len() == max_events || (!arrival && tick == rounds * ROUND_TICKS) {
+                return fired;
+            }
+            if arrival {
+                clock.arrival_after(gap());
+            } else {
+                clock.round_after();
+            }
+        }
+    }
+
+    /// Runs two rounds with the first arrival at `first` and the given
+    /// gaps after it (then arrivals far apart), and checks the clock and
+    /// the heap against `want`.
+    fn assert_two_rounds(first: u64, gaps: &[u64], want: &[Fired]) {
+        let fixed = || {
+            let mut rest = gaps.iter().copied();
+            move || rest.next().unwrap_or(100 * ROUND_TICKS)
+        };
+        assert_eq!(clock_order(first, 2, usize::MAX, fixed()), want);
+        assert_eq!(heap_order(first, 2, usize::MAX, fixed()), want);
+    }
+
+    #[test]
+    fn events_on_one_tick_fire_in_scheduling_order() {
+        // The first arrival is scheduled before round 1.
+        assert_two_rounds(
+            1_000_000,
+            &[],
+            &[(1_000_000, true), (1_000_000, false), (2_000_000, false)],
+        );
+        // The arrival at 2 000 000 is scheduled at 500 000, before round
+        // 1 fires and schedules round 2.
+        assert_two_rounds(
+            500_000,
+            &[1_500_000],
+            &[
+                (500_000, true),
+                (1_000_000, false),
+                (2_000_000, true),
+                (2_000_000, false),
+            ],
+        );
+        // The arrival at 2 000 000 is scheduled at 1 500 000, after round
+        // 1 fired and scheduled round 2.
+        assert_two_rounds(
+            1_500_000,
+            &[500_000],
+            &[(1_000_000, false), (1_500_000, true), (2_000_000, false)],
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The clock fires the same events as the heap it replaced and
+        /// draws the same gaps. Rates from 10^-2 to 10^7.5 per round
+        /// cover gaps that span round boundaries and gaps that round to
+        /// 0 ticks; the first arrival lands up to 1 000 ticks before
+        /// round 1, so even the fastest rates reach a round's tick within
+        /// the event cap.
+        #[test]
+        fn clock_matches_the_heap_oracle(
+            seed in any::<u64>(),
+            log_rate in -2.0f64..7.5,
+            lead in 0u64..1_000,
+            rounds in 1u64..5,
+        ) {
+            let rate = 10f64.powf(log_rate);
+            let first = ROUND_TICKS - lead;
+            let mut clock_rng = StdRng::seed_from_u64(seed);
+            let mut heap_rng = StdRng::seed_from_u64(seed);
+            let clock = clock_order(first, rounds, 20_000, || arrival_gap(rate, &mut clock_rng));
+            let heap = heap_order(first, rounds, 20_000, || arrival_gap(rate, &mut heap_rng));
+            prop_assert_eq!(clock, heap);
+            prop_assert_eq!(clock_rng.gen::<u64>(), heap_rng.gen::<u64>());
+        }
     }
 }

@@ -736,24 +736,26 @@ mod tests {
     #[test]
     fn an_edited_config_cannot_overflow_the_planes() {
         // The count planes grow with the neighbor rows a view reads, not
-        // with the configured neighbor-set size: a config edited past
-        // the builder's cap of 255, or below the neighbor sets already
-        // built, still plans every round.
-        let config = crate::config::SwarmConfig::builder()
+        // with the configured neighbor-set size: a neighbor set of 300,
+        // or a config edited below the neighbor sets already built,
+        // still plans every round.
+        let wide = crate::config::SwarmConfig::builder()
             .pieces(8)
             .initial_leechers(300)
-            .neighbor_set_size(20)
+            .neighbor_set_size(300)
             .initial_pieces(crate::config::InitialPieces::Random { count: 2 })
             .build()
             .expect("valid config");
-        let mut past_cap = config.clone();
-        past_cap.neighbor_set_size = 300;
-        let mut swarm = crate::engine::Swarm::new(past_cap);
+        let mut swarm = crate::engine::Swarm::new(wide.clone());
         for _ in 0..3 {
             swarm.step_round();
             swarm.assert_invariants();
         }
 
+        let config = crate::config::SwarmConfig {
+            neighbor_set_size: 20,
+            ..wide
+        };
         let mut stages = crate::stages::default_pipeline(&config);
         let exchange = stages
             .iter()

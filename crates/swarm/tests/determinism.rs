@@ -585,7 +585,7 @@ fn exchange_bytes_match_the_pinned_digests() {
 }
 
 /// A B = 100 open swarm with `blocks_per_piece`-block pieces and slow
-/// peers, run through the DES driver (so Poisson arrivals join) until
+/// peers, run through `Swarm::run` (so Poisson arrivals join) until
 /// initial leechers and later arrivals have completed and departed.
 fn completion_config(blocks_per_piece: u32, max_rounds: u64) -> SwarmConfig {
     SwarmConfig::builder()
@@ -675,7 +675,7 @@ fn open_config() -> SwarmConfig {
 /// and verdicts.
 type OpenRun = (Vec<u8>, Vec<u8>, String, String);
 
-/// Drives [`open_config`] through the DES driver (so Poisson arrivals
+/// Drives [`open_config`] through `Swarm::run` (so Poisson arrivals
 /// join) at `threads` workers with telemetry, cohort, doctor and
 /// heartbeat attached.
 fn run_open(threads: u32) -> OpenRun {
@@ -743,7 +743,7 @@ fn run_open(threads: u32) -> OpenRun {
 #[test]
 fn open_swarm_outputs_are_identical_across_thread_counts() {
     // Stepped rounds schedule no Poisson arrivals, so every comparison
-    // above sees a closed swarm. This one runs the DES driver: joins
+    // above sees a closed swarm. This one runs `Swarm::run`: joins
     // hit the tracker handout, join eviction and the cohort reservoir
     // while the exchange plan runs sharded.
     let serial = run_open(1);

@@ -4,7 +4,7 @@
 //! Analysis of the BitTorrent Protocol"* (ICDCS 2007): the three-phase
 //! Markov model of a BitTorrent peer's download evolution, the
 //! connection-class efficiency model, the entropy-based stability analysis,
-//! and the full evaluation substrate (discrete-event swarm simulator and
+//! and the full evaluation substrate (round-based swarm simulator and
 //! instrumented-client trace toolkit).
 //!
 //! This umbrella crate re-exports the workspace crates:
@@ -13,7 +13,7 @@
 //! * [`swarm`] (`bt-swarm`) — the protocol-level swarm simulator;
 //! * [`traces`] (`bt-traces`) — trace generation, I/O, and phase analysis;
 //! * [`markov`] (`bt-markov`) — Markov-chain and distribution numerics;
-//! * [`des`] (`bt-des`) — the deterministic discrete-event kernel.
+//! * [`des`] (`bt-des`) — deterministic seed streams and histograms.
 //!
 //! ## Quickstart
 //!
