@@ -8,7 +8,7 @@
 //! * [`seeding`] — §7.2: origin-seed capacity vs last-phase severity.
 //! * [`shake_threshold`] — §7.1: sweep of the shake trigger fraction.
 
-use bt_des::SeedStream;
+use bt_markov::SeedStream;
 use bt_model::evolution::expected_timeline;
 use bt_model::ModelParams;
 use bt_swarm::config::PieceSelection;

@@ -7,7 +7,7 @@
 
 use std::io::{self, Write};
 
-use bt_des::SeedStream;
+use bt_markov::SeedStream;
 use bt_model::evolution::expected_timeline;
 use bt_model::params::alpha_from_swarm;
 use bt_model::ModelParams;

@@ -21,7 +21,7 @@
 
 use std::io::{self, Write};
 
-use bt_des::SeedStream;
+use bt_markov::SeedStream;
 use bt_model::efficiency::{monte_carlo_efficiency, EfficiencyModel, SweepOrder};
 use bt_swarm::{scenario, Swarm};
 

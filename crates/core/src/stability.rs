@@ -154,6 +154,7 @@ mod tests {
     fn entropy_basics() {
         assert_eq!(entropy(&[]), 0.0);
         assert_eq!(entropy(&[0, 0]), 0.0);
+        assert_eq!(entropy(&[0, 5]), 0.0);
         assert_eq!(entropy(&[4]), 1.0);
         assert_eq!(entropy(&[2, 8]), 0.25);
         assert!(entropy(&[7, 7, 7, 7]) == 1.0);

@@ -10,8 +10,9 @@
 //! (see `DESIGN.md` for the rationale):
 //!
 //! * **determinism** (`det-*`, `shared-interior-mut` token form) —
-//!   library sources of the seed-stream, simulation and model crates
-//!   (`bt-des`, `bt-swarm`, `bt-model`, `bt-markov`) plus the bench drivers,
+//!   library sources of the simulation, model and numerics crates
+//!   (`bt-swarm`, `bt-model`, `bt-markov`, home of the seed streams)
+//!   plus the bench drivers,
 //!   where iteration order or wall-clock reads break seeded replay;
 //! * **determinism, test trees** (`det-*` only) — `tests/`,
 //!   `examples/`, and every crate's `tests/`/`benches/` tree: test code
@@ -57,8 +58,7 @@ use crate::rules::{self, Rule};
 use crate::unused::{self, References};
 
 /// Path prefixes (relative, forward slashes) where determinism rules apply.
-const DETERMINISM_SCOPE: [&str; 5] = [
-    "crates/des/src",
+const DETERMINISM_SCOPE: [&str; 4] = [
     "crates/swarm/src",
     "crates/core/src",
     "crates/markov/src",
@@ -88,10 +88,9 @@ const WALL_CLOCK_AUDIT_SCOPE: [&str; 1] = ["crates/obs/src/heartbeat.rs"];
 /// model/math crates, and the drivers that seed runs. Everything else —
 /// observers, profilers, monitors, cohort sinks, telemetry — must stay
 /// RNG-free so observation can never perturb the sampled stream.
-const RNG_SANCTIONED: [&str; 13] = [
+const RNG_SANCTIONED: [&str; 12] = [
     "src",
     "crates/bench/src",
-    "crates/des/src",
     "crates/markov/src",
     "crates/core/src",
     "crates/traces/src",
@@ -106,12 +105,7 @@ const RNG_SANCTIONED: [&str; 13] = [
 
 /// Model scope for the cross-file shared-state audit: the crates whose
 /// behavior must replay exactly from a seed.
-const MODEL_SCOPE: [&str; 4] = [
-    "crates/des/src",
-    "crates/swarm/src",
-    "crates/core/src",
-    "crates/markov/src",
-];
+const MODEL_SCOPE: [&str; 3] = ["crates/swarm/src", "crates/core/src", "crates/markov/src"];
 
 /// Whether `rel` lies under any prefix in `scope` (`p` itself or `p/…`).
 fn in_scope(scope: &[&str], rel: &str) -> bool {

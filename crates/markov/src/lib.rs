@@ -17,7 +17,10 @@
 //! * [`dist`] — exact binomial pmf/sampling in the log domain,
 //!   exponential/Poisson sampling, empirical discrete distributions;
 //! * [`fixed_point`] — damped fixed-point iteration with convergence
-//!   diagnostics (drives the §5 balance equations).
+//!   diagnostics (drives the §5 balance equations);
+//! * [`seed::SeedStream`] — stable, independent RNG substreams derived
+//!   from one experiment seed, so adding a consumer of randomness in one
+//!   component does not perturb the draws seen by another.
 //!
 //! # Example
 //!
@@ -43,11 +46,13 @@ pub mod dist;
 pub mod fixed_point;
 pub mod float;
 pub mod matrix;
+pub mod seed;
 
 pub use absorbing::AbsorbingChain;
 pub use chain::TransitionMatrix;
 pub use dist::Binomial;
 pub use matrix::Matrix;
+pub use seed::SeedStream;
 
 /// Errors produced by this crate.
 #[derive(Debug, Clone, PartialEq)]

@@ -15,7 +15,7 @@ use rand::SeedableRng;
 /// # Example
 ///
 /// ```
-/// use bt_des::SeedStream;
+/// use bt_markov::SeedStream;
 /// use rand::Rng;
 ///
 /// let stream = SeedStream::new(42);

@@ -27,8 +27,8 @@ use std::any::Any;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use bt_des::SeedStream;
 use bt_markov::dist::sample_exponential;
+use bt_markov::SeedStream;
 
 use crate::audit::SwarmAudit;
 use crate::config::{InitialPieces, SwarmConfig};
@@ -117,9 +117,8 @@ impl Clock {
 /// The swarm state the round stages operate on: configuration, peer
 /// store, tracker, replication index, RNG, metrics, and counters.
 ///
-/// Internal stages reach the fields directly; external
-/// [`RoundStage`] implementations use the accessor methods plus the
-/// mutation entry points [`acquire_piece`](SwarmCore::acquire_piece),
+/// Stages reach the fields directly and mutate possession through
+/// [`acquire_piece`](SwarmCore::acquire_piece),
 /// [`receive_block`](SwarmCore::receive_block), and
 /// [`depart`](SwarmCore::depart), which keep the replication index in
 /// sync with piece possession. Possession itself lives in the peer
@@ -191,36 +190,10 @@ impl SwarmCore {
         &self.store
     }
 
-    /// The tracker (alive peers in join order).
-    #[must_use]
-    pub fn tracker(&self) -> &Tracker {
-        &self.tracker
-    }
-
-    /// The incrementally maintained replication index.
-    #[must_use]
-    pub fn replication(&self) -> &ReplicationIndex {
-        &self.replication
-    }
-
     /// The metrics collected so far.
     #[must_use]
     pub fn metrics(&self) -> &SwarmMetrics {
         &self.metrics
-    }
-
-    /// The run's seeded RNG. All stage randomness must come from here —
-    /// RNG call order is part of the determinism contract.
-    #[must_use]
-    pub fn rng(&mut self) -> &mut StdRng {
-        &mut self.rng
-    }
-
-    /// The always-on mutation audit (ground truth for the conservation
-    /// and slot-balance monitors).
-    #[must_use]
-    pub fn audit(&self) -> &SwarmAudit {
-        &self.audit
     }
 
     /// Grants `id` the given piece at the current round (bootstrap
@@ -1216,15 +1189,6 @@ impl Swarm {
     }
 }
 
-/// Replication entropy `E = min(d)/max(d)` (§6). Zero for an empty system.
-#[must_use]
-pub fn entropy_of(replication: &[u64]) -> f64 {
-    match (replication.iter().min(), replication.iter().max()) {
-        (Some(&min), Some(&max)) if max > 0 => min as f64 / max as f64,
-        _ => 0.0,
-    }
-}
-
 /// An in-memory stream a test keeps a handle to after the swarm owns
 /// its writer.
 #[cfg(test)]
@@ -1429,14 +1393,6 @@ mod tests {
                 assert!(w[1] >= w[0]);
             }
         }
-    }
-
-    #[test]
-    fn entropy_of_cases() {
-        assert_eq!(entropy_of(&[]), 0.0);
-        assert_eq!(entropy_of(&[0, 5]), 0.0);
-        assert_eq!(entropy_of(&[4, 4]), 1.0);
-        assert_eq!(entropy_of(&[1, 4]), 0.25);
     }
 
     #[test]

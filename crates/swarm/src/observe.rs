@@ -11,8 +11,9 @@
 
 use std::any::Any;
 
-use crate::engine::{entropy_of, SwarmCore};
+use crate::engine::SwarmCore;
 use crate::monitors::{peer_slice, BundleContext, MonitorSample, SwarmDoctor};
+use crate::snapshot::availability_of;
 use crate::telemetry::{ObserverSample, TelemetryRecorder, TelemetrySample};
 
 /// Observer names in the order they run each round.
@@ -43,11 +44,6 @@ pub(crate) trait RoundObserver: Any + Send {
 pub(crate) fn current_sample(core: &SwarmCore) -> TelemetrySample {
     let replication = core.replication.counts();
     let population = core.tracker.len() as u64;
-    let max_rep = replication.iter().max().copied().unwrap_or(0);
-    let mut availability = vec![0u64; max_rep as usize + 1];
-    for &d in replication {
-        availability[d as usize] += 1;
-    }
     let q = |fraction: f64| core.piece_cells.quantile(fraction).unwrap_or(0);
     // Every open connection contributes exactly two endpoints, so the
     // audit balance reproduces the per-peer degree sum without a
@@ -66,9 +62,9 @@ pub(crate) fn current_sample(core: &SwarmCore) -> TelemetrySample {
     TelemetrySample {
         round: core.round,
         population,
-        entropy: entropy_of(replication),
+        entropy: core.replication.entropy(),
         extinct_pieces: replication.iter().filter(|&&d| d == 0).count() as u64,
-        availability,
+        availability: availability_of(replication),
         piece_quantiles: [q(0.0), q(0.25), q(0.5), q(0.75), q(1.0)],
         mean_degree,
         slot_utilization,
@@ -166,7 +162,7 @@ fn heartbeat_pulse(core: &SwarmCore) -> bt_obs::HeartbeatPulse {
     bt_obs::HeartbeatPulse {
         round: core.round,
         population,
-        entropy: entropy_of(core.replication.counts()),
+        entropy: core.replication.entropy(),
         phase: bt_obs::swarm_phase(population, median_pieces, core.config.pieces),
     }
 }

@@ -64,7 +64,7 @@ impl ReplicationIndex {
     /// (§6 of the paper).
     #[must_use]
     pub fn entropy(&self) -> f64 {
-        crate::engine::entropy_of(&self.counts)
+        bt_model::stability::entropy(&self.counts)
     }
 }
 

@@ -39,7 +39,7 @@ impl Substream for rand::rngs::StdRng {
 /// The parallel exchange plan derives one stream per connection-pair
 /// direction via [`PlanStream::pair`], chaining the run seed, round,
 /// both peer sequence numbers, and the direction through the same
-/// SplitMix64 mix `bt_des::SeedStream` uses for substream derivation.
+/// SplitMix64 mix `bt_markov::SeedStream` uses for substream derivation.
 /// Because the key depends only on *what* is being decided — never on
 /// which worker or shard decides it — the resulting bytes are identical
 /// at any `--threads` value, and a 1-shard plan equals an N-shard plan
@@ -76,7 +76,7 @@ impl Substream for PlanStream {
     }
 }
 
-/// SplitMix64 finalizer, mirroring `bt_des::rng`'s derivation mix so
+/// SplitMix64 finalizer, mirroring `bt_markov::seed`'s derivation mix so
 /// plan streams and seed substreams share one well-studied permutation.
 fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);

@@ -2,12 +2,9 @@
 //!
 //! [`Snapshot`] captures the distributional state the §6 analysis reasons
 //! about — piece availability, peer piece-count spread, connection degrees
-//! — in one pass over the swarm, using the [`bt_des::stats::Histogram`]
-//! collector for the availability profile.
+//! — in one pass over the swarm.
 
-use bt_des::stats::Histogram;
-
-use crate::engine::{entropy_of, Swarm};
+use crate::engine::Swarm;
 
 /// A diagnostic snapshot of the swarm at one round.
 #[derive(Debug, Clone)]
@@ -20,8 +17,9 @@ pub struct Snapshot {
     pub replication: Vec<u64>,
     /// Replication entropy `min(d)/max(d)`.
     pub entropy: f64,
-    /// Histogram of piece availability (replication counts across pieces).
-    pub availability: Histogram,
+    /// Piece availability: `availability[r]` pieces are replicated
+    /// exactly `r` times, for `r` in `0..=max(replication)`.
+    pub availability: Vec<u64>,
     /// Piece counts held per peer, sorted ascending.
     pub piece_counts: Vec<u32>,
     /// Active-connection counts per peer, sorted ascending.
@@ -40,14 +38,6 @@ impl Snapshot {
         // Straight off the incrementally maintained replication index —
         // no per-capture rescan of every alive bitfield.
         let replication = swarm.replication_counts().to_vec();
-        let max_rep = replication.iter().max().copied().unwrap_or(0);
-        // One unit-width bucket per replication count 0..=max_rep, so the
-        // profile is exact even in high-replication swarms (no clamping).
-        let mut availability = Histogram::new(0.0, (max_rep + 1) as f64, max_rep as usize + 1)
-            .expect("0 < max_rep + 1 and at least one bucket");
-        for &d in &replication {
-            availability.record(d as f64);
-        }
         let mut piece_counts: Vec<u32> = ids
             .iter()
             .map(|&id| swarm.peer_bitfield(id).count())
@@ -61,9 +51,9 @@ impl Snapshot {
         Snapshot {
             round: swarm.round(),
             population: ids.len() as u64,
-            entropy: entropy_of(&replication),
+            entropy: bt_model::stability::entropy(&replication),
+            availability: availability_of(&replication),
             replication,
-            availability,
             piece_counts,
             degrees,
         }
@@ -95,6 +85,18 @@ impl Snapshot {
     pub fn extinct_pieces(&self) -> usize {
         self.replication.iter().filter(|&&d| d == 0).count()
     }
+}
+
+/// Pieces per replication count: entry `r` counts the pieces held by
+/// exactly `r` peers, for `r` in `0..=max(replication)`, so the profile
+/// is exact even in high-replication swarms (no clamping).
+pub(crate) fn availability_of(replication: &[u64]) -> Vec<u64> {
+    let max_rep = replication.iter().max().copied().unwrap_or(0);
+    let mut availability = vec![0u64; max_rep as usize + 1];
+    for &d in replication {
+        availability[d as usize] += 1;
+    }
+    availability
 }
 
 #[cfg(test)]
@@ -131,8 +133,8 @@ mod tests {
         assert_eq!(snap.piece_counts.len(), snap.degrees.len());
         assert_eq!(snap.replication.len(), 12);
         assert!((0.0..=1.0).contains(&snap.entropy));
-        // Availability histogram saw every piece.
-        assert_eq!(snap.availability.total(), 12);
+        // The availability profile saw every piece.
+        assert_eq!(snap.availability.iter().sum::<u64>(), 12);
         // Sorted outputs.
         assert!(snap.piece_counts.windows(2).all(|w| w[0] <= w[1]));
         assert!(snap.degrees.windows(2).all(|w| w[0] <= w[1]));
@@ -171,13 +173,10 @@ mod tests {
         let snap = Snapshot::capture(&swarm);
         let max_rep = *snap.replication.iter().max().unwrap();
         assert!(max_rep > 64, "scenario must exceed the old clamp");
-        assert_eq!(snap.availability.n_bins() as u64, max_rep + 1);
-        // Every count lands in its own unit-width bucket.
-        assert_eq!(snap.availability.bin_count(max_rep as usize), 4);
-        let binned: u64 = (0..snap.availability.n_bins())
-            .map(|i| snap.availability.bin_count(i))
-            .sum();
-        assert_eq!(snap.availability.total(), binned);
+        assert_eq!(snap.availability.len() as u64, max_rep + 1);
+        // Every count has its own entry.
+        assert_eq!(snap.availability[max_rep as usize], 4);
+        assert_eq!(snap.availability.iter().sum::<u64>(), 4);
     }
 
     #[test]

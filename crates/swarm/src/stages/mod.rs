@@ -53,8 +53,8 @@ use crate::engine::SwarmCore;
 /// sync — see [`crate::engine::Swarm::assert_invariants`]); within a
 /// stage it may do as it pleases.
 ///
-/// Determinism contract: all randomness must come from the core's RNG
-/// (via [`SwarmCore::rng`]) — or, for a stage with a parallel plan
+/// Determinism contract: all randomness must come from the core's
+/// seeded RNG (its `rng` field) — or, for a stage with a parallel plan
 /// phase, from stateless [`crate::selection::PlanStream`] substreams
 /// keyed off run identity alone (seed, round, pair) — and the number
 /// and order of RNG calls for a given swarm state must be a pure

@@ -8,7 +8,6 @@
 //! * every `stride`-th round it captures a [`TelemetrySample`] —
 //!   population, replication entropy, the availability histogram,
 //!   per-peer piece-count quantiles, and connection-slot utilization —
-//!   retaining a bounded window in a [`bt_obs::SeriesStore`] and
 //!   streaming the full run as JSON lines;
 //! * an online [`PhaseDetector`] per observer peer tags rounds as
 //!   bootstrap / efficient / last-download using the §3 potential-set
@@ -26,7 +25,6 @@ use std::io::Write;
 use serde::{Deserialize, Serialize};
 
 use bt_model::{DownloadState, Phase};
-use bt_obs::SeriesStore;
 
 use crate::config::SwarmConfig;
 use crate::snapshot::Snapshot;
@@ -79,9 +77,6 @@ impl TelemetrySample {
     #[must_use]
     // bt-lint: allow(pub-unused) test oracle: the full-scan sample the incremental one is checked against
     pub fn from_snapshot(snapshot: &Snapshot, max_connections: u32) -> Self {
-        let availability: Vec<u64> = (0..snapshot.availability.n_bins())
-            .map(|i| snapshot.availability.bin_count(i))
-            .collect();
         let q = |fraction: f64| -> u32 {
             if snapshot.piece_counts.is_empty() {
                 return 0;
@@ -100,7 +95,7 @@ impl TelemetrySample {
             population: snapshot.population,
             entropy: snapshot.entropy,
             extinct_pieces: snapshot.extinct_pieces() as u64,
-            availability,
+            availability: snapshot.availability.clone(),
             piece_quantiles: [q(0.0), q(0.25), q(0.5), q(0.75), q(1.0)],
             mean_degree,
             slot_utilization,
@@ -269,16 +264,11 @@ pub struct TelemetryOptions {
     /// Sample every `stride`-th round (zero is normalized to 1). Phase
     /// detection stays per-round regardless.
     pub stride: u64,
-    /// In-memory samples retained per series (zero is normalized to 1).
-    pub capacity: usize,
 }
 
 impl Default for TelemetryOptions {
     fn default() -> Self {
-        TelemetryOptions {
-            stride: 1,
-            capacity: 4096,
-        }
+        TelemetryOptions { stride: 1 }
     }
 }
 
@@ -300,7 +290,7 @@ pub struct ObserverSample {
 /// [`Swarm::attach_telemetry`](crate::Swarm::attach_telemetry).
 pub struct TelemetryRecorder {
     meta: Option<TelemetryMeta>,
-    store: SeriesStore,
+    stride: u64,
     writer: Option<Box<dyn Write + Send>>,
     detectors: Vec<PhaseDetector>,
     phase_events: Vec<PhaseEvent>,
@@ -308,13 +298,13 @@ pub struct TelemetryRecorder {
 }
 
 impl TelemetryRecorder {
-    /// Creates a recorder that retains telemetry in memory only.
+    /// Creates a recorder that counts samples and detects phases; give
+    /// it a stream with [`to_writer`](Self::to_writer).
     #[must_use]
     pub fn new(options: TelemetryOptions) -> Self {
-        let store = SeriesStore::new(options.stride, options.capacity);
         TelemetryRecorder {
             meta: None,
-            store,
+            stride: options.stride.max(1),
             writer: None,
             detectors: Vec::new(),
             phase_events: Vec::new(),
@@ -322,7 +312,7 @@ impl TelemetryRecorder {
         }
     }
 
-    /// Streams records to `writer` in addition to the in-memory store.
+    /// Streams records to `writer`.
     #[must_use]
     pub fn to_writer(mut self, writer: Box<dyn Write + Send>) -> Self {
         self.writer = Some(writer);
@@ -341,14 +331,14 @@ impl TelemetryRecorder {
             max_connections: config.max_connections,
             neighbor_set_size: config.neighbor_set_size,
             seed: config.seed,
-            stride: self.store.stride(),
+            stride: self.stride,
         };
         self.write_record(&TelemetryRecord::Meta(meta.clone()));
         self.meta = Some(meta);
     }
 
     /// Records one round from a pre-built sample: feeds phase detectors
-    /// every round and samples the series on the stride.
+    /// every round and streams a sample on the stride.
     pub fn record_sample(&mut self, sample: &TelemetrySample, observers: &[ObserverSample]) {
         let Some(pieces) = self.meta.as_ref().map(|m| m.pieces) else {
             debug_assert!(false, "record_sample before bind");
@@ -378,17 +368,9 @@ impl TelemetryRecorder {
             self.emit_phase(event);
         }
 
-        // Series sampling on the stride.
-        if self.store.accepts(round) {
-            let sample = sample.clone();
-            self.store.record("entropy", round, sample.entropy);
-            self.store
-                .record("population", round, sample.population as f64);
-            self.store
-                .record("utilization", round, sample.slot_utilization);
-            self.store
-                .record("extinct_pieces", round, sample.extinct_pieces as f64);
-            self.write_record(&TelemetryRecord::Sample(sample));
+        // Sampling on the stride.
+        if round.is_multiple_of(self.stride) {
+            self.write_record(&TelemetryRecord::Sample(sample.clone()));
             self.samples += 1;
         }
     }
@@ -400,13 +382,6 @@ impl TelemetryRecorder {
                 tracing::warn!(target: "bt_swarm::telemetry", error = e.to_string(); "telemetry flush failed");
             }
         }
-    }
-
-    /// The bounded in-memory series store (`entropy`, `population`,
-    /// `utilization`, `extinct_pieces`).
-    #[must_use]
-    pub fn store(&self) -> &SeriesStore {
-        &self.store
     }
 
     /// All phase transitions detected so far, in emission order.

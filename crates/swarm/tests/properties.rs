@@ -1,7 +1,7 @@
 //! Property-based and invariant tests for the swarm simulator.
 
+use bt_model::stability::entropy;
 use bt_swarm::config::{BootstrapInjection, InitialPieces, PieceSelection};
-use bt_swarm::engine::entropy_of;
 use bt_swarm::metrics::{read_completions, CompletionRecord};
 use bt_swarm::piece::Bitfield;
 use bt_swarm::selection::replication_counts;
@@ -175,8 +175,8 @@ proptest! {
     #[test]
     fn entropy_scale_invariant(reps in prop::collection::vec(1u64..100, 1..20), factor in 1u64..10) {
         let scaled: Vec<u64> = reps.iter().map(|&d| d * factor).collect();
-        let e1 = entropy_of(&reps);
-        let e2 = entropy_of(&scaled);
+        let e1 = entropy(&reps);
+        let e2 = entropy(&scaled);
         prop_assert!((e1 - e2).abs() < 1e-12);
     }
 }

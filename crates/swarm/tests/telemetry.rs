@@ -85,14 +85,6 @@ fn stream_entropy_matches_engine_metrics() {
         assert!((0.0..=1.0).contains(&sample.slot_utilization));
     }
 
-    // The in-memory series store agrees with the stream.
-    let series = recorder.store().get("entropy").expect("entropy series");
-    assert_eq!(series.len(), 25);
-    for ((tick, value), &(round, entropy)) in series.iter().zip(engine_entropy.iter()) {
-        assert_eq!(tick, round);
-        assert_eq!(value, entropy);
-    }
-
     // The stream opens with a matching header.
     match &records[0] {
         TelemetryRecord::Meta(meta) => {
@@ -110,10 +102,7 @@ fn stride_thins_samples_but_not_phase_detection() {
     let mut config = base_config();
     config.observers = 2;
     let mut swarm = Swarm::new(config);
-    swarm.attach_telemetry(TelemetryRecorder::new(TelemetryOptions {
-        stride: 5,
-        ..TelemetryOptions::default()
-    }));
+    swarm.attach_telemetry(TelemetryRecorder::new(TelemetryOptions { stride: 5 }));
     for _ in 0..20 {
         swarm.step_round();
     }

@@ -17,7 +17,7 @@
 //!   replication-weighted first pieces leaves newcomers holding untradable
 //!   pieces (significant bootstrap phase).
 
-use bt_des::SeedStream;
+use bt_markov::SeedStream;
 use bt_swarm::config::{BootstrapInjection, InitialPieces};
 use bt_swarm::{Swarm, SwarmConfig};
 use rand::Rng;

@@ -6,7 +6,7 @@
 //!
 //! Run with `cargo run --release --example quickstart`.
 
-use multiphase_bt::des::SeedStream;
+use multiphase_bt::markov::SeedStream;
 use multiphase_bt::model::evolution::expected_timeline;
 use multiphase_bt::model::{ModelParams, Phase};
 use multiphase_bt::swarm::{Swarm, SwarmConfig};

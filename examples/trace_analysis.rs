@@ -5,7 +5,7 @@
 //!
 //! Run with `cargo run --release --example trace_analysis`.
 
-use multiphase_bt::des::SeedStream;
+use multiphase_bt::markov::SeedStream;
 use multiphase_bt::traces::analyzer::segment;
 use multiphase_bt::traces::generator::{generate, TraceScenario};
 use multiphase_bt::traces::io::{read_traces_from_path, write_traces_to_path};

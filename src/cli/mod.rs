@@ -25,7 +25,7 @@ pub use compare::CompareArgs;
 use compare::{parse_compare, run_compare};
 use report::{parse_profile, run_profile, run_report, run_trend};
 pub use report::{ProfileArgs, ReportArgs, TrendArgs};
-use swarm::{apply_swarm_flag, parse_fault, run_doctor, run_swarm, swarm_identity};
+use swarm::{apply_swarm_flag, parse_fault, run_doctor, run_swarm, swarm_config, swarm_identity};
 pub use swarm::{swarm_pipeline_names, DoctorArgs, SwarmArgs};
 pub use watch::WatchArgs;
 use watch::{parse_watch, run_watch};
@@ -537,6 +537,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     return Err(format!("unknown flag --{key} for swarm"));
                 }
             }
+            swarm_config(&a)?;
             Ok(Command::Swarm(a))
         }
         "doctor" => {
@@ -557,6 +558,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     }
                 }
             }
+            swarm_config(&a.swarm)?;
             Ok(Command::Doctor(a))
         }
         "trend" => {
@@ -818,7 +820,7 @@ pub fn run<W: std::io::Write>(
             let timeline = bt_model::evolution::expected_timeline(
                 &params,
                 a.replications,
-                bt_des::SeedStream::new(a.seed).rng("btlab-model", 0),
+                bt_markov::SeedStream::new(a.seed).rng("btlab-model", 0),
             )
             .map_err(|e| e.to_string())?;
             writeln!(

@@ -274,7 +274,7 @@ fn report_telemetry<W: std::io::Write>(
     let timeline = bt_model::evolution::expected_timeline(
         &params,
         a.replications,
-        bt_des::SeedStream::new(a.seed).rng("btlab-report", 0),
+        bt_markov::SeedStream::new(a.seed).rng("btlab-report", 0),
     )
     .map_err(|e| e.to_string())?;
     let predicted = bt_model::PhaseBoundaries::from_mean_sojourns(timeline.mean_sojourns);

@@ -230,7 +230,7 @@ fn artifact<T: std::str::FromStr>(
 }
 
 /// The configuration a `btlab swarm` / `btlab doctor` run drives.
-fn swarm_config(a: &SwarmArgs) -> Result<bt_swarm::SwarmConfig, String> {
+pub(super) fn swarm_config(a: &SwarmArgs) -> Result<bt_swarm::SwarmConfig, String> {
     let mut builder = bt_swarm::SwarmConfig::builder();
     builder
         .pieces(a.pieces)
@@ -314,11 +314,8 @@ fn build_swarm(a: &SwarmArgs, command: &str, run_dir: &Path) -> Result<bt_swarm:
     swarm.set_threads(a.threads);
     if let Some(stride) = a.telemetry {
         let file = create_artifact(run_dir, TELEMETRY_FILE)?;
-        let recorder = bt_swarm::TelemetryRecorder::new(bt_swarm::TelemetryOptions {
-            stride,
-            ..bt_swarm::TelemetryOptions::default()
-        })
-        .to_writer(Box::new(std::io::BufWriter::new(file)));
+        let recorder = bt_swarm::TelemetryRecorder::new(bt_swarm::TelemetryOptions { stride })
+            .to_writer(Box::new(std::io::BufWriter::new(file)));
         swarm.attach_telemetry(recorder);
     }
     if let Some(size) = a.cohort {

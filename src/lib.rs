@@ -12,8 +12,8 @@
 //! * [`model`] (`bt-model`) — the paper's analytical models;
 //! * [`swarm`] (`bt-swarm`) — the protocol-level swarm simulator;
 //! * [`traces`] (`bt-traces`) — trace generation, I/O, and phase analysis;
-//! * [`markov`] (`bt-markov`) — Markov-chain and distribution numerics;
-//! * [`des`] (`bt-des`) — deterministic seed streams and histograms.
+//! * [`markov`] (`bt-markov`) — Markov-chain and distribution numerics,
+//!   and the deterministic seed streams every experiment draws from.
 //!
 //! ## Quickstart
 //!
@@ -47,7 +47,6 @@
 
 pub mod cli;
 
-pub use bt_des as des;
 pub use bt_markov as markov;
 pub use bt_model as model;
 pub use bt_swarm as swarm;

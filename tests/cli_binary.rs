@@ -449,6 +449,27 @@ fn unknown_disable_stage_exits_two_listing_stage_names() {
 }
 
 #[test]
+fn invalid_swarm_configs_exit_two_with_usage() {
+    for cmd in ["swarm", "doctor"] {
+        for (flag, value) in [
+            ("--s", "0"),
+            ("--pieces", "0"),
+            ("--k", "0"),
+            ("--lambda", "-1"),
+        ] {
+            let out = btlab()
+                .args([cmd, flag, value])
+                .output()
+                .expect("binary runs");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{cmd} {flag} {value}: {stderr}");
+            assert!(stderr.contains("invalid swarm config"), "{stderr}");
+            assert!(stderr.contains("USAGE"), "{stderr}");
+        }
+    }
+}
+
+#[test]
 fn figure_prints_the_committed_table_and_rejects_unknown_ids() {
     let dir = std::env::temp_dir().join("btlab-e2e-figure");
     let out = btlab_in(&dir, &["figure", "--id", "transient_phases"]);

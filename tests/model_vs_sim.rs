@@ -1,7 +1,7 @@
 //! Cross-crate validation: the analytical model against the protocol
 //! simulator on matched, scaled-down configurations.
 
-use multiphase_bt::des::SeedStream;
+use multiphase_bt::markov::SeedStream;
 use multiphase_bt::model::evolution::expected_timeline;
 use multiphase_bt::model::ModelParams;
 use multiphase_bt::swarm::{Swarm, SwarmConfig};

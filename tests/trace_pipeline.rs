@@ -1,7 +1,7 @@
 //! End-to-end test of the measurement pipeline: swarm → observer logs →
 //! traces → disk → analyzer.
 
-use multiphase_bt::des::SeedStream;
+use multiphase_bt::markov::SeedStream;
 use multiphase_bt::traces::analyzer::segment;
 use multiphase_bt::traces::generator::{generate, TraceScenario, SECONDS_PER_ROUND};
 use multiphase_bt::traces::io::{read_traces, write_traces};
