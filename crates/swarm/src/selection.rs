@@ -648,6 +648,16 @@ mod tests {
         let draws_b: Vec<usize> = (0..16).map(|_| b.pick(1000)).collect();
         assert_eq!(draws_a, draws_b);
         assert!(draws_a.iter().all(|&d| d < 1000));
+        assert_eq!(draws_a[..8], [235, 961, 554, 865, 579, 19, 205, 487]);
+        let mut raw = PlanStream::pair(42, 3, 10, 17, 0);
+        assert_eq!(
+            [raw.next_u64(), raw.next_u64(), raw.next_u64()],
+            [
+                0x20d1_7466_a3a6_b6c3,
+                0xe694_6e9c_0368_1df1,
+                0x20e1_cef0_0258_a60a
+            ]
+        );
     }
 
     #[test]
