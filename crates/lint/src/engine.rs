@@ -19,8 +19,9 @@
 //!   must stay seeded and replayable too, but may panic and compare
 //!   floats freely;
 //! * **panic-safety** (`panic-*`) — the telemetry/observability I/O
-//!   paths (`bt-obs` sources, `bt-swarm`'s `telemetry.rs`/`obs.rs`),
-//!   which must degrade to errors rather than abort a simulation;
+//!   paths (`bt-obs` sources, `bt-swarm`'s `telemetry.rs`, `obs.rs` and
+//!   `monitors.rs`), which must degrade to errors rather than abort a
+//!   simulation;
 //! * **float-cmp** — the model-numerics crates (`bt-markov`, `bt-model`);
 //! * **policy-crate-attrs** — every workspace crate root;
 //! * **cross-file rules** (`rng-reachability`, `commit-no-rng`,
@@ -66,10 +67,11 @@ const DETERMINISM_SCOPE: [&str; 4] = [
 ];
 
 /// Path prefixes where the panic-safety rules apply.
-const PANIC_SCOPE: [&str; 3] = [
+const PANIC_SCOPE: [&str; 4] = [
     "crates/obs/src",
     "crates/swarm/src/telemetry.rs",
     "crates/swarm/src/obs.rs",
+    "crates/swarm/src/monitors.rs",
 ];
 
 /// Path prefixes where the float-comparison rule applies.
@@ -406,6 +408,7 @@ mod tests {
         assert!(rules_for_path("crates/swarm/src/peer.rs").contains(&Rule::DetUnorderedCollection));
         assert!(rules_for_path("crates/swarm/src/peer.rs").contains(&Rule::SharedInteriorMut));
         assert!(rules_for_path("crates/swarm/src/telemetry.rs").contains(&Rule::PanicUnwrap));
+        assert!(rules_for_path("crates/swarm/src/monitors.rs").contains(&Rule::PanicUnwrap));
         assert!(!rules_for_path("crates/swarm/src/engine.rs").contains(&Rule::PanicUnwrap));
         assert!(rules_for_path("crates/markov/src/chain.rs").contains(&Rule::FloatCmp));
         assert!(rules_for_path("crates/core/src/exact.rs").contains(&Rule::FloatCmp));

@@ -84,6 +84,30 @@ pub mod acquire_source {
     }
 }
 
+/// The download phase (§3) a cohort phase event carries.
+pub mod cohort_phase {
+    /// Flash-crowd bootstrap: no piece to trade yet.
+    pub const BOOTSTRAP: u8 = 0;
+    /// Efficient tit-for-tat exchange.
+    pub const EFFICIENT: u8 = 1;
+    /// Last-download phase: the potential set has run dry.
+    pub const LAST_DOWNLOAD: u8 = 2;
+    /// Every piece held.
+    pub const DONE: u8 = 3;
+
+    /// Human-readable name of a phase tag; `"?"` for an unknown one.
+    #[must_use]
+    pub fn name(phase: u8) -> &'static str {
+        match phase {
+            BOOTSTRAP => "bootstrap",
+            EFFICIENT => "efficient",
+            LAST_DOWNLOAD => "last-download",
+            DONE => "done",
+            _ => "?",
+        }
+    }
+}
+
 /// A peer entered the cohort.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CohortJoin {
@@ -135,8 +159,7 @@ pub struct CohortPhase {
     pub round: u64,
     /// Peer sequence number.
     pub peer: u64,
-    /// New phase ordinal (0 bootstrap, 1 efficient, 2 last-download,
-    /// 3 done).
+    /// New phase (see [`cohort_phase`]).
     pub phase: u8,
 }
 
@@ -241,7 +264,11 @@ impl CohortEvent {
     }
 }
 
-/// Private SplitMix64 step — the cohort's own RNG stream.
+/// Private SplitMix64 step — the cohort's own RNG stream. Unlike
+/// `bt_markov::seed::splitmix64`, a pure mix of its argument, this one
+/// is the sequence generator: the state advances by the golden ratio
+/// and the draw is the mix of the new state. bt-obs does not link
+/// bt-markov, so the reservoir keeps its own copy.
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;
@@ -601,6 +628,16 @@ mod tests {
         s.inner
             .as_ref()
             .map_or_else(Vec::new, |r| r.members.iter().copied().collect())
+    }
+
+    #[test]
+    fn phase_tags_name_the_paper_phases_in_order() {
+        let names: Vec<&str> = (0..=4).map(cohort_phase::name).collect();
+        assert_eq!(
+            names,
+            ["bootstrap", "efficient", "last-download", "done", "?"]
+        );
+        assert_eq!(cohort_phase::DONE, 3);
     }
 
     #[test]

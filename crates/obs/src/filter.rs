@@ -77,7 +77,8 @@ impl EnvFilter {
 }
 
 /// A directive prefix matches a target on module-path boundaries:
-/// `bt_des` matches `bt_des` and `bt_des::event` but not `bt_desx`.
+/// `bt_swarm` matches `bt_swarm` and `bt_swarm::round` but not
+/// `bt_swarmx`.
 fn target_matches(target: &str, prefix: &str) -> bool {
     target
         .strip_prefix(prefix)
@@ -109,20 +110,20 @@ mod tests {
 
     #[test]
     fn per_target_overrides() {
-        let filter = EnvFilter::parse("info,bt_des=off,bt_swarm::round=trace", None).unwrap();
-        assert!(!filter.enabled(Level::Error, "bt_des"));
-        assert!(!filter.enabled(Level::Error, "bt_des::event"));
+        let filter = EnvFilter::parse("info,bt_swarm=off,bt_swarm::round=trace", None).unwrap();
+        assert!(!filter.enabled(Level::Error, "bt_swarm"));
+        assert!(!filter.enabled(Level::Error, "bt_swarm::doctor"));
         assert!(filter.enabled(Level::Trace, "bt_swarm::round"));
-        assert!(filter.enabled(Level::Info, "bt_swarm"));
-        assert!(!filter.enabled(Level::Debug, "bt_swarm"));
+        assert!(filter.enabled(Level::Info, "btlab"));
+        assert!(!filter.enabled(Level::Debug, "btlab"));
         assert_eq!(filter.max_level(), Some(Level::Trace));
     }
 
     #[test]
     fn prefix_matching_respects_path_boundaries() {
-        let filter = EnvFilter::parse("off,bt_des=info", None).unwrap();
-        assert!(filter.enabled(Level::Info, "bt_des::event"));
-        assert!(!filter.enabled(Level::Error, "bt_desx"));
+        let filter = EnvFilter::parse("off,bt_swarm=info", None).unwrap();
+        assert!(filter.enabled(Level::Info, "bt_swarm::round"));
+        assert!(!filter.enabled(Level::Error, "bt_swarmx"));
     }
 
     #[test]
@@ -142,7 +143,7 @@ mod tests {
     #[test]
     fn malformed_directives_error() {
         assert!(EnvFilter::parse("verbose", None).is_err());
-        assert!(EnvFilter::parse("bt_des=loud", None).is_err());
+        assert!(EnvFilter::parse("bt_swarm=loud", None).is_err());
         assert!(EnvFilter::parse("=info", None).is_err());
     }
 }

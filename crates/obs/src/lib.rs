@@ -25,33 +25,30 @@
 //!    counters, per-peer attribution, folded-stacks and per-round series
 //!    artifacts. Makes no RNG calls, so attaching it never perturbs a
 //!    deterministic run.
-//! 6. **Monitors** ([`Monitor`], [`MonitorSet`], [`MonitorReport`],
-//!    [`DiagnosisBundle`]): runtime invariant checks sampled at a round
-//!    cadence, with a diagnosis-bundle writer that captures forensic
-//!    context when an invariant breaks. Generic over the sample type;
-//!    the simulation crate supplies the concrete invariants.
-//! 7. **Regression ledger** ([`LedgerRecord`], [`append_record`],
+//! 6. **Regression ledger** ([`LedgerRecord`], [`append_record`],
 //!    [`read_ledger`]): every run appends one compact health-and-perf
 //!    record to `results/ledger.jsonl` so `btlab trend` can track
 //!    trajectories across runs instead of against a single baseline.
-//! 8. **Streaming sketches** ([`CountCells`]): exact, deterministic,
+//! 7. **Streaming sketches** ([`CountCells`]): exact, deterministic,
 //!    dependency-free sharded counter cells over a bounded domain, so
 //!    per-sample telemetry work is sublinear in population.
-//! 9. **Peer cohorts** ([`CohortSink`], [`read_cohort`]): a
+//! 8. **Peer cohorts** ([`CohortSink`], [`read_cohort`]): a
 //!    deterministic reservoir-sampled peer cohort whose members get
 //!    full JSON-lines lifecycle traces at O(cohort) cost per round.
-//! 10. **Heartbeats** ([`HeartbeatEmitter`], [`read_status`],
-//!     [`read_heartbeat`]): wall-clock-cadenced progress records for
-//!     long runs — an append-only `run.heartbeat.jsonl` stream plus an
-//!     atomically-replaced `run.status.json` that `btlab watch` tails.
-//!     The one sanctioned wall-clock module; observer-only, so
-//!     attaching heartbeats never perturbs a deterministic run.
-//! 11. **Memory telemetry** ([`mem`]): procfs RSS sampling
+//! 9. **Heartbeats** ([`HeartbeatEmitter`], [`read_status`],
+//!    [`read_heartbeat`]): wall-clock-cadenced progress records for
+//!    long runs — an append-only `run.heartbeat.jsonl` stream plus an
+//!    atomically-replaced `run.status.json` that `btlab watch` tails.
+//!    The one sanctioned wall-clock module; observer-only, so
+//!    attaching heartbeats never perturbs a deterministic run.
+//! 10. **Memory telemetry** ([`mem`]): procfs RSS sampling
 //!     (`/proc/self/statm` + `VmHWM`) for heartbeats and manifests.
-//! 12. **Record codec** ([`records`]): the one framing every JSON
+//! 11. **Record codec** ([`records`]): the one framing every JSON
 //!     artifact goes through — single-write JSON lines read back as
 //!     complete lines only, atomically replaced pretty documents, and
-//!     `ErrorKind::InvalidData` for anything malformed.
+//!     `ErrorKind::InvalidData` for anything malformed. The swarm
+//!     doctor (`bt_swarm::monitors`) writes its diagnosis bundles
+//!     through it; the invariant checks themselves live there.
 //!
 //! # Span hierarchy
 //!
@@ -69,7 +66,6 @@ mod heartbeat;
 mod ledger;
 mod manifest;
 pub mod mem;
-mod monitor;
 mod profiling;
 pub mod records;
 mod registry;
@@ -78,9 +74,9 @@ mod subscriber;
 mod timeseries;
 
 pub use cohort::{
-    acquire_source, read_cohort, CohortAcquire, CohortDepart, CohortEvent, CohortEvict,
-    CohortHandout, CohortJoin, CohortMeta, CohortObserve, CohortOptions, CohortPhase, CohortShake,
-    CohortSink, CohortSlot, COHORT_SCHEMA_VERSION,
+    acquire_source, cohort_phase, read_cohort, CohortAcquire, CohortDepart, CohortEvent,
+    CohortEvict, CohortHandout, CohortJoin, CohortMeta, CohortObserve, CohortOptions, CohortPhase,
+    CohortShake, CohortSink, CohortSlot, COHORT_SCHEMA_VERSION,
 };
 pub use filter::EnvFilter;
 pub use heartbeat::{
@@ -93,9 +89,6 @@ pub use ledger::{
     LEDGER_SCHEMA_VERSION,
 };
 pub use manifest::{fnv1a_hex, git_describe, RunManifest, MANIFEST_SCHEMA_VERSION};
-pub use monitor::{
-    DiagnosisBundle, Monitor, MonitorReport, MonitorSet, Violation, MONITOR_SCHEMA_VERSION,
-};
 pub use profiling::{
     LatencySummary, PeerWork, ProfileOptions, ProfileReport, ProfileSink, StageProfile,
     PROFILE_SCHEMA_VERSION,

@@ -63,11 +63,7 @@ pub use audit::SwarmAudit;
 pub use config::{BootstrapInjection, InitialPieces, PieceSelection, SwarmConfig};
 pub use engine::{Swarm, SwarmCore};
 pub use metrics::{CompletionStats, SwarmMetrics};
-pub use monitors::{
-    default_monitors, DoctorOptions, DoctorReport, EntropyCollapse, FaultKind, FaultSpec,
-    MonitorSample, ObserverPhase, ObserverStall, PhaseMonotonic, PieceConservation,
-    ReplicationOracle, SlotBalance, SwarmDoctor,
-};
+pub use monitors::{DoctorOptions, DoctorReport, FaultKind, FaultSpec, SwarmDoctor};
 pub use replication::ReplicationIndex;
 pub use stages::RoundStage;
 pub use store::{PeerId, PeerStore};

@@ -1,24 +1,26 @@
-//! The swarm doctor: built-in invariant monitors, sampling harness, and
-//! diagnosis-bundle emission.
+//! The swarm doctor: a fixed battery of invariant checks, the sampling
+//! harness the engine drives, and diagnosis-bundle emission.
 //!
-//! The generic machinery ([`bt_obs::Monitor`], [`bt_obs::MonitorSet`],
-//! [`bt_obs::DiagnosisBundle`]) lives in `bt-obs`; this module supplies
-//! the swarm-specific half:
+//! On every sampled round [`SwarmDoctor`] captures a state slice (audit
+//! tallies, piece totals, degrees, the replication index next to its
+//! from-scratch oracle, and per-observer phases) and runs its battery
+//! over it, always in this order:
 //!
-//! * [`MonitorSample`] — the state slice captured at the sampling
-//!   cadence: audit tallies, piece totals, degrees, the replication
-//!   index next to its from-scratch oracle, and per-observer phases;
-//! * the built-in monitors — [`PieceConservation`],
-//!   [`ReplicationOracle`], [`EntropyCollapse`] (one-club detection per
-//!   Zhu & Hajek, arXiv 1110.2753), [`PhaseMonotonic`], and
-//!   [`SlotBalance`], plus the opt-in [`ObserverStall`];
-//! * [`SwarmDoctor`] — the harness the engine drives: a bounded ring of
-//!   recent checks (`flight.json`), a trailing telemetry window, and the
-//!   bundle writer that captures forensic context the moment a check
-//!   fails;
-//! * [`FaultSpec`] — seeded fault injection that deliberately corrupts
-//!   the swarm mid-run, proving the monitors fire (and giving
-//!   `btlab doctor --inject-fault` its demo).
+//! 1. `piece-conservation` — §5's piece economy;
+//! 2. `replication-oracle` — the index against its rebuild;
+//! 3. `entropy-collapse` — §6's entropy floor, read as one-club
+//!    detection per Zhu & Hajek, arXiv 1110.2753;
+//! 4. `phase-monotonic` — the §3 phase criteria;
+//! 5. `slot-balance` — connection-slot accounting;
+//! 6. `observer-stall`, only when [`DoctorOptions::stall_rounds`] is set.
+//!
+//! The stateless checks are plain functions; the ones that keep history
+//! between samples are fields of the doctor, which also keeps the check
+//! count, every violation, a ring of the last 64 checks (`flight.json`)
+//! and the last 32 telemetry samples, and writes the diagnosis bundle
+//! the moment a check fails. [`FaultSpec`] injects seeded corruption
+//! mid-run, proving the checks fire (and giving `btlab doctor
+//! --inject-fault` its demo).
 //!
 //! Everything here reads state and makes **zero RNG calls**: attaching a
 //! doctor leaves a same-seed run byte-identical (locked in by
@@ -30,16 +32,102 @@ use std::path::PathBuf;
 use serde::{Deserialize, Serialize};
 
 use bt_model::{DownloadState, Phase};
-use bt_obs::{DiagnosisBundle, Monitor, MonitorReport, MonitorSet, Violation};
+use bt_obs::records;
 
 use crate::audit::SwarmAudit;
 use crate::engine::SwarmCore;
 use crate::selection::replication_counts;
 use crate::telemetry::TelemetrySample;
 
+/// Schema version stamped into monitor reports and diagnosis bundles.
+pub const MONITOR_SCHEMA_VERSION: u32 = 1;
+
+/// Checks the `flight.json` ring keeps, ending at the violating one.
+const FLIGHT_CAPACITY: usize = 64;
+
+/// Trailing telemetry samples the bundle's `telemetry.jsonl` keeps.
+const TRAIL_CAPACITY: usize = 32;
+
+const PIECE_CONSERVATION: &str = "piece-conservation";
+const REPLICATION_ORACLE: &str = "replication-oracle";
+const ENTROPY_COLLAPSE: &str = "entropy-collapse";
+const PHASE_MONOTONIC: &str = "phase-monotonic";
+const SLOT_BALANCE: &str = "slot-balance";
+const OBSERVER_STALL: &str = "observer-stall";
+
+/// The battery every doctor runs, in check order; `observer-stall`
+/// follows when it is on.
+const BATTERY: [&str; 5] = [
+    PIECE_CONSERVATION,
+    REPLICATION_ORACLE,
+    ENTROPY_COLLAPSE,
+    PHASE_MONOTONIC,
+    SLOT_BALANCE,
+];
+
+/// One invariant violation found by a monitor.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Violation {
+    /// The monitor that found it (stable kebab-case name).
+    pub monitor: String,
+    /// The round at which the check failed.
+    pub round: u64,
+    /// Human-readable description with the numbers that disagreed.
+    pub detail: String,
+    /// Identifiers involved (peer sequence numbers or piece ids,
+    /// monitor-dependent); empty when the violation is global.
+    pub subjects: Vec<u64>,
+}
+
+impl std::fmt::Display for Violation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "[{}] round {}: {}",
+            self.monitor, self.round, self.detail
+        )
+    }
+}
+
+/// The outcome of a monitored run: how many sampled rounds were checked
+/// and every violation found, in detection order.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct MonitorReport {
+    /// Report schema version ([`MONITOR_SCHEMA_VERSION`]).
+    pub schema_version: u32,
+    /// Number of sampled rounds checked.
+    pub checks: u64,
+    /// Every violation found, in detection order.
+    pub violations: Vec<Violation>,
+}
+
+impl Default for MonitorReport {
+    fn default() -> Self {
+        MonitorReport::new()
+    }
+}
+
+impl MonitorReport {
+    /// An empty report.
+    #[must_use]
+    pub fn new() -> Self {
+        MonitorReport {
+            schema_version: MONITOR_SCHEMA_VERSION,
+            checks: 0,
+            violations: Vec::new(),
+        }
+    }
+
+    /// Whether no violation was found.
+    #[must_use]
+    pub fn is_clean(&self) -> bool {
+        self.violations.is_empty()
+    }
+}
+
 /// One observer peer's state inside a [`MonitorSample`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ObserverPhase {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ObserverPhase {
     /// Observer peer sequence number.
     pub peer: u64,
     /// Pieces the observer holds.
@@ -48,13 +136,13 @@ pub struct ObserverPhase {
     pub phase: Phase,
 }
 
-/// The state slice the monitors judge, captured once per sampled round.
+/// The state slice the battery judges, captured once per sampled round.
 ///
 /// Capturing is a read-only scan — O(population) plus one
 /// [`replication_counts`] rebuild for the oracle — and makes no RNG
 /// calls.
 #[derive(Debug, Clone, PartialEq)]
-pub struct MonitorSample {
+pub(crate) struct MonitorSample {
     /// Round the sample was taken.
     pub round: u64,
     /// Leecher population.
@@ -140,117 +228,90 @@ fn violation(monitor: &'static str, sample: &MonitorSample, detail: String) -> V
     }
 }
 
-/// Pieces held must equal pieces granted minus pieces carried away —
-/// the audit identity every legitimate mutation path preserves. A piece
-/// that appears in a bitfield without passing through
-/// [`SwarmCore::acquire_piece`] / [`SwarmCore::receive_block`] (or
-/// vanishes without a departure) breaks it.
-#[derive(Debug, Default)]
-pub struct PieceConservation;
-
-impl Monitor<MonitorSample> for PieceConservation {
-    fn name(&self) -> &'static str {
-        "piece-conservation"
+/// `piece-conservation`: pieces held must equal pieces granted minus
+/// pieces carried away — the audit identity every legitimate mutation
+/// path preserves. A piece that appears in a bitfield without passing
+/// through [`SwarmCore::acquire_piece`] / [`SwarmCore::receive_block`]
+/// (or vanishes without a departure) breaks it.
+fn piece_conservation(sample: &MonitorSample) -> Vec<Violation> {
+    let expected = sample.audit.expected_held();
+    if sample.held_total == expected {
+        return Vec::new();
     }
-
-    fn check(&mut self, sample: &MonitorSample) -> Vec<Violation> {
-        let expected = sample.audit.expected_held();
-        if sample.held_total == expected {
-            return Vec::new();
-        }
-        vec![violation(
-            self.name(),
-            sample,
-            format!(
-                "peers hold {} pieces but the audit accounts for {} \
-                 (acquired {} − departed {})",
-                sample.held_total,
-                expected,
-                sample.audit.pieces_acquired,
-                sample.audit.pieces_departed
-            ),
-        )]
-    }
+    vec![violation(
+        PIECE_CONSERVATION,
+        sample,
+        format!(
+            "peers hold {} pieces but the audit accounts for {} \
+             (acquired {} − departed {})",
+            sample.held_total, expected, sample.audit.pieces_acquired, sample.audit.pieces_departed
+        ),
+    )]
 }
 
-/// The incrementally maintained [`crate::ReplicationIndex`] must agree
-/// with a from-scratch rebuild over all alive bitfields (its
-/// property-test oracle, checked continuously at runtime).
-#[derive(Debug, Default)]
-pub struct ReplicationOracle;
-
-impl Monitor<MonitorSample> for ReplicationOracle {
-    fn name(&self) -> &'static str {
-        "replication-oracle"
+/// `replication-oracle`: the incrementally maintained
+/// [`crate::ReplicationIndex`] must agree with a from-scratch rebuild
+/// over all alive bitfields (its property-test oracle, checked
+/// continuously at runtime).
+fn replication_oracle(sample: &MonitorSample) -> Vec<Violation> {
+    if sample.replication == sample.oracle {
+        return Vec::new();
     }
-
-    fn check(&mut self, sample: &MonitorSample) -> Vec<Violation> {
-        if sample.replication == sample.oracle {
-            return Vec::new();
-        }
-        let divergent: Vec<u64> = sample
-            .replication
-            .iter()
-            .zip(&sample.oracle)
-            .enumerate()
-            .filter(|(_, (a, b))| a != b)
-            .map(|(p, _)| p as u64)
-            .take(8)
-            .collect();
-        let first = divergent.first().copied().unwrap_or(0) as usize;
-        let mut v = violation(
-            self.name(),
-            sample,
-            format!(
-                "replication index diverged from the rebuild on {} piece(s); \
-                 first: piece {} has index {} vs oracle {}",
-                sample
-                    .replication
-                    .iter()
-                    .zip(&sample.oracle)
-                    .filter(|(a, b)| a != b)
-                    .count(),
-                first,
-                sample.replication.get(first).copied().unwrap_or(0),
-                sample.oracle.get(first).copied().unwrap_or(0),
-            ),
-        );
-        v.subjects = divergent;
-        vec![v]
-    }
+    let divergent: Vec<u64> = sample
+        .replication
+        .iter()
+        .zip(&sample.oracle)
+        .enumerate()
+        .filter(|(_, (a, b))| a != b)
+        .map(|(p, _)| p as u64)
+        .take(8)
+        .collect();
+    let first = divergent.first().copied().unwrap_or(0) as usize;
+    let mut v = violation(
+        REPLICATION_ORACLE,
+        sample,
+        format!(
+            "replication index diverged from the rebuild on {} piece(s); \
+             first: piece {} has index {} vs oracle {}",
+            sample
+                .replication
+                .iter()
+                .zip(&sample.oracle)
+                .filter(|(a, b)| a != b)
+                .count(),
+            first,
+            sample.replication.get(first).copied().unwrap_or(0),
+            sample.oracle.get(first).copied().unwrap_or(0),
+        ),
+    );
+    v.subjects = divergent;
+    vec![v]
 }
 
-/// Entropy floor / one-club detection (Zhu & Hajek, arXiv 1110.2753):
-/// once the swarm has been healthy, replication entropy `min(d)/max(d)`
-/// dropping below the floor with a non-trivial population means
-/// availability mass has collapsed onto one piece set. Fires once per
-/// collapse episode, re-arming when entropy recovers.
+/// `entropy-collapse`: the entropy floor read as one-club detection
+/// (Zhu & Hajek, arXiv 1110.2753). Once the swarm has been healthy,
+/// replication entropy `min(d)/max(d)` dropping below the floor with a
+/// non-trivial population means availability mass has collapsed onto
+/// one piece set. Fires once per collapse episode, re-arming when
+/// entropy recovers.
 #[derive(Debug)]
-pub struct EntropyCollapse {
+struct EntropyCollapse {
     /// Entropy below this value counts as collapsed.
-    pub floor: f64,
+    floor: f64,
     /// Populations below this are ignored (endgame noise).
-    pub min_population: u64,
+    min_population: u64,
     seen_healthy: bool,
     in_violation: bool,
 }
 
 impl EntropyCollapse {
-    /// A detector with the given floor and population threshold.
-    #[must_use]
-    pub fn new(floor: f64, min_population: u64) -> Self {
+    fn new(floor: f64, min_population: u64) -> Self {
         EntropyCollapse {
             floor,
             min_population,
             seen_healthy: false,
             in_violation: false,
         }
-    }
-}
-
-impl Monitor<MonitorSample> for EntropyCollapse {
-    fn name(&self) -> &'static str {
-        "entropy-collapse"
     }
 
     fn check(&mut self, sample: &MonitorSample) -> Vec<Violation> {
@@ -270,7 +331,7 @@ impl Monitor<MonitorSample> for EntropyCollapse {
         }
         self.in_violation = true;
         vec![violation(
-            self.name(),
+            ENTROPY_COLLAPSE,
             sample,
             format!(
                 "entropy {:.4} fell below floor {:.4} at population {} \
@@ -288,24 +349,20 @@ struct ObserverTrack {
     left_bootstrap: bool,
 }
 
-/// Observer downloads must progress monotonically: pieces held never
-/// decrease, and once an observer has left the bootstrap phase it must
-/// not be classified as bootstrap again (steady-state must not regress
-/// to flash-crowd). Oscillation between the efficient and last-download
-/// phases is legitimate — the potential set can refill when new peers
-/// arrive — so it is deliberately not flagged.
+/// `phase-monotonic`: observer downloads must progress monotonically:
+/// pieces held never decrease, and once an observer has left the
+/// bootstrap phase it must not be classified as bootstrap again
+/// (steady-state must not regress to flash-crowd). Oscillation between
+/// the efficient and last-download phases is legitimate — the potential
+/// set can refill when new peers arrive — so it is deliberately not
+/// flagged.
 #[derive(Debug, Default)]
-pub struct PhaseMonotonic {
+struct PhaseMonotonic {
     tracks: BTreeMap<u64, ObserverTrack>,
 }
 
-impl Monitor<MonitorSample> for PhaseMonotonic {
-    fn name(&self) -> &'static str {
-        "phase-monotonic"
-    }
-
+impl PhaseMonotonic {
     fn check(&mut self, sample: &MonitorSample) -> Vec<Violation> {
-        let name = self.name();
         let mut violations = Vec::new();
         for obs in &sample.observers {
             let track = self.tracks.entry(obs.peer).or_insert(ObserverTrack {
@@ -314,7 +371,7 @@ impl Monitor<MonitorSample> for PhaseMonotonic {
             });
             if obs.pieces < track.last_pieces {
                 let mut v = violation(
-                    name,
+                    PHASE_MONOTONIC,
                     sample,
                     format!(
                         "observer {} lost pieces: {} -> {}",
@@ -328,7 +385,7 @@ impl Monitor<MonitorSample> for PhaseMonotonic {
             if obs.phase == Phase::Bootstrap {
                 if track.left_bootstrap {
                     let mut v = violation(
-                        name,
+                        PHASE_MONOTONIC,
                         sample,
                         format!(
                             "observer {} regressed to the bootstrap phase \
@@ -355,38 +412,29 @@ struct StallTrack {
     reported: bool,
 }
 
-/// Observers must keep downloading: an incomplete observer that gains no
-/// piece for `limit` rounds has stalled — typically on an empty
-/// potential set, with nothing left to trade. Opt-in via
-/// [`DoctorOptions::stall_rounds`]. Fires once per stall episode,
-/// re-arming when the observer progresses; departed and complete
-/// observers are dropped.
+/// `observer-stall`: observers must keep downloading: an incomplete
+/// observer that gains no piece for `limit` rounds has stalled —
+/// typically on an empty potential set, with nothing left to trade.
+/// Opt-in via [`DoctorOptions::stall_rounds`]. Fires once per stall
+/// episode, re-arming when the observer progresses; departed and
+/// complete observers are dropped.
 #[derive(Debug)]
-pub struct ObserverStall {
+struct ObserverStall {
     /// Rounds without progress that count as a stall (zero is
     /// normalized to 1).
-    pub limit: u64,
+    limit: u64,
     tracks: BTreeMap<u64, StallTrack>,
 }
 
 impl ObserverStall {
-    /// A detector firing after `limit` rounds without progress.
-    #[must_use]
-    pub fn new(limit: u64) -> Self {
+    fn new(limit: u64) -> Self {
         ObserverStall {
             limit: limit.max(1),
             tracks: BTreeMap::new(),
         }
     }
-}
-
-impl Monitor<MonitorSample> for ObserverStall {
-    fn name(&self) -> &'static str {
-        "observer-stall"
-    }
 
     fn check(&mut self, sample: &MonitorSample) -> Vec<Violation> {
-        let name = self.name();
         let limit = self.limit;
         let incomplete = |o: &&ObserverPhase| o.pieces < sample.pieces;
         self.tracks.retain(|peer, _| {
@@ -412,7 +460,7 @@ impl Monitor<MonitorSample> for ObserverStall {
             if stalled >= limit && !track.reported {
                 track.reported = true;
                 let mut v = violation(
-                    name,
+                    OBSERVER_STALL,
                     sample,
                     format!(
                         "observer {} stalled at {}/{} pieces for {} rounds \
@@ -428,62 +476,35 @@ impl Monitor<MonitorSample> for ObserverStall {
     }
 }
 
-/// Connection-slot accounting must balance: the sum of connection-list
-/// lengths equals twice the audit's net open pairs (every pair
-/// contributes two endpoints), and no list exceeds the cap `k`. A
-/// half-open connection (one side pushed without the reciprocal) shows
-/// up as an odd endpoint imbalance.
-#[derive(Debug, Default)]
-pub struct SlotBalance;
-
-impl Monitor<MonitorSample> for SlotBalance {
-    fn name(&self) -> &'static str {
-        "slot-balance"
+/// `slot-balance`: connection-slot accounting must balance: the sum of
+/// connection-list lengths equals twice the audit's net open pairs
+/// (every pair contributes two endpoints), and no list exceeds the cap
+/// `k`. A half-open connection (one side pushed without the reciprocal)
+/// shows up as an odd endpoint imbalance.
+fn slot_balance(sample: &MonitorSample) -> Vec<Violation> {
+    let mut violations = Vec::new();
+    let expected = 2 * sample.audit.expected_connections();
+    if sample.degree_sum != expected {
+        violations.push(violation(
+            SLOT_BALANCE,
+            sample,
+            format!(
+                "connection endpoints {} != 2 × (opened {} − closed {}) = {}",
+                sample.degree_sum, sample.audit.conn_opened, sample.audit.conn_closed, expected
+            ),
+        ));
     }
-
-    fn check(&mut self, sample: &MonitorSample) -> Vec<Violation> {
-        let mut violations = Vec::new();
-        let expected = 2 * sample.audit.expected_connections();
-        if sample.degree_sum != expected {
-            violations.push(violation(
-                self.name(),
-                sample,
-                format!(
-                    "connection endpoints {} != 2 × (opened {} − closed {}) = {}",
-                    sample.degree_sum, sample.audit.conn_opened, sample.audit.conn_closed, expected
-                ),
-            ));
-        }
-        if sample.max_degree > u64::from(sample.max_connections) {
-            violations.push(violation(
-                self.name(),
-                sample,
-                format!(
-                    "a peer holds {} connections, exceeding the cap k = {}",
-                    sample.max_degree, sample.max_connections
-                ),
-            ));
-        }
-        violations
+    if sample.max_degree > u64::from(sample.max_connections) {
+        violations.push(violation(
+            SLOT_BALANCE,
+            sample,
+            format!(
+                "a peer holds {} connections, exceeding the cap k = {}",
+                sample.max_degree, sample.max_connections
+            ),
+        ));
     }
-}
-
-/// The standard monitor battery with the given entropy thresholds.
-#[must_use]
-pub fn default_monitors(
-    entropy_floor: f64,
-    entropy_min_population: u64,
-) -> MonitorSet<MonitorSample> {
-    let mut set = MonitorSet::new();
-    set.push(Box::new(PieceConservation));
-    set.push(Box::new(ReplicationOracle));
-    set.push(Box::new(EntropyCollapse::new(
-        entropy_floor,
-        entropy_min_population,
-    )));
-    set.push(Box::new(PhaseMonotonic::default()));
-    set.push(Box::new(SlotBalance));
-    set
+    violations
 }
 
 /// Configuration of a [`SwarmDoctor`].
@@ -491,20 +512,16 @@ pub fn default_monitors(
 pub struct DoctorOptions {
     /// Check every `cadence`-th round (zero is normalized to 1).
     pub cadence: u64,
-    /// Entropy floor for [`EntropyCollapse`].
+    /// Entropy floor of the `entropy-collapse` check.
     pub entropy_floor: f64,
     /// Minimum population for entropy checks.
     pub entropy_min_population: u64,
-    /// Ring capacity of the per-check events written to `flight.json`.
-    pub flight_capacity: usize,
-    /// Trailing telemetry samples retained for the bundle.
-    pub trail_capacity: usize,
     /// Where diagnosis bundles land (`<root>/diagnosis-<run_id>/`);
     /// `None` disables bundle emission.
     pub bundle_root: Option<PathBuf>,
     /// Stable identifier of this run, used in the bundle directory name.
     pub run_id: String,
-    /// Adds [`ObserverStall`] to the battery: fire when an observer makes
+    /// Adds `observer-stall` to the battery: fire when an observer makes
     /// no piece progress for this many rounds. `None` leaves it out.
     pub stall_rounds: Option<u64>,
 }
@@ -515,8 +532,6 @@ impl Default for DoctorOptions {
             cadence: 8,
             entropy_floor: 0.02,
             entropy_min_population: 16,
-            flight_capacity: 64,
-            trail_capacity: 32,
             bundle_root: None,
             run_id: "run".to_string(),
             stall_rounds: None,
@@ -525,20 +540,19 @@ impl Default for DoctorOptions {
 }
 
 /// One per-check event retained in the doctor's `flight.json` ring.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DoctorFlightEvent {
+#[derive(Debug, Clone, Serialize)]
+struct DoctorFlightEvent {
     /// Round of the check.
-    pub round: u64,
+    round: u64,
     /// Leecher population.
-    pub population: u64,
+    population: u64,
     /// Replication entropy.
-    pub entropy: f64,
+    entropy: f64,
     /// Total pieces held.
-    pub held_total: u64,
+    held_total: u64,
     /// Connection endpoints.
-    pub degree_sum: u64,
+    degree_sum: u64,
 }
-
 /// One peer's state in the bundle's peer slice.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PeerSliceEntry {
@@ -616,51 +630,38 @@ impl DoctorReport {
     }
 }
 
-/// The runtime harness the engine drives: monitors plus the forensic
-/// capture machinery (recent-check ring, trailing telemetry, bundles).
+/// The runtime harness the engine drives: the battery, its report, and
+/// the forensic capture (recent-check ring, trailing telemetry,
+/// bundle).
+#[derive(Debug)]
 pub struct SwarmDoctor {
     options: DoctorOptions,
-    set: MonitorSet<MonitorSample>,
+    entropy: EntropyCollapse,
+    phases: PhaseMonotonic,
+    /// Present when [`DoctorOptions::stall_rounds`] is set.
+    stall: Option<ObserverStall>,
+    report: MonitorReport,
     flight: VecDeque<DoctorFlightEvent>,
     trail: VecDeque<TelemetrySample>,
     bundle_dir: Option<PathBuf>,
 }
 
-impl std::fmt::Debug for SwarmDoctor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SwarmDoctor")
-            .field("options", &self.options)
-            .field("monitors", &self.set.names())
-            .field("bundle_dir", &self.bundle_dir)
-            .finish_non_exhaustive()
-    }
-}
-
 impl SwarmDoctor {
-    /// A doctor running the standard battery under the given options,
-    /// plus [`ObserverStall`] when [`DoctorOptions::stall_rounds`] is set.
+    /// A doctor running the battery under the given options, with
+    /// `observer-stall` when [`DoctorOptions::stall_rounds`] is set.
     #[must_use]
     pub fn new(mut options: DoctorOptions) -> Self {
-        if options.cadence == 0 {
-            options.cadence = 1;
-        }
-        let mut set = default_monitors(options.entropy_floor, options.entropy_min_population);
-        if let Some(limit) = options.stall_rounds {
-            set.push(Box::new(ObserverStall::new(limit)));
-        }
+        options.cadence = options.cadence.max(1);
         SwarmDoctor {
-            set,
+            entropy: EntropyCollapse::new(options.entropy_floor, options.entropy_min_population),
+            phases: PhaseMonotonic::default(),
+            stall: options.stall_rounds.map(ObserverStall::new),
+            report: MonitorReport::new(),
             flight: VecDeque::new(),
             trail: VecDeque::new(),
             bundle_dir: None,
             options,
         }
-    }
-
-    /// The sampling options.
-    #[must_use]
-    pub fn options(&self) -> &DoctorOptions {
-        &self.options
     }
 
     /// Whether `round` is a sampled round.
@@ -669,7 +670,33 @@ impl SwarmDoctor {
         round.is_multiple_of(self.options.cadence)
     }
 
-    /// Feeds one sampled round through the monitors, returning the fresh
+    /// The names of the checks this doctor runs, in check order.
+    fn monitors(&self) -> Vec<String> {
+        let stall = self.stall.as_ref().map(|_| OBSERVER_STALL);
+        BATTERY
+            .into_iter()
+            .chain(stall)
+            .map(str::to_string)
+            .collect()
+    }
+
+    /// Runs the battery over one sample, counting the check and keeping
+    /// its violations in the report. Returns the fresh violations.
+    fn check(&mut self, sample: &MonitorSample) -> Vec<Violation> {
+        let mut fresh = piece_conservation(sample);
+        fresh.extend(replication_oracle(sample));
+        fresh.extend(self.entropy.check(sample));
+        fresh.extend(self.phases.check(sample));
+        fresh.extend(slot_balance(sample));
+        if let Some(stall) = &mut self.stall {
+            fresh.extend(stall.check(sample));
+        }
+        self.report.checks += 1;
+        self.report.violations.extend(fresh.iter().cloned());
+        fresh
+    }
+
+    /// Feeds one sampled round through the battery, returning the fresh
     /// violations. Records the check in the `flight.json` ring and the
     /// trailing telemetry window as a side effect.
     pub(crate) fn observe(
@@ -677,7 +704,7 @@ impl SwarmDoctor {
         sample: &MonitorSample,
         telemetry: TelemetrySample,
     ) -> Vec<Violation> {
-        if self.flight.len() == self.options.flight_capacity.max(1) {
+        if self.flight.len() == FLIGHT_CAPACITY {
             self.flight.pop_front();
         }
         self.flight.push_back(DoctorFlightEvent {
@@ -687,11 +714,11 @@ impl SwarmDoctor {
             held_total: sample.held_total,
             degree_sum: sample.degree_sum,
         });
-        if self.trail.len() == self.options.trail_capacity.max(1) {
+        if self.trail.len() == TRAIL_CAPACITY {
             self.trail.pop_front();
         }
         self.trail.push_back(telemetry);
-        self.set.check(sample)
+        self.check(sample)
     }
 
     /// Whether a diagnosis bundle was already written this run.
@@ -700,30 +727,32 @@ impl SwarmDoctor {
         self.bundle_dir.is_some()
     }
 
-    /// Writes the diagnosis bundle for the first violating check:
-    /// `meta.json`, `flight.json`, `telemetry.jsonl`, `peers.json`, and
-    /// (when profiling is attached) `profile.json`.
+    /// Writes the diagnosis bundle for the first violating check into
+    /// `<bundle_root>/diagnosis-<run_id>/`: `meta.json`, `flight.json`,
+    /// `telemetry.jsonl`, `peers.json`, and (when profiling is attached)
+    /// `profile.json`. Every I/O error is returned: a failed bundle
+    /// write must never take the run down with it.
     pub(crate) fn emit_bundle(
         &mut self,
         sample: &MonitorSample,
         violations: &[Violation],
         context: &BundleContext,
     ) -> std::io::Result<Option<PathBuf>> {
-        let Some(root) = self.options.bundle_root.clone() else {
+        let Some(root) = &self.options.bundle_root else {
             return Ok(None);
         };
-        let bundle = DiagnosisBundle::create(&root, &self.options.run_id)?;
+        let dir = root.join(format!("diagnosis-{}", self.options.run_id));
         let reason = violations
             .first()
             .map_or_else(|| "violation".to_string(), |v| v.monitor.clone());
         let dump = FlightDumpDoc {
             reason,
             round: sample.round,
-            recorded: self.set.report().checks,
+            recorded: self.report.checks,
             events: self.flight.iter().cloned().collect(),
         };
         let meta = BundleMeta {
-            schema_version: bt_obs::MONITOR_SCHEMA_VERSION,
+            schema_version: MONITOR_SCHEMA_VERSION,
             run_id: self.options.run_id.clone(),
             round: sample.round,
             seed: context.seed,
@@ -731,28 +760,32 @@ impl SwarmDoctor {
             max_connections: sample.max_connections,
             population: sample.population,
             pipeline: context.pipeline.clone(),
-            monitors: self.set.names().iter().map(|n| (*n).to_string()).collect(),
-            violations: self.set.report().violations.clone(),
+            monitors: self.monitors(),
+            violations: self.report.violations.clone(),
             audit: sample.audit,
         };
-        bundle.write_json("meta.json", &meta)?;
-        bundle.write_json("flight.json", &dump)?;
-        let trail: Vec<&TelemetrySample> = self.trail.iter().collect();
-        bundle.write_lines("telemetry.jsonl", &trail)?;
-        bundle.write_json("peers.json", &context.peers)?;
-        if let Some(profile) = &context.profile {
-            bundle.write_json("profile.json", profile)?;
+        // `write_doc` creates the directory.
+        records::write_doc(&dir.join("meta.json"), &meta)?;
+        records::write_doc(&dir.join("flight.json"), &dump)?;
+        let mut trail = Vec::new();
+        for telemetry in &self.trail {
+            records::write_line(&mut trail, telemetry)?;
         }
-        self.bundle_dir = Some(bundle.dir().to_path_buf());
-        Ok(self.bundle_dir.clone())
+        std::fs::write(dir.join("telemetry.jsonl"), trail)?;
+        records::write_doc(&dir.join("peers.json"), &context.peers)?;
+        if let Some(profile) = &context.profile {
+            records::write_doc(&dir.join("profile.json"), profile)?;
+        }
+        self.bundle_dir = Some(dir.clone());
+        Ok(Some(dir))
     }
 
     /// Consumes the doctor, yielding the run's report.
     #[must_use]
     pub fn finish(self) -> DoctorReport {
         DoctorReport {
-            monitors: self.set.names().iter().map(|n| (*n).to_string()).collect(),
-            report: self.set.into_report(),
+            monitors: self.monitors(),
+            report: self.report,
             bundle_dir: self.bundle_dir,
         }
     }
@@ -760,7 +793,7 @@ impl SwarmDoctor {
 
 /// The `flight.json` document: the recent-check ring at the first
 /// violation. `recorded` counts every check, including rotated-out ones.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Serialize)]
 struct FlightDumpDoc {
     reason: String,
     round: u64,
@@ -878,14 +911,83 @@ mod tests {
     }
 
     #[test]
+    fn violation_displays_with_monitor_and_round() {
+        let v = Violation {
+            monitor: "piece-conservation".to_string(),
+            round: 17,
+            detail: "held 5 != acquired 4".to_string(),
+            subjects: vec![],
+        };
+        assert_eq!(
+            v.to_string(),
+            "[piece-conservation] round 17: held 5 != acquired 4"
+        );
+    }
+
+    #[test]
+    fn clean_report_round_trips() {
+        let report = SwarmDoctor::new(DoctorOptions::default()).finish().report;
+        assert!(report.is_clean());
+        let text = serde_json::to_string(&report).unwrap();
+        let back: MonitorReport = serde_json::from_str(&text).unwrap();
+        assert_eq!(back, report);
+    }
+
+    #[test]
+    fn doctor_accumulates_checks_and_violations() {
+        // `piece-conservation` is stateless; `entropy-collapse` latches
+        // once healthy and re-arms on recovery.
+        let mut doctor = SwarmDoctor::new(DoctorOptions::default());
+        let mut s = sample(8);
+        s.entropy = 0.01;
+        assert!(doctor.check(&s).is_empty(), "low start is not a collapse");
+        s.entropy = 0.8;
+        assert!(doctor.check(&s).is_empty(), "healthy sample arms the latch");
+        s.entropy = 0.01;
+        let fresh = doctor.check(&s);
+        assert_eq!(fresh.len(), 1, "latched check fires on the collapse");
+        assert_eq!(fresh[0].monitor, "entropy-collapse");
+        s.entropy = 0.8;
+        s.held_total = 1;
+        let fresh = doctor.check(&s);
+        assert_eq!(
+            fresh.len(),
+            1,
+            "conservation fires on the stray piece; the recovery re-arms the latch"
+        );
+        assert_eq!(fresh[0].monitor, "piece-conservation");
+        s.entropy = 0.01;
+        s.held_total = 0;
+        let fresh = doctor.check(&s);
+        assert_eq!(
+            fresh.len(),
+            1,
+            "re-armed latch fires on the second collapse"
+        );
+
+        let report = doctor.finish().report;
+        assert_eq!(report.checks, 5);
+        let monitors: Vec<&str> = report
+            .violations
+            .iter()
+            .map(|v| v.monitor.as_str())
+            .collect();
+        assert_eq!(
+            monitors,
+            ["entropy-collapse", "piece-conservation", "entropy-collapse"]
+        );
+        assert!(!report.is_clean());
+        assert_eq!(report.schema_version, MONITOR_SCHEMA_VERSION);
+    }
+
+    #[test]
     fn conservation_fires_on_unaccounted_pieces() {
-        let mut m = PieceConservation;
         let mut s = sample(8);
         s.held_total = 5;
         s.audit.pieces_acquired = 5;
-        assert!(m.check(&s).is_empty());
+        assert!(piece_conservation(&s).is_empty());
         s.held_total = 6;
-        let v = m.check(&s);
+        let v = piece_conservation(&s);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].monitor, "piece-conservation");
         assert!(v[0].detail.contains("hold 6"), "{}", v[0].detail);
@@ -893,16 +995,14 @@ mod tests {
 
     #[test]
     fn oracle_fires_on_divergence_with_subjects() {
-        let mut m = ReplicationOracle;
         let mut s = sample(8);
-        assert!(m.check(&s).is_empty());
+        assert!(replication_oracle(&s).is_empty());
         s.replication[3] = 7;
-        let v = m.check(&s);
+        let v = replication_oracle(&s);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].subjects, vec![3]);
         assert!(v[0].detail.contains("piece 3"), "{}", v[0].detail);
     }
-
     #[test]
     fn entropy_latches_healthy_then_fires_once_per_episode() {
         let mut m = EntropyCollapse::new(0.1, 10);
@@ -1051,35 +1151,40 @@ mod tests {
 
     #[test]
     fn slot_balance_fires_on_imbalance_and_cap_breach() {
-        let mut m = SlotBalance;
         let mut s = sample(8);
         s.audit.conn_opened = 4;
         s.audit.conn_closed = 1;
         s.degree_sum = 6;
         s.max_degree = 3;
-        assert!(m.check(&s).is_empty());
+        assert!(slot_balance(&s).is_empty());
         s.degree_sum = 7;
-        assert_eq!(m.check(&s).len(), 1, "odd endpoint imbalance");
+        assert_eq!(slot_balance(&s).len(), 1, "odd endpoint imbalance");
         s.degree_sum = 6;
         s.max_degree = 4;
-        let v = m.check(&s);
+        let v = slot_balance(&s);
         assert_eq!(v.len(), 1);
         assert!(v[0].detail.contains("cap"), "{}", v[0].detail);
     }
 
     #[test]
     fn default_battery_names() {
-        let set = default_monitors(0.02, 16);
-        assert_eq!(
-            set.names(),
-            vec![
-                "piece-conservation",
-                "replication-oracle",
-                "entropy-collapse",
-                "phase-monotonic",
-                "slot-balance"
-            ]
-        );
+        let battery = [
+            "piece-conservation",
+            "replication-oracle",
+            "entropy-collapse",
+            "phase-monotonic",
+            "slot-balance",
+        ];
+        let report = SwarmDoctor::new(DoctorOptions::default()).finish();
+        assert_eq!(report.monitors, battery);
+        let report = SwarmDoctor::new(DoctorOptions {
+            stall_rounds: Some(6),
+            ..DoctorOptions::default()
+        })
+        .finish();
+        assert_eq!(report.monitors.len(), 6);
+        assert_eq!(report.monitors[..5], battery);
+        assert_eq!(report.monitors[5], "observer-stall");
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! per-pair-direction SplitMix64 stream keyed off run identity alone so
 //! that decisions are independent of worker count and shard layout.
 
+use bt_markov::seed::splitmix64;
 use rand::Rng;
 
 use crate::config::PieceSelection;
@@ -74,15 +75,6 @@ impl Substream for PlanStream {
         // Modulo bias is ~n / 2^64 — negligible at piece-count scale.
         (self.next_u64() % n as u64) as usize
     }
-}
-
-/// SplitMix64 finalizer, mirroring `bt_markov::seed`'s derivation mix so
-/// plan streams and seed substreams share one well-studied permutation.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Draws ranked candidate pieces one at a time, for one download

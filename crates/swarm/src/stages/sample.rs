@@ -1,18 +1,19 @@
 //! Per-round metrics sampling.
 
 use bt_model::{DownloadState, Phase};
+use bt_obs::cohort_phase;
 
 use crate::engine::SwarmCore;
 use crate::stages::RoundStage;
 
-/// Compact code a [`Phase`] is traced under in cohort streams
-/// (`Bootstrap=0`, `Efficient=1`, `LastDownload=2`, `Done=3`).
+/// The [`bt_obs::cohort_phase`] tag a [`Phase`] is traced under in
+/// cohort streams.
 pub(crate) fn phase_code(phase: Phase) -> u8 {
     match phase {
-        Phase::Bootstrap => 0,
-        Phase::Efficient => 1,
-        Phase::LastDownload => 2,
-        Phase::Done => 3,
+        Phase::Bootstrap => cohort_phase::BOOTSTRAP,
+        Phase::Efficient => cohort_phase::EFFICIENT,
+        Phase::LastDownload => cohort_phase::LAST_DOWNLOAD,
+        Phase::Done => cohort_phase::DONE,
     }
 }
 

@@ -281,7 +281,10 @@ fn violating_run_writes_a_complete_bundle() {
     }
     let meta_text = std::fs::read_to_string(dir.join("meta.json")).unwrap();
     let meta: bt_swarm::monitors::BundleMeta = serde_json::from_str(&meta_text).unwrap();
-    assert_eq!(meta.schema_version, bt_obs::MONITOR_SCHEMA_VERSION);
+    assert_eq!(
+        meta.schema_version,
+        bt_swarm::monitors::MONITOR_SCHEMA_VERSION
+    );
     assert_eq!(meta.run_id, "doctor-test");
     assert_eq!(meta.seed, 7);
     assert!(!meta.violations.is_empty());
@@ -302,15 +305,18 @@ fn violating_run_writes_a_complete_bundle() {
 fn observer_stall_fires_alone_and_bundles_the_check_ring() {
     // Nothing is ever granted in the quiet swarm, so both observers sit
     // at zero pieces from round 1: a stall, and the only broken invariant.
+    // The stall outlasts the 64-check ring, so the ring has evicted by
+    // the time it fires.
     let root = std::env::temp_dir().join("bt-swarm-doctor-stall-test");
     let _ = std::fs::remove_dir_all(&root);
-    let mut swarm = Swarm::with_registry(quiet_config(7), bt_obs::Registry::new());
+    let mut config = quiet_config(7);
+    config.max_rounds = 80;
+    let mut swarm = Swarm::with_registry(config, bt_obs::Registry::new());
     swarm.attach_doctor(DoctorOptions {
         cadence: 1,
-        flight_capacity: 4,
         bundle_root: Some(root.clone()),
         run_id: "doctor-stall-test".to_string(),
-        stall_rounds: Some(5),
+        stall_rounds: Some(70),
         ..DoctorOptions::default()
     });
     let (_metrics, _profile, report) = swarm.run_diagnosed();
@@ -322,8 +328,8 @@ fn observer_stall_fires_alone_and_bundles_the_check_ring() {
     assert_eq!(firing_monitors(&report), vec!["observer-stall".to_string()]);
     let first = &report.report.violations[0];
     assert_eq!(
-        first.round, 6,
-        "first seen at round 1, five rounds without progress"
+        first.round, 71,
+        "first seen at round 1, seventy rounds without progress"
     );
     assert!(
         report
@@ -348,8 +354,8 @@ fn observer_stall_fires_alone_and_bundles_the_check_ring() {
     );
     assert_eq!(
         dump.get("recorded").and_then(|v| v.as_u64()),
-        Some(6),
-        "checks at rounds 1..=6"
+        Some(71),
+        "checks at rounds 1..=71"
     );
     let rounds: Vec<u64> = dump
         .get("events")
@@ -362,8 +368,8 @@ fn observer_stall_fires_alone_and_bundles_the_check_ring() {
                 .expect("event round")
         })
         .collect();
-    // The ring keeps the last `flight_capacity` checks, oldest first,
-    // ending at the violation.
-    assert_eq!(rounds, vec![3, 4, 5, 6]);
+    // The ring keeps the last 64 checks, oldest first, ending at the
+    // violation.
+    assert_eq!(rounds, (8..=71).collect::<Vec<u64>>());
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -398,17 +398,6 @@ fn report_telemetry<W: std::io::Write>(
     Ok(())
 }
 
-/// Human-readable name of a cohort phase ordinal.
-fn phase_name(phase: u8) -> &'static str {
-    match phase {
-        0 => "bootstrap",
-        1 => "efficient",
-        2 => "last-download",
-        3 => "done",
-        _ => "?",
-    }
-}
-
 /// Per-peer lifecycle rollup accumulated from a cohort trace.
 #[derive(Default)]
 struct CohortTrajectory {
@@ -503,7 +492,7 @@ fn report_cohort<W: std::io::Write>(
         let join = t.join.map_or("-".to_string(), |r| r.to_string());
         let phase = match (t.depart, t.last_phase) {
             (Some(_), _) => "departed",
-            (None, Some(p)) => phase_name(p),
+            (None, Some(p)) => bt_obs::cohort_phase::name(p),
             (None, None) => "-",
         };
         writeln!(

@@ -416,7 +416,6 @@ pub(super) fn run_doctor<W: std::io::Write>(
             bundle_root: Some(run_dir.to_path_buf()),
             run_id,
             stall_rounds: a.stall_rounds,
-            ..bt_swarm::DoctorOptions::default()
         });
         if let Some(fault) = a.inject_fault {
             tracing::warn!(target: "btlab", kind = format!("{:?}", fault.kind).as_str(), round = fault.round; "seeded fault scheduled");
