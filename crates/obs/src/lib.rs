@@ -1,6 +1,6 @@
 //! Observability for the multiphase BitTorrent laboratory.
 //!
-//! Three pieces, designed to be cheap enough to leave compiled into
+//! Eleven pieces, designed to be cheap enough to leave compiled into
 //! release binaries:
 //!
 //! 1. **Structured logging** ([`init`], [`LogMode`], [`EnvFilter`]):

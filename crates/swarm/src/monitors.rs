@@ -553,6 +553,7 @@ struct DoctorFlightEvent {
     /// Connection endpoints.
     degree_sum: u64,
 }
+
 /// One peer's state in the bundle's peer slice.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PeerSliceEntry {
